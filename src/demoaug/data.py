@@ -214,10 +214,14 @@ class Dataset:
 # validation
 
 
-def _check_pose_in_box(pose: Pose, schema: TaskSchema, what: str, tol: float = 1e-9):
-    p = pose.position
-    if np.any(p < schema.workspace_min - tol) or np.any(p > schema.workspace_max + tol):
-        raise InvariantViolation(f"{what} position {p.tolist()} outside workspace bounds")
+_BOX_TOL = 1e-9
+
+
+def _check_pose_in_box(pose: Pose, lo: list, hi: list, what: str):
+    """lo/hi: the workspace box widened by _BOX_TOL, as float lists."""
+    x, y, z = p = pose.position.tolist()
+    if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and lo[2] <= z <= hi[2]):
+        raise InvariantViolation(f"{what} position {p} outside workspace bounds")
 
 
 def validate_trajectory(traj: Trajectory, schema: TaskSchema):
@@ -228,6 +232,8 @@ def validate_trajectory(traj: Trajectory, schema: TaskSchema):
     if not _ID_RE.match(traj.traj_id):
         raise InvariantViolation(f"{where}: traj_id is not filesystem-safe")
     expected_entities = schema.entity_ids()
+    box_lo = (schema.workspace_min - _BOX_TOL).tolist()
+    box_hi = (schema.workspace_max + _BOX_TOL).tolist()
     prev_t = None
     prev_phase = None
     for ts in traj.timesteps:
@@ -235,23 +241,22 @@ def validate_trajectory(traj: Trajectory, schema: TaskSchema):
         if prev_t is not None and ts.t <= prev_t:
             raise InvariantViolation(f"{at}: ordering violation, t not strictly increasing")
         prev_t = ts.t
-        got = tuple(e.entity_id for e in ts.entities)
+        got = tuple([e.entity_id for e in ts.entities])
         if got != expected_entities:
             raise InvariantViolation(f"{at}: entity ordering {got} != schema {expected_entities}")
-        for e in ts.entities:
-            decl = schema.entity(e.entity_id)
+        for e, decl in zip(ts.entities, schema.entities):
             if tuple(e.extra.keys()) != decl.extra_fields:
                 raise InvariantViolation(
                     f"{at}: entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}"
                 )
-        got_agents = tuple(r.agent_id for r in ts.robots)
+        got_agents = tuple([r.agent_id for r in ts.robots])
         if got_agents != schema.agents:
             raise InvariantViolation(f"{at}: robot ordering {got_agents} != schema {schema.agents}")
-        act_agents = tuple(a.agent_id for a in ts.actions)
+        act_agents = tuple([a.agent_id for a in ts.actions])
         if act_agents != schema.agents:
             raise InvariantViolation(f"{at}: exactly one action per agent required, got {act_agents}")
         for a in ts.actions:
-            _check_pose_in_box(a.target_eef_pose, schema, f"{at}: action target")
+            _check_pose_in_box(a.target_eef_pose, box_lo, box_hi, f"{at}: action target")
         if ts.phase is not None:
             if prev_phase is not None and ts.phase < prev_phase:
                 raise InvariantViolation(f"{at}: phase labels decrease")
@@ -295,8 +300,8 @@ def slice_subtrajectory(traj: Trajectory, t0: int, t1: int) -> Trajectory:
 
 def _pose_to_json(pose: Pose) -> dict:
     return {
-        "position": [float(x) for x in pose.position],
-        "orientation": [float(x) for x in pose.orientation],
+        "position": pose.position.tolist(),
+        "orientation": pose.orientation.tolist(),
     }
 
 
@@ -307,7 +312,7 @@ def _pose_from_json(obj, where: str) -> Pose:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     try:
-        return Pose(np.array(pos), np.array(ori))
+        return Pose(pos, ori)
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from exc
 
@@ -449,6 +454,22 @@ def save_dataset(ds: Dataset, path) -> None:
         raise IoFailure(f"failed writing dataset to {root}: {exc}") from exc
 
 
+_MANIFEST_ENTRY_KEYS = ("traj_id", "file", "num_timesteps", "success", "provenance")
+
+
+def _check_manifest_entry(entry, n: int) -> None:
+    where = f"manifest trajectory entry {n}"
+    if not isinstance(entry, dict):
+        raise InvariantViolation(f"{where} is not a JSON object")
+    missing = [key for key in _MANIFEST_ENTRY_KEYS if key not in entry]
+    if missing:
+        raise InvariantViolation(f"{where} lacks {', '.join(missing)}")
+    if not isinstance(entry["traj_id"], str) or not isinstance(entry["file"], str):
+        raise InvariantViolation(f"{where}: traj_id and file must be strings")
+    if entry["provenance"] not in [p.value for p in Provenance]:
+        raise InvariantViolation(f"{where}: unknown provenance {entry['provenance']!r}")
+
+
 def load_dataset(path) -> Dataset:
     """Read and fully validate a dataset directory."""
     root = Path(path)
@@ -459,14 +480,20 @@ def load_dataset(path) -> Dataset:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"failed reading {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise InvariantViolation(f"{manifest_path} is not a JSON object")
     version = manifest.get("schema_version")
     if not isinstance(version, str) or version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise SchemaVersionMismatch(
             f"manifest schema_version {version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
         )
     schema = schema_from_json(manifest.get("task_schema", {}))
+    entries = manifest.get("trajectories", [])
+    if not isinstance(entries, list):
+        raise InvariantViolation("manifest trajectories is not a JSON list")
     trajectories = []
-    for entry in manifest.get("trajectories", []):
+    for n, entry in enumerate(entries):
+        _check_manifest_entry(entry, n)
         traj_id = entry["traj_id"]
         fpath = root / entry["file"]
         try:
@@ -483,6 +510,11 @@ def load_dataset(path) -> Dataset:
             except json.JSONDecodeError as exc:
                 raise IoFailure(f"{where}: bad JSON ({exc})") from exc
             timesteps.append(timestep_from_json(obj, where))
+        if entry["num_timesteps"] != len(timesteps):
+            raise InvariantViolation(
+                f"trajectory {traj_id!r}: manifest num_timesteps {entry['num_timesteps']!r} "
+                f"!= {len(timesteps)} timestep lines in {entry['file']}"
+            )
         trajectories.append(
             Trajectory(
                 traj_id=traj_id,

@@ -4,10 +4,37 @@ Quaternions are stored (w, x, y, z) with the double cover resolved by
 keeping w >= 0. Helpers always return normalized, canonical quaternions;
 the Pose/SE3Transform constructors validate but never silently rescale,
 so values survive serialization round trips bit-for-bit.
+
+Construction contract. `Pose(position, orientation)` and
+`SE3Transform(rotation, translation)` accept anything numpy turns into
+float64 vectors of 3 and 4 values. They raise InvariantViolation on a
+wrong size, on a NaN or inf in any slot, and on a quaternion whose norm
+is more than UNIT_TOL from 1. They flip the quaternion's sign so that
+w >= 0 and store fresh read-only float64 arrays of shape (3,) and (4,)
+that own their data (`.base is None`): a view would keep a second ndarray
+alive per vector.
+
+Bit-identity rules. The per-pose kernel works on Python floats taken with
+`ndarray.tolist()`, which avoids numpy's per-call overhead on 3- and
+4-vectors, but only where the scalar form gives the same bits as the numpy
+form it replaces:
+
+- the scalar cross product in `quat_rotate` equals `np.cross`, which
+  forms the same products and differences;
+- `vec_norm(v) = math.sqrt(v.dot(v))` equals `np.linalg.norm(v)`, which
+  computes exactly that;
+- `.tolist()` equals `float()` per element.
+
+These are not bit-equal, so the numpy forms stay: `math.atan2` against
+`np.arctan2`, `math.acos` against `np.arccos`, and a plain `x*x + y*y +
+z*z` against `v.dot(v)`. The constructors' norm check may use the plain
+sum of squares because it only decides acceptance against UNIT_TOL and
+never feeds a stored value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +45,50 @@ UNIT_TOL = 1e-9
 _DEGENERATE = 1e-8
 
 
+def vec_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float64 vector, bit-equal to np.linalg.norm."""
+    return math.sqrt(v.dot(v))
+
+
+def _floats(x) -> list:
+    return np.asarray(x, dtype=np.float64).tolist()
+
+
+def _qmul(a: list, b: list) -> list:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return [
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ]
+
+
+def _qconj(q: list) -> list:
+    return [q[0], -q[1], -q[2], -q[3]]
+
+
+def _rotate(q: list, v: list) -> list:
+    """v + w t + u x t with t = 2 u x v, in np.cross's operation order."""
+    w, x, y, z = q
+    vx, vy, vz = v
+    tx = 2.0 * (y * vz - z * vy)
+    ty = 2.0 * (z * vx - x * vz)
+    tz = 2.0 * (x * vy - y * vx)
+    return [
+        vx + w * tx + (y * tz - z * ty),
+        vy + w * ty + (z * tx - x * tz),
+        vz + w * tz + (x * ty - y * tx),
+    ]
+
+
+def _rigid(r: list, t: list, v: list) -> list:
+    """R v + t, adding in the order of `quat_rotate(r, v) + t`."""
+    rx, ry, rz = _rotate(r, v)
+    return [rx + t[0], ry + t[1], rz + t[2]]
+
+
 def quat_canonical(q: np.ndarray) -> np.ndarray:
     """Flip sign so the scalar part is non-negative (idempotent)."""
     q = np.asarray(q, dtype=np.float64)
@@ -26,8 +97,8 @@ def quat_canonical(q: np.ndarray) -> np.ndarray:
 
 def quat_normalize(q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
-    n = float(np.linalg.norm(q))
-    if not np.isfinite(n) or n < _DEGENERATE:
+    n = vec_norm(q)
+    if not math.isfinite(n) or n < _DEGENERATE:
         raise InvariantViolation(f"degenerate quaternion {q!r}")
     if abs(n - 1.0) <= 1e-12:
         # already unit: dividing would only churn the last bits, breaking
@@ -37,29 +108,16 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
+    return np.array(_qmul(_floats(a), _floats(b)))
 
 
 def quat_conjugate(q) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.array(_qconj(_floats(q)))
 
 
 def quat_rotate(q, v) -> np.ndarray:
     """Rotate a 3-vector by a unit quaternion."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.asarray(q[1:], dtype=np.float64)
-    t = 2.0 * np.cross(u, v)
-    return v + q[0] * t + np.cross(u, t)
+    return np.array(_rotate(_floats(q), _floats(v)))
 
 
 def quat_from_yaw(yaw: float) -> np.ndarray:
@@ -70,7 +128,7 @@ def quat_from_yaw(yaw: float) -> np.ndarray:
 def quat_from_rotvec(w) -> np.ndarray:
     """Exponential map from a rotation vector (axis * angle, radians)."""
     w = np.asarray(w, dtype=np.float64)
-    angle = float(np.linalg.norm(w))
+    angle = vec_norm(w)
     if angle < 1e-12:
         return np.array([1.0, 0.0, 0.0, 0.0])
     axis = w / angle
@@ -81,8 +139,8 @@ def quat_from_rotvec(w) -> np.ndarray:
 
 def quat_geodesic(a, b) -> float:
     """Angular distance in radians between two unit quaternions, in [0, pi]."""
-    rel = quat_multiply(a, quat_conjugate(b))
-    return 2.0 * float(np.arctan2(np.linalg.norm(rel[1:]), abs(rel[0])))
+    rel = _qmul(_floats(a), _qconj(_floats(b)))
+    return 2.0 * float(np.arctan2(vec_norm(np.array(rel[1:])), abs(rel[0])))
 
 
 def quat_slerp(a, b, u: float) -> np.ndarray:
@@ -105,34 +163,48 @@ def quat_slerp(a, b, u: float) -> np.ndarray:
     return quat_normalize(w1 * a + w2 * b_adj)
 
 
-def _frozen_vec(x, size, what):
-    arr = np.asarray(x, dtype=np.float64).reshape(size).copy()
-    if not np.all(np.isfinite(arr)):
+def _checked_vec(x, size: int, what: str) -> tuple[np.ndarray, list]:
+    """A fresh float64 copy of x with shape (size,), and its values; raises
+    on a wrong size or a non-finite value."""
+    arr = np.array(x, dtype=np.float64)
+    if arr.shape != (size,):
+        if arr.size != size:
+            raise InvariantViolation(f"{what} needs {size} values, got shape {arr.shape}")
+        arr = arr.reshape(size).copy()
+    vals = arr.tolist()
+    if not all(map(math.isfinite, vals)):
         raise InvariantViolation(f"non-finite {what}: {arr!r}")
+    return arr, vals
+
+
+def _frozen_vec(x, size: int, what: str) -> np.ndarray:
+    arr, _ = _checked_vec(x, size, what)
     arr.flags.writeable = False
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+def _frozen_quat(x, what: str) -> np.ndarray:
+    """A unit quaternion within UNIT_TOL, sign-flipped to w >= 0, never rescaled."""
+    q, (w, qx, qy, qz) = _checked_vec(x, 4, what)
+    n = math.sqrt(w * w + qx * qx + qy * qy + qz * qz)
+    if abs(n - 1.0) > UNIT_TOL:
+        raise InvariantViolation(f"{what} norm {n} deviates from 1 beyond {UNIT_TOL}")
+    if w < 0.0:
+        np.negative(q, out=q)
+    q.flags.writeable = False
+    return q
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Pose:
     """Position (meters) plus unit quaternion orientation (w, x, y, z)."""
 
     position: np.ndarray
     orientation: np.ndarray
 
-    def __post_init__(self):
-        p = _frozen_vec(self.position, 3, "position")
-        q = np.asarray(self.orientation, dtype=np.float64).reshape(4).copy()
-        if not np.all(np.isfinite(q)):
-            raise InvariantViolation(f"non-finite quaternion: {q!r}")
-        n = float(np.linalg.norm(q))
-        if abs(n - 1.0) > UNIT_TOL:
-            raise InvariantViolation(f"quaternion norm {n} deviates from 1 beyond {UNIT_TOL}")
-        if q[0] < 0.0:
-            q = -q
-        q.flags.writeable = False
-        object.__setattr__(self, "position", p)
-        object.__setattr__(self, "orientation", q)
+    def __init__(self, position, orientation):
+        object.__setattr__(self, "position", _frozen_vec(position, 3, "position"))
+        object.__setattr__(self, "orientation", _frozen_quat(orientation, "quaternion"))
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -155,26 +227,16 @@ class Pose:
         return f"Pose(p=[{p[0]:.4g}, {p[1]:.4g}, {p[2]:.4g}], q=[{q[0]:.4g}, {q[1]:.4g}, {q[2]:.4g}, {q[3]:.4g}])"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SE3Transform:
     """Rigid transform: x -> R x + t, with R a unit quaternion rotation."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
-    def __post_init__(self):
-        q = np.asarray(self.rotation, dtype=np.float64).reshape(4).copy()
-        if not np.all(np.isfinite(q)):
-            raise InvariantViolation(f"non-finite rotation: {q!r}")
-        n = float(np.linalg.norm(q))
-        if abs(n - 1.0) > UNIT_TOL:
-            raise InvariantViolation(f"rotation norm {n} deviates from 1 beyond {UNIT_TOL}")
-        if q[0] < 0.0:
-            q = -q
-        q.flags.writeable = False
-        t = _frozen_vec(self.translation, 3, "translation")
-        object.__setattr__(self, "rotation", q)
-        object.__setattr__(self, "translation", t)
+    def __init__(self, rotation, translation):
+        object.__setattr__(self, "rotation", _frozen_quat(rotation, "rotation"))
+        object.__setattr__(self, "translation", _frozen_vec(translation, 3, "translation"))
 
     @classmethod
     def identity(cls) -> "SE3Transform":
@@ -187,21 +249,23 @@ class SE3Transform:
 
     def compose(self, other: "SE3Transform") -> "SE3Transform":
         """self after other: (self . other)(x) == self(other(x))."""
-        rot = quat_normalize(quat_multiply(self.rotation, other.rotation))
-        trans = quat_rotate(self.rotation, other.translation) + self.translation
-        return SE3Transform(rot, trans)
+        r = self.rotation.tolist()
+        rot = quat_normalize(np.array(_qmul(r, other.rotation.tolist())))
+        return SE3Transform(rot, _rigid(r, self.translation.tolist(), other.translation.tolist()))
 
     def inverse(self) -> "SE3Transform":
-        rot = quat_normalize(quat_conjugate(self.rotation))
-        return SE3Transform(rot, -quat_rotate(rot, self.translation))
+        rot = quat_normalize(np.array(_qconj(self.rotation.tolist())))
+        rx, ry, rz = _rotate(rot.tolist(), self.translation.tolist())
+        return SE3Transform(rot, [-rx, -ry, -rz])
 
     def apply_point(self, v) -> np.ndarray:
-        return quat_rotate(self.rotation, v) + self.translation
+        return np.array(_rigid(self.rotation.tolist(), self.translation.tolist(), _floats(v)))
 
     def apply_pose(self, pose: Pose) -> Pose:
+        r = self.rotation.tolist()
         return Pose(
-            self.apply_point(pose.position),
-            quat_normalize(quat_multiply(self.rotation, pose.orientation)),
+            _rigid(r, self.translation.tolist(), pose.position.tolist()),
+            quat_normalize(np.array(_qmul(r, pose.orientation.tolist()))),
         )
 
     def __eq__(self, other):
@@ -214,9 +278,10 @@ class SE3Transform:
 
 def relative_transform(src: Pose, dst: Pose) -> SE3Transform:
     """World-frame transform T with T(src) == dst, i.e. T = dst . src^-1."""
-    rot = quat_normalize(quat_multiply(dst.orientation, quat_conjugate(src.orientation)))
-    trans = dst.position - quat_rotate(rot, src.position)
-    return SE3Transform(rot, trans)
+    rot = quat_normalize(np.array(_qmul(dst.orientation.tolist(), _qconj(src.orientation.tolist()))))
+    rx, ry, rz = _rotate(rot.tolist(), src.position.tolist())
+    dx, dy, dz = dst.position.tolist()
+    return SE3Transform(rot, [dx - rx, dy - ry, dz - rz])
 
 
 def relative_in_frame(frame: Pose, pose: Pose) -> SE3Transform:
@@ -230,21 +295,13 @@ def relative_in_frame(frame: Pose, pose: Pose) -> SE3Transform:
     return frame_tf.inverse().compose(pose_tf)
 
 
-def pose_distance(a: Pose, b: Pose) -> tuple[float, float]:
-    """(positional distance, orientation geodesic) between two poses."""
-    return (
-        float(np.linalg.norm(a.position - b.position)),
-        quat_geodesic(a.orientation, b.orientation),
-    )
-
-
 def step_toward(current: Pose, target: Pose, max_pos_step: float, max_rot_step: float) -> Pose:
     """Move from current toward target, clamped to per-step bounds.
 
     Reaches the target exactly once both residuals fit inside the bounds.
     """
     delta = target.position - current.position
-    dist = float(np.linalg.norm(delta))
+    dist = vec_norm(delta)
     if dist <= max_pos_step:
         pos = target.position
     else:

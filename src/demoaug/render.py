@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Timestep
-from .sim import ReceptacleGeom, SimState, TaskDefinition, _well_xy, _push_xy, sim_state_from_timestep
+from .sim import ReceptacleGeom, SimState, TaskDefinition, _well_xy, _push_xy
 
 _PALETTE = (
     (204, 48, 48),
@@ -61,7 +60,3 @@ def rasterize_state(state: SimState, task: TaskDefinition, size: int = 128) -> n
     img[max(0, r - arm) : r + arm + 1, c] = color
     img[r, max(0, c - arm) : c + arm + 1] = color
     return img
-
-
-def rasterize_timestep(ts: Timestep, task: TaskDefinition, size: int = 128) -> np.ndarray:
-    return rasterize_state(sim_state_from_timestep(ts, task), task, size)

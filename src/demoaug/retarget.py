@@ -15,12 +15,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .causal import TaskCausalSpec
 from .data import Action, Dataset, Timestep, Trajectory, Provenance, slice_subtrajectory
 from .errors import BudgetExhausted, InvariantViolation, TargetMissing
-from .geometry import Pose, SE3Transform, quat_geodesic, quat_slerp, relative_transform
+from .geometry import Pose, SE3Transform, quat_geodesic, quat_slerp, relative_transform, vec_norm
 from .rng import derive_stream
 from .sim import PoseSampler, TaskDefinition, check_success, observe, reset, step
 
@@ -83,7 +81,7 @@ def interpolate_prefix(
     Step count is the smallest n respecting both per-step bounds; the final
     action equals `to_pose` exactly. Returns [] when the poses coincide.
     """
-    dist = float(np.linalg.norm(to_pose.position - from_pose.position))
+    dist = vec_norm(to_pose.position - from_pose.position)
     angle = quat_geodesic(from_pose.orientation, to_pose.orientation)
     n = max(
         math.ceil(dist / cfg.max_pos_step - 1e-9),
@@ -124,7 +122,7 @@ def _trim_start(traj: Trajectory, t0: int, t1: int, target: str, approach_radius
     target_pos = traj.timesteps[t0].entity(target).pose.position
     for i in range(t0, t1):
         eef = traj.timesteps[i].robots[0].eef_pose.position
-        if float(np.linalg.norm(eef - target_pos)) <= approach_radius:
+        if vec_norm(eef - target_pos) <= approach_radius:
             return i
     return t0
 

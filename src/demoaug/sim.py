@@ -27,7 +27,7 @@ from .errors import (
     UnknownTask,
     UnreachableTarget,
 )
-from .geometry import Pose, SE3Transform, quat_from_yaw, quat_rotate, step_toward
+from .geometry import Pose, SE3Transform, quat_from_yaw, quat_rotate, step_toward, vec_norm
 from .rng import derive_stream
 
 GRASPABLE_KINDS = ("block", "pod", "tool")
@@ -174,20 +174,19 @@ def reset(task: TaskDefinition, seed) -> SimState:
     """Sample non-overlapping initial object poses; gripper at home, open."""
     rng = seed if isinstance(seed, np.random.Generator) else derive_stream(int(seed), "reset")
     order = task.schema.entity_ids()
-    lo, hi = task.schema.workspace_min, task.schema.workspace_max
+    lo, hi = task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()
     for eid in order:
         s = task.samplers[eid]
-        box_lo = np.array([s.x_range[0], s.y_range[0], s.z_range[0]])
-        box_hi = np.array([s.x_range[1], s.y_range[1], s.z_range[1]])
-        if np.any(box_lo < lo) or np.any(box_hi > hi):
-            raise InvariantViolation(f"sampler box for {eid!r} exceeds the task workspace")
+        for (r_lo, r_hi), w_lo, w_hi in zip((s.x_range, s.y_range, s.z_range), lo, hi):
+            if r_lo < w_lo or r_hi > w_hi:
+                raise InvariantViolation(f"sampler box for {eid!r} exceeds the task workspace")
     for _ in range(task.sim.placement_attempts):
         poses = {eid: task.samplers[eid].sample(rng) for eid in order}
         ok = True
         ids = list(order)
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
-                d = np.linalg.norm(poses[ids[i]].position[:2] - poses[ids[j]].position[:2])
+                d = vec_norm(poses[ids[i]].position[:2] - poses[ids[j]].position[:2])
                 if d < task.sim.min_separation:
                     ok = False
         if ok:
@@ -210,19 +209,25 @@ def _drop_pose(task: TaskDefinition, objects: dict[str, Pose], obj_id: str, pose
             continue
         geom = task.geoms[other_id]
         if isinstance(geom, ReceptacleGeom):
-            if np.linalg.norm(xy - _well_xy(task, other_id, other)) <= geom.well_radius:
+            if vec_norm(xy - _well_xy(task, other_id, other)) <= geom.well_radius:
                 rest = geom.well_floor_z + h / 2.0
-            elif np.linalg.norm(xy - other.position[:2]) <= geom.body_radius:
+            elif vec_norm(xy - other.position[:2]) <= geom.body_radius:
                 rest = other.position[2] + geom.height / 2.0 + h / 2.0
             else:
                 continue
         else:
-            if np.linalg.norm(xy - other.position[:2]) > task.sim.support_radius:
+            if vec_norm(xy - other.position[:2]) > task.sim.support_radius:
                 continue
             rest = other.position[2] + geom.height / 2.0 + h / 2.0
         if rest <= pose.position[2] + z_eps and rest > best_rest:
             best_rest = rest
     return Pose(np.array([xy[0], xy[1], best_rest]), pose.orientation)
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip on floats, including which bound wins a tie (it matters for -0.0)."""
+    x = x if x > lo else lo
+    return x if x < hi else hi
 
 
 def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
@@ -231,11 +236,16 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     sim = task.sim
     old_eef = state.gripper.eef_pose
     moved = step_toward(old_eef, action.target_eef_pose, sim.max_pos_step, sim.max_rot_step)
-    pos = np.clip(moved.position, task.schema.workspace_min, task.schema.workspace_max)
+    pos = [
+        _clip(x, lo, hi)
+        for x, lo, hi in zip(
+            moved.position.tolist(), task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()
+        )
+    ]
     new_eef = Pose(pos, moved.orientation)
 
     ap = state.gripper.gripper_aperture
-    delta = float(np.clip(action.gripper_command - ap, -sim.aperture_rate, sim.aperture_rate))
+    delta = _clip(action.gripper_command - ap, -sim.aperture_rate, sim.aperture_rate)
     new_ap = min(1.0, max(0.0, ap + delta))
 
     objects = dict(state.objects)
@@ -255,7 +265,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
         for eid, pose in objects.items():
             if not getattr(task.geoms[eid], "graspable", False):
                 continue
-            d = float(np.linalg.norm(pose.position - new_eef.position))
+            d = vec_norm(pose.position - new_eef.position)
             if d <= sim.grasp_radius and (best is None or d < best[0]):
                 best = (d, eid)
         if best is not None:
@@ -267,7 +277,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     if dz < 0.0:
         for eid in list(lids.keys()):
             geom = task.geoms[eid]
-            if np.linalg.norm(new_eef.position[:2] - _push_xy(task, eid, objects[eid])) > geom.push_radius:
+            if vec_norm(new_eef.position[:2] - _push_xy(task, eid, objects[eid])) > geom.push_radius:
                 continue
             zmin, zmax = geom.push_band
             hi = min(float(old_eef.position[2]), zmax)
@@ -286,7 +296,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
 
 def _placed_on(state: SimState, task: TaskDefinition, upper: str, lower: str) -> bool:
     up, lo = state.objects[upper], state.objects[lower]
-    if np.linalg.norm(up.position[:2] - lo.position[:2]) > task.xy_tol:
+    if vec_norm(up.position[:2] - lo.position[:2]) > task.xy_tol:
         return False
     expected_z = lo.position[2] + (_height(task, lower) + _height(task, upper)) / 2.0
     return abs(up.position[2] - expected_z) <= task.z_tol
@@ -300,7 +310,7 @@ def _pod_in_well(state: SimState, task: TaskDefinition, pod: str, machine: str) 
     geom = task.geoms[machine]
     pose = state.objects[pod]
     well = _well_xy(task, machine, state.objects[machine])
-    if np.linalg.norm(pose.position[:2] - well) > task.xy_tol:
+    if vec_norm(pose.position[:2] - well) > task.xy_tol:
         return False
     rest = geom.well_floor_z + _height(task, pod) / 2.0
     return abs(pose.position[2] - rest) <= task.z_tol
@@ -349,8 +359,10 @@ def check_success(state: SimState, task: TaskDefinition, phase: int | None = Non
 
 
 def _check_reachable(task: TaskDefinition, point: np.ndarray, what: str):
-    if np.any(point < task.schema.workspace_min) or np.any(point > task.schema.workspace_max):
-        raise UnreachableTarget(f"{what} {point.tolist()} outside workspace")
+    p = point.tolist()
+    lo, hi = task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()
+    if any(x < w_lo or x > w_hi for x, w_lo, w_hi in zip(p, lo, hi)):
+        raise UnreachableTarget(f"{what} {p} outside workspace")
 
 
 def _bounded_action(state: SimState, task: TaskDefinition, waypoint: np.ndarray, grip: float) -> Action:
@@ -372,7 +384,7 @@ def _grasp_policy(state: SimState, task: TaskDefinition, obj_id: str) -> Action:
     grasp_point = obj.position
     _check_reachable(task, grasp_point, f"grasp point for {obj_id}")
     tol = task.expert.align_tol
-    xy_err = float(np.linalg.norm(eef.position[:2] - grasp_point[:2]))
+    xy_err = vec_norm(eef.position[:2] - grasp_point[:2])
     if xy_err > tol:
         wp = np.array([grasp_point[0], grasp_point[1], task.expert.transit_z])
         return _bounded_action(state, task, wp, 1.0)
@@ -389,7 +401,7 @@ def _place_policy(state: SimState, task: TaskDefinition, carried_id: str, place_
     obj = state.objects[carried_id]
     offset_vec = eef.position - obj.position  # rigid while orientation is held
     tol = task.expert.align_tol
-    xy_err = float(np.linalg.norm(obj.position[:2] - place_point[:2]))
+    xy_err = vec_norm(obj.position[:2] - place_point[:2])
     if xy_err > tol:
         obj_wp = np.array([place_point[0], place_point[1], task.expert.transit_z])
         return _bounded_action(state, task, obj_wp + offset_vec, 0.0)
@@ -444,7 +456,7 @@ def expert_action(state: SimState, task: TaskDefinition, phase: int) -> Action:
                 tol = task.expert.align_tol
                 approach = np.array([push[0], push[1], geom.push_band[1]])
                 _check_reachable(task, approach, "lid push point")
-                if float(np.linalg.norm(eef.position[:2] - push)) > tol or eef.position[2] > geom.push_band[1] + tol:
+                if vec_norm(eef.position[:2] - push) > tol or eef.position[2] > geom.push_band[1] + tol:
                     return _bounded_action(state, task, approach, 1.0)
                 bottom_wp = np.array([push[0], push[1], geom.push_band[0] + 0.01])
                 return _bounded_action(state, task, bottom_wp, 1.0)
@@ -524,7 +536,7 @@ def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
         for eid, pose in objects.items():
             if not getattr(task.geoms[eid], "graspable", False):
                 continue
-            if float(np.linalg.norm(pose.position - gripper.eef_pose.position)) <= task.sim.grasp_radius:
+            if vec_norm(pose.position - gripper.eef_pose.position) <= task.sim.grasp_radius:
                 near.append(eid)
         if len(near) > 1:
             raise InitialStateMissing(

@@ -219,3 +219,47 @@ def test_quaternion_canonicalization_idempotent_through_io(tmp_path):
     assert qq[0] >= 0
     save_dataset(first, tmp_path / "c2")
     assert load_dataset(tmp_path / "c2") == first
+
+
+def _rewrite_manifest(root, edit):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(manifest)))
+
+
+def _drop_key(key):
+    def edit(manifest):
+        del manifest["trajectories"][0][key]
+        return manifest
+
+    return edit
+
+
+def _set_entry(key, value):
+    def edit(manifest):
+        manifest["trajectories"][0][key] = value
+        return manifest
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_key("traj_id"),
+        _drop_key("success"),
+        _set_entry("provenance", "scripted"),
+        lambda manifest: [manifest],
+        _set_entry("num_timesteps", 4),
+    ],
+    ids=["missing_traj_id", "missing_success", "unknown_provenance", "manifest_is_list",
+         "num_timesteps_mismatch"],
+)
+def test_malformed_manifest_raises_invariant_violation(tmp_path, edit):
+    from demoaug.cli import main
+
+    save_dataset(random_dataset(6, n_traj=2, n_steps=3), tmp_path / "m")
+    _rewrite_manifest(tmp_path / "m", edit)
+    with pytest.raises(InvariantViolation):
+        load_dataset(tmp_path / "m")
+    assert main(["validate", "--task", "stack", "--in", str(tmp_path / "m")]) == 2

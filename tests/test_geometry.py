@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from demoaug.errors import InvariantViolation
 from demoaug.geometry import (
+    UNIT_TOL,
     Pose,
     SE3Transform,
     quat_canonical,
@@ -17,6 +20,7 @@ from demoaug.geometry import (
     relative_in_frame,
     relative_transform,
     step_toward,
+    vec_norm,
 )
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -162,3 +166,208 @@ def test_step_toward_clamps_and_reaches():
     close = step_toward(Pose(np.array([0.04, 0, 0]), b.orientation), b, 0.02, 0.5)
     assert np.array_equal(close.position, b.position)
     assert np.array_equal(close.orientation, b.orientation)
+
+
+# ---------------------------------------------------------------------------
+# reference kernel: the numpy forms the scalar kernel replaced. The scalar
+# kernel must return the same bits, not merely close values.
+
+
+def ref_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def ref_conjugate(q):
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def ref_rotate(q, v):
+    v = np.asarray(v, dtype=np.float64)
+    u = np.asarray(q[1:], dtype=np.float64)
+    t = 2.0 * np.cross(u, v)
+    return v + q[0] * t + np.cross(u, t)
+
+
+def ref_normalize(q):
+    q = np.asarray(q, dtype=np.float64)
+    n = float(np.linalg.norm(q))
+    if abs(n - 1.0) > 1e-12:
+        q = q / n
+    return -q if q[0] < 0.0 else q
+
+
+def ref_geodesic(a, b):
+    rel = ref_multiply(a, ref_conjugate(b))
+    return 2.0 * float(np.arctan2(np.linalg.norm(rel[1:]), abs(rel[0])))
+
+
+def ref_slerp(a, b, u):
+    dot = float(np.dot(a, b))
+    b_adj = -b if dot < 0.0 else b
+    dot = abs(dot)
+    if dot > 1.0 - 1e-12:
+        return ref_normalize(a + u * (b_adj - a))
+    theta = np.arccos(min(dot, 1.0))
+    w1 = np.sin((1.0 - u) * theta) / np.sin(theta)
+    w2 = np.sin(u * theta) / np.sin(theta)
+    return ref_normalize(w1 * a + w2 * b_adj)
+
+
+def ref_step_toward(cur, tgt, max_pos, max_rot):
+    delta = tgt.position - cur.position
+    dist = float(np.linalg.norm(delta))
+    pos = tgt.position if dist <= max_pos else cur.position + delta * (max_pos / dist)
+    angle = ref_geodesic(cur.orientation, tgt.orientation)
+    if angle <= max_rot:
+        ori = tgt.orientation
+    else:
+        ori = ref_slerp(cur.orientation, tgt.orientation, max_rot / angle)
+    return pos, ori
+
+
+def assert_bits(got, want):
+    assert np.array_equal(got, want), (got, want)
+
+
+@st.composite
+def raw_quats(draw):
+    """Unit quaternions off by a few ulps, so both quat_normalize branches run."""
+    raw = np.array([draw(st.floats(-1, 1)) for _ in range(4)])
+    if float(np.linalg.norm(raw)) < 1e-3:
+        raw = np.array([1.0, 0.0, 0.0, 0.0])
+    return raw / float(np.linalg.norm(raw))
+
+
+vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)
+
+
+@settings(max_examples=300)
+@given(raw_quats(), raw_quats(), vectors)
+def test_kernel_bit_equal_to_numpy_reference(q1, q2, v):
+    assert_bits(quat_rotate(q1, v), ref_rotate(q1, v))
+    assert_bits(quat_multiply(q1, q2), ref_multiply(q1, q2))
+    assert_bits(quat_normalize(q1), ref_normalize(q1))
+    assert quat_geodesic(q1, q2) == ref_geodesic(q1, q2)
+    assert vec_norm(v) == float(np.linalg.norm(v))
+
+
+@settings(max_examples=300)
+@given(transforms(), transforms(), poses())
+def test_transforms_bit_equal_to_numpy_reference(T1, T2, p):
+    c = T1.compose(T2)
+    assert_bits(c.rotation, ref_normalize(ref_multiply(T1.rotation, T2.rotation)))
+    assert_bits(c.translation, ref_rotate(T1.rotation, T2.translation) + T1.translation)
+    inv = T1.inverse()
+    inv_rot = ref_normalize(ref_conjugate(T1.rotation))
+    assert_bits(inv.rotation, inv_rot)
+    assert_bits(inv.translation, -ref_rotate(inv_rot, T1.translation))
+    moved = T1.apply_pose(p)
+    assert_bits(moved.position, ref_rotate(T1.rotation, p.position) + T1.translation)
+    assert_bits(moved.orientation, ref_normalize(ref_multiply(T1.rotation, p.orientation)))
+    assert_bits(T1.apply_point(p.position), ref_rotate(T1.rotation, p.position) + T1.translation)
+
+
+@settings(max_examples=300)
+@given(poses(), poses())
+def test_relative_transform_bit_equal_to_numpy_reference(src, dst):
+    T = relative_transform(src, dst)
+    rot = ref_normalize(ref_multiply(dst.orientation, ref_conjugate(src.orientation)))
+    assert_bits(T.rotation, rot)
+    assert_bits(T.translation, dst.position - ref_rotate(rot, src.position))
+
+
+@settings(max_examples=300)
+@given(poses(), poses(), st.floats(1e-3, 2e3), st.floats(1e-3, 3.2))
+def test_step_toward_bit_equal_to_numpy_reference(cur, tgt, max_pos, max_rot):
+    got = step_toward(cur, tgt, max_pos, max_rot)
+    pos, ori = ref_step_toward(cur, tgt, max_pos, max_rot)
+    assert_bits(got.position, pos)
+    assert_bits(got.orientation, ori)
+
+
+# ---------------------------------------------------------------------------
+# construction contract
+
+
+# (build from a 3-vector and a quaternion, stored (3-vector, quaternion))
+CONSTRUCTORS = pytest.mark.parametrize(
+    "build,arrays",
+    [
+        (Pose, lambda obj: (obj.position, obj.orientation)),
+        (lambda v, q: SE3Transform(q, v), lambda obj: (obj.translation, obj.rotation)),
+    ],
+    ids=["Pose", "SE3Transform"],
+)
+UNIT_Q = np.array([0.5, -0.5, 0.5, 0.5])
+
+
+@CONSTRUCTORS
+@pytest.mark.parametrize("slot", range(7))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructor_rejects_non_finite(build, arrays, slot, bad):
+    v = np.array([0.1, 0.2, 0.3])
+    q = UNIT_Q.copy()
+    if slot < 3:
+        v[slot] = bad
+    else:
+        q[slot - 3] = bad
+    with pytest.raises(InvariantViolation):
+        build(v, q)
+
+
+@CONSTRUCTORS
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_constructor_norm_tolerance(build, arrays, sign):
+    assert UNIT_TOL == 1e-9
+    with pytest.raises(InvariantViolation):
+        build(np.zeros(3), UNIT_Q * (1.0 + sign * 2e-9))
+    build(np.zeros(3), UNIT_Q * (1.0 + sign * 5e-10))
+
+
+@CONSTRUCTORS
+def test_constructor_rejects_wrong_size(build, arrays):
+    with pytest.raises(InvariantViolation):
+        build(np.zeros(2), UNIT_Q)
+    with pytest.raises(InvariantViolation):
+        build(np.zeros(3), UNIT_Q[:3])
+
+
+@CONSTRUCTORS
+@pytest.mark.parametrize(
+    "v,q",
+    [
+        ([0.1, 0.2, 0.3], [-0.5, 0.5, -0.5, 0.5]),
+        (np.array([[0.1, 0.2, 0.3]]), np.array([[0.5, 0.5, 0.5, 0.5]])),
+        (np.array([0.1, 0.2, 0.3]), -UNIT_Q),
+    ],
+    ids=["lists_negative_w", "row_vectors", "arrays_negative_w"],
+)
+def test_constructor_stores_owned_frozen_canonical_arrays(build, arrays, v, q):
+    if isinstance(v, np.ndarray):
+        v = v.copy()
+    src_v, src_q = np.array(v, dtype=np.float64), np.array(q, dtype=np.float64)
+    vec, quat = arrays(build(v, q))
+    for arr, shape in ((vec, (3,)), (quat, (4,))):
+        assert arr.dtype == np.float64 and arr.shape == shape
+        assert arr.base is None and arr.flags.owndata
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    canonical_q = src_q.reshape(4)
+    if canonical_q[0] < 0.0:
+        canonical_q = -canonical_q
+    assert quat[0] >= 0.0
+    assert np.array_equal(quat, canonical_q)
+    assert np.array_equal(vec, src_v.reshape(3))
+    if isinstance(v, np.ndarray):
+        v[...] = 9.0  # the stored copy must not alias the caller's array
+        assert np.array_equal(vec, src_v.reshape(3))
