@@ -10,7 +10,10 @@ and load(save(ds)) == ds field for field.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import re
+import shutil
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -24,7 +27,7 @@ SCHEMA_VERSION = "1.0"
 
 ENTITY_KINDS = ("block", "pod", "receptacle", "bin", "tool")
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_\-]+")
 
 
 class Provenance(str, Enum):
@@ -224,12 +227,21 @@ def _check_pose_in_box(pose: Pose, lo: list, hi: list, what: str):
         raise InvariantViolation(f"{what} position {p} outside workspace bounds")
 
 
+def _is_finite_real(value) -> bool:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def validate_trajectory(traj: Trajectory, schema: TaskSchema):
     """Raise InvariantViolation naming the offending trajectory/timestep."""
     where = f"trajectory {traj.traj_id!r}"
     if traj.task_id != schema.task_id:
         raise InvariantViolation(f"{where}: task_id {traj.task_id!r} != schema {schema.task_id!r}")
-    if not _ID_RE.match(traj.traj_id):
+    if not _ID_RE.fullmatch(traj.traj_id):
         raise InvariantViolation(f"{where}: traj_id is not filesystem-safe")
     expected_entities = schema.entity_ids()
     box_lo = (schema.workspace_min - _BOX_TOL).tolist()
@@ -249,6 +261,11 @@ def validate_trajectory(traj: Trajectory, schema: TaskSchema):
                 raise InvariantViolation(
                     f"{at}: entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}"
                 )
+            for key, value in e.extra.items():
+                if not _is_finite_real(value):
+                    raise InvariantViolation(
+                        f"{at}: entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number"
+                    )
         got_agents = tuple([r.agent_id for r in ts.robots])
         if got_agents != schema.agents:
             raise InvariantViolation(f"{at}: robot ordering {got_agents} != schema {schema.agents}")
@@ -297,19 +314,39 @@ def slice_subtrajectory(traj: Trajectory, t0: int, t1: int) -> Trajectory:
 # ---------------------------------------------------------------------------
 # JSON codecs (explicit key order everywhere; floats via repr round-trip)
 
+_quote = json.encoder.encode_basestring_ascii
 
-def _pose_to_json(pose: Pose) -> dict:
-    return {
-        "position": pose.position.tolist(),
-        "orientation": pose.orientation.tolist(),
-    }
+
+def _pose_to_json(pose: Pose) -> str:
+    x, y, z = pose.position.tolist()
+    w, qx, qy, qz = pose.orientation.tolist()
+    return f'{{"position":[{x!r},{y!r},{z!r}],"orientation":[{w!r},{qx!r},{qy!r},{qz!r}]}}'
+
+
+def _reject_constant(name: str):
+    raise InvariantViolation(f"non-finite number {name} is not allowed")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _json_int(value, what: str, where: str) -> int:
+    if type(value) is not int:
+        raise InvariantViolation(f"{where}: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_real(value, what: str, where: str) -> float:
+    if type(value) is not float and type(value) is not int:
+        raise InvariantViolation(f"{where}: {what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _pose_from_json(obj, where: str) -> Pose:
     try:
         pos = [float(x) for x in obj["position"]]
         ori = [float(x) for x in obj["orientation"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     try:
         return Pose(pos, ori)
@@ -317,38 +354,34 @@ def _pose_from_json(obj, where: str) -> Pose:
         raise InvariantViolation(f"{where}: {exc}") from exc
 
 
-def timestep_to_json(ts: Timestep, schema: TaskSchema) -> dict:
-    out = {
-        "t": int(ts.t),
-        "entities": [
-            {
-                "entity_id": e.entity_id,
-                "pose": _pose_to_json(e.pose),
-                "extra": {k: float(e.extra[k]) for k in schema.entity(e.entity_id).extra_fields},
-            }
-            for e in ts.entities
-        ],
-        "robots": [
-            {
-                "agent_id": r.agent_id,
-                "eef_pose": _pose_to_json(r.eef_pose),
-                "gripper_aperture": float(r.gripper_aperture),
-            }
-            for r in ts.robots
-        ],
-        "actions": [
-            {
-                "agent_id": a.agent_id,
-                "target_eef_pose": _pose_to_json(a.target_eef_pose),
-                "gripper_command": float(a.gripper_command),
-            }
-            for a in ts.actions
-        ],
-        "phase": None if ts.phase is None else int(ts.phase),
-    }
-    if ts.interp:
-        out["interp"] = True
-    return out
+def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
+    """One JSONL line (without its newline) for a timestep that passed
+    validate_trajectory against `schema`. The bytes equal
+    json.dumps(..., separators=(",", ":"), ensure_ascii=True) of the nested
+    dict in key order t, entities, robots, actions, phase[, interp]: floats
+    are written with repr and strings with json's ASCII escaper."""
+    entities = ",".join([
+        f'{{"entity_id":{_quote(e.entity_id)},"pose":{_pose_to_json(e.pose)},"extra":{{'
+        + ",".join([f"{_quote(k)}:{float(e.extra[k])!r}" for k in decl.extra_fields])
+        + "}}"
+        for e, decl in zip(ts.entities, schema.entities)
+    ])
+    robots = ",".join([
+        f'{{"agent_id":{_quote(r.agent_id)},"eef_pose":{_pose_to_json(r.eef_pose)},'
+        f'"gripper_aperture":{float(r.gripper_aperture)!r}}}'
+        for r in ts.robots
+    ])
+    actions = ",".join([
+        f'{{"agent_id":{_quote(a.agent_id)},"target_eef_pose":{_pose_to_json(a.target_eef_pose)},'
+        f'"gripper_command":{float(a.gripper_command)!r}}}'
+        for a in ts.actions
+    ])
+    phase = "null" if ts.phase is None else int(ts.phase)
+    interp = ',"interp":true' if ts.interp else ""
+    return (
+        f'{{"t":{int(ts.t)},"entities":[{entities}],"robots":[{robots}],"actions":[{actions}],'
+        f'"phase":{phase}{interp}}}'
+    )
 
 
 def timestep_from_json(obj: dict, where: str) -> Timestep:
@@ -358,23 +391,31 @@ def timestep_from_json(obj: dict, where: str) -> Timestep:
             for e in obj["entities"]
         )
         robots = tuple(
-            RobotState(r["agent_id"], _pose_from_json(r["eef_pose"], where), float(r["gripper_aperture"]))
+            RobotState(
+                r["agent_id"],
+                _pose_from_json(r["eef_pose"], where),
+                _json_real(r["gripper_aperture"], "gripper_aperture", where),
+            )
             for r in obj["robots"]
         )
         actions = tuple(
-            Action(a["agent_id"], _pose_from_json(a["target_eef_pose"], where), float(a["gripper_command"]))
+            Action(
+                a["agent_id"],
+                _pose_from_json(a["target_eef_pose"], where),
+                _json_real(a["gripper_command"], "gripper_command", where),
+            )
             for a in obj["actions"]
         )
         phase = obj.get("phase")
         return Timestep(
-            t=int(obj["t"]),
+            t=_json_int(obj["t"], "t", where),
             entities=entities,
             robots=robots,
             actions=actions,
-            phase=None if phase is None else int(phase),
+            phase=None if phase is None else _json_int(phase, "phase", where),
             interp=bool(obj.get("interp", False)),
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvariantViolation(f"{where}: malformed timestep ({exc})") from exc
 
 
@@ -421,12 +462,28 @@ def traj_filename(traj_id: str) -> str:
     return f"traj_{traj_id}.jsonl"
 
 
-def save_dataset(ds: Dataset, path) -> None:
-    """Write manifest + per-trajectory jsonl files; deterministic bytes."""
+# What one save_dataset call wrote: id(timesteps) -> (that timesteps tuple,
+# the file holding its lines). Holding the tuple keeps its id from being
+# reused by another object while the mapping lives.
+SavedFiles = dict[int, tuple[tuple[Timestep, ...], Path]]
+
+
+def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> SavedFiles:
+    """Write manifest + per-trajectory jsonl files; deterministic bytes.
+
+    Every trajectory is validated. Once validated, a trajectory file's bytes
+    depend only on its timesteps, so a trajectory whose timesteps tuple is
+    the very object an earlier save wrote (`previous`, that save's return
+    value) is copied from that file instead of re-encoded. Pass only the
+    mapping of the immediately preceding save, and never build one from
+    loaded files, which need not be in canonical form.
+    """
     validate_dataset(ds)
     root = Path(path)
+    saved: SavedFiles = {}
     try:
         root.mkdir(parents=True, exist_ok=True)
+        root_abs = root.resolve()
         manifest = {
             "schema_version": ds.schema_version,
             "task_schema": schema_to_json(ds.task_schema),
@@ -446,12 +503,20 @@ def save_dataset(ds: Dataset, path) -> None:
             fh.write(_dumps(manifest))
             fh.write("\n")
         for tr in ds.trajectories:
-            with open(root / traj_filename(tr.traj_id), "w", encoding="utf-8", newline="\n") as fh:
-                for ts in tr.timesteps:
-                    fh.write(_dumps(timestep_to_json(ts, ds.task_schema)))
-                    fh.write("\n")
+            dest = root_abs / traj_filename(tr.traj_id)
+            earlier = previous.get(id(tr.timesteps)) if previous else None
+            # a file in this same directory may already have been overwritten
+            if earlier is not None and earlier[1].parent != root_abs:
+                shutil.copyfile(earlier[1], dest)
+            else:
+                with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+                    for ts in tr.timesteps:
+                        fh.write(timestep_to_json(ts, ds.task_schema))
+                        fh.write("\n")
+            saved[id(tr.timesteps)] = (tr.timesteps, dest)
     except OSError as exc:
         raise IoFailure(f"failed writing dataset to {root}: {exc}") from exc
+    return saved
 
 
 _MANIFEST_ENTRY_KEYS = ("traj_id", "file", "num_timesteps", "success", "provenance")
@@ -464,8 +529,13 @@ def _check_manifest_entry(entry, n: int) -> None:
     missing = [key for key in _MANIFEST_ENTRY_KEYS if key not in entry]
     if missing:
         raise InvariantViolation(f"{where} lacks {', '.join(missing)}")
-    if not isinstance(entry["traj_id"], str) or not isinstance(entry["file"], str):
-        raise InvariantViolation(f"{where}: traj_id and file must be strings")
+    traj_id = entry["traj_id"]
+    if not isinstance(traj_id, str) or not _ID_RE.fullmatch(traj_id):
+        raise InvariantViolation(f"{where}: traj_id {traj_id!r} is not a filesystem-safe string")
+    if entry["file"] != traj_filename(traj_id):
+        raise InvariantViolation(f"{where}: file {entry['file']!r} != {traj_filename(traj_id)!r}")
+    if not isinstance(entry["success"], bool):
+        raise InvariantViolation(f"{where}: success {entry['success']!r} is not a JSON bool")
     if entry["provenance"] not in [p.value for p in Provenance]:
         raise InvariantViolation(f"{where}: unknown provenance {entry['provenance']!r}")
 
@@ -477,9 +547,11 @@ def load_dataset(path) -> Dataset:
     if not manifest_path.is_file():
         raise MissingManifest(f"no manifest.json under {root}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = _DECODER.decode(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"failed reading {manifest_path}: {exc}") from exc
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise InvariantViolation(f"{manifest_path} is not a JSON object")
     version = manifest.get("schema_version")
@@ -506,9 +578,11 @@ def load_dataset(path) -> Dataset:
                 continue
             where = f"trajectory {traj_id!r}, timestep line {i}"
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
             except json.JSONDecodeError as exc:
                 raise IoFailure(f"{where}: bad JSON ({exc})") from exc
+            except InvariantViolation as exc:
+                raise InvariantViolation(f"{where}: {exc}") from exc
             timesteps.append(timestep_from_json(obj, where))
         if entry["num_timesteps"] != len(timesteps):
             raise InvariantViolation(
@@ -520,7 +594,7 @@ def load_dataset(path) -> Dataset:
                 traj_id=traj_id,
                 task_id=entry.get("task_id", schema.task_id),
                 timesteps=tuple(timesteps),
-                success=bool(entry["success"]),
+                success=entry["success"],
                 provenance=Provenance(entry["provenance"]),
             )
         )

@@ -10,6 +10,7 @@ a bit-exact identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -247,7 +248,7 @@ def write_ppm(path, img: np.ndarray) -> None:
 
 def read_ppm(path) -> np.ndarray:
     try:
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise IoFailure(f"failed reading {path}: {exc}") from exc
     if not blob.startswith(b"P6"):

@@ -201,7 +201,7 @@ def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool 
 
     Counterfactual composites are causally valid but not a single dynamics
     rollout, so they are invariant-checked only; their causal validity is
-    covered by the expert-action oracle instead.
+    covered by the expert-action oracle in the test suite.
     """
     failures: list[str] = []
     try:
@@ -234,6 +234,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     root.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(cfg.input_path) if cfg.input_path else None
     report = {"task": task.task_id, "seed": cfg.master_seed, "stages": []}
+    saved = None  # files of the last stage written; later stages copy what they inherit
     for i, stage in enumerate(cfg.stages):
         in_count = len(ds) if ds is not None else 0
         try:
@@ -260,7 +261,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             raise StageFailure(stage.name, str(exc)) from exc
         stage_dir = root / f"stage_{i:02d}_{stage.name}"
         if stage.name != "validate":
-            save_dataset(ds, stage_dir)
+            saved = save_dataset(ds, stage_dir, previous=saved)
         report["stages"].append(
             {"name": stage.name, "in": in_count, "out": len(ds) if ds is not None else 0, **info}
         )
@@ -297,6 +298,7 @@ def ratio_study(
         raise InvariantViolation(f"plan expects {plan.base_count} base demos, dataset has {len(base)}")
     datasets = []
     table = []
+    saved = None
     for r in plan.ratios:
         if r == 0:
             ds_r = Dataset(base.schema_version, base.task_schema, base.trajectories)
@@ -307,7 +309,7 @@ def ratio_study(
         datasets.append(ds_r)
         table.append({"ratio": r, "real_count": real, "synthetic_count": synthetic})
         if out_root is not None:
-            save_dataset(ds_r, Path(out_root) / f"ratio_{r}")
+            saved = save_dataset(ds_r, Path(out_root) / f"ratio_{r}", previous=saved)
     if out_root is not None:
         with open(Path(out_root) / "ratio_table.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(table, fh, indent=2, sort_keys=True)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from demoaug.data import (
     Action,
@@ -16,6 +18,7 @@ from demoaug.data import (
     load_dataset,
     save_dataset,
     slice_subtrajectory,
+    timestep_to_json,
 )
 from demoaug.errors import InvariantViolation, MissingManifest, RangeError, SchemaVersionMismatch
 from demoaug.geometry import Pose, quat_normalize
@@ -221,10 +224,12 @@ def test_quaternion_canonicalization_idempotent_through_io(tmp_path):
     assert load_dataset(tmp_path / "c2") == first
 
 
-def _rewrite_manifest(root, edit):
-    path = root / "manifest.json"
-    manifest = json.loads(path.read_text())
-    path.write_text(json.dumps(edit(manifest)))
+def _edit_manifest(edit):
+    def apply(root):
+        path = root / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+    return apply
 
 
 def _drop_key(key):
@@ -232,15 +237,52 @@ def _drop_key(key):
         del manifest["trajectories"][0][key]
         return manifest
 
-    return edit
+    return _edit_manifest(edit)
 
 
-def _set_entry(key, value):
+def _set_entry(key, value, n=0):
     def edit(manifest):
-        manifest["trajectories"][0][key] = value
+        manifest["trajectories"][n][key] = value
         return manifest
 
-    return edit
+    return _edit_manifest(edit)
+
+
+def _share_file(root):
+    _set_entry("file", "traj_tr_00.jsonl", n=1)(root)
+
+
+def _escape_directory(root):
+    outside = root.parent / "outside"
+    outside.mkdir()
+    (outside / "traj_tr_00.jsonl").write_bytes((root / "traj_tr_00.jsonl").read_bytes())
+    _set_entry("file", "../outside/traj_tr_00.jsonl")(root)
+
+
+def _edit_line(edit):
+    """Rewrite the first timestep line of trajectory tr_00; json.dumps
+    writes NaN and Infinity as bare constants."""
+
+    def apply(root):
+        path = root / "traj_tr_00.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[0])
+        edit(obj)
+        lines[0] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+
+    return apply
+
+
+def _set_field(*keys_then_value):
+    *keys, last, value = keys_then_value
+
+    def edit(obj):
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+
+    return _edit_line(edit)
 
 
 @pytest.mark.parametrize(
@@ -249,17 +291,134 @@ def _set_entry(key, value):
         _drop_key("traj_id"),
         _drop_key("success"),
         _set_entry("provenance", "scripted"),
-        lambda manifest: [manifest],
+        _edit_manifest(lambda manifest: [manifest]),
         _set_entry("num_timesteps", 4),
+        _set_entry("success", "no"),
+        _escape_directory,
+        _share_file,
+        _set_field("t", "x"),
+        _set_field("t", float("inf")),
+        _set_field("phase", "x"),
+        _set_field("phase", 0.5),
+        _set_field("robots", 0, "gripper_aperture", "x"),
+        _set_field("robots", 0, "gripper_aperture", float("nan")),
+        _set_field("actions", 0, "gripper_command", "x"),
+        _set_field("entities", 1, "extra", "lid_angle", float("nan")),
+        _set_field("entities", 1, "extra", "lid_angle", 1e400),
+        _set_field("entities", 1, "extra", "lid_angle", "x"),
+        _set_field("entities", 1, "extra", "lid_angle", True),
+        _set_field("entities", 1, "extra", "lid_angle", 10**400),
+        _set_field("robots", 0, "gripper_aperture", 10**400),
+        _set_field("entities", 0, "pose", "position", 0, 10**400),
     ],
     ids=["missing_traj_id", "missing_success", "unknown_provenance", "manifest_is_list",
-         "num_timesteps_mismatch"],
+         "num_timesteps_mismatch", "success_not_bool", "file_escapes_directory", "file_shared",
+         "t_not_numeric", "t_infinity", "phase_not_numeric", "phase_not_integer",
+         "gripper_aperture_not_numeric", "gripper_aperture_nan", "gripper_command_not_numeric",
+         "extra_nan", "extra_overflows_to_inf", "extra_string", "extra_bool", "extra_int_overflow",
+         "gripper_aperture_int_overflow", "position_int_overflow"],
 )
 def test_malformed_manifest_raises_invariant_violation(tmp_path, edit):
     from demoaug.cli import main
 
     save_dataset(random_dataset(6, n_traj=2, n_steps=3), tmp_path / "m")
-    _rewrite_manifest(tmp_path / "m", edit)
+    edit(tmp_path / "m")
     with pytest.raises(InvariantViolation):
         load_dataset(tmp_path / "m")
     assert main(["validate", "--task", "stack", "--in", str(tmp_path / "m")]) == 2
+
+
+def test_save_rejects_non_finite_extra(tmp_path):
+    from dataclasses import replace
+
+    ds = random_dataset(11, n_traj=1, n_steps=2)
+    tr = ds.trajectories[0]
+    ts = tr.timesteps[1]
+    bad = replace(ts, entities=(ts.entities[0], replace(ts.entities[1], extra={"lid_angle": float("nan")})))
+    broken = replace(ds, trajectories=(replace(tr, timesteps=(tr.timesteps[0], bad)),))
+    with pytest.raises(InvariantViolation, match="lid_angle"):
+        save_dataset(broken, tmp_path / "nan")
+
+
+# ---------------------------------------------------------------------------
+# the direct line encoder against the dict + json.dumps encoder it replaced
+
+
+def _reference_pose(pose):
+    return {"position": pose.position.tolist(), "orientation": pose.orientation.tolist()}
+
+
+def reference_timestep_to_json(ts, schema) -> str:
+    out = {
+        "t": int(ts.t),
+        "entities": [
+            {
+                "entity_id": e.entity_id,
+                "pose": _reference_pose(e.pose),
+                "extra": {k: float(e.extra[k]) for k in schema.entity(e.entity_id).extra_fields},
+            }
+            for e in ts.entities
+        ],
+        "robots": [
+            {
+                "agent_id": r.agent_id,
+                "eef_pose": _reference_pose(r.eef_pose),
+                "gripper_aperture": float(r.gripper_aperture),
+            }
+            for r in ts.robots
+        ],
+        "actions": [
+            {
+                "agent_id": a.agent_id,
+                "target_eef_pose": _reference_pose(a.target_eef_pose),
+                "gripper_command": float(a.gripper_command),
+            }
+            for a in ts.actions
+        ],
+        "phase": None if ts.phase is None else int(ts.phase),
+    }
+    if ts.interp:
+        out["interp"] = True
+    return json.dumps(out, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e16, -1e16, 1e-7, 1.5e-7,
+                   0.1, 1.0 / 3.0, 123456789.125, 1e22, 9007199254740993.0]
+_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_unit = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-7, 1.0]), st.floats(0.0, 1.0))
+_extra_values = st.one_of(_floats, _floats.map(np.float64), st.integers(-(2**53), 2**53))
+_ids = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x7fé中😀 '), min_size=1, max_size=6)
+
+
+@st.composite
+def _pose(draw):
+    q = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    assume(sum(x * x for x in q) > 0.01)
+    return Pose(draw(st.lists(_floats, min_size=3, max_size=3)), quat_normalize(np.array(q)))
+
+
+@st.composite
+def _schema_and_timestep(draw):
+    entity_ids = draw(st.lists(_ids, min_size=1, max_size=3, unique=True))
+    agents = draw(st.lists(_ids, min_size=1, max_size=2, unique=True))
+    decls = tuple(
+        EntityDecl(eid, "block", tuple(draw(st.lists(_ids, max_size=3, unique=True)))) for eid in entity_ids
+    )
+    schema = TaskSchema("t", decls, tuple(agents), np.zeros(3), np.ones(3))
+    entities = tuple(
+        EntityState(d.entity_id, draw(_pose()), {k: draw(_extra_values) for k in d.extra_fields})
+        for d in decls
+    )
+    robots = tuple(RobotState(a, draw(_pose()), draw(_unit)) for a in agents)
+    actions = tuple(Action(a, draw(_pose()), draw(_unit)) for a in agents)
+    phase = draw(st.one_of(st.none(), st.integers(0, 2**40)))
+    ts = Timestep(draw(st.integers(0, 2**40)), entities, robots, actions, phase, draw(st.booleans()))
+    return schema, ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schema_and_timestep())
+def test_timestep_encoder_matches_json_dumps(schema_ts):
+    schema, ts = schema_ts
+    assert timestep_to_json(ts, schema) == reference_timestep_to_json(ts, schema)
+

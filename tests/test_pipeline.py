@@ -94,6 +94,62 @@ def test_pipeline_deterministic_across_worker_counts(tmp_path):
     assert digests[0] == digests[1]
 
 
+def _spy_copies(monkeypatch):
+    """Record the destination of every file copy save_dataset makes."""
+    import shutil
+
+    copies = []
+    real_copy = shutil.copyfile
+    monkeypatch.setattr(shutil, "copyfile", lambda src, dst: copies.append(dst) or real_copy(src, dst))
+    return copies
+
+
+def _assert_fresh_save_equal(saves, fresh_root):
+    from demoaug.data import save_dataset
+
+    for n, (ds, path) in enumerate(saves):
+        fresh = fresh_root / str(n)
+        save_dataset(ds, fresh)
+        assert tree_digest(path) == tree_digest(fresh)
+        assert all(f.stat().st_nlink == 1 for f in path.iterdir())
+
+
+def test_stage_outputs_equal_fresh_saves(tmp_path, monkeypatch):
+    from demoaug import data, pipeline
+
+    saves = []
+
+    def save(ds, path, previous=None):
+        saves.append((ds, path))
+        return data.save_dataset(ds, path, previous=previous)
+
+    monkeypatch.setattr(pipeline, "save_dataset", save)
+    copies = _spy_copies(monkeypatch)
+    stages = (
+        StageConfig("gen", {"count": 2}),
+        StageConfig("segment"),
+        StageConfig("se3", {"count": 2}),
+        StageConfig("causal", {"copies": 1}),
+        StageConfig("obs", {"noise_sigma": 0.005}),
+    )
+    run_pipeline(PipelineConfig("stack", stages, str(tmp_path / "run"), master_seed=5))
+    assert [p.name for _, p in saves] == sorted(p.name for p in (tmp_path / "run").glob("stage_*"))
+    # se3, causal and obs inherit every trajectory of the stage before
+    assert len(copies) == 2 + 4 + 8
+    _assert_fresh_save_equal(saves, tmp_path / "fresh")
+
+
+def test_ratio_outputs_equal_fresh_saves(tmp_path, monkeypatch, stack_task):
+    copies = _spy_copies(monkeypatch)
+    base = make_labeled_demos(stack_task, 2, seed_base=4)
+    # the repeated ratio saves into the directory it would copy from
+    datasets, _ = ratio_study(base, RatioPlan(2, (0, 1, 1)), stack_task.causal,
+                              CounterfactualConfig(master_seed=0), out_root=tmp_path / "ratio")
+    assert len(copies) == 2
+    saves = [(datasets[0], tmp_path / "ratio" / "ratio_0"), (datasets[2], tmp_path / "ratio" / "ratio_1")]
+    _assert_fresh_save_equal(saves, tmp_path / "fresh")
+
+
 def test_validate_fails_on_corrupt_replay(stack_task, stack_demos):
     from dataclasses import replace
     import numpy as np
