@@ -174,7 +174,11 @@ def _cmd_obs(args) -> int:
             img = channel_permute(img, _ints(args.permute))
         if args.blur_sigma:
             sig = _floats(args.blur_sigma)
-            sigma = sig[0] if len(sig) == 1 else float(rng.uniform(sig[0], sig[1]))
+            if len(sig) == 1:
+                sigma = sig[0]
+            else:
+                lo, hi = VisualAugConfig(blur_sigma=(sig[0], sig[1])).blur_sigma
+                sigma = float(rng.uniform(lo, hi))
             img = gaussian_blur(img, sigma)
         write_ppm(args.image_out or args.image, img)
         report["image_out"] = str(args.image_out or args.image)

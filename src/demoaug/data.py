@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import re
 import shutil
 from dataclasses import dataclass, field, replace
@@ -28,6 +29,7 @@ SCHEMA_VERSION = "1.0"
 ENTITY_KINDS = ("block", "pod", "receptacle", "bin", "tool")
 
 _ID_RE = re.compile(r"[A-Za-z0-9_\-]+")
+_TRAJ_FILE_RE = re.compile(r"traj_[A-Za-z0-9_\-]+\.jsonl")
 
 
 class Provenance(str, Enum):
@@ -275,6 +277,8 @@ def validate_trajectory(traj: Trajectory, schema: TaskSchema):
         for a in ts.actions:
             _check_pose_in_box(a.target_eef_pose, box_lo, box_hi, f"{at}: action target")
         if ts.phase is not None:
+            if ts.phase < 0:
+                raise InvariantViolation(f"{at}: phase {ts.phase} < 0")
             if prev_phase is not None and ts.phase < prev_phase:
                 raise InvariantViolation(f"{at}: phase labels decrease")
             prev_phase = ts.phase
@@ -342,14 +346,25 @@ def _json_real(value, what: str, where: str) -> float:
     return float(value)
 
 
+def _json_numbers(value, what: str, where: str) -> list:
+    if type(value) is not list:
+        raise InvariantViolation(f"{where}: {what} must be a list, got {value!r}")
+    for x in value:
+        if type(x) is not float and type(x) is not int:
+            raise InvariantViolation(f"{where}: {what} value {x!r} is not a number")
+    return value
+
+
 def _pose_from_json(obj, where: str) -> Pose:
     try:
-        pos = [float(x) for x in obj["position"]]
-        ori = [float(x) for x in obj["orientation"]]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        pos = _json_numbers(obj["position"], "position", where)
+        ori = _json_numbers(obj["orientation"], "orientation", where)
+    except (KeyError, TypeError) as exc:
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     try:
         return Pose(pos, ori)
+    except OverflowError as exc:  # an int too large for a float
+        raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from exc
 
@@ -407,13 +422,18 @@ def timestep_from_json(obj: dict, where: str) -> Timestep:
             for a in obj["actions"]
         )
         phase = obj.get("phase")
+        if phase is not None and _json_int(phase, "phase", where) < 0:
+            raise InvariantViolation(f"{where}: phase {phase} < 0")
+        interp = obj.get("interp", False)
+        if type(interp) is not bool:
+            raise InvariantViolation(f"{where}: interp must be a bool, got {interp!r}")
         return Timestep(
             t=_json_int(obj["t"], "t", where),
             entities=entities,
             robots=robots,
             actions=actions,
-            phase=None if phase is None else _json_int(phase, "phase", where),
-            interp=bool(obj.get("interp", False)),
+            phase=phase,
+            interp=interp,
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvariantViolation(f"{where}: malformed timestep ({exc})") from exc
@@ -477,13 +497,36 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
     value) is copied from that file instead of re-encoded. Pass only the
     mapping of the immediately preceding save, and never build one from
     loaded files, which need not be in canonical form.
+
+    The save is atomic: the files are written into a new hidden sibling
+    directory, manifest last, which then replaces `path` by rename, so no
+    file of an earlier dataset at `path` survives and a failed save leaves
+    that dataset as it was. `path` must be absent or hold only dataset files.
     """
     validate_dataset(ds)
-    root = Path(path)
+    root = Path(path).resolve()
+    staging = root.with_name(f".{root.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    old = staging.with_suffix(".old")
     saved: SavedFiles = {}
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        root_abs = root.resolve()
+        _check_replaceable(root)
+        root.parent.mkdir(parents=True, exist_ok=True)
+        staging.mkdir()
+    except OSError as exc:
+        raise IoFailure(f"failed writing dataset to {root}: {exc}") from exc
+    try:
+        for tr in ds.trajectories:
+            dest = root / traj_filename(tr.traj_id)
+            earlier = previous.get(id(tr.timesteps)) if previous else None
+            # never copy out of the directory this save replaces
+            if earlier is not None and earlier[1].parent != root:
+                shutil.copyfile(earlier[1], staging / dest.name)
+            else:
+                with open(staging / dest.name, "w", encoding="utf-8", newline="\n") as fh:
+                    for ts in tr.timesteps:
+                        fh.write(timestep_to_json(ts, ds.task_schema))
+                        fh.write("\n")
+            saved[id(tr.timesteps)] = (tr.timesteps, dest)
         manifest = {
             "schema_version": ds.schema_version,
             "task_schema": schema_to_json(ds.task_schema),
@@ -499,24 +542,34 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
                 for tr in ds.trajectories
             ],
         }
-        with open(root / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
+        with open(staging / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_dumps(manifest))
             fh.write("\n")
-        for tr in ds.trajectories:
-            dest = root_abs / traj_filename(tr.traj_id)
-            earlier = previous.get(id(tr.timesteps)) if previous else None
-            # a file in this same directory may already have been overwritten
-            if earlier is not None and earlier[1].parent != root_abs:
-                shutil.copyfile(earlier[1], dest)
-            else:
-                with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-                    for ts in tr.timesteps:
-                        fh.write(timestep_to_json(ts, ds.task_schema))
-                        fh.write("\n")
-            saved[id(tr.timesteps)] = (tr.timesteps, dest)
+        if root.exists():
+            root.rename(old)
+        try:
+            staging.rename(root)
+        except OSError:
+            if old.exists():
+                old.rename(root)
+            raise
     except OSError as exc:
         raise IoFailure(f"failed writing dataset to {root}: {exc}") from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(old, ignore_errors=True)
     return saved
+
+
+def _check_replaceable(root: Path) -> None:
+    """Refuse to replace anything but a dataset directory."""
+    if not root.exists():
+        return
+    if not root.is_dir():
+        raise IoFailure(f"{root} exists and is not a directory")
+    for entry in root.iterdir():
+        if not entry.is_file() or not (entry.name == "manifest.json" or _TRAJ_FILE_RE.fullmatch(entry.name)):
+            raise IoFailure(f"{root} holds {entry.name!r}, which is not a dataset file; refusing to replace it")
 
 
 _MANIFEST_ENTRY_KEYS = ("traj_id", "file", "num_timesteps", "success", "provenance")

@@ -4,11 +4,43 @@ Images are plain uint8 (H, W, 3) arrays, produced on demand by the
 simulator's schematic rasterizer and exchanged as binary PPM (P6) files;
 they are never stored inside trajectory datasets. All stochastic ops are
 deterministic under a fixed RNG stream, and every zero-strength setting is
-a bit-exact identity.
+a bit-exact identity. The image ops return a new array and never write to
+their input.
+
+Bit-identity rules. The image kernels avoid the numpy forms that are slow
+on (H, W, 3) arrays, but only where the replacement gives the same values
+as the form it replaced (the tests keep the old forms as references):
+
+- `np.maximum(np.maximum(r, g), b)` replaces `np.max(rgb, axis=-1)`, and
+  likewise for the minimum: the maximum of three numbers is one of them in
+  any order, and a reduction over a length-3 axis is far slower.
+- `x - np.floor(x)` replaces `x % 1.0`. numpy's float remainder is
+  `fmod(x, 1.0)`, plus 1.0 when that is negative, and +0.0 when it is
+  zero. For x >= 0 both give the exact fraction; for x < 0 both round the
+  same exact value x - floor(x) once; an integral x gives +0.0 either way.
+  That holds for every double, so the unbounded hue shift uses it too.
+- `i - 6 * (i // 6)` replaces `i % 6` on int64: the two agree modulo
+  2**64 and both lie in [0, 6).
+- In-place operations replace expressions that made a temporary; each
+  element sees the same operations, only operands of `+` and `*` swap
+  sides, which IEEE arithmetic allows. No sum is regrouped.
+- Sector picks in `hsv_to_rgb` and the hue branches in `rgb_to_hsv` copy
+  values under masks instead of `np.select`/`np.where`, and the saturation
+  divides only where the maximum is > 0 instead of by a 1.0 stand-in
+  elsewhere; copying is exact and each division is the same.
+- The bilinear resize gathers columns from the uint8 crop (uint8 to
+  float64 is exact), interpolates each source row along x once, then
+  blends two such rows along y: every output is still
+  `top * (1 - wy) + bot * wy` with `top = a * (1 - wx) + b * wx`.
+- The blur starts each sum at the first tap instead of adding it to 0.0
+  (the taps are >= 0, and 0.0 + x == x for those), and reflect-pads both
+  axes of the uint8 image up front, because the vertical pass treats the
+  padded columns like any other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,10 +77,11 @@ class VisualAugConfig:
         if self.output_hw is not None and (self.output_hw[0] <= 0 or self.output_hw[1] <= 0):
             raise ConfigError("output dims must be positive")
         for name in ("brightness", "contrast", "saturation", "hue", "noise_sigma"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if not (0.0 <= self.blur_sigma[0] <= self.blur_sigma[1]):
-            raise ConfigError(f"blur_sigma range {self.blur_sigma} ill-ordered")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not (0.0 <= self.blur_sigma[0] <= self.blur_sigma[1] < math.inf):
+            raise ConfigError(f"blur_sigma range {self.blur_sigma} ill-ordered or not finite")
 
 
 def check_color_ops_allowed(color_sensitive: bool, force: bool = False):
@@ -64,19 +97,31 @@ def check_color_ops_allowed(color_sensitive: bool, force: bool = False):
 # geometry ops
 
 
-def _resize_bilinear(img_f: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    h, w = img_f.shape[:2]
+def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of an (h, w, 3) array to float64 (out_h, out_w, 3).
+
+    Separable: each source row is first interpolated along x, then the
+    output rows blend two of those rows along y.
+    """
+    h, w = img.shape[:2]
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
+    wy = (ys - y0)[:, None]
+    wx = np.repeat(xs - x0, 3)  # one weight per (column, channel) of a flattened row
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    top = img_f[y0[:, None], x0[None, :]] * (1 - wx) + img_f[y0[:, None], x1[None, :]] * wx
-    bot = img_f[y1[:, None], x0[None, :]] * (1 - wx) + img_f[y1[:, None], x1[None, :]] * wx
-    return top * (1 - wy) + bot * wy
+    rows = img.reshape(h, w * 3)
+    channels = np.arange(3)
+    horiz = rows[:, (x0[:, None] * 3 + channels).ravel()] * (1 - wx)
+    horiz += rows[:, (x1[:, None] * 3 + channels).ravel()] * wx
+    out = horiz.take(y0, axis=0)
+    out *= 1 - wy
+    bot = horiz.take(y1, axis=0)
+    bot *= wy
+    out += bot
+    return out.reshape(out_h, out_w, 3)
 
 
 def random_resized_crop(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator) -> np.ndarray:
@@ -95,8 +140,10 @@ def random_resized_crop(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Ge
     crop = img[top : top + crop_h, left : left + crop_w]
     if (crop_h, crop_w) == (out_h, out_w):
         return crop.copy()
-    resized = _resize_bilinear(crop.astype(np.float64), out_h, out_w)
-    return np.clip(np.rint(resized), 0, 255).astype(np.uint8)
+    resized = _resize_bilinear(crop, out_h, out_w)
+    np.rint(resized, out=resized)
+    np.clip(resized, 0, 255, out=resized)
+    return resized.astype(np.uint8)
 
 
 def channel_permute(img: np.ndarray, perm) -> np.ndarray:
@@ -104,21 +151,31 @@ def channel_permute(img: np.ndarray, perm) -> np.ndarray:
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != [0, 1, 2]:
         raise InvalidPermutation(f"{perm} is not a permutation of (0, 1, 2)")
-    return img[..., perm].copy()
+    out = np.empty_like(img)
+    for dst, src in enumerate(perm):
+        out[..., dst] = img[..., src]
+    return out
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian, radius ceil(3 sigma), reflect padding."""
     img = _check_image(img)
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return img.copy()
     kernel = gaussian_kernel(sigma)
-    out = img.astype(np.float64)
-    out = _convolve_axis(out, kernel, axis=0)
+    radius = len(kernel) // 2
+    h, w = img.shape[:2]
+    # Both axes are padded up front: the vertical pass treats every column
+    # alike, so its output over the padded columns is the horizontal pass's
+    # reflect-padded input.
+    padded = img.take(_reflect(h, radius), axis=0).take(_reflect(w, radius), axis=1)
+    out = _convolve_axis(padded.astype(np.float64), kernel, axis=0)
     out = _convolve_axis(out, kernel, axis=1)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -128,18 +185,20 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    radius = len(kernel) // 2
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (radius, radius)
-    padded = np.pad(arr, pad, mode="reflect")
-    out = np.zeros_like(arr)
+def _reflect(n: int, radius: int) -> np.ndarray:
+    """Source indices of an axis of length n reflect-padded by radius."""
+    return np.pad(np.arange(n), radius, mode="reflect")
+
+
+def _convolve_axis(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate a float64 array, padded by len(kernel) // 2 on both ends of
+    `axis`, with `kernel` along that axis, adding the taps in kernel order."""
+    n = padded.shape[axis] - (len(kernel) - 1)
     view = np.moveaxis(padded, axis, 0)
-    out_view = np.moveaxis(out, axis, 0)
-    n = out_view.shape[0]
-    for i, weight in enumerate(kernel):
-        out_view += weight * view[i : i + n]
-    return out
+    out = kernel[0] * view[:n]
+    for i in range(1, len(kernel)):
+        out += kernel[i] * view[i : i + n]
+    return np.moveaxis(out, 0, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -147,36 +206,64 @@ def _convolve_axis(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray
 
 
 def rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
-    """Vectorized RGB [0,1] -> HSV [0,1]."""
+    """Vectorized float RGB [0,1] -> HSV [0,1]."""
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = np.max(rgb, axis=-1)
-    minc = np.min(rgb, axis=-1)
-    v = maxc
-    delta = maxc - minc
-    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    safe = np.where(delta > 0, delta, 1.0)
-    rc = (maxc - r) / safe
-    gc = (maxc - g) / safe
-    bc = (maxc - b) / safe
-    h = np.where(r == maxc, bc - gc, np.where(g == maxc, 2.0 + rc - bc, 4.0 + gc - rc))
-    h = np.where(delta > 0, (h / 6.0) % 1.0, 0.0)
-    return np.stack([h, s, v], axis=-1)
+    hsv = np.empty_like(rgb)
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    np.maximum(r, g, out=v)
+    np.maximum(v, b, out=v)
+    delta = np.minimum(r, g)
+    np.minimum(delta, b, out=delta)
+    np.subtract(v, delta, out=delta)
+    s.fill(0.0)
+    np.divide(delta, v, out=s, where=v > 0)
+    gray = ~(delta > 0)
+    safe = delta
+    safe[gray] = 1.0
+    rc = v - r
+    rc /= safe
+    gc = v - g
+    gc /= safe
+    np.subtract(v, b, out=h)
+    h /= safe  # bc
+    hue = np.add(gc, 4.0, out=safe)  # blue is the maximum: 4 + gc - rc
+    hue -= rc
+    rc += 2.0  # green is the maximum: 2 + rc - bc
+    rc -= h
+    h -= gc  # red is the maximum: bc - gc
+    np.copyto(hue, rc, where=g == v)
+    np.copyto(hue, h, where=r == v)
+    hue /= 6.0
+    hue -= np.floor(hue, out=gc)
+    hue[gray] = 0.0
+    h[...] = hue
+    return hsv
 
 
 def hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
     h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
-    i = np.floor(h * 6.0).astype(np.int64) % 6
-    f = h * 6.0 - np.floor(h * 6.0)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    choices_r = [v, q, p, p, t, v]
-    choices_g = [t, v, v, q, p, p]
-    choices_b = [p, p, t, v, v, q]
-    r = np.select([i == k for k in range(6)], choices_r)
-    g = np.select([i == k for k in range(6)], choices_g)
-    b = np.select([i == k for k in range(6)], choices_b)
-    return np.stack([r, g, b], axis=-1)
+    f = h * 6.0
+    sector = np.floor(f)
+    f -= sector
+    i = sector.astype(np.int64)
+    i -= 6 * (i // 6)  # i % 6
+    p = np.subtract(1.0, s, out=sector)
+    p *= v
+    q = s * f
+    np.subtract(1.0, q, out=q)
+    q *= v
+    t = np.subtract(1.0, f, out=f)
+    t *= s
+    np.subtract(1.0, t, out=t)
+    t *= v
+    sectors = [i == k for k in range(6)]
+    rgb = np.empty_like(hsv)
+    for channel, picks in enumerate(((v, q, p, p, t, v), (t, v, v, q, p, p), (p, p, t, v, v, q))):
+        out = rgb[..., channel]
+        np.copyto(out, picks[0])
+        for k in range(1, 6):
+            np.copyto(out, picks[k], where=sectors[k])
+    return rgb
 
 
 def color_jitter(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator) -> np.ndarray:
@@ -192,20 +279,40 @@ def color_jitter(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator
     hue_delta = float(rng.uniform(-cfg.hue, cfg.hue))
     if b == 1.0 and c == 1.0 and s == 1.0 and hue_delta == 0.0:
         return img.copy()
+    out = _jitter(img, b, c, s, hue_delta)
+    np.rint(out, out=out)
+    np.clip(out, 0, 255, out=out)
+    return out.astype(np.uint8)
+
+
+def _jitter(img: np.ndarray, b: float, c: float, s: float, hue_delta: float) -> np.ndarray:
+    """color_jitter's float64 image before rounding, for factors b, c, s and
+    a hue rotation of hue_delta radians."""
     out = img.astype(np.float64)
     if b != 1.0:
-        out = out * b
+        out *= b
     if c != 1.0:
         mean = out.mean()
-        out = (out - mean) * c + mean
-    if s != 1.0 or hue_delta != 0.0:
-        hsv = rgb_to_hsv(np.clip(out, 0.0, 255.0) / 255.0)
-        if s != 1.0:
-            hsv[..., 1] = np.clip(hsv[..., 1] * s, 0.0, 1.0)
-        if hue_delta != 0.0:
-            hsv[..., 0] = (hsv[..., 0] + hue_delta / (2.0 * np.pi)) % 1.0
-        out = hsv_to_rgb(hsv) * 255.0
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+        out -= mean
+        out *= c
+        out += mean
+    if s == 1.0 and hue_delta == 0.0:
+        return out
+    np.clip(out, 0.0, 255.0, out=out)
+    out /= 255.0
+    hsv = rgb_to_hsv(out)
+    del out  # free the RGB buffer before hsv_to_rgb allocates its result
+    if s != 1.0:
+        sat = hsv[..., 1]
+        sat *= s
+        np.clip(sat, 0.0, 1.0, out=sat)
+    if hue_delta != 0.0:
+        hue = hsv[..., 0]
+        hue += hue_delta / (2.0 * np.pi)
+        hue -= np.floor(hue)
+    out = hsv_to_rgb(hsv)
+    out *= 255.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +322,8 @@ def color_jitter(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator
 def proprio_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Trajectory:
     """Gaussian noise on eef position observations; tangent-space jiggle on
     eef orientations. Actions and object states are untouched."""
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
+    if not math.isfinite(sigma) or sigma < 0:
+        raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return traj
     new_steps = []

@@ -117,6 +117,21 @@ def test_augment_obs_image_cli(tmp_path, capsys):
     assert not np.array_equal(out, img)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--blur-sigma", "nan"), ("--blur-sigma", "inf"), ("--blur-sigma", "0,inf"), ("--jitter", "nan,0,0,0")],
+    ids=["blur_nan", "blur_inf", "blur_range_inf", "jitter_nan"],
+)
+def test_augment_obs_non_finite_parameter_is_an_error(tmp_path, capsys, flags):
+    src = tmp_path / "a.ppm"
+    write_ppm(src, np.zeros((8, 8, 3), dtype=np.uint8))
+    code = run_cli("augment-obs", "--image", str(src), "--image-out", str(tmp_path / "b.ppm"), *flags)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "b.ppm").exists()
+
+
 def test_color_sensitive_refusal_and_force(tmp_path, capsys):
     task = make_stack_task()
     img = rasterize_state(reset(task, 2), task, size=32)

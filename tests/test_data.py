@@ -20,7 +20,7 @@ from demoaug.data import (
     slice_subtrajectory,
     timestep_to_json,
 )
-from demoaug.errors import InvariantViolation, MissingManifest, RangeError, SchemaVersionMismatch
+from demoaug.errors import InvariantViolation, IoFailure, MissingManifest, RangeError, SchemaVersionMismatch
 from demoaug.geometry import Pose, quat_normalize
 
 
@@ -310,13 +310,20 @@ def _set_field(*keys_then_value):
         _set_field("entities", 1, "extra", "lid_angle", 10**400),
         _set_field("robots", 0, "gripper_aperture", 10**400),
         _set_field("entities", 0, "pose", "position", 0, 10**400),
+        _set_field("entities", 0, "pose", "position", 0, "0.25"),
+        _set_field("entities", 0, "pose", "position", 0, True),
+        _set_field("robots", 0, "eef_pose", "orientation", "x"),
+        _set_field("interp", "no"),
+        _set_field("interp", 1),
+        _set_field("phase", -3),
     ],
     ids=["missing_traj_id", "missing_success", "unknown_provenance", "manifest_is_list",
          "num_timesteps_mismatch", "success_not_bool", "file_escapes_directory", "file_shared",
          "t_not_numeric", "t_infinity", "phase_not_numeric", "phase_not_integer",
          "gripper_aperture_not_numeric", "gripper_aperture_nan", "gripper_command_not_numeric",
          "extra_nan", "extra_overflows_to_inf", "extra_string", "extra_bool", "extra_int_overflow",
-         "gripper_aperture_int_overflow", "position_int_overflow"],
+         "gripper_aperture_int_overflow", "position_int_overflow", "position_string", "position_bool",
+         "orientation_not_list", "interp_string", "interp_int", "phase_negative"],
 )
 def test_malformed_manifest_raises_invariant_violation(tmp_path, edit):
     from demoaug.cli import main
@@ -338,6 +345,62 @@ def test_save_rejects_non_finite_extra(tmp_path):
     broken = replace(ds, trajectories=(replace(tr, timesteps=(tr.timesteps[0], bad)),))
     with pytest.raises(InvariantViolation, match="lid_angle"):
         save_dataset(broken, tmp_path / "nan")
+
+
+def test_save_rejects_negative_phase(tmp_path):
+    from dataclasses import replace
+
+    ds = random_dataset(12, n_traj=1, n_steps=2)
+    tr = ds.trajectories[0]
+    broken = replace(ds, trajectories=(replace(tr, timesteps=tuple(replace(ts, phase=-1) for ts in tr.timesteps)),))
+    with pytest.raises(InvariantViolation, match="phase"):
+        save_dataset(broken, tmp_path / "neg")
+    assert not (tmp_path / "neg").exists()
+
+
+def _names(path):
+    return sorted(p.name for p in path.iterdir())
+
+
+def test_save_replaces_earlier_dataset_without_stale_files(tmp_path):
+    save_dataset(random_dataset(1, n_traj=3), tmp_path / "d")
+    saved = save_dataset(random_dataset(2, n_traj=1), tmp_path / "d")
+    assert _names(tmp_path / "d") == ["manifest.json", "traj_tr_00.jsonl"]
+    assert load_dataset(tmp_path / "d") == random_dataset(2, n_traj=1)
+    assert [path for _, path in saved.values()] == [(tmp_path / "d" / "traj_tr_00.jsonl").resolve()]
+    assert _names(tmp_path) == ["d"]  # no temporary directory left behind
+
+
+def test_failed_save_leaves_earlier_dataset(tmp_path, monkeypatch):
+    from demoaug import data
+
+    first = random_dataset(3, n_traj=2)
+    save_dataset(first, tmp_path / "d")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()}
+    real_encode = data.timestep_to_json
+    encoded = []
+
+    def encode_then_fail(ts, schema):
+        encoded.append(ts)
+        if len(encoded) > 7:  # midway through the second trajectory file
+            raise RuntimeError("encoder failed")
+        return real_encode(ts, schema)
+
+    monkeypatch.setattr(data, "timestep_to_json", encode_then_fail)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        save_dataset(random_dataset(4, n_traj=2), tmp_path / "d")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == before
+    assert load_dataset(tmp_path / "d") == first
+    assert _names(tmp_path) == ["d"]
+
+
+def test_save_refuses_to_replace_a_directory_with_other_files(tmp_path):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "notes.txt").write_text("keep")
+    with pytest.raises(IoFailure, match="notes.txt"):
+        save_dataset(random_dataset(5, n_traj=1), tmp_path / "d")
+    assert _names(tmp_path / "d") == ["notes.txt"]
+    assert _names(tmp_path) == ["d"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoaug.errors import ColorJitterRefused, ConfigError, InvalidPermutation
 from demoaug.imageaug import (
     VisualAugConfig,
+    _convolve_axis,
+    _jitter,
+    _reflect,
+    _resize_bilinear,
     channel_permute,
     check_color_ops_allowed,
     color_jitter,
@@ -139,6 +147,12 @@ def test_proprio_noise_identity_at_zero(stack_demos):
     assert proprio_noise(traj, 0.0, derive_stream(0, "pn")) is traj
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+def test_proprio_noise_rejects_bad_sigma(stack_demos, sigma):
+    with pytest.raises(ConfigError):
+        proprio_noise(stack_demos.trajectories[0], sigma, derive_stream(0, "pn"))
+
+
 def test_proprio_noise_statistics(stack_demos):
     sigma = 0.01
     traj = stack_demos.trajectories[0]
@@ -186,6 +200,20 @@ def test_visual_config_validation():
         VisualAugConfig(blur_sigma=(1.0, 0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["brightness", "contrast", "saturation", "hue", "noise_sigma", "blur_sigma"])
+def test_visual_config_rejects_non_finite(name, bad):
+    value = (0.0, bad) if name == "blur_sigma" else bad
+    with pytest.raises(ConfigError):
+        VisualAugConfig(**{name: value})
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5])
+def test_blur_rejects_bad_sigma(sigma):
+    with pytest.raises(ConfigError):
+        gaussian_blur(np.zeros((4, 4, 3), dtype=np.uint8), sigma)
+
+
 def test_ppm_round_trip(tmp_path, fixture_image):
     path = tmp_path / "img.ppm"
     write_ppm(path, fixture_image)
@@ -193,3 +221,278 @@ def test_ppm_round_trip(tmp_path, fixture_image):
     assert np.array_equal(back, fixture_image)
     raw = path.read_bytes()
     assert raw.startswith(b"P6\n64 64\n255\n")
+
+
+# ---------------------------------------------------------------------------
+# image ops never alias or write to their input
+
+
+IMAGE_OPS = {
+    "crop": lambda img: random_resized_crop(
+        img, VisualAugConfig(crop_scale=(0.5, 0.9), output_hw=(40, 36)), derive_stream(0, "crop")
+    ),
+    "crop_same_size": lambda img: random_resized_crop(
+        img, VisualAugConfig(crop_scale=(1.0, 1.0)), derive_stream(0, "crop")
+    ),
+    "jitter": lambda img: color_jitter(
+        img, VisualAugConfig(brightness=0.3, contrast=0.3, saturation=0.3, hue=0.3), derive_stream(0, "jit")
+    ),
+    "jitter_zero": lambda img: color_jitter(img, VisualAugConfig(), derive_stream(0, "jit")),
+    "permute": lambda img: channel_permute(img, (2, 0, 1)),
+    "permute_identity": lambda img: channel_permute(img, (0, 1, 2)),
+    "blur": lambda img: gaussian_blur(img, 1.2),
+    "blur_zero": lambda img: gaussian_blur(img, 0.0),
+}
+
+
+@pytest.mark.parametrize("op", list(IMAGE_OPS.values()), ids=list(IMAGE_OPS))
+def test_image_ops_leave_input_untouched(op):
+    img = np.random.default_rng(3).integers(0, 256, (33, 29, 3), dtype=np.uint8)
+    before = img.tobytes()
+    out = op(img)
+    assert img.tobytes() == before
+    assert not np.shares_memory(out, img)
+    assert out.dtype == np.uint8 and out.flags.c_contiguous
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernels the image ops replaced, kept as references: every op must
+# give the same bytes (see the "Bit-identity rules" in demoaug.imageaug)
+
+
+def ref_rgb_to_hsv(rgb):
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = np.max(rgb, axis=-1)
+    minc = np.min(rgb, axis=-1)
+    v = maxc
+    delta = maxc - minc
+    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
+    safe = np.where(delta > 0, delta, 1.0)
+    rc = (maxc - r) / safe
+    gc = (maxc - g) / safe
+    bc = (maxc - b) / safe
+    h = np.where(r == maxc, bc - gc, np.where(g == maxc, 2.0 + rc - bc, 4.0 + gc - rc))
+    h = np.where(delta > 0, (h / 6.0) % 1.0, 0.0)
+    return np.stack([h, s, v], axis=-1)
+
+
+def ref_hsv_to_rgb(hsv):
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
+    i = np.floor(h * 6.0).astype(np.int64) % 6
+    f = h * 6.0 - np.floor(h * 6.0)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    choices_r = [v, q, p, p, t, v]
+    choices_g = [t, v, v, q, p, p]
+    choices_b = [p, p, t, v, v, q]
+    r = np.select([i == k for k in range(6)], choices_r)
+    g = np.select([i == k for k in range(6)], choices_g)
+    b = np.select([i == k for k in range(6)], choices_b)
+    return np.stack([r, g, b], axis=-1)
+
+
+def ref_resize_bilinear(img_f, out_h, out_w):
+    h, w = img_f.shape[:2]
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.intp)
+    x0 = np.floor(xs).astype(np.intp)
+    wy = (ys - y0)[:, None, None]
+    wx = (xs - x0)[None, :, None]
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    top = img_f[y0[:, None], x0[None, :]] * (1 - wx) + img_f[y0[:, None], x1[None, :]] * wx
+    bot = img_f[y1[:, None], x0[None, :]] * (1 - wx) + img_f[y1[:, None], x1[None, :]] * wx
+    return top * (1 - wy) + bot * wy
+
+
+def ref_random_resized_crop(img, cfg, rng):
+    h, w = img.shape[:2]
+    out_h, out_w = cfg.output_hw if cfg.output_hw is not None else (h, w)
+    scale = float(rng.uniform(cfg.crop_scale[0], cfg.crop_scale[1]))
+    side = np.sqrt(scale)
+    crop_h = max(1, int(round(h * side)))
+    crop_w = max(1, int(round(w * side)))
+    top = int(rng.integers(0, h - crop_h + 1))
+    left = int(rng.integers(0, w - crop_w + 1))
+    crop = img[top : top + crop_h, left : left + crop_w]
+    if (crop_h, crop_w) == (out_h, out_w):
+        return crop.copy()
+    resized = ref_resize_bilinear(crop.astype(np.float64), out_h, out_w)
+    return np.clip(np.rint(resized), 0, 255).astype(np.uint8)
+
+
+def ref_color_jitter(img, cfg, rng):
+    b = float(rng.uniform(max(0.0, 1.0 - cfg.brightness), 1.0 + cfg.brightness))
+    c = float(rng.uniform(max(0.0, 1.0 - cfg.contrast), 1.0 + cfg.contrast))
+    s = float(rng.uniform(max(0.0, 1.0 - cfg.saturation), 1.0 + cfg.saturation))
+    hue_delta = float(rng.uniform(-cfg.hue, cfg.hue))
+    if b == 1.0 and c == 1.0 and s == 1.0 and hue_delta == 0.0:
+        return img.copy()
+    out = ref_jitter(img, b, c, s, hue_delta)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+def ref_jitter(img, b, c, s, hue_delta):
+    out = img.astype(np.float64)
+    if b != 1.0:
+        out = out * b
+    if c != 1.0:
+        mean = out.mean()
+        out = (out - mean) * c + mean
+    if s != 1.0 or hue_delta != 0.0:
+        hsv = ref_rgb_to_hsv(np.clip(out, 0.0, 255.0) / 255.0)
+        if s != 1.0:
+            hsv[..., 1] = np.clip(hsv[..., 1] * s, 0.0, 1.0)
+        if hue_delta != 0.0:
+            hsv[..., 0] = (hsv[..., 0] + hue_delta / (2.0 * np.pi)) % 1.0
+        out = ref_hsv_to_rgb(hsv) * 255.0
+    return out
+
+
+def ref_convolve_axis(arr, kernel, axis):
+    radius = len(kernel) // 2
+    pad = [(0, 0)] * arr.ndim
+    pad[axis] = (radius, radius)
+    padded = np.pad(arr, pad, mode="reflect")
+    out = np.zeros_like(arr)
+    view = np.moveaxis(padded, axis, 0)
+    out_view = np.moveaxis(out, axis, 0)
+    n = out_view.shape[0]
+    for i, weight in enumerate(kernel):
+        out_view += weight * view[i : i + n]
+    return out
+
+
+def ref_gaussian_blur(img, sigma):
+    if sigma == 0.0:
+        return img.copy()
+    kernel = gaussian_kernel(sigma)
+    out = img.astype(np.float64)
+    out = ref_convolve_axis(out, kernel, axis=0)
+    out = ref_convolve_axis(out, kernel, axis=1)
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+
+
+# One pixel in each of the six hue sectors, the sector boundaries, gray,
+# black and white.
+EDGE_COLORS = np.array(
+    [
+        (255, 0, 0), (255, 200, 0), (200, 255, 0), (0, 255, 0), (0, 255, 200), (0, 200, 255),
+        (0, 0, 255), (200, 0, 255), (255, 0, 200), (255, 255, 0), (0, 255, 255), (255, 0, 255),
+        (0, 0, 0), (255, 255, 255), (1, 1, 1), (128, 128, 128), (254, 255, 254), (0, 0, 1),
+    ],
+    dtype=np.uint8,
+)
+
+
+def test_edge_colors_cover_every_hue_sector():
+    hsv = ref_rgb_to_hsv(EDGE_COLORS.astype(np.float64) / 255.0)
+    chroma = hsv[:, 2] > hsv[:, 2] * (1.0 - hsv[:, 1])
+    assert set(np.floor(hsv[chroma, 0] * 6.0).astype(int)) == set(range(6))
+    assert (~chroma).sum() >= 4  # gray, black and white pixels
+
+
+@st.composite
+def images(draw, max_h=40, max_w=50):
+    """uint8 (h, w, 3) images of odd sizes: random bytes, edge colors, or gray."""
+    h = draw(st.integers(1, max_h))
+    w = draw(st.integers(1, max_w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["bytes", "edge_colors", "gray"]))
+    if kind == "bytes":
+        return rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+    if kind == "edge_colors":
+        return EDGE_COLORS[rng.integers(0, len(EDGE_COLORS), (h, w))]
+    return np.repeat(rng.integers(0, 256, (h, w, 1), dtype=np.uint8), 3, axis=2)
+
+
+def assert_same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(images(), st.floats(0.0, 2.0), st.floats(-5.0, 5.0))
+def test_hsv_kernels_match_reference(img, sat, hue_shift):
+    rgb = img.astype(np.float64) / 255.0
+    assert_same(rgb_to_hsv(rgb), ref_rgb_to_hsv(rgb))
+    hsv = ref_rgb_to_hsv(rgb)
+    assert_same(hsv_to_rgb(hsv), ref_hsv_to_rgb(hsv))
+    hsv[..., 1] = np.clip(hsv[..., 1] * sat, 0.0, 1.0)
+    hsv[..., 0] = (hsv[..., 0] + hue_shift) % 1.0
+    assert_same(hsv_to_rgb(hsv), ref_hsv_to_rgb(hsv))
+    hsv[..., 0] += hue_shift  # hues outside [0, 1) wrap by sector
+    assert_same(hsv_to_rgb(hsv), ref_hsv_to_rgb(hsv))
+
+
+def test_hsv_kernels_match_reference_on_non_finite_values():
+    values = np.array([0.0, 0.25, 1.0, math.nan, math.inf, -math.inf])
+    grid = np.stack(np.meshgrid(values, values, values, indexing="ij"), axis=-1).reshape(-1, 1, 3)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(rgb_to_hsv(grid), ref_rgb_to_hsv(grid), equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(images(), st.integers(1, 60), st.integers(1, 60))
+def test_resize_matches_reference(img, out_h, out_w):
+    assert_same(_resize_bilinear(img, out_h, out_w), ref_resize_bilinear(img.astype(np.float64), out_h, out_w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    images(),
+    st.floats(0.01, 1.0),
+    st.floats(0.0, 1.0),
+    st.none() | st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    st.integers(0, 2**32 - 1),
+)
+def test_crop_matches_reference(img, lo, span, output_hw, seed):
+    cfg = VisualAugConfig(crop_scale=(lo, lo + (1.0 - lo) * span), output_hw=output_hw)
+    got = random_resized_crop(img, cfg, np.random.default_rng(seed))
+    assert_same(got, ref_random_resized_crop(img, cfg, np.random.default_rng(seed)))
+
+
+jitter_strength = st.sampled_from([0.0, 0.2]) | st.floats(0.0, 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    images(),
+    jitter_strength,
+    jitter_strength,
+    jitter_strength,
+    st.sampled_from([0.0, 0.1]) | st.floats(0.0, 50.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_jitter_matches_reference(img, brightness, contrast, saturation, hue, seed):
+    cfg = VisualAugConfig(brightness=brightness, contrast=contrast, saturation=saturation, hue=hue)
+    got = color_jitter(img, cfg, np.random.default_rng(seed))
+    assert_same(got, ref_color_jitter(img, cfg, np.random.default_rng(seed)))
+
+
+factors = st.sampled_from([1.0, 0.8]) | st.floats(0.0, 2.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(images(), factors, factors, factors, st.sampled_from([0.0, 0.3]) | st.floats(-50.0, 50.0))
+def test_jitter_float_image_matches_reference(img, b, c, s, hue_delta):
+    # compared before rounding, where a changed operation order shows
+    assert_same(_jitter(img, b, c, s, hue_delta), ref_jitter(img, b, c, s, hue_delta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(images(), st.floats(0.05, 20.0), st.sampled_from([0, 1]))
+def test_convolve_axis_matches_reference(img, sigma, axis):
+    kernel = gaussian_kernel(sigma)
+    arr = img.astype(np.float64)
+    padded = arr.take(_reflect(arr.shape[axis], len(kernel) // 2), axis=axis)
+    assert_same(_convolve_axis(padded, kernel, axis), ref_convolve_axis(arr, kernel, axis))
+
+
+@settings(max_examples=200, deadline=None)
+@given(images(), st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.01, 20.0))
+def test_blur_matches_reference(img, sigma):
+    # sigmas up to 20 give radii up to 60, beyond the size of every image drawn
+    assert_same(gaussian_blur(img, sigma), ref_gaussian_blur(img, sigma))
