@@ -2,7 +2,8 @@
 
 Subcommands: gen-demos | segment | augment-se3 | augment-causal |
 augment-obs | validate | replay | ratio-study | stats | run.
-Exit codes: 0 ok, 1 usage, 2 validation failure, 3 stage failure.
+Exit codes: 0 ok, 1 usage, 2 validation failure, 3 stage failure or
+malformed input (an `error:` line, no traceback).
 """
 
 from __future__ import annotations
@@ -14,35 +15,32 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .causal import load_causal_spec
-from .counterfactual import CounterfactualConfig, augment_offline
-from .data import Dataset, load_dataset, save_dataset
-from .errors import ColorJitterRefused, DemoaugError, StageFailure
+from .counterfactual import CounterfactualConfig
+from .data import load_dataset, save_dataset
+from .errors import ColorJitterRefused, ConfigError, DemoaugError, StageFailure
 from .imageaug import (
     VisualAugConfig,
     channel_permute,
     check_color_ops_allowed,
     color_jitter,
     gaussian_blur,
-    proprio_noise,
     random_resized_crop,
     read_ppm,
     write_ppm,
 )
 from .pipeline import (
     RatioPlan,
+    StageConfig,
     pipeline_config_from_dict,
     ratio_study,
     run_pipeline,
+    run_stage,
     stats,
     validate_dataset_full,
 )
-from .retarget import GenerationReport, InterpolationConfig, generate_demos
 from .rng import derive_stream
-from .segmentation import SegmentationConfig, assign_phases
-from .sim import PoseSampler, replay, rollout_expert
+from .sim import replay
 from .tasks import resolve_task
 
 EXIT_OK = 0
@@ -76,81 +74,44 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _donor_policy(text: str) -> str:
+    if text not in ("any", "aligned"):
+        raise argparse.ArgumentTypeError(f"invalid choice {text!r} (choose from any, aligned)")
+    return f"same_phase_{text}_timestep"
+
+
+def _values(values: list, n: int, flag: str) -> list:
+    if len(values) != n:
+        raise ConfigError(f"{flag} takes {n} comma-separated values, got {len(values)}")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # handlers
 
 
-def _cmd_gen(args) -> int:
-    task = resolve_task(args.task)
-    trajs = []
-    for i in range(args.count):
-        tr = rollout_expert(task, derive_stream(args.seed, "gen", i))
-        trajs.append(replace(tr, traj_id=f"demo_{i:04d}"))
-    ds = Dataset("1.0", task.schema, tuple(trajs))
+def _run_stage(args, task, spec) -> dict:
+    """Run the pipeline stage `args.stage` on --in with the stage parameters
+    the user gave as flags (`args.params`; the stage fills in the rest), save
+    the result to --out, and return the stage's info."""
+    ds = load_dataset(args.inp) if args.inp else None
+    params = {key: getattr(args, key) for key in args.params if getattr(args, key) is not None}
+    ds, info = run_stage(StageConfig(args.stage, params), ds, task, spec, args.seed, args.workers)
     save_dataset(ds, args.out)
-    _emit({"generated": len(ds), "out": str(args.out)}, args.report)
-    return EXIT_OK
+    return {**info, "out": str(args.out)}
 
 
-def _resolve_spec(args):
-    """Causal spec from --spec (JSON file), falling back to the task's."""
-    if getattr(args, "spec", None):
-        return load_causal_spec(args.spec)
-    if args.task:
-        return resolve_task(args.task).causal
-    raise DemoaugError("either --spec or --task is required")
-
-
-def _cmd_segment(args) -> int:
-    spec = _resolve_spec(args)
-    ds = load_dataset(args.inp)
-    cfg = SegmentationConfig(args.close_threshold, args.debounce, args.min_phase_len)
-    labeled = tuple(assign_phases(tr, spec, cfg) for tr in ds.trajectories)
-    save_dataset(Dataset(ds.schema_version, ds.task_schema, labeled), args.out)
-    _emit({"segmented": len(labeled), "phases": spec.num_phases}, args.report)
-    return EXIT_OK
-
-
-def _cmd_se3(args) -> int:
-    task = resolve_task(args.task)
+def _cmd_stage(args) -> int:
+    task = resolve_task(args.task) if args.task else None
     if args.spec:
-        task = replace(task, causal=load_causal_spec(args.spec))
-    ds = load_dataset(args.inp)
-    sampler = None
-    if args.pos_range or args.yaw_range:
-        pos = _floats(args.pos_range) if args.pos_range else [-0.2, 0.2, -0.2, 0.2]
-        yaw = _floats(args.yaw_range) if args.yaw_range else [-np.pi, np.pi]
-        sampler = PoseSampler((pos[0], pos[1]), (pos[2], pos[3]), (0.0, 0.0), (yaw[0], yaw[1]))
-    icfg = InterpolationConfig(args.max_pos_step, args.max_rot_step)
-    report = GenerationReport()
-    synth = generate_demos(
-        ds, task.causal, sampler, icfg, task, args.count,
-        master_seed=args.seed, attempt_budget=args.budget, workers=args.workers, report=report,
-    )
-    merged = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + synth.trajectories)
-    save_dataset(merged, args.out)
-    _emit(
-        {"accepted": report.accepted, "attempts": report.attempts,
-         "acceptance_rate": report.acceptance_rate, "out": str(args.out)},
-        args.report,
-    )
-    return EXIT_OK
-
-
-def _cmd_causal(args) -> int:
-    spec = _resolve_spec(args)
-    ds = load_dataset(args.inp)
-    policy = {"any": "same_phase_any_timestep", "aligned": "same_phase_aligned_timestep"}[args.donor_policy]
-    cfg = CounterfactualConfig(
-        master_seed=args.seed,
-        swap_probability=args.swap_prob,
-        donor_policy=policy,
-        copies_per_trajectory=args.copies,
-    )
-    info: dict = {}
-    out = augment_offline(ds, spec, cfg, report=info)
-    save_dataset(out, args.out)
-    _emit({**info, "out": str(args.out)}, args.report)
+        spec = load_causal_spec(args.spec)
+        if task is not None:
+            task = replace(task, causal=spec)
+    elif task is not None:
+        spec = task.causal
+    else:
+        raise DemoaugError("either --spec or --task is required")
+    _emit(_run_stage(args, task, spec), args.report)
     return EXIT_OK
 
 
@@ -164,35 +125,28 @@ def _cmd_obs(args) -> int:
         img = read_ppm(args.image)
         rng = derive_stream(args.seed, "obs_image", Path(args.image).name)
         if args.crop_scale:
-            lo, hi = _floats(args.crop_scale)
-            out_hw = tuple(_ints(args.out_size)) if args.out_size else None
+            lo, hi = _values(args.crop_scale, 2, "--crop-scale")
+            out_hw = tuple(_values(args.out_size, 2, "--out-size")) if args.out_size else None
             img = random_resized_crop(img, VisualAugConfig(crop_scale=(lo, hi), output_hw=out_hw), rng)
         if args.jitter:
-            b, c, s, h = _floats(args.jitter)
+            b, c, s, h = _values(args.jitter, 4, "--jitter")
             img = color_jitter(img, VisualAugConfig(brightness=b, contrast=c, saturation=s, hue=h), rng)
         if args.permute:
-            img = channel_permute(img, _ints(args.permute))
+            img = channel_permute(img, args.permute)
         if args.blur_sigma:
-            sig = _floats(args.blur_sigma)
+            sig = args.blur_sigma
             if len(sig) == 1:
                 sigma = sig[0]
             else:
-                lo, hi = VisualAugConfig(blur_sigma=(sig[0], sig[1])).blur_sigma
+                lo, hi = VisualAugConfig(blur_sigma=tuple(_values(sig, 2, "--blur-sigma"))).blur_sigma
                 sigma = float(rng.uniform(lo, hi))
             img = gaussian_blur(img, sigma)
         write_ppm(args.image_out or args.image, img)
         report["image_out"] = str(args.image_out or args.image)
     if args.inp:
-        ds = load_dataset(args.inp)
-        noisy = []
-        for tr in ds.trajectories:
-            for k in range(args.copies):
-                rng = derive_stream(args.seed, "obs", tr.traj_id, k)
-                out_tr = proprio_noise(tr, args.noise_sigma, rng)
-                noisy.append(replace(out_tr, traj_id=f"{tr.traj_id}_obs{k:02d}", provenance="mixed"))
-        merged = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + tuple(noisy))
-        save_dataset(merged, args.out)
-        report.update({"noised_copies": len(noisy), "out": str(args.out)})
+        if args.out is None:
+            raise ConfigError("--in needs --out")
+        report.update(_run_stage(args, task, None))
     _emit(report, args.report)
     return EXIT_OK
 
@@ -226,7 +180,7 @@ def _cmd_replay(args) -> int:
 def _cmd_ratio(args) -> int:
     task = resolve_task(args.task)
     ds = load_dataset(args.inp)
-    plan = RatioPlan(len(ds), tuple(_ints(args.ratios)))
+    plan = RatioPlan(len(ds), tuple(args.ratios))
     cfg = CounterfactualConfig(master_seed=args.seed, swap_probability=args.swap_prob)
     _, table = ratio_study(ds, plan, task.causal, cfg, out_root=args.out)
     _emit({"table": table, "out": str(args.out)}, args.report)
@@ -240,7 +194,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        cfg_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read pipeline config {args.config}: {exc}") from exc
     cfg = pipeline_config_from_dict(cfg_obj)
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
@@ -277,35 +234,41 @@ def build_parser() -> _Parser:
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
 
+    def stage_flags(p, stage, *flags, fn=_cmd_stage):
+        """One flag per (parameter, type, help) of `stage`, named after the
+        parameter; each defaults to None, which leaves the value to the stage."""
+        for key, kind, text in flags:
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        p.set_defaults(fn=fn, stage=stage, params=tuple(key for key, _, _ in flags))
+
     p = sub.add_parser("gen-demos", help="roll out scripted expert demonstrations")
     common(p, inp=False)
-    p.add_argument("--count", type=int, default=10)
-    p.set_defaults(fn=_cmd_gen)
+    p.set_defaults(inp=None, spec=None)
+    stage_flags(p, "gen", ("count", int, "number of demos"))
 
     p = sub.add_parser("segment", help="label trajectories with causal phases")
     common(p, spec=True)
-    p.add_argument("--close-threshold", type=float, default=0.5)
-    p.add_argument("--debounce", type=int, default=3)
-    p.add_argument("--min-phase-len", type=int, default=5)
-    p.set_defaults(fn=_cmd_segment)
+    stage_flags(p, "segment", ("close_threshold", float, "gripper aperture below which it counts as closed"),
+                ("debounce", int, "steps a gripper change must last"),
+                ("min_phase_len", int, "shortest phase in steps"))
 
     p = sub.add_parser("augment-se3", help="SE(3)-equivariant demo generation")
     common(p)
     p.add_argument("--spec", default=None, help="causal spec JSON (overrides the task's)")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--pos-range", default=None, help="x0,x1,y0,y1 sample box (meters)")
-    p.add_argument("--yaw-range", default=None, help="min,max yaw (radians)")
-    p.add_argument("--max-pos-step", type=float, default=0.02)
-    p.add_argument("--max-rot-step", type=float, default=0.1)
-    p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(fn=_cmd_se3)
+    stage_flags(p, "se3", ("count", int, "synthetic demos to accept (default: one per input demo)"),
+                ("pos_range", _floats, "x0,x1,y0,y1 sample box (meters)"),
+                ("yaw_range", _floats, "min,max yaw (radians)"),
+                ("max_pos_step", float, "interpolation step (meters)"),
+                ("max_rot_step", float, "interpolation step (radians)"),
+                ("budget", int, "attempt budget (default: 10 per requested demo)"))
 
     p = sub.add_parser("augment-causal", help="offline counterfactual augmentation")
     common(p, spec=True)
-    p.add_argument("--swap-prob", type=float, default=1.0)
-    p.add_argument("--copies", type=int, default=1)
-    p.add_argument("--donor-policy", choices=("any", "aligned"), default="any")
-    p.set_defaults(fn=_cmd_causal)
+    stage_flags(p, "causal", ("swap_prob", float, "probability of swapping each partition"),
+                ("copies", int, "counterfactual copies per trajectory"),
+                ("donor_policy", _donor_policy, "any|aligned: donor timestep anywhere in the phase, "
+                 "or at the same relative index"),
+                ("gripper_jitter", float, "gripper aperture jitter range on counterfactual copies"))
 
     p = sub.add_parser("augment-obs", help="observation augmentations (proprio noise, image ops)")
     p.add_argument("--in", dest="inp", default=None, help="input dataset directory (proprio noise)")
@@ -314,17 +277,16 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report", default=None)
-    p.add_argument("--noise-sigma", type=float, default=0.01)
-    p.add_argument("--copies", type=int, default=1)
+    stage_flags(p, "obs", ("noise_sigma", float, "proprio noise standard deviation"),
+                ("copies", int, "noised copies per trajectory"), fn=_cmd_obs)
     p.add_argument("--image", default=None, help="input PPM image")
     p.add_argument("--image-out", default=None, help="output PPM image")
-    p.add_argument("--crop-scale", default=None, help="lo,hi area scale range")
-    p.add_argument("--out-size", default=None, help="H,W output dims for crop")
-    p.add_argument("--jitter", default=None, help="brightness,contrast,saturation,hue ranges")
-    p.add_argument("--permute", default=None, help="channel permutation, e.g. 2,0,1")
-    p.add_argument("--blur-sigma", default=None, help="gaussian blur sigma, or lo,hi to sample one")
+    p.add_argument("--crop-scale", type=_floats, default=None, help="lo,hi area scale range")
+    p.add_argument("--out-size", type=_ints, default=None, help="H,W output dims for crop")
+    p.add_argument("--jitter", type=_floats, default=None, help="brightness,contrast,saturation,hue ranges")
+    p.add_argument("--permute", type=_ints, default=None, help="channel permutation, e.g. 2,0,1")
+    p.add_argument("--blur-sigma", type=_floats, default=None, help="gaussian blur sigma, or lo,hi to sample one")
     p.add_argument("--force", action="store_true", help="override the color-sensitivity refusal")
-    p.set_defaults(fn=_cmd_obs)
 
     p = sub.add_parser("validate", help="invariant + replay validation")
     common(p, out=False)
@@ -338,7 +300,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ratio-study", help="emit datasets at several synthetic:real ratios")
     common(p)
-    p.add_argument("--ratios", default="0,1,2,3,5,10")
+    p.add_argument("--ratios", type=_ints, default="0,1,2,3,5,10")
     p.add_argument("--swap-prob", type=float, default=1.0)
     p.set_defaults(fn=_cmd_ratio)
 

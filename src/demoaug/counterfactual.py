@@ -29,7 +29,7 @@ class CounterfactualConfig:
     master_seed: int = 0
     swap_probability: float = 1.0
     donor_policy: str = "same_phase_any_timestep"
-    gripper_jitter_range: float = 0.1
+    gripper_jitter_range: float = 0.0
     copies_per_trajectory: int = 1
     close_threshold: float = 0.5
     jitter_boundary_margin: int = 3

@@ -496,7 +496,8 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
     the very object an earlier save wrote (`previous`, that save's return
     value) is copied from that file instead of re-encoded. Pass only the
     mapping of the immediately preceding save, and never build one from
-    loaded files, which need not be in canonical form.
+    loaded files, which need not be in canonical form. That save may have
+    been to `path` itself: its files stay in place until the swap below.
 
     The save is atomic: the files are written into a new hidden sibling
     directory, manifest last, which then replaces `path` by rename, so no
@@ -518,8 +519,7 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
         for tr in ds.trajectories:
             dest = root / traj_filename(tr.traj_id)
             earlier = previous.get(id(tr.timesteps)) if previous else None
-            # never copy out of the directory this save replaces
-            if earlier is not None and earlier[1].parent != root:
+            if earlier is not None:
                 shutil.copyfile(earlier[1], staging / dest.name)
             else:
                 with open(staging / dest.name, "w", encoding="utf-8", newline="\n") as fh:

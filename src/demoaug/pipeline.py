@@ -8,6 +8,7 @@ order."""
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,7 @@ import numpy as np
 
 from .counterfactual import CounterfactualConfig, augment_offline, gripper_transit_jitter
 from .data import Dataset, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
-from .errors import DemoaugError, InvariantViolation, StageFailure
+from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
 from .imageaug import check_color_ops_allowed, proprio_noise
 from .retarget import GenerationReport, InterpolationConfig, generate_demos
 from .rng import derive_stream
@@ -27,8 +28,6 @@ from .tasks import resolve_task
 
 REPLAYABLE = (Provenance.HUMAN_SOURCE, Provenance.SE3_SYNTHETIC)
 
-STAGE_NAMES = ("gen", "segment", "se3", "causal", "obs", "validate")
-
 
 @dataclass(frozen=True)
 class StageConfig:
@@ -36,8 +35,14 @@ class StageConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in STAGE_NAMES:
+        if self.name not in STAGES:
             raise InvariantViolation(f"unknown stage {self.name!r}")
+        unknown = sorted(set(self.params) - set(STAGES[self.name][1]))
+        if unknown:
+            raise ConfigError(
+                f"stage {self.name!r} has no parameter {', '.join(map(repr, unknown))} "
+                f"(it takes {', '.join(STAGES[self.name][1])})"
+            )
 
 
 @dataclass(frozen=True)
@@ -65,20 +70,29 @@ def _check_stage_order(names: list[str], has_input: bool):
         raise InvariantViolation("pipeline without a gen stage needs input_path")
 
 
+_CONFIG_KEYS = ("task", "out", "stages", "seed", "workers", "input")
+
+
 def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
-    stages = []
-    for entry in obj.get("stages", []):
-        entry = dict(entry)
-        name = entry.pop("name")
-        stages.append(StageConfig(name, entry))
-    return PipelineConfig(
-        task=obj["task"],
-        stages=tuple(stages),
-        output_root=obj["out"],
-        master_seed=int(obj.get("seed", 0)),
-        workers=int(obj.get("workers", 1)),
-        input_path=obj.get("input"),
-    )
+    """Parse a pipeline config; anything malformed raises ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a pipeline config is a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"pipeline config has unknown keys {unknown} (it takes {', '.join(_CONFIG_KEYS)})")
+    missing = [key for key in ("task", "out") if not isinstance(obj.get(key), str)]
+    if missing:
+        raise ConfigError(f"pipeline config lacks {', '.join(missing)} (a string)")
+    entries = obj.get("stages", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str)
+                                                for e in entries):
+        raise ConfigError("pipeline config: 'stages' must be a list of objects, each with a 'name'")
+    stages = [StageConfig(e["name"], {k: v for k, v in e.items() if k != "name"}) for e in entries]
+    try:
+        seed, workers = int(obj.get("seed", 0)), int(obj.get("workers", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pipeline config: seed and workers must be integers ({exc})") from exc
+    return PipelineConfig(obj["task"], tuple(stages), obj["out"], seed, workers, obj.get("input"))
 
 
 def _parallel_map(fn, items, workers: int):
@@ -90,10 +104,16 @@ def _parallel_map(fn, items, workers: int):
 
 # ---------------------------------------------------------------------------
 # stages
+#
+# Every stage has the signature (ds, task, spec, params, seed, workers) ->
+# (Dataset, info) and reads its parameters from `params`, which `run_stage`
+# fills in from the stage's defaults in STAGES. `spec` is the causal spec to
+# work with (the task's own, or one the CLI loaded); gen and obs ignore it,
+# and segment and causal need no task.
 
 
-def _stage_gen(task: TaskDefinition, params: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    count = int(params.get("count", 10))
+def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
+    count = int(p["count"])
 
     def gen_one(i: int) -> Trajectory:
         traj = rollout_expert(task, derive_stream(seed, "gen", i))
@@ -104,39 +124,43 @@ def _stage_gen(task: TaskDefinition, params: dict, seed: int, workers: int) -> t
     return ds, {"generated": count, "all_success": all(t.success for t in trajs)}
 
 
-def _stage_segment(ds: Dataset, task: TaskDefinition, params: dict, workers: int) -> tuple[Dataset, dict]:
+def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
     cfg = SegmentationConfig(
-        close_threshold=float(params.get("close_threshold", 0.5)),
-        debounce_steps=int(params.get("debounce", 3)),
-        min_phase_len=int(params.get("min_phase_len", 5)),
+        close_threshold=float(p["close_threshold"]),
+        debounce_steps=int(p["debounce"]),
+        min_phase_len=int(p["min_phase_len"]),
     )
-    labeled = _parallel_map(lambda tr: assign_phases(tr, task.causal, cfg), ds.trajectories, workers)
+    labeled = _parallel_map(lambda tr: assign_phases(tr, spec, cfg), ds.trajectories, workers)
     out = Dataset(ds.schema_version, ds.task_schema, tuple(labeled))
-    return out, {"segmented": len(labeled), "phases": task.causal.num_phases}
+    return out, {"segmented": len(labeled), "phases": spec.num_phases}
 
 
-def _stage_se3(ds: Dataset, task: TaskDefinition, params: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    count = int(params.get("count", len(ds)))
-    icfg = InterpolationConfig(
-        max_pos_step=float(params.get("max_pos_step", 0.02)),
-        max_rot_step=float(params.get("max_rot_step", 0.1)),
-    )
-    sampler = None
-    if "pos_range" in params or "yaw_range" in params:
-        xr = tuple(params.get("pos_range", (-0.2, 0.2))[:2])
-        yr = tuple(params.get("pos_range", (-0.2, 0.2))[2:4] or xr)
-        yaw = tuple(params.get("yaw_range", (-np.pi, np.pi)))
-        sampler = PoseSampler(xr, yr, (0.0, 0.0), yaw)
+def _range(p: dict, key: str, n: int, default) -> tuple:
+    value = default if p[key] is None else p[key]
+    if not isinstance(value, (list, tuple)) or len(value) != n or not all(
+        isinstance(v, (int, float)) and math.isfinite(v) for v in value
+    ):
+        raise ConfigError(f"se3 {key} takes {n} finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
+    count = len(ds) if p["count"] is None else int(p["count"])
+    icfg = InterpolationConfig(max_pos_step=float(p["max_pos_step"]), max_rot_step=float(p["max_rot_step"]))
+    sampler = None  # the task's own samplers
+    if p["pos_range"] is not None or p["yaw_range"] is not None:
+        x0, x1, y0, y1 = _range(p, "pos_range", 4, (-0.2, 0.2, -0.2, 0.2))
+        sampler = PoseSampler((x0, x1), (y0, y1), (0.0, 0.0), _range(p, "yaw_range", 2, (-np.pi, np.pi)))
     report = GenerationReport()
     synth = generate_demos(
         ds,
-        task.causal,
+        spec,
         sampler,
         icfg,
         task,
         n_target=count,
         master_seed=seed,
-        attempt_budget=int(params.get("budget", 10 * max(count, 1))),
+        attempt_budget=10 * max(count, 1) if p["budget"] is None else int(p["budget"]),
         workers=workers,
         report=report,
     )
@@ -149,22 +173,22 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, params: dict, seed: int, worke
     }
 
 
-def _stage_causal(ds: Dataset, task: TaskDefinition, params: dict, seed: int) -> tuple[Dataset, dict]:
+def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
     cfg = CounterfactualConfig(
         master_seed=seed,
-        swap_probability=float(params.get("swap_prob", 1.0)),
-        donor_policy=params.get("donor_policy", "same_phase_any_timestep"),
-        gripper_jitter_range=float(params.get("gripper_jitter", 0.0)),
-        copies_per_trajectory=int(params.get("copies", 1)),
+        swap_probability=float(p["swap_prob"]),
+        donor_policy=p["donor_policy"],
+        gripper_jitter_range=float(p["gripper_jitter"]),
+        copies_per_trajectory=int(p["copies"]),
     )
     info: dict = {}
-    out = augment_offline(ds, task.causal, cfg, report=info)
+    out = augment_offline(ds, spec, cfg, report=info)
     if cfg.gripper_jitter_range > 0.0:
         jittered = []
         for tr in out.trajectories:
             if tr.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC:
                 rng = derive_stream(seed, "jitter", tr.traj_id)
-                jittered.append(gripper_transit_jitter(tr, task.causal, cfg, rng))
+                jittered.append(gripper_transit_jitter(tr, spec, cfg, rng))
             else:
                 jittered.append(tr)
         out = Dataset(out.schema_version, out.task_schema, tuple(jittered))
@@ -172,11 +196,11 @@ def _stage_causal(ds: Dataset, task: TaskDefinition, params: dict, seed: int) ->
     return out, info
 
 
-def _stage_obs(ds: Dataset, task: TaskDefinition, params: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    sigma = float(params.get("noise_sigma", 0.01))
-    copies = int(params.get("copies", 1))
-    if params.get("jitter") or params.get("permute"):
-        check_color_ops_allowed(task.color_sensitive, bool(params.get("force", False)))
+def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
+    sigma = float(p["noise_sigma"])
+    copies = int(p["copies"])
+    if p["jitter"] or p["permute"]:
+        check_color_ops_allowed(task.color_sensitive, bool(p["force"]))
 
     def noise_one(job) -> Trajectory:
         tr, k = job
@@ -193,6 +217,32 @@ def _stage_obs(ds: Dataset, task: TaskDefinition, params: dict, seed: int, worke
     noisy = _parallel_map(noise_one, jobs, workers)
     out = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + tuple(noisy))
     return out, {"noise_sigma": sigma, "noised_copies": len(noisy)}
+
+
+def _stage_validate(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
+    return ds, validate_dataset_full(ds, task, replay_check=not p["no_replay"], workers=workers)
+
+
+# stage name -> (stage function, {parameter key: default}). These are the
+# only parameter keys a stage accepts; a None default is worked out by the
+# stage from its input.
+STAGES = {
+    "gen": (_stage_gen, {"count": 10}),
+    "segment": (_stage_segment, {"close_threshold": 0.5, "debounce": 3, "min_phase_len": 5}),
+    "se3": (_stage_se3, {"count": None, "pos_range": None, "yaw_range": None,
+                         "max_pos_step": 0.02, "max_rot_step": 0.1, "budget": None}),
+    "causal": (_stage_causal, {"swap_prob": 1.0, "copies": 1, "donor_policy": "same_phase_any_timestep",
+                               "gripper_jitter": CounterfactualConfig.gripper_jitter_range}),
+    "obs": (_stage_obs, {"noise_sigma": 0.01, "copies": 1, "jitter": False, "permute": False, "force": False}),
+    "validate": (_stage_validate, {"no_replay": False}),
+}
+
+
+def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
+              seed: int, workers: int) -> tuple[Dataset, dict]:
+    """Run one stage on `ds`; the pipeline and the CLI subcommands both call this."""
+    fn, defaults = STAGES[stage.name]
+    return fn(ds, task, spec, {**defaults, **stage.params}, seed, workers)
 
 
 def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True,
@@ -238,30 +288,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for i, stage in enumerate(cfg.stages):
         in_count = len(ds) if ds is not None else 0
         try:
-            if stage.name == "gen":
-                ds, info = _stage_gen(task, stage.params, cfg.master_seed, cfg.workers)
-            elif stage.name == "segment":
-                ds, info = _stage_segment(ds, task, stage.params, cfg.workers)
-            elif stage.name == "se3":
-                ds, info = _stage_se3(ds, task, stage.params, cfg.master_seed, cfg.workers)
-            elif stage.name == "causal":
-                ds, info = _stage_causal(ds, task, stage.params, cfg.master_seed)
-            elif stage.name == "obs":
-                ds, info = _stage_obs(ds, task, stage.params, cfg.master_seed, cfg.workers)
-            elif stage.name == "validate":
-                info = validate_dataset_full(ds, task, replay_check=not stage.params.get("no_replay"),
-                                             workers=cfg.workers)
-                if not info["ok"]:
-                    raise StageFailure(stage.name, "; ".join(info["failures"]))
-            else:  # pragma: no cover - guarded by StageConfig
-                raise StageFailure(stage.name, "unknown stage")
-        except StageFailure:
+            ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed, cfg.workers)
+        except ConfigError:
             raise
         except DemoaugError as exc:
             raise StageFailure(stage.name, str(exc)) from exc
-        stage_dir = root / f"stage_{i:02d}_{stage.name}"
-        if stage.name != "validate":
-            saved = save_dataset(ds, stage_dir, previous=saved)
+        if stage.name == "validate":
+            if not info["ok"]:
+                raise StageFailure(stage.name, "; ".join(info["failures"]))
+        else:
+            saved = save_dataset(ds, root / f"stage_{i:02d}_{stage.name}", previous=saved)
         report["stages"].append(
             {"name": stage.name, "in": in_count, "out": len(ds) if ds is not None else 0, **info}
         )

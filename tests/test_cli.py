@@ -187,14 +187,84 @@ def test_spec_file_flag_drives_segment_and_causal(tmp_path, labeled_dir, capsys)
     assert len(load_dataset(out)) == 4
 
 
-def test_cli_gen_matches_pipeline_gen_stage(tmp_path):
+def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
+    """Each stage subcommand writes the same bytes as its run_pipeline stage."""
     from demoaug.pipeline import PipelineConfig, StageConfig, run_pipeline
+    from tests.test_pipeline import tree_digest
 
-    cli_out = tmp_path / "cli_gen"
-    assert run_cli("gen-demos", "--task", "coffee", "--count", "2", "--seed", "12",
-                   "--out", str(cli_out)) == 0
-    run_pipeline(PipelineConfig("coffee", (StageConfig("gen", {"count": 2}),),
-                                str(tmp_path / "pipe"), master_seed=12))
-    a = load_dataset(cli_out)
-    b = load_dataset(tmp_path / "pipe" / "stage_00_gen")
-    assert a == b
+    stages = (
+        ("gen", "gen-demos", {"count": 2}, ["--count", "2"]),
+        ("segment", "segment", {"debounce": 3}, ["--debounce", "3"]),
+        ("se3", "augment-se3", {"count": 2}, ["--count", "2"]),
+        ("causal", "augment-causal",
+         {"copies": 1, "gripper_jitter": 0.2, "donor_policy": "same_phase_aligned_timestep"},
+         ["--copies", "1", "--gripper-jitter", "0.2", "--donor-policy", "aligned"]),
+        ("obs", "augment-obs", {"noise_sigma": 0.005}, ["--noise-sigma", "0.005"]),
+    )
+    report = run_pipeline(PipelineConfig("stack", tuple(StageConfig(n, p) for n, _, p, _ in stages),
+                                         str(tmp_path / "pipe"), master_seed=12))
+    assert report["stages"][3]["gripper_jitter_range"] == 0.2
+    prev = []
+    for i, (name, command, _, flags) in enumerate(stages):
+        out = tmp_path / "cli" / name
+        assert run_cli(command, "--task", "stack", "--seed", "12", *prev, "--out", str(out), *flags) == 0
+        assert tree_digest(out) == tree_digest(tmp_path / "pipe" / f"stage_{i:02d}_{name}"), name
+        prev = ["--in", str(out)]
+    # noised copies of the 4 composites stay counterfactual; the other 4 copies are mixed
+    provenance = [t.provenance.value for t in load_dataset(out).trajectories]
+    assert provenance.count("counterfactual_synthetic") == 8 and provenance.count("mixed") == 4
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (None, "cannot read"),
+        ("{", "cannot read"),
+        ("[]", "JSON object"),
+        ({"out": "o", "stages": []}, "lacks task"),
+        ({"task": "stack", "out": "o", "stages": [{"count": 2}]}, "'name'"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen"}, {"name": "segment", "close_treshold": 0.4}]},
+         "'close_treshold'"),
+        ({"task": "stack", "out": "o", "sed": 1, "stages": []}, "unknown keys ['sed']"),
+        ({"task": "stack", "out": "o", "seed": "x", "stages": []}, "integers"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "se3", "pos_range": [0.1, 0.2]}]}, "pos_range"),
+    ],
+    ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "misspelt_stage_key",
+         "misspelt_top_level_key", "non_integer_seed", "short_pos_range"],
+)
+def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
+    path = tmp_path / "pipeline.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ratio-study", "--task", "stack", "--ratios", "1,x"], 1),
+        (["augment-se3", "--task", "stack", "--pos-range", "1,2"], 3),
+        (["augment-se3", "--task", "stack", "--yaw-range", "1"], 3),
+        (["augment-se3", "--task", "stack", "--yaw-range", "a,b"], 1),
+        (["augment-obs", "--image", "{img}", "--image-out", "{out}.ppm", "--crop-scale", "0.8"], 3),
+        (["augment-obs", "--image", "{img}", "--image-out", "{out}.ppm", "--jitter", "0.1,0.1"], 3),
+        (["augment-obs", "--image", "{img}", "--image-out", "{out}.ppm", "--blur-sigma", "1,2,3"], 3),
+    ],
+    ids=["ratios_not_a_number", "pos_range_length", "yaw_range_length", "yaw_range_not_a_number",
+         "crop_scale_length", "jitter_length", "blur_range_length"],
+)
+def test_malformed_list_flag_is_an_error(tmp_path, labeled_dir, capsys, argv, code):
+    img = tmp_path / "a.ppm"
+    write_ppm(img, np.zeros((8, 8, 3), dtype=np.uint8))
+    out = tmp_path / "out"
+    argv = [a.format(img=img, out=out) for a in argv]
+    if argv[0] != "augment-obs":
+        argv += ["--in", str(labeled_dir), "--out", str(out)]
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "out.ppm").exists()

@@ -142,10 +142,11 @@ def test_stage_outputs_equal_fresh_saves(tmp_path, monkeypatch):
 def test_ratio_outputs_equal_fresh_saves(tmp_path, monkeypatch, stack_task):
     copies = _spy_copies(monkeypatch)
     base = make_labeled_demos(stack_task, 2, seed_base=4)
-    # the repeated ratio saves into the directory it would copy from
+    # the repeated ratio copies from the directory it replaces, which stays
+    # intact until the atomic swap
     datasets, _ = ratio_study(base, RatioPlan(2, (0, 1, 1)), stack_task.causal,
                               CounterfactualConfig(master_seed=0), out_root=tmp_path / "ratio")
-    assert len(copies) == 2
+    assert len(copies) == 4
     saves = [(datasets[0], tmp_path / "ratio" / "ratio_0"), (datasets[2], tmp_path / "ratio" / "ratio_1")]
     _assert_fresh_save_equal(saves, tmp_path / "fresh")
 

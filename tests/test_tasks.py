@@ -72,3 +72,17 @@ def test_missing_trajectory_file_is_io_failure(tmp_path, stack_task, stack_demos
     (tmp_path / "ds" / "traj_demo_000.jsonl").unlink()
     with pytest.raises(IoFailure):
         load_dataset(tmp_path / "ds")
+
+
+def test_bundled_configs_match_task_constructors():
+    """The JSON files under configs/ say what the bundled task constructors build."""
+    from pathlib import Path
+
+    from demoaug.pipeline import pipeline_config_from_dict
+
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for name in ("stack", "coffee"):
+        task = resolve_task(name)
+        assert json.loads((configs / f"task_{name}.json").read_text()) == task_to_dict(task)
+        assert json.loads((configs / f"causal_{name}.json").read_text()) == causal_spec_to_dict(task.causal)
+    pipeline_config_from_dict(json.loads((configs / "pipeline_stack.json").read_text()))
