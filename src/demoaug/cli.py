@@ -198,14 +198,11 @@ def _cmd_run(args) -> int:
         cfg_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read pipeline config {args.config}: {exc}") from exc
-    cfg = pipeline_config_from_dict(cfg_obj)
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.out is not None:
-        cfg = replace(cfg, output_root=args.out)
-    report = run_pipeline(cfg)
+    overrides = {key: value for key, value in (("seed", args.seed), ("workers", args.workers), ("out", args.out))
+                 if value is not None}
+    if isinstance(cfg_obj, dict):  # anything else is pipeline_config_from_dict's error to report
+        cfg_obj = {**cfg_obj, **overrides}
+    report = run_pipeline(pipeline_config_from_dict(cfg_obj))
     _emit(report, args.report)
     return EXIT_OK
 

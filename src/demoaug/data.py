@@ -99,7 +99,7 @@ class TaskSchema:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityState:
     entity_id: str
     pose: Pose
@@ -109,7 +109,7 @@ class EntityState:
         object.__setattr__(self, "extra", dict(self.extra))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RobotState:
     agent_id: str
     eef_pose: Pose
@@ -120,7 +120,7 @@ class RobotState:
         object.__setattr__(self, "gripper_aperture", ap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     agent_id: str
     target_eef_pose: Pose
@@ -131,7 +131,7 @@ class Action:
         object.__setattr__(self, "gripper_command", cmd)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Timestep:
     t: int
     entities: tuple[EntityState, ...]
@@ -238,13 +238,19 @@ def _is_finite_real(value) -> bool:
         return False
 
 
-def validate_trajectory(traj: Trajectory, schema: TaskSchema):
-    """Raise InvariantViolation naming the offending trajectory/timestep."""
+def _check_trajectory_ids(traj: Trajectory, schema: TaskSchema):
+    """Raise InvariantViolation naming a trajectory of another task or with
+    an unsafe traj_id."""
     where = f"trajectory {traj.traj_id!r}"
     if traj.task_id != schema.task_id:
         raise InvariantViolation(f"{where}: task_id {traj.task_id!r} != schema {schema.task_id!r}")
     if not _ID_RE.fullmatch(traj.traj_id):
         raise InvariantViolation(f"{where}: traj_id is not filesystem-safe")
+
+
+def _check_timesteps(traj: Trajectory, schema: TaskSchema):
+    """Raise InvariantViolation naming the offending trajectory/timestep."""
+    where = f"trajectory {traj.traj_id!r}"
     expected_entities = schema.entity_ids()
     box_lo = (schema.workspace_min - _BOX_TOL).tolist()
     box_hi = (schema.workspace_max + _BOX_TOL).tolist()
@@ -285,6 +291,14 @@ def validate_trajectory(traj: Trajectory, schema: TaskSchema):
 
 
 def validate_dataset(ds: Dataset):
+    """Check the schema version, unique traj_ids and every trajectory in full."""
+    _validate_dataset(ds, {})
+
+
+def _validate_dataset(ds: Dataset, reused: dict):
+    """validate_dataset, reusing the timestep checks of every trajectory
+    whose timesteps tuple is a key of `reused` (by id): the caller vouches
+    that those timesteps already passed them against ds.task_schema."""
     if ds.schema_version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise SchemaVersionMismatch(
             f"schema_version {ds.schema_version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
@@ -294,7 +308,9 @@ def validate_dataset(ds: Dataset):
         if tr.traj_id in seen:
             raise InvariantViolation(f"duplicate traj_id {tr.traj_id!r}")
         seen.add(tr.traj_id)
-        validate_trajectory(tr, ds.task_schema)
+        _check_trajectory_ids(tr, ds.task_schema)
+        if id(tr.timesteps) not in reused:
+            _check_timesteps(tr, ds.task_schema)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +338,17 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def _pose_to_json(pose: Pose) -> str:
+    """The pose's JSON object, encoded on the first call and kept in the
+    pose's `_json` slot: a Pose and its arrays are immutable."""
+    try:
+        return pose._json
+    except AttributeError:
+        pass
     x, y, z = pose.position.tolist()
     w, qx, qy, qz = pose.orientation.tolist()
-    return f'{{"position":[{x!r},{y!r},{z!r}],"orientation":[{w!r},{qx!r},{qy!r},{qz!r}]}}'
+    text = f'{{"position":[{x!r},{y!r},{z!r}],"orientation":[{w!r},{qx!r},{qy!r},{qz!r}]}}'
+    object.__setattr__(pose, "_json", text)
+    return text
 
 
 def _reject_constant(name: str):
@@ -371,7 +395,7 @@ def _pose_from_json(obj, where: str) -> Pose:
 
 def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
     """One JSONL line (without its newline) for a timestep that passed
-    validate_trajectory against `schema`. The bytes equal
+    validate_dataset's checks against `schema`. The bytes equal
     json.dumps(..., separators=(",", ":"), ensure_ascii=True) of the nested
     dict in key order t, entities, robots, actions, phase[, interp]: floats
     are written with repr and strings with json's ASCII escaper."""
@@ -482,10 +506,15 @@ def traj_filename(traj_id: str) -> str:
     return f"traj_{traj_id}.jsonl"
 
 
-# What one save_dataset call wrote: id(timesteps) -> (that timesteps tuple,
-# the file holding its lines). Holding the tuple keeps its id from being
-# reused by another object while the mapping lives.
-SavedFiles = dict[int, tuple[tuple[Timestep, ...], Path]]
+@dataclass(frozen=True)
+class SavedFiles:
+    """What one save_dataset call wrote: the task schema it validated
+    against, and id(timesteps) -> (that timesteps tuple, the file holding
+    its lines). Holding the tuple keeps its id from being reused by another
+    object while the mapping lives."""
+
+    schema: TaskSchema
+    files: dict[int, tuple[tuple[Timestep, ...], Path]]
 
 
 def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> SavedFiles:
@@ -499,16 +528,25 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
     loaded files, which need not be in canonical form. That save may have
     been to `path` itself: its files stay in place until the swap below.
 
+    The same identity argument lets the save reuse validation: the earlier
+    save checked those very timesteps, so of a copied trajectory only its
+    ids (task_id, a filesystem-safe traj_id) are checked again; the
+    dataset-level checks (schema version, duplicate ids) run on every save.
+    Both reuses hold only when `previous` was saved under a TaskSchema equal
+    to ds.task_schema; otherwise every trajectory is validated and encoded
+    afresh. The `validate` stage and load_dataset always validate in full.
+
     The save is atomic: the files are written into a new hidden sibling
     directory, manifest last, which then replaces `path` by rename, so no
     file of an earlier dataset at `path` survives and a failed save leaves
     that dataset as it was. `path` must be absent or hold only dataset files.
     """
-    validate_dataset(ds)
+    reused = previous.files if previous is not None and previous.schema == ds.task_schema else {}
+    _validate_dataset(ds, reused)
     root = Path(path).resolve()
     staging = root.with_name(f".{root.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     old = staging.with_suffix(".old")
-    saved: SavedFiles = {}
+    saved = SavedFiles(ds.task_schema, {})
     try:
         _check_replaceable(root)
         root.parent.mkdir(parents=True, exist_ok=True)
@@ -518,7 +556,7 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
     try:
         for tr in ds.trajectories:
             dest = root / traj_filename(tr.traj_id)
-            earlier = previous.get(id(tr.timesteps)) if previous else None
+            earlier = reused.get(id(tr.timesteps))
             if earlier is not None:
                 shutil.copyfile(earlier[1], staging / dest.name)
             else:
@@ -526,7 +564,7 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
                     for ts in tr.timesteps:
                         fh.write(timestep_to_json(ts, ds.task_schema))
                         fh.write("\n")
-            saved[id(tr.timesteps)] = (tr.timesteps, dest)
+            saved.files[id(tr.timesteps)] = (tr.timesteps, dest)
         manifest = {
             "schema_version": ds.schema_version,
             "task_schema": schema_to_json(ds.task_schema),

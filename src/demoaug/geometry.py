@@ -12,7 +12,9 @@ wrong size, on a NaN or inf in any slot, and on a quaternion whose norm
 is more than UNIT_TOL from 1. They flip the quaternion's sign so that
 w >= 0 and store fresh read-only float64 arrays of shape (3,) and (4,)
 that own their data (`.base is None`): a view would keep a second ndarray
-alive per vector.
+alive per vector. A `Pose` has slots and no `__dict__`; its third slot,
+`_json`, starts empty and is filled once by `data._pose_to_json` with the
+pose's JSON fragment, which the immutable position and orientation fix.
 
 Bit-identity rules. The per-pose kernel works on Python floats taken with
 `ndarray.tolist()`, which avoids numpy's per-call overhead on 3- and
@@ -199,12 +201,17 @@ def _frozen_quat(x, what: str) -> np.ndarray:
 class Pose:
     """Position (meters) plus unit quaternion orientation (w, x, y, z)."""
 
+    __slots__ = ("position", "orientation", "_json")
     position: np.ndarray
     orientation: np.ndarray
 
     def __init__(self, position, orientation):
         object.__setattr__(self, "position", _frozen_vec(position, 3, "position"))
         object.__setattr__(self, "orientation", _frozen_quat(orientation, "quaternion"))
+
+    def __reduce__(self):
+        # the default slot-state restore would assign to frozen fields
+        return type(self), (self.position, self.orientation)
 
     @classmethod
     def identity(cls) -> "Pose":

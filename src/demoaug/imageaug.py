@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Trajectory
+from .data import RobotState, Timestep, Trajectory
 from .errors import ColorJitterRefused, ConfigError, InvalidPermutation, InvariantViolation, IoFailure
 from .geometry import Pose, quat_from_rotvec, quat_multiply, quat_normalize
 
@@ -321,20 +321,27 @@ def _jitter(img: np.ndarray, b: float, c: float, s: float, hue_delta: float) -> 
 
 def proprio_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> Trajectory:
     """Gaussian noise on eef position observations; tangent-space jiggle on
-    eef orientations. Actions and object states are untouched."""
+    eef orientations. Actions and object states are untouched.
+
+    The noise of the whole trajectory is one draw of 6 values per robot
+    state, used per step, per robot, position then rotation vector: the
+    order of the 3-value draws it replaces, which give the same values and
+    leave the generator in the same state."""
     if not math.isfinite(sigma) or sigma < 0:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return traj
+    n_states = sum(len(ts.robots) for ts in traj.timesteps)
+    noise = iter(rng.normal(0.0, sigma, 6 * n_states).reshape(n_states, 6))
     new_steps = []
     for ts in traj.timesteps:
         robots = []
         for robot in ts.robots:
-            pos = robot.eef_pose.position + rng.normal(0.0, sigma, 3)
-            rotvec = rng.normal(0.0, sigma, 3)
-            ori = quat_normalize(quat_multiply(quat_from_rotvec(rotvec), robot.eef_pose.orientation))
-            robots.append(replace(robot, eef_pose=Pose(pos, ori)))
-        new_steps.append(replace(ts, robots=tuple(robots)))
+            row = next(noise)
+            pose = robot.eef_pose
+            ori = quat_normalize(quat_multiply(quat_from_rotvec(row[3:]), pose.orientation))
+            robots.append(RobotState(robot.agent_id, Pose(pose.position + row[:3], ori), robot.gripper_aperture))
+        new_steps.append(Timestep(ts.t, ts.entities, tuple(robots), ts.actions, ts.phase, ts.interp))
     return replace(traj, timesteps=tuple(new_steps))
 
 

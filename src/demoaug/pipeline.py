@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -112,8 +113,15 @@ def _parallel_map(fn, items, workers: int):
 # and segment and causal need no task.
 
 
+def _int_param(stage: str, p: dict, key: str, minimum: int) -> int:
+    value = p[key]
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{stage} {key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    count = int(p["count"])
+    count = _int_param("gen", p, "count", 0)
 
     def gen_one(i: int) -> Trajectory:
         traj = rollout_expert(task, derive_stream(seed, "gen", i))
@@ -145,7 +153,7 @@ def _range(p: dict, key: str, n: int, default) -> tuple:
 
 
 def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    count = len(ds) if p["count"] is None else int(p["count"])
+    count = len(ds) if p["count"] is None else _int_param("se3", p, "count", 0)
     icfg = InterpolationConfig(max_pos_step=float(p["max_pos_step"]), max_rot_step=float(p["max_rot_step"]))
     sampler = None  # the task's own samplers
     if p["pos_range"] is not None or p["yaw_range"] is not None:
@@ -160,7 +168,7 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, work
         task,
         n_target=count,
         master_seed=seed,
-        attempt_budget=10 * max(count, 1) if p["budget"] is None else int(p["budget"]),
+        attempt_budget=10 * max(count, 1) if p["budget"] is None else _int_param("se3", p, "budget", 1),
         workers=workers,
         report=report,
     )
@@ -179,7 +187,7 @@ def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int, workers: int) -> 
         swap_probability=float(p["swap_prob"]),
         donor_policy=p["donor_policy"],
         gripper_jitter_range=float(p["gripper_jitter"]),
-        copies_per_trajectory=int(p["copies"]),
+        copies_per_trajectory=_int_param("causal", p, "copies", 1),
     )
     info: dict = {}
     out = augment_offline(ds, spec, cfg, report=info)
@@ -198,7 +206,7 @@ def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int, workers: int) -> 
 
 def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
     sigma = float(p["noise_sigma"])
-    copies = int(p["copies"])
+    copies = _int_param("obs", p, "copies", 0)
     if p["jitter"] or p["permute"]:
         check_color_ops_allowed(task.color_sensitive, bool(p["force"]))
 

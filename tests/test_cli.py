@@ -229,9 +229,21 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
         ({"task": "stack", "out": "o", "seed": "x", "stages": []}, "integers"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
                                                    {"name": "se3", "pos_range": [0.1, 0.2]}]}, "pos_range"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": -1}]}, "gen count"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": "x"}]}, "gen count"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "se3", "count": -1}]}, "se3 count"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "se3", "count": 1, "budget": 0}]}, "se3 budget"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "causal", "copies": -1}]}, "causal copies"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "obs", "copies": -1}]}, "obs copies"),
     ],
     ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "misspelt_stage_key",
-         "misspelt_top_level_key", "non_integer_seed", "short_pos_range"],
+         "misspelt_top_level_key", "non_integer_seed", "short_pos_range", "negative_gen_count",
+         "non_integer_gen_count", "negative_se3_count", "zero_se3_budget", "negative_causal_copies",
+         "negative_obs_copies"],
 )
 def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
     path = tmp_path / "pipeline.json"
@@ -241,6 +253,21 @@ def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, messag
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_gen_demos_negative_count_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "demos"
+    assert run_cli("gen-demos", "--task", "stack", "--count", "-1", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gen count" in err
+    assert not out.exists()
+
+
+def test_run_out_flag_supplies_a_missing_out(tmp_path, capsys):
+    path = tmp_path / "pipeline.json"
+    path.write_text(json.dumps({"task": "stack", "stages": [{"name": "gen", "count": 1}]}))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "run")) == 0
+    assert (tmp_path / "run" / "report.json").is_file()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,7 @@
+import copy
 import json
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from demoaug.data import (
     TaskSchema,
     Timestep,
     Trajectory,
+    _pose_to_json,
     load_dataset,
     save_dataset,
     slice_subtrajectory,
@@ -367,7 +371,7 @@ def test_save_replaces_earlier_dataset_without_stale_files(tmp_path):
     saved = save_dataset(random_dataset(2, n_traj=1), tmp_path / "d")
     assert _names(tmp_path / "d") == ["manifest.json", "traj_tr_00.jsonl"]
     assert load_dataset(tmp_path / "d") == random_dataset(2, n_traj=1)
-    assert [path for _, path in saved.values()] == [(tmp_path / "d" / "traj_tr_00.jsonl").resolve()]
+    assert [path for _, path in saved.files.values()] == [(tmp_path / "d" / "traj_tr_00.jsonl").resolve()]
     assert _names(tmp_path) == ["d"]  # no temporary directory left behind
 
 
@@ -392,6 +396,65 @@ def test_failed_save_leaves_earlier_dataset(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in (tmp_path / "d").iterdir()} == before
     assert load_dataset(tmp_path / "d") == first
     assert _names(tmp_path) == ["d"]
+
+
+def _record_timestep_checks(monkeypatch):
+    """Record the traj_id of every trajectory whose timesteps get checked."""
+    from demoaug import data
+
+    checked = []
+    real_check = data._check_timesteps
+
+    def check(tr, schema):
+        checked.append(tr.traj_id)
+        real_check(tr, schema)
+
+    monkeypatch.setattr(data, "_check_timesteps", check)
+    return checked
+
+
+def test_save_reuses_validation_of_inherited_trajectories(tmp_path, monkeypatch):
+    ds = random_dataset(7, n_traj=2)
+    first = save_dataset(ds, tmp_path / "a")
+    checked = _record_timestep_checks(monkeypatch)
+    new = replace(random_dataset(8, n_traj=1).trajectories[0], traj_id="new")
+    grown = Dataset(ds.schema_version, make_schema(), ds.trajectories + (new,))  # an equal schema object
+    save_dataset(grown, tmp_path / "b", previous=first)
+    assert checked == ["new"]
+    assert load_dataset(tmp_path / "b") == grown
+
+
+def test_save_under_another_schema_revalidates(tmp_path, monkeypatch):
+    ds = random_dataset(9, n_traj=2)
+    first = save_dataset(ds, tmp_path / "a")
+    checked = _record_timestep_checks(monkeypatch)
+    a, b = make_schema().entities
+    other = replace(make_schema(), entities=(a, replace(b, extra_fields=("lid_angle", "hinge"))))
+    with pytest.raises(InvariantViolation, match="extra fields"):
+        save_dataset(Dataset(ds.schema_version, other, ds.trajectories), tmp_path / "b", previous=first)
+    assert checked == ["tr_00"]
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda ds: replace(ds, trajectories=(replace(ds.trajectories[0], traj_id="tr 00"),)),
+         InvariantViolation, "filesystem-safe"),
+        (lambda ds: replace(ds, trajectories=ds.trajectories + ds.trajectories[:1]),
+         InvariantViolation, "duplicate traj_id"),
+        (lambda ds: replace(ds, trajectories=(replace(ds.trajectories[0], task_id="other"),)),
+         InvariantViolation, "task_id"),
+        (lambda ds: replace(ds, schema_version="2.0"), SchemaVersionMismatch, "schema_version"),
+    ],
+    ids=["unsafe_traj_id", "duplicate_traj_id", "other_task_id", "schema_version"],
+)
+def test_save_rechecks_inherited_trajectories(tmp_path, edit, error, message):
+    ds = random_dataset(10, n_traj=2)
+    first = save_dataset(ds, tmp_path / "a")
+    with pytest.raises(error, match=message):
+        save_dataset(edit(ds), tmp_path / "b", previous=first)
+    assert not (tmp_path / "b").exists()
 
 
 def test_save_refuses_to_replace_a_directory_with_other_files(tmp_path):
@@ -453,9 +516,12 @@ _extra_values = st.one_of(_floats, _floats.map(np.float64), st.integers(-(2**53)
 _ids = st.text(alphabet=st.sampled_from('ab"\\/\n\t\x00\x7fé中😀 '), min_size=1, max_size=6)
 
 
+_SPECIAL_QUATS = [[1.0, -0.0, 5e-324, 0.0], [-0.0, 0.6, -0.8, -2.5e-320], [0.5, -0.5, 0.5, -0.5]]
+
+
 @st.composite
 def _pose(draw):
-    q = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    q = draw(st.one_of(st.sampled_from(_SPECIAL_QUATS), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
     assume(sum(x * x for x in q) > 0.01)
     return Pose(draw(st.lists(_floats, min_size=3, max_size=3)), quat_normalize(np.array(q)))
 
@@ -485,3 +551,53 @@ def test_timestep_encoder_matches_json_dumps(schema_ts):
     schema, ts = schema_ts
     assert timestep_to_json(ts, schema) == reference_timestep_to_json(ts, schema)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pose())
+def test_pose_json_is_encoded_once(pose):
+    text = _pose_to_json(pose)
+    assert text == json.dumps(_reference_pose(pose), separators=(",", ":"), allow_nan=False)
+    assert _pose_to_json(pose) is text
+
+
+def test_pose_slots_stay_frozen():
+    pose = Pose.from_xyz_yaw(0.1, 0.2, 0.3, 0.4)
+    for encoded in (False, True):
+        if encoded:
+            _pose_to_json(pose)
+        for attr in ("position", "orientation", "_json"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pose, attr, None)
+
+
+def _one_timestep():
+    return random_dataset(11, n_traj=1, n_steps=1).trajectories[0].timesteps[0]
+
+
+def test_data_model_instances_have_no_dict():
+    # slots keep a saved run's memory flat now that every Pose carries its encoding
+    ts = _one_timestep()
+    for obj in (ts, ts.entities[1], ts.robots[0], ts.actions[0], ts.robots[0].eef_pose):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+
+
+def test_replace_works_on_slotted_data_model():
+    ts = _one_timestep()
+    entity = replace(ts.entities[1], extra={"lid_angle": 0.25})
+    assert entity.extra == {"lid_angle": 0.25} and entity.pose is ts.entities[1].pose
+    assert replace(ts.robots[0], gripper_aperture=2.0).gripper_aperture == 1.0
+    assert replace(ts.actions[0], gripper_command=-1.0).gripper_command == 0.0
+    moved = replace(ts, t=7)
+    assert moved.t == 7 and moved.robots is ts.robots
+    with pytest.raises(InvariantViolation):
+        replace(ts, t=-1)
+
+
+def test_data_model_survives_pickle_and_deepcopy():
+    ts = _one_timestep()
+    _pose_to_json(ts.robots[0].eef_pose)
+    for clone in (pickle.loads(pickle.dumps(ts)), copy.deepcopy(ts)):
+        assert clone == ts
+        assert not clone.robots[0].eef_pose.position.flags.writeable
+        assert timestep_to_json(clone, make_schema()) == timestep_to_json(ts, make_schema())

@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demoaug.data import Action, EntityState, Provenance, RobotState, Timestep, Trajectory
 from demoaug.errors import ColorJitterRefused, ConfigError, InvalidPermutation
+from demoaug.geometry import Pose, quat_from_rotvec, quat_multiply, quat_normalize
 from demoaug.imageaug import (
     VisualAugConfig,
     _convolve_axis,
@@ -171,6 +174,69 @@ def test_proprio_noise_statistics(stack_demos):
     assert deltas.size >= 100_000
     assert abs(deltas.mean()) <= 3 * sigma / np.sqrt(deltas.size) * 3
     assert abs(deltas.std() - sigma) <= 0.02 * sigma
+
+
+def reference_proprio_noise(traj, sigma, rng):
+    """proprio_noise as it was before the bulk draw: two 3-value draws per
+    robot state, and the time step and robot state rebuilt through replace."""
+    if sigma == 0.0:
+        return traj
+    new_steps = []
+    for ts in traj.timesteps:
+        robots = []
+        for robot in ts.robots:
+            pos = robot.eef_pose.position + rng.normal(0.0, sigma, 3)
+            rotvec = rng.normal(0.0, sigma, 3)
+            ori = quat_normalize(quat_multiply(quat_from_rotvec(rotvec), robot.eef_pose.orientation))
+            robots.append(replace(robot, eef_pose=Pose(pos, ori)))
+        new_steps.append(replace(ts, robots=tuple(robots)))
+    return replace(traj, timesteps=tuple(new_steps))
+
+
+def _trajectory(seed: int, n_steps: int, n_robots: int) -> Trajectory:
+    rng = np.random.default_rng(seed)
+
+    def pose():
+        return Pose(rng.uniform(-1.0, 1.0, 3), quat_normalize(rng.normal(0.0, 1.0, 4)))
+
+    agents = [f"robot{k}" for k in range(n_robots)]
+    steps = tuple(
+        Timestep(
+            t,
+            (EntityState("block", pose()),),
+            tuple(RobotState(a, pose(), rng.uniform(0.0, 1.0)) for a in agents),
+            tuple(Action(a, pose(), rng.uniform(0.0, 1.0)) for a in agents),
+            phase=t // 2,
+            interp=t % 3 == 1,
+        )
+        for t in range(n_steps)
+    )
+    return Trajectory("tr", "task", steps, True, Provenance.SE3_SYNTHETIC)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sigma=st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-12, 0.01]), st.floats(1e-9, 2.0)),
+    n_steps=st.integers(1, 12),
+    n_robots=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_proprio_noise_equals_per_step_draws(sigma, n_steps, n_robots, seed):
+    traj = _trajectory(seed, n_steps, n_robots)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = proprio_noise(traj, sigma, rng)
+    want = reference_proprio_noise(traj, sigma, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert (got.traj_id, got.task_id, got.success, got.provenance) == (
+        want.traj_id, want.task_id, want.success, want.provenance)
+    assert len(got) == len(want)
+    for a, b in zip(got.timesteps, want.timesteps):
+        assert (a.t, a.phase, a.interp, a.entities, a.actions) == (b.t, b.phase, b.interp, b.entities, b.actions)
+        assert [(r.agent_id, r.gripper_aperture) for r in a.robots] == [
+            (r.agent_id, r.gripper_aperture) for r in b.robots]
+        for ra, rb in zip(a.robots, b.robots):
+            assert ra.eef_pose.position.tobytes() == rb.eef_pose.position.tobytes()
+            assert ra.eef_pose.orientation.tobytes() == rb.eef_pose.orientation.tobytes()
 
 
 def test_proprio_noise_perturbs_orientation(stack_demos):
