@@ -30,6 +30,8 @@ from .imageaug import (
     write_ppm,
 )
 from .pipeline import (
+    STAGES,
+    Param,
     RatioPlan,
     StageConfig,
     pipeline_config_from_dict,
@@ -49,6 +51,8 @@ EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 
 logger = logging.getLogger("demoaug")
+
+WORKERS_HELP = "accepted for compatibility; has no effect (every stage runs serially)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,10 +78,17 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def _donor_policy(text: str) -> str:
-    if text not in ("any", "aligned"):
-        raise argparse.ArgumentTypeError(f"invalid choice {text!r} (choose from any, aligned)")
-    return f"same_phase_{text}_timestep"
+def _flag_type(param: Param):
+    """The argparse type of the flag that sets a stage parameter: int or
+    float, comma-separated numbers for a list, or a choice by its flag name."""
+    kind = param.kind
+    if isinstance(kind, dict):
+        def choice(text: str) -> str:
+            if text not in kind:
+                raise argparse.ArgumentTypeError(f"invalid choice {text!r} (choose from {', '.join(kind)})")
+            return kind[text]
+        return choice
+    return kind if kind in (int, float) else _floats
 
 
 def _values(values: list, n: int, flag: str) -> list:
@@ -94,9 +105,10 @@ def _run_stage(args, task, spec) -> dict:
     """Run the pipeline stage `args.stage` on --in with the stage parameters
     the user gave as flags (`args.params`; the stage fills in the rest), save
     the result to --out, and return the stage's info."""
-    ds = load_dataset(args.inp) if args.inp else None
     params = {key: getattr(args, key) for key in args.params if getattr(args, key) is not None}
-    ds, info = run_stage(StageConfig(args.stage, params), ds, task, spec, args.seed, args.workers)
+    stage = StageConfig(args.stage, params)
+    ds = load_dataset(args.inp) if args.inp else None
+    ds, info = run_stage(stage, ds, task, spec, args.seed)
     save_dataset(ds, args.out)
     return {**info, "out": str(args.out)}
 
@@ -158,7 +170,7 @@ def _cmd_validate(args) -> int:
     except DemoaugError as exc:
         _emit({"ok": False, "failures": [f"load: {exc}"]}, args.report)
         return EXIT_VALIDATION
-    result = validate_dataset_full(ds, task, replay_check=not args.no_replay, workers=args.workers)
+    result = validate_dataset_full(ds, task, replay_check=not args.no_replay)
     _emit(result, args.report)
     return EXIT_OK if result["ok"] else EXIT_VALIDATION
 
@@ -228,54 +240,56 @@ def build_parser() -> _Parser:
             p.add_argument("--spec", default=None,
                            help="causal spec JSON (overrides the task's bundled spec)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
         p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
 
     def stage_flags(p, stage, *flags, fn=_cmd_stage):
-        """One flag per (parameter, type, help) of `stage`, named after the
-        parameter; each defaults to None, which leaves the value to the stage."""
-        for key, kind, text in flags:
-            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
-        p.set_defaults(fn=fn, stage=stage, params=tuple(key for key, _, _ in flags))
+        """One flag per (parameter, help) of `stage`, named after the parameter
+        and typed by its kind in STAGES; each defaults to None, which leaves
+        the value to the stage."""
+        table = STAGES[stage][1]
+        for key, text in flags:
+            p.add_argument("--" + key.replace("_", "-"), type=_flag_type(table[key]), help=text)
+        p.set_defaults(fn=fn, stage=stage, params=tuple(key for key, _ in flags))
 
     p = sub.add_parser("gen-demos", help="roll out scripted expert demonstrations")
     common(p, inp=False)
     p.set_defaults(inp=None, spec=None)
-    stage_flags(p, "gen", ("count", int, "number of demos"))
+    stage_flags(p, "gen", ("count", "number of demos"))
 
     p = sub.add_parser("segment", help="label trajectories with causal phases")
     common(p, spec=True)
-    stage_flags(p, "segment", ("close_threshold", float, "gripper aperture below which it counts as closed"),
-                ("debounce", int, "steps a gripper change must last"),
-                ("min_phase_len", int, "shortest phase in steps"))
+    stage_flags(p, "segment", ("close_threshold", "gripper aperture below which it counts as closed"),
+                ("debounce", "steps a gripper change must last"),
+                ("min_phase_len", "shortest phase in steps"))
 
     p = sub.add_parser("augment-se3", help="SE(3)-equivariant demo generation")
     common(p)
     p.add_argument("--spec", default=None, help="causal spec JSON (overrides the task's)")
-    stage_flags(p, "se3", ("count", int, "synthetic demos to accept (default: one per input demo)"),
-                ("pos_range", _floats, "x0,x1,y0,y1 sample box (meters)"),
-                ("yaw_range", _floats, "min,max yaw (radians)"),
-                ("max_pos_step", float, "interpolation step (meters)"),
-                ("max_rot_step", float, "interpolation step (radians)"),
-                ("budget", int, "attempt budget (default: 10 per requested demo)"))
+    stage_flags(p, "se3", ("count", "synthetic demos to accept (default: one per input demo)"),
+                ("pos_range", "x0,x1,y0,y1 sample box (meters)"),
+                ("yaw_range", "min,max yaw (radians)"),
+                ("max_pos_step", "interpolation step (meters)"),
+                ("max_rot_step", "interpolation step (radians)"),
+                ("budget", "attempt budget (default: 10 per requested demo)"))
 
     p = sub.add_parser("augment-causal", help="offline counterfactual augmentation")
     common(p, spec=True)
-    stage_flags(p, "causal", ("swap_prob", float, "probability of swapping each partition"),
-                ("copies", int, "counterfactual copies per trajectory"),
-                ("donor_policy", _donor_policy, "any|aligned: donor timestep anywhere in the phase, "
+    stage_flags(p, "causal", ("swap_prob", "probability of swapping each partition"),
+                ("copies", "counterfactual copies per trajectory"),
+                ("donor_policy", "any|aligned: donor timestep anywhere in the phase, "
                  "or at the same relative index"),
-                ("gripper_jitter", float, "gripper aperture jitter range on counterfactual copies"))
+                ("gripper_jitter", "gripper aperture jitter range on counterfactual copies"))
 
     p = sub.add_parser("augment-obs", help="observation augmentations (proprio noise, image ops)")
     p.add_argument("--in", dest="inp", default=None, help="input dataset directory (proprio noise)")
     p.add_argument("--out", default=None, help="output dataset directory")
     p.add_argument("--task", default=None, help="task name/path (needed for color-sensitivity check)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--report", default=None)
-    stage_flags(p, "obs", ("noise_sigma", float, "proprio noise standard deviation"),
-                ("copies", int, "noised copies per trajectory"), fn=_cmd_obs)
+    stage_flags(p, "obs", ("noise_sigma", "proprio noise standard deviation"),
+                ("copies", "noised copies per trajectory"), fn=_cmd_obs)
     p.add_argument("--image", default=None, help="input PPM image")
     p.add_argument("--image-out", default=None, help="output PPM image")
     p.add_argument("--crop-scale", type=_floats, default=None, help="lo,hi area scale range")
@@ -309,7 +323,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run a configured pipeline")
     p.add_argument("--config", required=True, help="pipeline JSON config")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--workers", type=int, default=None, help="override config workers")
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--out", default=None, help="override config output root")
     p.add_argument("--report", default=None)
     p.set_defaults(fn=_cmd_run)

@@ -1,9 +1,7 @@
 """Pipeline orchestration: demo generation, segmentation, the three
 augmentation families, validation, statistics, and the ratio-scaling
-harness. All stage outputs are deterministic under a fixed master seed
-regardless of worker count: every random draw flows through RNG streams
-derived from stable labels, and parallel results are merged in index
-order."""
+harness. All stage outputs are deterministic under a fixed master seed:
+every random draw flows through RNG streams derived from stable labels."""
 
 from __future__ import annotations
 
@@ -11,13 +9,12 @@ import json
 import math
 import numbers
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .counterfactual import CounterfactualConfig, augment_offline, gripper_transit_jitter
+from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline, gripper_transit_jitter
 from .data import Dataset, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
 from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
 from .imageaug import check_color_ops_allowed, proprio_noise
@@ -30,24 +27,80 @@ from .tasks import resolve_task
 REPLAYABLE = (Provenance.HUMAN_SOURCE, Provenance.SE3_SYNTHETIC)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One stage parameter: its kind and its default.
+
+    `kind` is int, float or bool; a dict of choices, each under the name the
+    subcommand flag gives it; or a count n, for a list of n numbers. Numbers
+    must be finite, and bools JSON bools. An int below `minimum` is refused.
+    A None default is worked out by the stage from its input, and None is
+    then also a value the parameter takes.
+    """
+
+    kind: object
+    default: object
+    minimum: int | None = None
+
+    def parse(self, stage: str, key: str, value):
+        """The value as the stage uses it; ConfigError if it is malformed."""
+        if value is None and self.default is None:
+            return None
+        kind = self.kind
+        if kind is bool:
+            ok, want = isinstance(value, bool), "true or false"
+        elif kind is int:
+            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            want = "an integer"
+            if self.minimum is not None:
+                ok = ok and value >= self.minimum
+                want += f" >= {self.minimum}"
+        elif kind is float:
+            ok, want = _is_number(value), "a finite number"
+        elif isinstance(kind, dict):
+            ok, want = value in kind.values(), f"one of {', '.join(kind.values())}"
+        else:
+            ok = isinstance(value, (list, tuple)) and len(value) == kind and all(map(_is_number, value))
+            want = f"a list of {kind} finite numbers"
+        if not ok:
+            raise ConfigError(f"{stage} {key} must be {want}, got {value!r}")
+        if kind is int or kind is float:
+            return kind(value)
+        if isinstance(kind, int):
+            return tuple(float(v) for v in value)
+        return value
+
+
 @dataclass(frozen=True)
 class StageConfig:
+    """A stage and the parameters given for it, each checked against STAGES."""
+
     name: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.name not in STAGES:
             raise InvariantViolation(f"unknown stage {self.name!r}")
-        unknown = sorted(set(self.params) - set(STAGES[self.name][1]))
+        table = STAGES[self.name][1]
+        unknown = sorted(set(self.params) - set(table))
         if unknown:
             raise ConfigError(
                 f"stage {self.name!r} has no parameter {', '.join(map(repr, unknown))} "
-                f"(it takes {', '.join(STAGES[self.name][1])})"
+                f"(it takes {', '.join(table)})"
             )
+        object.__setattr__(self, "params", {key: table[key].parse(self.name, key, value)
+                                            for key, value in self.params.items()})
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A pipeline run. `workers` is accepted for compatibility and has no
+    effect: every stage runs serially."""
+
     task: str
     stages: tuple[StageConfig, ...]
     output_root: str
@@ -96,69 +149,41 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
     return PipelineConfig(obj["task"], tuple(stages), obj["out"], seed, workers, obj.get("input"))
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # stages
 #
-# Every stage has the signature (ds, task, spec, params, seed, workers) ->
-# (Dataset, info) and reads its parameters from `params`, which `run_stage`
-# fills in from the stage's defaults in STAGES. `spec` is the causal spec to
-# work with (the task's own, or one the CLI loaded); gen and obs ignore it,
-# and segment and causal need no task.
+# Every stage has the signature (ds, task, spec, params, seed) -> (Dataset,
+# info) and reads its parameters from `params`: the values StageConfig
+# checked, over the defaults in STAGES. `spec` is the causal spec to work
+# with (the task's own, or one the CLI loaded); gen and obs ignore it, and
+# segment and causal need no task.
 
 
-def _int_param(stage: str, p: dict, key: str, minimum: int) -> int:
-    value = p[key]
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{stage} {key} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+    trajs = tuple(replace(rollout_expert(task, derive_stream(seed, "gen", i)), traj_id=f"demo_{i:04d}")
+                  for i in range(p["count"]))
+    ds = Dataset("1.0", task.schema, trajs)
+    return ds, {"generated": p["count"], "all_success": all(t.success for t in trajs)}
 
 
-def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    count = _int_param("gen", p, "count", 0)
-
-    def gen_one(i: int) -> Trajectory:
-        traj = rollout_expert(task, derive_stream(seed, "gen", i))
-        return replace(traj, traj_id=f"demo_{i:04d}")
-
-    trajs = _parallel_map(gen_one, range(count), workers)
-    ds = Dataset("1.0", task.schema, tuple(trajs))
-    return ds, {"generated": count, "all_success": all(t.success for t in trajs)}
-
-
-def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
+def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     cfg = SegmentationConfig(
-        close_threshold=float(p["close_threshold"]),
-        debounce_steps=int(p["debounce"]),
-        min_phase_len=int(p["min_phase_len"]),
+        close_threshold=p["close_threshold"],
+        debounce_steps=p["debounce"],
+        min_phase_len=p["min_phase_len"],
     )
-    labeled = _parallel_map(lambda tr: assign_phases(tr, spec, cfg), ds.trajectories, workers)
-    out = Dataset(ds.schema_version, ds.task_schema, tuple(labeled))
+    labeled = tuple(assign_phases(tr, spec, cfg) for tr in ds.trajectories)
+    out = Dataset(ds.schema_version, ds.task_schema, labeled)
     return out, {"segmented": len(labeled), "phases": spec.num_phases}
 
 
-def _range(p: dict, key: str, n: int, default) -> tuple:
-    value = default if p[key] is None else p[key]
-    if not isinstance(value, (list, tuple)) or len(value) != n or not all(
-        isinstance(v, (int, float)) and math.isfinite(v) for v in value
-    ):
-        raise ConfigError(f"se3 {key} takes {n} finite numbers, got {value!r}")
-    return tuple(float(v) for v in value)
-
-
-def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    count = len(ds) if p["count"] is None else _int_param("se3", p, "count", 0)
-    icfg = InterpolationConfig(max_pos_step=float(p["max_pos_step"]), max_rot_step=float(p["max_rot_step"]))
+def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+    count = len(ds) if p["count"] is None else p["count"]
+    icfg = InterpolationConfig(max_pos_step=p["max_pos_step"], max_rot_step=p["max_rot_step"])
     sampler = None  # the task's own samplers
     if p["pos_range"] is not None or p["yaw_range"] is not None:
-        x0, x1, y0, y1 = _range(p, "pos_range", 4, (-0.2, 0.2, -0.2, 0.2))
-        sampler = PoseSampler((x0, x1), (y0, y1), (0.0, 0.0), _range(p, "yaw_range", 2, (-np.pi, np.pi)))
+        x0, x1, y0, y1 = p["pos_range"] or (-0.2, 0.2, -0.2, 0.2)
+        sampler = PoseSampler((x0, x1), (y0, y1), (0.0, 0.0), p["yaw_range"] or (-np.pi, np.pi))
     report = GenerationReport()
     synth = generate_demos(
         ds,
@@ -168,8 +193,7 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, work
         task,
         n_target=count,
         master_seed=seed,
-        attempt_budget=10 * max(count, 1) if p["budget"] is None else _int_param("se3", p, "budget", 1),
-        workers=workers,
+        attempt_budget=10 * max(count, 1) if p["budget"] is None else p["budget"],
         report=report,
     )
     merged = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + synth.trajectories)
@@ -181,13 +205,13 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, work
     }
 
 
-def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
+def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     cfg = CounterfactualConfig(
         master_seed=seed,
-        swap_probability=float(p["swap_prob"]),
+        swap_probability=p["swap_prob"],
         donor_policy=p["donor_policy"],
-        gripper_jitter_range=float(p["gripper_jitter"]),
-        copies_per_trajectory=_int_param("causal", p, "copies", 1),
+        gripper_jitter_range=p["gripper_jitter"],
+        copies_per_trajectory=p["copies"],
     )
     info: dict = {}
     out = augment_offline(ds, spec, cfg, report=info)
@@ -204,14 +228,12 @@ def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int, workers: int) -> 
     return out, info
 
 
-def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    sigma = float(p["noise_sigma"])
-    copies = _int_param("obs", p, "copies", 0)
+def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+    sigma = p["noise_sigma"]
     if p["jitter"] or p["permute"]:
-        check_color_ops_allowed(task.color_sensitive, bool(p["force"]))
+        check_color_ops_allowed(task.color_sensitive, p["force"])
 
-    def noise_one(job) -> Trajectory:
-        tr, k = job
+    def noise_one(tr: Trajectory, k: int) -> Trajectory:
         rng = derive_stream(seed, "obs", tr.traj_id, k)
         noisy = proprio_noise(tr, sigma, rng)
         prov = (
@@ -221,40 +243,59 @@ def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, work
         )
         return replace(noisy, traj_id=f"{tr.traj_id}_obs{k:02d}", provenance=prov)
 
-    jobs = [(tr, k) for tr in ds.trajectories for k in range(copies)]
-    noisy = _parallel_map(noise_one, jobs, workers)
-    out = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + tuple(noisy))
+    noisy = tuple(noise_one(tr, k) for tr in ds.trajectories for k in range(p["copies"]))
+    out = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + noisy)
     return out, {"noise_sigma": sigma, "noised_copies": len(noisy)}
 
 
-def _stage_validate(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, workers: int) -> tuple[Dataset, dict]:
-    return ds, validate_dataset_full(ds, task, replay_check=not p["no_replay"], workers=workers)
+def _stage_validate(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+    return ds, validate_dataset_full(ds, task, replay_check=not p["no_replay"])
 
 
-# stage name -> (stage function, {parameter key: default}). These are the
-# only parameter keys a stage accepts; a None default is worked out by the
-# stage from its input.
+# stage name -> (stage function, {parameter key: Param}). These are the only
+# parameter keys a stage accepts. Bounds that a library config class already
+# checks (close_threshold, swap_prob, the interpolation steps, ...) are left
+# to that class.
 STAGES = {
-    "gen": (_stage_gen, {"count": 10}),
-    "segment": (_stage_segment, {"close_threshold": 0.5, "debounce": 3, "min_phase_len": 5}),
-    "se3": (_stage_se3, {"count": None, "pos_range": None, "yaw_range": None,
-                         "max_pos_step": 0.02, "max_rot_step": 0.1, "budget": None}),
-    "causal": (_stage_causal, {"swap_prob": 1.0, "copies": 1, "donor_policy": "same_phase_any_timestep",
-                               "gripper_jitter": CounterfactualConfig.gripper_jitter_range}),
-    "obs": (_stage_obs, {"noise_sigma": 0.01, "copies": 1, "jitter": False, "permute": False, "force": False}),
-    "validate": (_stage_validate, {"no_replay": False}),
+    "gen": (_stage_gen, {"count": Param(int, 10, minimum=0)}),
+    "segment": (_stage_segment, {
+        "close_threshold": Param(float, 0.5),
+        "debounce": Param(int, 3),
+        "min_phase_len": Param(int, 5),
+    }),
+    "se3": (_stage_se3, {
+        "count": Param(int, None, minimum=0),
+        "pos_range": Param(4, None),
+        "yaw_range": Param(2, None),
+        "max_pos_step": Param(float, 0.02),
+        "max_rot_step": Param(float, 0.1),
+        "budget": Param(int, None, minimum=1),
+    }),
+    "causal": (_stage_causal, {
+        "swap_prob": Param(float, 1.0),
+        "copies": Param(int, 1, minimum=1),
+        "donor_policy": Param(dict(any=DONOR_POLICIES[0], aligned=DONOR_POLICIES[1]), DONOR_POLICIES[0]),
+        "gripper_jitter": Param(float, CounterfactualConfig.gripper_jitter_range),
+    }),
+    "obs": (_stage_obs, {
+        "noise_sigma": Param(float, 0.01),
+        "copies": Param(int, 1, minimum=0),
+        "jitter": Param(bool, False),
+        "permute": Param(bool, False),
+        "force": Param(bool, False),
+    }),
+    "validate": (_stage_validate, {"no_replay": Param(bool, False)}),
 }
 
 
 def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
-              seed: int, workers: int) -> tuple[Dataset, dict]:
+              seed: int) -> tuple[Dataset, dict]:
     """Run one stage on `ds`; the pipeline and the CLI subcommands both call this."""
-    fn, defaults = STAGES[stage.name]
-    return fn(ds, task, spec, {**defaults, **stage.params}, seed, workers)
+    fn, table = STAGES[stage.name]
+    return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 
 
-def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True,
-                          workers: int = 1) -> dict:
+def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True) -> dict:
     """Invariant validation plus replay of dynamically consistent trajectories.
 
     Counterfactual composites are causally valid but not a single dynamics
@@ -268,16 +309,12 @@ def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool 
         failures.append(f"invariant: {exc}")
     replayed = 0
     if replay_check and not failures:
-        targets = [tr for tr in ds.trajectories if tr.provenance in REPLAYABLE]
-
-        def check(tr: Trajectory):
-            _, ok = replay(tr, task)
-            return tr.traj_id, ok
-
-        for traj_id, ok in _parallel_map(check, targets, workers):
+        for tr in ds.trajectories:
+            if tr.provenance not in REPLAYABLE:
+                continue
             replayed += 1
-            if not ok:
-                failures.append(f"replay: trajectory {traj_id!r} does not reach success")
+            if not replay(tr, task)[1]:
+                failures.append(f"replay: trajectory {tr.traj_id!r} does not reach success")
     return {"ok": not failures, "replayed": replayed, "checked": len(ds), "failures": failures}
 
 
@@ -296,7 +333,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for i, stage in enumerate(cfg.stages):
         in_count = len(ds) if ds is not None else 0
         try:
-            ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed, cfg.workers)
+            ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed)
         except ConfigError:
             raise
         except DemoaugError as exc:

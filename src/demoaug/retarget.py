@@ -12,7 +12,6 @@ only rollouts passing the task success predicate are kept.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .causal import TaskCausalSpec
@@ -201,16 +200,16 @@ def generate_demos(
     master_seed: int = 0,
     attempt_budget: int | None = None,
     approach_radius: float = 0.10,
-    workers: int = 1,
     report: GenerationReport | None = None,
 ) -> Dataset:
     """Generate n_target accepted synthetic demonstrations.
 
     sampler may be None (use the task's pose distributions), a single
     PoseSampler applied to every entity (keeping per-entity rest heights),
-    or a {entity_id: PoseSampler} mapping. Raises BudgetExhausted when the
-    attempt budget runs out first; acceptance is deterministic per attempt
-    index, so worker count never changes the result.
+    or a {entity_id: PoseSampler} mapping. Attempts run in index order until
+    the n_target-th success, and whether an attempt succeeds depends on its
+    index alone. Raises BudgetExhausted when the attempt budget runs out
+    first.
     """
     if report is None:
         report = GenerationReport()
@@ -224,33 +223,13 @@ def generate_demos(
     budget = attempt_budget if attempt_budget is not None else 10 * n_target
     accepted: list[Trajectory] = []
     attempt = 0
-    consumed = 0
-    wave = max(2 * workers, 4)
     while attempt < budget and len(accepted) < n_target:
-        indices = list(range(attempt, min(attempt + wave, budget)))
-        attempt = indices[-1] + 1
-
-        def run(i):
-            return i, _one_attempt(
-                i, sources, spec, task, samplers, icfg, master_seed, approach_radius
-            )
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, indices))
-        else:
-            results = [run(i) for i in indices]
-        # acceptance is intrinsic to the attempt index, so only the attempts
-        # up to the n-th success count as consumed -- wave size (and hence
-        # worker count) never leaks into the report
-        for i, (success, timesteps, seg_meta) in sorted(results, key=lambda r: r[0]):
-            if len(accepted) >= n_target:
-                break
-            consumed = i + 1
-            if not success:
-                continue
+        success, timesteps, seg_meta = _one_attempt(
+            attempt, sources, spec, task, samplers, icfg, master_seed, approach_radius
+        )
+        if success:
             traj = Trajectory(
-                traj_id=f"se3_{master_seed}_{i:06d}",
+                traj_id=f"se3_{master_seed}_{attempt:06d}",
                 task_id=task.schema.task_id,
                 timesteps=tuple(timesteps),
                 success=True,
@@ -258,7 +237,8 @@ def generate_demos(
             )
             accepted.append(traj)
             report.segments[traj.traj_id] = seg_meta
-    report.attempts = consumed
+        attempt += 1
+    report.attempts = attempt
     report.accepted = len(accepted)
     if len(accepted) < n_target:
         raise BudgetExhausted(

@@ -1,209 +1,24 @@
-"""Bundled toy tasks: three-block stacking and a pod-into-machine task
-with a pushable lid, plus a two-arm causal-spec fixture. Task definitions
-can also be loaded from JSON config files with the same field layout."""
+"""Task definitions and their JSON form.
+
+The bundled toy tasks are JSON files in the package's `bundled` directory:
+`stack` (three-block stacking) and `coffee` (a pod placed into a machine
+whose lid is then pushed shut). Any other task file with the same field
+layout can be given by path wherever a bundled name is accepted."""
 
 from __future__ import annotations
 
 import json
 import math
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 
-from .causal import CausalGraph, PhaseSpec, TaskCausalSpec, causal_spec_from_dict, causal_spec_to_dict
+from .causal import causal_spec_from_dict, causal_spec_to_dict
 from .data import EntityDecl, TaskSchema
 from .errors import UnknownTask
 from .geometry import Pose
 from .sim import ExpertParams, ObjectGeom, PoseSampler, ReceptacleGeom, SimParams, TaskDefinition
-
-_PI = math.pi
-
-WORKSPACE_MIN = (-0.35, -0.35, 0.0)
-WORKSPACE_MAX = (0.35, 0.35, 0.40)
-HOME = Pose.from_xyz_yaw(0.22, 0.22, 0.28)
-
-BLOCK_HEIGHT = 0.04
-POD_HEIGHT = 0.03
-
-
-def _graph(nodes, pairs):
-    """Undirected interaction pairs -> adjacency with both directions set."""
-    edges = []
-    for a, b in pairs:
-        edges.append((a, b))
-        edges.append((b, a))
-    return CausalGraph.from_edges(nodes, edges)
-
-
-def stack_causal_spec() -> TaskCausalSpec:
-    nodes = ("robot0", "cube_a", "cube_b", "cube_c")
-    phases = (
-        PhaseSpec(0, {"robot0": _graph(nodes, [("robot0", "cube_a")])}, "cube_a", True),
-        PhaseSpec(
-            1,
-            {"robot0": _graph(nodes, [("robot0", "cube_a"), ("cube_a", "cube_b")])},
-            "cube_b",
-            False,
-        ),
-        PhaseSpec(
-            2,
-            {"robot0": _graph(nodes, [("robot0", "cube_c"), ("cube_a", "cube_b")])},
-            "cube_c",
-            True,
-        ),
-        PhaseSpec(
-            3,
-            {
-                "robot0": _graph(
-                    nodes, [("robot0", "cube_c"), ("cube_c", "cube_a"), ("cube_a", "cube_b")]
-                )
-            },
-            "cube_a",
-            False,
-        ),
-    )
-    return TaskCausalSpec("three_block_stack", phases, (0, 1, 2, 3))
-
-
-def make_stack_task() -> TaskDefinition:
-    schema = TaskSchema(
-        task_id="three_block_stack",
-        entities=(
-            EntityDecl("cube_a", "block"),
-            EntityDecl("cube_b", "block"),
-            EntityDecl("cube_c", "block"),
-        ),
-        agents=("robot0",),
-        workspace_min=np.array(WORKSPACE_MIN),
-        workspace_max=np.array(WORKSPACE_MAX),
-    )
-    rest = BLOCK_HEIGHT / 2
-    samplers = {
-        "cube_a": PoseSampler((-0.20, -0.08), (-0.20, -0.08), (rest, rest), (-_PI, _PI)),
-        "cube_b": PoseSampler((0.08, 0.20), (-0.20, -0.08), (rest, rest), (-_PI, _PI)),
-        "cube_c": PoseSampler((-0.20, -0.08), (0.08, 0.20), (rest, rest), (-_PI, _PI)),
-    }
-    geoms = {eid: ObjectGeom(BLOCK_HEIGHT) for eid in ("cube_a", "cube_b", "cube_c")}
-    return TaskDefinition(
-        task_id="three_block_stack",
-        kind="stack3",
-        schema=schema,
-        samplers=samplers,
-        geoms=geoms,
-        causal=stack_causal_spec(),
-        home_pose=HOME,
-        sim=SimParams(),
-        expert=ExpertParams(),
-        stack_order=("cube_b", "cube_a", "cube_c"),
-        color_sensitive=True,  # stacking order is color-defined
-    )
-
-
-def coffee_causal_spec() -> TaskCausalSpec:
-    nodes = ("robot0", "pod", "machine")
-    phases = (
-        PhaseSpec(0, {"robot0": _graph(nodes, [("robot0", "pod")])}, "pod", True),
-        PhaseSpec(
-            1,
-            {"robot0": _graph(nodes, [("robot0", "pod"), ("pod", "machine")])},
-            "machine",
-            False,
-        ),
-    )
-    # the place-and-close subtask spans the release, so raw segments 1 and 2
-    # both map onto phase 1
-    return TaskCausalSpec("pod_machine", phases, (0, 1, 1))
-
-
-def make_coffee_task() -> TaskDefinition:
-    schema = TaskSchema(
-        task_id="pod_machine",
-        entities=(
-            EntityDecl("pod", "pod"),
-            EntityDecl("machine", "receptacle", ("lid_angle",)),
-        ),
-        agents=("robot0",),
-        workspace_min=np.array(WORKSPACE_MIN),
-        workspace_max=np.array(WORKSPACE_MAX),
-    )
-    machine_height = 0.08
-    samplers = {
-        "pod": PoseSampler((-0.20, -0.06), (-0.15, 0.15), (POD_HEIGHT / 2, POD_HEIGHT / 2), (-_PI, _PI)),
-        "machine": PoseSampler(
-            (0.06, 0.20), (-0.15, 0.15), (machine_height / 2, machine_height / 2), (-_PI, _PI)
-        ),
-    }
-    geoms = {
-        "pod": ObjectGeom(POD_HEIGHT),
-        "machine": ReceptacleGeom(
-            height=machine_height,
-            well_offset=(-0.03, 0.0),
-            well_radius=0.02,
-            well_floor_z=0.005,
-            push_offset=(0.04, 0.0),
-            push_radius=0.02,
-            push_band=(0.075, 0.18),
-            lid_gain=20.0,
-            body_radius=0.06,
-        ),
-    }
-    return TaskDefinition(
-        task_id="pod_machine",
-        kind="pod_lid",
-        schema=schema,
-        samplers=samplers,
-        geoms=geoms,
-        causal=coffee_causal_spec(),
-        home_pose=HOME,
-        sim=SimParams(),
-        expert=ExpertParams(),
-        color_sensitive=False,
-    )
-
-
-def transport_causal_fixture() -> TaskCausalSpec:
-    """Two-agent causal spec used to exercise multi-agent graph joins."""
-    nodes = ("robot0", "robot1", "hammer", "cube", "bin_lid", "target_bin")
-    phases = (
-        PhaseSpec(
-            0,
-            {
-                "robot0": _graph(nodes, [("robot0", "bin_lid")]),
-                "robot1": _graph(nodes, [("robot1", "cube")]),
-            },
-            "bin_lid",
-            True,
-        ),
-        PhaseSpec(
-            1,
-            {
-                "robot0": _graph(nodes, [("robot0", "hammer")]),
-                "robot1": _graph(nodes, [("robot1", "cube"), ("cube", "target_bin")]),
-            },
-            "hammer",
-            True,
-        ),
-        PhaseSpec(
-            2,
-            {
-                "robot0": _graph(nodes, [("robot0", "hammer"), ("hammer", "robot1")]),
-                "robot1": _graph(nodes, [("robot1", "hammer")]),
-            },
-            "hammer",
-            False,
-        ),
-    )
-    return TaskCausalSpec("transport_fixture", phases, (0, 1, 2))
-
-
-BUNDLED_TASKS = {
-    "stack": make_stack_task,
-    "coffee": make_coffee_task,
-}
-
-
-# ---------------------------------------------------------------------------
-# JSON config I/O
 
 
 def task_to_dict(task: TaskDefinition) -> dict:
@@ -334,9 +149,11 @@ def load_task_definition(path) -> TaskDefinition:
 
 
 def resolve_task(name_or_path: str) -> TaskDefinition:
-    """Accept a bundled task name or a path to a task JSON file."""
-    if name_or_path in BUNDLED_TASKS:
-        return BUNDLED_TASKS[name_or_path]()
+    """Accept a bundled task name (`bundled/<name>.json` in this package) or
+    a path to a task JSON file."""
+    bundled = files(__package__) / "bundled" / f"{name_or_path}.json"
+    if name_or_path.isidentifier() and bundled.is_file():
+        return task_from_dict(json.loads(bundled.read_text(encoding="utf-8")))
     p = Path(name_or_path)
     if p.is_file():
         return load_task_definition(p)

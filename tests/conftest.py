@@ -8,17 +8,17 @@ from demoaug.data import Dataset
 from demoaug.rng import derive_stream
 from demoaug.segmentation import SegmentationConfig, assign_phases
 from demoaug.sim import rollout_expert
-from demoaug.tasks import make_coffee_task, make_stack_task
+from demoaug.tasks import resolve_task
 
 
 @pytest.fixture(scope="session")
 def stack_task():
-    return make_stack_task()
+    return resolve_task("stack")
 
 
 @pytest.fixture(scope="session")
 def coffee_task():
-    return make_coffee_task()
+    return resolve_task("coffee")
 
 
 def make_labeled_demos(task, n, seed_base=0):

@@ -28,7 +28,7 @@ from demoaug.render import rasterize_state
 from demoaug.retarget import GenerationReport, InterpolationConfig, generate_demos
 from demoaug.rng import derive_stream
 from demoaug.sim import SimState, expert_action, replay, reset, sim_state_from_timestep
-from demoaug.tasks import coffee_causal_spec, stack_causal_spec
+from demoaug.tasks import resolve_task
 from tests.conftest import make_labeled_demos
 from tests.test_causal import brute_force_partitions, random_graph
 from tests.test_data import random_dataset
@@ -69,8 +69,8 @@ def test_criterion_02_joint_adjacency_laws():
 
 
 def test_criterion_03_structural_counts():
-    stack = stack_causal_spec()
-    coffee = coffee_causal_spec()
+    stack = resolve_task("stack").causal
+    coffee = resolve_task("coffee").causal
     phase3 = [p.members for p in partitions(stack.phases[2].joint_graph())]
     ok = (
         stack.num_phases == 4

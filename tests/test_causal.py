@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from demoaug.causal import (
     CausalGraph,
+    PhaseSpec,
+    TaskCausalSpec,
     count_partitions,
     join_adjacency,
     partitions,
@@ -14,7 +16,47 @@ from demoaug.causal import (
     causal_spec_to_dict,
 )
 from demoaug.errors import DimensionMismatch, InvariantViolation
-from demoaug.tasks import coffee_causal_spec, stack_causal_spec, transport_causal_fixture
+from demoaug.tasks import resolve_task
+
+
+def _graph(nodes, pairs):
+    """Undirected interaction pairs -> adjacency with both directions set."""
+    return CausalGraph.from_edges(nodes, [e for a, b in pairs for e in ((a, b), (b, a))])
+
+
+def transport_causal_fixture() -> TaskCausalSpec:
+    """Two-agent causal spec used to exercise multi-agent graph joins."""
+    nodes = ("robot0", "robot1", "hammer", "cube", "bin_lid", "target_bin")
+    phases = (
+        PhaseSpec(
+            0,
+            {
+                "robot0": _graph(nodes, [("robot0", "bin_lid")]),
+                "robot1": _graph(nodes, [("robot1", "cube")]),
+            },
+            "bin_lid",
+            True,
+        ),
+        PhaseSpec(
+            1,
+            {
+                "robot0": _graph(nodes, [("robot0", "hammer")]),
+                "robot1": _graph(nodes, [("robot1", "cube"), ("cube", "target_bin")]),
+            },
+            "hammer",
+            True,
+        ),
+        PhaseSpec(
+            2,
+            {
+                "robot0": _graph(nodes, [("robot0", "hammer"), ("hammer", "robot1")]),
+                "robot1": _graph(nodes, [("robot1", "hammer")]),
+            },
+            "hammer",
+            False,
+        ),
+    )
+    return TaskCausalSpec("transport_fixture", phases, (0, 1, 2))
 
 
 def brute_force_partitions(nodes, adj):
@@ -116,13 +158,13 @@ def test_partition_list_is_set_partition(n, rnd):
 
 
 def test_count_partitions_bundled_stack():
-    assert count_partitions(stack_causal_spec()) == 8
-    per_phase = [len(partitions(p.joint_graph())) for p in stack_causal_spec().phases]
+    assert count_partitions(resolve_task("stack").causal) == 8
+    per_phase = [len(partitions(p.joint_graph())) for p in resolve_task("stack").causal.phases]
     assert per_phase == [3, 2, 2, 1]
 
 
 def test_count_partitions_trivial():
-    spec = stack_causal_spec()
+    spec = resolve_task("stack").causal
     # single phase with a complete joint graph -> exactly one partition
     complete = type(spec.phases[0])(0, spec.phases[3].graphs, spec.phases[3].target_entity, False)
     assert count_partitions(type(spec)("one", (complete,), (0,))) == 1
@@ -135,7 +177,7 @@ def test_count_partitions_trivial():
 
 
 def test_resampleable_partitions_examples():
-    spec = stack_causal_spec()
+    spec = resolve_task("stack").causal
     phase3 = spec.phases[2]  # reach cube_c; stacked pair is independent
     free = resampleable_partitions(phase3, "robot0")
     assert [p.members for p in free] == [frozenset({"cube_a", "cube_b"})]
@@ -149,7 +191,7 @@ def test_resampleable_partitions_examples():
 
 
 def test_resampleable_subset_and_exclusions():
-    for spec in (stack_causal_spec(), coffee_causal_spec()):
+    for spec in (resolve_task("stack").causal, resolve_task("coffee").causal):
         for phase in spec.phases:
             for agent in phase.graphs:
                 free = resampleable_partitions(phase, agent)
@@ -174,7 +216,7 @@ def test_transport_fixture_joint_graphs():
 
 
 def test_spec_dict_round_trip():
-    for spec in (stack_causal_spec(), coffee_causal_spec(), transport_causal_fixture()):
+    for spec in (resolve_task("stack").causal, resolve_task("coffee").causal, transport_causal_fixture()):
         rebuilt = causal_spec_from_dict(causal_spec_to_dict(spec))
         assert rebuilt.task_id == spec.task_id
         assert rebuilt.segment_merge_map == spec.segment_merge_map
@@ -192,7 +234,7 @@ def test_diagonal_required():
 
 
 def test_merge_map_validation():
-    spec = stack_causal_spec()
+    spec = resolve_task("stack").causal
     with pytest.raises(InvariantViolation):
         type(spec)(spec.task_id, spec.phases, (0, 2, 1, 3))
     with pytest.raises(InvariantViolation):

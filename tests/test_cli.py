@@ -8,7 +8,7 @@ from demoaug.data import load_dataset
 from demoaug.imageaug import read_ppm, write_ppm
 from demoaug.render import rasterize_state
 from demoaug.sim import reset
-from demoaug.tasks import make_stack_task
+from demoaug.tasks import resolve_task
 
 
 def run_cli(*argv):
@@ -104,7 +104,7 @@ def test_augment_obs_dataset_cli(tmp_path, labeled_dir, capsys):
 
 
 def test_augment_obs_image_cli(tmp_path, capsys):
-    task = make_stack_task()
+    task = resolve_task("stack")
     img = rasterize_state(reset(task, 1), task, size=48)
     src = tmp_path / "in.ppm"
     dst = tmp_path / "out.ppm"
@@ -133,7 +133,7 @@ def test_augment_obs_non_finite_parameter_is_an_error(tmp_path, capsys, flags):
 
 
 def test_color_sensitive_refusal_and_force(tmp_path, capsys):
-    task = make_stack_task()
+    task = resolve_task("stack")
     img = rasterize_state(reset(task, 2), task, size=32)
     src = tmp_path / "c.ppm"
     write_ppm(src, img)
@@ -171,10 +171,9 @@ def test_run_pipeline_cli(tmp_path, capsys):
 def test_spec_file_flag_drives_segment_and_causal(tmp_path, labeled_dir, capsys):
     import shutil
     from demoaug.causal import causal_spec_to_dict
-    from demoaug.tasks import stack_causal_spec
 
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(causal_spec_to_dict(stack_causal_spec())))
+    spec_path.write_text(json.dumps(causal_spec_to_dict(resolve_task("stack").causal)))
     # segment from a spec file alone (no --task)
     demos = tmp_path / "demos"
     assert run_cli("gen-demos", "--task", "stack", "--count", "2", "--seed", "9",
@@ -239,11 +238,26 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
                                                    {"name": "causal", "copies": -1}]}, "causal copies"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
                                                    {"name": "obs", "copies": -1}]}, "obs copies"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
+                                                   {"name": "segment", "close_threshold": "x"}]}, "close_threshold"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
+                                                   {"name": "segment", "debounce": 2.7}]}, "segment debounce"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
+                                                   {"name": "validate", "no_replay": "false"}]}, "no_replay"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
+                                                   {"name": "obs", "jitter": "false"}]}, "obs jitter"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
+                                                   {"name": "obs", "force": 1}]}, "obs force"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "causal", "donor_policy": 3}]}, "donor_policy"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "se3", "pos_range": ["a", 0, 0, 0]}]}, "pos_range"),
     ],
     ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "misspelt_stage_key",
          "misspelt_top_level_key", "non_integer_seed", "short_pos_range", "negative_gen_count",
          "non_integer_gen_count", "negative_se3_count", "zero_se3_budget", "negative_causal_copies",
-         "negative_obs_copies"],
+         "negative_obs_copies", "string_close_threshold", "float_debounce", "string_no_replay",
+         "string_obs_jitter", "integer_obs_force", "integer_donor_policy", "string_in_pos_range"],
 )
 def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
     path = tmp_path / "pipeline.json"
@@ -253,6 +267,7 @@ def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, messag
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not list((tmp_path / "run").glob("stage_*"))  # refused before any stage ran
 
 
 def test_gen_demos_negative_count_is_a_config_error(tmp_path, capsys):

@@ -240,6 +240,49 @@ def test_pipeline_config_from_dict(tmp_path):
     assert len(report["stages"]) == 2
 
 
+def test_stage_params_are_typed_when_given():
+    from demoaug.errors import ConfigError
+
+    params = StageConfig("obs", {"noise_sigma": 0, "copies": 2, "force": True}).params
+    assert params == {"noise_sigma": 0.0, "copies": 2, "force": True}
+    assert type(params["noise_sigma"]) is float
+    se3 = StageConfig("se3", {"count": None, "pos_range": [0, 1, -1, 0.5], "yaw_range": None}).params
+    assert se3 == {"count": None, "pos_range": (0.0, 1.0, -1.0, 0.5), "yaw_range": None}
+    for name, params in [("gen", {"count": None}), ("obs", {"noise_sigma": float("nan")}),
+                         ("obs", {"noise_sigma": True}), ("se3", {"yaw_range": [0, float("inf")]}),
+                         ("se3", {"pos_range": [True, 0, 0, 0]}), ("causal", {"copies": 0}),
+                         ("causal", {"donor_policy": "any"})]:
+        with pytest.raises(ConfigError):
+            StageConfig(name, params)
+
+
+def test_readme_stage_table_matches_stages():
+    """Every stage, parameter key and default in STAGES appears in its row
+    of the README's stage-parameter table."""
+    from pathlib import Path
+
+    from demoaug.pipeline import STAGES
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text[text.index("Stage parameters ("):].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    rows, stage = {}, None
+    for line in lines[start + 2:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        cells = [c.strip() for c in line.strip("|").split(" | ")]
+        stage = cells[0].strip("`") or stage
+        for key in cells[1].replace("`", "").split(", "):
+            rows[stage, key] = cells[3]
+    expected = {(name, key) for name, (_, table) in STAGES.items() for key in table}
+    assert set(rows) == expected
+    for (name, key), default in rows.items():
+        value = STAGES[name][1][key].default
+        if value is not None:
+            shown = str(value).lower() if isinstance(value, bool) else str(value)
+            assert shown in default, (name, key, default)
+
+
 def test_color_sensitive_obs_stage_refused(tmp_path):
     cfg = PipelineConfig(
         "stack",

@@ -194,15 +194,23 @@ def test_generate_budget_exhausted(stack_demos, stack_task):
                        master_seed=0, attempt_budget=0)
 
 
-def test_generate_deterministic_across_workers(stack_demos, stack_task):
+def test_generate_runs_each_reported_attempt_once(monkeypatch, stack_demos, stack_task):
+    """Attempts run one at a time and stop at the n-th success: every attempt
+    run is counted in the report, and a second call gives the same demos."""
+    from demoaug import retarget
+
+    calls = []
+    real_attempt = retarget._one_attempt
+    monkeypatch.setattr(retarget, "_one_attempt", lambda i, *a: calls.append(i) or real_attempt(i, *a))
     outs = []
-    for workers in (1, 4):
+    for _ in range(2):
+        calls.clear()
         report = GenerationReport()
-        out = generate_demos(stack_demos, stack_task.causal, None, InterpolationConfig(), stack_task, 4,
-                             master_seed=13, workers=workers, report=report)
+        out = generate_demos(stack_demos, stack_task.causal, None, InterpolationConfig(), stack_task, 3,
+                             master_seed=13, report=report)
+        assert calls == list(range(report.attempts))
         outs.append((out, report.attempts))
-    assert outs[0][0] == outs[1][0]
-    assert outs[0][1] == outs[1][1]
+    assert outs[0] == outs[1]
 
 
 def test_generate_coffee_acceptance_and_replay(coffee_demos, coffee_task):

@@ -1,4 +1,6 @@
 import json
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,14 +8,10 @@ import pytest
 from demoaug.causal import load_causal_spec, causal_spec_to_dict, count_partitions
 from demoaug.errors import UnknownTask
 from demoaug.sim import rollout_expert, replay
-from demoaug.tasks import (
-    make_coffee_task,
-    make_stack_task,
-    load_task_definition,
-    resolve_task,
-    task_to_dict,
-    stack_causal_spec,
-)
+from demoaug.pipeline import pipeline_config_from_dict
+from demoaug.tasks import load_task_definition, resolve_task, task_to_dict
+
+BUNDLED = files("demoaug") / "bundled"
 
 
 def test_resolve_bundled_names():
@@ -24,8 +22,8 @@ def test_resolve_bundled_names():
 
 
 def test_task_json_round_trip(tmp_path):
-    for make in (make_stack_task, make_coffee_task):
-        task = make()
+    for name in ("stack", "coffee"):
+        task = resolve_task(name)
         path = tmp_path / f"{task.task_id}.json"
         path.write_text(json.dumps(task_to_dict(task), indent=2))
         loaded = load_task_definition(path)
@@ -44,7 +42,7 @@ def test_task_json_round_trip(tmp_path):
 
 
 def test_resolve_task_from_path(tmp_path):
-    task = make_coffee_task()
+    task = resolve_task("coffee")
     path = tmp_path / "coffee.json"
     path.write_text(json.dumps(task_to_dict(task)))
     loaded = resolve_task(str(path))
@@ -52,7 +50,7 @@ def test_resolve_task_from_path(tmp_path):
 
 
 def test_causal_spec_file_round_trip(tmp_path):
-    spec = stack_causal_spec()
+    spec = resolve_task("stack").causal
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(causal_spec_to_dict(spec)))
     loaded = load_causal_spec(path)
@@ -74,15 +72,24 @@ def test_missing_trajectory_file_is_io_failure(tmp_path, stack_task, stack_demos
         load_dataset(tmp_path / "ds")
 
 
-def test_bundled_configs_match_task_constructors():
-    """The JSON files under configs/ say what the bundled task constructors build."""
-    from pathlib import Path
-
-    from demoaug.pipeline import pipeline_config_from_dict
-
-    configs = Path(__file__).resolve().parents[1] / "configs"
+def test_bundled_task_files_round_trip():
+    """Each bundled task file says exactly what resolve_task builds from it."""
     for name in ("stack", "coffee"):
-        task = resolve_task(name)
-        assert json.loads((configs / f"task_{name}.json").read_text()) == task_to_dict(task)
-        assert json.loads((configs / f"causal_{name}.json").read_text()) == causal_spec_to_dict(task.causal)
+        assert task_to_dict(resolve_task(name)) == json.loads((BUNDLED / f"{name}.json").read_text())
+    configs = Path(__file__).resolve().parents[1] / "configs"
     pipeline_config_from_dict(json.loads((configs / "pipeline_stack.json").read_text()))
+
+
+def test_bundled_directory_holds_the_task_files():
+    """The files a wheel must ship (pyproject.toml's package-data) are all
+    that resolve_task reads by name."""
+    assert sorted(p.name for p in BUNDLED.iterdir()) == ["coffee.json", "stack.json"]
+
+
+@pytest.mark.parametrize("name", ["./stack", "../bundled/stack"])
+def test_only_plain_names_resolve_to_bundled_tasks(tmp_path, monkeypatch, name):
+    """A name with a directory part is a path (here a missing one), never a
+    file reached from the bundled directory."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(UnknownTask):
+        resolve_task(name)
