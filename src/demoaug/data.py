@@ -5,6 +5,10 @@ trajectory index) plus one `traj_<id>.jsonl` file per trajectory with one
 timestep per line. Key order is fixed and floats are written as shortest
 round-trip decimals, so saving the same dataset twice is byte-identical
 and load(save(ds)) == ds field for field.
+
+Poses are immutable, so a load builds each distinct pose once and shares
+it among the timesteps that hold it. That pose cache lives for one
+load_dataset call only; nothing is kept across loads.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import numbers
 import os
 import re
 import shutil
+import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -379,18 +384,38 @@ def _json_numbers(value, what: str, where: str) -> list:
     return value
 
 
-def _pose_from_json(obj, where: str) -> Pose:
+_POSE_BITS = struct.Struct("<7d").pack
+
+
+def _pose_from_json(obj, where: str, poses: dict) -> Pose:
+    """The checked Pose of a JSON pose object. `poses` maps the exact float64
+    bits of every pose built so far in this load to its Pose: the Pose checks
+    are a pure function of those bits, so a pose seen before is returned as
+    is. The key keeps -0.0 and 0.0 apart, which float == would merge. The
+    per-value type checks run on every occurrence, before the lookup."""
     try:
         pos = _json_numbers(obj["position"], "position", where)
         ori = _json_numbers(obj["orientation"], "orientation", where)
     except (KeyError, TypeError) as exc:
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
+    key = None
+    if len(pos) == 3 and len(ori) == 4:  # else Pose reports the wrong size
+        try:
+            key = _POSE_BITS(*pos, *ori)
+        except struct.error:  # an int too large for a float: Pose reports it
+            pass
+        pose = poses.get(key)
+        if pose is not None:
+            return pose
     try:
-        return Pose(pos, ori)
+        pose = Pose(pos, ori)
     except OverflowError as exc:  # an int too large for a float
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from exc
+    if key is not None:
+        poses[key] = pose
+    return pose
 
 
 def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
@@ -423,16 +448,18 @@ def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
     )
 
 
-def timestep_from_json(obj: dict, where: str) -> Timestep:
+def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
+    """The Timestep of one decoded JSONL line; `poses` is the load's pose
+    cache (see _pose_from_json)."""
     try:
         entities = tuple(
-            EntityState(e["entity_id"], _pose_from_json(e["pose"], where), dict(e.get("extra", {})))
+            EntityState(e["entity_id"], _pose_from_json(e["pose"], where, poses), dict(e.get("extra", {})))
             for e in obj["entities"]
         )
         robots = tuple(
             RobotState(
                 r["agent_id"],
-                _pose_from_json(r["eef_pose"], where),
+                _pose_from_json(r["eef_pose"], where, poses),
                 _json_real(r["gripper_aperture"], "gripper_aperture", where),
             )
             for r in obj["robots"]
@@ -440,7 +467,7 @@ def timestep_from_json(obj: dict, where: str) -> Timestep:
         actions = tuple(
             Action(
                 a["agent_id"],
-                _pose_from_json(a["target_eef_pose"], where),
+                _pose_from_json(a["target_eef_pose"], where, poses),
                 _json_real(a["gripper_command"], "gripper_command", where),
             )
             for a in obj["actions"]
@@ -632,7 +659,12 @@ def _check_manifest_entry(entry, n: int) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read and fully validate a dataset directory."""
+    """Read and fully validate a dataset directory.
+
+    Each distinct pose, by the exact float64 bits of its 7 values, is
+    checked and built once per load and shared by every timestep that holds
+    it; what loads, and every error raised, is the same as if each pose
+    were built afresh."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -655,6 +687,7 @@ def load_dataset(path) -> Dataset:
     if not isinstance(entries, list):
         raise InvariantViolation("manifest trajectories is not a JSON list")
     trajectories = []
+    poses: dict[bytes, Pose] = {}
     for n, entry in enumerate(entries):
         _check_manifest_entry(entry, n)
         traj_id = entry["traj_id"]
@@ -674,7 +707,7 @@ def load_dataset(path) -> Dataset:
                 raise IoFailure(f"{where}: bad JSON ({exc})") from exc
             except InvariantViolation as exc:
                 raise InvariantViolation(f"{where}: {exc}") from exc
-            timesteps.append(timestep_from_json(obj, where))
+            timesteps.append(timestep_from_json(obj, where, poses))
         if entry["num_timesteps"] != len(timesteps):
             raise InvariantViolation(
                 f"trajectory {traj_id!r}: manifest num_timesteps {entry['num_timesteps']!r} "

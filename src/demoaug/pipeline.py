@@ -142,11 +142,11 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
                                                 for e in entries):
         raise ConfigError("pipeline config: 'stages' must be a list of objects, each with a 'name'")
     stages = [StageConfig(e["name"], {k: v for k, v in e.items() if k != "name"}) for e in entries]
-    try:
-        seed, workers = int(obj.get("seed", 0)), int(obj.get("workers", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pipeline config: seed and workers must be integers ({exc})") from exc
-    return PipelineConfig(obj["task"], tuple(stages), obj["out"], seed, workers, obj.get("input"))
+    seed, workers = obj.get("seed", 0), obj.get("workers", 1)
+    for key, value in (("seed", seed), ("workers", workers)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ConfigError(f"pipeline config: seed and workers must be integers, got {key} {value!r}")
+    return PipelineConfig(obj["task"], tuple(stages), obj["out"], int(seed), int(workers), obj.get("input"))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +421,10 @@ def stats(ds: Dataset) -> dict:
                     e.entity_id,
                     {"min": [np.inf] * 3, "max": [-np.inf] * 3},
                 )
-                for k in range(3):
-                    box["min"][k] = min(box["min"][k], float(e.pose.position[k]))
-                    box["max"][k] = max(box["max"][k], float(e.pose.position[k]))
+                lo, hi = box["min"], box["max"]
+                for k, x in enumerate(e.pose.position.tolist()):
+                    lo[k] = min(lo[k], x)
+                    hi[k] = max(hi[k], x)
     return {
         "trajectories": len(ds),
         "timesteps": total_steps,

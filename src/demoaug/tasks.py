@@ -16,7 +16,7 @@ import numpy as np
 
 from .causal import causal_spec_from_dict, causal_spec_to_dict
 from .data import EntityDecl, TaskSchema
-from .errors import UnknownTask
+from .errors import InvariantViolation, IoFailure, UnknownTask
 from .geometry import Pose
 from .sim import ExpertParams, ObjectGeom, PoseSampler, ReceptacleGeom, SimParams, TaskDefinition
 
@@ -94,6 +94,8 @@ def task_to_dict(task: TaskDefinition) -> dict:
 
 
 def task_from_dict(obj: dict) -> TaskDefinition:
+    """Build a task from its JSON layout; anything malformed raises
+    InvariantViolation (a DemoaugError), never a bare KeyError or TypeError."""
     def geom_from_dict(g):
         if g["type"] == "receptacle":
             return ReceptacleGeom(
@@ -109,43 +111,55 @@ def task_from_dict(obj: dict) -> TaskDefinition:
             )
         return ObjectGeom(float(g["height"]), bool(g.get("graspable", True)))
 
-    sch = obj["schema"]
-    schema = TaskSchema(
-        task_id=sch["task_id"],
-        entities=tuple(
-            EntityDecl(e["entity_id"], e["kind"], tuple(e.get("extra_fields", ()))) for e in sch["entities"]
-        ),
-        agents=tuple(sch["agents"]),
-        workspace_min=np.array(sch["workspace"]["min"]),
-        workspace_max=np.array(sch["workspace"]["max"]),
-    )
-    samplers = {
-        eid: PoseSampler(
-            tuple(s["x_range"]), tuple(s["y_range"]), tuple(s["z_range"]), tuple(s.get("yaw_range", (0, 0)))
+    try:
+        sch = obj["schema"]
+        schema = TaskSchema(
+            task_id=sch["task_id"],
+            entities=tuple(
+                EntityDecl(e["entity_id"], e["kind"], tuple(e.get("extra_fields", ()))) for e in sch["entities"]
+            ),
+            agents=tuple(sch["agents"]),
+            workspace_min=np.array(sch["workspace"]["min"]),
+            workspace_max=np.array(sch["workspace"]["max"]),
         )
-        for eid, s in obj["samplers"].items()
-    }
-    return TaskDefinition(
-        task_id=obj["task_id"],
-        kind=obj["kind"],
-        schema=schema,
-        samplers=samplers,
-        geoms={eid: geom_from_dict(g) for eid, g in obj["geoms"].items()},
-        causal=causal_spec_from_dict(obj["causal_spec"]),
-        home_pose=Pose(np.array(obj["home_pose"]["position"]), np.array(obj["home_pose"]["orientation"])),
-        sim=SimParams(**obj.get("sim", {})),
-        expert=ExpertParams(**obj.get("expert", {})),
-        xy_tol=float(obj.get("xy_tol", 0.015)),
-        z_tol=float(obj.get("z_tol", 0.005)),
-        lid_closed_threshold=float(obj.get("lid_closed_threshold", 0.1)),
-        lid_initial_angle=float(obj.get("lid_initial_angle", math.pi / 2)),
-        stack_order=tuple(obj.get("stack_order", ())),
-        color_sensitive=bool(obj.get("color_sensitive", False)),
-    )
+        samplers = {
+            eid: PoseSampler(
+                tuple(s["x_range"]), tuple(s["y_range"]), tuple(s["z_range"]), tuple(s.get("yaw_range", (0, 0)))
+            )
+            for eid, s in obj["samplers"].items()
+        }
+        return TaskDefinition(
+            task_id=obj["task_id"],
+            kind=obj["kind"],
+            schema=schema,
+            samplers=samplers,
+            geoms={eid: geom_from_dict(g) for eid, g in obj["geoms"].items()},
+            causal=causal_spec_from_dict(obj["causal_spec"]),
+            home_pose=Pose(np.array(obj["home_pose"]["position"]), np.array(obj["home_pose"]["orientation"])),
+            sim=SimParams(**obj.get("sim", {})),
+            expert=ExpertParams(**obj.get("expert", {})),
+            xy_tol=float(obj.get("xy_tol", 0.015)),
+            z_tol=float(obj.get("z_tol", 0.005)),
+            lid_closed_threshold=float(obj.get("lid_closed_threshold", 0.1)),
+            lid_initial_angle=float(obj.get("lid_initial_angle", math.pi / 2)),
+            stack_order=tuple(obj.get("stack_order", ())),
+            color_sensitive=bool(obj.get("color_sensitive", False)),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvariantViolation(f"malformed task definition ({type(exc).__name__}: {exc})") from exc
 
 
 def load_task_definition(path) -> TaskDefinition:
-    return task_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The task in a JSON file: IoFailure if the file cannot be read or is
+    not JSON, InvariantViolation naming the file if its content is malformed."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IoFailure(f"failed reading task file {path}: {exc}") from exc
+    try:
+        return task_from_dict(obj)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"task file {path}: {exc}") from exc
 
 
 def resolve_task(name_or_path: str) -> TaskDefinition:

@@ -8,7 +8,7 @@ from demoaug.data import load_dataset
 from demoaug.imageaug import read_ppm, write_ppm
 from demoaug.render import rasterize_state
 from demoaug.sim import reset
-from demoaug.tasks import resolve_task
+from demoaug.tasks import resolve_task, task_to_dict
 
 
 def run_cli(*argv):
@@ -226,6 +226,10 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
          "'close_treshold'"),
         ({"task": "stack", "out": "o", "sed": 1, "stages": []}, "unknown keys ['sed']"),
         ({"task": "stack", "out": "o", "seed": "x", "stages": []}, "integers"),
+        ({"task": "stack", "out": "o", "seed": 2.7, "stages": []}, "seed 2.7"),
+        ({"task": "stack", "out": "o", "seed": "7", "stages": []}, "seed '7'"),
+        ({"task": "stack", "out": "o", "seed": True, "stages": []}, "seed True"),
+        ({"task": "stack", "out": "o", "workers": 2.0, "stages": []}, "workers 2.0"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
                                                    {"name": "se3", "pos_range": [0.1, 0.2]}]}, "pos_range"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": -1}]}, "gen count"),
@@ -254,7 +258,8 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
                                                    {"name": "se3", "pos_range": ["a", 0, 0, 0]}]}, "pos_range"),
     ],
     ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "misspelt_stage_key",
-         "misspelt_top_level_key", "non_integer_seed", "short_pos_range", "negative_gen_count",
+         "misspelt_top_level_key", "non_integer_seed", "float_seed", "string_seed", "bool_seed", "float_workers",
+         "short_pos_range", "negative_gen_count",
          "non_integer_gen_count", "negative_se3_count", "zero_se3_budget", "negative_causal_copies",
          "negative_obs_copies", "string_close_threshold", "float_debounce", "string_no_replay",
          "string_obs_jitter", "integer_obs_force", "integer_donor_policy", "string_in_pos_range"],
@@ -268,6 +273,33 @@ def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, messag
     assert code == 3
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert not list((tmp_path / "run").glob("stage_*"))  # refused before any stage ran
+
+
+def _task_without_geoms():
+    task = task_to_dict(resolve_task("stack"))
+    del task["geoms"]
+    return json.dumps(task)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{}", "malformed task definition (KeyError: 'schema')"),
+        (_task_without_geoms(), "malformed task definition (KeyError: 'geoms')"),
+        ('{"schema": ', "failed reading task file"),
+        ("[]", "malformed task definition"),
+    ],
+    ids=["empty_object", "no_geoms", "not_json", "json_list"],
+)
+def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    out = tmp_path / "demos"
+    assert run_cli("gen-demos", "--task", str(path), "--count", "1", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert str(path) in err
+    assert not out.exists()
 
 
 def test_gen_demos_negative_count_is_a_config_error(tmp_path, capsys):

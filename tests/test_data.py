@@ -601,3 +601,126 @@ def test_data_model_survives_pickle_and_deepcopy():
         assert clone == ts
         assert not clone.robots[0].eef_pose.position.flags.writeable
         assert timestep_to_json(clone, make_schema()) == timestep_to_json(ts, make_schema())
+
+
+# ---------------------------------------------------------------------------
+# load_dataset builds each distinct pose once and shares it
+
+
+def _pose_bits(pose):
+    return pose.position.tobytes() + pose.orientation.tobytes()
+
+
+def _timestep_poses(ts):
+    return [e.pose for e in ts.entities] + [r.eef_pose for r in ts.robots] + [a.target_eef_pose for a in ts.actions]
+
+
+def _all_poses(ds):
+    return [p for tr in ds.trajectories for ts in tr.timesteps for p in _timestep_poses(ts)]
+
+
+def test_load_builds_one_pose_per_distinct_bit_pattern(tmp_path, monkeypatch):
+    base = random_dataset(12, n_traj=1, n_steps=4)
+    steps = base.trajectories[0].timesteps
+    still = steps[0].entities[0]  # obj_a rests through the whole trajectory
+    steps = tuple(replace(ts, entities=(still, ts.entities[1])) for ts in steps)
+    trajs = tuple(replace(base.trajectories[0], traj_id=f"tr_{k}", timesteps=steps) for k in range(2))
+    ds = Dataset("1.0", base.task_schema, trajs)
+    save_dataset(ds, tmp_path / "d")
+
+    built = []
+    init = Pose.__init__
+
+    def counting_init(self, position, orientation):
+        built.append(1)
+        init(self, position, orientation)
+
+    monkeypatch.setattr(Pose, "__init__", counting_init)
+    loaded = load_dataset(tmp_path / "d")
+    assert loaded == ds
+    assert len(built) == len({_pose_bits(p) for p in _all_poses(ds)}) == 1 + 3 * 4
+    a, b = loaded.trajectories
+    assert a.timesteps[0].entities[0].pose is a.timesteps[3].entities[0].pose  # across lines
+    for ts_a, ts_b in zip(a.timesteps, b.timesteps):  # across trajectories
+        assert all(x is y for x, y in zip(_timestep_poses(ts_a), _timestep_poses(ts_b)))
+    again = load_dataset(tmp_path / "d")  # nothing is kept across loads
+    assert again.trajectories[0].timesteps[0].entities[0].pose is not a.timesteps[0].entities[0].pose
+
+
+def _write_poses(root, rows):
+    """Save a dataset shaped like `rows` (trajectories of timesteps of four
+    raw (position, orientation) lists: obj_a, obj_b, the robot, its action
+    target), then write those raw values into its timestep lines with
+    json.dumps, which keeps ints as ints and writes -0.0."""
+    save_dataset(random_dataset(13, n_traj=len(rows), n_steps=len(rows[0])), root)
+    for k, steps in enumerate(rows):
+        path = root / f"traj_tr_{k:02d}.jsonl"
+        lines = []
+        for line, raw in zip(path.read_text().splitlines(), steps):
+            obj = json.loads(line)
+            slots = [(obj["entities"][0], "pose"), (obj["entities"][1], "pose"),
+                     (obj["robots"][0], "eef_pose"), (obj["actions"][0], "target_eef_pose")]
+            for (holder, key), (pos, ori) in zip(slots, raw):
+                holder[key] = {"position": pos, "orientation": ori}
+            lines.append(json.dumps(obj))
+        path.write_text("\n".join(lines) + "\n")
+
+
+_RAW_COORDS = [0.0, -0.0, 1.0, 0.5, 0.25]
+_RAW_QUATS = [[1.0, 0.0, 0.0, 0.0], [1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+              [-0.0, 0.0, 0.0, -1.0], [0.5, -0.5, 0.5, -0.5]]
+
+
+def _written(values, as_int):
+    """Integral values the draw marks are written as JSON ints (1, not 1.0)."""
+    return [int(v) if flag and v == int(v) else v for v, flag in zip(values, as_int)]
+
+
+@st.composite
+def _raw_pose(draw):
+    pos = draw(st.lists(st.sampled_from(_RAW_COORDS), min_size=3, max_size=3))
+    ori = draw(st.sampled_from(_RAW_QUATS))
+    return (_written(pos, draw(st.lists(st.booleans(), min_size=3, max_size=3))),
+            _written(ori, draw(st.lists(st.booleans(), min_size=4, max_size=4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.lists(_raw_pose(), min_size=4, max_size=4), min_size=3, max_size=3),
+                min_size=2, max_size=2))
+def test_interned_load_keeps_exact_bits_and_round_trips(tmp_path_factory, rows):
+    """Poses that differ only in -0.0 against 0.0, or in 1 against 1.0, load
+    to the bits a fresh Pose of the written values has, and save -> load ->
+    save is byte-identical."""
+    root = tmp_path_factory.mktemp("raw")
+    _write_poses(root / "in", rows)
+    loaded = load_dataset(root / "in")
+    fresh = [Pose(pos, ori) for steps in rows for raw in steps for pos, ori in raw]
+    assert [_pose_bits(p) for p in _all_poses(loaded)] == [_pose_bits(p) for p in fresh]
+    save_dataset(loaded, root / "a")
+    save_dataset(load_dataset(root / "a"), root / "b")
+    for path in sorted((root / "a").iterdir()):
+        assert path.read_bytes() == (root / "b" / path.name).read_bytes()
+
+
+_VALID_RAW = ([0.5, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "pos, ori",
+    [
+        ([0.5, 0.0, True], [1.0, 0.0, 0.0, 0.0]),
+        ([0.5, 0.0, "1.0"], [1.0, 0.0, 0.0, 0.0]),
+        ([0.5, 0.0, 1.0], [True, 0.0, 0.0, 0.0]),
+        ([0.5, 0.0, 10**400], [1.0, 0.0, 0.0, 0.0]),
+        ([0.5, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["bool_position", "string_position", "bool_orientation", "int_overflow", "values_shifted_across_lists"],
+)
+def test_pose_after_an_equal_valid_pose_is_still_checked(tmp_path, pos, ori):
+    """The type and size checks run on every occurrence, before the cache
+    lookup: a malformed pose whose values pack to the bits of a pose loaded
+    on an earlier line is refused, naming its own line."""
+    rows = [[[_VALID_RAW] * 4, [(pos, ori)] + [_VALID_RAW] * 3]]
+    _write_poses(tmp_path / "d", rows)
+    with pytest.raises(InvariantViolation, match="tr_00.*line 1"):
+        load_dataset(tmp_path / "d")
