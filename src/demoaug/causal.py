@@ -9,12 +9,11 @@ be resampled independently.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
+from .data import Param, check_keys, dict_from_json, list_from_json, read_json, record_from_json, record_to_json
 from .errors import DimensionMismatch, InvariantViolation
 
 
@@ -63,9 +62,6 @@ class Partition:
         object.__setattr__(self, "members", frozenset(self.members))
         if not self.members:
             raise InvariantViolation("empty partition")
-
-    def sorted_members(self) -> tuple[str, ...]:
-        return tuple(sorted(self.members))
 
     def __contains__(self, entity_id):
         return entity_id in self.members
@@ -145,7 +141,7 @@ class TaskCausalSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "phases", tuple(self.phases))
-        object.__setattr__(self, "segment_merge_map", tuple(int(x) for x in self.segment_merge_map))
+        object.__setattr__(self, "segment_merge_map", tuple(self.segment_merge_map))
         indices = [p.phase_index for p in self.phases]
         if indices != list(range(len(self.phases))):
             raise InvariantViolation(f"phase indices {indices} not contiguous from 0")
@@ -203,59 +199,47 @@ def swap_candidates(phase: PhaseSpec) -> list[Partition]:
 # config I/O
 
 
-def causal_spec_from_dict(obj: dict) -> TaskCausalSpec:
-    """Parse the JSON causal-spec layout; edge lists omit the diagonal."""
-    try:
-        phases = []
-        for p in obj["phases"]:
-            graphs = {
-                agent: CausalGraph.from_edges(tuple(g["nodes"]), [tuple(e) for e in g.get("edges", [])])
-                for agent, g in p["agents"].items()
-            }
-            phases.append(
-                PhaseSpec(
-                    phase_index=int(p["phase_index"]),
-                    graphs=graphs,
-                    target_entity=p["target_entity"],
-                    grasp_closes=bool(p["grasp_closes"]),
-                )
-            )
-        phases.sort(key=lambda p: p.phase_index)
-        return TaskCausalSpec(
-            task_id=obj["task_id"],
-            phases=tuple(phases),
-            segment_merge_map=tuple(obj["segment_merge_map"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvariantViolation(f"malformed causal spec ({exc})") from exc
+def causal_spec_from_dict(obj, where: str = "") -> TaskCausalSpec:
+    """The causal spec in its JSON object at path `where`, whose edge lists
+    omit the diagonal; InvariantViolation if it is malformed."""
+    return record_from_json(TaskCausalSpec, where, obj, phases=_phases_from_json)
+
+
+def _phases_from_json(where: str, obj) -> tuple[PhaseSpec, ...]:
+    def graphs(path, value):
+        return dict_from_json(path, value, _graph_from_json)
+
+    phases = list_from_json(where, obj, lambda path, p: record_from_json(PhaseSpec, path, p, graphs=("agents", graphs)))
+    return tuple(sorted(phases, key=lambda p: p.phase_index))
+
+
+def _graph_from_json(where: str, obj) -> CausalGraph:
+    check_keys(where, obj, ("nodes",), ("nodes", "edges"))
+    edges = obj.get("edges", [])
+    if type(edges) is not list or not all(type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
+                                          for e in edges):
+        raise InvariantViolation(f"{where}.edges must be a list of [source, target] node pairs, got {edges!r}")
+    return CausalGraph.from_edges(Param((str,), MISSING).parse(f"{where}.nodes", obj["nodes"]), edges)
 
 
 def causal_spec_to_dict(spec: TaskCausalSpec) -> dict:
-    return {
-        "task_id": spec.task_id,
-        "phases": [
-            {
-                "phase_index": p.phase_index,
-                "target_entity": p.target_entity,
-                "grasp_closes": p.grasp_closes,
-                "agents": {
-                    agent: {
-                        "nodes": list(g.nodes),
-                        "edges": [
-                            [g.nodes[i], g.nodes[j]]
-                            for i in range(len(g.nodes))
-                            for j in range(len(g.nodes))
-                            if i != j and g.adjacency[i, j]
-                        ],
-                    }
-                    for agent, g in p.graphs.items()
-                },
-            }
-            for p in spec.phases
-        ],
-        "segment_merge_map": list(spec.segment_merge_map),
-    }
+    def graphs(value: dict) -> dict:
+        return {agent: _graph_to_json(g) for agent, g in value.items()}
+
+    return record_to_json(spec, phases=lambda phases: [record_to_json(p, graphs=("agents", graphs)) for p in phases])
+
+
+def _graph_to_json(g: CausalGraph) -> dict:
+    n = len(g.nodes)
+    edges = [[g.nodes[i], g.nodes[j]] for i in range(n) for j in range(n) if i != j and g.adjacency[i, j]]
+    return {"nodes": list(g.nodes), "edges": edges}
 
 
 def load_causal_spec(path) -> TaskCausalSpec:
-    return causal_spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """The causal spec in a JSON file: IoFailure if the file cannot be read or
+    is not JSON, InvariantViolation naming the file if it is malformed."""
+    obj = read_json(path, "failed reading causal spec file")
+    try:
+        return causal_spec_from_dict(obj)
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"causal spec file {path}: malformed causal spec ({exc})") from exc

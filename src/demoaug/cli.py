@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .causal import load_causal_spec
 from .counterfactual import CounterfactualConfig
-from .data import load_dataset, save_dataset
+from .data import Param, load_dataset, read_json, save_dataset
 from .errors import ColorJitterRefused, ConfigError, DemoaugError, StageFailure
 from .imageaug import (
     VisualAugConfig,
@@ -31,7 +31,6 @@ from .imageaug import (
 )
 from .pipeline import (
     STAGES,
-    Param,
     RatioPlan,
     StageConfig,
     pipeline_config_from_dict,
@@ -39,7 +38,6 @@ from .pipeline import (
     run_pipeline,
     run_stage,
     stats,
-    validate_dataset_full,
 )
 from .rng import derive_stream
 from .sim import replay
@@ -170,7 +168,7 @@ def _cmd_validate(args) -> int:
     except DemoaugError as exc:
         _emit({"ok": False, "failures": [f"load: {exc}"]}, args.report)
         return EXIT_VALIDATION
-    result = validate_dataset_full(ds, task, replay_check=not args.no_replay)
+    _, result = run_stage(StageConfig("validate", {"no_replay": args.no_replay}), ds, task, task.causal, args.seed)
     _emit(result, args.report)
     return EXIT_OK if result["ok"] else EXIT_VALIDATION
 
@@ -206,10 +204,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg_obj = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read pipeline config {args.config}: {exc}") from exc
+    cfg_obj = read_json(args.config, "cannot read pipeline config")
     overrides = {key: value for key, value in (("seed", args.seed), ("workers", args.workers), ("out", args.out))
                  if value is not None}
     if isinstance(cfg_obj, dict):  # anything else is pipeline_config_from_dict's error to report

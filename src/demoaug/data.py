@@ -9,18 +9,22 @@ and load(save(ds)) == ds field for field.
 Poses are immutable, so a load builds each distinct pose once and shares
 it among the timesteps that hold it. That pose cache lives for one
 load_dataset call only; nothing is kept across loads.
+
+The other input files (task files, causal specs, pipeline configs) go
+through the same reader, read_json, and the same typed checks: Param for
+one value, record_from_json for a JSON object that holds the fields of a
+dataclass.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import re
 import shutil
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -234,11 +238,11 @@ def _check_pose_in_box(pose: Pose, lo: list, hi: list, what: str):
         raise InvariantViolation(f"{what} position {p} outside workspace bounds")
 
 
-def _is_finite_real(value) -> bool:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
+def _is_real(value) -> bool:
+    """Whether `value` is a finite number as a JSON decode yields one: exactly
+    an int or a float (so never a bool or a string) that fits a float64."""
     try:
-        return math.isfinite(value)
+        return (type(value) is float or type(value) is int) and math.isfinite(value)
     except OverflowError:  # an int too large for a float
         return False
 
@@ -275,7 +279,7 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema):
                     f"{at}: entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}"
                 )
             for key, value in e.extra.items():
-                if not _is_finite_real(value):
+                if not _is_real(value):
                     raise InvariantViolation(
                         f"{at}: entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number"
                     )
@@ -363,25 +367,140 @@ def _reject_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _json_int(value, what: str, where: str) -> int:
-    if type(value) is not int:
-        raise InvariantViolation(f"{where}: {what} must be an integer, got {value!r}")
-    return value
+def read_json(path, failure: str):
+    """The JSON value in the file at `path` (a path or a package resource).
+    A file that cannot be read, is not JSON, or holds NaN or Infinity raises
+    IoFailure with the message `{failure} {path}: {reason}`."""
+    try:
+        path = Path(path) if isinstance(path, (str, os.PathLike)) else path
+        return _DECODER.decode(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, InvariantViolation) as exc:
+        raise IoFailure(f"{failure} {path}: {exc}") from exc
 
 
-def _json_real(value, what: str, where: str) -> float:
-    if type(value) is not float and type(value) is not int:
-        raise InvariantViolation(f"{where}: {what} must be a number, got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class Param:
+    """One typed value of an input file or a stage: its kind and its default.
+
+    `kind` is int, float, bool or str; a dict of choices, each under the name
+    the subcommand flag gives it; a count n, for a list of n numbers; or
+    (str,) or (int,), for a list of strings or of integers. Values have the
+    exact types a JSON decode yields: numbers must be finite, and bools JSON
+    bools. An int below `minimum` is refused. A None default is worked out
+    by the value's user from its input, and None is then also a value the
+    parameter takes; a MISSING default, that the value must be given.
+    """
+
+    kind: object
+    default: object
+    minimum: int | None = None
+
+    def parse(self, what: str, value, error=InvariantViolation):
+        """The value as its user takes it, lists as tuples; `error` naming
+        `what` if it is malformed."""
+        if value is None and self.default is None:
+            return None
+        kind = self.kind
+        if kind is bool:
+            ok, want = type(value) is bool, "true or false"
+        elif kind is int:
+            ok = type(value) is int and (self.minimum is None or value >= self.minimum)
+            want = "an integer" if self.minimum is None else f"an integer >= {self.minimum}"
+        elif kind is float:
+            ok, want = _is_real(value), "a finite number"
+        elif kind is str:
+            ok, want = type(value) is str, "a string"
+        elif isinstance(kind, dict):
+            ok, want = value in kind.values(), f"one of {', '.join(kind.values())}"
+        elif isinstance(kind, tuple):
+            ok = isinstance(value, (list, tuple)) and all(type(v) is kind[0] for v in value)
+            want = "a list of strings" if kind[0] is str else "a list of integers"
+        else:
+            ok = isinstance(value, (list, tuple)) and len(value) == kind and all(map(_is_real, value))
+            want = f"a list of {kind} finite numbers"
+        if not ok:
+            raise error(f"{what} must be {want}, got {value!r}")
+        if kind is float:
+            return float(value)
+        if isinstance(kind, int):
+            return tuple(map(float, value))
+        return tuple(value) if isinstance(kind, tuple) else value
 
 
-def _json_numbers(value, what: str, where: str) -> list:
-    if type(value) is not list:
-        raise InvariantViolation(f"{where}: {what} must be a list, got {value!r}")
-    for x in value:
-        if type(x) is not float and type(x) is not int:
-            raise InvariantViolation(f"{where}: {what} value {x!r} is not a number")
-    return value
+def _at(where: str, key) -> str:
+    """The path of `key` inside the JSON value at path `where`."""
+    return f"{where}.{key}" if where else str(key)
+
+
+def check_keys(where: str, obj, required, known) -> None:
+    """InvariantViolation unless `obj`, the JSON value at path `where`, is an
+    object that holds every key in `required` and no key outside `known`."""
+    if type(obj) is not dict:
+        raise InvariantViolation(f"{where or 'the file'} must be a JSON object, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise InvariantViolation(f"KeyError: {_at(where, key)!r}")
+    for key in obj:
+        if key not in known:
+            raise InvariantViolation(f"unknown key {_at(where, key)!r} (known: {', '.join(known)})")
+
+
+# the Param kind of each field annotation (a string: the modules postpone
+# their annotations) whose value a JSON value holds directly
+_FIELD_KINDS = {"int": int, "float": float, "bool": bool, "str": str, "tuple[float, float]": 2,
+                "tuple[str, ...]": (str,), "tuple[int, ...]": (int,)}
+
+
+def record_from_json(cls, where: str, obj, **readers):
+    """The instance of dataclass `cls` in the JSON object `obj` at path `where`.
+
+    A field named in `readers` is read from its key by its reader, called as
+    reader(path, value); a pair (key, reader) reads it from another key.
+    Every other field is a value of the kind its annotation names in
+    _FIELD_KINDS, checked by a Param with the field's default. A missing key
+    takes the field's default; a missing key of a field without one, or a
+    key that names no field, raises InvariantViolation.
+    """
+    table = {}  # JSON key -> (field name, reader)
+    for name, read in readers.items():
+        key, read = read if isinstance(read, tuple) else (name, read)
+        table[key] = (name, read)
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    for f in fields(cls):
+        if f.name not in readers:
+            table[f.name] = (f.name, Param(_FIELD_KINDS[f.type], f.default).parse)
+    check_keys(where, obj, [key for key, (name, _) in table.items() if name in required], table)
+    return cls(**{table[key][0]: table[key][1](_at(where, key), value) for key, value in obj.items()})
+
+
+def record_to_json(value, **writers) -> dict:
+    """The JSON object of dataclass instance `value`, as record_from_json
+    reads it: a field named in `writers` is written by its writer (under
+    another key for a pair (key, writer)), every other one as it is, with
+    tuples as lists."""
+    out = {}
+    for f in fields(value):
+        write = writers.get(f.name, _plain)
+        key, write = write if isinstance(write, tuple) else (f.name, write)
+        out[key] = write(getattr(value, f.name))
+    return out
+
+
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def dict_from_json(where: str, obj, read) -> dict:
+    """{key: read(path, value)} over the entries of the JSON object `obj`."""
+    check_keys(where, obj, (), obj)
+    return {key: read(_at(where, key), value) for key, value in obj.items()}
+
+
+def list_from_json(where: str, obj, read) -> tuple:
+    """(read(path, value), ...) over the items of the JSON list `obj`."""
+    if type(obj) is not list:
+        raise InvariantViolation(f"{where} must be a list, got {type(obj).__name__}")
+    return tuple(read(f"{where}[{i}]", value) for i, value in enumerate(obj))
 
 
 _POSE_BITS = struct.Struct("<7d").pack
@@ -392,10 +511,15 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
     bits of every pose built so far in this load to its Pose: the Pose checks
     are a pure function of those bits, so a pose seen before is returned as
     is. The key keeps -0.0 and 0.0 apart, which float == would merge. The
-    per-value type checks run on every occurrence, before the lookup."""
+    per-value type checks (exact ints and floats, as in _is_real; Pose
+    checks finiteness) run on every occurrence, before the lookup."""
     try:
-        pos = _json_numbers(obj["position"], "position", where)
-        ori = _json_numbers(obj["orientation"], "orientation", where)
+        pos, ori = obj["position"], obj["orientation"]
+        if type(pos) is not list or type(ori) is not list:
+            raise InvariantViolation(f"{where}: pose position and orientation must be lists, got {obj!r}")
+        for x in pos + ori:
+            if type(x) is not float and type(x) is not int:
+                raise InvariantViolation(f"{where}: pose value {x!r} is not a number")
     except (KeyError, TypeError) as exc:
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     key = None
@@ -448,6 +572,9 @@ def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
     )
 
 
+_REAL = Param(float, MISSING)
+
+
 def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
     """The Timestep of one decoded JSONL line; `poses` is the load's pose
     cache (see _pose_from_json)."""
@@ -460,7 +587,7 @@ def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
             RobotState(
                 r["agent_id"],
                 _pose_from_json(r["eef_pose"], where, poses),
-                _json_real(r["gripper_aperture"], "gripper_aperture", where),
+                _REAL.parse(f"{where}: gripper_aperture", r["gripper_aperture"]),
             )
             for r in obj["robots"]
         )
@@ -468,18 +595,19 @@ def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
             Action(
                 a["agent_id"],
                 _pose_from_json(a["target_eef_pose"], where, poses),
-                _json_real(a["gripper_command"], "gripper_command", where),
+                _REAL.parse(f"{where}: gripper_command", a["gripper_command"]),
             )
             for a in obj["actions"]
         )
-        phase = obj.get("phase")
-        if phase is not None and _json_int(phase, "phase", where) < 0:
-            raise InvariantViolation(f"{where}: phase {phase} < 0")
-        interp = obj.get("interp", False)
+        t, phase, interp = obj["t"], obj.get("phase"), obj.get("interp", False)
+        if type(t) is not int:
+            raise InvariantViolation(f"{where}: t must be an integer, got {t!r}")
+        if phase is not None and (type(phase) is not int or phase < 0):
+            raise InvariantViolation(f"{where}: phase must be null or an integer >= 0, got {phase!r}")
         if type(interp) is not bool:
             raise InvariantViolation(f"{where}: interp must be a bool, got {interp!r}")
         return Timestep(
-            t=_json_int(obj["t"], "t", where),
+            t=t,
             entities=entities,
             robots=robots,
             actions=actions,
@@ -493,10 +621,7 @@ def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
 def schema_to_json(schema: TaskSchema) -> dict:
     return {
         "task_id": schema.task_id,
-        "entities": [
-            {"entity_id": e.entity_id, "kind": e.kind, "extra_fields": list(e.extra_fields)}
-            for e in schema.entities
-        ],
+        "entities": [record_to_json(e) for e in schema.entities],
         "agents": list(schema.agents),
         "workspace": {
             "min": [float(x) for x in schema.workspace_min],
@@ -505,20 +630,23 @@ def schema_to_json(schema: TaskSchema) -> dict:
     }
 
 
-def schema_from_json(obj: dict) -> TaskSchema:
-    try:
-        return TaskSchema(
-            task_id=obj["task_id"],
-            entities=tuple(
-                EntityDecl(e["entity_id"], e["kind"], tuple(e.get("extra_fields", ())))
-                for e in obj["entities"]
-            ),
-            agents=tuple(obj["agents"]),
-            workspace_min=np.array(obj["workspace"]["min"], dtype=np.float64),
-            workspace_max=np.array(obj["workspace"]["max"], dtype=np.float64),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvariantViolation(f"malformed task schema ({exc})") from exc
+_SCHEMA_KEYS = ("task_id", "entities", "agents", "workspace")
+
+
+def schema_from_json(where: str, obj) -> TaskSchema:
+    """The TaskSchema in its JSON object at path `where`, as schema_to_json
+    writes it; InvariantViolation if that is malformed."""
+    check_keys(where, obj, _SCHEMA_KEYS, _SCHEMA_KEYS)
+    box, at = obj["workspace"], _at(where, "workspace")
+    check_keys(at, box, ("min", "max"), ("min", "max"))
+    return TaskSchema(
+        task_id=Param(str, MISSING).parse(_at(where, "task_id"), obj["task_id"]),
+        entities=list_from_json(_at(where, "entities"), obj["entities"],
+                                lambda path, e: record_from_json(EntityDecl, path, e)),
+        agents=Param((str,), MISSING).parse(_at(where, "agents"), obj["agents"]),
+        workspace_min=np.array(Param(3, MISSING).parse(_at(at, "min"), box["min"])),
+        workspace_max=np.array(Param(3, MISSING).parse(_at(at, "max"), box["max"])),
+    )
 
 
 def _dumps(obj) -> str:
@@ -669,12 +797,7 @@ def load_dataset(path) -> Dataset:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise MissingManifest(f"no manifest.json under {root}")
-    try:
-        manifest = _DECODER.decode(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IoFailure(f"failed reading {manifest_path}: {exc}") from exc
-    except InvariantViolation as exc:
-        raise InvariantViolation(f"{manifest_path}: {exc}") from exc
+    manifest = read_json(manifest_path, "failed reading")
     if not isinstance(manifest, dict):
         raise InvariantViolation(f"{manifest_path} is not a JSON object")
     version = manifest.get("schema_version")
@@ -682,7 +805,7 @@ def load_dataset(path) -> Dataset:
         raise SchemaVersionMismatch(
             f"manifest schema_version {version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
         )
-    schema = schema_from_json(manifest.get("task_schema", {}))
+    schema = schema_from_json("task_schema", manifest.get("task_schema"))
     entries = manifest.get("trajectories", [])
     if not isinstance(entries, list):
         raise InvariantViolation("manifest trajectories is not a JSON list")

@@ -49,10 +49,6 @@ class UnlabeledTrajectory(DemoaugError):
     pass
 
 
-class NoDonorAvailable(DemoaugError):
-    pass
-
-
 # SE(3) engine
 
 class TargetMissing(DemoaugError):

@@ -113,10 +113,6 @@ def quat_multiply(a, b) -> np.ndarray:
     return np.array(_qmul(_floats(a), _floats(b)))
 
 
-def quat_conjugate(q) -> np.ndarray:
-    return np.array(_qconj(_floats(q)))
-
-
 def quat_rotate(q, v) -> np.ndarray:
     """Rotate a 3-vector by a unit quaternion."""
     return np.array(_rotate(_floats(q), _floats(v)))
@@ -248,11 +244,6 @@ class SE3Transform:
     @classmethod
     def identity(cls) -> "SE3Transform":
         return cls(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
-    @classmethod
-    def planar(cls, yaw: float, tx: float = 0.0, ty: float = 0.0) -> "SE3Transform":
-        """Yaw about world z plus an in-plane translation."""
-        return cls(quat_from_yaw(yaw), np.array([tx, ty, 0.0]))
 
     def compose(self, other: "SE3Transform") -> "SE3Transform":
         """self after other: (self . other)(x) == self(other(x))."""

@@ -6,8 +6,6 @@ every random draw flows through RNG streams derived from stable labels."""
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -15,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline, gripper_transit_jitter
-from .data import Dataset, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
+from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
 from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
 from .imageaug import check_color_ops_allowed, proprio_noise
 from .retarget import GenerationReport, InterpolationConfig, generate_demos
@@ -25,54 +23,6 @@ from .sim import PoseSampler, TaskDefinition, replay, rollout_expert
 from .tasks import resolve_task
 
 REPLAYABLE = (Provenance.HUMAN_SOURCE, Provenance.SE3_SYNTHETIC)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-@dataclass(frozen=True)
-class Param:
-    """One stage parameter: its kind and its default.
-
-    `kind` is int, float or bool; a dict of choices, each under the name the
-    subcommand flag gives it; or a count n, for a list of n numbers. Numbers
-    must be finite, and bools JSON bools. An int below `minimum` is refused.
-    A None default is worked out by the stage from its input, and None is
-    then also a value the parameter takes.
-    """
-
-    kind: object
-    default: object
-    minimum: int | None = None
-
-    def parse(self, stage: str, key: str, value):
-        """The value as the stage uses it; ConfigError if it is malformed."""
-        if value is None and self.default is None:
-            return None
-        kind = self.kind
-        if kind is bool:
-            ok, want = isinstance(value, bool), "true or false"
-        elif kind is int:
-            ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            want = "an integer"
-            if self.minimum is not None:
-                ok = ok and value >= self.minimum
-                want += f" >= {self.minimum}"
-        elif kind is float:
-            ok, want = _is_number(value), "a finite number"
-        elif isinstance(kind, dict):
-            ok, want = value in kind.values(), f"one of {', '.join(kind.values())}"
-        else:
-            ok = isinstance(value, (list, tuple)) and len(value) == kind and all(map(_is_number, value))
-            want = f"a list of {kind} finite numbers"
-        if not ok:
-            raise ConfigError(f"{stage} {key} must be {want}, got {value!r}")
-        if kind is int or kind is float:
-            return kind(value)
-        if isinstance(kind, int):
-            return tuple(float(v) for v in value)
-        return value
 
 
 @dataclass(frozen=True)
@@ -92,7 +42,7 @@ class StageConfig:
                 f"stage {self.name!r} has no parameter {', '.join(map(repr, unknown))} "
                 f"(it takes {', '.join(table)})"
             )
-        object.__setattr__(self, "params", {key: table[key].parse(self.name, key, value)
+        object.__setattr__(self, "params", {key: table[key].parse(f"{self.name} {key}", value, ConfigError)
                                             for key, value in self.params.items()})
 
 
@@ -144,9 +94,9 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
     stages = [StageConfig(e["name"], {k: v for k, v in e.items() if k != "name"}) for e in entries]
     seed, workers = obj.get("seed", 0), obj.get("workers", 1)
     for key, value in (("seed", seed), ("workers", workers)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        if type(value) is not int:
             raise ConfigError(f"pipeline config: seed and workers must be integers, got {key} {value!r}")
-    return PipelineConfig(obj["task"], tuple(stages), obj["out"], int(seed), int(workers), obj.get("input"))
+    return PipelineConfig(obj["task"], tuple(stages), obj["out"], seed, workers, obj.get("input"))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,16 +42,13 @@ class PoseSampler:
     y_range: tuple[float, float]
     z_range: tuple[float, float]
     yaw_range: tuple[float, float] = (0.0, 0.0)
-    master_seed: int = 0
 
     def __post_init__(self):
         for lo, hi in (self.x_range, self.y_range, self.z_range, self.yaw_range):
             if hi < lo:
                 raise InvariantViolation(f"sampler range ({lo}, {hi}) has hi < lo")
 
-    def sample(self, rng: np.random.Generator | None = None) -> Pose:
-        if rng is None:
-            rng = derive_stream(self.master_seed, "pose_sampler")
+    def sample(self, rng: np.random.Generator) -> Pose:
         x = rng.uniform(*self.x_range)
         y = rng.uniform(*self.y_range)
         z = rng.uniform(*self.z_range)
@@ -80,7 +78,7 @@ class ReceptacleGeom:
     push_band: tuple[float, float]
     lid_gain: float
     body_radius: float
-    graspable: bool = False
+    graspable: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from demoaug.causal import causal_spec_to_dict
 from demoaug.cli import main
 from demoaug.data import load_dataset
 from demoaug.imageaug import read_ppm, write_ppm
@@ -169,9 +170,6 @@ def test_run_pipeline_cli(tmp_path, capsys):
 
 
 def test_spec_file_flag_drives_segment_and_causal(tmp_path, labeled_dir, capsys):
-    import shutil
-    from demoaug.causal import causal_spec_to_dict
-
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(causal_spec_to_dict(resolve_task("stack").causal)))
     # segment from a spec file alone (no --task)
@@ -275,27 +273,79 @@ def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, messag
     assert not list((tmp_path / "run").glob("stage_*"))  # refused before any stage ran
 
 
-def _task_without_geoms():
+def _stack_task_with(edit):
+    """The stack task file's JSON text after `edit` changed its dict;
+    json.dumps writes NaN and Infinity as bare constants."""
     task = task_to_dict(resolve_task("stack"))
-    del task["geoms"]
+    edit(task)
     return json.dumps(task)
+
+
+def _set(*keys_then_value):
+    *keys, last, value = keys_then_value
+
+    def edit(obj):
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
 
 
 @pytest.mark.parametrize(
     "content, message",
     [
         ("{}", "malformed task definition (KeyError: 'schema')"),
-        (_task_without_geoms(), "malformed task definition (KeyError: 'geoms')"),
+        (_stack_task_with(lambda task: task.pop("geoms")), "malformed task definition (KeyError: 'geoms')"),
         ('{"schema": ', "failed reading task file"),
         ("[]", "malformed task definition"),
+        (_stack_task_with(_set("color_sensitive", "false")), "color_sensitive must be true or false"),
+        (_stack_task_with(_set("causal_spec", "phases", 0, "grasp_closes", "no")),
+         "causal_spec.phases[0].grasp_closes must be true or false"),
+        (_stack_task_with(_set("xy_tol", float("nan"))), "non-finite number NaN"),
+        (_stack_task_with(_set("geoms", "cube_a", "height", float("inf"))), "non-finite number Infinity"),
+        (_stack_task_with(_set("z_tol", "0.005")), "z_tol must be a finite number"),
+        (_stack_task_with(_set("sim", "max_pos_step", "x")), "sim.max_pos_step must be a finite number"),
+        (_stack_task_with(_set("samplers", "cube_a", "x_range", ["a", "b"])),
+         "samplers.cube_a.x_range must be a list of 2 finite numbers"),
+        (_stack_task_with(_set("colour_sensitive", True)), "unknown key 'colour_sensitive'"),
+        (_stack_task_with(_set("geoms", "cube_a", "graspable", "no")), "geoms.cube_a.graspable must be true or false"),
     ],
-    ids=["empty_object", "no_geoms", "not_json", "json_list"],
+    ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
+         "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
+         "string_graspable"],
 )
 def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"
     path.write_text(content)
     out = tmp_path / "demos"
     assert run_cli("gen-demos", "--task", str(path), "--count", "1", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "failed reading causal spec file"),
+        ("{", "failed reading causal spec file"),
+        (_set("phases", 0, "phase_index", "x"), "phases[0].phase_index must be an integer"),
+        (_set("phases", 0, "grasp_closes", "no"), "phases[0].grasp_closes must be true or false"),
+    ],
+    ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes"],
+)
+def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content, message):
+    path = tmp_path / "spec.json"
+    if callable(content):
+        spec = causal_spec_to_dict(resolve_task("stack").causal)
+        content(spec)
+        content = json.dumps(spec)
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "seg"
+    assert run_cli("segment", "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert str(path) in err

@@ -252,6 +252,16 @@ def _set_entry(key, value, n=0):
     return _edit_manifest(edit)
 
 
+def _set_in(obj, *keys_then_value):
+    """obj, after setting the value at the path the keys name."""
+    *keys, last, value = keys_then_value
+    target = obj
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return obj
+
+
 def _share_file(root):
     _set_entry("file", "traj_tr_00.jsonl", n=1)(root)
 
@@ -320,6 +330,7 @@ def _set_field(*keys_then_value):
         _set_field("interp", "no"),
         _set_field("interp", 1),
         _set_field("phase", -3),
+        _edit_manifest(lambda manifest: _set_in(manifest, "task_schema", "workspace", "min", 0, "-1.0")),
     ],
     ids=["missing_traj_id", "missing_success", "unknown_provenance", "manifest_is_list",
          "num_timesteps_mismatch", "success_not_bool", "file_escapes_directory", "file_shared",
@@ -327,7 +338,8 @@ def _set_field(*keys_then_value):
          "gripper_aperture_not_numeric", "gripper_aperture_nan", "gripper_command_not_numeric",
          "extra_nan", "extra_overflows_to_inf", "extra_string", "extra_bool", "extra_int_overflow",
          "gripper_aperture_int_overflow", "position_int_overflow", "position_string", "position_bool",
-         "orientation_not_list", "interp_string", "interp_int", "phase_negative"],
+         "orientation_not_list", "interp_string", "interp_int", "phase_negative",
+         "workspace_bound_string"],
 )
 def test_malformed_manifest_raises_invariant_violation(tmp_path, edit):
     from demoaug.cli import main

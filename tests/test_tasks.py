@@ -1,13 +1,26 @@
 import json
+import math
+from dataclasses import MISSING, fields
 from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoaug.causal import load_causal_spec, causal_spec_to_dict, count_partitions
-from demoaug.errors import UnknownTask
-from demoaug.sim import rollout_expert, replay
+from demoaug.data import EntityDecl
+from demoaug.errors import DemoaugError, UnknownTask
+from demoaug.sim import (
+    ExpertParams,
+    ObjectGeom,
+    PoseSampler,
+    SimParams,
+    TaskDefinition,
+    replay,
+    rollout_expert,
+)
 from demoaug.pipeline import pipeline_config_from_dict
 from demoaug.tasks import load_task_definition, resolve_task, task_to_dict
 
@@ -93,3 +106,67 @@ def test_only_plain_names_resolve_to_bundled_tasks(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(UnknownTask):
         resolve_task(name)
+
+
+def _leaves(obj, path=()):
+    """(parent path, key) of every value in a JSON tree that is not an
+    object or a list."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path, key
+
+
+_REPLACEMENTS = ["x", True, None, float("nan"), [1.0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_task_file_loads_or_raises_a_demoaug_error(tmp_path_factory, data):
+    """One mutation of one leaf of a bundled task file either loads or
+    raises a DemoaugError; a numeric or bool leaf whose type changes always
+    raises."""
+    name = data.draw(st.sampled_from(["stack", "coffee"]))
+    obj = json.loads((BUNDLED / f"{name}.json").read_text())
+    path, key = data.draw(st.sampled_from(sorted(_leaves(obj), key=repr)))
+    parent = obj
+    for step in path:
+        parent = parent[step]
+    old = parent[key]
+    mutation = data.draw(st.sampled_from(["replace", "delete", "add_sibling"]))
+    if mutation == "replace":
+        parent[key] = new = data.draw(st.sampled_from(_REPLACEMENTS))
+    elif mutation == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent["unknown_key"] = old
+    else:
+        parent.append(old)
+    file = tmp_path_factory.getbasetemp() / "mutated_task.json"
+    file.write_text(json.dumps(obj))
+    numeric_or_bool = isinstance(old, (int, float))  # bools included
+    type_changed = mutation == "replace" and (type(new) is not type(old) or new != new)
+    if numeric_or_bool and type_changed:
+        with pytest.raises(DemoaugError):
+            load_task_definition(file)
+    else:
+        try:
+            load_task_definition(file)
+        except DemoaugError:
+            pass
+
+
+def test_readme_task_file_defaults_match_dataclasses():
+    """Every default that a task file section takes from its dataclass
+    appears in the README's task-file table as `key` (default)."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| key | fields and kinds |"):text.index("| `causal_spec` |")]
+    for cls in (EntityDecl, PoseSampler, ObjectGeom, SimParams, ExpertParams, TaskDefinition):
+        for f in fields(cls):
+            if f.default is MISSING:
+                continue
+            value = list(f.default) if isinstance(f.default, tuple) else f.default
+            default = "π/2" if value == math.pi / 2 else json.dumps(value)
+            assert f"`{f.name}` ({default})" in table, (cls.__name__, f.name)
