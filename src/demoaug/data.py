@@ -506,6 +506,20 @@ def list_from_json(where: str, obj, read) -> tuple:
 _POSE_BITS = struct.Struct("<7d").pack
 
 
+def _refuse_unknown_key(where: str, what: str, obj, known) -> None:
+    """InvariantViolation naming a key of `obj`, the JSON object of a `what`
+    in the timestep line or file at `where`, that is not in `known`. The
+    parse hot path calls it only when the object's key count is off; if no
+    key is unknown (a required one is missing), the caller's lookup reports
+    that."""
+    for key in obj if type(obj) is dict else ():
+        if key not in known:
+            raise InvariantViolation(f"{where}: unknown key {key!r} in {what} (known: {', '.join(known)})")
+
+
+_POSE_KEYS = ("position", "orientation")
+
+
 def _pose_from_json(obj, where: str, poses: dict) -> Pose:
     """The checked Pose of a JSON pose object. `poses` maps the exact float64
     bits of every pose built so far in this load to its Pose: the Pose checks
@@ -514,6 +528,8 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
     per-value type checks (exact ints and floats, as in _is_real; Pose
     checks finiteness) run on every occurrence, before the lookup."""
     try:
+        if len(obj) != 2:
+            _refuse_unknown_key(where, "a pose", obj, _POSE_KEYS)
         pos, ori = obj["position"], obj["orientation"]
         if type(pos) is not list or type(ori) is not list:
             raise InvariantViolation(f"{where}: pose position and orientation must be lists, got {obj!r}")
@@ -575,30 +591,44 @@ def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
 _REAL = Param(float, MISSING)
 
 
+_LINE_KEYS = ("t", "entities", "robots", "actions", "phase", "interp")
+_ENTITY_KEYS = ("entity_id", "pose", "extra")
+_ROBOT_KEYS = ("agent_id", "eef_pose", "gripper_aperture")
+_ACTION_KEYS = ("agent_id", "target_eef_pose", "gripper_command")
+
+
 def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
     """The Timestep of one decoded JSONL line; `poses` is the load's pose
-    cache (see _pose_from_json)."""
+    cache (see _pose_from_json). Unknown keys are refused: each object's key
+    count is compared with the count of its required keys plus the optional
+    ones it holds, and only a mismatch looks for the unknown key."""
     try:
-        entities = tuple(
-            EntityState(e["entity_id"], _pose_from_json(e["pose"], where, poses), dict(e.get("extra", {})))
-            for e in obj["entities"]
-        )
-        robots = tuple(
-            RobotState(
+        if len(obj) != 4 + ("phase" in obj) + ("interp" in obj):
+            _refuse_unknown_key(where, "a timestep", obj, _LINE_KEYS)
+        entities = []
+        for e in obj["entities"]:
+            if len(e) != 2 + ("extra" in e):
+                _refuse_unknown_key(where, "an entity", e, _ENTITY_KEYS)
+            entities.append(
+                EntityState(e["entity_id"], _pose_from_json(e["pose"], where, poses), dict(e.get("extra", {}))))
+        robots = []
+        for r in obj["robots"]:
+            if len(r) != 3:
+                _refuse_unknown_key(where, "a robot", r, _ROBOT_KEYS)
+            robots.append(RobotState(
                 r["agent_id"],
                 _pose_from_json(r["eef_pose"], where, poses),
                 _REAL.parse(f"{where}: gripper_aperture", r["gripper_aperture"]),
-            )
-            for r in obj["robots"]
-        )
-        actions = tuple(
-            Action(
+            ))
+        actions = []
+        for a in obj["actions"]:
+            if len(a) != 3:
+                _refuse_unknown_key(where, "an action", a, _ACTION_KEYS)
+            actions.append(Action(
                 a["agent_id"],
                 _pose_from_json(a["target_eef_pose"], where, poses),
                 _REAL.parse(f"{where}: gripper_command", a["gripper_command"]),
-            )
-            for a in obj["actions"]
-        )
+            ))
         t, phase, interp = obj["t"], obj.get("phase"), obj.get("interp", False)
         if type(t) is not int:
             raise InvariantViolation(f"{where}: t must be an integer, got {t!r}")
@@ -608,9 +638,9 @@ def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
             raise InvariantViolation(f"{where}: interp must be a bool, got {interp!r}")
         return Timestep(
             t=t,
-            entities=entities,
-            robots=robots,
-            actions=actions,
+            entities=tuple(entities),
+            robots=tuple(robots),
+            actions=tuple(actions),
             phase=phase,
             interp=interp,
         )

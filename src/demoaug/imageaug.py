@@ -28,14 +28,27 @@ as the form it replaced (the tests keep the old forms as references):
   values under masks instead of `np.select`/`np.where`, and the saturation
   divides only where the maximum is > 0 instead of by a 1.0 stand-in
   elsewhere; copying is exact and each division is the same.
-- The bilinear resize gathers columns from the uint8 crop (uint8 to
-  float64 is exact), interpolates each source row along x once, then
+- `color_jitter` holds each strip as channel planes (a transposed
+  contiguous array): the layout changes no value, and the channel views
+  of the HSV kernels become contiguous.
+- The bilinear resize converts the crop's rows to float64 (uint8 to
+  float64 is exact), interpolates each source row it reads along x, then
   blends two such rows along y: every output is still
   `top * (1 - wy) + bot * wy` with `top = a * (1 - wx) + b * wx`.
 - The blur starts each sum at the first tap instead of adding it to 0.0
   (the taps are >= 0, and 0.0 + x == x for those), and reflect-pads both
   axes of the uint8 image up front, because the vertical pass treats the
   padded columns like any other.
+- Crop, jitter and blur work on strips of output rows (see `_strips`) and
+  round each strip into a preallocated uint8 output. An output row reads
+  only the input rows its strip holds, so each element sees the same
+  operations in the same order: a resize strip interpolates the source
+  rows its output rows read, and a blur strip converts its rows plus
+  2 * radius halo rows of the padded image and adds the taps of both
+  passes in kernel order.
+- The contrast mean is still taken over the whole brightness-scaled
+  float64 image, never per strip: `np.mean` sums pairwise in an order set
+  by the array's extent, so a mean of strip means would differ.
 """
 
 from __future__ import annotations
@@ -94,14 +107,43 @@ def check_color_ops_allowed(color_sensitive: bool, force: bool = False):
 
 
 # ---------------------------------------------------------------------------
+# row strips
+
+
+# Byte budget of one row strip. Crop, jitter and blur work on strips of
+# output rows whose float64 temporaries hold at most this many bytes, which
+# keeps them under glibc's default 128 KiB mmap threshold: they are reused
+# from the heap, where full-frame temporaries were mapped, unmapped or
+# trimmed back to the OS after each call and faulted in again on the next.
+_STRIP_BYTES = 96 * 1024
+
+
+def _strips(h: int, w: int) -> list[slice]:
+    """Row slices that cover h rows of width w, as many rows each as fit
+    _STRIP_BYTES as float64 RGB (one row at least)."""
+    rows = max(1, _STRIP_BYTES // (w * 3 * 8))
+    return [slice(r, min(r + rows, h)) for r in range(0, h, rows)]
+
+
+def _store(strip: np.ndarray, out: np.ndarray) -> None:
+    """Round a float64 strip, clip it to [0, 255] and write it into its
+    uint8 rows `out`."""
+    np.rint(strip, out=strip)
+    np.clip(strip, 0, 255, out=strip)
+    np.copyto(out, strip, casting="unsafe")
+
+
+# ---------------------------------------------------------------------------
 # geometry ops
 
 
 def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of an (h, w, 3) array to float64 (out_h, out_w, 3).
+    """Bilinear resize of a uint8 (h, w, 3) array to uint8 (out_h, out_w, 3),
+    rounded and clipped.
 
-    Separable: each source row is first interpolated along x, then the
-    output rows blend two of those rows along y.
+    Separable: each source row that an output row reads is interpolated
+    along x, then the output rows blend two of those rows along y. Both
+    passes run per strip of output rows, on the source rows the strip reads.
     """
     h, w = img.shape[:2]
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
@@ -110,17 +152,34 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x0 = np.floor(xs).astype(np.intp)
     wy = (ys - y0)[:, None]
     wx = np.repeat(xs - x0, 3)  # one weight per (column, channel) of a flattened row
+    wx_left = 1 - wx
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    rows = img.reshape(h, w * 3)
     channels = np.arange(3)
-    horiz = rows[:, (x0[:, None] * 3 + channels).ravel()] * (1 - wx)
-    horiz += rows[:, (x1[:, None] * 3 + channels).ravel()] * wx
-    out = horiz.take(y0, axis=0)
-    out *= 1 - wy
-    bot = horiz.take(y1, axis=0)
-    bot *= wy
-    out += bot
+    cols0 = (x0[:, None] * 3 + channels).ravel()
+    cols1 = (x1[:, None] * 3 + channels).ravel()
+    read = np.zeros(h, dtype=bool)
+    read[y0] = True
+    read[y1] = True
+    src = np.flatnonzero(read)  # the source rows some output row reads
+    at = np.cumsum(read) - 1  # source row -> its index in src
+    rows = img.reshape(h, w * 3)
+    out = np.empty((out_h, out_w * 3), dtype=np.uint8)
+    # strips as wide as the wider of the source rows and the output rows
+    for band in _strips(out_h, max(w, out_w)):
+        first, last = at[y0[band.start]], at[y1[band.stop - 1]] + 1
+        source = rows.take(src[first:last], axis=0).astype(np.float64)
+        horiz = source.take(cols0, axis=1)
+        horiz *= wx_left
+        right = source.take(cols1, axis=1)
+        right *= wx
+        horiz += right
+        strip = horiz.take(at[y0[band]] - first, axis=0)
+        strip *= 1 - wy[band]
+        bot = horiz.take(at[y1[band]] - first, axis=0)
+        bot *= wy[band]
+        strip += bot
+        _store(strip, out[band])
     return out.reshape(out_h, out_w, 3)
 
 
@@ -140,10 +199,7 @@ def random_resized_crop(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Ge
     crop = img[top : top + crop_h, left : left + crop_w]
     if (crop_h, crop_w) == (out_h, out_w):
         return crop.copy()
-    resized = _resize_bilinear(crop, out_h, out_w)
-    np.rint(resized, out=resized)
-    np.clip(resized, 0, 255, out=resized)
-    return resized.astype(np.uint8)
+    return _resize_bilinear(crop, out_h, out_w)
 
 
 def channel_permute(img: np.ndarray, perm) -> np.ndarray:
@@ -169,13 +225,15 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     h, w = img.shape[:2]
     # Both axes are padded up front: the vertical pass treats every column
     # alike, so its output over the padded columns is the horizontal pass's
-    # reflect-padded input.
+    # reflect-padded input. Each strip of output rows reads its own rows
+    # of the padded image plus 2 * radius halo rows.
     padded = img.take(_reflect(h, radius), axis=0).take(_reflect(w, radius), axis=1)
-    out = _convolve_axis(padded.astype(np.float64), kernel, axis=0)
-    out = _convolve_axis(out, kernel, axis=1)
-    np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
-    return out.astype(np.uint8)
+    out = np.empty_like(img)
+    for band in _strips(h, w):
+        strip = padded[band.start : band.stop + 2 * radius].astype(np.float64)
+        strip = _convolve_axis(strip, kernel, axis=0)
+        _store(_convolve_axis(strip, kernel, axis=1), out[band])
+    return out
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -192,13 +250,19 @@ def _reflect(n: int, radius: int) -> np.ndarray:
 
 def _convolve_axis(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
     """Correlate a float64 array, padded by len(kernel) // 2 on both ends of
-    `axis`, with `kernel` along that axis, adding the taps in kernel order."""
-    n = padded.shape[axis] - (len(kernel) - 1)
-    view = np.moveaxis(padded, axis, 0)
-    out = kernel[0] * view[:n]
+    `axis`, with `kernel` along that axis, adding the taps in kernel order.
+
+    Each tap is one slice of the array viewed as (outer, axis * inner)
+    values: whole blocks of `inner` values shifted along `axis`, which numpy
+    runs faster than the same taps along a moved axis."""
+    shape = padded.shape
+    n = shape[axis] - (len(kernel) - 1)
+    inner = math.prod(shape[axis + 1 :])
+    rows = padded.reshape(math.prod(shape[:axis]), shape[axis] * inner)
+    out = kernel[0] * rows[:, : n * inner]
     for i in range(1, len(kernel)):
-        out += kernel[i] * view[i : i + n]
-    return np.moveaxis(out, 0, axis)
+        out += kernel[i] * rows[:, i * inner : (i + n) * inner]
+    return out.reshape(shape[:axis] + (n,) + shape[axis + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +343,34 @@ def color_jitter(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator
     hue_delta = float(rng.uniform(-cfg.hue, cfg.hue))
     if b == 1.0 and c == 1.0 and s == 1.0 and hue_delta == 0.0:
         return img.copy()
-    out = _jitter(img, b, c, s, hue_delta)
-    np.rint(out, out=out)
-    np.clip(out, 0, 255, out=out)
-    return out.astype(np.uint8)
+    mean = _contrast_mean(img, b) if c != 1.0 else 0.0
+    out = np.empty_like(img)
+    for band in _strips(*img.shape[:2]):
+        _store(_jitter(img[band], b, c, mean, s, hue_delta), out[band])
+    return out
 
 
-def _jitter(img: np.ndarray, b: float, c: float, s: float, hue_delta: float) -> np.ndarray:
-    """color_jitter's float64 image before rounding, for factors b, c, s and
-    a hue rotation of hue_delta radians."""
+def _contrast_mean(img: np.ndarray, b: float) -> float:
+    """The gray level the contrast factor scales about: the mean of the
+    whole brightness-scaled float64 image. np.mean sums pairwise in an order
+    set by the array's extent, so this is the one full-frame temporary; it
+    is freed before the strips run."""
     out = img.astype(np.float64)
     if b != 1.0:
         out *= b
+    return out.mean()
+
+
+def _jitter(rows: np.ndarray, b: float, c: float, mean: float, s: float, hue_delta: float) -> np.ndarray:
+    """color_jitter's float64 values of some uint8 rows before rounding, for
+    factors b, c, s, a hue rotation of hue_delta radians and the whole
+    image's contrast mean `mean` (unused when c == 1)."""
+    # stored as channel planes: the channel views that rgb_to_hsv and
+    # hsv_to_rgb work on are then contiguous, which numpy runs faster
+    out = rows.transpose(2, 0, 1).astype(np.float64, order="C").transpose(1, 2, 0)
+    if b != 1.0:
+        out *= b
     if c != 1.0:
-        mean = out.mean()
         out -= mean
         out *= c
         out += mean

@@ -120,8 +120,31 @@ class TaskDefinition:
     color_sensitive: bool = False
 
     def __post_init__(self):
+        """Check the values the simulator relies on and the sections
+        against each other, so that a task whose sections disagree is
+        refused when it is built, not in the middle of a rollout."""
         if self.xy_tol <= 0 or self.z_tol <= 0 or self.lid_closed_threshold <= 0:
             raise InvariantViolation("task tolerances must be positive")
+        ids = self.schema.entity_ids()
+        for name in ("samplers", "geoms"):
+            keys = getattr(self, name)
+            if set(keys) != set(ids):
+                raise InvariantViolation(
+                    f"{name} are keyed by {sorted(keys)}, not by the schema's entities {sorted(ids)}")
+        if not self.schema.agents:
+            raise InvariantViolation("the schema declares no agent")
+        order = self.stack_order
+        if self.kind == "stack3" and (len(order) != 3 or len(set(order)) != 3 or not set(order) <= set(ids)):
+            raise InvariantViolation(f"stack_order {list(order)} must be 3 distinct schema entities")
+        for name, value in (
+            ("sim.max_pos_step", self.sim.max_pos_step),
+            ("sim.max_rot_step", self.sim.max_rot_step),
+            ("sim.aperture_rate", self.sim.aperture_rate),
+            ("expert.step_pos", self.expert.step_pos),
+            ("expert.step_rot", self.expert.step_rot),
+        ):
+            if not value > 0:
+                raise InvariantViolation(f"{name} must be > 0, got {value!r}")
 
     @property
     def agent(self) -> str:
@@ -501,13 +524,14 @@ def rollout_expert(task: TaskDefinition, seed, max_steps: int = 400, tail_steps:
     state = reset(task, seed)
     timesteps = []
     remaining_tail = tail_steps
+    phase = _scan_phase(state, task)
     for t in range(max_steps):
-        phase = _scan_phase(state, task)
         acting_phase = phase if phase is not None else task.causal.num_phases - 1
         action = expert_action(state, task, acting_phase)
         timesteps.append(observe(state, task, t, action))
         state = step(state, action, task)
-        if _scan_phase(state, task) is None and check_success(state, task):
+        phase = _scan_phase(state, task)  # the next step's phase too
+        if phase is None and check_success(state, task):
             if remaining_tail == 0:
                 break
             remaining_tail -= 1

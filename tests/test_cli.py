@@ -273,10 +273,10 @@ def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, messag
     assert not list((tmp_path / "run").glob("stage_*"))  # refused before any stage ran
 
 
-def _stack_task_with(edit):
-    """The stack task file's JSON text after `edit` changed its dict;
+def _task_with(name, edit):
+    """The bundled task file's JSON text after `edit` changed its dict;
     json.dumps writes NaN and Infinity as bare constants."""
-    task = task_to_dict(resolve_task("stack"))
+    task = task_to_dict(resolve_task(name))
     edit(task)
     return json.dumps(task)
 
@@ -296,24 +296,34 @@ def _set(*keys_then_value):
     "content, message",
     [
         ("{}", "malformed task definition (KeyError: 'schema')"),
-        (_stack_task_with(lambda task: task.pop("geoms")), "malformed task definition (KeyError: 'geoms')"),
+        (_task_with("stack", lambda task: task.pop("geoms")), "malformed task definition (KeyError: 'geoms')"),
         ('{"schema": ', "failed reading task file"),
         ("[]", "malformed task definition"),
-        (_stack_task_with(_set("color_sensitive", "false")), "color_sensitive must be true or false"),
-        (_stack_task_with(_set("causal_spec", "phases", 0, "grasp_closes", "no")),
+        (_task_with("stack", _set("color_sensitive", "false")), "color_sensitive must be true or false"),
+        (_task_with("stack", _set("causal_spec", "phases", 0, "grasp_closes", "no")),
          "causal_spec.phases[0].grasp_closes must be true or false"),
-        (_stack_task_with(_set("xy_tol", float("nan"))), "non-finite number NaN"),
-        (_stack_task_with(_set("geoms", "cube_a", "height", float("inf"))), "non-finite number Infinity"),
-        (_stack_task_with(_set("z_tol", "0.005")), "z_tol must be a finite number"),
-        (_stack_task_with(_set("sim", "max_pos_step", "x")), "sim.max_pos_step must be a finite number"),
-        (_stack_task_with(_set("samplers", "cube_a", "x_range", ["a", "b"])),
+        (_task_with("stack", _set("xy_tol", float("nan"))), "non-finite number NaN"),
+        (_task_with("stack", _set("geoms", "cube_a", "height", float("inf"))), "non-finite number Infinity"),
+        (_task_with("stack", _set("z_tol", "0.005")), "z_tol must be a finite number"),
+        (_task_with("stack", _set("sim", "max_pos_step", "x")), "sim.max_pos_step must be a finite number"),
+        (_task_with("stack", _set("samplers", "cube_a", "x_range", ["a", "b"])),
          "samplers.cube_a.x_range must be a list of 2 finite numbers"),
-        (_stack_task_with(_set("colour_sensitive", True)), "unknown key 'colour_sensitive'"),
-        (_stack_task_with(_set("geoms", "cube_a", "graspable", "no")), "geoms.cube_a.graspable must be true or false"),
+        (_task_with("stack", _set("colour_sensitive", True)), "unknown key 'colour_sensitive'"),
+        (_task_with("stack", _set("geoms", "cube_a", "graspable", "no")), "geoms.cube_a.graspable must be true or false"),
+        (_task_with("stack", _set("home_pose", "frame", "world")), "home_pose: unknown key 'frame' in a pose"),
+        # sections that disagree with each other
+        (_task_with("stack", _set("stack_order", ["cube_b", "cube_a"])), "must be 3 distinct schema entities"),
+        (_task_with("stack", _set("sim", "max_rot_step", -1)), "sim.max_rot_step must be > 0, got -1"),
+        (_task_with("stack", _set("schema", "agents", [])), "the schema declares no agent"),
+        (_task_with("coffee", lambda task: task["samplers"].pop("pod")),
+         "samplers are keyed by ['machine'], not by the schema's entities ['machine', 'pod']"),
+        (_task_with("stack", lambda task: task["schema"]["entities"].pop(0)),
+         "samplers are keyed by ['cube_a', 'cube_b', 'cube_c'], not by the schema's entities ['cube_b', 'cube_c']"),
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
-         "string_graspable"],
+         "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents", "no_pod_sampler",
+         "deleted_schema_entity"],
 )
 def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

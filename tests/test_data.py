@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import pickle
 from dataclasses import FrozenInstanceError, replace
 
@@ -349,6 +350,34 @@ def test_malformed_manifest_raises_invariant_violation(tmp_path, edit):
     with pytest.raises(InvariantViolation):
         load_dataset(tmp_path / "m")
     assert main(["validate", "--task", "stack", "--in", str(tmp_path / "m")]) == 2
+
+
+def _entity_key_instead_of_extra(obj):
+    """An entity without its optional `extra` but with an unknown key in its
+    place: as many keys as a valid entity with `extra`."""
+    entity = obj["entities"][0]
+    del entity["extra"]
+    entity["frame"] = "world"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_field("tt", 0), "unknown key 'tt' in a timestep"),
+        (_set_field("entities", 0, "extra_fields", {}), "unknown key 'extra_fields' in an entity"),
+        (_edit_line(_entity_key_instead_of_extra), "unknown key 'frame' in an entity"),
+        (_set_field("robots", 0, "gripper_aperture_typo", 0.5), "unknown key 'gripper_aperture_typo' in a robot"),
+        (_set_field("actions", 0, "gripper", 1.0), "unknown key 'gripper' in an action"),
+        (_set_field("entities", 0, "pose", "frame", "world"), "unknown key 'frame' in a pose"),
+        (_set_field("actions", 0, "target_eef_pose", "frame", "world"), "unknown key 'frame' in a pose"),
+    ],
+    ids=["line", "entity", "entity_without_extra", "robot", "action", "entity_pose", "action_pose"],
+)
+def test_unknown_key_in_a_timestep_line_is_refused(tmp_path, edit, message):
+    save_dataset(random_dataset(6, n_traj=2, n_steps=3), tmp_path / "m")
+    edit(tmp_path / "m")
+    with pytest.raises(InvariantViolation, match=re.escape(message)):
+        load_dataset(tmp_path / "m")
 
 
 def test_save_rejects_non_finite_extra(tmp_path):

@@ -1,16 +1,20 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demoaug import imageaug
 from demoaug.data import Action, EntityState, Provenance, RobotState, Timestep, Trajectory
 from demoaug.errors import ColorJitterRefused, ConfigError, InvalidPermutation
 from demoaug.geometry import Pose, quat_from_rotvec, quat_multiply, quat_normalize
 from demoaug.imageaug import (
     VisualAugConfig,
+    _contrast_mean,
     _convolve_axis,
     _jitter,
     _reflect,
@@ -461,10 +465,10 @@ def test_edge_colors_cover_every_hue_sector():
 
 
 @st.composite
-def images(draw, max_h=40, max_w=50):
+def images(draw, max_h=40, max_w=50, min_h=1, min_w=1):
     """uint8 (h, w, 3) images of odd sizes: random bytes, edge colors, or gray."""
-    h = draw(st.integers(1, max_h))
-    w = draw(st.integers(1, max_w))
+    h = draw(st.integers(min_h, max_h))
+    w = draw(st.integers(min_w, max_w))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["bytes", "edge_colors", "gray"]))
     if kind == "bytes":
@@ -477,6 +481,26 @@ def images(draw, max_h=40, max_w=50):
 def assert_same(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+def rounded(values):
+    return np.clip(np.rint(values), 0, 255).astype(np.uint8)
+
+
+def float_strips(op, *args):
+    """op(*args) and the float64 strips it rounds into its uint8 output,
+    joined in row order: the values before rounding, where a changed
+    operation order shows."""
+    strips = []
+    store = imageaug._store
+
+    def keep(strip, out):
+        strips.append(strip.copy())
+        store(strip, out)
+
+    with mock.patch.object(imageaug, "_store", keep):
+        result = op(*args)
+    return result, np.concatenate(strips).reshape(result.shape)
 
 
 @settings(max_examples=200, deadline=None)
@@ -503,7 +527,10 @@ def test_hsv_kernels_match_reference_on_non_finite_values():
 @settings(max_examples=200, deadline=None)
 @given(images(), st.integers(1, 60), st.integers(1, 60))
 def test_resize_matches_reference(img, out_h, out_w):
-    assert_same(_resize_bilinear(img, out_h, out_w), ref_resize_bilinear(img.astype(np.float64), out_h, out_w))
+    got, values = float_strips(_resize_bilinear, img, out_h, out_w)
+    want = ref_resize_bilinear(img.astype(np.float64), out_h, out_w)
+    assert_same(values, want)
+    assert_same(got, rounded(want))
 
 
 @settings(max_examples=200, deadline=None)
@@ -545,7 +572,8 @@ factors = st.sampled_from([1.0, 0.8]) | st.floats(0.0, 2.5)
 @given(images(), factors, factors, factors, st.sampled_from([0.0, 0.3]) | st.floats(-50.0, 50.0))
 def test_jitter_float_image_matches_reference(img, b, c, s, hue_delta):
     # compared before rounding, where a changed operation order shows
-    assert_same(_jitter(img, b, c, s, hue_delta), ref_jitter(img, b, c, s, hue_delta))
+    want = ref_jitter(img, b, c, s, hue_delta)
+    assert_same(_jitter(img, b, c, _contrast_mean(img, b), s, hue_delta), want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -562,3 +590,96 @@ def test_convolve_axis_matches_reference(img, sigma, axis):
 def test_blur_matches_reference(img, sigma):
     # sigmas up to 20 give radii up to 60, beyond the size of every image drawn
     assert_same(gaussian_blur(img, sigma), ref_gaussian_blur(img, sigma))
+
+
+# ---------------------------------------------------------------------------
+# the kernels run on strips of output rows (imageaug._strips): images that
+# span several strips give the same bytes as the references
+
+
+def _ref_blur_values(img, sigma):
+    kernel = gaussian_kernel(sigma)
+    return ref_convolve_axis(ref_convolve_axis(img.astype(np.float64), kernel, 0), kernel, 1)
+
+
+# wide images, where a strip holds one or two rows, and 100-200 px wide ones
+# whose height is rarely a multiple of the strip height
+strip_images = images(min_h=3, max_h=8, min_w=1400, max_w=4200) | images(min_h=41, max_h=100, min_w=100, max_w=200)
+
+
+def test_strip_images_span_several_strips():
+    assert len(imageaug._strips(3, 1400)) == 2 and len(imageaug._strips(41, 100)) == 2
+    assert [s.stop - s.start for s in imageaug._strips(100, 128)] == [32, 32, 32, 4]
+
+
+@settings(max_examples=40, deadline=None)
+@given(strip_images, st.sampled_from([1.0, 2.5]) | st.floats(0.05, 4.0))
+def test_blur_strips_match_reference(img, sigma):
+    # at 1400 px and more a strip holds at most 2 rows, fewer than the
+    # radius ceil(3 sigma) once sigma > 2/3
+    got, values = float_strips(gaussian_blur, img, sigma)
+    want = _ref_blur_values(img, sigma)
+    assert_same(values, want)
+    assert_same(got, rounded(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strip_images, st.integers(1, 9), st.integers(1400, 2100))
+def test_resize_strips_match_reference(img, out_h, out_w):
+    got, values = float_strips(_resize_bilinear, img, out_h, out_w)
+    want = ref_resize_bilinear(img.astype(np.float64), out_h, out_w)
+    assert_same(values, want)
+    assert_same(got, rounded(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    images() | strip_images,
+    st.floats(0.05, 1.0),
+    st.tuples(st.integers(33, 100), st.integers(100, 200)) | st.tuples(st.integers(2, 9), st.integers(1400, 2100)),
+    st.integers(0, 2**32 - 1),
+)
+def test_crop_strips_match_reference(img, lo, output_hw, seed):
+    # the output heights are rarely a multiple of the strip height, so the
+    # last strip is mostly partial
+    cfg = VisualAugConfig(crop_scale=(lo, 1.0), output_hw=output_hw)
+    got = random_resized_crop(img, cfg, np.random.default_rng(seed))
+    assert_same(got, ref_random_resized_crop(img, cfg, np.random.default_rng(seed)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(strip_images, factors, factors, factors, st.sampled_from([0.0, 0.3]) | st.floats(-50.0, 50.0))
+def test_jitter_strips_match_reference(img, b, c, s, hue_delta):
+    if (b, c, s, hue_delta) == (1.0, 1.0, 1.0, 0.0):
+        return  # the identity copies the image (test_jitter_matches_reference)
+    want = ref_jitter(img, b, c, s, hue_delta)
+    got, values = float_strips(color_jitter, img, VisualAugConfig(), _ForcedRng(b, c, s, hue_delta))
+    assert_same(values, want)
+    assert_same(got, rounded(want))
+
+
+def _traced_peak(op) -> int:
+    tracemalloc.start()
+    try:
+        op()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_strip_kernels_bound_their_memory():
+    """No crop or blur allocates as much as one full-frame float64 array;
+    jitter only its contrast mean's one full-frame array, then strips."""
+    img = np.random.default_rng(5).integers(0, 256, (256, 256, 3), dtype=np.uint8)
+    frame = img.size * 8
+    strips = 8 * imageaug._STRIP_BYTES  # a strip's RGB, HSV and per-channel temporaries
+    assert _traced_peak(lambda: gaussian_blur(img, 1.5)) < frame
+    assert _traced_peak(lambda: gaussian_blur(img, 5.0)) < frame
+    crop = VisualAugConfig(crop_scale=(0.5, 0.5))
+    assert _traced_peak(lambda: random_resized_crop(img, crop, derive_stream(0, "crop"))) < frame
+    for output_hw in ((40, 256), (256, 40)):
+        shrink = VisualAugConfig(crop_scale=(0.5, 0.5), output_hw=output_hw)
+        assert _traced_peak(lambda: random_resized_crop(img, shrink, derive_stream(0, "crop"))) < frame
+    jitter = VisualAugConfig()
+    assert _traced_peak(lambda: color_jitter(img, jitter, _ForcedRng(1.1, 1.2, 0.9, 0.3))) <= frame + strips
+    assert _traced_peak(lambda: color_jitter(img, jitter, _ForcedRng(1.1, 1.0, 0.9, 0.3))) <= strips

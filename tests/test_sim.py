@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from demoaug.data import Action
+from demoaug.data import Action, timestep_to_json
 from demoaug.errors import PlacementFailure, UnknownTask
 from demoaug.geometry import Pose, SE3Transform, quat_from_yaw, quat_geodesic
 from demoaug.segmentation import SegmentationConfig, assign_phases
 from demoaug.sim import (
     PoseSampler,
     SimState,
+    _scan_phase,
     check_success,
     expert_action,
+    observe,
     replay,
     reset,
     rollout_expert,
@@ -306,3 +308,29 @@ def test_ambiguous_attachment_inference(stack_task):
     ts = Timestep(0, tuple(entities), (grip,), (Action("robot0", grip.eef_pose, 0.0),))
     with pytest.raises(InitialStateMissing):
         sim_state_from_timestep(ts, stack_task)
+
+
+def reference_rollout_steps(task, seed, max_steps=400, tail_steps=3):
+    """rollout_expert's timesteps as the loop made them when it scanned each
+    state's phase twice: once after the step, again before the next one."""
+    state = reset(task, seed)
+    timesteps = []
+    for t in range(max_steps):
+        phase = _scan_phase(state, task)
+        acting_phase = phase if phase is not None else task.causal.num_phases - 1
+        action = expert_action(state, task, acting_phase)
+        timesteps.append(observe(state, task, t, action))
+        state = step(state, action, task)
+        if _scan_phase(state, task) is None and check_success(state, task):
+            if tail_steps == 0:
+                break
+            tail_steps -= 1
+    return timesteps
+
+
+@pytest.mark.parametrize("name", ["stack", "coffee"])
+def test_rollout_matches_twice_scanned_reference(name, stack_task, coffee_task):
+    task = {"stack": stack_task, "coffee": coffee_task}[name]
+    for seed in range(3):
+        got = [timestep_to_json(ts, task.schema) for ts in rollout_expert(task, seed).timesteps]
+        assert got == [timestep_to_json(ts, task.schema) for ts in reference_rollout_steps(task, seed)]
