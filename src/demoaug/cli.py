@@ -168,7 +168,9 @@ def _cmd_validate(args) -> int:
     except DemoaugError as exc:
         _emit({"ok": False, "failures": [f"load: {exc}"]}, args.report)
         return EXIT_VALIDATION
-    _, result = run_stage(StageConfig("validate", {"no_replay": args.no_replay}), ds, task, task.causal, args.seed)
+    checked = {id(tr.timesteps): tr.timesteps for tr in ds.trajectories}  # load_dataset checked them all
+    stage = StageConfig("validate", {"no_replay": args.no_replay})
+    _, result = run_stage(stage, ds, task, task.causal, args.seed, checked)
     _emit(result, args.report)
     return EXIT_OK if result["ok"] else EXIT_VALIDATION
 

@@ -299,15 +299,12 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema):
             prev_phase = ts.phase
 
 
-def validate_dataset(ds: Dataset):
-    """Check the schema version, unique traj_ids and every trajectory in full."""
-    _validate_dataset(ds, {})
-
-
-def _validate_dataset(ds: Dataset, reused: dict):
-    """validate_dataset, reusing the timestep checks of every trajectory
-    whose timesteps tuple is a key of `reused` (by id): the caller vouches
-    that those timesteps already passed them against ds.task_schema."""
+def validate_dataset(ds: Dataset, checked=()):
+    """Check the schema version, unique traj_ids and every trajectory's ids
+    and timesteps. `checked` holds the id of each timesteps tuple whose
+    timestep checks against ds.task_schema already ran (a save's or a
+    load's); those are not run again. The caller vouches for them and keeps
+    the tuples alive, so that no id in `checked` is reused."""
     if ds.schema_version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise SchemaVersionMismatch(
             f"schema_version {ds.schema_version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
@@ -318,7 +315,7 @@ def _validate_dataset(ds: Dataset, reused: dict):
             raise InvariantViolation(f"duplicate traj_id {tr.traj_id!r}")
         seen.add(tr.traj_id)
         _check_trajectory_ids(tr, ds.task_schema)
-        if id(tr.timesteps) not in reused:
+        if id(tr.timesteps) not in checked:
             _check_timesteps(tr, ds.task_schema)
 
 
@@ -459,14 +456,16 @@ def record_from_json(cls, where: str, obj, **readers):
     Every other field is a value of the kind its annotation names in
     _FIELD_KINDS, checked by a Param with the field's default. A missing key
     takes the field's default; a missing key of a field without one, or a
-    key that names no field, raises InvariantViolation.
+    key that names no field, raises InvariantViolation. Fields that are not
+    __init__ parameters are worked out by the class and are not read.
     """
     table = {}  # JSON key -> (field name, reader)
     for name, read in readers.items():
         key, read = read if isinstance(read, tuple) else (name, read)
         table[key] = (name, read)
-    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    for f in fields(cls):
+    given = [f for f in fields(cls) if f.init]
+    required = {f.name for f in given if f.default is MISSING and f.default_factory is MISSING}
+    for f in given:
         if f.name not in readers:
             table[f.name] = (f.name, Param(_FIELD_KINDS[f.type], f.default).parse)
     check_keys(where, obj, [key for key, (name, _) in table.items() if name in required], table)
@@ -477,9 +476,11 @@ def record_to_json(value, **writers) -> dict:
     """The JSON object of dataclass instance `value`, as record_from_json
     reads it: a field named in `writers` is written by its writer (under
     another key for a pair (key, writer)), every other one as it is, with
-    tuples as lists."""
+    tuples as lists. Fields that are not __init__ parameters are left out."""
     out = {}
     for f in fields(value):
+        if not f.init:
+            continue
         write = writers.get(f.name, _plain)
         key, write = write if isinstance(write, tuple) else (f.name, write)
         out[key] = write(getattr(value, f.name))
@@ -719,7 +720,8 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
     dataset-level checks (schema version, duplicate ids) run on every save.
     Both reuses hold only when `previous` was saved under a TaskSchema equal
     to ds.task_schema; otherwise every trajectory is validated and encoded
-    afresh. The `validate` stage and load_dataset always validate in full.
+    afresh. load_dataset validates in full; the `validate` stage reuses the
+    timestep checks of the save or load that produced its dataset.
 
     The save is atomic: the files are written into a new hidden sibling
     directory, manifest last, which then replaces `path` by rename, so no
@@ -727,7 +729,7 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
     that dataset as it was. `path` must be absent or hold only dataset files.
     """
     reused = previous.files if previous is not None and previous.schema == ds.task_schema else {}
-    _validate_dataset(ds, reused)
+    validate_dataset(ds, reused)
     root = Path(path).resolve()
     staging = root.with_name(f".{root.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     old = staging.with_suffix(".old")
@@ -745,10 +747,9 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
             if earlier is not None:
                 shutil.copyfile(earlier[1], staging / dest.name)
             else:
+                lines = [timestep_to_json(ts, ds.task_schema) for ts in tr.timesteps]
                 with open(staging / dest.name, "w", encoding="utf-8", newline="\n") as fh:
-                    for ts in tr.timesteps:
-                        fh.write(timestep_to_json(ts, ds.task_schema))
-                        fh.write("\n")
+                    fh.write("\n".join(lines) + "\n")
             saved.files[id(tr.timesteps)] = (tr.timesteps, dest)
         manifest = {
             "schema_version": ds.schema_version,

@@ -16,6 +16,17 @@ alive per vector. A `Pose` has slots and no `__dict__`; its third slot,
 `_json`, starts empty and is filled once by `data._pose_to_json` with the
 pose's JSON fragment, which the immutable position and orientation fix.
 
+The internal constructors `Pose._of` and `SE3Transform._of` build the
+same objects for this module's kernels and the simulator. Each argument
+is either the frozen array of an existing Pose or SE3Transform, which was
+checked when it was built and is shared as is, or a list of Python floats,
+which gets the public constructor's checks in pure Python: the right
+count, finite values, a quaternion norm within UNIT_TOL of 1, and the sign
+flip to w >= 0. Any other argument, and a list that fails a check, goes
+to the public constructor, which raises its usual error. So every stored
+value is checked once, and no message changes; what `_of` saves is the
+numpy round trip of the public constructor.
+
 Bit-identity rules. The per-pose kernel works on Python floats taken with
 `ndarray.tolist()`, which avoids numpy's per-call overhead on 3- and
 4-vectors, but only where the scalar form gives the same bits as the numpy
@@ -193,6 +204,42 @@ def _frozen_quat(x, what: str) -> np.ndarray:
     return q
 
 
+def _shared(x) -> bool:
+    """Whether x is a read-only array, which _of takes to be the frozen
+    array of a checked pose or transform."""
+    return type(x) is np.ndarray and not x.flags.writeable
+
+
+def _float_vec(x):
+    """A frozen float64 array of x, a list of 3 finite floats, or x itself
+    if _shared; None otherwise."""
+    if type(x) is not list:
+        return x if _shared(x) else None
+    # a sum is finite only if every term is; an overflowing sum of finite
+    # values goes to the constructor, which accepts it
+    if len(x) != 3 or not math.isfinite(x[0] + x[1] + x[2]):
+        return None
+    arr = np.array(x, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _float_quat(x):
+    """As _float_vec for a quaternion, whose norm must also be within
+    UNIT_TOL of 1; stored with w >= 0, as _frozen_quat stores it."""
+    if type(x) is not list:
+        return x if _shared(x) else None
+    if len(x) != 4:
+        return None
+    w, qx, qy, qz = x
+    # a NaN or an infinity makes the norm NaN or infinite, which fails this
+    if not abs(math.sqrt(w * w + qx * qx + qy * qy + qz * qz) - 1.0) <= UNIT_TOL:
+        return None
+    arr = np.array([-w, -qx, -qy, -qz] if w < 0.0 else x, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Pose:
     """Position (meters) plus unit quaternion orientation (w, x, y, z)."""
@@ -204,6 +251,18 @@ class Pose:
     def __init__(self, position, orientation):
         object.__setattr__(self, "position", _frozen_vec(position, 3, "position"))
         object.__setattr__(self, "orientation", _frozen_quat(orientation, "quaternion"))
+
+    @classmethod
+    def _of(cls, position, orientation) -> "Pose":
+        """The Pose of checked frozen arrays or float lists (see the module's
+        construction contract)."""
+        pos, ori = _float_vec(position), _float_quat(orientation)
+        if pos is None or ori is None:
+            return cls(position, orientation)  # raises the constructor's error
+        pose = object.__new__(cls)
+        _set_position(pose, pos)
+        _set_orientation(pose, ori)
+        return pose
 
     def __reduce__(self):
         # the default slot-state restore would assign to frozen fields
@@ -230,6 +289,10 @@ class Pose:
         return f"Pose(p=[{p[0]:.4g}, {p[1]:.4g}, {p[2]:.4g}], q=[{q[0]:.4g}, {q[1]:.4g}, {q[2]:.4g}, {q[3]:.4g}])"
 
 
+_set_position = Pose.position.__set__
+_set_orientation = Pose.orientation.__set__
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class SE3Transform:
     """Rigid transform: x -> R x + t, with R a unit quaternion rotation."""
@@ -242,28 +305,40 @@ class SE3Transform:
         object.__setattr__(self, "translation", _frozen_vec(translation, 3, "translation"))
 
     @classmethod
+    def _of(cls, rotation, translation) -> "SE3Transform":
+        """The SE3Transform of checked frozen arrays or float lists (see the
+        module's construction contract)."""
+        rot, trans = _float_quat(rotation), _float_vec(translation)
+        if rot is None or trans is None:
+            return cls(rotation, translation)  # raises the constructor's error
+        tf = object.__new__(cls)
+        object.__setattr__(tf, "rotation", rot)
+        object.__setattr__(tf, "translation", trans)
+        return tf
+
+    @classmethod
     def identity(cls) -> "SE3Transform":
         return cls(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
 
     def compose(self, other: "SE3Transform") -> "SE3Transform":
         """self after other: (self . other)(x) == self(other(x))."""
         r = self.rotation.tolist()
-        rot = quat_normalize(np.array(_qmul(r, other.rotation.tolist())))
-        return SE3Transform(rot, _rigid(r, self.translation.tolist(), other.translation.tolist()))
+        rot = quat_normalize(np.array(_qmul(r, other.rotation.tolist()))).tolist()
+        return SE3Transform._of(rot, _rigid(r, self.translation.tolist(), other.translation.tolist()))
 
     def inverse(self) -> "SE3Transform":
-        rot = quat_normalize(np.array(_qconj(self.rotation.tolist())))
-        rx, ry, rz = _rotate(rot.tolist(), self.translation.tolist())
-        return SE3Transform(rot, [-rx, -ry, -rz])
+        rot = quat_normalize(np.array(_qconj(self.rotation.tolist()))).tolist()
+        rx, ry, rz = _rotate(rot, self.translation.tolist())
+        return SE3Transform._of(rot, [-rx, -ry, -rz])
 
     def apply_point(self, v) -> np.ndarray:
         return np.array(_rigid(self.rotation.tolist(), self.translation.tolist(), _floats(v)))
 
     def apply_pose(self, pose: Pose) -> Pose:
         r = self.rotation.tolist()
-        return Pose(
+        return Pose._of(
             _rigid(r, self.translation.tolist(), pose.position.tolist()),
-            quat_normalize(np.array(_qmul(r, pose.orientation.tolist()))),
+            quat_normalize(np.array(_qmul(r, pose.orientation.tolist()))).tolist(),
         )
 
     def __eq__(self, other):
@@ -276,10 +351,10 @@ class SE3Transform:
 
 def relative_transform(src: Pose, dst: Pose) -> SE3Transform:
     """World-frame transform T with T(src) == dst, i.e. T = dst . src^-1."""
-    rot = quat_normalize(np.array(_qmul(dst.orientation.tolist(), _qconj(src.orientation.tolist()))))
-    rx, ry, rz = _rotate(rot.tolist(), src.position.tolist())
+    rot = quat_normalize(np.array(_qmul(dst.orientation.tolist(), _qconj(src.orientation.tolist())))).tolist()
+    rx, ry, rz = _rotate(rot, src.position.tolist())
     dx, dy, dz = dst.position.tolist()
-    return SE3Transform(rot, [dx - rx, dy - ry, dz - rz])
+    return SE3Transform._of(rot, [dx - rx, dy - ry, dz - rz])
 
 
 def relative_in_frame(frame: Pose, pose: Pose) -> SE3Transform:
@@ -288,25 +363,28 @@ def relative_in_frame(frame: Pose, pose: Pose) -> SE3Transform:
     Invariant under any rigid transform applied to both arguments, which is
     what "relative pose is preserved" means for retargeted trajectories.
     """
-    frame_tf = SE3Transform(frame.orientation, frame.position)
-    pose_tf = SE3Transform(pose.orientation, pose.position)
+    frame_tf = SE3Transform._of(frame.orientation, frame.position)
+    pose_tf = SE3Transform._of(pose.orientation, pose.position)
     return frame_tf.inverse().compose(pose_tf)
 
 
 def step_toward(current: Pose, target: Pose, max_pos_step: float, max_rot_step: float) -> Pose:
     """Move from current toward target, clamped to per-step bounds.
 
-    Reaches the target exactly once both residuals fit inside the bounds.
+    Reaches the target exactly once both residuals fit inside the bounds,
+    and then returns `target` itself.
     """
     delta = target.position - current.position
     dist = vec_norm(delta)
     if dist <= max_pos_step:
         pos = target.position
     else:
-        pos = current.position + delta * (max_pos_step / dist)
+        pos = (current.position + delta * (max_pos_step / dist)).tolist()
     angle = quat_geodesic(current.orientation, target.orientation)
     if angle <= max_rot_step:
+        if pos is target.position:
+            return target
         ori = target.orientation
     else:
-        ori = quat_slerp(current.orientation, target.orientation, max_rot_step / angle)
-    return Pose(pos, ori)
+        ori = quat_slerp(current.orientation, target.orientation, max_rot_step / angle).tolist()
+    return Pose._of(pos, ori)

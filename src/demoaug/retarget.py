@@ -96,7 +96,7 @@ def interpolate_prefix(
             u = i / n
             pos = from_pose.position + u * (to_pose.position - from_pose.position)
             ori = quat_slerp(from_pose.orientation, to_pose.orientation, u)
-            pose = Pose(pos, ori)
+            pose = Pose._of(pos.tolist(), ori.tolist())
         actions.append(Action(agent_id, pose, gripper))
     return actions
 

@@ -101,8 +101,16 @@ class ExpertParams:
     step_rot: float = 0.1
 
 
+# the number of phases each task kind's expert and success predicates know
+KIND_PHASES = {"stack3": 4, "pod_lid": 2}
+
+
 @dataclass(frozen=True)
 class TaskDefinition:
+    """A task and its simulator settings. `pod_machine` is not given: it is
+    the (pod, receptacle) entity ids of a pod_lid task, resolved from the
+    schema when the task is built, and None for any other kind."""
+
     task_id: str
     kind: str  # "stack3" | "pod_lid"
     schema: TaskSchema
@@ -118,6 +126,7 @@ class TaskDefinition:
     lid_initial_angle: float = math.pi / 2
     stack_order: tuple[str, ...] = ()
     color_sensitive: bool = False
+    pod_machine: tuple[str, str] | None = field(init=False)
 
     def __post_init__(self):
         """Check the values the simulator relies on and the sections
@@ -145,6 +154,30 @@ class TaskDefinition:
         ):
             if not value > 0:
                 raise InvariantViolation(f"{name} must be > 0, got {value!r}")
+        phases = KIND_PHASES.get(self.kind)
+        if phases is not None and self.causal.num_phases != phases:
+            raise InvariantViolation(
+                f"a {self.kind} task has {phases} phases, but its causal spec declares {self.causal.num_phases}")
+        object.__setattr__(self, "pod_machine", self._pod_lid_layout() if self.kind == "pod_lid" else None)
+
+    def _pod_lid_layout(self) -> tuple[str, str]:
+        """The ids of the one pod and the one receptacle, after checking
+        what the pod_lid expert needs of them."""
+        pods = [e for e in self.schema.entities if e.kind == "pod"]
+        machines = [e for e in self.schema.entities if e.kind == "receptacle"]
+        if len(pods) != 1 or len(machines) != 1:
+            raise InvariantViolation(
+                f"a pod_lid task needs exactly one pod and one receptacle entity, got "
+                f"pods {[e.entity_id for e in pods]} and receptacles {[e.entity_id for e in machines]}")
+        pod, machine = pods[0].entity_id, machines[0]
+        geom = self.geoms[pod]
+        if not (isinstance(geom, ObjectGeom) and geom.graspable):
+            raise InvariantViolation(f"pod {pod!r} needs a graspable object geom")
+        if not isinstance(self.geoms[machine.entity_id], ReceptacleGeom):
+            raise InvariantViolation(f"receptacle {machine.entity_id!r} needs a receptacle geom")
+        if "lid_angle" not in machine.extra_fields:
+            raise InvariantViolation(f"receptacle {machine.entity_id!r} needs a lid_angle extra field")
+        return pod, machine.entity_id
 
     @property
     def agent(self) -> str:
@@ -168,7 +201,7 @@ class SimState:
 
 
 def _gripper_tf(pose: Pose) -> SE3Transform:
-    return SE3Transform(pose.orientation, pose.position)
+    return SE3Transform._of(pose.orientation, pose.position)
 
 
 def _height(task: TaskDefinition, entity_id: str) -> float:
@@ -242,7 +275,8 @@ def _drop_pose(task: TaskDefinition, objects: dict[str, Pose], obj_id: str, pose
             rest = other.position[2] + geom.height / 2.0 + h / 2.0
         if rest <= pose.position[2] + z_eps and rest > best_rest:
             best_rest = rest
-    return Pose(np.array([xy[0], xy[1], best_rest]), pose.orientation)
+    x, y = xy.tolist()
+    return Pose._of([x, y, float(best_rest)], pose.orientation)
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -257,13 +291,11 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     sim = task.sim
     old_eef = state.gripper.eef_pose
     moved = step_toward(old_eef, action.target_eef_pose, sim.max_pos_step, sim.max_rot_step)
-    pos = [
-        _clip(x, lo, hi)
-        for x, lo, hi in zip(
-            moved.position.tolist(), task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()
-        )
-    ]
-    new_eef = Pose(pos, moved.orientation)
+    box = tuple(zip(moved.position.tolist(), task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()))
+    if all(lo < x < hi for x, lo, hi in box):
+        new_eef = moved  # strictly inside: _clip would return every value as it is
+    else:
+        new_eef = Pose._of([_clip(x, lo, hi) for x, lo, hi in box], moved.orientation)
 
     ap = state.gripper.gripper_aperture
     delta = _clip(action.gripper_command - ap, -sim.aperture_rate, sim.aperture_rate)
@@ -276,7 +308,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     if attachment is not None:
         obj_id, offset = attachment
         carried = _gripper_tf(new_eef).compose(offset)
-        carried_pose = Pose(carried.translation, carried.rotation)
+        carried_pose = Pose._of(carried.translation, carried.rotation)
         if new_ap >= sim.close_threshold:
             attachment = None
             carried_pose = _drop_pose(task, objects, obj_id, carried_pose)
@@ -337,12 +369,6 @@ def _pod_in_well(state: SimState, task: TaskDefinition, pod: str, machine: str) 
     return abs(pose.position[2] - rest) <= task.z_tol
 
 
-def _pod_machine_ids(task: TaskDefinition) -> tuple[str, str]:
-    pod = next(e.entity_id for e in task.schema.entities if e.kind == "pod")
-    machine = next(e.entity_id for e in task.schema.entities if e.kind == "receptacle")
-    return pod, machine
-
-
 def check_success(state: SimState, task: TaskDefinition, phase: int | None = None) -> bool:
     """Task-level success, or the phase-completion predicate when given."""
     if task.kind == "stack3":
@@ -363,7 +389,7 @@ def check_success(state: SimState, task: TaskDefinition, phase: int | None = Non
             )
         raise UnknownTask(f"stack3 has no phase {phase}")
     if task.kind == "pod_lid":
-        pod, machine = _pod_machine_ids(task)
+        pod, machine = task.pod_machine
         lid_ok = state.lids[machine] <= task.lid_closed_threshold
         if phase is None:
             return _pod_in_well(state, task, pod, machine) and lid_ok
@@ -388,7 +414,7 @@ def _check_reachable(task: TaskDefinition, point: np.ndarray, what: str):
 
 def _bounded_action(state: SimState, task: TaskDefinition, waypoint: np.ndarray, grip: float) -> Action:
     eef = state.gripper.eef_pose
-    goal = Pose(waypoint, eef.orientation)
+    goal = Pose._of(waypoint.tolist(), eef.orientation)
     stepped = step_toward(eef, goal, task.expert.step_pos, task.expert.step_rot)
     return Action(task.agent, stepped, grip)
 
@@ -461,7 +487,7 @@ def expert_action(state: SimState, task: TaskDefinition, phase: int) -> Action:
             return _retreat_policy(state, task)
         raise UnknownTask(f"stack3 has no phase {phase}")
     if task.kind == "pod_lid":
-        pod, machine = _pod_machine_ids(task)
+        pod, machine = task.pod_machine
         if phase == 0:
             return _grasp_policy(state, task, pod)
         if phase == 1:

@@ -292,6 +292,13 @@ def _set(*keys_then_value):
     return edit
 
 
+def _drop_last_phase(task):
+    """Drop the causal spec's last phase, with a segment_merge_map that fits."""
+    spec = task["causal_spec"]
+    last = spec["phases"].pop()["phase_index"]
+    spec["segment_merge_map"] = [min(m, last - 1) for m in spec["segment_merge_map"]]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -319,11 +326,22 @@ def _set(*keys_then_value):
          "samplers are keyed by ['machine'], not by the schema's entities ['machine', 'pod']"),
         (_task_with("stack", lambda task: task["schema"]["entities"].pop(0)),
          "samplers are keyed by ['cube_a', 'cube_b', 'cube_c'], not by the schema's entities ['cube_b', 'cube_c']"),
+        # what the task kind's expert needs of the task
+        (_task_with("coffee", _set("schema", "entities", 0, "kind", "block")),
+         "a pod_lid task needs exactly one pod and one receptacle entity, got pods [] and receptacles ['machine']"),
+        (_task_with("coffee", _set("schema", "entities", 1, "extra_fields", [])),
+         "receptacle 'machine' needs a lid_angle extra field"),
+        (_task_with("coffee", _set("geoms", "machine", {"type": "object", "height": 0.08})),
+         "receptacle 'machine' needs a receptacle geom"),
+        (_task_with("coffee", _set("geoms", "pod", "graspable", False)), "pod 'pod' needs a graspable object geom"),
+        (_task_with("stack", _drop_last_phase), "a stack3 task has 4 phases, but its causal spec declares 3"),
+        (_task_with("coffee", _drop_last_phase), "a pod_lid task has 2 phases, but its causal spec declares 1"),
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents", "no_pod_sampler",
-         "deleted_schema_entity"],
+         "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
+         "pod_not_graspable", "stack_phase_too_few", "coffee_phase_too_few"],
 )
 def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

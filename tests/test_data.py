@@ -498,6 +498,63 @@ def test_save_rechecks_inherited_trajectories(tmp_path, edit, error, message):
     assert not (tmp_path / "b").exists()
 
 
+def _replay_fails(ds: Dataset, task) -> Dataset:
+    """ds with its first trajectory's last grasp approach pushed 0.5 m aside
+    (inside the workspace), so that its replay misses the grasp."""
+    traj = ds.trajectories[0]
+    steps = list(traj.timesteps)
+    idx = next(i for i, ts in enumerate(steps) if ts.phase == 1) - 1
+    act = steps[idx].actions[0]
+    lo, hi = task.schema.workspace_min, task.schema.workspace_max
+    shifted = Pose(np.clip(act.target_eef_pose.position + [0.5, 0.0, 0.0], lo, hi), act.target_eef_pose.orientation)
+    steps[idx] = replace(steps[idx], actions=(replace(act, target_eef_pose=shifted),))
+    return replace(ds, trajectories=(replace(traj, timesteps=tuple(steps)),) + ds.trajectories[1:])
+
+
+def test_validate_stage_reuses_the_last_save_checks(tmp_path, monkeypatch, stack_task, stack_demos):
+    from demoaug.errors import StageFailure
+    from demoaug.pipeline import PipelineConfig, StageConfig, run_pipeline
+
+    checked = _record_timestep_checks(monkeypatch)
+    stages = (StageConfig("gen", {"count": 2}), StageConfig("validate"))
+    report = run_pipeline(PipelineConfig("stack", stages, str(tmp_path / "run"), master_seed=1))
+    assert report["stages"][-1]["ok"] and report["stages"][-1]["replayed"] == 2
+    assert checked == ["demo_0000", "demo_0001"]  # by the gen save alone
+
+    save_dataset(_replay_fails(stack_demos, stack_task), tmp_path / "in")
+    checked.clear()
+    stages = (StageConfig("obs", {"copies": 0}), StageConfig("validate"))
+    with pytest.raises(StageFailure, match="replay: trajectory 'demo_000' does not reach success"):
+        run_pipeline(PipelineConfig("stack", stages, str(tmp_path / "bad"), input_path=str(tmp_path / "in")))
+    ids = [tr.traj_id for tr in stack_demos.trajectories]
+    assert checked == ids + ids  # by the input's load and the obs save
+
+
+@pytest.mark.parametrize("case", ["valid", "replay_fails", "corrupt_file"])
+def test_cli_validate_checks_each_trajectory_once(tmp_path, monkeypatch, capsys, stack_task, stack_demos, case):
+    from demoaug.cli import main
+
+    ds = _replay_fails(stack_demos, stack_task) if case == "replay_fails" else stack_demos
+    save_dataset(ds, tmp_path / "d")
+    if case == "corrupt_file":
+        path = tmp_path / "d" / "traj_demo_001.jsonl"
+        path.write_text(path.read_text().replace('"orientation":[1.0,', '"orientation":[0.7,', 1))
+    checked = _record_timestep_checks(monkeypatch)
+    code = main(["validate", "--task", "stack", "--in", str(tmp_path / "d")])
+    report = json.loads(capsys.readouterr().out)
+    if case == "corrupt_file":
+        assert code == 2 and not report["ok"]
+        [failure] = report["failures"]
+        assert failure.startswith("load: trajectory 'demo_001', timestep line 0: quaternion norm")
+        return
+    assert checked == [tr.traj_id for tr in ds.trajectories]  # by load_dataset, not again by the stage
+    assert report["replayed"] == len(ds)
+    if case == "valid":
+        assert code == 0 and report["ok"]
+    else:
+        assert code == 2 and report["failures"] == ["replay: trajectory 'demo_000' does not reach success"]
+
+
 def test_save_refuses_to_replace_a_directory_with_other_files(tmp_path):
     (tmp_path / "d").mkdir()
     (tmp_path / "d" / "notes.txt").write_text("keep")

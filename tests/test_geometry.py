@@ -371,3 +371,85 @@ def test_constructor_stores_owned_frozen_canonical_arrays(build, arrays, v, q):
     if isinstance(v, np.ndarray):
         v[...] = 9.0  # the stored copy must not alias the caller's array
         assert np.array_equal(vec, src_v.reshape(3))
+
+
+# the internal constructors, as the kernels call them: with float lists, or
+# with the frozen arrays of checked poses and transforms
+INTERNAL = pytest.mark.parametrize(
+    "public,internal,arrays",
+    [
+        (Pose, Pose._of, lambda obj: (obj.position, obj.orientation)),
+        (lambda v, q: SE3Transform(q, v), lambda v, q: SE3Transform._of(q, v),
+         lambda obj: (obj.translation, obj.rotation)),
+    ],
+    ids=["Pose", "SE3Transform"],
+)
+
+
+def _error(build, v, q) -> str:
+    with pytest.raises(InvariantViolation) as info:
+        build(v, q)
+    return str(info.value)
+
+
+@INTERNAL
+@pytest.mark.parametrize(
+    "v,q",
+    [
+        ([math.nan, 0.2, 0.3], [1.0, 0.0, 0.0, 0.0]),
+        ([0.1, -math.inf, 0.3], [1.0, 0.0, 0.0, 0.0]),
+        ([0.1, 0.2, 0.3], [1.0, 0.0, 0.0, 1e-4]),
+        ([0.1, 0.2, 0.3], [math.nan, 0.0, 0.0, 0.0]),
+        ([0.1, 0.2, 0.3], [math.inf, 0.0, 0.0, 0.0]),
+        ([0.1, 0.2], [1.0, 0.0, 0.0, 0.0]),
+        ([0.1, 0.2, 0.3], [1.0, 0.0, 0.0]),
+        ([0.1, 0.2, 0.3, 0.4], [1.0, 0.0, 0.0, 0.0, 0.0]),
+    ],
+    ids=["nan_position", "inf_position", "non_unit_quaternion", "nan_quaternion", "inf_quaternion",
+         "short_position", "short_quaternion", "long_lists"],
+)
+def test_internal_constructor_raises_the_public_error(public, internal, arrays, v, q):
+    assert _error(internal, v, q) == _error(public, v, q)
+
+
+@INTERNAL
+@pytest.mark.parametrize(
+    "v,q",
+    [
+        ([0.1, 0.2, 0.3], [-0.5, 0.5, -0.5, 0.5]),
+        ([0.1, 0.2, 0.3], [0.5, -0.5, 0.5, 0.5]),
+        ([0.0, -0.0, 0.0], [-0.0, 1.0, 0.0, 0.0]),
+        ([1e308, 1e308, 0.25], (UNIT_Q * (1.0 + 5e-10)).tolist()),
+    ],
+    ids=["negative_w", "positive_w", "negative_zero_w", "overflowing_sum_within_tolerance"],
+)
+def test_internal_constructor_stores_what_the_public_one_stores(public, internal, arrays, v, q):
+    got, want = arrays(internal(v, q)), arrays(public(v, q))
+    for arr, ref in zip(got, want):
+        assert arr.dtype == np.float64 and arr.shape == ref.shape
+        assert arr.tobytes() == ref.tobytes()  # the same bits, -0.0 included
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert got[1][0] >= 0.0
+
+
+def test_internal_constructor_shares_checked_arrays_only():
+    p = Pose([0.1, 0.2, 0.3], UNIT_Q)
+    tf = SE3Transform._of(p.orientation, p.position)
+    assert tf.rotation is p.orientation and tf.translation is p.position
+    back = Pose._of(tf.translation, tf.rotation)
+    assert back.position is p.position and back.orientation is p.orientation
+    writable = np.array([0.1, 0.2, 0.3])
+    copied = Pose._of(writable, p.orientation)  # not frozen: the public constructor copies it
+    assert copied.position is not writable and not copied.position.flags.writeable
+    writable[0] = 9.0
+    assert copied.position[0] == 0.1
+
+
+def test_step_toward_returns_a_reached_target_itself():
+    b = Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.3))
+    assert step_toward(Pose(np.array([0.04, 0, 0]), b.orientation), b, 0.02, 0.5) is b
+    moved = step_toward(Pose.identity(), b, 0.02, 0.5)
+    assert moved is not b and not np.array_equal(moved.position, b.position)
+    assert moved.orientation is b.orientation  # the rotation fits: the target's checked array

@@ -94,6 +94,30 @@ def test_pipeline_deterministic_across_worker_counts(tmp_path):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("task", ["stack", "coffee"])
+def test_internal_pose_constructors_match_the_public_ones(tmp_path, monkeypatch, task):
+    """The pipeline's output is byte-identical, and nothing raises, when
+    Pose._of and SE3Transform._of are the public constructors: every value
+    the internal float path stored passed the same checks, with the same bits."""
+    from demoaug.geometry import Pose, SE3Transform
+
+    stages = (
+        StageConfig("gen", {"count": 3}),
+        StageConfig("segment"),
+        StageConfig("se3", {"count": 3}),
+        StageConfig("causal", {"copies": 1}),
+        StageConfig("obs", {"noise_sigma": 0.01}),
+        StageConfig("validate"),
+    )
+    run_pipeline(PipelineConfig(task, stages, str(tmp_path / "internal"), master_seed=7))
+    monkeypatch.setattr(Pose, "_of", classmethod(lambda cls, position, orientation: cls(position, orientation)))
+    monkeypatch.setattr(SE3Transform, "_of", classmethod(lambda cls, rotation, translation: cls(rotation, translation)))
+    run_pipeline(PipelineConfig(task, stages, str(tmp_path / "public"), master_seed=7))
+    internal = tree_digest(tmp_path / "internal")
+    assert "report.json" in internal and len(internal) > 5
+    assert internal == tree_digest(tmp_path / "public")
+
+
 def _spy_copies(monkeypatch):
     """Record the destination of every file copy save_dataset makes."""
     import shutil
