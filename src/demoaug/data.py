@@ -6,9 +6,13 @@ timestep per line. Key order is fixed and floats are written as shortest
 round-trip decimals, so saving the same dataset twice is byte-identical
 and load(save(ds)) == ds field for field.
 
-Poses are immutable, so a load builds each distinct pose once and shares
-it among the timesteps that hold it. That pose cache lives for one
-load_dataset call only; nothing is kept across loads.
+Records are immutable, so a load reads each distinct value once and shares
+it: each distinct pose is built once, and each distinct text of a timestep
+line's entities, robots or actions array is decoded, built and checked
+against the schema once, its tuple of records shared by every line that
+holds the text. Lines in another layout, and lines with a malformed
+section, are read whole by timestep_from_json, the reference. These
+caches live for one load_dataset call only; nothing is kept across loads.
 
 The other input files (task files, causal specs, pipeline configs) go
 through the same reader, read_json, and the same typed checks: Param for
@@ -257,8 +261,30 @@ def _check_trajectory_ids(traj: Trajectory, schema: TaskSchema):
         raise InvariantViolation(f"{where}: traj_id is not filesystem-safe")
 
 
-def _check_timesteps(traj: Trajectory, schema: TaskSchema):
-    """Raise InvariantViolation naming the offending trajectory/timestep."""
+def _first_sight(checked_sections, kind: int, section: tuple) -> bool:
+    """Whether `section` is to be checked: always when `checked_sections` is
+    None, else only if its set for `kind` lacks it, to which it is added. A
+    section that then fails its checks raises, which ends the load and its
+    memo with it."""
+    if checked_sections is None:
+        return True
+    ids = checked_sections[kind]
+    if id(section) in ids:
+        return False
+    ids.add(id(section))
+    return True
+
+
+def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tuple[set, set, set] | None = None):
+    """Raise InvariantViolation naming the offending trajectory/timestep.
+
+    t strictly increasing and phase labels >= 0 that never decrease are
+    checked on every timestep. The checks of a timestep's entities, robots
+    and actions depend only on that tuple and the schema. `checked_sections`,
+    which only load_dataset passes, holds per section kind the ids of the
+    tuples that passed earlier in the load (which keeps them alive); those
+    are not checked again, so a section that many lines share is checked
+    once. One set per kind keeps apart the empty tuple, which they share."""
     where = f"trajectory {traj.traj_id!r}"
     expected_entities = schema.entity_ids()
     box_lo = (schema.workspace_min - _BOX_TOL).tolist()
@@ -270,27 +296,30 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema):
         if prev_t is not None and ts.t <= prev_t:
             raise InvariantViolation(f"{at}: ordering violation, t not strictly increasing")
         prev_t = ts.t
-        got = tuple([e.entity_id for e in ts.entities])
-        if got != expected_entities:
-            raise InvariantViolation(f"{at}: entity ordering {got} != schema {expected_entities}")
-        for e, decl in zip(ts.entities, schema.entities):
-            if tuple(e.extra.keys()) != decl.extra_fields:
-                raise InvariantViolation(
-                    f"{at}: entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}"
-                )
-            for key, value in e.extra.items():
-                if not _is_real(value):
+        if _first_sight(checked_sections, 0, ts.entities):
+            got = tuple([e.entity_id for e in ts.entities])
+            if got != expected_entities:
+                raise InvariantViolation(f"{at}: entity ordering {got} != schema {expected_entities}")
+            for e, decl in zip(ts.entities, schema.entities):
+                if tuple(e.extra.keys()) != decl.extra_fields:
                     raise InvariantViolation(
-                        f"{at}: entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number"
+                        f"{at}: entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}"
                     )
-        got_agents = tuple([r.agent_id for r in ts.robots])
-        if got_agents != schema.agents:
-            raise InvariantViolation(f"{at}: robot ordering {got_agents} != schema {schema.agents}")
-        act_agents = tuple([a.agent_id for a in ts.actions])
-        if act_agents != schema.agents:
-            raise InvariantViolation(f"{at}: exactly one action per agent required, got {act_agents}")
-        for a in ts.actions:
-            _check_pose_in_box(a.target_eef_pose, box_lo, box_hi, f"{at}: action target")
+                for key, value in e.extra.items():
+                    if not _is_real(value):
+                        raise InvariantViolation(
+                            f"{at}: entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number"
+                        )
+        if _first_sight(checked_sections, 1, ts.robots):
+            got_agents = tuple([r.agent_id for r in ts.robots])
+            if got_agents != schema.agents:
+                raise InvariantViolation(f"{at}: robot ordering {got_agents} != schema {schema.agents}")
+        if _first_sight(checked_sections, 2, ts.actions):
+            act_agents = tuple([a.agent_id for a in ts.actions])
+            if act_agents != schema.agents:
+                raise InvariantViolation(f"{at}: exactly one action per agent required, got {act_agents}")
+            for a in ts.actions:
+                _check_pose_in_box(a.target_eef_pose, box_lo, box_hi, f"{at}: action target")
         if ts.phase is not None:
             if ts.phase < 0:
                 raise InvariantViolation(f"{at}: phase {ts.phase} < 0")
@@ -299,12 +328,14 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema):
             prev_phase = ts.phase
 
 
-def validate_dataset(ds: Dataset, checked=()):
+def validate_dataset(ds: Dataset, checked=(), checked_sections=None):
     """Check the schema version, unique traj_ids and every trajectory's ids
     and timesteps. `checked` holds the id of each timesteps tuple whose
     timestep checks against ds.task_schema already ran (a save's or a
     load's); those are not run again. The caller vouches for them and keeps
-    the tuples alive, so that no id in `checked` is reused."""
+    the tuples alive, so that no id in `checked` is reused.
+    `checked_sections` is load_dataset's memo of the entities, robots and
+    actions tuples that passed their checks (see _check_timesteps)."""
     if ds.schema_version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise SchemaVersionMismatch(
             f"schema_version {ds.schema_version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
@@ -316,7 +347,7 @@ def validate_dataset(ds: Dataset, checked=()):
         seen.add(tr.traj_id)
         _check_trajectory_ids(tr, ds.task_schema)
         if id(tr.timesteps) not in checked:
-            _check_timesteps(tr, ds.task_schema)
+            _check_timesteps(tr, ds.task_schema, checked_sections)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +402,7 @@ def read_json(path, failure: str):
     try:
         path = Path(path) if isinstance(path, (str, os.PathLike)) else path
         return _DECODER.decode(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, InvariantViolation) as exc:
+    except (OSError, ValueError, RecursionError, InvariantViolation) as exc:  # ValueError: not UTF-8 or not JSON
         raise IoFailure(f"{failure} {path}: {exc}") from exc
 
 
@@ -527,16 +558,21 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
     are a pure function of those bits, so a pose seen before is returned as
     is. The key keeps -0.0 and 0.0 apart, which float == would merge. The
     per-value type checks (exact ints and floats, as in _is_real; Pose
-    checks finiteness) run on every occurrence, before the lookup."""
+    checks finiteness) run on every occurrence, before the lookup. A new
+    pose of seven floats is built by Pose._of, which checks floats as the
+    public constructor does; one with an int goes to the constructor."""
     try:
         if len(obj) != 2:
             _refuse_unknown_key(where, "a pose", obj, _POSE_KEYS)
         pos, ori = obj["position"], obj["orientation"]
         if type(pos) is not list or type(ori) is not list:
             raise InvariantViolation(f"{where}: pose position and orientation must be lists, got {obj!r}")
+        floats = True
         for x in pos + ori:
-            if type(x) is not float and type(x) is not int:
-                raise InvariantViolation(f"{where}: pose value {x!r} is not a number")
+            if type(x) is not float:
+                if type(x) is not int:
+                    raise InvariantViolation(f"{where}: pose value {x!r} is not a number")
+                floats = False
     except (KeyError, TypeError) as exc:
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     key = None
@@ -549,7 +585,7 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
         if pose is not None:
             return pose
     try:
-        pose = Pose(pos, ori)
+        pose = Pose._of(pos, ori) if floats else Pose(pos, ori)
     except OverflowError as exc:  # an int too large for a float
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     except InvariantViolation as exc:
@@ -598,6 +634,49 @@ _ROBOT_KEYS = ("agent_id", "eef_pose", "gripper_aperture")
 _ACTION_KEYS = ("agent_id", "target_eef_pose", "gripper_command")
 
 
+def _entities_from_json(items, where: str, poses: dict) -> tuple[EntityState, ...]:
+    """The EntityStates of a line's decoded `entities` array. This and the
+    two readers below raise InvariantViolation for a malformed pose, value
+    or unknown key, and a raw lookup or type error for any other malformed
+    shape, which their callers handle."""
+    entities = []
+    for e in items:
+        if len(e) != 2 + ("extra" in e):
+            _refuse_unknown_key(where, "an entity", e, _ENTITY_KEYS)
+        entities.append(EntityState(e["entity_id"], _pose_from_json(e["pose"], where, poses), dict(e.get("extra", {}))))
+    return tuple(entities)
+
+
+def _robots_from_json(items, where: str, poses: dict) -> tuple[RobotState, ...]:
+    robots = []
+    for r in items:
+        if len(r) != 3:
+            _refuse_unknown_key(where, "a robot", r, _ROBOT_KEYS)
+        robots.append(RobotState(
+            r["agent_id"],
+            _pose_from_json(r["eef_pose"], where, poses),
+            _REAL.parse(f"{where}: gripper_aperture", r["gripper_aperture"]),
+        ))
+    return tuple(robots)
+
+
+def _actions_from_json(items, where: str, poses: dict) -> tuple[Action, ...]:
+    actions = []
+    for a in items:
+        if len(a) != 3:
+            _refuse_unknown_key(where, "an action", a, _ACTION_KEYS)
+        actions.append(Action(
+            a["agent_id"],
+            _pose_from_json(a["target_eef_pose"], where, poses),
+            _REAL.parse(f"{where}: gripper_command", a["gripper_command"]),
+        ))
+    return tuple(actions)
+
+
+# what a section reader raises, besides InvariantViolation, for a malformed shape
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
 def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
     """The Timestep of one decoded JSONL line; `poses` is the load's pose
     cache (see _pose_from_json). Unknown keys are refused: each object's key
@@ -606,30 +685,9 @@ def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
     try:
         if len(obj) != 4 + ("phase" in obj) + ("interp" in obj):
             _refuse_unknown_key(where, "a timestep", obj, _LINE_KEYS)
-        entities = []
-        for e in obj["entities"]:
-            if len(e) != 2 + ("extra" in e):
-                _refuse_unknown_key(where, "an entity", e, _ENTITY_KEYS)
-            entities.append(
-                EntityState(e["entity_id"], _pose_from_json(e["pose"], where, poses), dict(e.get("extra", {}))))
-        robots = []
-        for r in obj["robots"]:
-            if len(r) != 3:
-                _refuse_unknown_key(where, "a robot", r, _ROBOT_KEYS)
-            robots.append(RobotState(
-                r["agent_id"],
-                _pose_from_json(r["eef_pose"], where, poses),
-                _REAL.parse(f"{where}: gripper_aperture", r["gripper_aperture"]),
-            ))
-        actions = []
-        for a in obj["actions"]:
-            if len(a) != 3:
-                _refuse_unknown_key(where, "an action", a, _ACTION_KEYS)
-            actions.append(Action(
-                a["agent_id"],
-                _pose_from_json(a["target_eef_pose"], where, poses),
-                _REAL.parse(f"{where}: gripper_command", a["gripper_command"]),
-            ))
+        entities = _entities_from_json(obj["entities"], where, poses)
+        robots = _robots_from_json(obj["robots"], where, poses)
+        actions = _actions_from_json(obj["actions"], where, poses)
         t, phase, interp = obj["t"], obj.get("phase"), obj.get("interp", False)
         if type(t) is not int:
             raise InvariantViolation(f"{where}: t must be an integer, got {t!r}")
@@ -637,16 +695,12 @@ def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
             raise InvariantViolation(f"{where}: phase must be null or an integer >= 0, got {phase!r}")
         if type(interp) is not bool:
             raise InvariantViolation(f"{where}: interp must be a bool, got {interp!r}")
-        return Timestep(
-            t=t,
-            entities=tuple(entities),
-            robots=tuple(robots),
-            actions=tuple(actions),
-            phase=phase,
-            interp=interp,
-        )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvariantViolation(f"{where}: malformed timestep ({exc})") from exc
+    try:
+        return Timestep(t=t, entities=entities, robots=robots, actions=actions, phase=phase, interp=interp)
+    except InvariantViolation as exc:  # its check of t >= 0
+        raise InvariantViolation(f"{where}: {exc}") from exc
 
 
 def schema_to_json(schema: TaskSchema) -> dict:
@@ -817,13 +871,64 @@ def _check_manifest_entry(entry, n: int) -> None:
         raise InvariantViolation(f"{where}: unknown provenance {entry['provenance']!r}")
 
 
+# A timestep line in the layout timestep_to_json writes: t, the entities,
+# robots and actions arrays, phase, and interp when it is true.
+_LINE_RE = re.compile(
+    r'\{"t":(0|[1-9][0-9]*),"entities":(\[.*\]),"robots":(\[.*\]),"actions":(\[.*\]),'
+    r'"phase":(null|0|[1-9][0-9]*)(,"interp":true)?\}',
+    re.DOTALL,
+)
+_SECTION_READERS = (_entities_from_json, _robots_from_json, _actions_from_json)
+
+
+def _timestep_from_line(line: str, where: str, poses: dict, sections: tuple[dict, dict, dict]) -> Timestep:
+    """The Timestep of one JSONL line.
+
+    A line that _LINE_RE matches is read section by section: `sections`
+    maps, per section kind, each section text read so far in this load to
+    its tuple of records, which every later line holding that text shares.
+    The split is sound: if each of the three texts decodes to a JSON array,
+    the whole line decodes to exactly the object the pieces make up, as a
+    split at any other point would leave some piece unbalanced.
+
+    Any other line, and any line with a section that fails to read, goes
+    to the whole-line reader (decode, then timestep_from_json), the
+    reference, which accepts any JSON layout and raises the errors of a
+    malformed line. A failed section is not cached."""
+    match = _LINE_RE.fullmatch(line)
+    if match is not None:
+        t, *texts, phase, interp = match.groups()
+        try:
+            records = []
+            for text, read, cache in zip(texts, _SECTION_READERS, sections):
+                section = cache.get(text)
+                if section is None:
+                    section = cache[text] = read(_DECODER.decode(text), where, poses)
+                records.append(section)
+            return Timestep(int(t), *records, None if phase == "null" else int(phase), interp is not None)
+        except (*_MALFORMED, RecursionError, InvariantViolation):
+            pass  # the whole-line reader raises the error, if the line has one
+    try:
+        obj = _DECODER.decode(line)
+    except (ValueError, RecursionError) as exc:  # not JSON, or an int or a nesting past the decoder's limits
+        raise IoFailure(f"{where}: bad JSON ({exc})") from exc
+    except InvariantViolation as exc:
+        raise InvariantViolation(f"{where}: {exc}") from exc
+    return timestep_from_json(obj, where, poses)
+
+
 def load_dataset(path) -> Dataset:
     """Read and fully validate a dataset directory.
 
-    Each distinct pose, by the exact float64 bits of its 7 values, is
-    checked and built once per load and shared by every timestep that holds
-    it; what loads, and every error raised, is the same as if each pose
-    were built afresh."""
+    A load shares what it has already read and checked. Each distinct pose,
+    by the exact float64 bits of its 7 values, is checked and built once
+    and shared by every timestep that holds it. Each distinct text of a
+    timestep line's entities, robots or actions array is decoded, built
+    and checked against the schema once, and every line holding that text
+    shares its tuple of records (see _timestep_from_line). These caches
+    live for one load_dataset call; nothing is kept across loads. What
+    loads, and every error raised, is the same as if each line were read
+    whole and afresh."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -842,26 +947,20 @@ def load_dataset(path) -> Dataset:
         raise InvariantViolation("manifest trajectories is not a JSON list")
     trajectories = []
     poses: dict[bytes, Pose] = {}
+    sections: tuple[dict, dict, dict] = ({}, {}, {})
     for n, entry in enumerate(entries):
         _check_manifest_entry(entry, n)
         traj_id = entry["traj_id"]
         fpath = root / entry["file"]
         try:
             lines = fpath.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IoFailure(f"failed reading {fpath}: {exc}") from exc
         timesteps = []
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
-            where = f"trajectory {traj_id!r}, timestep line {i}"
-            try:
-                obj = _DECODER.decode(line)
-            except json.JSONDecodeError as exc:
-                raise IoFailure(f"{where}: bad JSON ({exc})") from exc
-            except InvariantViolation as exc:
-                raise InvariantViolation(f"{where}: {exc}") from exc
-            timesteps.append(timestep_from_json(obj, where, poses))
+            timesteps.append(_timestep_from_line(line, f"trajectory {traj_id!r}, timestep line {i}", poses, sections))
         if entry["num_timesteps"] != len(timesteps):
             raise InvariantViolation(
                 f"trajectory {traj_id!r}: manifest num_timesteps {entry['num_timesteps']!r} "
@@ -877,5 +976,5 @@ def load_dataset(path) -> Dataset:
             )
         )
     ds = Dataset(schema_version=version, task_schema=schema, trajectories=tuple(trajectories))
-    validate_dataset(ds)
+    validate_dataset(ds, checked_sections=(set(), set(), set()))
     return ds

@@ -159,6 +159,14 @@ class TaskDefinition:
             raise InvariantViolation(
                 f"a {self.kind} task has {phases} phases, but its causal spec declares {self.causal.num_phases}")
         object.__setattr__(self, "pod_machine", self._pod_lid_layout() if self.kind == "pod_lid" else None)
+        # observe sources lid_angle alone, and step moves the lid of a receptacle geom
+        for decl in self.schema.entities:
+            for name in decl.extra_fields:
+                if name != "lid_angle":
+                    raise InvariantViolation(
+                        f"entity {decl.entity_id!r} declares extra field {name!r}; the simulator sources only lid_angle")
+            if decl.extra_fields and not isinstance(self.geoms[decl.entity_id], ReceptacleGeom):
+                raise InvariantViolation(f"entity {decl.entity_id!r} has a lid_angle extra field but no receptacle geom")
 
     def _pod_lid_layout(self) -> tuple[str, str]:
         """The ids of the one pod and the one receptacle, after checking
@@ -520,12 +528,7 @@ def observe(state: SimState, task: TaskDefinition, t: int, action: Action,
             phase: int | None = None, interp: bool = False) -> Timestep:
     entities = []
     for decl in task.schema.entities:
-        extra = {}
-        for name in decl.extra_fields:
-            if name == "lid_angle":
-                extra[name] = float(state.lids[decl.entity_id])
-            else:
-                raise InvariantViolation(f"no source for extra field {name!r}")
+        extra = {name: float(state.lids[decl.entity_id]) for name in decl.extra_fields}  # TaskDefinition admits lid_angle alone
         entities.append(EntityState(decl.entity_id, state.objects[decl.entity_id], extra))
     return Timestep(
         t=t,

@@ -334,6 +334,10 @@ def _drop_last_phase(task):
         (_task_with("coffee", _set("geoms", "machine", {"type": "object", "height": 0.08})),
          "receptacle 'machine' needs a receptacle geom"),
         (_task_with("coffee", _set("geoms", "pod", "graspable", False)), "pod 'pod' needs a graspable object geom"),
+        (_task_with("stack", _set("schema", "entities", 0, "extra_fields", ["lid_angle"])),
+         "entity 'cube_a' has a lid_angle extra field but no receptacle geom"),
+        (_task_with("coffee", _set("schema", "entities", 1, "extra_fields", ["lid_angle", "hinge"])),
+         "entity 'machine' declares extra field 'hinge'; the simulator sources only lid_angle"),
         (_task_with("stack", _drop_last_phase), "a stack3 task has 4 phases, but its causal spec declares 3"),
         (_task_with("coffee", _drop_last_phase), "a pod_lid task has 2 phases, but its causal spec declares 1"),
     ],
@@ -341,7 +345,7 @@ def _drop_last_phase(task):
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents", "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
-         "pod_not_graspable", "stack_phase_too_few", "coffee_phase_too_few"],
+         "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few"],
 )
 def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

@@ -446,9 +446,9 @@ def _record_timestep_checks(monkeypatch):
     checked = []
     real_check = data._check_timesteps
 
-    def check(tr, schema):
+    def check(tr, schema, *args):
         checked.append(tr.traj_id)
-        real_check(tr, schema)
+        real_check(tr, schema, *args)
 
     monkeypatch.setattr(data, "_check_timesteps", check)
     return checked
@@ -553,6 +553,19 @@ def test_cli_validate_checks_each_trajectory_once(tmp_path, monkeypatch, capsys,
         assert code == 0 and report["ok"]
     else:
         assert code == 2 and report["failures"] == ["replay: trajectory 'demo_000' does not reach success"]
+
+
+def test_negative_t_names_its_trajectory_and_line(tmp_path, capsys):
+    from demoaug.cli import main
+
+    save_dataset(random_dataset(6, n_traj=2, n_steps=3), tmp_path / "d")
+    path = tmp_path / "d" / "traj_tr_01.jsonl"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].replace('{"t":2,', '{"t":-1,', 1)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--task", "stack", "--in", str(tmp_path / "d")]) == 2
+    [failure] = json.loads(capsys.readouterr().out)["failures"]
+    assert failure == "load: trajectory 'tr_01', timestep line 2: timestep index -1 < 0"
 
 
 def test_save_refuses_to_replace_a_directory_with_other_files(tmp_path):
@@ -727,13 +740,18 @@ def test_load_builds_one_pose_per_distinct_bit_pattern(tmp_path, monkeypatch):
     save_dataset(ds, tmp_path / "d")
 
     built = []
-    init = Pose.__init__
+    init, of = Pose.__init__, Pose._of.__func__
 
     def counting_init(self, position, orientation):
         built.append(1)
         init(self, position, orientation)
 
+    def counting_of(cls, position, orientation):
+        built.append(1)
+        return of(cls, position, orientation)
+
     monkeypatch.setattr(Pose, "__init__", counting_init)
+    monkeypatch.setattr(Pose, "_of", classmethod(counting_of))
     loaded = load_dataset(tmp_path / "d")
     assert loaded == ds
     assert len(built) == len({_pose_bits(p) for p in _all_poses(ds)}) == 1 + 3 * 4
@@ -822,3 +840,230 @@ def test_pose_after_an_equal_valid_pose_is_still_checked(tmp_path, pos, ori):
     _write_poses(tmp_path / "d", rows)
     with pytest.raises(InvariantViolation, match="tr_00.*line 1"):
         load_dataset(tmp_path / "d")
+
+
+# ---------------------------------------------------------------------------
+# the section reader against the whole-line reader
+
+
+def _load_whole_lines(path):
+    """load_dataset with the layout pattern patched to never match, so that
+    every line goes through the whole-line reader, the reference."""
+    from unittest import mock
+
+    from demoaug import data
+
+    with mock.patch.object(data, "_LINE_RE", re.compile(r"(?!)")):
+        return load_dataset(path)
+
+
+def _repeating_dataset() -> Dataset:
+    """Two trajectories whose sections repeat as an observation copy's do:
+    obj_a and obj_b rest, so every line holds the same entities; the second
+    trajectory keeps the first one's entities and actions under other
+    robots. Odd lines are interpolated."""
+    base = random_dataset(14, n_traj=2, n_steps=4)
+    a, b = base.trajectories
+    still = a.timesteps[0].entities
+    steps = tuple(replace(ts, entities=still, interp=ts.t % 2 == 1) for ts in a.timesteps)
+    copy = tuple(replace(ts, robots=other.robots) for ts, other in zip(steps, b.timesteps))
+    return replace(base, trajectories=(replace(a, timesteps=steps), replace(b, timesteps=copy)))
+
+
+def _same_files(a, b):
+    assert _names(a) == _names(b)
+    for path in sorted(a.iterdir()):
+        assert path.read_bytes() == (b / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("task", ["stack", "coffee"])
+def test_both_read_paths_load_every_pipeline_stage_alike(tmp_path, task):
+    from demoaug.pipeline import PipelineConfig, StageConfig, run_pipeline
+
+    stages = (
+        StageConfig("gen", {"count": 2}),
+        StageConfig("segment"),
+        StageConfig("se3", {"count": 2}),
+        StageConfig("causal", {"copies": 2}),
+        StageConfig("obs", {"noise_sigma": 0.01}),
+    )
+    run_pipeline(PipelineConfig(task, stages, str(tmp_path / "run"), master_seed=5))
+    stage_dirs = sorted(p for p in (tmp_path / "run").iterdir() if p.is_dir())
+    assert len(stage_dirs) == len(stages)
+    for stage in stage_dirs:
+        sections, whole = load_dataset(stage), _load_whole_lines(stage)
+        assert sections == whole
+        save_dataset(sections, tmp_path / "a" / stage.name)
+        save_dataset(whole, tmp_path / "b" / stage.name)
+        _same_files(tmp_path / "a" / stage.name, tmp_path / "b" / stage.name)
+        _same_files(stage, tmp_path / "a" / stage.name)
+
+
+def test_json_dumps_layout_loads_equal(tmp_path):
+    """Lines written by json.dumps with its default separators, an explicit
+    "interp": false and the keys in reverse order load through the
+    whole-line reader to the same dataset."""
+    ds = _repeating_dataset()
+    save_dataset(ds, tmp_path / "d")
+    for path in (tmp_path / "d").glob("traj_*.jsonl"):
+        lines = []
+        for line in path.read_text().splitlines():
+            obj = json.loads(line)
+            obj.setdefault("interp", False)
+            lines.append(json.dumps(dict(reversed(obj.items()))))
+        path.write_text("\n".join(lines) + "\n")
+    assert load_dataset(tmp_path / "d") == ds
+
+
+def test_lines_share_section_tuples_within_one_load(tmp_path):
+    save_dataset(_repeating_dataset(), tmp_path / "d")
+    first = load_dataset(tmp_path / "d")
+    a, b = first.trajectories
+    assert all(ts.entities is a.timesteps[0].entities for ts in a.timesteps + b.timesteps)
+    assert all(x.actions is y.actions for x, y in zip(a.timesteps, b.timesteps))
+    assert all(x.robots is not y.robots for x, y in zip(a.timesteps, b.timesteps))
+    again = load_dataset(tmp_path / "d")  # nothing is kept across loads
+    assert again == first and again.trajectories[0].timesteps[0].entities is not a.timesteps[0].entities
+    whole = _load_whole_lines(tmp_path / "d")  # the reference shares poses, not sections
+    assert whole == first and whole.trajectories[0].timesteps[1].entities is not whole.trajectories[0].timesteps[0].entities
+
+
+def _bad_quaternion(entities):
+    entities[0]["pose"]["orientation"] = [2.0, 0.0, 0.0, 0.0]
+
+
+def _misnamed_extra(entities):
+    entities[1]["extra"] = {"lid_angel": 0.5}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_bad_quaternion, "trajectory 'tr_00', timestep line 2: quaternion norm"),
+        (_misnamed_extra, "trajectory 'tr_00', timestep 2: entity 'obj_b' extra fields ('lid_angel',)"),
+    ],
+    ids=["read", "checked"],
+)
+def test_malformed_repeated_section_names_its_first_line(tmp_path, edit, message):
+    """A bad entities section that lines 2 and 3 share, in the layout
+    timestep_to_json writes, is refused at line 2 by both readers."""
+    save_dataset(_repeating_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / "traj_tr_00.jsonl"
+    lines = path.read_text().splitlines()
+    entities = json.loads(lines[0])["entities"]
+    edit(entities)
+    text = json.dumps(entities, separators=(",", ":"))
+    for i in (2, 3):
+        head, rest = lines[i].split(',"robots":', 1)
+        lines[i] = head.split('"entities":')[0] + f'"entities":{text},"robots":' + rest
+    path.write_text("\n".join(lines) + "\n")
+    for load in (load_dataset, _load_whole_lines):
+        with pytest.raises(InvariantViolation) as exc:
+            load(tmp_path / "d")
+        assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "1" * 5000], ids=["deep_nesting", "huge_int"])
+@pytest.mark.parametrize(
+    "file, anchor, message",
+    [("traj_tr_00.jsonl", '"phase":0', "timestep line 0: bad JSON"),
+     ("manifest.json", '"schema_version":"1.0"', "failed reading")],
+    ids=["line", "manifest"],
+)
+def test_json_past_the_decoders_limits_is_bad_json(tmp_path, file, anchor, message, value):
+    """A nesting too deep for the decoder's recursion, or an int with more
+    digits than int() converts, is refused as bad JSON by both readers."""
+    save_dataset(_repeating_dataset(), tmp_path / "d")
+    path = tmp_path / "d" / file
+    path.write_text(path.read_text().replace(anchor, f'{anchor},"x":{value}', 1))
+    for load in (load_dataset, _load_whole_lines):
+        with pytest.raises(IoFailure, match=message):
+            load(tmp_path / "d")
+
+
+# the dataset fuzz gate: one mutation of a valid dataset directory
+
+
+_JSON_VALUES = st.sampled_from([None, True, False, -1, 0, 2, 0.5, 1e300, 10**400, float("nan"), "x", "", [], {},
+                                [0.0, 0.0, 0.0], {"position": [0.0, 0.0, 0.0]}])
+
+
+def _paths(value, at=()):
+    """The path of every value nested in a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for key, item in items for p in [at + (key,)] + _paths(item, at + (key,))]
+
+
+def _json_edit(draw, obj):
+    """obj after deleting the value at a drawn path, or replacing it."""
+    *keys, last = draw(st.sampled_from(_paths(obj)))
+    holder = obj
+    for key in keys:
+        holder = holder[key]
+    if draw(st.booleans()):
+        del holder[last]
+    else:
+        holder[last] = draw(_JSON_VALUES)
+    return obj
+
+
+@st.composite
+def _mutation(draw, files):
+    """(file name, new bytes): a byte flip, a truncated line, a deleted or
+    replaced value in a timestep line (written in the compact layout, so
+    that the section reader meets it), or a manifest edit."""
+    names = sorted(files)
+    kind = draw(st.sampled_from(["flip", "truncate", "line", "manifest"]))
+    if kind == "flip":
+        name = draw(st.sampled_from(names))
+        blob = bytearray(files[name])
+        at = draw(st.integers(0, len(blob) - 1))
+        blob[at] ^= draw(st.integers(1, 255))
+        return name, bytes(blob)
+    if kind == "manifest":
+        manifest = _json_edit(draw, json.loads(files["manifest.json"]))
+        return "manifest.json", json.dumps(manifest).encode()
+    name = draw(st.sampled_from([n for n in names if n != "manifest.json"]))
+    lines = files[name].decode().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "truncate":
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))]
+    else:
+        lines[i] = json.dumps(_json_edit(draw, json.loads(lines[i])), separators=(",", ":"))
+    return name, ("\n".join(lines) + "\n").encode()
+
+
+def _outcome(load, root):
+    """("ok", the dataset) or ("error", type, message); anything but a
+    DemoaugError fails the test."""
+    from demoaug.errors import DemoaugError
+
+    try:
+        return "ok", load(root)
+    except DemoaugError as exc:
+        return "error", type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_base")
+    save_dataset(_repeating_dataset(), root)
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_mutation_loads_or_raises_a_typed_error_alike_on_both_paths(tmp_path_factory, fuzz_base, data):
+    """Any single mutation of a valid dataset directory loads, or raises a
+    DemoaugError; the section reader and the whole-line reader give equal
+    datasets, or the same error type and message."""
+    name, blob = data.draw(_mutation(fuzz_base))
+    root = tmp_path_factory.mktemp("fuzz")
+    for file, content in fuzz_base.items():
+        (root / file).write_bytes(blob if file == name else content)
+    assert _outcome(load_dataset, root) == _outcome(_load_whole_lines, root)
