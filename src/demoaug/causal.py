@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass
 import numpy as np
 
 from .data import Param, check_keys, dict_from_json, list_from_json, read_json, record_from_json, record_to_json
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +70,7 @@ class Partition:
 def join_adjacency(a1: CausalGraph, a2: CausalGraph) -> CausalGraph:
     """Joint multi-agent adjacency: OR the graphs, then OR with the transpose."""
     if a1.nodes != a2.nodes:
-        raise DimensionMismatch(f"node sets differ: {a1.nodes} vs {a2.nodes}")
+        raise InvariantViolation(f"node sets differ: {a1.nodes} vs {a2.nodes}")
     merged = a1.adjacency | a2.adjacency
     return CausalGraph(a1.nodes, merged | merged.T)
 

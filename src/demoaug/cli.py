@@ -168,9 +168,8 @@ def _cmd_validate(args) -> int:
     except DemoaugError as exc:
         _emit({"ok": False, "failures": [f"load: {exc}"]}, args.report)
         return EXIT_VALIDATION
-    checked = {id(tr.timesteps): tr.timesteps for tr in ds.trajectories}  # load_dataset checked them all
     stage = StageConfig("validate", {"no_replay": args.no_replay})
-    _, result = run_stage(stage, ds, task, task.causal, args.seed, checked)
+    _, result = run_stage(stage, ds, task, task.causal, args.seed)
     _emit(result, args.report)
     return EXIT_OK if result["ok"] else EXIT_VALIDATION
 

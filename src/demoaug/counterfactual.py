@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .causal import TaskCausalSpec, swap_candidates
 from .data import Dataset, EntityState, Timestep, Trajectory, Provenance
-from .errors import InvariantViolation, UnlabeledTrajectory
+from .errors import InvariantViolation
 from .rng import derive_stream
 
 logger = logging.getLogger(__name__)
@@ -66,7 +66,7 @@ class PhaseIndex:
 
 def _require_labels(traj: Trajectory):
     if any(ts.phase is None for ts in traj.timesteps):
-        raise UnlabeledTrajectory(f"trajectory {traj.traj_id!r} has unlabeled timesteps")
+        raise InvariantViolation(f"trajectory {traj.traj_id!r} has unlabeled timesteps")
 
 
 def build_phase_index(ds: Dataset, spec: TaskCausalSpec) -> PhaseIndex:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvariantViolation, IoFailure, MissingManifest, RangeError, SchemaVersionMismatch
+from .errors import InvariantViolation, IoFailure
 from .geometry import Pose
 
 SCHEMA_VERSION = "1.0"
@@ -214,6 +214,8 @@ class Dataset:
     schema_version: str
     task_schema: TaskSchema
     trajectories: tuple[Trajectory, ...]
+    # set by validate_dataset once this dataset passed; see there
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
@@ -331,13 +333,18 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
 def validate_dataset(ds: Dataset, checked=(), checked_sections=None):
     """Check the schema version, unique traj_ids and every trajectory's ids
     and timesteps. `checked` holds the id of each timesteps tuple whose
-    timestep checks against ds.task_schema already ran (a save's or a
-    load's); those are not run again. The caller vouches for them and keeps
-    the tuples alive, so that no id in `checked` is reused.
+    timestep checks against ds.task_schema already ran (an earlier save's);
+    those are not run again. The caller vouches for them and keeps the
+    tuples alive, so that no id in `checked` is reused.
     `checked_sections` is load_dataset's memo of the entities, robots and
-    actions tuples that passed their checks (see _check_timesteps)."""
+    actions tuples that passed their checks (see _check_timesteps).
+
+    A dataset that passes is marked (`_checked`) on the object, as a pose
+    keeps its encoding: it is immutable, so its timestep checks are not run
+    again. A save validates the dataset it writes and a load the one it
+    returns, so either reaches the validate stage marked."""
     if ds.schema_version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
-        raise SchemaVersionMismatch(
+        raise InvariantViolation(
             f"schema_version {ds.schema_version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
         )
     seen = set()
@@ -346,8 +353,9 @@ def validate_dataset(ds: Dataset, checked=(), checked_sections=None):
             raise InvariantViolation(f"duplicate traj_id {tr.traj_id!r}")
         seen.add(tr.traj_id)
         _check_trajectory_ids(tr, ds.task_schema)
-        if id(tr.timesteps) not in checked:
+        if not ds._checked and id(tr.timesteps) not in checked:
             _check_timesteps(tr, ds.task_schema, checked_sections)
+    object.__setattr__(ds, "_checked", True)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +365,7 @@ def validate_dataset(ds: Dataset, checked=(), checked_sections=None):
 def slice_subtrajectory(traj: Trajectory, t0: int, t1: int) -> Trajectory:
     """Timesteps [t0, t1) with indices re-based to zero."""
     if not (0 <= t0 < t1 <= len(traj.timesteps)):
-        raise RangeError(f"slice [{t0}, {t1}) invalid for length {len(traj.timesteps)}")
+        raise InvariantViolation(f"slice [{t0}, {t1}) invalid for length {len(traj.timesteps)}")
     sliced = tuple(replace(ts, t=i) for i, ts in enumerate(traj.timesteps[t0:t1]))
     return Trajectory(
         traj_id=f"{traj.traj_id}_s{t0}_{t1}",
@@ -932,13 +940,13 @@ def load_dataset(path) -> Dataset:
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
-        raise MissingManifest(f"no manifest.json under {root}")
+        raise IoFailure(f"no manifest.json under {root}")
     manifest = read_json(manifest_path, "failed reading")
     if not isinstance(manifest, dict):
         raise InvariantViolation(f"{manifest_path} is not a JSON object")
     version = manifest.get("schema_version")
     if not isinstance(version, str) or version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
-        raise SchemaVersionMismatch(
+        raise InvariantViolation(
             f"manifest schema_version {version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
         )
     schema = schema_from_json("task_schema", manifest.get("task_schema"))
@@ -953,7 +961,9 @@ def load_dataset(path) -> Dataset:
         traj_id = entry["traj_id"]
         fpath = root / entry["file"]
         try:
-            lines = fpath.read_text(encoding="utf-8").splitlines()
+            # "\n" alone ends a line: splitlines() would also break at U+2028,
+            # U+2029 and U+0085, which JSON allows raw inside a string
+            lines = fpath.read_text(encoding="utf-8").split("\n")
         except (OSError, UnicodeDecodeError) as exc:
             raise IoFailure(f"failed reading {fpath}: {exc}") from exc
         timesteps = []

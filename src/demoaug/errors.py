@@ -1,58 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per way a caller handles
+a failure. The README's "Errors and exit codes" gives the CLI exit code of
+each."""
 
 
 class DemoaugError(Exception):
     """Base class for all package errors."""
 
 
-# dataset / serialization
-
-class MissingManifest(DemoaugError):
-    pass
-
-
-class SchemaVersionMismatch(DemoaugError):
-    pass
-
-
 class InvariantViolation(DemoaugError):
-    pass
+    """Input or state that breaks a documented invariant: a malformed file,
+    a value out of range, an inconsistent task, or an expert or replay that
+    cannot go on."""
 
 
 class IoFailure(DemoaugError):
-    pass
+    """A file or directory that cannot be found, read or written."""
 
 
-class RangeError(DemoaugError):
-    pass
-
-
-# causal graphs
-
-class DimensionMismatch(DemoaugError):
-    pass
-
-
-# segmentation
-
-class AgentNotFound(DemoaugError):
-    pass
-
-
-class PhaseCountMismatch(DemoaugError):
-    pass
-
-
-# counterfactual engine
-
-class UnlabeledTrajectory(DemoaugError):
-    pass
-
-
-# SE(3) engine
-
-class TargetMissing(DemoaugError):
-    pass
+class ConfigError(DemoaugError):
+    """A pipeline config, stage parameter or augmentation setting that is
+    malformed or out of range."""
 
 
 class BudgetExhausted(DemoaugError):
@@ -62,43 +29,9 @@ class BudgetExhausted(DemoaugError):
         self.attempts = attempts
 
 
-# simulator
-
-class PlacementFailure(DemoaugError):
-    pass
-
-
-class UnknownTask(DemoaugError):
-    pass
-
-
-class UnreachableTarget(DemoaugError):
-    pass
-
-
-class ExpertFailure(DemoaugError):
-    pass
-
-
-class InitialStateMissing(DemoaugError):
-    pass
-
-
-# observation augmentation
-
-class ConfigError(DemoaugError):
-    pass
-
-
-class InvalidPermutation(DemoaugError):
-    pass
-
-
 class ColorJitterRefused(DemoaugError):
     pass
 
-
-# pipeline
 
 class StageFailure(DemoaugError):
     def __init__(self, stage, cause):

@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import RobotState, Timestep, Trajectory
-from .errors import ColorJitterRefused, ConfigError, InvalidPermutation, InvariantViolation, IoFailure
+from .errors import ColorJitterRefused, ConfigError, InvariantViolation, IoFailure
 from .geometry import Pose, quat_from_rotvec, quat_multiply, quat_normalize
 
 
@@ -206,7 +206,7 @@ def channel_permute(img: np.ndarray, perm) -> np.ndarray:
     img = _check_image(img)
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != [0, 1, 2]:
-        raise InvalidPermutation(f"{perm} is not a permutation of (0, 1, 2)")
+        raise InvariantViolation(f"{perm} is not a permutation of (0, 1, 2)")
     out = np.empty_like(img)
     for dst, src in enumerate(perm):
         out[..., dst] = img[..., src]

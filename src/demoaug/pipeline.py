@@ -102,23 +102,21 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # stages
 #
-# Every stage has the signature (ds, task, spec, params, seed, checked) ->
-# (Dataset, info) and reads its parameters from `params`: the values
-# StageConfig checked, over the defaults in STAGES. `spec` is the causal spec
-# to work with (the task's own, or one the CLI loaded); gen and obs ignore
-# it, and segment and causal need no task. `checked` holds the ids of the
-# timesteps tuples in ds whose timestep checks already ran, as
-# validate_dataset takes it; only validate reads it.
+# Every stage has the signature (ds, task, spec, params, seed) -> (Dataset,
+# info) and reads its parameters from `params`: the values StageConfig
+# checked, over the defaults in STAGES. `spec` is the causal spec to work
+# with (the task's own, or one the CLI loaded); gen and obs ignore it, and
+# segment and causal need no task.
 
 
-def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int, checked) -> tuple[Dataset, dict]:
+def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     trajs = tuple(replace(rollout_expert(task, derive_stream(seed, "gen", i)), traj_id=f"demo_{i:04d}")
                   for i in range(p["count"]))
     ds = Dataset("1.0", task.schema, trajs)
     return ds, {"generated": p["count"], "all_success": all(t.success for t in trajs)}
 
 
-def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int, checked) -> tuple[Dataset, dict]:
+def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     cfg = SegmentationConfig(
         close_threshold=p["close_threshold"],
         debounce_steps=p["debounce"],
@@ -129,7 +127,7 @@ def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int, checked) -> tupl
     return out, {"segmented": len(labeled), "phases": spec.num_phases}
 
 
-def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, checked) -> tuple[Dataset, dict]:
+def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     count = len(ds) if p["count"] is None else p["count"]
     icfg = InterpolationConfig(max_pos_step=p["max_pos_step"], max_rot_step=p["max_rot_step"])
     sampler = None  # the task's own samplers
@@ -157,7 +155,7 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, chec
     }
 
 
-def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int, checked) -> tuple[Dataset, dict]:
+def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     cfg = CounterfactualConfig(
         master_seed=seed,
         swap_probability=p["swap_prob"],
@@ -180,7 +178,7 @@ def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int, checked) -> tuple
     return out, info
 
 
-def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, checked) -> tuple[Dataset, dict]:
+def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     sigma = p["noise_sigma"]
     if p["jitter"] or p["permute"]:
         check_color_ops_allowed(task.color_sensitive, p["force"])
@@ -200,8 +198,8 @@ def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, chec
     return out, {"noise_sigma": sigma, "noised_copies": len(noisy)}
 
 
-def _stage_validate(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int, checked) -> tuple[Dataset, dict]:
-    return ds, validate_dataset_full(ds, task, replay_check=not p["no_replay"], checked=checked)
+def _stage_validate(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+    return ds, validate_dataset_full(ds, task, replay_check=not p["no_replay"])
 
 
 # stage name -> (stage function, {parameter key: Param}). These are the only
@@ -241,26 +239,26 @@ STAGES = {
 
 
 def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
-              seed: int, checked=()) -> tuple[Dataset, dict]:
+              seed: int) -> tuple[Dataset, dict]:
     """Run one stage on `ds`; the pipeline and the CLI subcommands both call
-    this. `checked`: see the stage signature above."""
+    this."""
     fn, table = STAGES[stage.name]
-    return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed,
-              checked)
+    return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 
 
-def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True, checked=()) -> dict:
+def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True) -> dict:
     """Invariant validation plus replay of dynamically consistent trajectories.
 
-    The timestep checks of trajectories in `checked` (as validate_dataset
-    takes it) are not run again; every other check, and the replay, is.
-    Counterfactual composites are causally valid but not a single dynamics
-    rollout, so they are invariant-checked only; their causal validity is
-    covered by the expert-action oracle in the test suite.
+    The timestep checks of a dataset that a save or a load already checked
+    are not run again (see validate_dataset); every other check, and the
+    replay, is. Counterfactual composites are causally valid but not a
+    single dynamics rollout, so they are invariant-checked only; their
+    causal validity is covered by the expert-action oracle in the test
+    suite.
     """
     failures: list[str] = []
     try:
-        validate_dataset(ds, checked)
+        validate_dataset(ds)
     except DemoaugError as exc:
         failures.append(f"invariant: {exc}")
     replayed = 0
@@ -288,10 +286,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     saved = None  # files of the last stage written; later stages copy what they inherit
     for i, stage in enumerate(cfg.stages):
         in_count = len(ds) if ds is not None else 0
-        # the last save checked ds's timesteps against ds's own schema
-        checked = saved.files if saved is not None else ()
         try:
-            ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed, checked)
+            ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed)
         except ConfigError:
             raise
         except DemoaugError as exc:

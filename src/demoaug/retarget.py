@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .causal import TaskCausalSpec
 from .data import Action, Dataset, Timestep, Trajectory, Provenance, slice_subtrajectory
-from .errors import BudgetExhausted, InvariantViolation, TargetMissing
+from .errors import BudgetExhausted, InvariantViolation
 from .geometry import Pose, SE3Transform, quat_geodesic, quat_slerp, relative_transform, vec_norm
 from .rng import derive_stream
 from .sim import PoseSampler, TaskDefinition, check_success, observe, reset, step
@@ -58,7 +58,7 @@ def transform_subtrajectory(sub: Trajectory, T: SE3Transform, target: str) -> Tr
     new_steps = []
     for ts in sub.timesteps:
         if all(e.entity_id != target for e in ts.entities):
-            raise TargetMissing(f"target {target!r} missing at timestep {ts.t}")
+            raise InvariantViolation(f"target {target!r} missing at timestep {ts.t}")
         entities = tuple(
             replace(e, pose=T.apply_pose(e.pose)) if e.entity_id == target else e for e in ts.entities
         )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 from .causal import TaskCausalSpec
 from .data import Trajectory
-from .errors import AgentNotFound, InvariantViolation, PhaseCountMismatch
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,7 @@ class PhaseBoundary:
 def _binary_states(traj: Trajectory, agent: str, cfg: SegmentationConfig) -> list[bool]:
     states = []
     for ts in traj.timesteps:
-        try:
-            robot = ts.robot(agent)
-        except InvariantViolation as exc:
-            raise AgentNotFound(str(exc)) from exc
-        states.append(robot.gripper_aperture < cfg.close_threshold)
+        states.append(ts.robot(agent).gripper_aperture < cfg.close_threshold)
     return states
 
 
@@ -98,7 +94,7 @@ def assign_phases(traj: Trajectory, spec: TaskCausalSpec, cfg: SegmentationConfi
     boundaries = detect_boundaries(traj, agent, cfg)
     segments = _merged_segments(len(traj.timesteps), boundaries, cfg.min_phase_len)
     if len(segments) != len(spec.segment_merge_map):
-        raise PhaseCountMismatch(
+        raise InvariantViolation(
             f"trajectory {traj.traj_id!r}: {len(segments)} segments but merge map expects "
             f"{len(spec.segment_merge_map)}"
         )
@@ -114,7 +110,7 @@ def assign_phases(traj: Trajectory, spec: TaskCausalSpec, cfg: SegmentationConfi
 def _pick_agent(traj: Trajectory) -> str:
     robots = traj.timesteps[0].robots
     if len(robots) != 1:
-        raise AgentNotFound(
+        raise InvariantViolation(
             f"trajectory {traj.traj_id!r} has {len(robots)} agents; single-agent segmentation only"
         )
     return robots[0].agent_id

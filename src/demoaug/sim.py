@@ -14,20 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .causal import TaskCausalSpec
 from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Trajectory, Provenance
-from .errors import (
-    ExpertFailure,
-    InitialStateMissing,
-    InvariantViolation,
-    PlacementFailure,
-    UnknownTask,
-    UnreachableTarget,
-)
+from .errors import InvariantViolation
 from .geometry import Pose, SE3Transform, quat_from_yaw, quat_rotate, step_toward, vec_norm
 from .rng import derive_stream
 
@@ -101,18 +94,14 @@ class ExpertParams:
     step_rot: float = 0.1
 
 
-# the number of phases each task kind's expert and success predicates know
-KIND_PHASES = {"stack3": 4, "pod_lid": 2}
-
-
 @dataclass(frozen=True)
 class TaskDefinition:
-    """A task and its simulator settings. `pod_machine` is not given: it is
-    the (pod, receptacle) entity ids of a pod_lid task, resolved from the
-    schema when the task is built, and None for any other kind."""
+    """A task and its simulator settings. `roles` is not given: it is the
+    entity ids the kind's predicates and expert bind (TASK_KINDS), resolved
+    from the other sections when the task is built."""
 
     task_id: str
-    kind: str  # "stack3" | "pod_lid"
+    kind: str  # a key of TASK_KINDS
     schema: TaskSchema
     samplers: dict[str, PoseSampler]
     geoms: dict[str, object]
@@ -124,14 +113,17 @@ class TaskDefinition:
     z_tol: float = 0.005
     lid_closed_threshold: float = 0.1
     lid_initial_angle: float = math.pi / 2
-    stack_order: tuple[str, ...] = ()
+    stack_order: tuple[str, ...] = ()  # read by stack3 alone
     color_sensitive: bool = False
-    pod_machine: tuple[str, str] | None = field(init=False)
+    roles: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         """Check the values the simulator relies on and the sections
         against each other, so that a task whose sections disagree is
         refused when it is built, not in the middle of a rollout."""
+        kind = TASK_KINDS.get(self.kind)
+        if kind is None:
+            raise InvariantViolation(f"unknown task kind {self.kind!r} (known kinds: {', '.join(TASK_KINDS)})")
         if self.xy_tol <= 0 or self.z_tol <= 0 or self.lid_closed_threshold <= 0:
             raise InvariantViolation("task tolerances must be positive")
         ids = self.schema.entity_ids()
@@ -142,9 +134,7 @@ class TaskDefinition:
                     f"{name} are keyed by {sorted(keys)}, not by the schema's entities {sorted(ids)}")
         if not self.schema.agents:
             raise InvariantViolation("the schema declares no agent")
-        order = self.stack_order
-        if self.kind == "stack3" and (len(order) != 3 or len(set(order)) != 3 or not set(order) <= set(ids)):
-            raise InvariantViolation(f"stack_order {list(order)} must be 3 distinct schema entities")
+        object.__setattr__(self, "roles", kind.roles(self))
         for name, value in (
             ("sim.max_pos_step", self.sim.max_pos_step),
             ("sim.max_rot_step", self.sim.max_rot_step),
@@ -154,11 +144,9 @@ class TaskDefinition:
         ):
             if not value > 0:
                 raise InvariantViolation(f"{name} must be > 0, got {value!r}")
-        phases = KIND_PHASES.get(self.kind)
-        if phases is not None and self.causal.num_phases != phases:
+        if self.causal.num_phases != len(kind.phases):
             raise InvariantViolation(
-                f"a {self.kind} task has {phases} phases, but its causal spec declares {self.causal.num_phases}")
-        object.__setattr__(self, "pod_machine", self._pod_lid_layout() if self.kind == "pod_lid" else None)
+                f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {self.causal.num_phases}")
         # observe sources lid_angle alone, and step moves the lid of a receptacle geom
         for decl in self.schema.entities:
             for name in decl.extra_fields:
@@ -167,25 +155,6 @@ class TaskDefinition:
                         f"entity {decl.entity_id!r} declares extra field {name!r}; the simulator sources only lid_angle")
             if decl.extra_fields and not isinstance(self.geoms[decl.entity_id], ReceptacleGeom):
                 raise InvariantViolation(f"entity {decl.entity_id!r} has a lid_angle extra field but no receptacle geom")
-
-    def _pod_lid_layout(self) -> tuple[str, str]:
-        """The ids of the one pod and the one receptacle, after checking
-        what the pod_lid expert needs of them."""
-        pods = [e for e in self.schema.entities if e.kind == "pod"]
-        machines = [e for e in self.schema.entities if e.kind == "receptacle"]
-        if len(pods) != 1 or len(machines) != 1:
-            raise InvariantViolation(
-                f"a pod_lid task needs exactly one pod and one receptacle entity, got "
-                f"pods {[e.entity_id for e in pods]} and receptacles {[e.entity_id for e in machines]}")
-        pod, machine = pods[0].entity_id, machines[0]
-        geom = self.geoms[pod]
-        if not (isinstance(geom, ObjectGeom) and geom.graspable):
-            raise InvariantViolation(f"pod {pod!r} needs a graspable object geom")
-        if not isinstance(self.geoms[machine.entity_id], ReceptacleGeom):
-            raise InvariantViolation(f"receptacle {machine.entity_id!r} needs a receptacle geom")
-        if "lid_angle" not in machine.extra_fields:
-            raise InvariantViolation(f"receptacle {machine.entity_id!r} needs a lid_angle extra field")
-        return pod, machine.entity_id
 
     @property
     def agent(self) -> str:
@@ -255,7 +224,7 @@ def reset(task: TaskDefinition, seed) -> SimState:
             lids = {eid: task.lid_initial_angle for eid in task.lidded_entities()}
             gripper = RobotState(task.agent, task.home_pose, 1.0)
             return SimState(poses, lids, gripper, None, 0)
-    raise PlacementFailure(
+    raise InvariantViolation(
         f"no non-overlapping placement found in {task.sim.placement_attempts} attempts"
     )
 
@@ -377,38 +346,6 @@ def _pod_in_well(state: SimState, task: TaskDefinition, pod: str, machine: str) 
     return abs(pose.position[2] - rest) <= task.z_tol
 
 
-def check_success(state: SimState, task: TaskDefinition, phase: int | None = None) -> bool:
-    """Task-level success, or the phase-completion predicate when given."""
-    if task.kind == "stack3":
-        bottom, mid, top = task.stack_order
-        if phase is None:
-            return _placed_on(state, task, mid, bottom) and _placed_on(state, task, top, mid)
-        if phase == 0:
-            return _attached(state, mid) or _placed_on(state, task, mid, bottom)
-        if phase == 1:
-            return _placed_on(state, task, mid, bottom) and not _attached(state, mid)
-        if phase == 2:
-            return _attached(state, top) or _placed_on(state, task, top, mid)
-        if phase == 3:
-            return (
-                _placed_on(state, task, top, mid)
-                and _placed_on(state, task, mid, bottom)
-                and not _attached(state, top)
-            )
-        raise UnknownTask(f"stack3 has no phase {phase}")
-    if task.kind == "pod_lid":
-        pod, machine = task.pod_machine
-        lid_ok = state.lids[machine] <= task.lid_closed_threshold
-        if phase is None:
-            return _pod_in_well(state, task, pod, machine) and lid_ok
-        if phase == 0:
-            return _attached(state, pod) or _pod_in_well(state, task, pod, machine)
-        if phase == 1:
-            return _pod_in_well(state, task, pod, machine) and not _attached(state, pod) and lid_ok
-        raise UnknownTask(f"pod_lid has no phase {phase}")
-    raise UnknownTask(f"unknown task kind {task.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # scripted experts
 
@@ -417,7 +354,7 @@ def _check_reachable(task: TaskDefinition, point: np.ndarray, what: str):
     p = point.tolist()
     lo, hi = task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()
     if any(x < w_lo or x > w_hi for x, w_lo, w_hi in zip(p, lo, hi)):
-        raise UnreachableTarget(f"{what} {p} outside workspace")
+        raise InvariantViolation(f"{what} {p} outside workspace")
 
 
 def _bounded_action(state: SimState, task: TaskDefinition, waypoint: np.ndarray, grip: float) -> Action:
@@ -471,53 +408,129 @@ def _retreat_policy(state: SimState, task: TaskDefinition) -> Action:
     return _bounded_action(state, task, wp, 1.0)
 
 
-def _stack_place_point(state: SimState, task: TaskDefinition, carried: str, base: str) -> np.ndarray:
+def _stack_policy(state: SimState, task: TaskDefinition, carried: str, base: str) -> Action:
+    """Carry `carried` onto `base` and release it there; retreat once released."""
     base_pose = state.objects[base]
     z = base_pose.position[2] + (_height(task, base) + _height(task, carried)) / 2.0
-    return np.array([base_pose.position[0], base_pose.position[1], z])
+    return _place_policy(state, task, carried, np.array([base_pose.position[0], base_pose.position[1], z]))
+
+
+def _pod_lid_policy(state: SimState, task: TaskDefinition, pod: str, machine: str) -> Action:
+    """Place the pod in the machine's well, then push the lid shut."""
+    geom = task.geoms[machine]
+    machine_pose = state.objects[machine]
+    if _attached(state, pod):
+        well = _well_xy(task, machine, machine_pose)
+        rest = geom.well_floor_z + _height(task, pod) / 2.0
+        return _place_policy(state, task, pod, np.array([well[0], well[1], rest]))
+    if state.lids[machine] > task.lid_closed_threshold:
+        push = _push_xy(task, machine, machine_pose)
+        eef = state.gripper.eef_pose
+        tol = task.expert.align_tol
+        approach = np.array([push[0], push[1], geom.push_band[1]])
+        _check_reachable(task, approach, "lid push point")
+        if vec_norm(eef.position[:2] - push) > tol or eef.position[2] > geom.push_band[1] + tol:
+            return _bounded_action(state, task, approach, 1.0)
+        bottom_wp = np.array([push[0], push[1], geom.push_band[0] + 0.01])
+        return _bounded_action(state, task, bottom_wp, 1.0)
+    return _retreat_policy(state, task)
+
+
+# ---------------------------------------------------------------------------
+# task kinds
+
+
+@dataclass(frozen=True)
+class TaskKind:
+    """What a task kind means to the simulator.
+
+    `roles(task)` checks the task's layout and returns the entity ids the
+    kind binds, in a fixed order; it runs once, when the TaskDefinition is
+    built. `success` is the task-success predicate. `phases` holds one
+    (expert policy, completion predicate) pair per phase, so its length is
+    the kind's phase count. Each predicate and policy is called as
+    f(state, task, *task.roles)."""
+
+    roles: Callable[[TaskDefinition], tuple[str, ...]]
+    success: Callable[..., bool]
+    phases: tuple[tuple[Callable[..., Action], Callable[..., bool]], ...]
+
+
+def _stack3_roles(task: TaskDefinition) -> tuple[str, str, str]:
+    """(bottom, mid, top), from stack_order."""
+    order = task.stack_order
+    if len(order) != 3 or len(set(order)) != 3 or not set(order) <= set(task.schema.entity_ids()):
+        raise InvariantViolation(f"stack_order {list(order)} must be 3 distinct schema entities")
+    return order
+
+
+def _pod_lid_roles(task: TaskDefinition) -> tuple[str, str]:
+    """(pod, machine): the ids of the one pod and the one receptacle, after
+    checking what the pod_lid expert needs of them."""
+    if task.stack_order:
+        raise InvariantViolation(f"a pod_lid task takes no stack_order, got {list(task.stack_order)}")
+    pods = [e for e in task.schema.entities if e.kind == "pod"]
+    machines = [e for e in task.schema.entities if e.kind == "receptacle"]
+    if len(pods) != 1 or len(machines) != 1:
+        raise InvariantViolation(
+            f"a pod_lid task needs exactly one pod and one receptacle entity, got "
+            f"pods {[e.entity_id for e in pods]} and receptacles {[e.entity_id for e in machines]}")
+    pod, machine = pods[0].entity_id, machines[0]
+    geom = task.geoms[pod]
+    if not (isinstance(geom, ObjectGeom) and geom.graspable):
+        raise InvariantViolation(f"pod {pod!r} needs a graspable object geom")
+    if not isinstance(task.geoms[machine.entity_id], ReceptacleGeom):
+        raise InvariantViolation(f"receptacle {machine.entity_id!r} needs a receptacle geom")
+    if "lid_angle" not in machine.extra_fields:
+        raise InvariantViolation(f"receptacle {machine.entity_id!r} needs a lid_angle extra field")
+    return pod, machine.entity_id
+
+
+def _stacked(state: SimState, task: TaskDefinition, bottom: str, mid: str, top: str) -> bool:
+    return _placed_on(state, task, mid, bottom) and _placed_on(state, task, top, mid)
+
+
+def _pod_lid_done(state: SimState, task: TaskDefinition, pod: str, machine: str) -> bool:
+    return _pod_in_well(state, task, pod, machine) and state.lids[machine] <= task.lid_closed_threshold
+
+
+TASK_KINDS = {
+    "stack3": TaskKind(_stack3_roles, _stacked, (
+        (lambda s, task, bottom, mid, top: _grasp_policy(s, task, mid),
+         lambda s, task, bottom, mid, top: _attached(s, mid) or _placed_on(s, task, mid, bottom)),
+        (lambda s, task, bottom, mid, top: _stack_policy(s, task, mid, bottom),
+         lambda s, task, bottom, mid, top: _placed_on(s, task, mid, bottom) and not _attached(s, mid)),
+        (lambda s, task, bottom, mid, top: _grasp_policy(s, task, top),
+         lambda s, task, bottom, mid, top: _attached(s, top) or _placed_on(s, task, top, mid)),
+        (lambda s, task, bottom, mid, top: _stack_policy(s, task, top, mid),
+         lambda s, task, bottom, mid, top: _stacked(s, task, bottom, mid, top) and not _attached(s, top)),
+    )),
+    "pod_lid": TaskKind(_pod_lid_roles, _pod_lid_done, (
+        (lambda s, task, pod, machine: _grasp_policy(s, task, pod),
+         lambda s, task, pod, machine: _attached(s, pod) or _pod_in_well(s, task, pod, machine)),
+        (_pod_lid_policy,
+         lambda s, task, pod, machine: _pod_lid_done(s, task, pod, machine) and not _attached(s, pod)),
+    )),
+}
+
+
+def _phase(task: TaskDefinition, phase: int) -> tuple[Callable[..., Action], Callable[..., bool]]:
+    phases = TASK_KINDS[task.kind].phases
+    if not 0 <= phase < len(phases):
+        raise InvariantViolation(f"{task.kind} has no phase {phase}")
+    return phases[phase]
+
+
+def check_success(state: SimState, task: TaskDefinition, phase: int | None = None) -> bool:
+    """Task-level success, or the phase-completion predicate when given."""
+    if phase is None:
+        return TASK_KINDS[task.kind].success(state, task, *task.roles)
+    return _phase(task, phase)[1](state, task, *task.roles)
 
 
 def expert_action(state: SimState, task: TaskDefinition, phase: int) -> Action:
     """Deterministic waypoint policy; reads only the phase's dependent entities."""
-    if task.kind == "stack3":
-        bottom, mid, top = task.stack_order
-        if phase == 0:
-            return _grasp_policy(state, task, mid)
-        if phase == 1:
-            if _attached(state, mid):
-                return _place_policy(state, task, mid, _stack_place_point(state, task, mid, bottom))
-            return _retreat_policy(state, task)
-        if phase == 2:
-            return _grasp_policy(state, task, top)
-        if phase == 3:
-            if _attached(state, top):
-                return _place_policy(state, task, top, _stack_place_point(state, task, top, mid))
-            return _retreat_policy(state, task)
-        raise UnknownTask(f"stack3 has no phase {phase}")
-    if task.kind == "pod_lid":
-        pod, machine = task.pod_machine
-        if phase == 0:
-            return _grasp_policy(state, task, pod)
-        if phase == 1:
-            geom = task.geoms[machine]
-            machine_pose = state.objects[machine]
-            if _attached(state, pod):
-                well = _well_xy(task, machine, machine_pose)
-                rest = geom.well_floor_z + _height(task, pod) / 2.0
-                return _place_policy(state, task, pod, np.array([well[0], well[1], rest]))
-            if state.lids[machine] > task.lid_closed_threshold:
-                push = _push_xy(task, machine, machine_pose)
-                eef = state.gripper.eef_pose
-                tol = task.expert.align_tol
-                approach = np.array([push[0], push[1], geom.push_band[1]])
-                _check_reachable(task, approach, "lid push point")
-                if vec_norm(eef.position[:2] - push) > tol or eef.position[2] > geom.push_band[1] + tol:
-                    return _bounded_action(state, task, approach, 1.0)
-                bottom_wp = np.array([push[0], push[1], geom.push_band[0] + 0.01])
-                return _bounded_action(state, task, bottom_wp, 1.0)
-            return _retreat_policy(state, task)
-        raise UnknownTask(f"pod_lid has no phase {phase}")
-    raise UnknownTask(f"unknown task kind {task.kind!r}")
+    return _phase(task, phase)[0](state, task, *task.roles)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +578,7 @@ def rollout_expert(task: TaskDefinition, seed, max_steps: int = 400, tail_steps:
                 break
             remaining_tail -= 1
     if not check_success(state, task):
-        raise ExpertFailure(f"expert did not finish {task.task_id!r} within {max_steps} steps")
+        raise InvariantViolation(f"expert did not finish {task.task_id!r} within {max_steps} steps")
     seed_label = seed if isinstance(seed, int) else "rng"
     return Trajectory(
         traj_id=f"demo_{seed_label}" if isinstance(seed_label, int) else "demo",
@@ -590,7 +603,7 @@ def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
             if vec_norm(pose.position - gripper.eef_pose.position) <= task.sim.grasp_radius:
                 near.append(eid)
         if len(near) > 1:
-            raise InitialStateMissing(
+            raise InvariantViolation(
                 f"timestep {ts.t}: ambiguous attachment among {sorted(near)}"
             )
         if near:
@@ -606,7 +619,7 @@ def replay(traj: Trajectory, task: TaskDefinition, trace: bool = False):
     states[i] is the state before executing action i.
     """
     if not traj.timesteps:
-        raise InitialStateMissing(f"trajectory {traj.traj_id!r} has no timesteps")
+        raise InvariantViolation(f"trajectory {traj.traj_id!r} has no timesteps")
     state = sim_state_from_timestep(traj.timesteps[0], task)
     states = [state]
     for ts in traj.timesteps:

@@ -30,7 +30,7 @@ from .data import (
     schema_from_json,
     schema_to_json,
 )
-from .errors import InvariantViolation, UnknownTask
+from .errors import InvariantViolation, IoFailure
 from .sim import ExpertParams, ObjectGeom, PoseSampler, ReceptacleGeom, SimParams, TaskDefinition
 
 # a geom's "type" key names its class; its other keys are that class's fields
@@ -99,4 +99,4 @@ def resolve_task(name_or_path: str) -> TaskDefinition:
     p = Path(name_or_path)
     if p.is_file():
         return load_task_definition(p)
-    raise UnknownTask(f"no bundled task or config file named {name_or_path!r}")
+    raise IoFailure(f"no bundled task or config file named {name_or_path!r}")

@@ -15,7 +15,7 @@ from demoaug.causal import (
     causal_spec_from_dict,
     causal_spec_to_dict,
 )
-from demoaug.errors import DimensionMismatch, InvariantViolation
+from demoaug.errors import InvariantViolation
 from demoaug.tasks import resolve_task
 
 
@@ -128,7 +128,7 @@ def test_join_adjacency_examples():
 def test_join_adjacency_dimension_mismatch():
     a = CausalGraph(("x",), np.array([[True]]))
     b = CausalGraph(("x", "y"), np.eye(2, dtype=bool))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InvariantViolation, match="node sets differ"):
         join_adjacency(a, b)
 
 

@@ -1,8 +1,11 @@
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from demoaug import errors
 from demoaug.causal import causal_spec_to_dict
 from demoaug.cli import main
 from demoaug.data import load_dataset
@@ -19,6 +22,18 @@ def run_cli(*argv):
 def test_usage_error_exit_code():
     assert run_cli("no-such-command") == 1
     assert run_cli("gen-demos") == 1  # missing required flags
+
+
+def test_readme_lists_each_error_class():
+    """errors.py declares one class per way a caller handles a failure, and
+    the README's errors table lists each of them."""
+    declared = {name for name, obj in vars(errors).items()
+                if inspect.isclass(obj) and issubclass(obj, errors.DemoaugError)}
+    assert declared == {"DemoaugError", "InvariantViolation", "IoFailure", "ConfigError", "BudgetExhausted",
+                        "ColorJitterRefused", "StageFailure"}
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("## Errors and exit codes"):text.index("## Pipeline configs")]
+    assert {name for name in declared if f"| `{name}` |" in table} == declared
 
 
 def test_gen_segment_stats_flow(tmp_path, capsys):
@@ -340,12 +355,16 @@ def _drop_last_phase(task):
          "entity 'machine' declares extra field 'hinge'; the simulator sources only lid_angle"),
         (_task_with("stack", _drop_last_phase), "a stack3 task has 4 phases, but its causal spec declares 3"),
         (_task_with("coffee", _drop_last_phase), "a pod_lid task has 2 phases, but its causal spec declares 1"),
+        (_task_with("stack", _set("kind", "juggling")), "unknown task kind 'juggling' (known kinds: stack3, pod_lid)"),
+        (_task_with("coffee", _set("stack_order", ["pod", "machine"])),
+         "a pod_lid task takes no stack_order, got ['pod', 'machine']"),
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents", "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
-         "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few"],
+         "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few",
+         "unknown_kind", "pod_lid_with_stack_order"],
 )
 def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

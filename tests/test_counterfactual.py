@@ -9,7 +9,7 @@ from demoaug.counterfactual import (
     gripper_transit_jitter,
 )
 from demoaug.data import Dataset, Provenance
-from demoaug.errors import UnlabeledTrajectory
+from demoaug.errors import InvariantViolation
 from demoaug.geometry import quat_geodesic
 from demoaug.rng import derive_stream
 from demoaug.sim import expert_action, sim_state_from_timestep
@@ -47,7 +47,7 @@ def test_single_trajectory_has_no_donors(stack_task):
 def test_unlabeled_trajectory_rejected(stack_task):
     ds = make_labeled_demos(stack_task, 1)
     raw = replace(ds.trajectories[0], timesteps=tuple(replace(ts, phase=None) for ts in ds.trajectories[0].timesteps))
-    with pytest.raises(UnlabeledTrajectory):
+    with pytest.raises(InvariantViolation, match="trajectory 'demo_000' has unlabeled timesteps"):
         build_phase_index(Dataset("1.0", stack_task.schema, (raw,)), stack_task.causal)
 
 

@@ -25,7 +25,7 @@ from demoaug.data import (
     slice_subtrajectory,
     timestep_to_json,
 )
-from demoaug.errors import InvariantViolation, IoFailure, MissingManifest, RangeError, SchemaVersionMismatch
+from demoaug.errors import InvariantViolation, IoFailure
 from demoaug.geometry import Pose, quat_normalize
 
 
@@ -114,7 +114,7 @@ def test_single_timestep_trajectory_layout(tmp_path):
 
 
 def test_missing_manifest(tmp_path):
-    with pytest.raises(MissingManifest):
+    with pytest.raises(IoFailure, match="no manifest.json under"):
         load_dataset(tmp_path / "nothing")
 
 
@@ -124,7 +124,7 @@ def test_schema_version_mismatch(tmp_path):
     manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
     manifest["schema_version"] = "2.0"
     (tmp_path / "v" / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(SchemaVersionMismatch):
+    with pytest.raises(InvariantViolation, match=r"manifest schema_version '2.0' unsupported \(tool supports 1.x\)"):
         load_dataset(tmp_path / "v")
 
 
@@ -191,11 +191,11 @@ def test_slice_identity_and_rebase():
 def test_slice_empty_or_out_of_range():
     ds = random_dataset(8, n_traj=1, n_steps=4)
     traj = ds.trajectories[0]
-    with pytest.raises(RangeError):
+    with pytest.raises(InvariantViolation, match=r"slice \[2, 2\) invalid for length 4"):
         slice_subtrajectory(traj, 2, 2)
-    with pytest.raises(RangeError):
+    with pytest.raises(InvariantViolation, match=r"slice \[0, 5\) invalid for length 4"):
         slice_subtrajectory(traj, 0, 5)
-    with pytest.raises(RangeError):
+    with pytest.raises(InvariantViolation, match=r"slice \[-1, 2\) invalid for length 4"):
         slice_subtrajectory(traj, -1, 2)
 
 
@@ -486,7 +486,7 @@ def test_save_under_another_schema_revalidates(tmp_path, monkeypatch):
          InvariantViolation, "duplicate traj_id"),
         (lambda ds: replace(ds, trajectories=(replace(ds.trajectories[0], task_id="other"),)),
          InvariantViolation, "task_id"),
-        (lambda ds: replace(ds, schema_version="2.0"), SchemaVersionMismatch, "schema_version"),
+        (lambda ds: replace(ds, schema_version="2.0"), InvariantViolation, "schema_version"),
     ],
     ids=["unsafe_traj_id", "duplicate_traj_id", "other_task_id", "schema_version"],
 )
@@ -912,6 +912,32 @@ def test_json_dumps_layout_loads_equal(tmp_path):
             obj.setdefault("interp", False)
             lines.append(json.dumps(dict(reversed(obj.items()))))
         path.write_text("\n".join(lines) + "\n")
+    assert load_dataset(tmp_path / "d") == ds
+
+
+def test_line_separators_inside_a_json_string_load(tmp_path):
+    """Only "\n" ends a timestep line: the raw U+2028, U+2029 and U+0085
+    that json.dumps(..., ensure_ascii=False) leaves inside a string load."""
+    ds = random_dataset(3, n_traj=1)
+    save_dataset(ds, tmp_path / "d")
+    entity = "po\u2028d\u2029x\x85"
+    for path in (tmp_path / "d").iterdir():
+        text = path.read_text(encoding="utf-8").replace('"obj_a"', json.dumps(entity, ensure_ascii=False))
+        path.write_text(text, encoding="utf-8")
+    assert "\u2028" in (tmp_path / "d" / "traj_tr_00.jsonl").read_text(encoding="utf-8")
+    loaded = load_dataset(tmp_path / "d")
+    assert loaded.task_schema.entity_ids() == (entity, "obj_b")
+    [got], [want] = loaded.trajectories, ds.trajectories
+    assert [ts.entities[0].entity_id for ts in got.timesteps] == [entity] * len(want)
+    assert [ts.entities[0].pose for ts in got.timesteps] == [ts.entities[0].pose for ts in want.timesteps]
+    assert [ts.robots for ts in got.timesteps] == [ts.robots for ts in want.timesteps]
+
+
+def test_crlf_lines_load(tmp_path):
+    ds = random_dataset(4)
+    save_dataset(ds, tmp_path / "d")
+    for path in (tmp_path / "d").glob("traj_*.jsonl"):
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     assert load_dataset(tmp_path / "d") == ds
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from demoaug import imageaug
 from demoaug.data import Action, EntityState, Provenance, RobotState, Timestep, Trajectory
-from demoaug.errors import ColorJitterRefused, ConfigError, InvalidPermutation
+from demoaug.errors import ColorJitterRefused, ConfigError, InvariantViolation
 from demoaug.geometry import Pose, quat_from_rotvec, quat_multiply, quat_normalize
 from demoaug.imageaug import (
     VisualAugConfig,
@@ -116,7 +116,7 @@ def test_channel_permute_inverse_round_trip(fixture_image):
 
 def test_channel_permute_invalid():
     img = np.zeros((2, 2, 3), dtype=np.uint8)
-    with pytest.raises(InvalidPermutation):
+    with pytest.raises(InvariantViolation, match=r"\(0, 0, 1\) is not a permutation of \(0, 1, 2\)"):
         channel_permute(img, (0, 0, 1))
 
 

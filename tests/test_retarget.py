@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from demoaug.data import Provenance, slice_subtrajectory
-from demoaug.errors import BudgetExhausted, TargetMissing
+from demoaug.errors import BudgetExhausted, InvariantViolation
 from demoaug.geometry import (
     Pose,
     SE3Transform,
@@ -67,7 +67,7 @@ def test_transform_yaw_preserves_relative_pose(stack_demos):
 
 def test_transform_missing_target(stack_demos):
     sub = phase_slice(stack_demos.trajectories[0], 0)
-    with pytest.raises(TargetMissing):
+    with pytest.raises(InvariantViolation, match="target 'ghost' missing at timestep 0"):
         transform_subtrajectory(sub, SE3Transform.identity(), "ghost")
 
 

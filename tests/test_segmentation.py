@@ -1,7 +1,7 @@
 import pytest
 
 from demoaug.data import Action, EntityState, Provenance, RobotState, Timestep, Trajectory
-from demoaug.errors import AgentNotFound, PhaseCountMismatch
+from demoaug.errors import InvariantViolation
 from demoaug.geometry import Pose
 from demoaug.segmentation import PhaseBoundary, SegmentationConfig, assign_phases, detect_boundaries
 from demoaug.causal import CausalGraph, PhaseSpec, TaskCausalSpec
@@ -63,7 +63,7 @@ def test_boundaries_alternate_strictly():
 
 def test_agent_not_found():
     traj = traj_from_apertures([1, 0, 1])
-    with pytest.raises(AgentNotFound):
+    with pytest.raises(InvariantViolation, match="agent 'robot9' missing from timestep 0"):
         detect_boundaries(traj, "robot9", SegmentationConfig())
 
 
@@ -98,7 +98,7 @@ def test_assign_phases_short_terminal_stub_merges_back():
 
 def test_assign_phases_count_mismatch():
     traj = traj_from_apertures([1] * 6 + [0] * 6 + [1] * 6)
-    with pytest.raises(PhaseCountMismatch):
+    with pytest.raises(InvariantViolation, match="3 segments but merge map expects 2"):
         assign_phases(traj, two_phase_spec([0, 1]), SegmentationConfig(debounce_steps=2))
 
 

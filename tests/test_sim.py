@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from demoaug.data import Action, timestep_to_json
-from demoaug.errors import PlacementFailure, UnknownTask
+from demoaug.errors import InvariantViolation
 from demoaug.geometry import Pose, SE3Transform, quat_from_yaw, quat_geodesic
 from demoaug.segmentation import SegmentationConfig, assign_phases
 from demoaug.sim import (
@@ -45,7 +45,7 @@ def test_reset_degenerate_samplers_hit_exact_poses(stack_task):
 def test_reset_overlap_forces_placement_failure(stack_task):
     samplers = {eid: PoseSampler((0.0, 0.0), (0.0, 0.0), (0.02, 0.02)) for eid in stack_task.samplers}
     task = replace(stack_task, samplers=samplers)
-    with pytest.raises(PlacementFailure):
+    with pytest.raises(InvariantViolation, match="no non-overlapping placement found in 1000 attempts"):
         reset(task, 0)
 
 
@@ -128,12 +128,19 @@ def test_check_success_examples(stack_task):
 
 
 def test_unknown_task_kind(stack_task):
-    bad = replace(stack_task, kind="juggling")
-    state = reset(stack_task, 0)
-    with pytest.raises(UnknownTask):
-        check_success(state, bad)
-    with pytest.raises(UnknownTask):
-        expert_action(state, bad, 0)
+    with pytest.raises(InvariantViolation, match=r"unknown task kind 'juggling' \(known kinds: stack3, pod_lid\)"):
+        replace(stack_task, kind="juggling")
+
+
+@pytest.mark.parametrize("task_name", ["stack_task", "coffee_task"])
+def test_phase_out_of_range(request, task_name):
+    task = request.getfixturevalue(task_name)
+    state = reset(task, 0)
+    for phase in (-1, task.causal.num_phases):
+        with pytest.raises(InvariantViolation, match=f"^{task.kind} has no phase {phase}$"):
+            check_success(state, task, phase)
+        with pytest.raises(InvariantViolation, match=f"^{task.kind} has no phase {phase}$"):
+            expert_action(state, task, phase)
 
 
 def test_rollout_then_replay_matches_trace(stack_task):
@@ -281,19 +288,16 @@ def test_expert_commands_close_at_grasp_pose(stack_task):
 
 
 def test_expert_unreachable_target(stack_task):
-    from demoaug.errors import UnreachableTarget
-
     state = reset(stack_task, 18)
     objects = dict(state.objects)
     # object artificially placed outside the workspace box
     objects["cube_a"] = Pose(np.array([0.5, 0.0, 0.02]), objects["cube_a"].orientation)
     bad = SimState(objects, state.lids, state.gripper, None, 0)
-    with pytest.raises(UnreachableTarget):
+    with pytest.raises(InvariantViolation, match=r"grasp point for cube_a \[0.5, 0.0, 0.02\] outside workspace"):
         expert_action(bad, stack_task, 0)
 
 
 def test_ambiguous_attachment_inference(stack_task):
-    from demoaug.errors import InitialStateMissing
     from demoaug.data import EntityState, Timestep, Action, RobotState
 
     state = reset(stack_task, 19)
@@ -306,7 +310,7 @@ def test_ambiguous_attachment_inference(stack_task):
         entities.append(EntityState(decl.entity_id, pose))
     grip = RobotState("robot0", Pose(spot, np.array([1.0, 0, 0, 0])), 0.0)
     ts = Timestep(0, tuple(entities), (grip,), (Action("robot0", grip.eef_pose, 0.0),))
-    with pytest.raises(InitialStateMissing):
+    with pytest.raises(InvariantViolation, match=r"timestep 0: ambiguous attachment among \['cube_a', 'cube_b'\]"):
         sim_state_from_timestep(ts, stack_task)
 
 

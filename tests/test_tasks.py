@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import MISSING, fields
 from importlib.resources import files
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from demoaug.causal import load_causal_spec, causal_spec_to_dict, count_partitions
 from demoaug.data import EntityDecl
-from demoaug.errors import DemoaugError, UnknownTask
+from demoaug.errors import DemoaugError, IoFailure
 from demoaug.sim import (
     ExpertParams,
     ObjectGeom,
@@ -30,7 +31,7 @@ BUNDLED = files("demoaug") / "bundled"
 def test_resolve_bundled_names():
     assert resolve_task("stack").kind == "stack3"
     assert resolve_task("coffee").kind == "pod_lid"
-    with pytest.raises(UnknownTask):
+    with pytest.raises(IoFailure, match="no bundled task or config file named 'no_such_task'"):
         resolve_task("no_such_task")
 
 
@@ -104,7 +105,7 @@ def test_only_plain_names_resolve_to_bundled_tasks(tmp_path, monkeypatch, name):
     """A name with a directory part is a path (here a missing one), never a
     file reached from the bundled directory."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(UnknownTask):
+    with pytest.raises(IoFailure, match=f"no bundled task or config file named '{re.escape(name)}'"):
         resolve_task(name)
 
 
