@@ -2,8 +2,8 @@
 
 Subcommands: gen-demos | segment | augment-se3 | augment-causal |
 augment-obs | validate | replay | ratio-study | stats | run.
-Exit codes: 0 ok, 1 usage, 2 validation failure, 3 stage failure or
-malformed input (an `error:` line, no traceback).
+Exit codes: 0 ok, 1 usage, 2 validation failure or a refused color op, 3
+stage failure or malformed input (an `error:` line, no traceback).
 """
 
 from __future__ import annotations
@@ -113,14 +113,9 @@ def _run_stage(args, task, spec) -> dict:
 
 def _cmd_stage(args) -> int:
     task = resolve_task(args.task) if args.task else None
-    if args.spec:
-        spec = load_causal_spec(args.spec)
-        if task is not None:
-            task = replace(task, causal=spec)
-    elif task is not None:
-        spec = task.causal
-    else:
-        raise DemoaugError("either --spec or --task is required")
+    spec = load_causal_spec(args.spec) if args.spec else task.causal
+    if args.spec and task is not None:
+        task = replace(task, causal=spec)
     _emit(_run_stage(args, task, spec), args.report)
     return EXIT_OK
 
@@ -246,7 +241,7 @@ def build_parser() -> _Parser:
         table = STAGES[stage][1]
         for key, text in flags:
             p.add_argument("--" + key.replace("_", "-"), type=_flag_type(table[key]), help=text)
-        p.set_defaults(fn=fn, stage=stage, params=tuple(key for key, _ in flags))
+        p.set_defaults(fn=fn, stage=stage, params=tuple(key for key, _ in flags), parser=p)
 
     p = sub.add_parser("gen-demos", help="roll out scripted expert demonstrations")
     common(p, inp=False)
@@ -332,6 +327,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.fn is _cmd_stage and args.task is None and args.spec is None:  # segment, augment-causal
+            args.parser.error("either --spec or --task is required")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

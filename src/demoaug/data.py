@@ -6,13 +6,15 @@ timestep per line. Key order is fixed and floats are written as shortest
 round-trip decimals, so saving the same dataset twice is byte-identical
 and load(save(ds)) == ds field for field.
 
-Records are immutable, so a load reads each distinct value once and shares
-it: each distinct pose is built once, and each distinct text of a timestep
-line's entities, robots or actions array is decoded, built and checked
-against the schema once, its tuple of records shared by every line that
-holds the text. Lines in another layout, and lines with a malformed
-section, are read whole by timestep_from_json, the reference. These
-caches live for one load_dataset call only; nothing is kept across loads.
+Records are immutable, so a trajectory records the schema its timesteps
+passed their checks under, and a save, load or validate checks them once
+per schema. A load reads each distinct value once and shares it: each
+distinct pose is built once, and each distinct text of a timestep line's
+entities, robots or actions array is decoded, built and checked against
+the schema once, its tuple of records shared by every line that holds the
+text. Lines in another layout, and lines with a malformed section, are read
+whole by timestep_from_json, the reference. These caches live for one
+load_dataset call only; nothing is kept across loads.
 
 The other input files (task files, causal specs, pipeline configs) go
 through the same reader, read_json, and the same typed checks: Param for
@@ -186,6 +188,9 @@ class Trajectory:
     timesteps: tuple[Timestep, ...]
     success: bool
     provenance: Provenance
+    # the TaskSchema these timesteps passed _check_timesteps under; set by
+    # validate_dataset, and unset in a copy made by dataclasses.replace
+    _checked_under: TaskSchema | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "timesteps", tuple(self.timesteps))
@@ -214,8 +219,6 @@ class Dataset:
     schema_version: str
     task_schema: TaskSchema
     trajectories: tuple[Trajectory, ...]
-    # set by validate_dataset once this dataset passed; see there
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trajectories", tuple(self.trajectories))
@@ -330,32 +333,29 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
             prev_phase = ts.phase
 
 
-def validate_dataset(ds: Dataset, checked=(), checked_sections=None):
+def validate_dataset(ds: Dataset, checked_sections=None):
     """Check the schema version, unique traj_ids and every trajectory's ids
-    and timesteps. `checked` holds the id of each timesteps tuple whose
-    timestep checks against ds.task_schema already ran (an earlier save's);
-    those are not run again. The caller vouches for them and keeps the
-    tuples alive, so that no id in `checked` is reused.
-    `checked_sections` is load_dataset's memo of the entities, robots and
-    actions tuples that passed their checks (see _check_timesteps).
+    and timesteps. `checked_sections` is load_dataset's memo of the
+    entities, robots and actions tuples that passed (see _check_timesteps).
 
-    A dataset that passes is marked (`_checked`) on the object, as a pose
-    keeps its encoding: it is immutable, so its timestep checks are not run
-    again. A save validates the dataset it writes and a load the one it
-    returns, so either reaches the validate stage marked."""
+    A trajectory whose timesteps pass is marked with the schema they passed
+    under (`_checked_under`), as a pose keeps its encoding: it is immutable,
+    so under that schema, or an equal one, its timestep checks are not run
+    again."""
     if ds.schema_version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise InvariantViolation(
             f"schema_version {ds.schema_version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
         )
+    schema = ds.task_schema
     seen = set()
     for tr in ds.trajectories:
         if tr.traj_id in seen:
             raise InvariantViolation(f"duplicate traj_id {tr.traj_id!r}")
         seen.add(tr.traj_id)
-        _check_trajectory_ids(tr, ds.task_schema)
-        if not ds._checked and id(tr.timesteps) not in checked:
-            _check_timesteps(tr, ds.task_schema, checked_sections)
-    object.__setattr__(ds, "_checked", True)
+        _check_trajectory_ids(tr, schema)
+        if tr._checked_under is not schema and tr._checked_under != schema:
+            _check_timesteps(tr, schema, checked_sections)
+            object.__setattr__(tr, "_checked_under", schema)
 
 
 # ---------------------------------------------------------------------------
@@ -756,42 +756,34 @@ def traj_filename(traj_id: str) -> str:
 
 @dataclass(frozen=True)
 class SavedFiles:
-    """What one save_dataset call wrote: the task schema it validated
-    against, and id(timesteps) -> (that timesteps tuple, the file holding
-    its lines). Holding the tuple keeps its id from being reused by another
-    object while the mapping lives."""
+    """What one save_dataset call wrote: the task schema it wrote under, and
+    id(timesteps) -> (that timesteps tuple, the file holding its lines).
+    Holding the tuple keeps its id from being reused by another object while
+    the mapping lives."""
 
     schema: TaskSchema
     files: dict[int, tuple[tuple[Timestep, ...], Path]]
 
 
 def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> SavedFiles:
-    """Write manifest + per-trajectory jsonl files; deterministic bytes.
+    """Validate `ds` (see validate_dataset) and write its manifest and one
+    jsonl file per trajectory; deterministic bytes.
 
-    Every trajectory is validated. Once validated, a trajectory file's bytes
-    depend only on its timesteps, so a trajectory whose timesteps tuple is
-    the very object an earlier save wrote (`previous`, that save's return
-    value) is copied from that file instead of re-encoded. Pass only the
-    mapping of the immediately preceding save, and never build one from
-    loaded files, which need not be in canonical form. That save may have
-    been to `path` itself: its files stay in place until the swap below.
-
-    The same identity argument lets the save reuse validation: the earlier
-    save checked those very timesteps, so of a copied trajectory only its
-    ids (task_id, a filesystem-safe traj_id) are checked again; the
-    dataset-level checks (schema version, duplicate ids) run on every save.
-    Both reuses hold only when `previous` was saved under a TaskSchema equal
-    to ds.task_schema; otherwise every trajectory is validated and encoded
-    afresh. load_dataset validates in full; the `validate` stage reuses the
-    timestep checks of the save or load that produced its dataset.
+    A trajectory file's bytes depend only on its timesteps and the schema, so
+    a trajectory whose timesteps tuple is the very object that `previous`
+    (the return value of the immediately preceding save, under an equal
+    schema) wrote is copied from that file instead of re-encoded. Never build
+    a SavedFiles from loaded files, which need not be in canonical form. That
+    save may have been to `path` itself: its files stay in place until the
+    swap below.
 
     The save is atomic: the files are written into a new hidden sibling
     directory, manifest last, which then replaces `path` by rename, so no
     file of an earlier dataset at `path` survives and a failed save leaves
     that dataset as it was. `path` must be absent or hold only dataset files.
     """
+    validate_dataset(ds)
     reused = previous.files if previous is not None and previous.schema == ds.task_schema else {}
-    validate_dataset(ds, reused)
     root = Path(path).resolve()
     staging = root.with_name(f".{root.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     old = staging.with_suffix(".old")

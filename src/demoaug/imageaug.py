@@ -461,9 +461,15 @@ def read_ppm(path) -> np.ndarray:
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
-        fields.append(int(blob[start:pos]))
+        name, text = ("width", "height", "maxval")[len(fields)], blob[start:pos]
+        if not text.isdigit() or len(text) > 9:  # past any real image; int() refuses over 4300 digits
+            problem = f"{text.decode('latin-1')!r} is not an integer of at most 9 digits" if text else "is missing"
+            raise IoFailure(f"{path}: malformed PPM header: {name} {problem}")
+        fields.append(int(text))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise IoFailure(f"{path}: malformed PPM header: a {w}x{h} image is empty")
     if maxval != 255:
         raise IoFailure(f"{path}: unsupported maxval {maxval}")
     data = np.frombuffer(blob[pos : pos + w * h * 3], dtype=np.uint8)

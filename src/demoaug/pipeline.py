@@ -14,7 +14,7 @@ import numpy as np
 
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline, gripper_transit_jitter
 from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
-from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
+from .errors import ColorJitterRefused, ConfigError, DemoaugError, InvariantViolation, StageFailure
 from .imageaug import check_color_ops_allowed, proprio_noise
 from .retarget import GenerationReport, InterpolationConfig, generate_demos
 from .rng import derive_stream
@@ -249,12 +249,11 @@ def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | Non
 def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True) -> dict:
     """Invariant validation plus replay of dynamically consistent trajectories.
 
-    The timestep checks of a dataset that a save or a load already checked
-    are not run again (see validate_dataset); every other check, and the
-    replay, is. Counterfactual composites are causally valid but not a
-    single dynamics rollout, so they are invariant-checked only; their
-    causal validity is covered by the expert-action oracle in the test
-    suite.
+    Timesteps already checked under this schema are not checked again (see
+    validate_dataset); every other check, and the replay, runs. Counterfactual
+    composites are causally valid but not a single dynamics rollout, so they
+    are invariant-checked only; their causal validity is covered by the
+    expert-action oracle in the test suite.
     """
     failures: list[str] = []
     try:
@@ -288,7 +287,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         in_count = len(ds) if ds is not None else 0
         try:
             ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed)
-        except ConfigError:
+        except (ConfigError, ColorJitterRefused):
             raise
         except DemoaugError as exc:
             raise StageFailure(stage.name, str(exc)) from exc

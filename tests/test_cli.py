@@ -165,6 +165,38 @@ def test_color_sensitive_refusal_and_force(tmp_path, capsys):
     assert code == 0
 
 
+def test_run_color_sensitive_refusal_exits_two(tmp_path, capsys):
+    """A refusal has one exit code: `run` reports ColorJitterRefused as
+    augment-obs does, not as a stage failure."""
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"task": "stack", "out": str(tmp_path / "run"), "stages": [
+        {"name": "gen", "count": 1}, {"name": "segment"}, {"name": "obs", "jitter": True}]}))
+    assert run_cli("run", "--config", str(cfg_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("refused: task is color-sensitive") and "Traceback" not in err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["segment", "augment-causal"])
+def test_neither_task_nor_spec_is_a_usage_error(tmp_path, labeled_dir, capsys, command):
+    out = tmp_path / "out"
+    assert run_cli(command, "--in", str(labeled_dir), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: demoaug {command}")
+    assert f"demoaug {command}: error: either --spec or --task is required" in err
+    assert not out.exists()
+
+
+def test_augment_obs_malformed_ppm_is_an_error(tmp_path, capsys):
+    src = tmp_path / "bad.ppm"
+    src.write_bytes(b"P6\nxx 2\n255\n")
+    code = run_cli("augment-obs", "--image", str(src), "--image-out", str(tmp_path / "o.ppm"), "--blur-sigma", "1.0")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"error: {src}: malformed PPM header: width 'xx' is not an integer of at most 9 digits\n"
+    assert not (tmp_path / "o.ppm").exists()
+
+
 def test_run_pipeline_cli(tmp_path, capsys):
     cfg = {
         "task": "coffee",

@@ -24,6 +24,7 @@ from demoaug.data import (
     save_dataset,
     slice_subtrajectory,
     timestep_to_json,
+    validate_dataset,
 )
 from demoaug.errors import InvariantViolation, IoFailure
 from demoaug.geometry import Pose, quat_normalize
@@ -498,6 +499,56 @@ def test_save_rechecks_inherited_trajectories(tmp_path, edit, error, message):
     assert not (tmp_path / "b").exists()
 
 
+def test_save_rechecks_an_edited_trajectory(tmp_path, monkeypatch):
+    """dataclasses.replace builds an unmarked trajectory, so an edit is
+    checked again even by a save whose previous one wrote the original."""
+    ds = random_dataset(13, n_traj=2)
+    first = save_dataset(ds, tmp_path / "a")
+    checked = _record_timestep_checks(monkeypatch)
+    tr = ds.trajectories[1]
+    ts = tr.timesteps[2]
+    act = ts.actions[0]
+    outside = replace(act, target_eef_pose=Pose([0.0, 0.0, 1.5], act.target_eef_pose.orientation))
+    edited = replace(tr, timesteps=tr.timesteps[:2] + (replace(ts, actions=(outside,)),) + tr.timesteps[3:])
+    assert edited._checked_under is None and tr._checked_under is ds.task_schema
+    with pytest.raises(InvariantViolation, match=r"'tr_01', timestep 2: action target position .* outside workspace"):
+        save_dataset(replace(ds, trajectories=(ds.trajectories[0], edited)), tmp_path / "b", previous=first)
+    assert checked == ["tr_01"]
+    assert not (tmp_path / "b").exists()
+
+
+def test_validate_rechecks_under_an_unequal_schema(monkeypatch):
+    ds = random_dataset(14, n_traj=2)
+    validate_dataset(ds)
+    checked = _record_timestep_checks(monkeypatch)
+    validate_dataset(Dataset(ds.schema_version, make_schema(), ds.trajectories))  # an equal schema object
+    assert checked == []
+    a, b = make_schema().entities
+    other = replace(make_schema(), entities=(a, replace(b, extra_fields=("lid_angle", "hinge"))))
+    with pytest.raises(InvariantViolation, match="extra fields"):
+        validate_dataset(Dataset(ds.schema_version, other, ds.trajectories))
+    assert checked == ["tr_00"]
+    assert ds.trajectories[0]._checked_under == make_schema()  # a failed check leaves the mark as it was
+
+
+def test_pipeline_checks_each_trajectory_once(tmp_path, monkeypatch):
+    """In run_pipeline each save checks only the trajectories its stage
+    built, and the validate stage none."""
+    from demoaug.pipeline import PipelineConfig, StageConfig, run_pipeline
+
+    checked = _record_timestep_checks(monkeypatch)
+    stages = (StageConfig("gen", {"count": 2}), StageConfig("segment"), StageConfig("se3", {"count": 1}),
+              StageConfig("causal"), StageConfig("obs"), StageConfig("validate"))
+    report = run_pipeline(PipelineConfig("stack", stages, str(tmp_path / "run"), master_seed=2))
+    assert report["stages"][-1]["ok"]
+    built, before = [], set()
+    for stage in sorted((tmp_path / "run").glob("stage_*")):
+        ids = [e["traj_id"] for e in json.loads((stage / "manifest.json").read_text())["trajectories"]]
+        built += ids if stage.name.endswith("segment") else [i for i in ids if i not in before]
+        before = set(ids)
+    assert checked == built and len(built) == 2 + 2 + 1 + 3 + 6
+
+
 def _replay_fails(ds: Dataset, task) -> Dataset:
     """ds with its first trajectory's last grasp approach pushed 0.5 m aside
     (inside the workspace), so that its replay misses the grasp."""
@@ -527,7 +578,7 @@ def test_validate_stage_reuses_the_last_save_checks(tmp_path, monkeypatch, stack
     with pytest.raises(StageFailure, match="replay: trajectory 'demo_000' does not reach success"):
         run_pipeline(PipelineConfig("stack", stages, str(tmp_path / "bad"), input_path=str(tmp_path / "in")))
     ids = [tr.traj_id for tr in stack_demos.trajectories]
-    assert checked == ids + ids  # by the input's load and the obs save
+    assert checked == ids  # by the input's load alone: the obs save and the stage trust its marks
 
 
 @pytest.mark.parametrize("case", ["valid", "replay_fails", "corrupt_file"])
@@ -553,6 +604,17 @@ def test_cli_validate_checks_each_trajectory_once(tmp_path, monkeypatch, capsys,
         assert code == 0 and report["ok"]
     else:
         assert code == 2 and report["failures"] == ["replay: trajectory 'demo_000' does not reach success"]
+
+
+def test_cli_save_checks_only_what_its_stage_built(tmp_path, monkeypatch, capsys, stack_demos):
+    from demoaug.cli import main
+
+    save_dataset(stack_demos, tmp_path / "d")
+    checked = _record_timestep_checks(monkeypatch)
+    assert main(["augment-obs", "--in", str(tmp_path / "d"), "--out", str(tmp_path / "o"), "--copies", "1"]) == 0
+    ids = [tr.traj_id for tr in stack_demos.trajectories]
+    assert checked == ids + [f"{i}_obs00" for i in ids]  # by the load, then by the save: the noised copies alone
+    assert len(load_dataset(tmp_path / "o")) == 2 * len(ids)
 
 
 def test_negative_t_names_its_trajectory_and_line(tmp_path, capsys):

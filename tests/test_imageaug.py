@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from demoaug import imageaug
 from demoaug.data import Action, EntityState, Provenance, RobotState, Timestep, Trajectory
-from demoaug.errors import ColorJitterRefused, ConfigError, InvariantViolation
+from demoaug.errors import ColorJitterRefused, ConfigError, InvariantViolation, IoFailure
 from demoaug.geometry import Pose, quat_from_rotvec, quat_multiply, quat_normalize
 from demoaug.imageaug import (
     VisualAugConfig,
@@ -291,6 +292,28 @@ def test_ppm_round_trip(tmp_path, fixture_image):
     assert np.array_equal(back, fixture_image)
     raw = path.read_bytes()
     assert raw.startswith(b"P6\n64 64\n255\n")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        (b"P6\nxx 2\n255\n", "width 'xx' is not an integer of at most 9 digits"),
+        (b"P6\n2 2.5\n255\n", "height '2.5' is not an integer of at most 9 digits"),
+        (b"P6\n2 -2\n255\n", "height '-2' is not an integer of at most 9 digits"),
+        (b"P6\n" + b"1" * 5000 + b" 2\n255\n", f"width '{'1' * 5000}' is not an integer of at most 9 digits"),
+        (b"P6", "width is missing"),
+        (b"P6\n2 2\n", "maxval is missing"),
+        (b"P6\n0 0\n255\n", "a 0x0 image is empty"),
+        (b"P6\n3 0\n255\n", "a 3x0 image is empty"),
+    ],
+    ids=["width_not_a_number", "height_not_an_integer", "height_negative", "width_too_long", "no_width", "no_maxval",
+         "empty", "no_rows"],
+)
+def test_ppm_malformed_header_is_an_io_failure(tmp_path, header, message):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(header)
+    with pytest.raises(IoFailure, match=f"bad.ppm: malformed PPM header: {re.escape(message)}$"):
+        read_ppm(path)
 
 
 # ---------------------------------------------------------------------------

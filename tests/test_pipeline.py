@@ -5,7 +5,7 @@ import pytest
 
 from demoaug.counterfactual import CounterfactualConfig
 from demoaug.data import Dataset, load_dataset
-from demoaug.errors import InvariantViolation, StageFailure
+from demoaug.errors import ColorJitterRefused, InvariantViolation
 from demoaug.pipeline import (
     PipelineConfig,
     RatioPlan,
@@ -318,7 +318,7 @@ def test_color_sensitive_obs_stage_refused(tmp_path):
         str(tmp_path / "ref"),
         master_seed=0,
     )
-    with pytest.raises(StageFailure):
+    with pytest.raises(ColorJitterRefused, match="color-sensitive"):
         run_pipeline(cfg)
     # with force it passes
     cfg2 = PipelineConfig(
