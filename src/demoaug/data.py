@@ -68,13 +68,16 @@ class EntityDecl:
 
 @dataclass(frozen=True)
 class TaskSchema:
-    """Entity/agent declarations plus the axis-aligned workspace box."""
+    """Entity/agent declarations plus the axis-aligned workspace box, which
+    `box` also holds as (min, max) float tuples."""
 
     task_id: str
     entities: tuple[EntityDecl, ...]
     agents: tuple[str, ...]
     workspace_min: np.ndarray
     workspace_max: np.ndarray
+    box: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
+    _line_heads: tuple = field(init=False, repr=False)  # see timestep_to_json
 
     def __post_init__(self):
         object.__setattr__(self, "entities", tuple(self.entities))
@@ -87,11 +90,13 @@ class TaskSchema:
         hi.flags.writeable = False
         object.__setattr__(self, "workspace_min", lo)
         object.__setattr__(self, "workspace_max", hi)
+        object.__setattr__(self, "box", (tuple(lo.tolist()), tuple(hi.tolist())))
         ids = [e.entity_id for e in self.entities]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("duplicate entity ids in schema")
         if len(set(self.agents)) != len(self.agents):
             raise InvariantViolation("duplicate agent ids in schema")
+        object.__setattr__(self, "_line_heads", _line_heads(self))
 
     def entity_ids(self) -> tuple[str, ...]:
         return tuple(e.entity_id for e in self.entities)
@@ -109,8 +114,7 @@ class TaskSchema:
             self.task_id == other.task_id
             and self.entities == other.entities
             and self.agents == other.agents
-            and np.array_equal(self.workspace_min, other.workspace_min)
-            and np.array_equal(self.workspace_max, other.workspace_max)
+            and self.box == other.box
         )
 
 
@@ -242,9 +246,9 @@ _BOX_TOL = 1e-9
 
 def _check_pose_in_box(pose: Pose, lo: list, hi: list, what: str):
     """lo/hi: the workspace box widened by _BOX_TOL, as float lists."""
-    x, y, z = p = pose.position.tolist()
+    x, y, z = pose.xyz
     if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and lo[2] <= z <= hi[2]):
-        raise InvariantViolation(f"{what} position {p} outside workspace bounds")
+        raise InvariantViolation(f"{what} position {list(pose.xyz)} outside workspace bounds")
 
 
 def _is_real(value) -> bool:
@@ -292,8 +296,8 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
     once. One set per kind keeps apart the empty tuple, which they share."""
     where = f"trajectory {traj.traj_id!r}"
     expected_entities = schema.entity_ids()
-    box_lo = (schema.workspace_min - _BOX_TOL).tolist()
-    box_hi = (schema.workspace_max + _BOX_TOL).tolist()
+    box_lo = [x - _BOX_TOL for x in schema.box[0]]
+    box_hi = [x + _BOX_TOL for x in schema.box[1]]
     prev_t = None
     prev_phase = None
     for ts in traj.timesteps:
@@ -384,13 +388,13 @@ _quote = json.encoder.encode_basestring_ascii
 
 def _pose_to_json(pose: Pose) -> str:
     """The pose's JSON object, encoded on the first call and kept in the
-    pose's `_json` slot: a Pose and its arrays are immutable."""
+    pose's `_json` slot: a Pose and its floats are immutable."""
     try:
         return pose._json
     except AttributeError:
         pass
-    x, y, z = pose.position.tolist()
-    w, qx, qy, qz = pose.orientation.tolist()
+    x, y, z = pose.xyz
+    w, qx, qy, qz = pose.wxyz
     text = f'{{"position":[{x!r},{y!r},{z!r}],"orientation":[{w!r},{qx!r},{qy!r},{qz!r}]}}'
     object.__setattr__(pose, "_json", text)
     return text
@@ -603,28 +607,35 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
     return pose
 
 
+def _line_heads(schema: TaskSchema) -> tuple:
+    """The text of a timestep line that the schema fixes, with the comma
+    before each item but the first of its array: per entity, its text up to
+    the pose and each extra key's `"key":`; per agent, the text of its robot
+    state and of its action up to the pose."""
+    entities = tuple(("," * (i > 0) + f'{{"entity_id":{_quote(d.entity_id)},"pose":',
+                      tuple(f"{_quote(k)}:" for k in d.extra_fields)) for i, d in enumerate(schema.entities))
+    robots, actions = (tuple("," * (j > 0) + f'{{"agent_id":{_quote(a)},"{key}":' for j, a in enumerate(schema.agents))
+                       for key in ("eef_pose", "target_eef_pose"))
+    return entities, robots, actions
+
+
 def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
     """One JSONL line (without its newline) for a timestep that passed
     validate_dataset's checks against `schema`. The bytes equal
     json.dumps(..., separators=(",", ":"), ensure_ascii=True) of the nested
     dict in key order t, entities, robots, actions, phase[, interp]: floats
-    are written with repr and strings with json's ASCII escaper."""
-    entities = ",".join([
-        f'{{"entity_id":{_quote(e.entity_id)},"pose":{_pose_to_json(e.pose)},"extra":{{'
-        + ",".join([f"{_quote(k)}:{float(e.extra[k])!r}" for k in decl.extra_fields])
-        + "}}"
-        for e, decl in zip(ts.entities, schema.entities)
-    ])
-    robots = ",".join([
-        f'{{"agent_id":{_quote(r.agent_id)},"eef_pose":{_pose_to_json(r.eef_pose)},'
-        f'"gripper_aperture":{float(r.gripper_aperture)!r}}}'
-        for r in ts.robots
-    ])
-    actions = ",".join([
-        f'{{"agent_id":{_quote(a.agent_id)},"target_eef_pose":{_pose_to_json(a.target_eef_pose)},'
-        f'"gripper_command":{float(a.gripper_command)!r}}}'
-        for a in ts.actions
-    ])
+    are written with repr and strings with json's ASCII escaper. The ids
+    and extra keys are written from the schema's `_line_heads`, which
+    equal the timestep's and are in its order: the checks compared them."""
+    entity_heads, robot_heads, action_heads = schema._line_heads
+    entities = robots = actions = ""
+    for e, (head, extras) in zip(ts.entities, entity_heads):
+        extra = ",".join([key + repr(float(v)) for key, v in zip(extras, e.extra.values())]) if extras else ""
+        entities += f'{head}{_pose_to_json(e.pose)},"extra":{{{extra}}}}}'
+    for r, head in zip(ts.robots, robot_heads):
+        robots += f'{head}{_pose_to_json(r.eef_pose)},"gripper_aperture":{float(r.gripper_aperture)!r}}}'
+    for a, head in zip(ts.actions, action_heads):
+        actions += f'{head}{_pose_to_json(a.target_eef_pose)},"gripper_command":{float(a.gripper_command)!r}}}'
     phase = "null" if ts.phase is None else int(ts.phase)
     interp = ',"interp":true' if ts.interp else ""
     return (

@@ -61,13 +61,13 @@ import numpy as np
 
 from .data import RobotState, Timestep, Trajectory
 from .errors import ColorJitterRefused, ConfigError, InvariantViolation, IoFailure
-from .geometry import Pose, quat_from_rotvec, quat_multiply, quat_normalize
+from .geometry import Pose, _from_rotvec, _normalize, _qmul
 
 
 def _check_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
-    if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
-        raise InvariantViolation(f"expected uint8 (H, W, 3) image, got {img.dtype} {img.shape}")
+    if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3 or 0 in img.shape:
+        raise InvariantViolation(f"expected a uint8 (H, W, 3) image with H, W >= 1, got {img.dtype} {img.shape}")
     return img
 
 
@@ -419,9 +419,9 @@ def proprio_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> T
         for robot in ts.robots:
             dx, dy, dz, *rotvec = next(noise)
             pose = robot.eef_pose
-            x, y, z = pose.position.tolist()
-            ori = quat_normalize(quat_multiply(quat_from_rotvec(rotvec), pose.orientation)).tolist()
-            noisy = Pose._of([x + dx, y + dy, z + dz], ori)
+            x, y, z = pose.xyz
+            ori = _normalize(_qmul(_from_rotvec(rotvec), pose.wxyz))
+            noisy = Pose._of((x + dx, y + dy, z + dz), ori)
             robots.append(RobotState(robot.agent_id, noisy, robot.gripper_aperture))
         new_steps.append(Timestep(ts.t, ts.entities, tuple(robots), ts.actions, ts.phase, ts.interp))
     return replace(traj, timesteps=tuple(new_steps))

@@ -375,7 +375,7 @@ def stats(ds: Dataset) -> dict:
                     {"min": [np.inf] * 3, "max": [-np.inf] * 3},
                 )
                 lo, hi = box["min"], box["max"]
-                for k, x in enumerate(e.pose.position.tolist()):
+                for k, x in enumerate(e.pose.xyz):
                     lo[k] = min(lo[k], x)
                     hi[k] = max(hi[k], x)
     return {

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sim import ReceptacleGeom, SimState, TaskDefinition, _well_xy, _push_xy
+from .sim import ReceptacleGeom, SimState, TaskDefinition, _local_xy
 
 _PALETTE = (
     (204, 48, 48),
@@ -44,18 +44,18 @@ def rasterize_state(state: SimState, task: TaskDefinition, size: int = 128) -> n
         geom = task.geoms[decl.entity_id]
         color = _PALETTE[idx % len(_PALETTE)]
         if isinstance(geom, ReceptacleGeom):
-            fill_square(pose.position[:2], geom.body_radius, color)
-            fill_square(_well_xy(task, decl.entity_id, pose), geom.well_radius, (40, 40, 40))
+            fill_square(pose.xyz, geom.body_radius, color)
+            fill_square(_local_xy(pose, geom.well_offset), geom.well_radius, (40, 40, 40))
             # lid indicator: dark when open, light when closed
             frac = state.lids[decl.entity_id] / (np.pi / 2)
             shade = tuple(int(60 + 180 * (1 - frac)) for _ in range(3))
-            fill_square(_push_xy(task, decl.entity_id, pose), geom.push_radius, shade)
+            fill_square(_local_xy(pose, geom.push_offset), geom.push_radius, shade)
         else:
-            fill_square(pose.position[:2], geom.height / 2, color)
+            fill_square(pose.xyz, geom.height / 2, color)
 
     grip = state.gripper
     color = _GRIPPER_CLOSED if grip.gripper_aperture < task.sim.close_threshold else _GRIPPER_OPEN
-    r, c = to_px(grip.eef_pose.position[:2])
+    r, c = to_px(grip.eef_pose.xyz)
     arm = max(2, size // 32)
     img[max(0, r - arm) : r + arm + 1, c] = color
     img[r, max(0, c - arm) : c + arm + 1] = color

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from .causal import TaskCausalSpec
 from .data import Action, Dataset, Timestep, Trajectory, Provenance, slice_subtrajectory
 from .errors import BudgetExhausted, InvariantViolation
-from .geometry import Pose, SE3Transform, quat_geodesic, quat_slerp, relative_transform, vec_norm
+from .geometry import Pose, SE3Transform, _slerp, quat_geodesic, relative_transform, vec_norm
 from .rng import derive_stream
 from .sim import PoseSampler, TaskDefinition, check_success, observe, reset, step
 
@@ -80,8 +80,10 @@ def interpolate_prefix(
     Step count is the smallest n respecting both per-step bounds; the final
     action equals `to_pose` exactly. Returns [] when the poses coincide.
     """
-    dist = vec_norm(to_pose.position - from_pose.position)
-    angle = quat_geodesic(from_pose.orientation, to_pose.orientation)
+    (fx, fy, fz), (tx, ty, tz) = from_pose.xyz, to_pose.xyz
+    dx, dy, dz = tx - fx, ty - fy, tz - fz
+    dist = vec_norm((dx, dy, dz))
+    angle = quat_geodesic(from_pose.wxyz, to_pose.wxyz)
     n = max(
         math.ceil(dist / cfg.max_pos_step - 1e-9),
         math.ceil(angle / cfg.max_rot_step - 1e-9),
@@ -94,9 +96,8 @@ def interpolate_prefix(
             pose = to_pose
         else:
             u = i / n
-            pos = from_pose.position + u * (to_pose.position - from_pose.position)
-            ori = quat_slerp(from_pose.orientation, to_pose.orientation, u)
-            pose = Pose._of(pos.tolist(), ori.tolist())
+            pos = (fx + u * dx, fy + u * dy, fz + u * dz)
+            pose = Pose._of(pos, _slerp(from_pose.wxyz, to_pose.wxyz, u))
         actions.append(Action(agent_id, pose, gripper))
     return actions
 
@@ -118,10 +119,10 @@ def _trim_start(traj: Trajectory, t0: int, t1: int, target: str, approach_radius
     prefix; trimming keeps the retargeted poses inside the workspace when
     the transform has a large rotation component.
     """
-    target_pos = traj.timesteps[t0].entity(target).pose.position
+    tx, ty, tz = traj.timesteps[t0].entity(target).pose.xyz
     for i in range(t0, t1):
-        eef = traj.timesteps[i].robots[0].eef_pose.position
-        if vec_norm(eef - target_pos) <= approach_radius:
+        x, y, z = traj.timesteps[i].robots[0].eef_pose.xyz
+        if vec_norm((x - tx, y - ty, z - tz)) <= approach_radius:
             return i
     return t0
 

@@ -21,7 +21,7 @@ import numpy as np
 from .causal import TaskCausalSpec
 from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
-from .geometry import Pose, SE3Transform, quat_from_yaw, quat_rotate, step_toward, vec_norm
+from .geometry import Pose, SE3Transform, _from_yaw, _rigid, step_toward
 from .rng import derive_stream
 
 GRASPABLE_KINDS = ("block", "pod", "tool")
@@ -46,7 +46,7 @@ class PoseSampler:
         y = rng.uniform(*self.y_range)
         z = rng.uniform(*self.z_range)
         yaw = rng.uniform(*self.yaw_range)
-        return Pose(np.array([x, y, z]), quat_from_yaw(yaw))
+        return Pose((x, y, z), _from_yaw(yaw))
 
 
 @dataclass(frozen=True)
@@ -178,23 +178,28 @@ class SimState:
 
 
 def _gripper_tf(pose: Pose) -> SE3Transform:
-    return SE3Transform._of(pose.orientation, pose.position)
+    return SE3Transform._of(pose.wxyz, pose.xyz)
 
 
 def _height(task: TaskDefinition, entity_id: str) -> float:
     return task.geoms[entity_id].height
 
 
-def _well_xy(task: TaskDefinition, machine_id: str, pose: Pose) -> np.ndarray:
-    geom = task.geoms[machine_id]
-    local = np.array([geom.well_offset[0], geom.well_offset[1], 0.0])
-    return (quat_rotate(pose.orientation, local) + pose.position)[:2]
+def _xy_dist(a, b) -> float:
+    """Distance in the xy plane between two points of floats."""
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    return math.sqrt(dx * dx + dy * dy)
 
 
-def _push_xy(task: TaskDefinition, machine_id: str, pose: Pose) -> np.ndarray:
-    geom = task.geoms[machine_id]
-    local = np.array([geom.push_offset[0], geom.push_offset[1], 0.0])
-    return (quat_rotate(pose.orientation, local) + pose.position)[:2]
+def _dist(a, b) -> float:
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _local_xy(pose: Pose, offset: tuple[float, float]) -> tuple[float, float]:
+    """World (x, y) of the point at `offset` (x, y) in the pose's frame."""
+    x, y, _ = _rigid(pose.wxyz, pose.xyz, (offset[0], offset[1], 0.0))
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ def reset(task: TaskDefinition, seed) -> SimState:
     """Sample non-overlapping initial object poses; gripper at home, open."""
     rng = seed if isinstance(seed, np.random.Generator) else derive_stream(int(seed), "reset")
     order = task.schema.entity_ids()
-    lo, hi = task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()
+    lo, hi = task.schema.box
     for eid in order:
         s = task.samplers[eid]
         for (r_lo, r_hi), w_lo, w_hi in zip((s.x_range, s.y_range, s.z_range), lo, hi):
@@ -217,8 +222,7 @@ def reset(task: TaskDefinition, seed) -> SimState:
         ids = list(order)
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
-                d = vec_norm(poses[ids[i]].position[:2] - poses[ids[j]].position[:2])
-                if d < task.sim.min_separation:
+                if _xy_dist(poses[ids[i]].xyz, poses[ids[j]].xyz) < task.sim.min_separation:
                     ok = False
         if ok:
             lids = {eid: task.lid_initial_angle for eid in task.lidded_entities()}
@@ -234,26 +238,25 @@ def _drop_pose(task: TaskDefinition, objects: dict[str, Pose], obj_id: str, pose
     h = _height(task, obj_id)
     z_eps = 1e-6
     best_rest = h / 2.0  # table
-    xy = pose.position[:2]
+    x, y, z = xyz = pose.xyz
     for other_id, other in objects.items():
         if other_id == obj_id:
             continue
         geom = task.geoms[other_id]
         if isinstance(geom, ReceptacleGeom):
-            if vec_norm(xy - _well_xy(task, other_id, other)) <= geom.well_radius:
+            if _xy_dist(xyz, _local_xy(other, geom.well_offset)) <= geom.well_radius:
                 rest = geom.well_floor_z + h / 2.0
-            elif vec_norm(xy - other.position[:2]) <= geom.body_radius:
-                rest = other.position[2] + geom.height / 2.0 + h / 2.0
+            elif _xy_dist(xyz, other.xyz) <= geom.body_radius:
+                rest = other.xyz[2] + geom.height / 2.0 + h / 2.0
             else:
                 continue
         else:
-            if vec_norm(xy - other.position[:2]) > task.sim.support_radius:
+            if _xy_dist(xyz, other.xyz) > task.sim.support_radius:
                 continue
-            rest = other.position[2] + geom.height / 2.0 + h / 2.0
-        if rest <= pose.position[2] + z_eps and rest > best_rest:
+            rest = other.xyz[2] + geom.height / 2.0 + h / 2.0
+        if rest <= z + z_eps and rest > best_rest:
             best_rest = rest
-    x, y = xy.tolist()
-    return Pose._of([x, y, float(best_rest)], pose.orientation)
+    return Pose._of((x, y, best_rest), pose.wxyz)
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -268,11 +271,11 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     sim = task.sim
     old_eef = state.gripper.eef_pose
     moved = step_toward(old_eef, action.target_eef_pose, sim.max_pos_step, sim.max_rot_step)
-    box = tuple(zip(moved.position.tolist(), task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()))
-    if all(lo < x < hi for x, lo, hi in box):
+    (x, y, z), (lo, hi) = moved.xyz, task.schema.box
+    if lo[0] < x < hi[0] and lo[1] < y < hi[1] and lo[2] < z < hi[2]:
         new_eef = moved  # strictly inside: _clip would return every value as it is
     else:
-        new_eef = Pose._of([_clip(x, lo, hi) for x, lo, hi in box], moved.orientation)
+        new_eef = Pose._of((_clip(x, lo[0], hi[0]), _clip(y, lo[1], hi[1]), _clip(z, lo[2], hi[2])), moved.wxyz)
 
     ap = state.gripper.gripper_aperture
     delta = _clip(action.gripper_command - ap, -sim.aperture_rate, sim.aperture_rate)
@@ -285,7 +288,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     if attachment is not None:
         obj_id, offset = attachment
         carried = _gripper_tf(new_eef).compose(offset)
-        carried_pose = Pose._of(carried.translation, carried.rotation)
+        carried_pose = Pose._of(carried.xyz, carried.wxyz)
         if new_ap >= sim.close_threshold:
             attachment = None
             carried_pose = _drop_pose(task, objects, obj_id, carried_pose)
@@ -295,7 +298,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
         for eid, pose in objects.items():
             if not getattr(task.geoms[eid], "graspable", False):
                 continue
-            d = vec_norm(pose.position - new_eef.position)
+            d = _dist(pose.xyz, new_eef.xyz)
             if d <= sim.grasp_radius and (best is None or d < best[0]):
                 best = (d, eid)
         if best is not None:
@@ -303,15 +306,15 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
             offset = _gripper_tf(new_eef).inverse().compose(_gripper_tf(objects[eid]))
             attachment = (eid, offset)
 
-    dz = float(new_eef.position[2] - old_eef.position[2])
-    if dz < 0.0:
+    old_z, new_z = old_eef.xyz[2], new_eef.xyz[2]
+    if new_z - old_z < 0.0:
         for eid in list(lids.keys()):
             geom = task.geoms[eid]
-            if vec_norm(new_eef.position[:2] - _push_xy(task, eid, objects[eid])) > geom.push_radius:
+            if _xy_dist(new_eef.xyz, _local_xy(objects[eid], geom.push_offset)) > geom.push_radius:
                 continue
             zmin, zmax = geom.push_band
-            hi = min(float(old_eef.position[2]), zmax)
-            lo = max(float(new_eef.position[2]), zmin)
+            hi = min(old_z, zmax)
+            lo = max(new_z, zmin)
             travel = hi - lo
             if travel > 0.0:
                 lids[eid] = min(math.pi / 2, max(0.0, lids[eid] - geom.lid_gain * travel))
@@ -325,11 +328,11 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
 
 
 def _placed_on(state: SimState, task: TaskDefinition, upper: str, lower: str) -> bool:
-    up, lo = state.objects[upper], state.objects[lower]
-    if vec_norm(up.position[:2] - lo.position[:2]) > task.xy_tol:
+    up, lo = state.objects[upper].xyz, state.objects[lower].xyz
+    if _xy_dist(up, lo) > task.xy_tol:
         return False
-    expected_z = lo.position[2] + (_height(task, lower) + _height(task, upper)) / 2.0
-    return abs(up.position[2] - expected_z) <= task.z_tol
+    expected_z = lo[2] + (_height(task, lower) + _height(task, upper)) / 2.0
+    return abs(up[2] - expected_z) <= task.z_tol
 
 
 def _attached(state: SimState, entity_id: str) -> bool:
@@ -338,28 +341,27 @@ def _attached(state: SimState, entity_id: str) -> bool:
 
 def _pod_in_well(state: SimState, task: TaskDefinition, pod: str, machine: str) -> bool:
     geom = task.geoms[machine]
-    pose = state.objects[pod]
-    well = _well_xy(task, machine, state.objects[machine])
-    if vec_norm(pose.position[:2] - well) > task.xy_tol:
+    pod_xyz = state.objects[pod].xyz
+    if _xy_dist(pod_xyz, _local_xy(state.objects[machine], geom.well_offset)) > task.xy_tol:
         return False
     rest = geom.well_floor_z + _height(task, pod) / 2.0
-    return abs(pose.position[2] - rest) <= task.z_tol
+    return abs(pod_xyz[2] - rest) <= task.z_tol
 
 
 # ---------------------------------------------------------------------------
 # scripted experts
 
 
-def _check_reachable(task: TaskDefinition, point: np.ndarray, what: str):
-    p = point.tolist()
-    lo, hi = task.schema.workspace_min.tolist(), task.schema.workspace_max.tolist()
-    if any(x < w_lo or x > w_hi for x, w_lo, w_hi in zip(p, lo, hi)):
-        raise InvariantViolation(f"{what} {p} outside workspace")
+def _check_reachable(task: TaskDefinition, point: tuple, what: str):
+    lo, hi = task.schema.box
+    if any(x < w_lo or x > w_hi for x, w_lo, w_hi in zip(point, lo, hi)):
+        raise InvariantViolation(f"{what} {list(point)} outside workspace")
 
 
-def _bounded_action(state: SimState, task: TaskDefinition, waypoint: np.ndarray, grip: float) -> Action:
+def _bounded_action(state: SimState, task: TaskDefinition, waypoint: tuple, grip: float) -> Action:
+    """A step toward the waypoint (x, y, z floats) at the eef's orientation."""
     eef = state.gripper.eef_pose
-    goal = Pose._of(waypoint.tolist(), eef.orientation)
+    goal = Pose._of(waypoint, eef.wxyz)
     stepped = step_toward(eef, goal, task.expert.step_pos, task.expert.step_rot)
     return Action(task.agent, stepped, grip)
 
@@ -371,48 +373,44 @@ def _hold(state: SimState, task: TaskDefinition, grip: float) -> Action:
 def _grasp_policy(state: SimState, task: TaskDefinition, obj_id: str) -> Action:
     if _attached(state, obj_id):
         return _hold(state, task, 0.0)
-    eef = state.gripper.eef_pose
-    obj = state.objects[obj_id]
-    grasp_point = obj.position
+    eef = state.gripper.eef_pose.xyz
+    grasp_point = state.objects[obj_id].xyz
     _check_reachable(task, grasp_point, f"grasp point for {obj_id}")
     tol = task.expert.align_tol
-    xy_err = vec_norm(eef.position[:2] - grasp_point[:2])
-    if xy_err > tol:
-        wp = np.array([grasp_point[0], grasp_point[1], task.expert.transit_z])
+    if _xy_dist(eef, grasp_point) > tol:
+        wp = (grasp_point[0], grasp_point[1], task.expert.transit_z)
         return _bounded_action(state, task, wp, 1.0)
-    if abs(float(eef.position[2] - grasp_point[2])) > tol:
+    if abs(eef[2] - grasp_point[2]) > tol:
         return _bounded_action(state, task, grasp_point, 1.0)
     return _bounded_action(state, task, grasp_point, 0.0)
 
 
-def _place_policy(state: SimState, task: TaskDefinition, carried_id: str, place_point: np.ndarray) -> Action:
+def _place_policy(state: SimState, task: TaskDefinition, carried_id: str, place_point: tuple) -> Action:
     if not _attached(state, carried_id):
         return _retreat_policy(state, task)
     _check_reachable(task, place_point, f"place point for {carried_id}")
-    eef = state.gripper.eef_pose
-    obj = state.objects[carried_id]
-    offset_vec = eef.position - obj.position  # rigid while orientation is held
+    eef = state.gripper.eef_pose.xyz
+    obj = state.objects[carried_id].xyz
+    # the eef's offset from the object, rigid while orientation is held
+    ox, oy, oz = eef[0] - obj[0], eef[1] - obj[1], eef[2] - obj[2]
+    px, py, pz = place_point
     tol = task.expert.align_tol
-    xy_err = vec_norm(obj.position[:2] - place_point[:2])
-    if xy_err > tol:
-        obj_wp = np.array([place_point[0], place_point[1], task.expert.transit_z])
-        return _bounded_action(state, task, obj_wp + offset_vec, 0.0)
-    if float(obj.position[2] - place_point[2]) > tol:
-        return _bounded_action(state, task, place_point + offset_vec, 0.0)
+    if _xy_dist(obj, place_point) > tol:
+        return _bounded_action(state, task, (px + ox, py + oy, task.expert.transit_z + oz), 0.0)
+    if obj[2] - pz > tol:
+        return _bounded_action(state, task, (px + ox, py + oy, pz + oz), 0.0)
     return _hold(state, task, 1.0)  # release
 
 
 def _retreat_policy(state: SimState, task: TaskDefinition) -> Action:
-    eef = state.gripper.eef_pose
-    wp = np.array([eef.position[0], eef.position[1], task.expert.transit_z])
-    return _bounded_action(state, task, wp, 1.0)
+    x, y, _ = state.gripper.eef_pose.xyz
+    return _bounded_action(state, task, (x, y, task.expert.transit_z), 1.0)
 
 
 def _stack_policy(state: SimState, task: TaskDefinition, carried: str, base: str) -> Action:
     """Carry `carried` onto `base` and release it there; retreat once released."""
-    base_pose = state.objects[base]
-    z = base_pose.position[2] + (_height(task, base) + _height(task, carried)) / 2.0
-    return _place_policy(state, task, carried, np.array([base_pose.position[0], base_pose.position[1], z]))
+    x, y, z = state.objects[base].xyz
+    return _place_policy(state, task, carried, (x, y, z + (_height(task, base) + _height(task, carried)) / 2.0))
 
 
 def _pod_lid_policy(state: SimState, task: TaskDefinition, pod: str, machine: str) -> Action:
@@ -420,19 +418,17 @@ def _pod_lid_policy(state: SimState, task: TaskDefinition, pod: str, machine: st
     geom = task.geoms[machine]
     machine_pose = state.objects[machine]
     if _attached(state, pod):
-        well = _well_xy(task, machine, machine_pose)
-        rest = geom.well_floor_z + _height(task, pod) / 2.0
-        return _place_policy(state, task, pod, np.array([well[0], well[1], rest]))
+        x, y = _local_xy(machine_pose, geom.well_offset)
+        return _place_policy(state, task, pod, (x, y, geom.well_floor_z + _height(task, pod) / 2.0))
     if state.lids[machine] > task.lid_closed_threshold:
-        push = _push_xy(task, machine, machine_pose)
-        eef = state.gripper.eef_pose
+        x, y = _local_xy(machine_pose, geom.push_offset)
+        eef = state.gripper.eef_pose.xyz
         tol = task.expert.align_tol
-        approach = np.array([push[0], push[1], geom.push_band[1]])
+        approach = (x, y, geom.push_band[1])
         _check_reachable(task, approach, "lid push point")
-        if vec_norm(eef.position[:2] - push) > tol or eef.position[2] > geom.push_band[1] + tol:
+        if _xy_dist(eef, approach) > tol or eef[2] > geom.push_band[1] + tol:
             return _bounded_action(state, task, approach, 1.0)
-        bottom_wp = np.array([push[0], push[1], geom.push_band[0] + 0.01])
-        return _bounded_action(state, task, bottom_wp, 1.0)
+        return _bounded_action(state, task, (x, y, geom.push_band[0] + 0.01), 1.0)
     return _retreat_policy(state, task)
 
 
@@ -600,7 +596,7 @@ def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
         for eid, pose in objects.items():
             if not getattr(task.geoms[eid], "graspable", False):
                 continue
-            if vec_norm(pose.position - gripper.eef_pose.position) <= task.sim.grasp_radius:
+            if _dist(pose.xyz, gripper.eef_pose.xyz) <= task.sim.grasp_radius:
                 near.append(eid)
         if len(near) > 1:
             raise InvariantViolation(

@@ -725,6 +725,52 @@ def test_timestep_encoder_matches_json_dumps(schema_ts):
     assert timestep_to_json(ts, schema) == reference_timestep_to_json(ts, schema)
 
 
+def per_line_timestep_to_json(ts, schema) -> str:
+    """timestep_to_json as it was before it took the ids' and keys' text from
+    the schema: it quoted each entity id, extra key and agent id per line."""
+    quote = json.encoder.encode_basestring_ascii
+    entities = ",".join([
+        f'{{"entity_id":{quote(e.entity_id)},"pose":{_pose_to_json(e.pose)},"extra":{{'
+        + ",".join([f"{quote(k)}:{float(e.extra[k])!r}" for k in decl.extra_fields])
+        + "}}"
+        for e, decl in zip(ts.entities, schema.entities)
+    ])
+    robots = ",".join([
+        f'{{"agent_id":{quote(r.agent_id)},"eef_pose":{_pose_to_json(r.eef_pose)},'
+        f'"gripper_aperture":{float(r.gripper_aperture)!r}}}'
+        for r in ts.robots
+    ])
+    actions = ",".join([
+        f'{{"agent_id":{quote(a.agent_id)},"target_eef_pose":{_pose_to_json(a.target_eef_pose)},'
+        f'"gripper_command":{float(a.gripper_command)!r}}}'
+        for a in ts.actions
+    ])
+    phase = "null" if ts.phase is None else int(ts.phase)
+    interp = ',"interp":true' if ts.interp else ""
+    return (
+        f'{{"t":{int(ts.t)},"entities":[{entities}],"robots":[{robots}],"actions":[{actions}],'
+        f'"phase":{phase}{interp}}}'
+    )
+
+
+@pytest.mark.parametrize("task", ["stack", "coffee"])
+def test_timestep_encoder_matches_the_per_line_encoder_on_a_pipeline_dataset(tmp_path, task):
+    from demoaug.pipeline import PipelineConfig, StageConfig, run_pipeline
+
+    stages = (StageConfig("gen", {"count": 2}), StageConfig("segment"), StageConfig("se3", {"count": 2}),
+              StageConfig("causal", {"copies": 1}), StageConfig("obs", {"noise_sigma": 0.01}))
+    run_pipeline(PipelineConfig(task, stages, str(tmp_path / "run"), master_seed=3))
+    final = tmp_path / "run" / "stage_04_obs"
+    ds = load_dataset(final)
+    lines = 0
+    for tr in ds.trajectories:
+        text = (final / f"traj_{tr.traj_id}.jsonl").read_text(encoding="utf-8").splitlines()
+        for ts, line in zip(tr.timesteps, text, strict=True):
+            assert timestep_to_json(ts, ds.task_schema) == per_line_timestep_to_json(ts, ds.task_schema) == line
+            lines += 1
+    assert lines > 500
+
+
 
 @settings(max_examples=300, deadline=None)
 @given(_pose())

@@ -169,8 +169,12 @@ def test_step_toward_clamps_and_reaches():
 
 
 # ---------------------------------------------------------------------------
-# reference kernel: the numpy forms the scalar kernel replaced. The scalar
-# kernel must return the same bits, not merely close values.
+# reference kernels. The products, sums and cross products are the numpy
+# forms the float kernel replaced, and it must return their bits, not merely
+# close values. Norms, atan2 and acos are in float form (ref_float_*): the
+# plain sum of squares, math.atan2 and math.acos, which the kernel must also
+# match bit for bit; against the numpy forms (ref_normalize, ref_geodesic,
+# ref_slerp, ref_step_toward) their results are bounded in ulps instead.
 
 
 def ref_multiply(a, b):
@@ -210,6 +214,48 @@ def ref_geodesic(a, b):
     return 2.0 * float(np.arctan2(np.linalg.norm(rel[1:]), abs(rel[0])))
 
 
+def ref_float_norm(v):
+    x, y, z = (float(c) for c in v)
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def ref_float_normalize(q):
+    w, x, y, z = (float(c) for c in q)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if abs(n - 1.0) > 1e-12:
+        w, x, y, z = w / n, x / n, y / n, z / n
+    return np.array([-w, -x, -y, -z] if w < 0.0 else [w, x, y, z])
+
+
+def ref_float_geodesic(a, b):
+    rel = ref_multiply(a, ref_conjugate(b))
+    return 2.0 * math.atan2(ref_float_norm(rel[1:]), abs(float(rel[0])))
+
+
+def ref_float_slerp(a, b, u):
+    dot = float(a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3])
+    b_adj = -b if dot < 0.0 else b
+    dot = abs(dot)
+    if dot > 1.0 - 1e-12:
+        return ref_float_normalize(a + u * (b_adj - a))
+    theta = math.acos(min(dot, 1.0))
+    w1 = math.sin((1.0 - u) * theta) / math.sin(theta)
+    w2 = math.sin(u * theta) / math.sin(theta)
+    return ref_float_normalize(w1 * a + w2 * b_adj)
+
+
+def ref_float_step_toward(cur, tgt, max_pos, max_rot):
+    delta = tgt.position - cur.position
+    dist = ref_float_norm(delta)
+    pos = tgt.position if dist <= max_pos else cur.position + delta * (max_pos / dist)
+    angle = ref_float_geodesic(cur.orientation, tgt.orientation)
+    if angle <= max_rot:
+        ori = tgt.orientation
+    else:
+        ori = ref_float_slerp(cur.orientation, tgt.orientation, max_rot / angle)
+    return pos, ori
+
+
 def ref_slerp(a, b, u):
     dot = float(np.dot(a, b))
     b_adj = -b if dot < 0.0 else b
@@ -238,6 +284,19 @@ def assert_bits(got, want):
     assert np.array_equal(got, want), (got, want)
 
 
+# the bound of the float forms against the numpy forms, in units in the last
+# place of `scale`: the largest magnitude the result is built from (1.0 for
+# a unit quaternion). The widest gap seen in 50k random cases was 2 ulps for
+# norms, normalize and the transforms, 1 for geodesic, and 4 for the
+# positions of step_toward.
+ULPS = 8
+
+
+def assert_ulps(got, want, scale):
+    gap = float(np.max(np.abs(np.asarray(got, dtype=np.float64) - np.asarray(want, dtype=np.float64))))
+    assert gap <= ULPS * math.ulp(scale), (got, want, gap / math.ulp(scale))
+
+
 @st.composite
 def raw_quats(draw):
     """Unit quaternions off by a few ulps, so both quat_normalize branches run."""
@@ -255,24 +314,42 @@ vectors = st.lists(finite, min_size=3, max_size=3).map(np.array)
 def test_kernel_bit_equal_to_numpy_reference(q1, q2, v):
     assert_bits(quat_rotate(q1, v), ref_rotate(q1, v))
     assert_bits(quat_multiply(q1, q2), ref_multiply(q1, q2))
-    assert_bits(quat_normalize(q1), ref_normalize(q1))
-    assert quat_geodesic(q1, q2) == ref_geodesic(q1, q2)
-    assert vec_norm(v) == float(np.linalg.norm(v))
+    assert_bits(quat_normalize(q1), ref_float_normalize(q1))
+    assert quat_geodesic(q1, q2) == ref_float_geodesic(q1, q2)
+    assert vec_norm(v) == ref_float_norm(v)
+    assert_ulps(quat_normalize(q1), ref_normalize(q1), 1.0)
+    assert_ulps(quat_geodesic(q1, q2), ref_geodesic(q1, q2), ref_geodesic(q1, q2))
+    assert_ulps(vec_norm(v), np.linalg.norm(v), float(np.linalg.norm(v)))
+
+
+doubles = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000)
+@given(doubles, st.lists(doubles, min_size=1, max_size=9))
+def test_math_sin_cos_bit_equal_to_numpy(x, xs):
+    """The kernels' sin and cos come from math; they must equal numpy's on
+    this host, as scalars and as arrays, or every yaw, rotation vector and
+    slerp would change its bits."""
+    for fn, np_fn in ((math.sin, np.sin), (math.cos, np.cos)):
+        assert fn(x).hex() == float(np_fn(x)).hex()
+        assert [fn(v).hex() for v in xs] == [v.hex() for v in np_fn(np.array(xs)).tolist()]
 
 
 @settings(max_examples=300)
 @given(transforms(), transforms(), poses())
 def test_transforms_bit_equal_to_numpy_reference(T1, T2, p):
     c = T1.compose(T2)
-    assert_bits(c.rotation, ref_normalize(ref_multiply(T1.rotation, T2.rotation)))
+    for normalize in (ref_float_normalize, ref_normalize):
+        check = assert_bits if normalize is ref_float_normalize else lambda got, want: assert_ulps(got, want, 1.0)
+        check(c.rotation, normalize(ref_multiply(T1.rotation, T2.rotation)))
+        check(T1.inverse().rotation, normalize(ref_conjugate(T1.rotation)))
+        check(T1.apply_pose(p).orientation, normalize(ref_multiply(T1.rotation, p.orientation)))
     assert_bits(c.translation, ref_rotate(T1.rotation, T2.translation) + T1.translation)
     inv = T1.inverse()
-    inv_rot = ref_normalize(ref_conjugate(T1.rotation))
-    assert_bits(inv.rotation, inv_rot)
-    assert_bits(inv.translation, -ref_rotate(inv_rot, T1.translation))
+    assert_bits(inv.translation, -ref_rotate(ref_float_normalize(ref_conjugate(T1.rotation)), T1.translation))
     moved = T1.apply_pose(p)
     assert_bits(moved.position, ref_rotate(T1.rotation, p.position) + T1.translation)
-    assert_bits(moved.orientation, ref_normalize(ref_multiply(T1.rotation, p.orientation)))
     assert_bits(T1.apply_point(p.position), ref_rotate(T1.rotation, p.position) + T1.translation)
 
 
@@ -280,18 +357,23 @@ def test_transforms_bit_equal_to_numpy_reference(T1, T2, p):
 @given(poses(), poses())
 def test_relative_transform_bit_equal_to_numpy_reference(src, dst):
     T = relative_transform(src, dst)
-    rot = ref_normalize(ref_multiply(dst.orientation, ref_conjugate(src.orientation)))
+    rot = ref_float_normalize(ref_multiply(dst.orientation, ref_conjugate(src.orientation)))
     assert_bits(T.rotation, rot)
     assert_bits(T.translation, dst.position - ref_rotate(rot, src.position))
+    assert_ulps(T.rotation, ref_normalize(ref_multiply(dst.orientation, ref_conjugate(src.orientation))), 1.0)
 
 
 @settings(max_examples=300)
 @given(poses(), poses(), st.floats(1e-3, 2e3), st.floats(1e-3, 3.2))
 def test_step_toward_bit_equal_to_numpy_reference(cur, tgt, max_pos, max_rot):
     got = step_toward(cur, tgt, max_pos, max_rot)
-    pos, ori = ref_step_toward(cur, tgt, max_pos, max_rot)
+    pos, ori = ref_float_step_toward(cur, tgt, max_pos, max_rot)
     assert_bits(got.position, pos)
     assert_bits(got.orientation, ori)
+    np_pos, np_ori = ref_step_toward(cur, tgt, max_pos, max_rot)
+    scale = max(1.0, float(np.max(np.abs(cur.position))), float(np.max(np.abs(tgt.position))))
+    assert_ulps(got.position, np_pos, scale)
+    assert_ulps(got.orientation, np_ori, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +535,42 @@ def test_step_toward_returns_a_reached_target_itself():
     moved = step_toward(Pose.identity(), b, 0.02, 0.5)
     assert moved is not b and not np.array_equal(moved.position, b.position)
     assert moved.orientation is b.orientation  # the rotation fits: the target's checked array
+
+
+# ---------------------------------------------------------------------------
+# float-backed storage
+
+
+@INTERNAL
+def test_float_built_object_keeps_its_array_views(public, internal, arrays):
+    obj = internal([0.1, -0.0, 0.3], [-0.5, 0.5, -0.5, 0.5])
+    vec, quat = arrays(obj)
+    assert all(a is b for a, b in zip(arrays(obj), (vec, quat)))
+    for arr, floats in ((vec, obj.xyz), (quat, obj.wxyz)):
+        assert arr.dtype == np.float64 and arr.base is None and arr.flags.owndata
+        assert not arr.flags.writeable
+        assert arr.tobytes() == np.array(floats).tobytes()
+        assert all(type(x) is float for x in floats)
+    assert obj.wxyz == (0.5, -0.5, 0.5, -0.5)
+
+
+@INTERNAL
+def test_pickle_round_trip(public, internal, arrays):
+    import pickle
+
+    for obj in (internal([0.1, -0.0, 0.3], [0.5, -0.5, 0.5, 0.5]), public([1e308, 1e308, 5e-324], -UNIT_Q)):
+        for _ in range(2):  # without, then with, its array views built
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is type(obj) and back == obj
+            assert repr(back.xyz) == repr(obj.xyz) and repr(back.wxyz) == repr(obj.wxyz)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(back), arrays(obj)))
+
+
+def test_step_toward_on_floats_shares_what_fits():
+    here = Pose._of([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+    there = Pose._of([0.01, 0.0, 0.0], quat_from_yaw(0.05).tolist())
+    assert step_toward(here, there, 0.02, 0.1) is there  # reached: the target itself
+    moved = step_toward(here, there, 0.005, 0.1)
+    assert moved.wxyz is there.wxyz  # the rotation fits: the target's floats
+    assert moved.xyz == (0.005, 0.0, 0.0)
+    assert moved._views is None  # no array was built for it

@@ -348,6 +348,13 @@ def test_image_ops_leave_input_untouched(op):
     assert out.dtype == np.uint8 and out.flags.c_contiguous
 
 
+@pytest.mark.parametrize("shape", [(0, 0, 3), (0, 4, 3), (4, 0, 3)], ids=["0x0", "0x4", "4x0"])
+@pytest.mark.parametrize("op", list(IMAGE_OPS.values()), ids=list(IMAGE_OPS))
+def test_image_ops_refuse_an_empty_frame(op, shape):
+    with pytest.raises(InvariantViolation, match=re.escape(f"with H, W >= 1, got uint8 {shape}")):
+        op(np.zeros(shape, dtype=np.uint8))
+
+
 # ---------------------------------------------------------------------------
 # the numpy kernels the image ops replaced, kept as references: every op must
 # give the same bytes (see the "Bit-identity rules" in demoaug.imageaug)

@@ -118,6 +118,30 @@ def test_internal_pose_constructors_match_the_public_ones(tmp_path, monkeypatch,
     assert internal == tree_digest(tmp_path / "public")
 
 
+@pytest.mark.parametrize("task", ["stack", "coffee"])
+def test_a_pass_reads_no_pose_as_arrays(tmp_path, monkeypatch, task):
+    """The per-step kernels (sim.step, _gripper_tf, the experts, proprio_noise,
+    retargeting) and the codec read poses as floats: a whole pass builds no
+    array view of a Pose or an SE3Transform."""
+    from demoaug import geometry
+
+    built = []
+    view = geometry._view
+    monkeypatch.setattr(geometry, "_view", lambda obj, i: built.append(type(obj).__name__) or view(obj, i))
+    stages = (
+        StageConfig("gen", {"count": 3}),
+        StageConfig("segment"),
+        StageConfig("se3", {"count": 3}),
+        StageConfig("causal", {"copies": 1}),
+        StageConfig("obs", {"noise_sigma": 0.01}),
+        StageConfig("validate"),
+    )
+    run_pipeline(PipelineConfig(task, stages, str(tmp_path / "run"), master_seed=5))
+    assert built == []
+    geometry.Pose.identity().position  # the probe sees a read
+    assert built == ["Pose"]
+
+
 def _spy_copies(monkeypatch):
     """Record the destination of every file copy save_dataset makes."""
     import shutil
