@@ -6,7 +6,9 @@ timestep per line. Key order is fixed and floats are written as shortest
 round-trip decimals, so saving the same dataset twice is byte-identical
 and load(save(ds)) == ds field for field.
 
-Records are immutable, so a trajectory records the schema its timesteps
+Records are immutable. The per-timestep ones (EntityState, RobotState,
+Action, Timestep) set their slots directly, with the constructors' checks
+and conversions, and no more. A trajectory records the schema its timesteps
 passed their checks under, and a save, load or validate checks them once
 per schema. A load reads each distinct value once and shares it: each
 distinct pose is built once, and each distinct text of a timestep line's
@@ -117,40 +119,57 @@ class TaskSchema:
             and self.box == other.box
         )
 
+    def __hash__(self):  # over what __eq__ compares; the arrays are unhashable
+        return hash((self.task_id, self.entities, self.agents, self.box))
 
-@dataclass(frozen=True, slots=True)
+
+def _slot_setters(cls) -> tuple:
+    """The `__set__` of each field's slot of slotted dataclass `cls`. The
+    records below, built per timestep, have hand-written __init__s with the
+    generated signature and defaults, which set their slots through these."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class EntityState:
     entity_id: str
     pose: Pose
     extra: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "extra", dict(self.extra))
+    def __init__(self, entity_id, pose, extra=()):
+        set_id, set_pose, set_extra = _ENTITY_SLOTS
+        set_id(self, entity_id)
+        set_pose(self, pose)
+        set_extra(self, dict(extra))  # a fresh dict: the record's own
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RobotState:
     agent_id: str
     eef_pose: Pose
     gripper_aperture: float
 
-    def __post_init__(self):
-        ap = min(1.0, max(0.0, float(self.gripper_aperture)))
-        object.__setattr__(self, "gripper_aperture", ap)
+    def __init__(self, agent_id, eef_pose, gripper_aperture):
+        set_id, set_pose, set_aperture = _ROBOT_SLOTS
+        set_id(self, agent_id)
+        set_pose(self, eef_pose)
+        set_aperture(self, min(1.0, max(0.0, float(gripper_aperture))))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Action:
     agent_id: str
     target_eef_pose: Pose
     gripper_command: float
 
-    def __post_init__(self):
-        cmd = min(1.0, max(0.0, float(self.gripper_command)))
-        object.__setattr__(self, "gripper_command", cmd)
+    def __init__(self, agent_id, target_eef_pose, gripper_command):
+        set_id, set_pose, set_command = _ACTION_SLOTS
+        set_id(self, agent_id)
+        set_pose(self, target_eef_pose)
+        set_command(self, min(1.0, max(0.0, float(gripper_command))))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Timestep:
     t: int
     entities: tuple[EntityState, ...]
@@ -159,12 +178,16 @@ class Timestep:
     phase: int | None = None
     interp: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "robots", tuple(self.robots))
-        object.__setattr__(self, "actions", tuple(self.actions))
-        if self.t < 0:
-            raise InvariantViolation(f"timestep index {self.t} < 0")
+    def __init__(self, t, entities, robots, actions, phase=None, interp=False):
+        set_t, set_entities, set_robots, set_actions, set_phase, set_interp = _TIMESTEP_SLOTS
+        set_t(self, t)
+        set_entities(self, tuple(entities))
+        set_robots(self, tuple(robots))
+        set_actions(self, tuple(actions))
+        set_phase(self, phase)
+        set_interp(self, interp)
+        if t < 0:
+            raise InvariantViolation(f"timestep index {t} < 0")
 
     def entity(self, entity_id: str) -> EntityState:
         for e in self.entities:
@@ -183,6 +206,10 @@ class Timestep:
             if a.agent_id == agent_id:
                 return a
         raise InvariantViolation(f"action for {agent_id!r} missing from timestep {self.t}")
+
+
+_ENTITY_SLOTS, _ROBOT_SLOTS, _ACTION_SLOTS, _TIMESTEP_SLOTS = map(
+    _slot_setters, (EntityState, RobotState, Action, Timestep))
 
 
 @dataclass(frozen=True)
@@ -244,13 +271,6 @@ class Dataset:
 _BOX_TOL = 1e-9
 
 
-def _check_pose_in_box(pose: Pose, lo: list, hi: list, what: str):
-    """lo/hi: the workspace box widened by _BOX_TOL, as float lists."""
-    x, y, z = pose.xyz
-    if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and lo[2] <= z <= hi[2]):
-        raise InvariantViolation(f"{what} position {list(pose.xyz)} outside workspace bounds")
-
-
 def _is_real(value) -> bool:
     """Whether `value` is a finite number as a JSON decode yields one: exactly
     an int or a float (so never a bool or a string) that fits a float64."""
@@ -270,18 +290,8 @@ def _check_trajectory_ids(traj: Trajectory, schema: TaskSchema):
         raise InvariantViolation(f"{where}: traj_id is not filesystem-safe")
 
 
-def _first_sight(checked_sections, kind: int, section: tuple) -> bool:
-    """Whether `section` is to be checked: always when `checked_sections` is
-    None, else only if its set for `kind` lacks it, to which it is added. A
-    section that then fails its checks raises, which ends the load and its
-    memo with it."""
-    if checked_sections is None:
-        return True
-    ids = checked_sections[kind]
-    if id(section) in ids:
-        return False
-    ids.add(id(section))
-    return True
+def _timestep_error(traj: Trajectory, ts: Timestep, what: str) -> InvariantViolation:
+    return InvariantViolation(f"trajectory {traj.traj_id!r}, timestep {ts.t}: {what}")
 
 
 def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tuple[set, set, set] | None = None):
@@ -293,48 +303,58 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
     which only load_dataset passes, holds per section kind the ids of the
     tuples that passed earlier in the load (which keeps them alive); those
     are not checked again, so a section that many lines share is checked
-    once. One set per kind keeps apart the empty tuple, which they share."""
-    where = f"trajectory {traj.traj_id!r}"
-    expected_entities = schema.entity_ids()
-    box_lo = [x - _BOX_TOL for x in schema.box[0]]
-    box_hi = [x + _BOX_TOL for x in schema.box[1]]
-    prev_t = None
-    prev_phase = None
+    once. One set per kind keeps apart the empty tuple, which they share. A
+    section that fails raises, which ends the load and its memo with it."""
+    expected_entities, decls, agents = schema.entity_ids(), schema.entities, schema.agents
+    lx, ly, lz = [x - _BOX_TOL for x in schema.box[0]]
+    hx, hy, hz = [x + _BOX_TOL for x in schema.box[1]]
+    memo = checked_sections is not None
+    seen_entities, seen_robots, seen_actions = checked_sections if memo else ((), (), ())
+    prev_t = prev_phase = None
     for ts in traj.timesteps:
-        at = f"{where}, timestep {ts.t}"
         if prev_t is not None and ts.t <= prev_t:
-            raise InvariantViolation(f"{at}: ordering violation, t not strictly increasing")
+            raise _timestep_error(traj, ts, "ordering violation, t not strictly increasing")
         prev_t = ts.t
-        if _first_sight(checked_sections, 0, ts.entities):
-            got = tuple([e.entity_id for e in ts.entities])
+        entities, robots, actions = ts.entities, ts.robots, ts.actions
+        if id(entities) not in seen_entities:
+            if memo:
+                seen_entities.add(id(entities))
+            got = tuple([e.entity_id for e in entities])
             if got != expected_entities:
-                raise InvariantViolation(f"{at}: entity ordering {got} != schema {expected_entities}")
-            for e, decl in zip(ts.entities, schema.entities):
-                if tuple(e.extra.keys()) != decl.extra_fields:
-                    raise InvariantViolation(
-                        f"{at}: entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}"
-                    )
+                raise _timestep_error(traj, ts, f"entity ordering {got} != schema {expected_entities}")
+            for e, decl in zip(entities, decls):
+                if not e.extra and not decl.extra_fields:  # nothing to check, as for most entities
+                    continue
+                if tuple(e.extra) != decl.extra_fields:
+                    raise _timestep_error(
+                        traj, ts, f"entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}")
                 for key, value in e.extra.items():
-                    if not _is_real(value):
-                        raise InvariantViolation(
-                            f"{at}: entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number"
-                        )
-        if _first_sight(checked_sections, 1, ts.robots):
-            got_agents = tuple([r.agent_id for r in ts.robots])
-            if got_agents != schema.agents:
-                raise InvariantViolation(f"{at}: robot ordering {got_agents} != schema {schema.agents}")
-        if _first_sight(checked_sections, 2, ts.actions):
-            act_agents = tuple([a.agent_id for a in ts.actions])
-            if act_agents != schema.agents:
-                raise InvariantViolation(f"{at}: exactly one action per agent required, got {act_agents}")
-            for a in ts.actions:
-                _check_pose_in_box(a.target_eef_pose, box_lo, box_hi, f"{at}: action target")
-        if ts.phase is not None:
-            if ts.phase < 0:
-                raise InvariantViolation(f"{at}: phase {ts.phase} < 0")
-            if prev_phase is not None and ts.phase < prev_phase:
-                raise InvariantViolation(f"{at}: phase labels decrease")
-            prev_phase = ts.phase
+                    if not (type(value) is float and math.isfinite(value)) and not _is_real(value):
+                        raise _timestep_error(
+                            traj, ts, f"entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number")
+        if id(robots) not in seen_robots:
+            if memo:
+                seen_robots.add(id(robots))
+            got = tuple([r.agent_id for r in robots])
+            if got != agents:
+                raise _timestep_error(traj, ts, f"robot ordering {got} != schema {agents}")
+        if id(actions) not in seen_actions:
+            if memo:
+                seen_actions.add(id(actions))
+            got = tuple([a.agent_id for a in actions])
+            if got != agents:
+                raise _timestep_error(traj, ts, f"exactly one action per agent required, got {got}")
+            for a in actions:
+                x, y, z = a.target_eef_pose.xyz
+                if not (lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
+                    raise _timestep_error(traj, ts, f"action target position {[x, y, z]} outside workspace bounds")
+        phase = ts.phase
+        if phase is not None:
+            if phase < 0:
+                raise _timestep_error(traj, ts, f"phase {phase} < 0")
+            if prev_phase is not None and phase < prev_phase:
+                raise _timestep_error(traj, ts, "phase labels decrease")
+            prev_phase = phase
 
 
 def validate_dataset(ds: Dataset, checked_sections=None):
@@ -570,21 +590,32 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
     are a pure function of those bits, so a pose seen before is returned as
     is. The key keeps -0.0 and 0.0 apart, which float == would merge. The
     per-value type checks (exact ints and floats, as in _is_real; Pose
-    checks finiteness) run on every occurrence, before the lookup. A new
-    pose of seven floats is built by Pose._of, which checks floats as the
-    public constructor does; one with an int goes to the constructor."""
+    checks finiteness) run on every occurrence, before the lookup. A two-key
+    pose of seven floats, as a save writes it, is looked up first and built
+    by Pose._of if new; any other pose, and any failure there, goes to the
+    second branch, which takes ints and raises a malformed pose's error."""
+    try:
+        pos, ori = obj["position"], obj["orientation"]
+        if type(pos) is list and type(ori) is list and len(obj) == 2:
+            (x, y, z), (w, i, j, k) = pos, ori
+            if (type(x) is float and type(y) is float and type(z) is float and type(w) is float
+                    and type(i) is float and type(j) is float and type(k) is float):
+                key = _POSE_BITS(x, y, z, w, i, j, k)
+                pose = poses.get(key)
+                if pose is None:
+                    pose = poses[key] = Pose._of(pos, ori)
+                return pose
+    except (KeyError, TypeError, ValueError, InvariantViolation):
+        pass
     try:
         if len(obj) != 2:
             _refuse_unknown_key(where, "a pose", obj, _POSE_KEYS)
         pos, ori = obj["position"], obj["orientation"]
         if type(pos) is not list or type(ori) is not list:
             raise InvariantViolation(f"{where}: pose position and orientation must be lists, got {obj!r}")
-        floats = True
         for x in pos + ori:
-            if type(x) is not float:
-                if type(x) is not int:
-                    raise InvariantViolation(f"{where}: pose value {x!r} is not a number")
-                floats = False
+            if type(x) is not float and type(x) is not int:
+                raise InvariantViolation(f"{where}: pose value {x!r} is not a number")
     except (KeyError, TypeError) as exc:
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     key = None
@@ -597,7 +628,7 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
         if pose is not None:
             return pose
     try:
-        pose = Pose._of(pos, ori) if floats else Pose(pos, ori)
+        pose = Pose(pos, ori)
     except OverflowError as exc:  # an int too large for a float
         raise InvariantViolation(f"{where}: malformed pose ({exc})") from exc
     except InvariantViolation as exc:
@@ -662,34 +693,31 @@ def _entities_from_json(items, where: str, poses: dict) -> tuple[EntityState, ..
     for e in items:
         if len(e) != 2 + ("extra" in e):
             _refuse_unknown_key(where, "an entity", e, _ENTITY_KEYS)
-        entities.append(EntityState(e["entity_id"], _pose_from_json(e["pose"], where, poses), dict(e.get("extra", {}))))
+        entities.append(EntityState(e["entity_id"], _pose_from_json(e["pose"], where, poses), e.get("extra", ())))
     return tuple(entities)
 
 
-def _robots_from_json(items, where: str, poses: dict) -> tuple[RobotState, ...]:
-    robots = []
-    for r in items:
-        if len(r) != 3:
-            _refuse_unknown_key(where, "a robot", r, _ROBOT_KEYS)
-        robots.append(RobotState(
-            r["agent_id"],
-            _pose_from_json(r["eef_pose"], where, poses),
-            _REAL.parse(f"{where}: gripper_aperture", r["gripper_aperture"]),
-        ))
-    return tuple(robots)
+def _agent_reader(cls, what: str, keys: tuple[str, str, str]):
+    """The reader of a line's robots (RobotState) or actions (Action) array,
+    whose objects hold `keys`: agent id, pose and gripper value."""
+    agent_key, pose_key, value_key = keys
+
+    def read(items, where: str, poses: dict) -> tuple:
+        records = []
+        for r in items:
+            if len(r) != 3:
+                _refuse_unknown_key(where, what, r, keys)
+            agent_id, pose, value = r[agent_key], _pose_from_json(r[pose_key], where, poses), r[value_key]
+            if type(value) is not float or not math.isfinite(value):
+                value = _REAL.parse(f"{where}: {value_key}", value)
+            records.append(cls(agent_id, pose, value))
+        return tuple(records)
+
+    return read
 
 
-def _actions_from_json(items, where: str, poses: dict) -> tuple[Action, ...]:
-    actions = []
-    for a in items:
-        if len(a) != 3:
-            _refuse_unknown_key(where, "an action", a, _ACTION_KEYS)
-        actions.append(Action(
-            a["agent_id"],
-            _pose_from_json(a["target_eef_pose"], where, poses),
-            _REAL.parse(f"{where}: gripper_command", a["gripper_command"]),
-        ))
-    return tuple(actions)
+_robots_from_json = _agent_reader(RobotState, "a robot", _ROBOT_KEYS)
+_actions_from_json = _agent_reader(Action, "an action", _ACTION_KEYS)
 
 
 # what a section reader raises, besides InvariantViolation, for a malformed shape
@@ -892,8 +920,9 @@ _LINE_RE = re.compile(
 _SECTION_READERS = (_entities_from_json, _robots_from_json, _actions_from_json)
 
 
-def _timestep_from_line(line: str, where: str, poses: dict, sections: tuple[dict, dict, dict]) -> Timestep:
-    """The Timestep of one JSONL line.
+def _timestep_from_line(line: str, traj_id: str, i: int, poses: dict,
+                        sections: tuple[dict, dict, dict]) -> Timestep:
+    """The Timestep of line `i` of trajectory `traj_id`'s JSONL file.
 
     A line that _LINE_RE matches is read section by section: `sections`
     maps, per section kind, each section text read so far in this load to
@@ -905,7 +934,8 @@ def _timestep_from_line(line: str, where: str, poses: dict, sections: tuple[dict
     Any other line, and any line with a section that fails to read, goes
     to the whole-line reader (decode, then timestep_from_json), the
     reference, which accepts any JSON layout and raises the errors of a
-    malformed line. A failed section is not cached."""
+    malformed line. A failed section is not cached, and its error is
+    dropped: only the whole-line reader needs the line's `where` text."""
     match = _LINE_RE.fullmatch(line)
     if match is not None:
         t, *texts, phase, interp = match.groups()
@@ -914,11 +944,12 @@ def _timestep_from_line(line: str, where: str, poses: dict, sections: tuple[dict
             for text, read, cache in zip(texts, _SECTION_READERS, sections):
                 section = cache.get(text)
                 if section is None:
-                    section = cache[text] = read(_DECODER.decode(text), where, poses)
+                    section = cache[text] = read(_DECODER.decode(text), "", poses)
                 records.append(section)
             return Timestep(int(t), *records, None if phase == "null" else int(phase), interp is not None)
         except (*_MALFORMED, RecursionError, InvariantViolation):
             pass  # the whole-line reader raises the error, if the line has one
+    where = f"trajectory {traj_id!r}, timestep line {i}"
     try:
         obj = _DECODER.decode(line)
     except (ValueError, RecursionError) as exc:  # not JSON, or an int or a nesting past the decoder's limits
@@ -973,7 +1004,7 @@ def load_dataset(path) -> Dataset:
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
-            timesteps.append(_timestep_from_line(line, f"trajectory {traj_id!r}, timestep line {i}", poses, sections))
+            timesteps.append(_timestep_from_line(line, traj_id, i, poses, sections))
         if entry["num_timesteps"] != len(timesteps):
             raise InvariantViolation(
                 f"trajectory {traj_id!r}: manifest num_timesteps {entry['num_timesteps']!r} "

@@ -20,10 +20,11 @@ wrong size, on a NaN or inf in any slot, and on a quaternion whose norm
 is more than UNIT_TOL from 1, and flip the quaternion's sign so that
 w >= 0. The internal constructors `Pose._of` and `SE3Transform._of` take
 tuples or lists of Python floats, which get the same checks in pure
-Python (a tuple that passes is shared as is), or read-only arrays, which
-they take to be the array views of checked objects and share. Any other
-argument, and a value that fails a check, goes to the public constructor,
-which raises its usual error.
+Python (a tuple that passes is shared as is), or read-only float64
+arrays, which get the same checks and, if they pass with w >= 0, become
+the new object's array views. Any other argument, and a value that fails
+a check, goes to the public constructor, which raises its usual error
+(or stores a flipped quaternion, with an array view of its own).
 
 Numerics. The kernels take and return tuples of Python floats, with IEEE
 arithmetic and the C library's sqrt, sin, cos, atan2 and acos; a norm is
@@ -221,10 +222,10 @@ def _shared(x, size: int) -> bool:
 
 
 def _float_vec(x):
-    """x as a tuple, if it is a tuple or list of 3 finite floats or _shared;
-    None otherwise."""
+    """x as a tuple, if it is a tuple or list of 3 finite floats or a _shared
+    array of them; None otherwise."""
     if type(x) is not tuple and type(x) is not list:
-        return tuple(x.tolist()) if _shared(x, 3) else None
+        x = x.tolist() if _shared(x, 3) else ()
     if len(x) != 3 or not (math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(x[2])):
         return None
     return tuple(x)
@@ -232,9 +233,10 @@ def _float_vec(x):
 
 def _float_quat(x):
     """As _float_vec for a quaternion, whose norm must also be within
-    UNIT_TOL of 1; stored with w >= 0, as _checked_quat stores it."""
+    UNIT_TOL of 1; stored with w >= 0, as _checked_quat stores it. A _shared
+    array is taken only with w >= 0: it becomes the view of what is stored."""
     if type(x) is not tuple and type(x) is not list:
-        return tuple(x.tolist()) if _shared(x, 4) else None
+        x = x.tolist() if _shared(x, 4) and x[0] >= 0.0 else ()
     if len(x) != 4:
         return None
     w, qx, qy, qz = x

@@ -356,12 +356,15 @@ def ratio_study(
 
 
 def stats(ds: Dataset) -> dict:
-    """Counts by provenance, phase-length histograms, per-entity pose bounds."""
+    """Counts by provenance, phase-length histograms, per-entity pose bounds,
+    over each distinct `entities` tuple once, by id (the dataset keeps it
+    alive): on a repeat, min and max would return each bound as it is."""
     traj_by_prov = Counter(tr.provenance.value for tr in ds.trajectories)
     step_by_prov: Counter = Counter()
     phase_hist: dict[int, Counter] = {}
     bounds: dict[str, dict] = {}
     total_steps = 0
+    seen: set[int] = set()
     for tr in ds.trajectories:
         step_by_prov[tr.provenance.value] += len(tr)
         total_steps += len(tr)
@@ -369,6 +372,9 @@ def stats(ds: Dataset) -> dict:
             for phase, t0, t1 in tr.phase_ranges():
                 phase_hist.setdefault(phase, Counter())[t1 - t0] += 1
         for ts in tr.timesteps:
+            if id(ts.entities) in seen:
+                continue
+            seen.add(id(ts.entities))
             for e in ts.entities:
                 box = bounds.setdefault(
                     e.entity_id,

@@ -822,6 +822,120 @@ def test_data_model_survives_pickle_and_deepcopy():
         assert timestep_to_json(clone, make_schema()) == timestep_to_json(ts, make_schema())
 
 
+@pytest.mark.parametrize("cls", [EntityState, RobotState, Action, Timestep], ids=lambda c: c.__name__)
+def test_record_constructor_signature_matches_its_fields(cls):
+    import inspect
+    from dataclasses import MISSING, fields
+
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [f.name for f in fields(cls)]
+    for p, f in zip(params, fields(cls)):
+        assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        if f.default is not MISSING:
+            assert p.default == f.default and type(p.default) is type(f.default), f.name
+        else:  # extra, with its default_factory, is the only other field with a default
+            assert (p.default is inspect.Parameter.empty) == (f.default_factory is MISSING), f.name
+
+
+def test_record_constructors_keep_their_contract():
+    pose = Pose.identity()
+    a, b = EntityState("obj_a", pose), EntityState("obj_a", pose)
+    assert a.extra == {} and type(a.extra) is dict and a.extra is not b.extra
+    given = {"lid_angle": 0.5}
+    e = EntityState("obj_b", pose, given)
+    given["lid_angle"] = 9.0
+    given["other"] = 1.0
+    assert e.extra == {"lid_angle": 0.5} and e.extra is not given
+    for value, clamped in ((1.5, 1.0), (-0.2, 0.0), (1, 1.0), (0.25, 0.25)):
+        for record in (RobotState("robot0", pose, value), Action("robot0", pose, value)):
+            got = record.gripper_aperture if isinstance(record, RobotState) else record.gripper_command
+            assert got == clamped and type(got) is float
+    ts = Timestep(3, [e], [RobotState("robot0", pose, 1)], iter([Action("robot0", pose, 0.0)]))
+    assert type(ts.entities) is type(ts.robots) is type(ts.actions) is tuple
+    assert (ts.phase, ts.interp) == (None, False)
+    assert ts == Timestep(t=3, entities=(e,), robots=ts.robots, actions=ts.actions, phase=None, interp=False)
+    with pytest.raises(InvariantViolation, match=re.escape("timestep index -1 < 0")):
+        Timestep(-1, (), (), ())
+    for record, name in ((ts, "t"), (e, "extra"), (ts.robots[0], "gripper_aperture"), (ts.actions[0], "agent_id")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, None)
+
+
+def _raw_timestep_line(ts) -> str:
+    """A timestep line in the layout a save writes, of the record's own ids,
+    extra keys and values (an infinity as 1e999, which decodes to inf), where
+    a save writes the schema's and refuses what fails the checks."""
+    def pose(p):
+        return {"position": list(p.xyz), "orientation": list(p.wxyz)}
+
+    obj = {
+        "t": ts.t,
+        "entities": [{"entity_id": e.entity_id, "pose": pose(e.pose), "extra": e.extra} for e in ts.entities],
+        "robots": [{"agent_id": r.agent_id, "eef_pose": pose(r.eef_pose), "gripper_aperture": r.gripper_aperture}
+                   for r in ts.robots],
+        "actions": [{"agent_id": a.agent_id, "target_eef_pose": pose(a.target_eef_pose),
+                     "gripper_command": a.gripper_command} for a in ts.actions],
+        "phase": ts.phase,
+    }
+    return json.dumps(obj, separators=(",", ":")).replace("Infinity", "1e999")
+
+
+def _break_step(ts, case):
+    a, b = ts.entities
+    far = Action("robot0", Pose.from_xyz_yaw(5.0, 0.0, 0.0), 1.0)
+    return {
+        "t_order": lambda: replace(ts, t=2),
+        "entity_ordering": lambda: replace(ts, entities=(b, a)),
+        "extra_keys": lambda: replace(ts, entities=(a, replace(b, extra={"other": 0.5}))),
+        "non_finite_extra": lambda: replace(ts, entities=(a, replace(b, extra={"lid_angle": float("inf")}))),
+        "robot_ordering": lambda: replace(ts, robots=tuple(replace(r, agent_id="robot1") for r in ts.robots)),
+        "action_agents": lambda: replace(ts, actions=()),
+        "action_outside_workspace": lambda: replace(ts, actions=(far,)),
+        "negative_phase": lambda: replace(ts, phase=-1),
+        "decreasing_phase": lambda: replace(ts, phase=0),
+    }[case]()
+
+
+_AT = "trajectory 'tr_00', timestep 3: "
+
+# each timestep check's message, as save_dataset and load_dataset raised it
+# before the checks were folded into one loop; a negative phase does not
+# reach the load's checks, as the line reader refuses it
+_CHECK_MESSAGES = {
+    "t_order": (
+        "trajectory 'tr_00', timestep 2: ordering violation, t not strictly increasing",
+    ) * 2,
+    "entity_ordering": (_AT + "entity ordering ('obj_b', 'obj_a') != schema ('obj_a', 'obj_b')",) * 2,
+    "extra_keys": (_AT + "entity 'obj_b' extra fields ('other',) != ('lid_angle',)",) * 2,
+    "non_finite_extra": (_AT + "entity 'obj_b' extra 'lid_angle' is inf, not a finite real number",) * 2,
+    "robot_ordering": (_AT + "robot ordering ('robot1',) != schema ('robot0',)",) * 2,
+    "action_agents": (_AT + "exactly one action per agent required, got ()",) * 2,
+    "action_outside_workspace": (_AT + "action target position [5.0, 0.0, 0.0] outside workspace bounds",) * 2,
+    "negative_phase": (
+        _AT + "phase -1 < 0",
+        "trajectory 'tr_00', timestep line 3: phase must be null or an integer >= 0, got -1",
+    ),
+    "decreasing_phase": (_AT + "phase labels decrease",) * 2,
+}
+
+
+@pytest.mark.parametrize("case", list(_CHECK_MESSAGES))
+def test_each_timestep_check_keeps_its_message(tmp_path, case):
+    ds = random_dataset(21, n_traj=1, n_steps=4)
+    tr = ds.trajectories[0]
+    bad = replace(tr, timesteps=tr.timesteps[:3] + (_break_step(tr.timesteps[3], case),))
+    on_save, on_load = _CHECK_MESSAGES[case]
+    with pytest.raises(InvariantViolation) as exc:
+        save_dataset(replace(ds, trajectories=(bad,)), tmp_path / "s")
+    assert str(exc.value) == on_save
+    assert not (tmp_path / "s").exists()
+    save_dataset(ds, tmp_path / "l")
+    (tmp_path / "l" / "traj_tr_00.jsonl").write_text("".join(_raw_timestep_line(ts) + "\n" for ts in bad.timesteps))
+    with pytest.raises(InvariantViolation) as exc:
+        load_dataset(tmp_path / "l")
+    assert str(exc.value) == on_load
+
+
 # ---------------------------------------------------------------------------
 # load_dataset builds each distinct pose once and shares it
 

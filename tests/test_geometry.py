@@ -529,6 +529,34 @@ def test_internal_constructor_shares_checked_arrays_only():
     assert copied.position[0] == 0.1
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]], ids=["nan", "inf"])
+def test_internal_constructor_checks_a_read_only_array(bad):
+    """A read-only array is not trusted as a checked view: a non-finite value
+    raises as it does in the public constructor."""
+    with pytest.raises(InvariantViolation, match="non-finite position"):
+        Pose._of(_frozen(bad), _frozen(UNIT_Q))
+    with pytest.raises(InvariantViolation, match="non-finite"):
+        Pose._of(_frozen([0.1, 0.2, 0.3]), _frozen([np.nan, 0.0, 0.0, 0.0]))
+
+
+def test_internal_constructor_flips_a_read_only_negative_w_into_its_own_view():
+    q = _frozen([-1.0, 0.0, 0.0, 0.0])
+    pose = Pose._of(_frozen([0.1, 0.2, 0.3]), q)
+    assert pose.wxyz == (1.0, -0.0, -0.0, -0.0) and pose == Pose([0.1, 0.2, 0.3], q)
+    assert pose.orientation is not q and pose.orientation.tobytes() == np.array(pose.wxyz).tobytes()
+    assert not pose.orientation.flags.writeable
+    tf = SE3Transform._of(q, _frozen([0.0, 0.0, 1.0]))
+    assert tf.wxyz[0] == 1.0 and tf.rotation is not q and tf.rotation[0] == 1.0
+    shared = _frozen([0.5, -0.5, 0.5, 0.5])  # w >= 0 and unit: still shared as the view
+    assert Pose._of(_frozen([0.1, 0.2, 0.3]), shared).orientation is shared
+
+
 def test_step_toward_returns_a_reached_target_itself():
     b = Pose(np.array([0.05, 0.0, 0.0]), quat_from_yaw(0.3))
     assert step_toward(Pose(np.array([0.04, 0, 0]), b.orientation), b, 0.02, 0.5) is b

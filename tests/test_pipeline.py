@@ -273,6 +273,77 @@ def test_stats_counts_counterfactual_copies(stack_task, stack_demos):
     assert s["trajectories_by_provenance"]["counterfactual_synthetic"] == 2 * len(stack_demos)
 
 
+def reference_stats(ds) -> dict:
+    """stats as it was before it visited each distinct entities tuple once:
+    the bounds run over every timestep's entities."""
+    from collections import Counter
+
+    traj_by_prov = Counter(tr.provenance.value for tr in ds.trajectories)
+    step_by_prov: Counter = Counter()
+    phase_hist: dict = {}
+    bounds: dict = {}
+    for tr in ds.trajectories:
+        step_by_prov[tr.provenance.value] += len(tr)
+        if all(ts.phase is not None for ts in tr.timesteps):
+            for phase, t0, t1 in tr.phase_ranges():
+                phase_hist.setdefault(phase, Counter())[t1 - t0] += 1
+        for ts in tr.timesteps:
+            for e in ts.entities:
+                box = bounds.setdefault(e.entity_id, {"min": [float("inf")] * 3, "max": [float("-inf")] * 3})
+                for k, x in enumerate(e.pose.xyz):
+                    box["min"][k] = min(box["min"][k], x)
+                    box["max"][k] = max(box["max"][k], x)
+    return {
+        "trajectories": len(ds),
+        "timesteps": sum(step_by_prov.values()),
+        "trajectories_by_provenance": dict(sorted(traj_by_prov.items())),
+        "timesteps_by_provenance": dict(sorted(step_by_prov.items())),
+        "phase_length_histogram": {str(p): dict(sorted(c.items())) for p, c in sorted(phase_hist.items())},
+        "entity_position_bounds": {k: bounds[k] for k in sorted(bounds)},
+    }
+
+
+def _same_stats(ds):
+    got, want = stats(ds), reference_stats(ds)
+    assert json.dumps(got) == json.dumps(want)  # the same bits, -0.0 included
+    return got
+
+
+@pytest.mark.parametrize("task", ["stack", "coffee"])
+def test_stats_equals_the_per_timestep_reference(tmp_path, task):
+    from dataclasses import replace
+
+    from demoaug.data import EntityState
+
+    stages = (StageConfig("gen", {"count": 2}), StageConfig("segment"), StageConfig("se3", {"count": 2}),
+              StageConfig("causal", {"copies": 2}), StageConfig("obs", {"noise_sigma": 0.01}))
+    run_pipeline(PipelineConfig(task, stages, str(tmp_path / "run"), master_seed=4))
+    for stage_dir in sorted(p for p in (tmp_path / "run").iterdir() if p.is_dir()):
+        ds = load_dataset(stage_dir)
+        _same_stats(ds)
+    steps = [ts for tr in ds.trajectories for ts in tr.timesteps]
+    assert len({id(ts.entities) for ts in steps}) < len(steps) / 2  # the load shares most entities tuples
+    unshared = replace(ds, trajectories=tuple(
+        replace(tr, timesteps=tuple(replace(ts, entities=tuple(EntityState(e.entity_id, e.pose, e.extra)
+                                                               for e in ts.entities)) for ts in tr.timesteps))
+        for tr in ds.trajectories))
+    assert _same_stats(unshared) == stats(ds)
+
+
+@pytest.mark.parametrize("order", ["plus_first", "minus_first"])
+def test_stats_keeps_the_first_zero_of_a_signed_zero_tie(order):
+    from demoaug.data import EntityDecl, EntityState, TaskSchema, Timestep, Trajectory
+    from demoaug.geometry import Pose
+
+    schema = TaskSchema("t", (EntityDecl("a", "block"),), ("r",), [-1.0, -1.0, 0.0], [1.0, 1.0, 1.0])
+    plus, minus = ((EntityState("a", Pose([x, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0])),) for x in (0.0, -0.0))
+    first, second = (plus, minus) if order == "plus_first" else (minus, plus)
+    steps = tuple(Timestep(t, ents, (), ()) for t, ents in enumerate((first, second, first, second, first)))
+    ds = Dataset("1.0", schema, (Trajectory("a", "t", steps, True, "human_source"),))
+    x_min, x_max = (_same_stats(ds)["entity_position_bounds"]["a"][k][0] for k in ("min", "max"))
+    assert repr((x_min, x_max)) == ("(0.0, 0.0)" if order == "plus_first" else "(-0.0, -0.0)")
+
+
 def test_pipeline_config_from_dict(tmp_path):
     obj = {
         "task": "stack",

@@ -55,6 +55,24 @@ def test_task_json_round_trip(tmp_path):
         assert a.timesteps == b.timesteps
 
 
+@pytest.mark.parametrize("name", ["stack", "coffee"])
+def test_task_schema_is_hashable_by_what_it_compares(tmp_path, name):
+    from dataclasses import replace
+
+    from demoaug.data import Dataset, load_dataset, save_dataset
+
+    schema = resolve_task(name).schema
+    again = resolve_task(name).schema
+    assert again is not schema and hash(again) == hash(schema)
+    save_dataset(Dataset("1.0", schema, ()), tmp_path / "d")
+    loaded = load_dataset(tmp_path / "d").task_schema
+    assert loaded == schema and hash(loaded) == hash(schema)
+    table = {schema: name}
+    assert table[again] == table[loaded] == name
+    other = replace(schema, task_id="other")
+    assert other != schema and other not in table and len({schema, again, loaded, other}) == 2
+
+
 def test_resolve_task_from_path(tmp_path):
     task = resolve_task("coffee")
     path = tmp_path / "coffee.json"
