@@ -7,9 +7,23 @@ deterministic under a fixed RNG stream, and every zero-strength setting is
 a bit-exact identity. The image ops return a new array and never write to
 their input.
 
+Working precision. Crop, jitter and blur compute in float32 (`_FLOAT`),
+and round into uint8. Each float32 value lies within about 1e-3 of a
+level of what the same op computes in float64 (jitter with a large hue
+shift comes closest), so an output byte moves only where the float64 value
+lies that close to a rounding boundary, and then to the neighbouring
+level: one op's output is within 1 level of its float64 output. A chain of ops can drift further, because a factor above 1
+(brightness, contrast, saturation) widens a 1-level difference in its
+input. The kernels keep every operation in float32: resize weights and
+blur taps are cast to float32 once per call, and the jitter factors, hue
+shift and contrast mean enter as Python floats, which numpy rounds to
+float32 in a float32 loop, where a numpy float64 operand would promote the
+strip to a float64 loop.
+
 Bit-identity rules. The image kernels avoid the numpy forms that are slow
 on (H, W, 3) arrays, but only where the replacement gives the same values
-as the form it replaced (the tests keep the old forms as references):
+as the form it replaced, run in the same precision on the same operands
+(the tests keep the old forms as references, and run them in float32):
 
 - `np.maximum(np.maximum(r, g), b)` replaces `np.max(rgb, axis=-1)`, and
   likewise for the minimum: the maximum of three numbers is one of them in
@@ -18,7 +32,8 @@ as the form it replaced (the tests keep the old forms as references):
   `fmod(x, 1.0)`, plus 1.0 when that is negative, and +0.0 when it is
   zero. For x >= 0 both give the exact fraction; for x < 0 both round the
   same exact value x - floor(x) once; an integral x gives +0.0 either way.
-  That holds for every double, so the unbounded hue shift uses it too.
+  That holds for every float32 and float64, so the unbounded hue shift
+  uses it too.
 - `i - 6 * (i // 6)` replaces `i % 6` on int64: the two agree modulo
   2**64 and both lie in [0, 6).
 - In-place operations replace expressions that made a temporary; each
@@ -31,14 +46,15 @@ as the form it replaced (the tests keep the old forms as references):
 - `color_jitter` holds each strip as channel planes (a transposed
   contiguous array): the layout changes no value, and the channel views
   of the HSV kernels become contiguous.
-- The bilinear resize converts the crop's rows to float64 (uint8 to
-  float64 is exact), interpolates each source row it reads along x, then
+- The bilinear resize converts the crop's rows to float32 (uint8 to
+  float32 is exact), interpolates each source row it reads along x, then
   blends two such rows along y: every output is still
-  `top * (1 - wy) + bot * wy` with `top = a * (1 - wx) + b * wx`.
+  `top * (1 - wy) + bot * wy` with `top = a * (1 - wx) + b * wx`, where
+  wx and wy are rounded to float32 and `1 - w` is taken in float32.
 - The blur starts each sum at the first tap instead of adding it to 0.0
-  (the taps are >= 0, and 0.0 + x == x for those), and reflect-pads both
-  axes of the uint8 image up front, because the vertical pass treats the
-  padded columns like any other.
+  (the taps are >= 0, and 0.0 + x == x for those), and reflect-pads each
+  strip of the uint8 image along both axes before the vertical pass,
+  because that pass treats the padded columns like any other.
 - Crop, jitter and blur work on strips of output rows (see `_strips`) and
   round each strip into a preallocated uint8 output. An output row reads
   only the input rows its strip holds, so each element sees the same
@@ -46,9 +62,9 @@ as the form it replaced (the tests keep the old forms as references):
   rows its output rows read, and a blur strip converts its rows plus
   2 * radius halo rows of the padded image and adds the taps of both
   passes in kernel order.
-- The contrast mean is still taken over the whole brightness-scaled
-  float64 image, never per strip: `np.mean` sums pairwise in an order set
-  by the array's extent, so a mean of strip means would differ.
+- The contrast mean is the whole image's mean times the brightness
+  factor, never a mean of strip means. Its float64 sum of uint8 values is
+  exact in any order, so the mean is the exact one rounded once.
 """
 
 from __future__ import annotations
@@ -71,6 +87,12 @@ def _check_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
+# The largest half-width of a jitter factor's range. Every factor drawn is
+# then a finite float32, and so is a pixel value scaled by both the
+# brightness and the contrast factor: 255 * (1 + 1e18)**2 < 3.4e38.
+_MAX_JITTER_WIDTH = 1e18
+
+
 @dataclass(frozen=True)
 class VisualAugConfig:
     crop_scale: tuple[float, float] = (0.8, 1.0)
@@ -89,10 +111,12 @@ class VisualAugConfig:
             raise ConfigError(f"crop_scale {self.crop_scale} must satisfy 0 < lo <= hi <= 1")
         if self.output_hw is not None and (self.output_hw[0] <= 0 or self.output_hw[1] <= 0):
             raise ConfigError("output dims must be positive")
-        for name in ("brightness", "contrast", "saturation", "hue", "noise_sigma"):
+        for name in ("brightness", "contrast", "saturation", "hue"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+            if not (0 <= value <= _MAX_JITTER_WIDTH):
+                raise ConfigError(f"{name} must lie in [0, {_MAX_JITTER_WIDTH:g}], got {value}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not (0.0 <= self.blur_sigma[0] <= self.blur_sigma[1] < math.inf):
             raise ConfigError(f"blur_sigma range {self.blur_sigma} ill-ordered or not finite")
 
@@ -110,8 +134,14 @@ def check_color_ops_allowed(color_sensitive: bool, force: bool = False):
 # row strips
 
 
+# The working precision of crop, jitter and blur. float32 halves the bytes
+# that each numpy call moves against float64, and the number of strips per
+# frame; the kernels' scalars enter as Python floats or float32 values,
+# because a float64 operand would promote a strip to a float64 loop.
+_FLOAT = np.dtype(np.float32)
+
 # Byte budget of one row strip. Crop, jitter and blur work on strips of
-# output rows whose float64 temporaries hold at most this many bytes, which
+# output rows whose float temporaries hold at most this many bytes, which
 # keeps them under glibc's default 128 KiB mmap threshold: they are reused
 # from the heap, where full-frame temporaries were mapped, unmapped or
 # trimmed back to the OS after each call and faulted in again on the next.
@@ -120,13 +150,13 @@ _STRIP_BYTES = 96 * 1024
 
 def _strips(h: int, w: int) -> list[slice]:
     """Row slices that cover h rows of width w, as many rows each as fit
-    _STRIP_BYTES as float64 RGB (one row at least)."""
-    rows = max(1, _STRIP_BYTES // (w * 3 * 8))
+    _STRIP_BYTES as RGB in the working precision (one row at least)."""
+    rows = max(1, _STRIP_BYTES // (w * 3 * _FLOAT.itemsize))
     return [slice(r, min(r + rows, h)) for r in range(0, h, rows)]
 
 
 def _store(strip: np.ndarray, out: np.ndarray) -> None:
-    """Round a float64 strip, clip it to [0, 255] and write it into its
+    """Round a float32 strip, clip it to [0, 255] and write it into its
     uint8 rows `out`."""
     np.rint(strip, out=strip)
     np.clip(strip, 0, 255, out=strip)
@@ -150,8 +180,8 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.intp)
     x0 = np.floor(xs).astype(np.intp)
-    wy = (ys - y0)[:, None]
-    wx = np.repeat(xs - x0, 3)  # one weight per (column, channel) of a flattened row
+    wy = (ys - y0).astype(_FLOAT)[:, None]
+    wx = np.repeat(xs - x0, 3).astype(_FLOAT)  # one weight per (column, channel) of a flattened row
     wx_left = 1 - wx
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
@@ -168,18 +198,20 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     # strips as wide as the wider of the source rows and the output rows
     for band in _strips(out_h, max(w, out_w)):
         first, last = at[y0[band.start]], at[y1[band.stop - 1]] + 1
-        source = rows.take(src[first:last], axis=0).astype(np.float64)
+        source = rows.take(src[first:last], axis=0).astype(_FLOAT)
         horiz = source.take(cols0, axis=1)
         horiz *= wx_left
         right = source.take(cols1, axis=1)
         right *= wx
         horiz += right
+        del source, right  # freed before the vertical pass allocates
         strip = horiz.take(at[y0[band]] - first, axis=0)
         strip *= 1 - wy[band]
         bot = horiz.take(at[y1[band]] - first, axis=0)
         bot *= wy[band]
         strip += bot
         _store(strip, out[band])
+        del horiz, strip, bot  # freed before the next strip allocates
     return out.reshape(out_h, out_w, 3)
 
 
@@ -220,24 +252,28 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return img.copy()
-    kernel = gaussian_kernel(sigma)
-    radius = len(kernel) // 2
+    taps = gaussian_kernel(sigma).astype(_FLOAT)
+    radius = len(taps) // 2
     h, w = img.shape[:2]
-    # Both axes are padded up front: the vertical pass treats every column
-    # alike, so its output over the padded columns is the horizontal pass's
-    # reflect-padded input. Each strip of output rows reads its own rows
-    # of the padded image plus 2 * radius halo rows.
-    padded = img.take(_reflect(h, radius), axis=0).take(_reflect(w, radius), axis=1)
+    # Each strip of output rows reads its own rows of the reflect-padded
+    # image plus 2 * radius halo rows, and is padded along both axes before
+    # the vertical pass: that pass treats every column alike, so its output
+    # over the padded columns is the horizontal pass's reflect-padded input.
+    rows, cols = _reflect(h, radius), _reflect(w, radius)
     out = np.empty_like(img)
     for band in _strips(h, w):
-        strip = padded[band.start : band.stop + 2 * radius].astype(np.float64)
-        strip = _convolve_axis(strip, kernel, axis=0)
-        _store(_convolve_axis(strip, kernel, axis=1), out[band])
+        strip = img.take(rows[band.start : band.stop + 2 * radius], axis=0).take(cols, axis=1).astype(_FLOAT)
+        strip = _convolve_axis(strip, taps, axis=0)
+        _store(_convolve_axis(strip, taps, axis=1), out[band])
     return out
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
-    radius = int(np.ceil(3.0 * sigma))
+    """Normalized float64 taps of radius ceil(3 sigma), for a sigma > 0."""
+    reach = 3.0 * sigma
+    if not reach < np.iinfo(np.intp).max // 2:  # also refuses inf and nan
+        raise ConfigError(f"blur sigma {sigma} gives a kernel radius that is not finite or does not fit an array")
+    radius = math.ceil(reach)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs**2) / (2.0 * sigma * sigma))
     return k / k.sum()
@@ -249,8 +285,9 @@ def _reflect(n: int, radius: int) -> np.ndarray:
 
 
 def _convolve_axis(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate a float64 array, padded by len(kernel) // 2 on both ends of
-    `axis`, with `kernel` along that axis, adding the taps in kernel order.
+    """Correlate a float array, padded by len(kernel) // 2 on both ends of
+    `axis`, with `kernel` of the same dtype along that axis, adding the taps
+    in kernel order.
 
     Each tap is one slice of the array viewed as (outer, axis * inner)
     values: whole blocks of `inner` values shifted along `axis`, which numpy
@@ -352,22 +389,20 @@ def color_jitter(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator
 
 def _contrast_mean(img: np.ndarray, b: float) -> float:
     """The gray level the contrast factor scales about: the mean of the
-    whole brightness-scaled float64 image. np.mean sums pairwise in an order
-    set by the array's extent, so this is the one full-frame temporary; it
-    is freed before the strips run."""
-    out = img.astype(np.float64)
-    if b != 1.0:
-        out *= b
-    return out.mean()
+    whole image, scaled by the brightness factor b. The float64 sum of uint8
+    values is exact in any order (it stays below 2**53), so the mean is one
+    rounding of the exact one, and numpy takes it in buffered chunks,
+    without a frame-sized copy."""
+    return float(img.mean(dtype=np.float64)) * b
 
 
 def _jitter(rows: np.ndarray, b: float, c: float, mean: float, s: float, hue_delta: float) -> np.ndarray:
-    """color_jitter's float64 values of some uint8 rows before rounding, for
+    """color_jitter's float32 values of some uint8 rows before rounding, for
     factors b, c, s, a hue rotation of hue_delta radians and the whole
     image's contrast mean `mean` (unused when c == 1)."""
     # stored as channel planes: the channel views that rgb_to_hsv and
     # hsv_to_rgb work on are then contiguous, which numpy runs faster
-    out = rows.transpose(2, 0, 1).astype(np.float64, order="C").transpose(1, 2, 0)
+    out = rows.transpose(2, 0, 1).astype(_FLOAT, order="C").transpose(1, 2, 0)
     if b != 1.0:
         out *= b
     if c != 1.0:

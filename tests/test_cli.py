@@ -9,8 +9,17 @@ from demoaug import errors
 from demoaug.causal import causal_spec_to_dict
 from demoaug.cli import main
 from demoaug.data import load_dataset
-from demoaug.imageaug import read_ppm, write_ppm
+from demoaug.imageaug import (
+    VisualAugConfig,
+    channel_permute,
+    color_jitter,
+    gaussian_blur,
+    random_resized_crop,
+    read_ppm,
+    write_ppm,
+)
 from demoaug.render import rasterize_state
+from demoaug.rng import derive_stream
 from demoaug.sim import reset
 from demoaug.tasks import resolve_task, task_to_dict
 
@@ -135,8 +144,10 @@ def test_augment_obs_image_cli(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [("--blur-sigma", "nan"), ("--blur-sigma", "inf"), ("--blur-sigma", "0,inf"), ("--jitter", "nan,0,0,0")],
-    ids=["blur_nan", "blur_inf", "blur_range_inf", "jitter_nan"],
+    [("--blur-sigma", "nan"), ("--blur-sigma", "inf"), ("--blur-sigma", "0,inf"), ("--jitter", "nan,0,0,0"),
+     ("--jitter", "0,0,0,1e308"), ("--blur-sigma", "1e300"), ("--blur-sigma", "0.5,1e308")],
+    ids=["blur_nan", "blur_inf", "blur_range_inf", "jitter_nan", "jitter_hue_past_float32", "blur_radius_past_an_array",
+         "blur_range_radius_not_finite"],
 )
 def test_augment_obs_non_finite_parameter_is_an_error(tmp_path, capsys, flags):
     src = tmp_path / "a.ppm"
@@ -146,6 +157,25 @@ def test_augment_obs_non_finite_parameter_is_an_error(tmp_path, capsys, flags):
     assert code == 3
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "b.ppm").exists()
+
+
+def test_augment_obs_image_matches_the_library_chain(tmp_path, capsys):
+    """The image half of augment-obs is the library's crop, jitter, permute
+    and blur, in that order, on one stream derived from the file name."""
+    task = resolve_task("coffee")
+    img = rasterize_state(reset(task, 3), task, size=64)
+    src, dst = tmp_path / "cam.ppm", tmp_path / "aug.ppm"
+    write_ppm(src, img)
+    code = run_cli("augment-obs", "--image", str(src), "--image-out", str(dst), "--crop-scale", "0.6,0.9",
+                   "--out-size", "48,40", "--jitter", "0.2,0.2,0.2,0.1", "--permute", "2,0,1",
+                   "--blur-sigma", "0.5,1.5", "--task", "coffee", "--seed", "5")
+    assert code == 0
+    rng = derive_stream(5, "obs_image", "cam.ppm")
+    want = random_resized_crop(img, VisualAugConfig(crop_scale=(0.6, 0.9), output_hw=(48, 40)), rng)
+    want = color_jitter(want, VisualAugConfig(brightness=0.2, contrast=0.2, saturation=0.2, hue=0.1), rng)
+    want = channel_permute(want, (2, 0, 1))
+    write_ppm(tmp_path / "want.ppm", gaussian_blur(want, float(rng.uniform(0.5, 1.5))))
+    assert dst.read_bytes() == (tmp_path / "want.ppm").read_bytes()
 
 
 def test_color_sensitive_refusal_and_force(tmp_path, capsys):
