@@ -7,24 +7,23 @@ so values survive serialization round trips bit-for-bit.
 
 Float contract. A Pose and an SE3Transform keep their checked values as
 tuples of Python floats: `xyz` (position, translation) and `wxyz`
-(orientation, rotation). `.position`, `.orientation`, `.rotation` and
-`.translation` are read-only float64 arrays of shape (3,) and (4,) that
-own their data, each built on first access and then kept. Both classes
-have frozen slots and no `__dict__`; a Pose's `_json` slot is filled once
-by `data._pose_to_json`.
+(orientation, rotation). Each read of `.position`, `.orientation`,
+`.rotation` or `.translation` returns a new read-only float64 array of
+shape (3,) or (4,) that owns its data; nothing keeps or shares an array.
+Both classes have frozen slots and no `__dict__`; a Pose's `_json` slot is
+filled once by `data._pose_to_json`.
 
-Construction contract. `Pose(position, orientation)` and
-`SE3Transform(rotation, translation)` accept anything numpy turns into
-float64 vectors of 3 and 4 values. They raise InvariantViolation on a
-wrong size, on a NaN or inf in any slot, and on a quaternion whose norm
-is more than UNIT_TOL from 1, and flip the quaternion's sign so that
-w >= 0. The internal constructors `Pose._of` and `SE3Transform._of` take
-tuples or lists of Python floats, which get the same checks in pure
-Python (a tuple that passes is shared as is), or read-only float64
-arrays, which get the same checks and, if they pass with w >= 0, become
-the new object's array views. Any other argument, and a value that fails
-a check, goes to the public constructor, which raises its usual error
-(or stores a flipped quaternion, with an array view of its own).
+Construction contract. `Pose(position, orientation)`,
+`SE3Transform(rotation, translation)` and the internal constructors
+`Pose._of` and `SE3Transform._of` (the same arguments, without the call
+through the type) run one checked path: `_vec3` for the 3-vector and
+`_unit_quat` for the quaternion, in the order of the arguments. Each takes
+a tuple or list of exact Python floats as is, and turns anything else that
+numpy turns into float64 values (arrays, ints, numpy scalars, row vectors)
+into floats once. They raise InvariantViolation on a wrong size, on a NaN
+or inf in any slot, and on a quaternion whose norm is more than UNIT_TOL
+from 1, and flip the quaternion's sign so that w >= 0; a tuple that passes
+unflipped is stored as is.
 
 Numerics. The kernels take and return tuples of Python floats, with IEEE
 arithmetic and the C library's sqrt, sin, cos, atan2 and acos; a norm is
@@ -192,74 +191,64 @@ def quat_slerp(a, b, u: float) -> np.ndarray:
 # checked storage
 
 
-def _checked_vec(x, size: int, what: str) -> tuple:
+def _via_numpy(x, size: int, what: str) -> tuple:
     """The values of x as a float64 vector of `size`, as floats; raises on a
     wrong size or a non-finite value."""
     arr = np.array(x, dtype=np.float64)
-    if arr.shape != (size,):
-        if arr.size != size:
-            raise InvariantViolation(f"{what} needs {size} values, got shape {arr.shape}")
-        arr = arr.reshape(size)
-    vals = tuple(arr.tolist())
-    if not all(map(math.isfinite, vals)):
+    if arr.size != size:
+        raise InvariantViolation(f"{what} needs {size} values, got shape {arr.shape}")
+    arr = arr.reshape(size)
+    if not np.isfinite(arr).all():
         raise InvariantViolation(f"non-finite {what}: {arr!r}")
-    return vals
+    return tuple(arr.tolist())
 
 
-def _checked_quat(x, what: str) -> tuple:
-    """A unit quaternion within UNIT_TOL, sign-flipped to w >= 0, never rescaled."""
-    w, qx, qy, qz = q = _checked_vec(x, 4, what)
-    n = math.sqrt(w * w + qx * qx + qy * qy + qz * qz)
-    if abs(n - 1.0) > UNIT_TOL:
+def _vec3(x, what: str) -> tuple:
+    """x as a tuple of 3 finite floats. A tuple or list of 3 exact floats is
+    taken as is; anything else goes through numpy once."""
+    if (type(x) is tuple or type(x) is list) and len(x) == 3:
+        a, b, c = x
+        # an inf or a NaN makes the sum non-finite, and its product with 0.0
+        # NaN; a finite sum that overflows goes through numpy, which takes it
+        if type(a) is type(b) is type(c) is float and (a + b + c) * 0.0 == 0.0:
+            return tuple(x)
+    return _via_numpy(x, 3, what)
+
+
+def _unit_quat(q, what: str) -> tuple:
+    """q as a unit quaternion within UNIT_TOL, sign-flipped to w >= 0 and
+    never rescaled. A tuple or list of 4 exact floats is taken as is, and
+    anything else goes through numpy once; a quaternion that fails the norm
+    check goes through numpy again, for the error of a non-finite value."""
+    if not ((type(q) is tuple or type(q) is list) and len(q) == 4
+            and type(q[0]) is type(q[1]) is type(q[2]) is type(q[3]) is float):
+        q = _via_numpy(q, 4, what)
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if not abs(n - 1.0) <= UNIT_TOL:  # NaN and inf fail too
+        _via_numpy(q, 4, what)
         raise InvariantViolation(f"{what} norm {n} deviates from 1 beyond {UNIT_TOL}")
-    return (-w, -qx, -qy, -qz) if w < 0.0 else q
+    return (-w, -x, -y, -z) if w < 0.0 else tuple(q)
 
 
-def _shared(x, size: int) -> bool:
-    """Whether x is a read-only float64 array of `size` values, which _of
-    takes to be the array view of a checked pose or transform."""
-    return type(x) is np.ndarray and x.shape == (size,) and x.dtype == np.float64 and not x.flags.writeable
-
-
-def _float_vec(x):
-    """x as a tuple, if it is a tuple or list of 3 finite floats or a _shared
-    array of them; None otherwise."""
-    if type(x) is not tuple and type(x) is not list:
-        x = x.tolist() if _shared(x, 3) else ()
-    if len(x) != 3 or not (math.isfinite(x[0]) and math.isfinite(x[1]) and math.isfinite(x[2])):
-        return None
-    return tuple(x)
-
-
-def _float_quat(x):
-    """As _float_vec for a quaternion, whose norm must also be within
-    UNIT_TOL of 1; stored with w >= 0, as _checked_quat stores it. A _shared
-    array is taken only with w >= 0: it becomes the view of what is stored."""
-    if type(x) is not tuple and type(x) is not list:
-        x = x.tolist() if _shared(x, 4) and x[0] >= 0.0 else ()
-    if len(x) != 4:
-        return None
-    w, qx, qy, qz = x
-    # a NaN or an infinity makes the norm NaN or infinite, which fails this
-    if not abs(math.sqrt(w * w + qx * qx + qy * qy + qz * qz) - 1.0) <= UNIT_TOL:
-        return None
-    return (-w, -qx, -qy, -qz) if w < 0.0 else tuple(x)
+def _array(values: tuple) -> np.ndarray:
+    """A new read-only float64 array of a pose's or a transform's floats."""
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 class _Rigid:
     """What Pose and SE3Transform share: a 3-vector `xyz` and a unit
-    quaternion `wxyz` as tuples of checked floats, the list of their array
-    views so far (None for none), frozen slots, and equality by value."""
+    quaternion `wxyz` as tuples of checked floats, frozen slots, and
+    equality by value. Unpickling runs the public constructor, whose checks
+    the stored values pass again (the default slot-state restore would
+    assign to frozen slots)."""
 
-    __slots__ = ("xyz", "wxyz", "_views")
+    __slots__ = ("xyz", "wxyz")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        # the default slot-state restore would assign to frozen slots; the
-        # stored values pass _new's checks again
-        return _new, (type(self), self.xyz, self.wxyz)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -267,41 +256,13 @@ class _Rigid:
         return self.xyz == other.xyz and self.wxyz == other.wxyz
 
 
-_set_xyz, _set_wxyz, _set_views = _Rigid.xyz.__set__, _Rigid.wxyz.__set__, _Rigid._views.__set__
+_set_xyz, _set_wxyz = _Rigid.xyz.__set__, _Rigid.wxyz.__set__
 
 
-def _fill(obj: _Rigid, xyz: tuple, wxyz: tuple, views=None) -> _Rigid:
+def _fill(obj: _Rigid, xyz: tuple, wxyz: tuple) -> _Rigid:
     _set_xyz(obj, xyz)
     _set_wxyz(obj, wxyz)
-    _set_views(obj, views)
     return obj
-
-
-def _new(cls, xyz, wxyz):
-    """A new `cls` of xyz and wxyz, each a tuple or list of floats or a
-    _shared array, if they pass _float_vec and _float_quat; else None. A
-    _shared array becomes the new object's array view."""
-    v, q = _float_vec(xyz), _float_quat(wxyz)
-    if v is None or q is None:
-        return None
-    views = None
-    if type(xyz) is np.ndarray or type(wxyz) is np.ndarray:
-        views = [xyz if type(xyz) is np.ndarray else None, wxyz if type(wxyz) is np.ndarray else None]
-    return _fill(object.__new__(cls), v, q, views)
-
-
-def _view(obj: _Rigid, i: int) -> np.ndarray:
-    """The array view of obj.xyz (i = 0) or obj.wxyz (i = 1), built on first
-    access and then kept: a read-only float64 array that owns its data."""
-    views = obj._views
-    if views is None:
-        views = [None, None]
-        _set_views(obj, views)
-    arr = views[i]
-    if arr is None:
-        arr = views[i] = np.array(obj.wxyz if i else obj.xyz, dtype=np.float64)
-        arr.flags.writeable = False
-    return arr
 
 
 class Pose(_Rigid):
@@ -310,16 +271,18 @@ class Pose(_Rigid):
     __slots__ = ("_json",)
 
     def __init__(self, position, orientation):
-        _fill(self, _checked_vec(position, 3, "position"), _checked_quat(orientation, "quaternion"))
+        _fill(self, _vec3(position, "position"), _unit_quat(orientation, "quaternion"))
 
     @classmethod
     def _of(cls, position, orientation) -> "Pose":
-        """The Pose of float tuples or lists, or of shared array views (see
-        the module's construction contract)."""
-        return _new(cls, position, orientation) or cls(position, orientation)  # with the constructor's checks
+        """Pose(position, orientation), without the call through the type."""
+        return _fill(object.__new__(cls), _vec3(position, "position"), _unit_quat(orientation, "quaternion"))
 
-    position = property(lambda self: _view(self, 0))
-    orientation = property(lambda self: _view(self, 1))
+    def __reduce__(self):
+        return type(self), (self.xyz, self.wxyz)
+
+    position = property(lambda self: _array(self.xyz))
+    orientation = property(lambda self: _array(self.wxyz))
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -340,16 +303,18 @@ class SE3Transform(_Rigid):
     __slots__ = ()
 
     def __init__(self, rotation, translation):
-        _fill(self, wxyz=_checked_quat(rotation, "rotation"), xyz=_checked_vec(translation, 3, "translation"))
+        _fill(self, wxyz=_unit_quat(rotation, "rotation"), xyz=_vec3(translation, "translation"))
 
     @classmethod
     def _of(cls, rotation, translation) -> "SE3Transform":
-        """The SE3Transform of float tuples or lists, or of shared array
-        views (see the module's construction contract)."""
-        return _new(cls, translation, rotation) or cls(rotation, translation)  # with the constructor's checks
+        """SE3Transform(rotation, translation), without the call through the type."""
+        return _fill(object.__new__(cls), wxyz=_unit_quat(rotation, "rotation"), xyz=_vec3(translation, "translation"))
 
-    rotation = property(lambda self: _view(self, 1))
-    translation = property(lambda self: _view(self, 0))
+    def __reduce__(self):
+        return type(self), (self.wxyz, self.xyz)
+
+    rotation = property(lambda self: _array(self.wxyz))
+    translation = property(lambda self: _array(self.xyz))
 
     @classmethod
     def identity(cls) -> "SE3Transform":
@@ -410,5 +375,4 @@ def step_toward(current: Pose, target: Pose, max_pos_step: float, max_rot_step: 
         return Pose._of(pos, _slerp(current.wxyz, target.wxyz, max_rot_step / angle))
     if pos is target.xyz:
         return target
-    views = target._views  # the orientation's array view too, once built
-    return Pose._of(pos, target.wxyz if views is None or views[1] is None else views[1])
+    return Pose._of(pos, target.wxyz)

@@ -46,10 +46,11 @@ def rasterize_state(state: SimState, task: TaskDefinition, size: int = 128) -> n
         if isinstance(geom, ReceptacleGeom):
             fill_square(pose.xyz, geom.body_radius, color)
             fill_square(_local_xy(pose, geom.well_offset), geom.well_radius, (40, 40, 40))
-            # lid indicator: dark when open, light when closed
-            frac = state.lids[decl.entity_id] / (np.pi / 2)
-            shade = tuple(int(60 + 180 * (1 - frac)) for _ in range(3))
-            fill_square(_local_xy(pose, geom.push_offset), geom.push_radius, shade)
+            lid = state.lids.get(decl.entity_id)  # a receptacle may have no lid
+            if lid is not None:
+                # lid indicator: dark when open, light when closed
+                shade = tuple(int(60 + 180 * (1 - lid / (np.pi / 2))) for _ in range(3))
+                fill_square(_local_xy(pose, geom.push_offset), geom.push_radius, shade)
         else:
             fill_square(pose.xyz, geom.height / 2, color)
 

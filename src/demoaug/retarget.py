@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .causal import TaskCausalSpec
-from .data import Action, Dataset, Timestep, Trajectory, Provenance, slice_subtrajectory
+from .data import Action, Dataset, Timestep, Trajectory, Provenance
 from .errors import BudgetExhausted, InvariantViolation
 from .geometry import Pose, SE3Transform, _slerp, quat_geodesic, relative_transform, vec_norm
 from .rng import derive_stream
@@ -161,26 +161,26 @@ def _one_attempt(
         p = phase_spec.phase_index
         options = sources[p]
         src_traj, t0, t1 = options[int(rng.integers(len(options)))]
-        trim = _trim_start(src_traj, t0, t1, phase_spec.target_entity, approach_radius)
-        sub = slice_subtrajectory(src_traj, trim, t1)
-        src_target = sub.timesteps[0].entity(phase_spec.target_entity).pose
-        cur_target = state.objects[phase_spec.target_entity]
-        T = relative_transform(src_target, cur_target)
-        tsub = transform_subtrajectory(sub, T, phase_spec.target_entity)
-        first = tsub.timesteps[0]
+        target = phase_spec.target_entity
+        trim = _trim_start(src_traj, t0, t1, target, approach_radius)
+        segment = src_traj.timesteps[trim:t1]
+        T = relative_transform(segment[0].entity(target).pose, state.objects[target])
+        # of the transformed segment (transform_subtrajectory), the attempt
+        # replays each step's first action and starts from its first robot pose
+        actions = [replace(ts.actions[0], target_eef_pose=T.apply_pose(ts.actions[0].target_eef_pose))
+                   for ts in segment]
         prefix = interpolate_prefix(
             state.gripper.eef_pose,
-            first.robots[0].eef_pose,
+            T.apply_pose(segment[0].robots[0].eef_pose),
             icfg,
-            gripper=first.actions[0].gripper_command,
+            gripper=actions[0].gripper_command,
             agent_id=agent,
         )
         for a in prefix:
             timesteps.append(observe(state, task, t, a, phase=p, interp=True))
             state = step(state, a, task)
             t += 1
-        for ts_src in tsub.timesteps:
-            a = ts_src.actions[0]
+        for a in actions:
             timesteps.append(observe(state, task, t, a, phase=p, interp=False))
             state = step(state, a, task)
             t += 1

@@ -8,7 +8,7 @@ from demoaug.data import Dataset
 from demoaug.rng import derive_stream
 from demoaug.segmentation import SegmentationConfig, assign_phases
 from demoaug.sim import rollout_expert
-from demoaug.tasks import resolve_task
+from demoaug.tasks import resolve_task, task_to_dict
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,20 @@ def stack_task():
 @pytest.fixture(scope="session")
 def coffee_task():
     return resolve_task("coffee")
+
+
+def stack_task_plus(entity_id, kind, sampler, geom) -> dict:
+    """The bundled stack task's JSON layout plus one entity of `kind`, drawn
+    from `sampler` and shaped by `geom`: a node of every phase graph with no
+    spec edge. A test-only task."""
+    obj = task_to_dict(resolve_task("stack"))
+    obj["schema"]["entities"].append({"entity_id": entity_id, "kind": kind, "extra_fields": []})
+    obj["samplers"][entity_id] = sampler
+    obj["geoms"][entity_id] = geom
+    for phase in obj["causal_spec"]["phases"]:
+        for graph in phase["agents"].values():
+            graph["nodes"].append(entity_id)
+    return obj
 
 
 def make_labeled_demos(task, n, seed_base=0):

@@ -145,9 +145,9 @@ def test_augment_obs_image_cli(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags",
     [("--blur-sigma", "nan"), ("--blur-sigma", "inf"), ("--blur-sigma", "0,inf"), ("--jitter", "nan,0,0,0"),
-     ("--jitter", "0,0,0,1e308"), ("--blur-sigma", "1e300"), ("--blur-sigma", "0.5,1e308")],
+     ("--jitter", "0,0,0,1e308"), ("--blur-sigma", "1e300"), ("--blur-sigma", "0.5,1e308"), ("--blur-sigma", "1e8")],
     ids=["blur_nan", "blur_inf", "blur_range_inf", "jitter_nan", "jitter_hue_past_float32", "blur_radius_past_an_array",
-         "blur_range_radius_not_finite"],
+         "blur_range_radius_not_finite", "blur_radius_past_the_bound"],
 )
 def test_augment_obs_non_finite_parameter_is_an_error(tmp_path, capsys, flags):
     src = tmp_path / "a.ppm"

@@ -277,7 +277,7 @@ JITTER_WIDTHS = ("brightness", "contrast", "saturation", "hue")
 @pytest.mark.parametrize(
     "name, bad",
     [pytest.param(name, bad, id=f"{name}-{bad}")
-     for name in (*JITTER_WIDTHS, "noise_sigma", "blur_sigma") for bad in (math.nan, math.inf)]
+     for name in (*JITTER_WIDTHS, "blur_sigma") for bad in (math.nan, math.inf)]
     # past the widest range whose factors stay finite in float32
     + [pytest.param(name, bad, id=f"{name}-{bad:g}") for name in JITTER_WIDTHS for bad in (1e19, 1e308)],
 )
@@ -301,11 +301,19 @@ def test_jitter_at_the_widest_ranges_stays_finite(fixture_image, factors):
     assert out.dtype == np.uint8
 
 
+# 1e8: a radius past the bound, which numpy would allocate gigabytes for;
 # 1e300: the radius does not fit an array; 1e308: 3 sigma is inf
-@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5, 1e300, 1e308])
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -0.5, 1e8, 1e300, 1e308])
 def test_blur_rejects_bad_sigma(sigma):
     with pytest.raises(ConfigError):
         gaussian_blur(np.zeros((4, 4, 3), dtype=np.uint8), sigma)
+
+
+def test_blur_radius_bound_is_inclusive():
+    bound = imageaug._MAX_BLUR_RADIUS
+    assert len(gaussian_kernel(bound / 3.0)) == 2 * bound + 1
+    with pytest.raises(ConfigError):
+        gaussian_kernel((bound + 1e-6) / 3.0)
 
 
 def test_ppm_round_trip(tmp_path, fixture_image):

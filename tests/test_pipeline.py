@@ -4,7 +4,7 @@ import json
 import pytest
 
 from demoaug.counterfactual import CounterfactualConfig
-from demoaug.data import Dataset, load_dataset
+from demoaug.data import Dataset, Provenance, load_dataset
 from demoaug.errors import ColorJitterRefused, InvariantViolation
 from demoaug.pipeline import (
     PipelineConfig,
@@ -16,7 +16,8 @@ from demoaug.pipeline import (
     stats,
     validate_dataset_full,
 )
-from tests.conftest import make_labeled_demos
+from demoaug.tasks import resolve_task, task_to_dict
+from tests.conftest import make_labeled_demos, stack_task_plus
 
 
 def tree_digest(root):
@@ -122,12 +123,12 @@ def test_internal_pose_constructors_match_the_public_ones(tmp_path, monkeypatch,
 def test_a_pass_reads_no_pose_as_arrays(tmp_path, monkeypatch, task):
     """The per-step kernels (sim.step, _gripper_tf, the experts, proprio_noise,
     retargeting) and the codec read poses as floats: a whole pass builds no
-    array view of a Pose or an SE3Transform."""
+    array of a Pose or an SE3Transform."""
     from demoaug import geometry
 
     built = []
-    view = geometry._view
-    monkeypatch.setattr(geometry, "_view", lambda obj, i: built.append(type(obj).__name__) or view(obj, i))
+    array = geometry._array
+    monkeypatch.setattr(geometry, "_array", lambda values: built.append(len(values)) or array(values))
     stages = (
         StageConfig("gen", {"count": 3}),
         StageConfig("segment"),
@@ -139,7 +140,32 @@ def test_a_pass_reads_no_pose_as_arrays(tmp_path, monkeypatch, task):
     run_pipeline(PipelineConfig(task, stages, str(tmp_path / "run"), master_seed=5))
     assert built == []
     geometry.Pose.identity().position  # the probe sees a read
-    assert built == ["Pose"]
+    assert built == [3]
+
+
+def test_a_distractor_runs_through_the_pipeline_and_is_swapped_in_every_copy(tmp_path):
+    """A fourth block with no spec edge is its own partition in every phase:
+    the stack task plus `cube_d` generates, segments, retargets, augments and
+    validates, and every counterfactual copy swaps `cube_d`."""
+    stack = task_to_dict(resolve_task("stack"))
+    sampler = dict(stack["samplers"]["cube_b"], y_range=[0.08, 0.2])  # the free quadrant
+    task_path = tmp_path / "stack_distractor.json"
+    task_path.write_text(json.dumps(stack_task_plus("cube_d", "block", sampler, stack["geoms"]["cube_b"])))
+    stages = (
+        StageConfig("gen", {"count": 3}),
+        StageConfig("segment"),
+        StageConfig("se3", {"count": 3}),
+        StageConfig("causal", {"copies": 1}),
+        StageConfig("validate"),
+    )
+    report = run_pipeline(PipelineConfig(str(task_path), stages, str(tmp_path / "run"), master_seed=2))
+    assert [s["out"] for s in report["stages"]] == [3, 3, 6, 12, 12]
+    ds = load_dataset(tmp_path / "run" / "stage_03_causal")
+    copies = [t for t in ds.trajectories if t.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC]
+    assert len(copies) == 6
+    for copy in copies:
+        src = ds.trajectory(copy.traj_id.rsplit("_cf", 1)[0])
+        assert any(c.entity("cube_d") != s.entity("cube_d") for c, s in zip(copy.timesteps, src.timesteps))
 
 
 def _spy_copies(monkeypatch):

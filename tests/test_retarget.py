@@ -16,6 +16,7 @@ from demoaug.retarget import (
     PoseSampler,
     generate_demos,
     interpolate_prefix,
+    relative_transform,
     transform_subtrajectory,
 )
 from demoaug.sim import replay
@@ -184,6 +185,28 @@ def test_generate_relative_pose_preserved(stack_demos, stack_task):
                 rs = relative_in_frame(s.entity(target).pose, s.robots[0].eef_pose)
                 assert np.linalg.norm(rg.translation - rs.translation) <= 1e-9
                 assert quat_geodesic(rg.rotation, rs.rotation) <= 1e-9
+
+
+def test_generated_actions_are_the_transformed_segment(stack_demos, stack_task):
+    """An attempt replays the first action of each step of
+    transform_subtrajectory on its source segment, by the transform that
+    takes the segment's first target pose to the target's pose at the phase
+    start, and its prefix ends at the transformed segment's first robot pose."""
+    report = GenerationReport()
+    out = generate_demos(stack_demos, stack_task.causal, None, InterpolationConfig(), stack_task, 3,
+                         master_seed=5, report=report)
+    for tr in out.trajectories:
+        for meta in report.segments[tr.traj_id]:
+            phase, target = meta["phase"], stack_task.causal.phase(meta["phase"]).target_entity
+            steps = [ts for ts in tr.timesteps if ts.phase == phase]
+            src = stack_demos.trajectory(meta["src_traj_id"])
+            sub = slice_subtrajectory(src, meta["src_start"], meta["src_end"])
+            T = relative_transform(sub.timesteps[0].entity(target).pose, steps[0].entity(target).pose)
+            want = transform_subtrajectory(sub, T, target).timesteps
+            assert [ts.actions[0] for ts in steps if not ts.interp] == [ts.actions[0] for ts in want]
+            prefix = [ts.actions[0] for ts in steps if ts.interp]
+            if prefix:
+                assert prefix[-1].target_eef_pose == want[0].robots[0].eef_pose
 
 
 def test_generate_budget_exhausted(stack_demos, stack_task):

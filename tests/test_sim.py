@@ -20,6 +20,8 @@ from demoaug.sim import (
     step,
 )
 from demoaug.render import rasterize_state
+from demoaug.tasks import task_from_dict, task_to_dict
+from tests.conftest import stack_task_plus
 
 
 def test_reset_deterministic(stack_task):
@@ -263,6 +265,21 @@ def test_rasterizer_deterministic_and_shaped(stack_task):
     objects["cube_a"] = Pose(np.array([0.3, 0.3, 0.02]), objects["cube_a"].orientation)
     img3 = rasterize_state(SimState(objects, state.lids, state.gripper, None, 0), stack_task, size=96)
     assert not np.array_equal(img1, img3)
+
+
+def test_rasterizer_draws_a_receptacle_without_a_lid(coffee_task):
+    """A receptacle entity with no lid_angle (the stack task plus a tray with
+    the coffee machine's geometry) is drawn without the lid indicator."""
+    coffee = task_to_dict(coffee_task)
+    task = task_from_dict(stack_task_plus("tray", "receptacle", coffee["samplers"]["machine"], coffee["geoms"]["machine"]))
+    state = reset(task, 0)
+    assert "tray" in state.objects and state.lids == {}
+    img = rasterize_state(state, task, size=96)
+    assert img.shape == (96, 96, 3) and img.dtype == np.uint8
+    assert (img == (220, 160, 40)).all(axis=2).any()  # the tray's body, in the fourth palette color
+    assert not (img == 60).all(axis=2).any()  # no lid shade (an open lid's is 60)
+    lidded = rasterize_state(replace(state, lids={"tray": np.pi / 2}), task, size=96)
+    assert (lidded == 60).all(axis=2).any()
 
 
 def test_sampler_box_outside_workspace_rejected(stack_task):
