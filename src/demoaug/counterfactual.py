@@ -139,6 +139,8 @@ def augment_offline(
 ) -> Dataset:
     """Alg.-style offline augmentation: originals retained, plus
     copies_per_trajectory counterfactual copies of every source trajectory.
+    With gripper_jitter_range > 0, each copy is then jittered by
+    gripper_transit_jitter on the stream of the seed and the copy's id.
 
     Copies that found no donor for any selected partition are still emitted
     (unswapped) with a warning, so output counts stay exact.
@@ -156,11 +158,15 @@ def augment_offline(
                     "no donor available for %s copy %d; emitted unswapped", traj.traj_id, copy_index
                 )
             total_swaps += swapped
+            if cfg.gripper_jitter_range > 0.0:
+                copy = gripper_transit_jitter(copy, spec, cfg, derive_stream(cfg.master_seed, "jitter", copy.traj_id))
             out.append(copy)
     if report is not None:
         report["copies"] = cfg.copies_per_trajectory * len(ds.trajectories)
         report["partition_swaps"] = total_swaps
         report["no_donor_copies"] = no_donor
+        if cfg.gripper_jitter_range > 0.0:
+            report["gripper_jitter_range"] = cfg.gripper_jitter_range
     return Dataset(ds.schema_version, ds.task_schema, tuple(out))
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline, gripper_transit_jitter
+from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline
 from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
 from .errors import ColorJitterRefused, ConfigError, DemoaugError, InvariantViolation, StageFailure
 from .imageaug import check_color_ops_allowed, proprio_noise
@@ -164,18 +164,7 @@ def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset,
         copies_per_trajectory=p["copies"],
     )
     info: dict = {}
-    out = augment_offline(ds, spec, cfg, report=info)
-    if cfg.gripper_jitter_range > 0.0:
-        jittered = []
-        for tr in out.trajectories:
-            if tr.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC:
-                rng = derive_stream(seed, "jitter", tr.traj_id)
-                jittered.append(gripper_transit_jitter(tr, spec, cfg, rng))
-            else:
-                jittered.append(tr)
-        out = Dataset(out.schema_version, out.task_schema, tuple(jittered))
-        info["gripper_jitter_range"] = cfg.gripper_jitter_range
-    return out, info
+    return augment_offline(ds, spec, cfg, report=info), info
 
 
 def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:

@@ -21,16 +21,6 @@ from .geometry import Pose, SE3Transform, _slerp, quat_geodesic, relative_transf
 from .rng import derive_stream
 from .sim import PoseSampler, TaskDefinition, check_success, observe, reset, step
 
-__all__ = [
-    "InterpolationConfig",
-    "PoseSampler",
-    "GenerationReport",
-    "relative_transform",
-    "transform_subtrajectory",
-    "interpolate_prefix",
-    "generate_demos",
-]
-
 
 @dataclass(frozen=True)
 class InterpolationConfig:
@@ -128,16 +118,10 @@ def _trim_start(traj: Trajectory, t0: int, t1: int, target: str, approach_radius
 
 
 def _merge_samplers(task: TaskDefinition, sampler) -> dict[str, PoseSampler]:
-    if sampler is None:
-        return dict(task.samplers)
     if isinstance(sampler, PoseSampler):
-        merged = {}
-        for eid, base in task.samplers.items():
-            merged[eid] = PoseSampler(sampler.x_range, sampler.y_range, base.z_range, sampler.yaw_range)
-        return merged
-    merged = dict(task.samplers)
-    merged.update(sampler)
-    return merged
+        return {eid: PoseSampler(sampler.x_range, sampler.y_range, base.z_range, sampler.yaw_range)
+                for eid, base in task.samplers.items()}
+    return {**task.samplers, **(sampler or {})}
 
 
 def _one_attempt(
@@ -145,15 +129,12 @@ def _one_attempt(
     sources,
     spec: TaskCausalSpec,
     task: TaskDefinition,
-    samplers: dict[str, PoseSampler],
     icfg: InterpolationConfig,
     master_seed: int,
     approach_radius: float,
 ):
     rng = derive_stream(master_seed, "se3_attempt", attempt)
-    scratch = replace(task, samplers=samplers)
-    state = reset(scratch, rng)
-    agent = task.agent
+    state = reset(task, rng)
     timesteps: list[Timestep] = []
     seg_meta = []
     t = 0
@@ -174,14 +155,10 @@ def _one_attempt(
             T.apply_pose(segment[0].robots[0].eef_pose),
             icfg,
             gripper=actions[0].gripper_command,
-            agent_id=agent,
+            agent_id=task.agent,
         )
-        for a in prefix:
-            timesteps.append(observe(state, task, t, a, phase=p, interp=True))
-            state = step(state, a, task)
-            t += 1
-        for a in actions:
-            timesteps.append(observe(state, task, t, a, phase=p, interp=False))
+        for i, a in enumerate(prefix + actions):
+            timesteps.append(observe(state, task, t, a, phase=p, interp=i < len(prefix)))
             state = step(state, a, task)
             t += 1
         seg_meta.append(
@@ -220,13 +197,13 @@ def generate_demos(
     for p, options in sources.items():
         if not options:
             raise InvariantViolation(f"no successful phase-labeled source covers phase {p}")
-    samplers = _merge_samplers(task, sampler)
+    task = replace(task, samplers=_merge_samplers(task, sampler))  # its sampler boxes are checked here, once
     budget = attempt_budget if attempt_budget is not None else 10 * n_target
     accepted: list[Trajectory] = []
     attempt = 0
     while attempt < budget and len(accepted) < n_target:
         success, timesteps, seg_meta = _one_attempt(
-            attempt, sources, spec, task, samplers, icfg, master_seed, approach_radius
+            attempt, sources, spec, task, icfg, master_seed, approach_radius
         )
         if success:
             traj = Trajectory(

@@ -3,17 +3,22 @@
 A floating gripper tracks absolute pose targets with per-step clamps.
 Grasping is proximity-based with rigid attachment; releasing snaps the
 object down onto the nearest support (table, stack top, or receptacle
-well). A single revolute lid closes when the end effector pushes down
-through its contact zone. Everything is deterministic and side-effect
-free, which makes the scripted experts usable as analytic oracles: each
-expert action is a pure function of the gripper state and the phase's
-dependent entities only.
+well). Everything is deterministic and side-effect free, which makes the
+scripted experts usable as analytic oracles: each expert action is a pure
+function of the gripper state and the phase's dependent entities only.
+
+A task kind is one TASK_KINDS entry, which owns its roles, phases, success
+predicate and articulated state (an Articulation and its extra field;
+pod_lid's is the machine's lid, stack3 has none): adding a kind takes one
+entry plus a task file. A task is checked when it is built, so a home_pose
+or sampler box outside the workspace is refused before any rollout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -23,9 +28,6 @@ from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Traject
 from .errors import InvariantViolation
 from .geometry import Pose, SE3Transform, _from_yaw, _rigid, step_toward
 from .rng import derive_stream
-
-GRASPABLE_KINDS = ("block", "pod", "tool")
-
 
 @dataclass(frozen=True)
 class PoseSampler:
@@ -147,21 +149,28 @@ class TaskDefinition:
         if self.causal.num_phases != len(kind.phases):
             raise InvariantViolation(
                 f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {self.causal.num_phases}")
-        # observe sources lid_angle alone, and step moves the lid of a receptacle geom
+        # an extra field is a kind's articulated state (TASK_KINDS), and the task's kind must own it
+        owners = {k.articulation.extra_field: k.articulation for k in TASK_KINDS.values() if k.articulation}
         for decl in self.schema.entities:
             for name in decl.extra_fields:
-                if name != "lid_angle":
+                if name not in owners:
+                    raise InvariantViolation(f"entity {decl.entity_id!r} declares extra field {name!r}; "
+                                             f"the simulator sources only {', '.join(owners)}")
+                owners[name].check(self, decl.entity_id)
+                if owners[name] is not kind.articulation:
                     raise InvariantViolation(
-                        f"entity {decl.entity_id!r} declares extra field {name!r}; the simulator sources only lid_angle")
-            if decl.extra_fields and not isinstance(self.geoms[decl.entity_id], ReceptacleGeom):
-                raise InvariantViolation(f"entity {decl.entity_id!r} has a lid_angle extra field but no receptacle geom")
+                        f"entity {decl.entity_id!r} declares extra field {name!r}, which a {self.kind} task does not simulate")
+        _check_reachable(self, self.home_pose.xyz, "home_pose")
+        lo, hi = self.schema.box
+        for eid in ids:
+            s = self.samplers[eid]
+            for (r_lo, r_hi), w_lo, w_hi in zip((s.x_range, s.y_range, s.z_range), lo, hi):
+                if r_lo < w_lo or r_hi > w_hi:
+                    raise InvariantViolation(f"sampler box for {eid!r} exceeds the task workspace")
 
     @property
     def agent(self) -> str:
         return self.schema.agents[0]
-
-    def lidded_entities(self) -> list[str]:
-        return [e.entity_id for e in self.schema.entities if "lid_angle" in e.extra_fields]
 
 
 @dataclass(frozen=True)
@@ -210,24 +219,13 @@ def reset(task: TaskDefinition, seed) -> SimState:
     """Sample non-overlapping initial object poses; gripper at home, open."""
     rng = seed if isinstance(seed, np.random.Generator) else derive_stream(int(seed), "reset")
     order = task.schema.entity_ids()
-    lo, hi = task.schema.box
-    for eid in order:
-        s = task.samplers[eid]
-        for (r_lo, r_hi), w_lo, w_hi in zip((s.x_range, s.y_range, s.z_range), lo, hi):
-            if r_lo < w_lo or r_hi > w_hi:
-                raise InvariantViolation(f"sampler box for {eid!r} exceeds the task workspace")
     for _ in range(task.sim.placement_attempts):
         poses = {eid: task.samplers[eid].sample(rng) for eid in order}
-        ok = True
-        ids = list(order)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                if _xy_dist(poses[ids[i]].xyz, poses[ids[j]].xyz) < task.sim.min_separation:
-                    ok = False
-        if ok:
-            lids = {eid: task.lid_initial_angle for eid in task.lidded_entities()}
+        if all(_xy_dist(poses[a].xyz, poses[b].xyz) >= task.sim.min_separation for a, b in combinations(order, 2)):
+            art = TASK_KINDS[task.kind].articulation  # an entity has an extra field only if its kind has one
+            joints = {d.entity_id: art.initial(task, d.entity_id) for d in task.schema.entities if d.extra_fields}
             gripper = RobotState(task.agent, task.home_pose, 1.0)
-            return SimState(poses, lids, gripper, None, 0)
+            return SimState(poses, joints, gripper, None, 0)
     raise InvariantViolation(
         f"no non-overlapping placement found in {task.sim.placement_attempts} attempts"
     )
@@ -267,7 +265,7 @@ def _clip(x: float, lo: float, hi: float) -> float:
 
 def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     """Advance one tick: clamped eef tracking, aperture slew, grasp logic,
-    support snapping, and lid articulation. Pure and deterministic."""
+    support snapping, and the kind's articulated state. Pure and deterministic."""
     sim = task.sim
     old_eef = state.gripper.eef_pose
     moved = step_toward(old_eef, action.target_eef_pose, sim.max_pos_step, sim.max_rot_step)
@@ -282,7 +280,6 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     new_ap = min(1.0, max(0.0, ap + delta))
 
     objects = dict(state.objects)
-    lids = dict(state.lids)
     attachment = state.attachment
 
     if attachment is not None:
@@ -306,21 +303,13 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
             offset = _gripper_tf(new_eef).inverse().compose(_gripper_tf(objects[eid]))
             attachment = (eid, offset)
 
-    old_z, new_z = old_eef.xyz[2], new_eef.xyz[2]
-    if new_z - old_z < 0.0:
-        for eid in list(lids.keys()):
-            geom = task.geoms[eid]
-            if _xy_dist(new_eef.xyz, _local_xy(objects[eid], geom.push_offset)) > geom.push_radius:
-                continue
-            zmin, zmax = geom.push_band
-            hi = min(old_z, zmax)
-            lo = max(new_z, zmin)
-            travel = hi - lo
-            if travel > 0.0:
-                lids[eid] = min(math.pi / 2, max(0.0, lids[eid] - geom.lid_gain * travel))
+    joints = state.lids
+    if joints:
+        update = TASK_KINDS[task.kind].articulation.update
+        joints = {eid: update(task, eid, value, objects, old_eef, new_eef) for eid, value in joints.items()}
 
     gripper = RobotState(state.gripper.agent_id, new_eef, new_ap)
-    return SimState(objects, lids, gripper, attachment, state.step_count + 1)
+    return SimState(objects, joints, gripper, attachment, state.step_count + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +426,20 @@ def _pod_lid_policy(state: SimState, task: TaskDefinition, pod: str, machine: st
 
 
 @dataclass(frozen=True)
+class Articulation:
+    """One float per entity that declares `extra_field`, in SimState.lids by
+    entity id, observed as that field and read back from it. `check(task,
+    eid)` refuses an entity that cannot carry it when the task is built;
+    `initial(task, eid)` is its value at reset and `update(task, eid,
+    value, objects, old_eef, new_eef)` its value after a step."""
+
+    extra_field: str
+    check: Callable[[TaskDefinition, str], None]
+    initial: Callable[[TaskDefinition, str], float]
+    update: Callable[[TaskDefinition, str, float, dict[str, Pose], Pose, Pose], float]
+
+
+@dataclass(frozen=True)
 class TaskKind:
     """What a task kind means to the simulator.
 
@@ -445,11 +448,12 @@ class TaskKind:
     built. `success` is the task-success predicate. `phases` holds one
     (expert policy, completion predicate) pair per phase, so its length is
     the kind's phase count. Each predicate and policy is called as
-    f(state, task, *task.roles)."""
+    f(state, task, *task.roles). `articulation` is its articulated state."""
 
     roles: Callable[[TaskDefinition], tuple[str, ...]]
     success: Callable[..., bool]
     phases: tuple[tuple[Callable[..., Action], Callable[..., bool]], ...]
+    articulation: Articulation | None = None
 
 
 def _stack3_roles(task: TaskDefinition) -> tuple[str, str, str]:
@@ -482,6 +486,28 @@ def _pod_lid_roles(task: TaskDefinition) -> tuple[str, str]:
     return pod, machine.entity_id
 
 
+def _lid_check(task: TaskDefinition, entity_id: str):
+    if not isinstance(task.geoms[entity_id], ReceptacleGeom):
+        raise InvariantViolation(f"entity {entity_id!r} has a lid_angle extra field but no receptacle geom")
+
+
+def _lid_update(task: TaskDefinition, entity_id: str, angle: float, objects: dict[str, Pose],
+                old_eef: Pose, new_eef: Pose) -> float:
+    """The lid shuts by lid_gain per unit of downward eef travel through the
+    push band, while the eef is inside the push zone."""
+    old_z, new_z = old_eef.xyz[2], new_eef.xyz[2]
+    if not new_z - old_z < 0.0:
+        return angle
+    geom = task.geoms[entity_id]
+    if _xy_dist(new_eef.xyz, _local_xy(objects[entity_id], geom.push_offset)) > geom.push_radius:
+        return angle
+    zmin, zmax = geom.push_band
+    travel = min(old_z, zmax) - max(new_z, zmin)
+    if travel > 0.0:
+        return min(math.pi / 2, max(0.0, angle - geom.lid_gain * travel))
+    return angle
+
+
 def _stacked(state: SimState, task: TaskDefinition, bottom: str, mid: str, top: str) -> bool:
     return _placed_on(state, task, mid, bottom) and _placed_on(state, task, top, mid)
 
@@ -506,7 +532,7 @@ TASK_KINDS = {
          lambda s, task, pod, machine: _attached(s, pod) or _pod_in_well(s, task, pod, machine)),
         (_pod_lid_policy,
          lambda s, task, pod, machine: _pod_lid_done(s, task, pod, machine) and not _attached(s, pod)),
-    )),
+    ), Articulation("lid_angle", _lid_check, lambda task, entity_id: task.lid_initial_angle, _lid_update)),
 }
 
 
@@ -537,7 +563,7 @@ def observe(state: SimState, task: TaskDefinition, t: int, action: Action,
             phase: int | None = None, interp: bool = False) -> Timestep:
     entities = []
     for decl in task.schema.entities:
-        extra = {name: float(state.lids[decl.entity_id]) for name in decl.extra_fields}  # TaskDefinition admits lid_angle alone
+        extra = {name: float(state.lids[decl.entity_id]) for name in decl.extra_fields}  # the kind's field alone
         entities.append(EntityState(decl.entity_id, state.objects[decl.entity_id], extra))
     return Timestep(
         t=t,
@@ -575,9 +601,8 @@ def rollout_expert(task: TaskDefinition, seed, max_steps: int = 400, tail_steps:
             remaining_tail -= 1
     if not check_success(state, task):
         raise InvariantViolation(f"expert did not finish {task.task_id!r} within {max_steps} steps")
-    seed_label = seed if isinstance(seed, int) else "rng"
     return Trajectory(
-        traj_id=f"demo_{seed_label}" if isinstance(seed_label, int) else "demo",
+        traj_id=f"demo_{seed}" if isinstance(seed, int) else "demo",
         task_id=task.schema.task_id,
         timesteps=tuple(timesteps),
         success=True,
@@ -588,7 +613,8 @@ def rollout_expert(task: TaskDefinition, seed, max_steps: int = 400, tail_steps:
 def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
     """Reconstruct a SimState from an observation, inferring attachment."""
     objects = {e.entity_id: e.pose for e in ts.entities}
-    lids = {e.entity_id: float(e.extra["lid_angle"]) for e in ts.entities if "lid_angle" in e.extra}
+    name = getattr(TASK_KINDS[task.kind].articulation, "extra_field", None)
+    joints = {e.entity_id: float(e.extra[name]) for e in ts.entities if name in e.extra}
     gripper = ts.robots[0]
     attachment = None
     if gripper.gripper_aperture < task.sim.close_threshold:
@@ -605,7 +631,7 @@ def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
         if near:
             offset = _gripper_tf(gripper.eef_pose).inverse().compose(_gripper_tf(objects[near[0]]))
             attachment = (near[0], offset)
-    return SimState(objects, lids, gripper, attachment, ts.t)
+    return SimState(objects, joints, gripper, attachment, ts.t)
 
 
 def replay(traj: Trajectory, task: TaskDefinition, trace: bool = False):

@@ -420,13 +420,21 @@ def _drop_last_phase(task):
         (_task_with("stack", _set("kind", "juggling")), "unknown task kind 'juggling' (known kinds: stack3, pod_lid)"),
         (_task_with("coffee", _set("stack_order", ["pod", "machine"])),
          "a pod_lid task takes no stack_order, got ['pod', 'machine']"),
+        # where the task starts and samples must lie in its workspace
+        (_task_with("stack", _set("home_pose", "position", [0.22, 0.22, 1e308])),
+         "home_pose [0.22, 0.22, 1e+308] outside workspace"),
+        (_task_with("stack", _set("home_pose", "position", [0.22, 0.22, 280000.0])),
+         "home_pose [0.22, 0.22, 280000.0] outside workspace"),
+        (_task_with("stack", _set("samplers", "cube_b", "x_range", [0.3, 0.5])),
+         "sampler box for 'cube_b' exceeds the task workspace"),
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents", "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
          "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few",
-         "unknown_kind", "pod_lid_with_stack_order"],
+         "unknown_kind", "pod_lid_with_stack_order", "home_pose_at_1e308", "home_pose_at_280000",
+         "sampler_box_outside_workspace"],
 )
 def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     path = tmp_path / "bad.json"

@@ -5,7 +5,7 @@ import pytest
 
 from demoaug.counterfactual import CounterfactualConfig
 from demoaug.data import Dataset, Provenance, load_dataset
-from demoaug.errors import ColorJitterRefused, InvariantViolation
+from demoaug.errors import ColorJitterRefused, InvariantViolation, StageFailure
 from demoaug.pipeline import (
     PipelineConfig,
     RatioPlan,
@@ -13,6 +13,7 @@ from demoaug.pipeline import (
     pipeline_config_from_dict,
     ratio_study,
     run_pipeline,
+    run_stage,
     stats,
     validate_dataset_full,
 )
@@ -269,6 +270,27 @@ def test_ratio_study_exact_counts(tmp_path, stack_task):
         reloaded = load_dataset(tmp_path / "ratio" / f"ratio_{r}")
         assert reloaded == ds
     assert json.loads((tmp_path / "ratio" / "ratio_table.json").read_text()) == table
+
+
+def test_ratio_copies_are_the_causal_stage_copies(stack_task, stack_demos):
+    """ratio_study and the causal stage share one implementation: ratio 1
+    with gripper jitter gives the stage's dataset, and ratio 0 passes the
+    base through."""
+    cfg = CounterfactualConfig(master_seed=5, gripper_jitter_range=0.05)
+    (passed, ratio_1), _ = ratio_study(stack_demos, RatioPlan(len(stack_demos), (0, 1)), stack_task.causal, cfg)
+    stage, info = run_stage(StageConfig("causal", {"gripper_jitter": 0.05}), stack_demos, stack_task,
+                            stack_task.causal, 5)
+    assert passed == stack_demos and ratio_1 == stage and info["gripper_jitter_range"] == 0.05
+    unjittered, _ = run_stage(StageConfig("causal"), stack_demos, stack_task, stack_task.causal, 5)
+    assert ratio_1 != unjittered
+
+
+def test_se3_with_a_pos_range_outside_the_workspace_fails_the_stage(tmp_path):
+    stages = (StageConfig("gen", {"count": 2}), StageConfig("segment"),
+              StageConfig("se3", {"count": 1, "pos_range": [0.3, 0.5, -0.1, 0.1]}))
+    with pytest.raises(StageFailure) as exc:
+        run_pipeline(PipelineConfig("stack", stages, str(tmp_path / "o")))
+    assert str(exc.value) == "stage 'se3' failed: sampler box for 'cube_a' exceeds the task workspace"
 
 
 def test_stats_summary(stack_task, stack_demos):

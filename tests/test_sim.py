@@ -355,3 +355,72 @@ def test_rollout_matches_twice_scanned_reference(name, stack_task, coffee_task):
     for seed in range(3):
         got = [timestep_to_json(ts, task.schema) for ts in rollout_expert(task, seed).timesteps]
         assert got == [timestep_to_json(ts, task.schema) for ts in reference_rollout_steps(task, seed)]
+
+
+def _dial_update(task, entity_id, value, objects, old_eef, new_eef):
+    """A test-only articulated state: a dial that adds up the end effector's
+    vertical travel."""
+    return value + abs(new_eef.xyz[2] - old_eef.xyz[2])
+
+
+def test_a_kind_in_the_table_brings_its_own_articulated_state(monkeypatch, tmp_path, stack_task):
+    """A test-only kind (stack3's roles, phases and success, plus a dial on
+    cube_c observed as `dial`) runs through reset, step, observe, the dataset
+    codec and replay from its TASK_KINDS entry alone."""
+    from demoaug import sim
+    from demoaug.data import Dataset, load_dataset, save_dataset
+
+    checked = []
+    dial = sim.Articulation("dial", lambda task, eid: checked.append(eid), lambda task, eid: 0.25, _dial_update)
+    monkeypatch.setitem(sim.TASK_KINDS, "stack3_dial", replace(sim.TASK_KINDS["stack3"], articulation=dial))
+    obj = task_to_dict(stack_task)
+    obj["kind"] = "stack3_dial"
+    next(e for e in obj["schema"]["entities"] if e["entity_id"] == "cube_c")["extra_fields"] = ["dial"]
+    task = task_from_dict(obj)
+    assert checked == ["cube_c"]
+    assert reset(task, 0).lids == {"cube_c": 0.25}
+
+    traj = rollout_expert(task, 0)
+    dials = [ts.entity("cube_c").extra["dial"] for ts in traj.timesteps]
+    assert dials[0] == 0.25
+    for before, after, d0, d1 in zip(traj.timesteps, traj.timesteps[1:], dials, dials[1:]):
+        assert d1 == d0 + abs(after.robots[0].eef_pose.xyz[2] - before.robots[0].eef_pose.xyz[2])
+    assert dials[-1] > 0.25
+
+    ds = Dataset("1.0", task.schema, (traj,))
+    save_dataset(ds, tmp_path / "dial")
+    loaded = load_dataset(tmp_path / "dial")
+    assert loaded == ds
+    final, ok, states = replay(loaded.trajectories[0], task, trace=True)
+    assert ok and [s.lids["cube_c"] for s in states[:-1]] == dials
+
+    # a stack3 task does not simulate the dial, and an unknown field names both kinds' fields
+    obj["kind"] = "stack3"
+    with pytest.raises(InvariantViolation, match="extra field 'dial', which a stack3 task does not simulate"):
+        task_from_dict(obj)
+    next(e for e in obj["schema"]["entities"] if e["entity_id"] == "cube_c")["extra_fields"] = ["knob"]
+    with pytest.raises(InvariantViolation, match="the simulator sources only lid_angle, dial"):
+        task_from_dict(obj)
+
+
+def test_stack3_states_carry_no_articulated_state(stack_task):
+    assert reset(stack_task, 3).lids == {}
+    _, ok, states = replay(rollout_expert(stack_task, 3), stack_task, trace=True)
+    assert ok and all(s.lids == {} for s in states)
+
+
+def test_a_stack_task_with_a_lidded_receptacle_is_refused(coffee_task):
+    """The lid is the pod_lid kind's articulated state: a stack3 task whose
+    receptacle declares lid_angle is refused when it is built."""
+    coffee = task_to_dict(coffee_task)
+    obj = stack_task_plus("tray", "receptacle", coffee["samplers"]["machine"], coffee["geoms"]["machine"])
+    obj["schema"]["entities"][-1]["extra_fields"] = ["lid_angle"]
+    with pytest.raises(InvariantViolation, match="extra field 'lid_angle', which a stack3 task does not simulate"):
+        task_from_dict(obj)
+
+
+@pytest.mark.parametrize("z", [1e308, 280000.0, -0.01])
+def test_home_pose_outside_workspace_is_refused_when_the_task_is_built(stack_task, z):
+    x, y, _ = stack_task.home_pose.xyz
+    with pytest.raises(InvariantViolation, match=r"home_pose \[.*\] outside workspace"):
+        replace(stack_task, home_pose=Pose((x, y, z), stack_task.home_pose.wxyz))
