@@ -33,6 +33,7 @@ from .pipeline import (
     STAGES,
     RatioPlan,
     StageConfig,
+    check_dataset_task,
     pipeline_config_from_dict,
     ratio_study,
     run_pipeline,
@@ -172,6 +173,7 @@ def _cmd_validate(args) -> int:
 def _cmd_replay(args) -> int:
     task = resolve_task(args.task)
     ds = load_dataset(args.inp)
+    check_dataset_task(ds, task)
     failures = []
     for tr in ds.trajectories:
         _, ok = replay(tr, task)
@@ -186,6 +188,7 @@ def _cmd_replay(args) -> int:
 def _cmd_ratio(args) -> int:
     task = resolve_task(args.task)
     ds = load_dataset(args.inp)
+    check_dataset_task(ds, task)
     plan = RatioPlan(len(ds), tuple(args.ratios))
     cfg = CounterfactualConfig(master_seed=args.seed, swap_probability=args.swap_prob)
     _, table = ratio_study(ds, plan, task.causal, cfg, out_root=args.out)

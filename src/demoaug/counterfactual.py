@@ -22,6 +22,8 @@ from .rng import derive_stream
 logger = logging.getLogger(__name__)
 
 DONOR_POLICIES = ("same_phase_any_timestep", "same_phase_aligned_timestep")
+JITTER_CLOSE_THRESHOLD = 0.5  # gripper jitter leaves a robot at or below this aperture alone
+JITTER_BOUNDARY_MARGIN = 3  # and stops this many steps before a grasp-closing boundary
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,6 @@ class CounterfactualConfig:
     donor_policy: str = "same_phase_any_timestep"
     gripper_jitter_range: float = 0.0
     copies_per_trajectory: int = 1
-    close_threshold: float = 0.5
-    jitter_boundary_margin: int = 3
 
     def __post_init__(self):
         if not (0.0 <= self.swap_probability <= 1.0):
@@ -189,14 +189,14 @@ def gripper_transit_jitter(
     for phase, t0, t1 in traj.phase_ranges():
         if not spec.phase(phase).grasp_closes:
             continue
-        window_end = t1 - cfg.jitter_boundary_margin
+        window_end = t1 - JITTER_BOUNDARY_MARGIN
         for t in range(t0, max(t0, window_end)):
             ts = timesteps[t]
             robots = list(ts.robots)
             actions = list(ts.actions)
             changed = False
             for i, robot in enumerate(robots):
-                if robot.gripper_aperture <= cfg.close_threshold:
+                if robot.gripper_aperture <= JITTER_CLOSE_THRESHOLD:
                     continue  # attached or closing; leave untouched
                 delta = float(rng_stream.uniform(-cfg.gripper_jitter_range, cfg.gripper_jitter_range))
                 robots[i] = replace(robot, gripper_aperture=min(1.0, max(0.0, robot.gripper_aperture + delta)))

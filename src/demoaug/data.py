@@ -201,12 +201,6 @@ class Timestep:
                 return r
         raise InvariantViolation(f"agent {agent_id!r} missing from timestep {self.t}")
 
-    def action(self, agent_id: str) -> Action:
-        for a in self.actions:
-            if a.agent_id == agent_id:
-                return a
-        raise InvariantViolation(f"action for {agent_id!r} missing from timestep {self.t}")
-
 
 _ENTITY_SLOTS, _ROBOT_SLOTS, _ACTION_SLOTS, _TIMESTEP_SLOTS = map(
     _slot_setters, (EntityState, RobotState, Action, Timestep))
@@ -592,8 +586,9 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
     per-value type checks (exact ints and floats, as in _is_real; Pose
     checks finiteness) run on every occurrence, before the lookup. A two-key
     pose of seven floats, as a save writes it, is looked up first and built
-    by Pose._of if new; any other pose, and any failure there, goes to the
-    second branch, which takes ints and raises a malformed pose's error."""
+    by the Pose constructor if new; any other pose, and any failure there,
+    goes to the second branch, which takes ints and raises a malformed
+    pose's error."""
     try:
         pos, ori = obj["position"], obj["orientation"]
         if type(pos) is list and type(ori) is list and len(obj) == 2:
@@ -603,7 +598,7 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
                 key = _POSE_BITS(x, y, z, w, i, j, k)
                 pose = poses.get(key)
                 if pose is None:
-                    pose = poses[key] = Pose._of(pos, ori)
+                    pose = poses[key] = Pose(pos, ori)
                 return pose
     except (KeyError, TypeError, ValueError, InvariantViolation):
         pass
@@ -889,16 +884,18 @@ def _check_replaceable(root: Path) -> None:
             raise IoFailure(f"{root} holds {entry.name!r}, which is not a dataset file; refusing to replace it")
 
 
-_MANIFEST_ENTRY_KEYS = ("traj_id", "file", "num_timesteps", "success", "provenance")
+# the keys save_dataset writes: at the top level of the manifest, and in each
+# trajectory entry, where all but task_id are required
+_MANIFEST_KEYS = ("schema_version", "task_schema", "trajectories")
+_MANIFEST_ENTRY_KEYS = ("traj_id", "task_id", "file", "num_timesteps", "success", "provenance")
+_MANIFEST_ENTRY_REQUIRED = tuple(key for key in _MANIFEST_ENTRY_KEYS if key != "task_id")
+_NUM_TIMESTEPS = Param(int, MISSING, minimum=0)
 
 
 def _check_manifest_entry(entry, n: int) -> None:
-    where = f"manifest trajectory entry {n}"
-    if not isinstance(entry, dict):
-        raise InvariantViolation(f"{where} is not a JSON object")
-    missing = [key for key in _MANIFEST_ENTRY_KEYS if key not in entry]
-    if missing:
-        raise InvariantViolation(f"{where} lacks {', '.join(missing)}")
+    where = f"manifest.trajectories.{n}"
+    check_keys(where, entry, _MANIFEST_ENTRY_REQUIRED, _MANIFEST_ENTRY_KEYS)
+    _NUM_TIMESTEPS.parse(_at(where, "num_timesteps"), entry["num_timesteps"])
     traj_id = entry["traj_id"]
     if not isinstance(traj_id, str) or not _ID_RE.fullmatch(traj_id):
         raise InvariantViolation(f"{where}: traj_id {traj_id!r} is not a filesystem-safe string")
@@ -976,8 +973,7 @@ def load_dataset(path) -> Dataset:
     if not manifest_path.is_file():
         raise IoFailure(f"no manifest.json under {root}")
     manifest = read_json(manifest_path, "failed reading")
-    if not isinstance(manifest, dict):
-        raise InvariantViolation(f"{manifest_path} is not a JSON object")
+    check_keys("manifest", manifest, (), _MANIFEST_KEYS)
     version = manifest.get("schema_version")
     if not isinstance(version, str) or version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise InvariantViolation(

@@ -13,11 +13,10 @@ shape (3,) or (4,) that owns its data; nothing keeps or shares an array.
 Both classes have frozen slots and no `__dict__`; a Pose's `_json` slot is
 filled once by `data._pose_to_json`.
 
-Construction contract. `Pose(position, orientation)`,
-`SE3Transform(rotation, translation)` and the internal constructors
-`Pose._of` and `SE3Transform._of` (the same arguments, without the call
-through the type) run one checked path: `_vec3` for the 3-vector and
-`_unit_quat` for the quaternion, in the order of the arguments. Each takes
+Construction contract. `Pose(position, orientation)` and
+`SE3Transform(rotation, translation)` are the only constructors, and run
+one checked path: `_vec3` for the 3-vector and `_unit_quat` for the
+quaternion, in the order of the arguments. Each takes
 a tuple or list of exact Python floats as is, and turns anything else that
 numpy turns into float64 values (arrays, ints, numpy scalars, row vectors)
 into floats once. They raise InvariantViolation on a wrong size, on a NaN
@@ -155,11 +154,6 @@ def _slerp(a, b, u: float) -> tuple:
 # the array forms of the kernels, for callers that hold arrays
 
 
-def quat_canonical(q: np.ndarray) -> np.ndarray:
-    """Flip sign so the scalar part is non-negative (idempotent)."""
-    return np.array(_canonical(_floats(q)))
-
-
 def quat_normalize(q) -> np.ndarray:
     return np.array(_normalize(_floats(q)))
 
@@ -259,24 +253,14 @@ class _Rigid:
 _set_xyz, _set_wxyz = _Rigid.xyz.__set__, _Rigid.wxyz.__set__
 
 
-def _fill(obj: _Rigid, xyz: tuple, wxyz: tuple) -> _Rigid:
-    _set_xyz(obj, xyz)
-    _set_wxyz(obj, wxyz)
-    return obj
-
-
 class Pose(_Rigid):
     """Position (meters) plus unit quaternion orientation (w, x, y, z)."""
 
     __slots__ = ("_json",)
 
     def __init__(self, position, orientation):
-        _fill(self, _vec3(position, "position"), _unit_quat(orientation, "quaternion"))
-
-    @classmethod
-    def _of(cls, position, orientation) -> "Pose":
-        """Pose(position, orientation), without the call through the type."""
-        return _fill(object.__new__(cls), _vec3(position, "position"), _unit_quat(orientation, "quaternion"))
+        _set_xyz(self, _vec3(position, "position"))
+        _set_wxyz(self, _unit_quat(orientation, "quaternion"))
 
     def __reduce__(self):
         return type(self), (self.xyz, self.wxyz)
@@ -287,10 +271,6 @@ class Pose(_Rigid):
     @classmethod
     def identity(cls) -> "Pose":
         return cls((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))
-
-    @classmethod
-    def from_xyz_yaw(cls, x: float, y: float, z: float, yaw: float = 0.0) -> "Pose":
-        return cls((x, y, z), _from_yaw(float(yaw)))
 
     def __repr__(self):
         p, q = (", ".join(f"{v:.4g}" for v in vals) for vals in (self.xyz, self.wxyz))
@@ -303,12 +283,8 @@ class SE3Transform(_Rigid):
     __slots__ = ()
 
     def __init__(self, rotation, translation):
-        _fill(self, wxyz=_unit_quat(rotation, "rotation"), xyz=_vec3(translation, "translation"))
-
-    @classmethod
-    def _of(cls, rotation, translation) -> "SE3Transform":
-        """SE3Transform(rotation, translation), without the call through the type."""
-        return _fill(object.__new__(cls), wxyz=_unit_quat(rotation, "rotation"), xyz=_vec3(translation, "translation"))
+        _set_wxyz(self, _unit_quat(rotation, "rotation"))
+        _set_xyz(self, _vec3(translation, "translation"))
 
     def __reduce__(self):
         return type(self), (self.wxyz, self.xyz)
@@ -323,19 +299,16 @@ class SE3Transform(_Rigid):
     def compose(self, other: "SE3Transform") -> "SE3Transform":
         """self after other: (self . other)(x) == self(other(x))."""
         r = self.wxyz
-        return SE3Transform._of(_normalize(_qmul(r, other.wxyz)), _rigid(r, self.xyz, other.xyz))
+        return SE3Transform(_normalize(_qmul(r, other.wxyz)), _rigid(r, self.xyz, other.xyz))
 
     def inverse(self) -> "SE3Transform":
         rot = _normalize(_qconj(self.wxyz))
         rx, ry, rz = _rotate(rot, self.xyz)
-        return SE3Transform._of(rot, (-rx, -ry, -rz))
-
-    def apply_point(self, v) -> np.ndarray:
-        return np.array(_rigid(self.wxyz, self.xyz, _floats(v)))
+        return SE3Transform(rot, (-rx, -ry, -rz))
 
     def apply_pose(self, pose: Pose) -> Pose:
         r = self.wxyz
-        return Pose._of(_rigid(r, self.xyz, pose.xyz), _normalize(_qmul(r, pose.wxyz)))
+        return Pose(_rigid(r, self.xyz, pose.xyz), _normalize(_qmul(r, pose.wxyz)))
 
 
 def relative_transform(src: Pose, dst: Pose) -> SE3Transform:
@@ -343,7 +316,7 @@ def relative_transform(src: Pose, dst: Pose) -> SE3Transform:
     rot = _normalize(_qmul(dst.wxyz, _qconj(src.wxyz)))
     rx, ry, rz = _rotate(rot, src.xyz)
     dx, dy, dz = dst.xyz
-    return SE3Transform._of(rot, (dx - rx, dy - ry, dz - rz))
+    return SE3Transform(rot, (dx - rx, dy - ry, dz - rz))
 
 
 def relative_in_frame(frame: Pose, pose: Pose) -> SE3Transform:
@@ -352,8 +325,8 @@ def relative_in_frame(frame: Pose, pose: Pose) -> SE3Transform:
     Invariant under any rigid transform applied to both arguments, which is
     what "relative pose is preserved" means for retargeted trajectories.
     """
-    frame_tf = SE3Transform._of(frame.wxyz, frame.xyz)
-    return frame_tf.inverse().compose(SE3Transform._of(pose.wxyz, pose.xyz))
+    frame_tf = SE3Transform(frame.wxyz, frame.xyz)
+    return frame_tf.inverse().compose(SE3Transform(pose.wxyz, pose.xyz))
 
 
 def step_toward(current: Pose, target: Pose, max_pos_step: float, max_rot_step: float) -> Pose:
@@ -372,7 +345,7 @@ def step_toward(current: Pose, target: Pose, max_pos_step: float, max_rot_step: 
         pos = (cx + dx * k, cy + dy * k, cz + dz * k)
     angle = quat_geodesic(current.wxyz, target.wxyz)
     if angle > max_rot_step:
-        return Pose._of(pos, _slerp(current.wxyz, target.wxyz, max_rot_step / angle))
+        return Pose(pos, _slerp(current.wxyz, target.wxyz, max_rot_step / angle))
     if pos is target.xyz:
         return target
-    return Pose._of(pos, target.wxyz)
+    return Pose(pos, target.wxyz)

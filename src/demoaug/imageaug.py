@@ -458,7 +458,7 @@ def proprio_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> T
             pose = robot.eef_pose
             x, y, z = pose.xyz
             ori = _normalize(_qmul(_from_rotvec(rotvec), pose.wxyz))
-            noisy = Pose._of((x + dx, y + dy, z + dz), ori)
+            noisy = Pose((x + dx, y + dy, z + dz), ori)
             robots.append(RobotState(robot.agent_id, noisy, robot.gripper_aperture))
         new_steps.append(Timestep(ts.t, ts.entities, tuple(robots), ts.actions, ts.phase, ts.interp))
     return replace(traj, timesteps=tuple(new_steps))

@@ -227,10 +227,20 @@ STAGES = {
 }
 
 
+def check_dataset_task(ds: Dataset, task: TaskDefinition) -> None:
+    """Refuse a dataset recorded under another schema than the task's: the
+    simulator and the checks would look up entities it does not have."""
+    if ds.task_schema != task.schema:
+        raise InvariantViolation(
+            f"dataset of task {ds.task_schema.task_id!r} does not match the schema of task {task.task_id!r}")
+
+
 def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
               seed: int) -> tuple[Dataset, dict]:
-    """Run one stage on `ds`; the pipeline and the CLI subcommands both call
-    this."""
+    """Run one stage on `ds`, once checked against `task` when both are
+    given; the pipeline and the CLI subcommands both call this."""
+    if ds is not None and task is not None:
+        check_dataset_task(ds, task)
     fn, table = STAGES[stage.name]
     return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 

@@ -21,6 +21,8 @@ from .geometry import Pose, SE3Transform, _slerp, quat_geodesic, relative_transf
 from .rng import derive_stream
 from .sim import PoseSampler, TaskDefinition, check_success, observe, reset, step
 
+APPROACH_RADIUS = 0.10  # meters: a source segment starts where its eef first comes this close to the target
+
 
 @dataclass(frozen=True)
 class InterpolationConfig:
@@ -63,7 +65,7 @@ def interpolate_prefix(
     to_pose: Pose,
     cfg: InterpolationConfig,
     gripper: float,
-    agent_id: str = "robot0",
+    agent_id: str,
 ) -> list[Action]:
     """Linear position / spherical orientation ramp, gripper held constant.
 
@@ -87,7 +89,7 @@ def interpolate_prefix(
         else:
             u = i / n
             pos = (fx + u * dx, fy + u * dy, fz + u * dz)
-            pose = Pose._of(pos, _slerp(from_pose.wxyz, to_pose.wxyz, u))
+            pose = Pose(pos, _slerp(from_pose.wxyz, to_pose.wxyz, u))
         actions.append(Action(agent_id, pose, gripper))
     return actions
 
@@ -102,7 +104,7 @@ def _phase_sources(ds: Dataset, spec: TaskCausalSpec) -> dict[int, list[tuple[Tr
     return sources
 
 
-def _trim_start(traj: Trajectory, t0: int, t1: int, target: str, approach_radius: float) -> int:
+def _trim_start(traj: Trajectory, t0: int, t1: int, target: str) -> int:
     """First index whose eef is within the approach ball of the phase target.
 
     The transit prelude before that point is replaced by the interpolation
@@ -112,16 +114,9 @@ def _trim_start(traj: Trajectory, t0: int, t1: int, target: str, approach_radius
     tx, ty, tz = traj.timesteps[t0].entity(target).pose.xyz
     for i in range(t0, t1):
         x, y, z = traj.timesteps[i].robots[0].eef_pose.xyz
-        if vec_norm((x - tx, y - ty, z - tz)) <= approach_radius:
+        if vec_norm((x - tx, y - ty, z - tz)) <= APPROACH_RADIUS:
             return i
     return t0
-
-
-def _merge_samplers(task: TaskDefinition, sampler) -> dict[str, PoseSampler]:
-    if isinstance(sampler, PoseSampler):
-        return {eid: PoseSampler(sampler.x_range, sampler.y_range, base.z_range, sampler.yaw_range)
-                for eid, base in task.samplers.items()}
-    return {**task.samplers, **(sampler or {})}
 
 
 def _one_attempt(
@@ -131,7 +126,6 @@ def _one_attempt(
     task: TaskDefinition,
     icfg: InterpolationConfig,
     master_seed: int,
-    approach_radius: float,
 ):
     rng = derive_stream(master_seed, "se3_attempt", attempt)
     state = reset(task, rng)
@@ -143,7 +137,7 @@ def _one_attempt(
         options = sources[p]
         src_traj, t0, t1 = options[int(rng.integers(len(options)))]
         target = phase_spec.target_entity
-        trim = _trim_start(src_traj, t0, t1, target, approach_radius)
+        trim = _trim_start(src_traj, t0, t1, target)
         segment = src_traj.timesteps[trim:t1]
         T = relative_transform(segment[0].entity(target).pose, state.objects[target])
         # of the transformed segment (transform_subtrajectory), the attempt
@@ -171,23 +165,21 @@ def _one_attempt(
 def generate_demos(
     ds: Dataset,
     spec: TaskCausalSpec,
-    sampler,
+    sampler: PoseSampler | None,
     icfg: InterpolationConfig,
     task: TaskDefinition,
     n_target: int,
     master_seed: int = 0,
     attempt_budget: int | None = None,
-    approach_radius: float = 0.10,
     report: GenerationReport | None = None,
 ) -> Dataset:
     """Generate n_target accepted synthetic demonstrations.
 
-    sampler may be None (use the task's pose distributions), a single
-    PoseSampler applied to every entity (keeping per-entity rest heights),
-    or a {entity_id: PoseSampler} mapping. Attempts run in index order until
-    the n_target-th success, and whether an attempt succeeds depends on its
-    index alone. Raises BudgetExhausted when the attempt budget runs out
-    first.
+    sampler may be None (use the task's pose distributions) or a
+    PoseSampler applied to every entity (keeping per-entity rest heights).
+    Attempts run in index order until the n_target-th success, and whether
+    an attempt succeeds depends on its index alone. Raises BudgetExhausted
+    when the attempt budget runs out first.
     """
     if report is None:
         report = GenerationReport()
@@ -197,14 +189,14 @@ def generate_demos(
     for p, options in sources.items():
         if not options:
             raise InvariantViolation(f"no successful phase-labeled source covers phase {p}")
-    task = replace(task, samplers=_merge_samplers(task, sampler))  # its sampler boxes are checked here, once
+    if sampler is not None:  # one sampler for every entity, at its rest height; checked here, once
+        samplers = {eid: replace(sampler, z_range=base.z_range) for eid, base in task.samplers.items()}
+        task = replace(task, samplers=samplers)
     budget = attempt_budget if attempt_budget is not None else 10 * n_target
     accepted: list[Trajectory] = []
     attempt = 0
     while attempt < budget and len(accepted) < n_target:
-        success, timesteps, seg_meta = _one_attempt(
-            attempt, sources, spec, task, icfg, master_seed, approach_radius
-        )
+        success, timesteps, seg_meta = _one_attempt(attempt, sources, spec, task, icfg, master_seed)
         if success:
             traj = Trajectory(
                 traj_id=f"se3_{master_seed}_{attempt:06d}",

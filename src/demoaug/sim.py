@@ -187,7 +187,7 @@ class SimState:
 
 
 def _gripper_tf(pose: Pose) -> SE3Transform:
-    return SE3Transform._of(pose.wxyz, pose.xyz)
+    return SE3Transform(pose.wxyz, pose.xyz)
 
 
 def _height(task: TaskDefinition, entity_id: str) -> float:
@@ -254,7 +254,7 @@ def _drop_pose(task: TaskDefinition, objects: dict[str, Pose], obj_id: str, pose
             rest = other.xyz[2] + geom.height / 2.0 + h / 2.0
         if rest <= z + z_eps and rest > best_rest:
             best_rest = rest
-    return Pose._of((x, y, best_rest), pose.wxyz)
+    return Pose((x, y, best_rest), pose.wxyz)
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -273,7 +273,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     if lo[0] < x < hi[0] and lo[1] < y < hi[1] and lo[2] < z < hi[2]:
         new_eef = moved  # strictly inside: _clip would return every value as it is
     else:
-        new_eef = Pose._of((_clip(x, lo[0], hi[0]), _clip(y, lo[1], hi[1]), _clip(z, lo[2], hi[2])), moved.wxyz)
+        new_eef = Pose((_clip(x, lo[0], hi[0]), _clip(y, lo[1], hi[1]), _clip(z, lo[2], hi[2])), moved.wxyz)
 
     ap = state.gripper.gripper_aperture
     delta = _clip(action.gripper_command - ap, -sim.aperture_rate, sim.aperture_rate)
@@ -285,7 +285,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     if attachment is not None:
         obj_id, offset = attachment
         carried = _gripper_tf(new_eef).compose(offset)
-        carried_pose = Pose._of(carried.xyz, carried.wxyz)
+        carried_pose = Pose(carried.xyz, carried.wxyz)
         if new_ap >= sim.close_threshold:
             attachment = None
             carried_pose = _drop_pose(task, objects, obj_id, carried_pose)
@@ -350,7 +350,7 @@ def _check_reachable(task: TaskDefinition, point: tuple, what: str):
 def _bounded_action(state: SimState, task: TaskDefinition, waypoint: tuple, grip: float) -> Action:
     """A step toward the waypoint (x, y, z floats) at the eef's orientation."""
     eef = state.gripper.eef_pose
-    goal = Pose._of(waypoint, eef.wxyz)
+    goal = Pose(waypoint, eef.wxyz)
     stepped = step_toward(eef, goal, task.expert.step_pos, task.expert.step_rot)
     return Action(task.agent, stepped, grip)
 
@@ -583,13 +583,17 @@ def _scan_phase(state: SimState, task: TaskDefinition) -> int | None:
     return None
 
 
-def rollout_expert(task: TaskDefinition, seed, max_steps: int = 400, tail_steps: int = 3) -> Trajectory:
+EXPERT_MAX_STEPS = 400  # the expert gives up after this many steps
+EXPERT_TAIL_STEPS = 3  # and records this many more once the task succeeds
+
+
+def rollout_expert(task: TaskDefinition, seed) -> Trajectory:
     """Run the scripted expert from a sampled reset to task success."""
     state = reset(task, seed)
     timesteps = []
-    remaining_tail = tail_steps
+    remaining_tail = EXPERT_TAIL_STEPS
     phase = _scan_phase(state, task)
-    for t in range(max_steps):
+    for t in range(EXPERT_MAX_STEPS):
         acting_phase = phase if phase is not None else task.causal.num_phases - 1
         action = expert_action(state, task, acting_phase)
         timesteps.append(observe(state, task, t, action))
@@ -600,7 +604,7 @@ def rollout_expert(task: TaskDefinition, seed, max_steps: int = 400, tail_steps:
                 break
             remaining_tail -= 1
     if not check_success(state, task):
-        raise InvariantViolation(f"expert did not finish {task.task_id!r} within {max_steps} steps")
+        raise InvariantViolation(f"expert did not finish {task.task_id!r} within {EXPERT_MAX_STEPS} steps")
     return Trajectory(
         traj_id=f"demo_{seed}" if isinstance(seed, int) else "demo",
         task_id=task.schema.task_id,

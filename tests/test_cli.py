@@ -110,6 +110,30 @@ def test_validate_exit_two_on_corruption(tmp_path, labeled_dir, capsys):
     assert run_cli("validate", "--task", "stack", "--in", str(broken)) == 2
 
 
+OTHER_TASK = "error: dataset of task 'three_block_stack' does not match the schema of task 'pod_machine'\n"
+
+
+@pytest.mark.parametrize("command", ["replay", "validate", "ratio-study"])
+def test_dataset_of_another_task_is_an_error(tmp_path, labeled_dir, capsys, command):
+    out = ("--out", str(tmp_path / "out")) if command == "ratio-study" else ()
+    capsys.readouterr()
+    assert run_cli(command, "--task", "coffee", "--in", str(labeled_dir), *out) == 3
+    captured = capsys.readouterr()
+    assert captured.err == OTHER_TASK and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_on_a_dataset_of_another_task_is_a_stage_failure(tmp_path, labeled_dir, capsys):
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"task": "coffee", "input": str(labeled_dir), "out": str(tmp_path / "run"),
+                                    "stages": [{"name": "validate"}]}))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(cfg_path)) == 3
+    err = capsys.readouterr().err
+    assert err == "stage failure: stage 'validate' failed: " + OTHER_TASK.removeprefix("error: ")
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
 def test_ratio_study_cli(tmp_path, labeled_dir, capsys):
     out = tmp_path / "ratio"
     code = run_cli("ratio-study", "--task", "stack", "--in", str(labeled_dir),

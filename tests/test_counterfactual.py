@@ -3,6 +3,8 @@ import pytest
 from dataclasses import replace
 
 from demoaug.counterfactual import (
+    JITTER_BOUNDARY_MARGIN,
+    JITTER_CLOSE_THRESHOLD,
     CounterfactualConfig,
     augment_offline,
     build_phase_index,
@@ -175,7 +177,7 @@ def test_jitter_perturbs_obs_and_command_together(stack_demos, stack_task):
 
 
 def test_jitter_never_touches_carry_or_boundary_window(stack_demos, stack_task):
-    cfg = CounterfactualConfig(master_seed=0, gripper_jitter_range=0.3, jitter_boundary_margin=3)
+    cfg = CounterfactualConfig(master_seed=0, gripper_jitter_range=0.3)
     traj = stack_demos.trajectories[0]
     out = gripper_transit_jitter(traj, stack_task.causal, cfg, derive_stream(2, "jit"))
     ranges = {p: (a, b) for p, a, b in traj.phase_ranges()}
@@ -184,8 +186,8 @@ def test_jitter_never_touches_carry_or_boundary_window(stack_demos, stack_task):
             p = ts_o.phase
             assert stack_task.causal.phase(p).grasp_closes
             t0, t1 = ranges[p]
-            assert i < t1 - cfg.jitter_boundary_margin
-            assert ts_o.robots[0].gripper_aperture > cfg.close_threshold
+            assert i < t1 - JITTER_BOUNDARY_MARGIN
+            assert ts_o.robots[0].gripper_aperture > JITTER_CLOSE_THRESHOLD
 
 
 def test_aligned_donor_policy_tracks_relative_index(stack_task, stack_demos):

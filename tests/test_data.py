@@ -27,7 +27,7 @@ from demoaug.data import (
     validate_dataset,
 )
 from demoaug.errors import InvariantViolation, IoFailure
-from demoaug.geometry import Pose, quat_normalize
+from demoaug.geometry import Pose, quat_from_yaw, quat_normalize
 
 
 def make_schema():
@@ -333,6 +333,9 @@ def _set_field(*keys_then_value):
         _set_field("interp", 1),
         _set_field("phase", -3),
         _edit_manifest(lambda manifest: _set_in(manifest, "task_schema", "workspace", "min", 0, "-1.0")),
+        _set_entry("num_timesteps", 3.0),
+        _set_entry("frame", "world"),
+        _edit_manifest(lambda manifest: {**manifest, "notes": "x"}),
     ],
     ids=["missing_traj_id", "missing_success", "unknown_provenance", "manifest_is_list",
          "num_timesteps_mismatch", "success_not_bool", "file_escapes_directory", "file_shared",
@@ -341,7 +344,8 @@ def _set_field(*keys_then_value):
          "extra_nan", "extra_overflows_to_inf", "extra_string", "extra_bool", "extra_int_overflow",
          "gripper_aperture_int_overflow", "position_int_overflow", "position_string", "position_bool",
          "orientation_not_list", "interp_string", "interp_int", "phase_negative",
-         "workspace_bound_string"],
+         "workspace_bound_string", "num_timesteps_float", "entry_unknown_key",
+         "manifest_unknown_key"],
 )
 def test_malformed_manifest_raises_invariant_violation(tmp_path, edit):
     from demoaug.cli import main
@@ -781,7 +785,7 @@ def test_pose_json_is_encoded_once(pose):
 
 
 def test_pose_slots_stay_frozen():
-    pose = Pose.from_xyz_yaw(0.1, 0.2, 0.3, 0.4)
+    pose = Pose((0.1, 0.2, 0.3), quat_from_yaw(0.4))
     for encoded in (False, True):
         if encoded:
             _pose_to_json(pose)
@@ -882,7 +886,7 @@ def _raw_timestep_line(ts) -> str:
 
 def _break_step(ts, case):
     a, b = ts.entities
-    far = Action("robot0", Pose.from_xyz_yaw(5.0, 0.0, 0.0), 1.0)
+    far = Action("robot0", Pose((5.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), 1.0)
     return {
         "t_order": lambda: replace(ts, t=2),
         "entity_ordering": lambda: replace(ts, entities=(b, a)),
@@ -962,18 +966,13 @@ def test_load_builds_one_pose_per_distinct_bit_pattern(tmp_path, monkeypatch):
     save_dataset(ds, tmp_path / "d")
 
     built = []
-    init, of = Pose.__init__, Pose._of.__func__
+    init = Pose.__init__
 
     def counting_init(self, position, orientation):
         built.append(1)
         init(self, position, orientation)
 
-    def counting_of(cls, position, orientation):
-        built.append(1)
-        return of(cls, position, orientation)
-
     monkeypatch.setattr(Pose, "__init__", counting_init)
-    monkeypatch.setattr(Pose, "_of", classmethod(counting_of))
     loaded = load_dataset(tmp_path / "d")
     assert loaded == ds
     assert len(built) == len({_pose_bits(p) for p in _all_poses(ds)}) == 1 + 3 * 4

@@ -10,7 +10,8 @@ from demoaug.geometry import (
     UNIT_TOL,
     Pose,
     SE3Transform,
-    quat_canonical,
+    _canonical,
+    _rigid,
     quat_from_yaw,
     quat_geodesic,
     quat_multiply,
@@ -47,10 +48,9 @@ def transforms(draw):
 
 
 def test_canonicalization_flips_negative_w():
-    q = np.array([-0.5, 0.5, 0.5, 0.5])
-    canon = quat_canonical(q)
-    assert canon[0] > 0
-    assert np.array_equal(quat_canonical(canon), canon)
+    canon = _canonical((-0.5, 0.5, 0.5, 0.5))
+    assert canon == (0.5, -0.5, -0.5, -0.5)
+    assert _canonical(canon) == canon
 
 
 def test_pose_rejects_bad_quaternion():
@@ -66,7 +66,7 @@ def test_pose_canonicalizes_w():
 
 
 def test_relative_transform_identity():
-    p = Pose.from_xyz_yaw(0.1, 0.2, 0.3, 0.7)
+    p = Pose((0.1, 0.2, 0.3), quat_from_yaw(0.7))
     T = relative_transform(p, p)
     assert np.allclose(T.translation, 0, atol=1e-12)
     assert quat_geodesic(T.rotation, np.array([1, 0, 0, 0])) < 1e-12
@@ -86,7 +86,7 @@ def test_relative_transform_yaw_rotates_body_points():
     src = Pose.identity()
     dst = Pose(np.zeros(3), quat_from_yaw(np.pi / 2))
     T = relative_transform(src, dst)
-    moved = T.apply_point(np.array([1.0, 0.0, 0.0]))
+    moved = _rigid(T.wxyz, T.xyz, (1.0, 0.0, 0.0))
     assert np.allclose(moved, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -144,8 +144,9 @@ def test_slerp_is_angle_linear_for_yaw():
 def test_slerp_takes_shortest_arc():
     a = quat_from_yaw(0.0)
     b = -quat_from_yaw(0.2)  # same rotation, opposite sign
-    mid = quat_slerp(a, quat_canonical(b), 0.5)
-    assert quat_geodesic(mid, quat_from_yaw(0.1)) < 1e-12
+    for end in (b, np.array(_canonical(b.tolist()))):
+        mid = quat_slerp(a, end, 0.5)
+        assert quat_geodesic(mid, quat_from_yaw(0.1)) < 1e-12
 
 
 def test_quat_rotate_matches_multiplication():
@@ -350,7 +351,6 @@ def test_transforms_bit_equal_to_numpy_reference(T1, T2, p):
     assert_bits(inv.translation, -ref_rotate(ref_float_normalize(ref_conjugate(T1.rotation)), T1.translation))
     moved = T1.apply_pose(p)
     assert_bits(moved.position, ref_rotate(T1.rotation, p.position) + T1.translation)
-    assert_bits(T1.apply_point(p.position), ref_rotate(T1.rotation, p.position) + T1.translation)
 
 
 @settings(max_examples=300)
@@ -392,6 +392,12 @@ CONSTRUCTORS = pytest.mark.parametrize(
 UNIT_Q = np.array([0.5, -0.5, 0.5, 0.5])
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 @CONSTRUCTORS
 @pytest.mark.parametrize("slot", range(7))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -424,20 +430,51 @@ def test_constructor_rejects_wrong_size(build, arrays):
 
 
 @CONSTRUCTORS
+@pytest.mark.parametrize("form", [list, tuple, np.array, _frozen], ids=["list", "tuple", "array", "read_only_array"])
+@pytest.mark.parametrize(
+    "v,q,error",
+    [
+        ([0.1, math.nan, 0.3], UNIT_Q.tolist(), "non-finite"),
+        ([0.1, 0.2, -math.inf], UNIT_Q.tolist(), "non-finite"),
+        ([0.1, 0.2, 0.3], [1.0, 0.0, math.inf, 0.0], "non-finite"),
+        ([0.1, 0.2, 0.3], (UNIT_Q * (1.0 + 2e-9)).tolist(), "deviates from 1"),
+        ([0.1, 0.2], UNIT_Q.tolist(), "needs 3 values"),
+        ([0.1, 0.2, 0.3, 0.4], UNIT_Q.tolist(), "needs 3 values"),
+        ([0.1, 0.2, 0.3], [1.0, 0.0, 0.0], "needs 4 values"),
+    ],
+    ids=["nan_vector", "inf_vector", "inf_quaternion", "non_unit_quaternion", "short_vector", "long_vector",
+         "short_quaternion"],
+)
+def test_constructor_rejects_bad_input_in_every_form(build, arrays, form, v, q, error):
+    """Float lists and tuples (the kernels' path), arrays and read-only
+    arrays all get the size, non-finite and norm checks."""
+    with pytest.raises(InvariantViolation, match=error):
+        build(form(v), form(q))
+
+
+@CONSTRUCTORS
 @pytest.mark.parametrize(
     "v,q",
     [
         ([0.1, 0.2, 0.3], [-0.5, 0.5, -0.5, 0.5]),
         (np.array([[0.1, 0.2, 0.3]]), np.array([[0.5, 0.5, 0.5, 0.5]])),
         (np.array([0.1, 0.2, 0.3]), -UNIT_Q),
+        ((0.1, 0.2, 0.3), (-0.5, 0.5, -0.5, 0.5)),
+        ([1, -2, 3], [-1, 0, 0, 0]),
+        ([np.float32(0.25), np.int64(2), np.float64(0.1)],
+         [np.float64(-0.5), np.float32(0.5), np.float64(0.5), np.float32(-0.5)]),
+        (_frozen([0.1, 0.2, 0.3]), _frozen(-UNIT_Q)),
     ],
-    ids=["lists_negative_w", "row_vectors", "arrays_negative_w"],
+    ids=["lists_negative_w", "row_vectors", "arrays_negative_w", "float_tuples", "ints", "numpy_scalars",
+         "read_only_arrays"],
 )
 def test_constructor_stores_owned_frozen_canonical_arrays(build, arrays, v, q):
-    if isinstance(v, np.ndarray):
+    if isinstance(v, np.ndarray) and v.flags.writeable:
         v = v.copy()
     src_v, src_q = np.array(v, dtype=np.float64), np.array(q, dtype=np.float64)
-    vec, quat = arrays(build(v, q))
+    obj = build(v, q)
+    assert all(type(x) is float for x in obj.xyz + obj.wxyz)  # ints and numpy scalars are stored as floats
+    vec, quat = arrays(obj)
     for arr, shape in ((vec, (3,)), (quat, (4,))):
         assert arr.dtype == np.float64 and arr.shape == shape
         assert arr.base is None and arr.flags.owndata
@@ -450,18 +487,20 @@ def test_constructor_stores_owned_frozen_canonical_arrays(build, arrays, v, q):
     assert quat[0] >= 0.0
     assert np.array_equal(quat, canonical_q)
     assert np.array_equal(vec, src_v.reshape(3))
-    if isinstance(v, np.ndarray):
+    if isinstance(v, np.ndarray) and v.flags.writeable:
         v[...] = 9.0  # the stored copy must not alias the caller's array
         assert np.array_equal(vec, src_v.reshape(3))
 
 
-# the internal constructors, as the kernels call them: with float lists, or
-# with the frozen arrays of checked poses and transforms
+# the "internal" construction is the one the kernels make: the public
+# constructor given lists or tuples of exact floats, which it takes as is;
+# "public" is the numpy path every other input takes, here given the same
+# values as arrays. Both must raise the same errors and store the same bits.
 INTERNAL = pytest.mark.parametrize(
     "public,internal,arrays",
     [
-        (Pose, Pose._of, lambda obj: (obj.position, obj.orientation)),
-        (lambda v, q: SE3Transform(q, v), lambda v, q: SE3Transform._of(q, v),
+        (lambda v, q: Pose(np.array(v), np.array(q)), Pose, lambda obj: (obj.position, obj.orientation)),
+        (lambda v, q: SE3Transform(np.array(q), np.array(v)), lambda v, q: SE3Transform(q, v),
          lambda obj: (obj.translation, obj.rotation)),
     ],
     ids=["Pose", "SE3Transform"],
@@ -521,21 +560,15 @@ def test_internal_constructor_shares_no_array():
     array passed in, read-only or not, is copied, never kept."""
     p = Pose([0.1, 0.2, 0.3], UNIT_Q)
     assert p.orientation is not p.orientation and not p.orientation.flags.writeable
-    tf = SE3Transform._of(p.orientation, p.position)
+    tf = SE3Transform(p.orientation, p.position)
     assert tf.rotation is not p.orientation and tf.translation is not p.position
     assert tf.rotation.tobytes() == p.orientation.tobytes() and tf.translation.tobytes() == p.position.tobytes()
     for writable in (np.array([0.1, 0.2, 0.3]), _frozen([0.1, 0.2, 0.3])):
-        copied = Pose._of(writable, p.orientation)
+        copied = Pose(writable, p.orientation)
         assert copied.position is not writable and not copied.position.flags.writeable
         if writable.flags.writeable:
             writable[0] = 9.0
         assert copied.position[0] == 0.1
-
-
-def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]], ids=["nan", "inf"])
@@ -543,18 +576,18 @@ def test_internal_constructor_checks_a_read_only_array(bad):
     """A read-only array is not trusted as a checked view: a non-finite value
     raises as it does in the public constructor."""
     with pytest.raises(InvariantViolation, match="non-finite position"):
-        Pose._of(_frozen(bad), _frozen(UNIT_Q))
+        Pose(_frozen(bad), _frozen(UNIT_Q))
     with pytest.raises(InvariantViolation, match="non-finite"):
-        Pose._of(_frozen([0.1, 0.2, 0.3]), _frozen([np.nan, 0.0, 0.0, 0.0]))
+        Pose(_frozen([0.1, 0.2, 0.3]), _frozen([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_internal_constructor_flips_a_read_only_negative_w_into_its_own_view():
     q = _frozen([-1.0, 0.0, 0.0, 0.0])
-    pose = Pose._of(_frozen([0.1, 0.2, 0.3]), q)
+    pose = Pose(_frozen([0.1, 0.2, 0.3]), q)
     assert pose.wxyz == (1.0, -0.0, -0.0, -0.0) and pose == Pose([0.1, 0.2, 0.3], q)
     assert pose.orientation.tobytes() == np.array(pose.wxyz).tobytes()
     assert not pose.orientation.flags.writeable
-    tf = SE3Transform._of(q, _frozen([0.0, 0.0, 1.0]))
+    tf = SE3Transform(q, _frozen([0.0, 0.0, 1.0]))
     assert tf.wxyz[0] == 1.0 and tf.rotation[0] == 1.0
 
 
@@ -595,8 +628,8 @@ def test_pickle_round_trip(public, internal, arrays):
 
 
 def test_step_toward_on_floats_shares_what_fits():
-    here = Pose._of([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
-    there = Pose._of([0.01, 0.0, 0.0], quat_from_yaw(0.05).tolist())
+    here = Pose([0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0])
+    there = Pose([0.01, 0.0, 0.0], quat_from_yaw(0.05).tolist())
     assert step_toward(here, there, 0.02, 0.1) is there  # reached: the target itself
     moved = step_toward(here, there, 0.005, 0.1)
     assert moved.wxyz is there.wxyz  # the rotation fits: the target's floats

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from demoaug.counterfactual import CounterfactualConfig
@@ -99,9 +100,10 @@ def test_pipeline_deterministic_across_worker_counts(tmp_path):
 @pytest.mark.parametrize("task", ["stack", "coffee"])
 def test_internal_pose_constructors_match_the_public_ones(tmp_path, monkeypatch, task):
     """The pipeline's output is byte-identical, and nothing raises, when
-    Pose._of and SE3Transform._of are the public constructors: every value
-    the internal float path stored passed the same checks, with the same bits."""
-    from demoaug.geometry import Pose, SE3Transform
+    every Pose and SE3Transform is built through the constructors' numpy
+    path: every value that the float path the kernels take (tuples of exact
+    floats, taken as is) stored passed the same checks, with the same bits."""
+    from demoaug import geometry
 
     stages = (
         StageConfig("gen", {"count": 3}),
@@ -112,8 +114,9 @@ def test_internal_pose_constructors_match_the_public_ones(tmp_path, monkeypatch,
         StageConfig("validate"),
     )
     run_pipeline(PipelineConfig(task, stages, str(tmp_path / "internal"), master_seed=7))
-    monkeypatch.setattr(Pose, "_of", classmethod(lambda cls, position, orientation: cls(position, orientation)))
-    monkeypatch.setattr(SE3Transform, "_of", classmethod(lambda cls, rotation, translation: cls(rotation, translation)))
+    vec3, unit_quat = geometry._vec3, geometry._unit_quat
+    monkeypatch.setattr(geometry, "_vec3", lambda x, what: vec3(np.array(x), what))
+    monkeypatch.setattr(geometry, "_unit_quat", lambda q, what: unit_quat(np.array(q), what))
     run_pipeline(PipelineConfig(task, stages, str(tmp_path / "public"), master_seed=7))
     internal = tree_digest(tmp_path / "internal")
     assert "report.json" in internal and len(internal) > 5

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -73,14 +75,14 @@ def test_transform_missing_target(stack_demos):
 
 
 def test_prefix_empty_when_equal():
-    p = Pose.from_xyz_yaw(0.1, 0.2, 0.3, 0.4)
-    assert interpolate_prefix(p, p, InterpolationConfig(), 1.0) == []
+    p = Pose((0.1, 0.2, 0.3), quat_from_yaw(0.4))
+    assert interpolate_prefix(p, p, InterpolationConfig(), 1.0, "robot0") == []
 
 
 def test_prefix_step_count_translation():
     a = Pose.identity()
     b = Pose(np.array([0.1, 0.0, 0.0]), np.array([1.0, 0, 0, 0]))
-    acts = interpolate_prefix(a, b, InterpolationConfig(max_pos_step=0.02), 1.0)
+    acts = interpolate_prefix(a, b, InterpolationConfig(max_pos_step=0.02), 1.0, "robot0")
     assert len(acts) == 5
     positions = [a.target_eef_pose.position for a in acts]
     prev = np.zeros(3)
@@ -94,7 +96,7 @@ def test_prefix_step_count_translation():
 def test_prefix_slerp_is_angle_linear():
     a = Pose.identity()
     b = Pose(np.zeros(3), quat_from_yaw(np.pi / 2))
-    acts = interpolate_prefix(a, b, InterpolationConfig(max_rot_step=np.pi / 6), 0.0)
+    acts = interpolate_prefix(a, b, InterpolationConfig(max_rot_step=np.pi / 6), 0.0, "robot0")
     assert len(acts) == 3
     # sample adjacent to the midpoint: 2/3 slerp of a 90 deg yaw is 60 deg
     got = acts[1].target_eef_pose.orientation
@@ -106,7 +108,7 @@ def test_prefix_respects_both_bounds():
     a = Pose.identity()
     b = Pose(np.array([0.05, 0, 0]), quat_from_yaw(1.0))
     cfg = InterpolationConfig(max_pos_step=0.02, max_rot_step=0.1)
-    acts = interpolate_prefix(a, b, cfg, 0.5)
+    acts = interpolate_prefix(a, b, cfg, 0.5, "robot0")
     assert len(acts) == 10  # rotation dominates: ceil(1.0 / 0.1)
     prev_pose = a
     for act in acts:
@@ -133,11 +135,11 @@ def test_generate_replica_with_degenerate_sampler(stack_task):
         )
         for eid in ("cube_a", "cube_b", "cube_c")
     }
+    task = replace(stack_task, samplers=samplers)
     report = GenerationReport()
-    out = generate_demos(ds, stack_task.causal, samplers, InterpolationConfig(), stack_task, 1,
-                         master_seed=0, report=report)
+    out = generate_demos(ds, task.causal, None, InterpolationConfig(), task, 1, master_seed=0, report=report)
     assert report.attempts == 1 and report.accepted == 1
-    assert replay(out.trajectories[0], stack_task)[1]
+    assert replay(out.trajectories[0], task)[1]
 
 
 def test_generate_accepts_and_replays(stack_demos, stack_task):
