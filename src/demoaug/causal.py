@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .data import Param, check_keys, dict_from_json, list_from_json, read_json, record_from_json, record_to_json
+from .data import Param, check_keys, dict_from_json, list_from_json, read_json, record_from_json
 from .errors import InvariantViolation
 
 
@@ -164,27 +164,12 @@ def count_partitions(spec: TaskCausalSpec) -> int:
     return sum(len(partitions(p.joint_graph())) for p in spec.phases)
 
 
-def resampleable_partitions(phase: PhaseSpec, agent: str) -> list[Partition]:
-    """Partitions of the agent's graph free of both the agent and the phase target.
-
-    Replacing any of these leaves the expert action unchanged: the policy
-    is a function of the causally relevant subset only.
-    """
-    if agent not in phase.graphs:
-        raise InvariantViolation(f"agent {agent!r} has no graph in phase {phase.phase_index}")
-    out = []
-    for part in partitions(phase.graphs[agent]):
-        if agent in part or phase.target_entity in part:
-            continue
-        out.append(part)
-    return out
-
-
 def swap_candidates(phase: PhaseSpec) -> list[Partition]:
     """Joint-graph partitions containing no agent node and no target entity.
 
-    For single-agent phases this equals resampleable_partitions for that
-    agent; with several agents a partition must be irrelevant to all of them.
+    Replacing any of these leaves the expert action unchanged: the policy
+    is a function of the causally relevant subset only. With several agents
+    a partition must be irrelevant to all of them.
     """
     agents = set(phase.graphs.keys())
     out = []
@@ -220,19 +205,6 @@ def _graph_from_json(where: str, obj) -> CausalGraph:
                                           for e in edges):
         raise InvariantViolation(f"{where}.edges must be a list of [source, target] node pairs, got {edges!r}")
     return CausalGraph.from_edges(Param((str,), MISSING).parse(f"{where}.nodes", obj["nodes"]), edges)
-
-
-def causal_spec_to_dict(spec: TaskCausalSpec) -> dict:
-    def graphs(value: dict) -> dict:
-        return {agent: _graph_to_json(g) for agent, g in value.items()}
-
-    return record_to_json(spec, phases=lambda phases: [record_to_json(p, graphs=("agents", graphs)) for p in phases])
-
-
-def _graph_to_json(g: CausalGraph) -> dict:
-    n = len(g.nodes)
-    edges = [[g.nodes[i], g.nodes[j]] for i in range(n) for j in range(n) if i != j and g.adjacency[i, j]]
-    return {"nodes": list(g.nodes), "edges": edges}
 
 
 def load_causal_spec(path) -> TaskCausalSpec:

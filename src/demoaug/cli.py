@@ -4,6 +4,11 @@ Subcommands: gen-demos | segment | augment-se3 | augment-causal |
 augment-obs | validate | replay | ratio-study | stats | run.
 Exit codes: 0 ok, 1 usage, 2 validation failure or a refused color op, 3
 stage failure or malformed input (an `error:` line, no traceback).
+
+Every flag acts: there is no --workers flag (a pipeline config's `workers`
+key is accepted and unused), augment-obs refuses its image flags without
+--image, its dataset flags without --in and --out-size without
+--crop-scale, and `run` overrides only the config's seed and out.
 """
 
 from __future__ import annotations
@@ -50,8 +55,6 @@ EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 
 logger = logging.getLogger("demoaug")
-
-WORKERS_HELP = "accepted for compatibility; has no effect (every stage runs serially)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,25 +124,45 @@ def _cmd_stage(args) -> int:
     return EXIT_OK
 
 
+# the augment-obs flags that act on --image alone, and on --in alone
+_IMAGE_FLAGS = ("image_out", "crop_scale", "out_size", "jitter", "permute", "blur_sigma", "force")
+_DATASET_FLAGS = ("out", "noise_sigma", "copies")
+
+
+def _refuse_unused(args, keys, anchor: str) -> None:
+    given = ["--" + key.replace("_", "-") for key in keys if getattr(args, key) not in (None, False)]
+    if given:
+        raise ConfigError(f"{', '.join(given)} given without {anchor} (these flags act on {anchor} alone)")
+
+
 def _cmd_obs(args) -> int:
+    if not args.image and not args.inp:
+        raise ConfigError("augment-obs needs --image or --in")
+    if not args.image:
+        _refuse_unused(args, _IMAGE_FLAGS, "--image")
+    if not args.inp:
+        _refuse_unused(args, _DATASET_FLAGS, "--in")
+    elif args.out is None:
+        raise ConfigError("--in needs --out")
+    if args.out_size is not None and args.crop_scale is None:
+        raise ConfigError("--out-size is the size of the crop and needs --crop-scale")
     task = resolve_task(args.task) if args.task else None
-    wants_color_ops = bool(args.jitter or args.permute)
-    if wants_color_ops and task is not None:
-        check_color_ops_allowed(task.color_sensitive, args.force)
     report: dict = {}
     if args.image:
+        if (args.jitter is not None or args.permute is not None) and task is not None:
+            check_color_ops_allowed(task.color_sensitive, args.force)
         img = read_ppm(args.image)
         rng = derive_stream(args.seed, "obs_image", Path(args.image).name)
-        if args.crop_scale:
+        if args.crop_scale is not None:
             lo, hi = _values(args.crop_scale, 2, "--crop-scale")
-            out_hw = tuple(_values(args.out_size, 2, "--out-size")) if args.out_size else None
+            out_hw = tuple(_values(args.out_size, 2, "--out-size")) if args.out_size is not None else None
             img = random_resized_crop(img, VisualAugConfig(crop_scale=(lo, hi), output_hw=out_hw), rng)
-        if args.jitter:
+        if args.jitter is not None:
             b, c, s, h = _values(args.jitter, 4, "--jitter")
             img = color_jitter(img, VisualAugConfig(brightness=b, contrast=c, saturation=s, hue=h), rng)
-        if args.permute:
+        if args.permute is not None:
             img = channel_permute(img, args.permute)
-        if args.blur_sigma:
+        if args.blur_sigma is not None:
             sig = args.blur_sigma
             if len(sig) == 1:
                 sigma = sig[0]
@@ -150,8 +173,6 @@ def _cmd_obs(args) -> int:
         write_ppm(args.image_out or args.image, img)
         report["image_out"] = str(args.image_out or args.image)
     if args.inp:
-        if args.out is None:
-            raise ConfigError("--in needs --out")
         report.update(_run_stage(args, task, None))
     _emit(report, args.report)
     return EXIT_OK
@@ -204,8 +225,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg_obj = read_json(args.config, "cannot read pipeline config")
-    overrides = {key: value for key, value in (("seed", args.seed), ("workers", args.workers), ("out", args.out))
-                 if value is not None}
+    overrides = {key: value for key, value in (("seed", args.seed), ("out", args.out)) if value is not None}
     if isinstance(cfg_obj, dict):  # anything else is pipeline_config_from_dict's error to report
         cfg_obj = {**cfg_obj, **overrides}
     report = run_pipeline(pipeline_config_from_dict(cfg_obj))
@@ -234,7 +254,6 @@ def build_parser() -> _Parser:
             p.add_argument("--spec", default=None,
                            help="causal spec JSON (overrides the task's bundled spec)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
         p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
 
     def stage_flags(p, stage, *flags, fn=_cmd_stage):
@@ -280,7 +299,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output dataset directory")
     p.add_argument("--task", default=None, help="task name/path (needed for color-sensitivity check)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--report", default=None)
     stage_flags(p, "obs", ("noise_sigma", "proprio noise standard deviation"),
                 ("copies", "noised copies per trajectory"), fn=_cmd_obs)
@@ -317,7 +335,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="run a configured pipeline")
     p.add_argument("--config", required=True, help="pipeline JSON config")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--out", default=None, help="override config output root")
     p.add_argument("--report", default=None)
     p.set_defaults(fn=_cmd_run)

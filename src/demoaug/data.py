@@ -103,12 +103,6 @@ class TaskSchema:
     def entity_ids(self) -> tuple[str, ...]:
         return tuple(e.entity_id for e in self.entities)
 
-    def entity(self, entity_id: str) -> EntityDecl:
-        for e in self.entities:
-            if e.entity_id == entity_id:
-                return e
-        raise InvariantViolation(f"entity {entity_id!r} not in schema")
-
     def __eq__(self, other):
         if not isinstance(other, TaskSchema):
             return NotImplemented
@@ -529,25 +523,6 @@ def record_from_json(cls, where: str, obj, **readers):
     return cls(**{table[key][0]: table[key][1](_at(where, key), value) for key, value in obj.items()})
 
 
-def record_to_json(value, **writers) -> dict:
-    """The JSON object of dataclass instance `value`, as record_from_json
-    reads it: a field named in `writers` is written by its writer (under
-    another key for a pair (key, writer)), every other one as it is, with
-    tuples as lists. Fields that are not __init__ parameters are left out."""
-    out = {}
-    for f in fields(value):
-        if not f.init:
-            continue
-        write = writers.get(f.name, _plain)
-        key, write = write if isinstance(write, tuple) else (f.name, write)
-        out[key] = write(getattr(value, f.name))
-    return out
-
-
-def _plain(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
 def dict_from_json(where: str, obj, read) -> dict:
     """{key: read(path, value)} over the entries of the JSON object `obj`."""
     check_keys(where, obj, (), obj)
@@ -748,7 +723,8 @@ def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
 def schema_to_json(schema: TaskSchema) -> dict:
     return {
         "task_id": schema.task_id,
-        "entities": [record_to_json(e) for e in schema.entities],
+        "entities": [{"entity_id": e.entity_id, "kind": e.kind, "extra_fields": list(e.extra_fields)}
+                     for e in schema.entities],
         "agents": list(schema.agents),
         "workspace": {
             "min": [float(x) for x in schema.workspace_min],

@@ -14,8 +14,8 @@ import numpy as np
 
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline
 from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
-from .errors import ColorJitterRefused, ConfigError, DemoaugError, InvariantViolation, StageFailure
-from .imageaug import check_color_ops_allowed, proprio_noise
+from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
+from .imageaug import proprio_noise
 from .retarget import GenerationReport, InterpolationConfig, generate_demos
 from .rng import derive_stream
 from .segmentation import SegmentationConfig, assign_phases
@@ -48,8 +48,8 @@ class StageConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A pipeline run. `workers` is accepted for compatibility and has no
-    effect: every stage runs serially."""
+    """A pipeline run. `workers` (the config key of the same name) is
+    accepted for compatibility and unused: every stage runs serially."""
 
     task: str
     stages: tuple[StageConfig, ...]
@@ -72,6 +72,8 @@ def _check_stage_order(names: list[str], has_input: bool):
         raise InvariantViolation("gen/segment/validate may appear at most once")
     if "gen" not in names and names and not has_input:
         raise InvariantViolation("pipeline without a gen stage needs input_path")
+    if "gen" in names and has_input:
+        raise ConfigError("a pipeline with a gen stage takes no input: gen does not read a dataset")
 
 
 _CONFIG_KEYS = ("task", "out", "stages", "seed", "workers", "input")
@@ -143,7 +145,7 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> t
         task,
         n_target=count,
         master_seed=seed,
-        attempt_budget=10 * max(count, 1) if p["budget"] is None else p["budget"],
+        attempt_budget=p["budget"],
         report=report,
     )
     merged = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + synth.trajectories)
@@ -169,8 +171,6 @@ def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset,
 
 def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     sigma = p["noise_sigma"]
-    if p["jitter"] or p["permute"]:
-        check_color_ops_allowed(task.color_sensitive, p["force"])
 
     def noise_one(tr: Trajectory, k: int) -> Trajectory:
         rng = derive_stream(seed, "obs", tr.traj_id, k)
@@ -219,9 +219,6 @@ STAGES = {
     "obs": (_stage_obs, {
         "noise_sigma": Param(float, 0.01),
         "copies": Param(int, 1, minimum=0),
-        "jitter": Param(bool, False),
-        "permute": Param(bool, False),
-        "force": Param(bool, False),
     }),
     "validate": (_stage_validate, {"no_replay": Param(bool, False)}),
 }
@@ -286,7 +283,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         in_count = len(ds) if ds is not None else 0
         try:
             ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed)
-        except (ConfigError, ColorJitterRefused):
+        except ConfigError:
             raise
         except DemoaugError as exc:
             raise StageFailure(stage.name, str(exc)) from exc

@@ -134,8 +134,9 @@ class TaskDefinition:
             if set(keys) != set(ids):
                 raise InvariantViolation(
                     f"{name} are keyed by {sorted(keys)}, not by the schema's entities {sorted(ids)}")
-        if not self.schema.agents:
-            raise InvariantViolation("the schema declares no agent")
+        if len(self.schema.agents) != 1:
+            raise InvariantViolation(
+                f"the schema declares agents {list(self.schema.agents)}; the simulator drives exactly one")
         object.__setattr__(self, "roles", kind.roles(self))
         for name, value in (
             ("sim.max_pos_step", self.sim.max_pos_step),
@@ -149,6 +150,16 @@ class TaskDefinition:
         if self.causal.num_phases != len(kind.phases):
             raise InvariantViolation(
                 f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {self.causal.num_phases}")
+        # each phase has the agent's graph alone, over exactly the schema's entities and the agent:
+        # an entity left out of a graph would be swapped as if it interacted with nothing
+        nodes = {*ids, self.agent}
+        for phase in self.causal.phases:
+            if list(phase.graphs) != [self.agent]:
+                raise InvariantViolation(f"phase {phase.phase_index} has graphs for agents {list(phase.graphs)}, "
+                                         f"not for the schema's agent {self.agent!r}")
+            if set(phase.nodes) != nodes:
+                raise InvariantViolation(f"phase {phase.phase_index} has nodes {sorted(phase.nodes)}, not the schema's "
+                                         f"entities and agent {sorted(nodes)}")
         # an extra field is a kind's articulated state (TASK_KINDS), and the task's kind must own it
         owners = {k.articulation.extra_field: k.articulation for k in TASK_KINDS.values() if k.articulation}
         for decl in self.schema.entities:
@@ -638,20 +649,12 @@ def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
     return SimState(objects, joints, gripper, attachment, ts.t)
 
 
-def replay(traj: Trajectory, task: TaskDefinition, trace: bool = False):
-    """Feed stored actions through step() from the stored initial state.
-
-    Returns (final_state, success) or (final_state, success, states) where
-    states[i] is the state before executing action i.
-    """
+def replay(traj: Trajectory, task: TaskDefinition) -> tuple[SimState, bool]:
+    """Feed stored actions through step() from the stored initial state;
+    return the final state and whether it succeeds."""
     if not traj.timesteps:
         raise InvariantViolation(f"trajectory {traj.traj_id!r} has no timesteps")
     state = sim_state_from_timestep(traj.timesteps[0], task)
-    states = [state]
     for ts in traj.timesteps:
         state = step(state, ts.actions[0], task)
-        states.append(state)
-    ok = check_success(state, task)
-    if trace:
-        return state, ok, states
-    return state, ok
+    return state, check_success(state, task)

@@ -12,24 +12,12 @@ which give each key's kind and default. Unknown keys are refused."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING
 from importlib.resources import files
 from pathlib import Path
 
-from .causal import causal_spec_from_dict, causal_spec_to_dict
-from .data import (
-    Param,
-    _pose_from_json,
-    _pose_to_json,
-    check_keys,
-    dict_from_json,
-    read_json,
-    record_from_json,
-    record_to_json,
-    schema_from_json,
-    schema_to_json,
-)
+from .causal import causal_spec_from_dict
+from .data import Param, _pose_from_json, check_keys, dict_from_json, read_json, record_from_json, schema_from_json
 from .errors import InvariantViolation, IoFailure
 from .sim import ExpertParams, ObjectGeom, PoseSampler, ReceptacleGeom, SimParams, TaskDefinition
 
@@ -42,23 +30,6 @@ def _geom_from_json(where: str, obj):
     check_keys(where, obj, ("type",), obj)
     cls = GEOMS[_GEOM_TYPE.parse(f"{where}.type", obj["type"])]
     return record_from_json(cls, where, {key: value for key, value in obj.items() if key != "type"})
-
-
-def _geom_to_json(geom) -> dict:
-    return {"type": next(name for name, cls in GEOMS.items() if type(geom) is cls)} | record_to_json(geom)
-
-
-def task_to_dict(task: TaskDefinition) -> dict:
-    return record_to_json(
-        task,
-        schema=schema_to_json,
-        samplers=lambda samplers: {eid: record_to_json(s) for eid, s in samplers.items()},
-        geoms=lambda geoms: {eid: _geom_to_json(g) for eid, g in geoms.items()},
-        causal=("causal_spec", causal_spec_to_dict),
-        home_pose=lambda pose: json.loads(_pose_to_json(pose)),
-        sim=record_to_json,
-        expert=record_to_json,
-    )
 
 
 def task_from_dict(obj) -> TaskDefinition:

@@ -10,13 +10,12 @@ from demoaug.causal import (
     count_partitions,
     join_adjacency,
     partitions,
-    resampleable_partitions,
     swap_candidates,
     causal_spec_from_dict,
-    causal_spec_to_dict,
 )
 from demoaug.errors import InvariantViolation
 from demoaug.tasks import resolve_task
+from tests.conftest import bundled_task_json
 
 
 def _graph(nodes, pairs):
@@ -57,6 +56,28 @@ def transport_causal_fixture() -> TaskCausalSpec:
         ),
     )
     return TaskCausalSpec("transport_fixture", phases, (0, 1, 2))
+
+
+_TRANSPORT_NODES = ["robot0", "robot1", "hammer", "cube", "bin_lid", "target_bin"]
+
+# transport_causal_fixture() in the JSON layout of a causal spec file
+TRANSPORT_JSON = {
+    "task_id": "transport_fixture",
+    "phases": [
+        {"phase_index": 0, "target_entity": "bin_lid", "grasp_closes": True, "agents": {
+            "robot0": {"nodes": _TRANSPORT_NODES, "edges": [["robot0", "bin_lid"], ["bin_lid", "robot0"]]},
+            "robot1": {"nodes": _TRANSPORT_NODES, "edges": [["robot1", "cube"], ["cube", "robot1"]]}}},
+        {"phase_index": 1, "target_entity": "hammer", "grasp_closes": True, "agents": {
+            "robot0": {"nodes": _TRANSPORT_NODES, "edges": [["robot0", "hammer"], ["hammer", "robot0"]]},
+            "robot1": {"nodes": _TRANSPORT_NODES, "edges": [["robot1", "cube"], ["cube", "robot1"],
+                                                            ["cube", "target_bin"], ["target_bin", "cube"]]}}},
+        {"phase_index": 2, "target_entity": "hammer", "grasp_closes": False, "agents": {
+            "robot0": {"nodes": _TRANSPORT_NODES, "edges": [["robot0", "hammer"], ["hammer", "robot0"],
+                                                            ["hammer", "robot1"], ["robot1", "hammer"]]},
+            "robot1": {"nodes": _TRANSPORT_NODES, "edges": [["robot1", "hammer"], ["hammer", "robot1"]]}}},
+    ],
+    "segment_merge_map": [0, 1, 2],
+}
 
 
 def brute_force_partitions(nodes, adj):
@@ -179,27 +200,27 @@ def test_count_partitions_trivial():
 def test_resampleable_partitions_examples():
     spec = resolve_task("stack").causal
     phase3 = spec.phases[2]  # reach cube_c; stacked pair is independent
-    free = resampleable_partitions(phase3, "robot0")
+    free = swap_candidates(phase3)
     assert [p.members for p in free] == [frozenset({"cube_a", "cube_b"})]
 
     phase4 = spec.phases[3]
-    assert resampleable_partitions(phase4, "robot0") == []
+    assert swap_candidates(phase4) == []
 
     singles = CausalGraph.from_edges(("R", "A", "B"), [])
     phase = type(spec.phases[0])(0, {"R": singles}, "A", True)
-    assert [p.members for p in resampleable_partitions(phase, "R")] == [frozenset({"B"})]
+    assert [p.members for p in swap_candidates(phase)] == [frozenset({"B"})]
 
 
 def test_resampleable_subset_and_exclusions():
     for spec in (resolve_task("stack").causal, resolve_task("coffee").causal):
         for phase in spec.phases:
-            for agent in phase.graphs:
-                free = resampleable_partitions(phase, agent)
-                all_parts = {p.members for p in partitions(phase.graphs[agent])}
-                for p in free:
-                    assert p.members in all_parts
-                    assert agent not in p.members
-                    assert phase.target_entity not in p.members
+            (agent,) = phase.graphs
+            free = swap_candidates(phase)
+            all_parts = {p.members for p in partitions(phase.graphs[agent])}
+            for p in free:
+                assert p.members in all_parts
+                assert agent not in p.members
+                assert phase.target_entity not in p.members
 
 
 def test_transport_fixture_joint_graphs():
@@ -216,8 +237,11 @@ def test_transport_fixture_joint_graphs():
 
 
 def test_spec_dict_round_trip():
-    for spec in (resolve_task("stack").causal, resolve_task("coffee").causal, transport_causal_fixture()):
-        rebuilt = causal_spec_from_dict(causal_spec_to_dict(spec))
+    for spec, obj in ((resolve_task("stack").causal, bundled_task_json("stack")["causal_spec"]),
+                      (resolve_task("coffee").causal, bundled_task_json("coffee")["causal_spec"]),
+                      (transport_causal_fixture(), TRANSPORT_JSON)):
+        rebuilt = causal_spec_from_dict(obj)
+        assert rebuilt == spec
         assert rebuilt.task_id == spec.task_id
         assert rebuilt.segment_merge_map == spec.segment_merge_map
         for a, b in zip(rebuilt.phases, spec.phases):

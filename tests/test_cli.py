@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from demoaug import errors
-from demoaug.causal import causal_spec_to_dict
 from demoaug.cli import main
 from demoaug.data import load_dataset
 from demoaug.imageaug import (
@@ -21,7 +20,8 @@ from demoaug.imageaug import (
 from demoaug.render import rasterize_state
 from demoaug.rng import derive_stream
 from demoaug.sim import reset
-from demoaug.tasks import resolve_task, task_to_dict
+from demoaug.tasks import resolve_task
+from tests.conftest import bundled_task_json
 
 
 def run_cli(*argv):
@@ -219,18 +219,6 @@ def test_color_sensitive_refusal_and_force(tmp_path, capsys):
     assert code == 0
 
 
-def test_run_color_sensitive_refusal_exits_two(tmp_path, capsys):
-    """A refusal has one exit code: `run` reports ColorJitterRefused as
-    augment-obs does, not as a stage failure."""
-    cfg_path = tmp_path / "pipeline.json"
-    cfg_path.write_text(json.dumps({"task": "stack", "out": str(tmp_path / "run"), "stages": [
-        {"name": "gen", "count": 1}, {"name": "segment"}, {"name": "obs", "jitter": True}]}))
-    assert run_cli("run", "--config", str(cfg_path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("refused: task is color-sensitive") and "Traceback" not in err
-    assert not (tmp_path / "run" / "report.json").exists()
-
-
 @pytest.mark.parametrize("command", ["segment", "augment-causal"])
 def test_neither_task_nor_spec_is_a_usage_error(tmp_path, labeled_dir, capsys, command):
     out = tmp_path / "out"
@@ -272,7 +260,7 @@ def test_run_pipeline_cli(tmp_path, capsys):
 
 def test_spec_file_flag_drives_segment_and_causal(tmp_path, labeled_dir, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(causal_spec_to_dict(resolve_task("stack").causal)))
+    spec_path.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
     # segment from a spec file alone (no --task)
     demos = tmp_path / "demos"
     assert run_cli("gen-demos", "--task", "stack", "--count", "2", "--seed", "9",
@@ -348,9 +336,17 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
                                                    {"name": "validate", "no_replay": "false"}]}, "no_replay"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
-                                                   {"name": "obs", "jitter": "false"}]}, "obs jitter"),
+                                                   {"name": "obs", "jitter": "false"}]}, "no parameter 'jitter'"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1},
-                                                   {"name": "obs", "force": 1}]}, "obs force"),
+                                                   {"name": "obs", "force": 1}]}, "no parameter 'force'"),
+        ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                   {"name": "obs", "jitter": True}]},
+         "stage 'obs' has no parameter 'jitter' (it takes noise_sigma, copies)"),
+        ({"task": "coffee", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                                                    {"name": "obs", "jitter": True, "permute": True}]},
+         "stage 'obs' has no parameter 'jitter', 'permute'"),
+        ({"task": "stack", "out": "o", "input": "in", "stages": [{"name": "gen", "count": 1}]},
+         "a pipeline with a gen stage takes no input"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
                                                    {"name": "causal", "donor_policy": 3}]}, "donor_policy"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
@@ -361,7 +357,8 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
          "short_pos_range", "negative_gen_count",
          "non_integer_gen_count", "negative_se3_count", "zero_se3_budget", "negative_causal_copies",
          "negative_obs_copies", "string_close_threshold", "float_debounce", "string_no_replay",
-         "string_obs_jitter", "integer_obs_force", "integer_donor_policy", "string_in_pos_range"],
+         "string_obs_jitter", "integer_obs_force", "obs_jitter", "obs_jitter_and_permute_on_coffee", "input_with_gen",
+         "integer_donor_policy", "string_in_pos_range"],
 )
 def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
     path = tmp_path / "pipeline.json"
@@ -377,7 +374,7 @@ def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, messag
 def _task_with(name, edit):
     """The bundled task file's JSON text after `edit` changed its dict;
     json.dumps writes NaN and Infinity as bare constants."""
-    task = task_to_dict(resolve_task(name))
+    task = bundled_task_json(name)
     edit(task)
     return json.dumps(task)
 
@@ -398,6 +395,25 @@ def _drop_last_phase(task):
     spec = task["causal_spec"]
     last = spec["phases"].pop()["phase_index"]
     spec["segment_merge_map"] = [min(m, last - 1) for m in spec["segment_merge_map"]]
+
+
+def _each_graph(edit):
+    """An edit of every phase graph of a task's causal spec."""
+    def each(task):
+        for phase in task["causal_spec"]["phases"]:
+            for graph in phase["agents"].values():
+                edit(graph)
+    return each
+
+
+def _rekey_graphs(task):
+    for phase in task["causal_spec"]["phases"]:
+        phase["agents"] = {"robotX": phase["agents"]["robot0"]}
+
+
+def _drop_node(graph, node):
+    graph["nodes"].remove(node)
+    graph["edges"] = [e for e in graph.get("edges", []) if node not in e]
 
 
 @pytest.mark.parametrize(
@@ -422,7 +438,16 @@ def _drop_last_phase(task):
         # sections that disagree with each other
         (_task_with("stack", _set("stack_order", ["cube_b", "cube_a"])), "must be 3 distinct schema entities"),
         (_task_with("stack", _set("sim", "max_rot_step", -1)), "sim.max_rot_step must be > 0, got -1"),
-        (_task_with("stack", _set("schema", "agents", [])), "the schema declares no agent"),
+        (_task_with("stack", _set("schema", "agents", [])), "the schema declares agents []"),
+        (_task_with("stack", _set("schema", "agents", ["robot0", "robot1"])),
+         "the schema declares agents ['robot0', 'robot1']; the simulator drives exactly one"),
+        (_task_with("stack", _each_graph(lambda graph: graph["nodes"].append("ghost"))),
+         "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'ghost', 'robot0'], "
+         "not the schema's entities and agent ['cube_a', 'cube_b', 'cube_c', 'robot0']"),
+        (_task_with("stack", _rekey_graphs),
+         "phase 0 has graphs for agents ['robotX'], not for the schema's agent 'robot0'"),
+        (_task_with("stack", lambda task: _drop_node(task["causal_spec"]["phases"][2]["agents"]["robot0"], "cube_a")),
+         "phase 2 has nodes ['cube_b', 'cube_c', 'robot0'], not the schema's entities and agent"),
         (_task_with("coffee", lambda task: task["samplers"].pop("pod")),
          "samplers are keyed by ['machine'], not by the schema's entities ['machine', 'pod']"),
         (_task_with("stack", lambda task: task["schema"]["entities"].pop(0)),
@@ -454,7 +479,9 @@ def _drop_last_phase(task):
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
-         "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents", "no_pod_sampler",
+         "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents",
+         "two_agents", "ghost_node_in_every_phase", "graphs_of_another_agent", "phase_2_without_cube_a",
+         "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
          "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few",
          "unknown_kind", "pod_lid_with_stack_order", "home_pose_at_1e308", "home_pose_at_280000",
@@ -484,7 +511,7 @@ def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
 def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content, message):
     path = tmp_path / "spec.json"
     if callable(content):
-        spec = causal_spec_to_dict(resolve_task("stack").causal)
+        spec = bundled_task_json("stack")["causal_spec"]
         content(spec)
         content = json.dumps(spec)
     if content is not None:
@@ -495,6 +522,80 @@ def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content,
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert str(path) in err
     assert not out.exists()
+
+
+def test_spec_file_that_disagrees_with_the_task_is_an_error(tmp_path, labeled_dir, capsys):
+    """--spec replaces the task's spec and goes through the same check of
+    its graphs against the task's schema, before any stage runs."""
+    spec = bundled_task_json("stack")["causal_spec"]
+    _each_graph(lambda graph: graph["nodes"].append("ghost"))({"causal_spec": spec})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "cf"
+    assert run_cli("augment-causal", "--task", "stack", "--spec", str(path), "--in", str(labeled_dir),
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'ghost', 'robot0']" in err
+    assert not out.exists()
+
+
+# each subcommand that once took --workers, with the flags it needs otherwise
+_WITHOUT_WORKERS = {
+    "gen-demos": ["--task", "stack", "--out", "o"],
+    "segment": ["--task", "stack", "--in", "i", "--out", "o"],
+    "augment-se3": ["--task", "stack", "--in", "i", "--out", "o"],
+    "augment-causal": ["--task", "stack", "--in", "i", "--out", "o"],
+    "augment-obs": ["--in", "i", "--out", "o"],
+    "validate": ["--task", "stack", "--in", "i"],
+    "replay": ["--task", "stack", "--in", "i"],
+    "ratio-study": ["--task", "stack", "--in", "i", "--out", "o"],
+    "run": ["--config", "c.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(_WITHOUT_WORKERS))
+def test_workers_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    """No subcommand takes --workers: every stage runs serially."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command, *_WITHOUT_WORKERS[command], "--workers", "1") == 1
+    assert "demoaug: error: unrecognized arguments: --workers 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--in", "{in}", "--out", "{out}", "--jitter", "0.2,0.2,0.2,0.1", "--task", "coffee"],
+         "--jitter given without --image"),
+        (["--in", "{in}", "--out", "{out}", "--crop-scale", "0.8,1.0"], "--crop-scale given without --image"),
+        (["--in", "{in}", "--out", "{out}", "--image-out", "{out}.ppm"], "--image-out given without --image"),
+        (["--in", "{in}", "--out", "{out}", "--permute", "2,0,1", "--blur-sigma", "1.0"],
+         "--permute, --blur-sigma given without --image"),
+        (["--in", "{in}", "--out", "{out}", "--force"], "--force given without --image"),
+        (["--in", "{in}", "--out", "{out}", "--out-size", "64,64"], "--out-size given without --image"),
+        (["--image", "{img}", "--image-out", "{out}.ppm", "--out-size", "64,64"],
+         "--out-size is the size of the crop and needs --crop-scale"),
+        (["--image", "{img}", "--image-out", "{out}.ppm", "--noise-sigma", "0.5", "--copies", "2"],
+         "--noise-sigma, --copies given without --in"),
+        (["--image", "{img}", "--image-out", "{out}.ppm", "--out", "{out}"], "--out given without --in"),
+        (["--image", "{img}", "--image-out", "{out}.ppm", "--in", "{in}"], "--in needs --out"),
+        (["--task", "coffee"], "augment-obs needs --image or --in"),
+    ],
+    ids=["jitter_without_image", "crop_scale_without_image", "image_out_without_image",
+         "permute_and_blur_without_image", "force_without_image", "out_size_without_image",
+         "out_size_without_crop_scale", "noise_without_in", "out_without_in", "in_without_out",
+         "neither_image_nor_in"],
+)
+def test_augment_obs_refuses_a_flag_it_would_ignore(tmp_path, labeled_dir, capsys, argv, message):
+    img = tmp_path / "a.ppm"
+    write_ppm(img, np.zeros((8, 8, 3), dtype=np.uint8))
+    out = tmp_path / "out"
+    argv = [a.format(img=img, out=out, **{"in": labeled_dir}) for a in argv]
+    assert run_cli("augment-obs", *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert not out.exists() and not (tmp_path / "out.ppm").exists()
 
 
 def test_gen_demos_negative_count_is_a_config_error(tmp_path, capsys):

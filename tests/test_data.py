@@ -652,13 +652,14 @@ def _reference_pose(pose):
 
 
 def reference_timestep_to_json(ts, schema) -> str:
+    extra_fields = {e.entity_id: e.extra_fields for e in schema.entities}
     out = {
         "t": int(ts.t),
         "entities": [
             {
                 "entity_id": e.entity_id,
                 "pose": _reference_pose(e.pose),
-                "extra": {k: float(e.extra[k]) for k in schema.entity(e.entity_id).extra_fields},
+                "extra": {k: float(e.extra[k]) for k in extra_fields[e.entity_id]},
             }
             for e in ts.entities
         ],

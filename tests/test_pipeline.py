@@ -6,7 +6,7 @@ import pytest
 
 from demoaug.counterfactual import CounterfactualConfig
 from demoaug.data import Dataset, Provenance, load_dataset
-from demoaug.errors import ColorJitterRefused, InvariantViolation, StageFailure
+from demoaug.errors import ConfigError, InvariantViolation, StageFailure
 from demoaug.pipeline import (
     PipelineConfig,
     RatioPlan,
@@ -18,8 +18,7 @@ from demoaug.pipeline import (
     stats,
     validate_dataset_full,
 )
-from demoaug.tasks import resolve_task, task_to_dict
-from tests.conftest import make_labeled_demos, stack_task_plus
+from tests.conftest import bundled_task_json, make_labeled_demos, stack_task_plus
 
 
 def tree_digest(root):
@@ -151,7 +150,7 @@ def test_a_distractor_runs_through_the_pipeline_and_is_swapped_in_every_copy(tmp
     """A fourth block with no spec edge is its own partition in every phase:
     the stack task plus `cube_d` generates, segments, retargets, augments and
     validates, and every counterfactual copy swaps `cube_d`."""
-    stack = task_to_dict(resolve_task("stack"))
+    stack = bundled_task_json("stack")
     sampler = dict(stack["samplers"]["cube_b"], y_range=[0.08, 0.2])  # the free quadrant
     task_path = tmp_path / "stack_distractor.json"
     task_path.write_text(json.dumps(stack_task_plus("cube_d", "block", sampler, stack["geoms"]["cube_b"])))
@@ -411,10 +410,8 @@ def test_pipeline_config_from_dict(tmp_path):
 
 
 def test_stage_params_are_typed_when_given():
-    from demoaug.errors import ConfigError
-
-    params = StageConfig("obs", {"noise_sigma": 0, "copies": 2, "force": True}).params
-    assert params == {"noise_sigma": 0.0, "copies": 2, "force": True}
+    params = StageConfig("obs", {"noise_sigma": 0, "copies": 2}).params
+    assert params == {"noise_sigma": 0.0, "copies": 2}
     assert type(params["noise_sigma"]) is float
     se3 = StageConfig("se3", {"count": None, "pos_range": [0, 1, -1, 0.5], "yaw_range": None}).params
     assert se3 == {"count": None, "pos_range": (0.0, 1.0, -1.0, 0.5), "yaw_range": None}
@@ -424,6 +421,10 @@ def test_stage_params_are_typed_when_given():
                          ("causal", {"donor_policy": "any"})]:
         with pytest.raises(ConfigError):
             StageConfig(name, params)
+    # the obs stage adds proprio noise alone: a color-op key is an unknown parameter
+    for key in ("jitter", "permute", "force"):
+        with pytest.raises(ConfigError, match=rf"stage 'obs' has no parameter '{key}' \(it takes noise_sigma, copies\)"):
+            StageConfig("obs", {"noise_sigma": 0.0, key: True})
 
 
 def test_readme_stage_table_matches_stages():
@@ -451,30 +452,3 @@ def test_readme_stage_table_matches_stages():
         if value is not None:
             shown = str(value).lower() if isinstance(value, bool) else str(value)
             assert shown in default, (name, key, default)
-
-
-def test_color_sensitive_obs_stage_refused(tmp_path):
-    cfg = PipelineConfig(
-        "stack",
-        (
-            StageConfig("gen", {"count": 1}),
-            StageConfig("segment"),
-            StageConfig("obs", {"noise_sigma": 0.0, "jitter": True}),
-        ),
-        str(tmp_path / "ref"),
-        master_seed=0,
-    )
-    with pytest.raises(ColorJitterRefused, match="color-sensitive"):
-        run_pipeline(cfg)
-    # with force it passes
-    cfg2 = PipelineConfig(
-        "stack",
-        (
-            StageConfig("gen", {"count": 1}),
-            StageConfig("segment"),
-            StageConfig("obs", {"noise_sigma": 0.0, "jitter": True, "force": True}),
-        ),
-        str(tmp_path / "ref2"),
-        master_seed=0,
-    )
-    run_pipeline(cfg2)

@@ -20,8 +20,8 @@ from demoaug.sim import (
     step,
 )
 from demoaug.render import rasterize_state
-from demoaug.tasks import task_from_dict, task_to_dict
-from tests.conftest import stack_task_plus
+from demoaug.tasks import task_from_dict
+from tests.conftest import bundled_task_json, replay_states, stack_task_plus
 
 
 def test_reset_deterministic(stack_task):
@@ -74,9 +74,8 @@ def test_step_deterministic_bit_exact(stack_task):
 
 def test_attachment_invariant_through_carry(stack_task):
     traj = rollout_expert(stack_task, seed=2)
-    _, ok, states = replay(traj, stack_task, trace=True)
-    assert ok
-    for s in states:
+    assert replay(traj, stack_task)[1]
+    for s in replay_states(traj, stack_task):
         if s.attachment is None:
             continue
         eid, offset = s.attachment
@@ -147,8 +146,9 @@ def test_phase_out_of_range(request, task_name):
 
 def test_rollout_then_replay_matches_trace(stack_task):
     traj = rollout_expert(stack_task, seed=11)
-    final, ok, states = replay(traj, stack_task, trace=True)
-    assert ok
+    final, ok = replay(traj, stack_task)
+    states = replay_states(traj, stack_task)
+    assert ok and final == states[-1]
     # replayed states reproduce the stored observations exactly
     for ts, s in zip(traj.timesteps, states):
         for e in ts.entities:
@@ -267,10 +267,10 @@ def test_rasterizer_deterministic_and_shaped(stack_task):
     assert not np.array_equal(img1, img3)
 
 
-def test_rasterizer_draws_a_receptacle_without_a_lid(coffee_task):
+def test_rasterizer_draws_a_receptacle_without_a_lid():
     """A receptacle entity with no lid_angle (the stack task plus a tray with
     the coffee machine's geometry) is drawn without the lid indicator."""
-    coffee = task_to_dict(coffee_task)
+    coffee = bundled_task_json("coffee")
     task = task_from_dict(stack_task_plus("tray", "receptacle", coffee["samplers"]["machine"], coffee["geoms"]["machine"]))
     state = reset(task, 0)
     assert "tray" in state.objects and state.lids == {}
@@ -373,7 +373,7 @@ def test_a_kind_in_the_table_brings_its_own_articulated_state(monkeypatch, tmp_p
     checked = []
     dial = sim.Articulation("dial", lambda task, eid: checked.append(eid), lambda task, eid: 0.25, _dial_update)
     monkeypatch.setitem(sim.TASK_KINDS, "stack3_dial", replace(sim.TASK_KINDS["stack3"], articulation=dial))
-    obj = task_to_dict(stack_task)
+    obj = bundled_task_json("stack")
     obj["kind"] = "stack3_dial"
     next(e for e in obj["schema"]["entities"] if e["entity_id"] == "cube_c")["extra_fields"] = ["dial"]
     task = task_from_dict(obj)
@@ -391,7 +391,8 @@ def test_a_kind_in_the_table_brings_its_own_articulated_state(monkeypatch, tmp_p
     save_dataset(ds, tmp_path / "dial")
     loaded = load_dataset(tmp_path / "dial")
     assert loaded == ds
-    final, ok, states = replay(loaded.trajectories[0], task, trace=True)
+    ok = replay(loaded.trajectories[0], task)[1]
+    states = replay_states(loaded.trajectories[0], task)
     assert ok and [s.lids["cube_c"] for s in states[:-1]] == dials
 
     # a stack3 task does not simulate the dial, and an unknown field names both kinds' fields
@@ -405,14 +406,15 @@ def test_a_kind_in_the_table_brings_its_own_articulated_state(monkeypatch, tmp_p
 
 def test_stack3_states_carry_no_articulated_state(stack_task):
     assert reset(stack_task, 3).lids == {}
-    _, ok, states = replay(rollout_expert(stack_task, 3), stack_task, trace=True)
-    assert ok and all(s.lids == {} for s in states)
+    traj = rollout_expert(stack_task, 3)
+    assert replay(traj, stack_task)[1]
+    assert all(s.lids == {} for s in replay_states(traj, stack_task))
 
 
-def test_a_stack_task_with_a_lidded_receptacle_is_refused(coffee_task):
+def test_a_stack_task_with_a_lidded_receptacle_is_refused():
     """The lid is the pod_lid kind's articulated state: a stack3 task whose
     receptacle declares lid_angle is refused when it is built."""
-    coffee = task_to_dict(coffee_task)
+    coffee = bundled_task_json("coffee")
     obj = stack_task_plus("tray", "receptacle", coffee["samplers"]["machine"], coffee["geoms"]["machine"])
     obj["schema"]["entities"][-1]["extra_fields"] = ["lid_angle"]
     with pytest.raises(InvariantViolation, match="extra field 'lid_angle', which a stack3 task does not simulate"):

@@ -2,7 +2,6 @@ import json
 import math
 import re
 from dataclasses import MISSING, fields
-from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demoaug.causal import load_causal_spec, causal_spec_to_dict, count_partitions
-from demoaug.data import EntityDecl
+from demoaug.causal import load_causal_spec, count_partitions
+from demoaug.data import EntityDecl, schema_to_json
 from demoaug.errors import DemoaugError, IoFailure
 from demoaug.sim import (
     ExpertParams,
@@ -23,9 +22,8 @@ from demoaug.sim import (
     rollout_expert,
 )
 from demoaug.pipeline import pipeline_config_from_dict
-from demoaug.tasks import load_task_definition, resolve_task, task_to_dict
-
-BUNDLED = files("demoaug") / "bundled"
+from demoaug.tasks import load_task_definition, resolve_task
+from tests.conftest import BUNDLED, bundled_task_json
 
 
 def test_resolve_bundled_names():
@@ -39,7 +37,7 @@ def test_task_json_round_trip(tmp_path):
     for name in ("stack", "coffee"):
         task = resolve_task(name)
         path = tmp_path / f"{task.task_id}.json"
-        path.write_text(json.dumps(task_to_dict(task), indent=2))
+        path.write_text(json.dumps(bundled_task_json(name), indent=2))
         loaded = load_task_definition(path)
         assert loaded.task_id == task.task_id
         assert loaded.kind == task.kind
@@ -76,16 +74,17 @@ def test_task_schema_is_hashable_by_what_it_compares(tmp_path, name):
 def test_resolve_task_from_path(tmp_path):
     task = resolve_task("coffee")
     path = tmp_path / "coffee.json"
-    path.write_text(json.dumps(task_to_dict(task)))
+    path.write_text(json.dumps(bundled_task_json("coffee")))
     loaded = resolve_task(str(path))
+    assert loaded == task
     assert replay(rollout_expert(loaded, seed=1), loaded)[1]
 
 
 def test_causal_spec_file_round_trip(tmp_path):
-    spec = resolve_task("stack").causal
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(causal_spec_to_dict(spec)))
+    path.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
     loaded = load_causal_spec(path)
+    assert loaded == resolve_task("stack").causal
     assert count_partitions(loaded) == 8
     assert loaded.segment_merge_map == (0, 1, 2, 3)
     # loader injects the diagonal
@@ -104,10 +103,17 @@ def test_missing_trajectory_file_is_io_failure(tmp_path, stack_task, stack_demos
         load_dataset(tmp_path / "ds")
 
 
-def test_bundled_task_files_round_trip():
-    """Each bundled task file says exactly what resolve_task builds from it."""
+def test_bundled_task_files_round_trip(tmp_path):
+    """Each bundled task file builds the same task from a path as by its
+    name, and its schema section is what the manifest writer writes for the
+    schema built from it."""
     for name in ("stack", "coffee"):
-        assert task_to_dict(resolve_task(name)) == json.loads((BUNDLED / f"{name}.json").read_text())
+        obj = bundled_task_json(name)
+        task = resolve_task(name)
+        assert schema_to_json(task.schema) == obj["schema"]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        assert load_task_definition(path) == task
     configs = Path(__file__).resolve().parents[1] / "configs"
     pipeline_config_from_dict(json.loads((configs / "pipeline_stack.json").read_text()))
 
