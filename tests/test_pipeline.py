@@ -421,10 +421,23 @@ def test_stage_params_are_typed_when_given():
                          ("causal", {"donor_policy": "any"})]:
         with pytest.raises(ConfigError):
             StageConfig(name, params)
-    # the obs stage adds proprio noise alone: a color-op key is an unknown parameter
+
+
+def test_color_sensitive_obs_stage_refused(tmp_path):
+    """The obs stage adds proprio noise alone: a color-op key is refused as
+    an unknown parameter, with or without force, before any stage runs."""
     for key in ("jitter", "permute", "force"):
         with pytest.raises(ConfigError, match=rf"stage 'obs' has no parameter '{key}' \(it takes noise_sigma, copies\)"):
             StageConfig("obs", {"noise_sigma": 0.0, key: True})
+    obj = {
+        "task": "stack",
+        "out": str(tmp_path / "ref"),
+        "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
+                   {"name": "obs", "noise_sigma": 0.0, "jitter": True, "force": True}],
+    }
+    with pytest.raises(ConfigError, match="stage 'obs' has no parameter 'force', 'jitter'"):
+        pipeline_config_from_dict(obj)
+    assert not (tmp_path / "ref").exists()
 
 
 def test_readme_stage_table_matches_stages():
