@@ -5,6 +5,13 @@ depends on node i's current state; the diagonal is always True. Partitions
 are connected components of the symmetrized adjacency: entities in
 different partitions never interact during the phase, so their states can
 be resampled independently.
+
+A causal spec holds one graph per phase, over the schema's entities and its
+one agent; in JSON each phase is an object with `phase_index`,
+`target_entity`, `grasp_closes` and `graph` (`nodes`, and `edges` as
+[source, target] pairs without the diagonal). check_spec refuses a spec
+whose graphs do not cover exactly the schema it is used with: a task's own
+spec when the task is built, and any spec a stage runs on a dataset with.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .data import Param, check_keys, dict_from_json, list_from_json, read_json, record_from_json
+from .data import Param, TaskSchema, check_keys, list_from_json, read_json, record_from_json
 from .errors import InvariantViolation
 
 
@@ -68,7 +75,7 @@ class Partition:
 
 
 def join_adjacency(a1: CausalGraph, a2: CausalGraph) -> CausalGraph:
-    """Joint multi-agent adjacency: OR the graphs, then OR with the transpose."""
+    """The join of two graphs over the same nodes: OR them, then OR with the transpose."""
     if a1.nodes != a2.nodes:
         raise InvariantViolation(f"node sets differ: {a1.nodes} vs {a2.nodes}")
     merged = a1.adjacency | a2.adjacency
@@ -101,36 +108,22 @@ def partitions(g: CausalGraph) -> list[Partition]:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One causal phase: per-agent graphs plus SE(3) retargeting metadata."""
+    """One causal phase: the agent's graph plus SE(3) retargeting metadata."""
 
     phase_index: int
-    graphs: dict[str, CausalGraph]
+    graph: CausalGraph
     target_entity: str
     grasp_closes: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "graphs", dict(self.graphs))
         if self.phase_index < 0:
             raise InvariantViolation("phase_index must be >= 0")
-        if not self.graphs:
-            raise InvariantViolation("phase needs at least one agent graph")
-        node_sets = {g.nodes for g in self.graphs.values()}
-        if len(node_sets) != 1:
-            raise InvariantViolation("per-agent graphs must share one node ordering")
-        nodes = next(iter(node_sets))
-        if self.target_entity not in nodes:
-            raise InvariantViolation(f"target {self.target_entity!r} not among nodes {nodes}")
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return next(iter(self.graphs.values())).nodes
+        if self.target_entity not in self.graph.nodes:
+            raise InvariantViolation(f"target {self.target_entity!r} not among nodes {self.graph.nodes}")
 
     def joint_graph(self) -> CausalGraph:
-        graphs = list(self.graphs.values())
-        joint = join_adjacency(graphs[0], graphs[0])
-        for g in graphs[1:]:
-            joint = join_adjacency(joint, g)
-        return joint
+        """The symmetrized graph whose components are the phase's partitions."""
+        return join_adjacency(self.graph, self.graph)
 
 
 @dataclass(frozen=True)
@@ -164,20 +157,26 @@ def count_partitions(spec: TaskCausalSpec) -> int:
     return sum(len(partitions(p.joint_graph())) for p in spec.phases)
 
 
-def swap_candidates(phase: PhaseSpec) -> list[Partition]:
-    """Joint-graph partitions containing no agent node and no target entity.
+def swap_candidates(phase: PhaseSpec, agent: str) -> list[Partition]:
+    """Joint-graph partitions containing neither the agent nor the target entity.
 
     Replacing any of these leaves the expert action unchanged: the policy
-    is a function of the causally relevant subset only. With several agents
-    a partition must be irrelevant to all of them.
+    is a function of the causally relevant subset only.
     """
-    agents = set(phase.graphs.keys())
-    out = []
-    for part in partitions(phase.joint_graph()):
-        if part.members & agents or phase.target_entity in part:
-            continue
-        out.append(part)
-    return out
+    return [part for part in partitions(phase.joint_graph())
+            if agent not in part and phase.target_entity not in part]
+
+
+def check_spec(spec: TaskCausalSpec, schema: TaskSchema) -> None:
+    """Refuse a spec that does not fit the schema it is used with: each
+    phase graph's nodes must be exactly the schema's entities and its agent.
+    An entity left out of a graph would be swapped as if it interacted with
+    nothing, and a node the schema lacks names state no timestep holds."""
+    nodes = {*schema.entity_ids(), schema.agent}
+    for phase in spec.phases:
+        if set(phase.graph.nodes) != nodes:
+            raise InvariantViolation(f"causal spec phase {phase.phase_index} has nodes {sorted(phase.graph.nodes)}, "
+                                     f"not the schema's entities and agent {sorted(nodes)}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +190,7 @@ def causal_spec_from_dict(obj, where: str = "") -> TaskCausalSpec:
 
 
 def _phases_from_json(where: str, obj) -> tuple[PhaseSpec, ...]:
-    def graphs(path, value):
-        return dict_from_json(path, value, _graph_from_json)
-
-    phases = list_from_json(where, obj, lambda path, p: record_from_json(PhaseSpec, path, p, graphs=("agents", graphs)))
+    phases = list_from_json(where, obj, lambda path, p: record_from_json(PhaseSpec, path, p, graph=_graph_from_json))
     return tuple(sorted(phases, key=lambda p: p.phase_index))
 
 

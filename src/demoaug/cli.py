@@ -6,9 +6,12 @@ Exit codes: 0 ok, 1 usage, 2 validation failure or a refused color op, 3
 stage failure or malformed input (an `error:` line, no traceback).
 
 Every flag acts: there is no --workers flag (a pipeline config's `workers`
-key is accepted and unused), augment-obs refuses its image flags without
---image, its dataset flags without --in and --out-size without
---crop-scale, and `run` overrides only the config's seed and out.
+key is accepted and unused), segment, validate and replay take no --seed
+(they draw nothing), augment-obs refuses its image flags without --image,
+its dataset flags without --in, --out-size without --crop-scale and
+--force unless --jitter or --permute is given with --task, and `run`
+overrides only the config's seed and out. A --spec is checked against the
+schema of the dataset it runs on, with or without --task.
 """
 
 from __future__ import annotations
@@ -146,6 +149,8 @@ def _cmd_obs(args) -> int:
         raise ConfigError("--in needs --out")
     if args.out_size is not None and args.crop_scale is None:
         raise ConfigError("--out-size is the size of the crop and needs --crop-scale")
+    if args.force and (args.task is None or (args.jitter is None and args.permute is None)):
+        raise ConfigError("--force overrides a task's color-op refusal and acts only with --task and --jitter or --permute")
     task = resolve_task(args.task) if args.task else None
     report: dict = {}
     if args.image:
@@ -241,7 +246,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="demoaug", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inp=True, out=True, task=True, spec=False):
+    def common(p, inp=True, out=True, task=True, spec=False, seed=True):
         if inp:
             p.add_argument("--in", dest="inp", required=True, help="input dataset directory")
         if out:
@@ -253,7 +258,10 @@ def build_parser() -> _Parser:
         if spec:
             p.add_argument("--spec", default=None,
                            help="causal spec JSON (overrides the task's bundled spec)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        else:  # the stage draws nothing; run_stage takes a seed all the same
+            p.set_defaults(seed=0)
         p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
 
     def stage_flags(p, stage, *flags, fn=_cmd_stage):
@@ -271,7 +279,7 @@ def build_parser() -> _Parser:
     stage_flags(p, "gen", ("count", "number of demos"))
 
     p = sub.add_parser("segment", help="label trajectories with causal phases")
-    common(p, spec=True)
+    common(p, spec=True, seed=False)
     stage_flags(p, "segment", ("close_threshold", "gripper aperture below which it counts as closed"),
                 ("debounce", "steps a gripper change must last"),
                 ("min_phase_len", "shortest phase in steps"))
@@ -309,15 +317,15 @@ def build_parser() -> _Parser:
     p.add_argument("--jitter", type=_floats, default=None, help="brightness,contrast,saturation,hue ranges")
     p.add_argument("--permute", type=_ints, default=None, help="channel permutation, e.g. 2,0,1")
     p.add_argument("--blur-sigma", type=_floats, default=None, help="gaussian blur sigma, or lo,hi to sample one")
-    p.add_argument("--force", action="store_true", help="override the color-sensitivity refusal")
+    p.add_argument("--force", action="store_true", help="override the task's color-sensitivity refusal of --jitter/--permute")
 
     p = sub.add_parser("validate", help="invariant + replay validation")
-    common(p, out=False)
+    common(p, out=False, seed=False)
     p.add_argument("--no-replay", action="store_true")
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("replay", help="replay stored actions through the simulator")
-    common(p, out=False)
+    common(p, out=False, seed=False)
     p.add_argument("--strict", action="store_true", help="nonzero exit on any failed trajectory")
     p.set_defaults(fn=_cmd_replay)
 

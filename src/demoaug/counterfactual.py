@@ -72,7 +72,8 @@ def _require_labels(traj: Trajectory):
 def build_phase_index(ds: Dataset, spec: TaskCausalSpec) -> PhaseIndex:
     """Index every (phase, resampleable partition) present in the dataset."""
     index = PhaseIndex()
-    candidates = {p.phase_index: swap_candidates(p) for p in spec.phases}
+    agent = ds.task_schema.agent
+    candidates = {p.phase_index: swap_candidates(p, agent) for p in spec.phases}
     for traj in ds.trajectories:
         _require_labels(traj)
         for phase, t0, t1 in traj.phase_ranges():
@@ -97,6 +98,7 @@ def _counterfactual_copy(
     spec: TaskCausalSpec,
     cfg: CounterfactualConfig,
     index: PhaseIndex,
+    agent: str,
 ) -> tuple[Trajectory, int, int]:
     """Returns (copy, swaps_done, swaps_without_donor)."""
     rng = derive_stream(cfg.master_seed, "cf", traj.traj_id, copy_index)
@@ -104,7 +106,7 @@ def _counterfactual_copy(
     swapped = 0
     missing = 0
     for phase, t0, t1 in traj.phase_ranges():
-        for part in swap_candidates(spec.phase(phase)):
+        for part in swap_candidates(spec.phase(phase), agent):
             if rng.uniform() >= cfg.swap_probability:
                 continue
             donors = index.donors(phase, part.members, exclude_traj=traj.traj_id)
@@ -151,7 +153,7 @@ def augment_offline(
     no_donor = 0
     for traj in ds.trajectories:
         for copy_index in range(cfg.copies_per_trajectory):
-            copy, swapped, missing = _counterfactual_copy(traj, copy_index, spec, cfg, index)
+            copy, swapped, missing = _counterfactual_copy(traj, copy_index, spec, cfg, index, ds.task_schema.agent)
             if missing and not swapped:
                 no_donor += 1
                 logger.warning(
@@ -192,20 +194,11 @@ def gripper_transit_jitter(
         window_end = t1 - JITTER_BOUNDARY_MARGIN
         for t in range(t0, max(t0, window_end)):
             ts = timesteps[t]
-            robots = list(ts.robots)
-            actions = list(ts.actions)
-            changed = False
-            for i, robot in enumerate(robots):
-                if robot.gripper_aperture <= JITTER_CLOSE_THRESHOLD:
-                    continue  # attached or closing; leave untouched
-                delta = float(rng_stream.uniform(-cfg.gripper_jitter_range, cfg.gripper_jitter_range))
-                robots[i] = replace(robot, gripper_aperture=min(1.0, max(0.0, robot.gripper_aperture + delta)))
-                for j, act in enumerate(actions):
-                    if act.agent_id == robot.agent_id:
-                        actions[j] = replace(
-                            act, gripper_command=min(1.0, max(0.0, act.gripper_command + delta))
-                        )
-                changed = True
-            if changed:
-                timesteps[t] = replace(ts, robots=tuple(robots), actions=tuple(actions))
+            (robot,), (act,) = ts.robots, ts.actions
+            if robot.gripper_aperture <= JITTER_CLOSE_THRESHOLD:
+                continue  # attached or closing; leave untouched
+            delta = float(rng_stream.uniform(-cfg.gripper_jitter_range, cfg.gripper_jitter_range))
+            robot = replace(robot, gripper_aperture=min(1.0, max(0.0, robot.gripper_aperture + delta)))
+            act = replace(act, gripper_command=min(1.0, max(0.0, act.gripper_command + delta)))
+            timesteps[t] = replace(ts, robots=(robot,), actions=(act,))
     return replace(traj, timesteps=tuple(timesteps))

@@ -71,7 +71,9 @@ class EntityDecl:
 @dataclass(frozen=True)
 class TaskSchema:
     """Entity/agent declarations plus the axis-aligned workspace box, which
-    `box` also holds as (min, max) float tuples."""
+    `box` also holds as (min, max) float tuples. `agents` holds exactly one
+    id, `agent`: the simulator drives one gripper, and every robot and
+    action list of a timestep holds that agent alone."""
 
     task_id: str
     entities: tuple[EntityDecl, ...]
@@ -96,9 +98,13 @@ class TaskSchema:
         ids = [e.entity_id for e in self.entities]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("duplicate entity ids in schema")
-        if len(set(self.agents)) != len(self.agents):
-            raise InvariantViolation("duplicate agent ids in schema")
+        if len(self.agents) != 1:
+            raise InvariantViolation(f"a schema declares exactly one agent, got agents {list(self.agents)}")
         object.__setattr__(self, "_line_heads", _line_heads(self))
+
+    @property
+    def agent(self) -> str:
+        return self.agents[0]
 
     def entity_ids(self) -> tuple[str, ...]:
         return tuple(e.entity_id for e in self.entities)
@@ -188,12 +194,6 @@ class Timestep:
             if e.entity_id == entity_id:
                 return e
         raise InvariantViolation(f"entity {entity_id!r} missing from timestep {self.t}")
-
-    def robot(self, agent_id: str) -> RobotState:
-        for r in self.robots:
-            if r.agent_id == agent_id:
-                return r
-        raise InvariantViolation(f"agent {agent_id!r} missing from timestep {self.t}")
 
 
 _ENTITY_SLOTS, _ROBOT_SLOTS, _ACTION_SLOTS, _TIMESTEP_SLOTS = map(
@@ -482,15 +482,17 @@ def _at(where: str, key) -> str:
 
 def check_keys(where: str, obj, required, known) -> None:
     """InvariantViolation unless `obj`, the JSON value at path `where`, is an
-    object that holds every key in `required` and no key outside `known`."""
+    object that holds every key in `required` and no key outside `known`.
+    An unknown key is named first: a key of an old layout is refused as what
+    it is, not as the new key it lacks."""
     if type(obj) is not dict:
         raise InvariantViolation(f"{where or 'the file'} must be a JSON object, got {type(obj).__name__}")
-    for key in required:
-        if key not in obj:
-            raise InvariantViolation(f"KeyError: {_at(where, key)!r}")
     for key in obj:
         if key not in known:
             raise InvariantViolation(f"unknown key {_at(where, key)!r} (known: {', '.join(known)})")
+    for key in required:
+        if key not in obj:
+            raise InvariantViolation(f"KeyError: {_at(where, key)!r}")
 
 
 # the Param kind of each field annotation (a string: the modules postpone

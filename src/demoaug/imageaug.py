@@ -438,29 +438,25 @@ def proprio_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> T
     """Gaussian noise on eef position observations; tangent-space jiggle on
     eef orientations. Actions and object states are untouched.
 
-    The noise of the whole trajectory is one draw of 6 values per robot
-    state, used per step, per robot, position then rotation vector: the
-    order of the 3-value draws it replaces, which give the same values and
-    leave the generator in the same state. The draw is read as Python
-    floats, and positions are added as floats: IEEE addition, the same bits
-    as numpy's add."""
+    The noise of the whole trajectory is one draw of 6 values per step (its
+    one robot state), position then rotation vector: the order of the
+    3-value draws it replaces, which give the same values and leave the
+    generator in the same state. The draw is read as Python floats, and
+    positions are added as floats: IEEE addition, the same bits as numpy's
+    add."""
     if not math.isfinite(sigma) or sigma < 0:
         raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return traj
-    n_states = sum(len(ts.robots) for ts in traj.timesteps)
-    noise = iter(rng.normal(0.0, sigma, 6 * n_states).reshape(n_states, 6).tolist())
+    n = len(traj.timesteps)
     new_steps = []
-    for ts in traj.timesteps:
-        robots = []
-        for robot in ts.robots:
-            dx, dy, dz, *rotvec = next(noise)
-            pose = robot.eef_pose
-            x, y, z = pose.xyz
-            ori = _normalize(_qmul(_from_rotvec(rotvec), pose.wxyz))
-            noisy = Pose((x + dx, y + dy, z + dz), ori)
-            robots.append(RobotState(robot.agent_id, noisy, robot.gripper_aperture))
-        new_steps.append(Timestep(ts.t, ts.entities, tuple(robots), ts.actions, ts.phase, ts.interp))
+    for ts, (dx, dy, dz, *rotvec) in zip(traj.timesteps, rng.normal(0.0, sigma, 6 * n).reshape(n, 6).tolist()):
+        (robot,) = ts.robots
+        pose = robot.eef_pose
+        x, y, z = pose.xyz
+        ori = _normalize(_qmul(_from_rotvec(rotvec), pose.wxyz))
+        noisy = RobotState(robot.agent_id, Pose((x + dx, y + dy, z + dz), ori), robot.gripper_aperture)
+        new_steps.append(Timestep(ts.t, ts.entities, (noisy,), ts.actions, ts.phase, ts.interp))
     return replace(traj, timesteps=tuple(new_steps))
 
 

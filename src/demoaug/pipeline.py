@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .causal import check_spec
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline
 from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
 from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
@@ -107,8 +108,9 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
 # Every stage has the signature (ds, task, spec, params, seed) -> (Dataset,
 # info) and reads its parameters from `params`: the values StageConfig
 # checked, over the defaults in STAGES. `spec` is the causal spec to work
-# with (the task's own, or one the CLI loaded); gen and obs ignore it, and
-# segment and causal need no task.
+# with (the task's own, or one the CLI loaded), which run_stage checks
+# against the dataset's schema; gen and obs ignore it, and segment and
+# causal need no task.
 
 
 def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
@@ -234,10 +236,12 @@ def check_dataset_task(ds: Dataset, task: TaskDefinition) -> None:
 
 def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
               seed: int) -> tuple[Dataset, dict]:
-    """Run one stage on `ds`, once checked against `task` when both are
-    given; the pipeline and the CLI subcommands both call this."""
+    """Run one stage on `ds`, once checked against `task` and `spec` when
+    they are given; the pipeline and the CLI subcommands both call this."""
     if ds is not None and task is not None:
         check_dataset_task(ds, task)
+    if ds is not None and spec is not None:
+        check_spec(spec, ds.task_schema)
     fn, table = STAGES[stage.name]
     return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 

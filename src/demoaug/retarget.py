@@ -149,7 +149,7 @@ def _one_attempt(
             T.apply_pose(segment[0].robots[0].eef_pose),
             icfg,
             gripper=actions[0].gripper_command,
-            agent_id=task.agent,
+            agent_id=task.schema.agent,
         )
         for i, a in enumerate(prefix + actions):
             timesteps.append(observe(state, task, t, a, phase=p, interp=i < len(prefix)))

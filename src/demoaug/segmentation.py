@@ -26,7 +26,6 @@ class SegmentationConfig:
 class PhaseBoundary:
     t: int
     transition: str  # "open_to_close" | "close_to_open"
-    agent_id: str
 
     def __post_init__(self):
         if self.t <= 0:
@@ -35,21 +34,15 @@ class PhaseBoundary:
             raise InvariantViolation(f"unknown transition {self.transition!r}")
 
 
-def _binary_states(traj: Trajectory, agent: str, cfg: SegmentationConfig) -> list[bool]:
-    states = []
-    for ts in traj.timesteps:
-        states.append(ts.robot(agent).gripper_aperture < cfg.close_threshold)
-    return states
-
-
-def detect_boundaries(traj: Trajectory, agent: str, cfg: SegmentationConfig) -> list[PhaseBoundary]:
-    """Boundaries at the first step of each debounced gripper-state flip.
+def detect_boundaries(traj: Trajectory, cfg: SegmentationConfig) -> list[PhaseBoundary]:
+    """Boundaries at the first step of each debounced flip of the agent's
+    gripper state (the schema's one agent: each timestep's one robot).
 
     A maximal run of the flipped binary state (closed = aperture below the
     threshold) only counts when it lasts at least debounce_steps; shorter
     blips are ignored and do not change the accepted state.
     """
-    binary = _binary_states(traj, agent, cfg)
+    binary = [ts.robots[0].gripper_aperture < cfg.close_threshold for ts in traj.timesteps]
     boundaries = []
     accepted = binary[0]
     i = 1
@@ -63,7 +56,7 @@ def detect_boundaries(traj: Trajectory, agent: str, cfg: SegmentationConfig) -> 
             i += 1
         if i - run_start >= cfg.debounce_steps:
             transition = "open_to_close" if run_state else "close_to_open"
-            boundaries.append(PhaseBoundary(run_start, transition, agent))
+            boundaries.append(PhaseBoundary(run_start, transition))
             accepted = run_state
     return boundaries
 
@@ -90,8 +83,7 @@ def assign_phases(traj: Trajectory, spec: TaskCausalSpec, cfg: SegmentationConfi
     Detected segments are merged by min_phase_len, then mapped through the
     spec's segment_merge_map; a count mismatch signals a bad demo or spec.
     """
-    agent = _pick_agent(traj)
-    boundaries = detect_boundaries(traj, agent, cfg)
+    boundaries = detect_boundaries(traj, cfg)
     segments = _merged_segments(len(traj.timesteps), boundaries, cfg.min_phase_len)
     if len(segments) != len(spec.segment_merge_map):
         raise InvariantViolation(
@@ -106,11 +98,3 @@ def assign_phases(traj: Trajectory, spec: TaskCausalSpec, cfg: SegmentationConfi
     timesteps = tuple(replace(ts, phase=labels[i]) for i, ts in enumerate(traj.timesteps))
     return replace(traj, timesteps=timesteps)
 
-
-def _pick_agent(traj: Trajectory) -> str:
-    robots = traj.timesteps[0].robots
-    if len(robots) != 1:
-        raise InvariantViolation(
-            f"trajectory {traj.traj_id!r} has {len(robots)} agents; single-agent segmentation only"
-        )
-    return robots[0].agent_id

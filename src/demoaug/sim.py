@@ -23,7 +23,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .causal import TaskCausalSpec
+from .causal import TaskCausalSpec, check_spec
 from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .geometry import Pose, SE3Transform, _from_yaw, _rigid, step_toward
@@ -134,9 +134,6 @@ class TaskDefinition:
             if set(keys) != set(ids):
                 raise InvariantViolation(
                     f"{name} are keyed by {sorted(keys)}, not by the schema's entities {sorted(ids)}")
-        if len(self.schema.agents) != 1:
-            raise InvariantViolation(
-                f"the schema declares agents {list(self.schema.agents)}; the simulator drives exactly one")
         object.__setattr__(self, "roles", kind.roles(self))
         for name, value in (
             ("sim.max_pos_step", self.sim.max_pos_step),
@@ -150,16 +147,7 @@ class TaskDefinition:
         if self.causal.num_phases != len(kind.phases):
             raise InvariantViolation(
                 f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {self.causal.num_phases}")
-        # each phase has the agent's graph alone, over exactly the schema's entities and the agent:
-        # an entity left out of a graph would be swapped as if it interacted with nothing
-        nodes = {*ids, self.agent}
-        for phase in self.causal.phases:
-            if list(phase.graphs) != [self.agent]:
-                raise InvariantViolation(f"phase {phase.phase_index} has graphs for agents {list(phase.graphs)}, "
-                                         f"not for the schema's agent {self.agent!r}")
-            if set(phase.nodes) != nodes:
-                raise InvariantViolation(f"phase {phase.phase_index} has nodes {sorted(phase.nodes)}, not the schema's "
-                                         f"entities and agent {sorted(nodes)}")
+        check_spec(self.causal, self.schema)
         # an extra field is a kind's articulated state (TASK_KINDS), and the task's kind must own it
         owners = {k.articulation.extra_field: k.articulation for k in TASK_KINDS.values() if k.articulation}
         for decl in self.schema.entities:
@@ -178,10 +166,6 @@ class TaskDefinition:
             for (r_lo, r_hi), w_lo, w_hi in zip((s.x_range, s.y_range, s.z_range), lo, hi):
                 if r_lo < w_lo or r_hi > w_hi:
                     raise InvariantViolation(f"sampler box for {eid!r} exceeds the task workspace")
-
-    @property
-    def agent(self) -> str:
-        return self.schema.agents[0]
 
 
 @dataclass(frozen=True)
@@ -235,7 +219,7 @@ def reset(task: TaskDefinition, seed) -> SimState:
         if all(_xy_dist(poses[a].xyz, poses[b].xyz) >= task.sim.min_separation for a, b in combinations(order, 2)):
             art = TASK_KINDS[task.kind].articulation  # an entity has an extra field only if its kind has one
             joints = {d.entity_id: art.initial(task, d.entity_id) for d in task.schema.entities if d.extra_fields}
-            gripper = RobotState(task.agent, task.home_pose, 1.0)
+            gripper = RobotState(task.schema.agent, task.home_pose, 1.0)
             return SimState(poses, joints, gripper, None, 0)
     raise InvariantViolation(
         f"no non-overlapping placement found in {task.sim.placement_attempts} attempts"
@@ -363,11 +347,11 @@ def _bounded_action(state: SimState, task: TaskDefinition, waypoint: tuple, grip
     eef = state.gripper.eef_pose
     goal = Pose(waypoint, eef.wxyz)
     stepped = step_toward(eef, goal, task.expert.step_pos, task.expert.step_rot)
-    return Action(task.agent, stepped, grip)
+    return Action(task.schema.agent, stepped, grip)
 
 
 def _hold(state: SimState, task: TaskDefinition, grip: float) -> Action:
-    return Action(task.agent, state.gripper.eef_pose, grip)
+    return Action(task.schema.agent, state.gripper.eef_pose, grip)
 
 
 def _grasp_policy(state: SimState, task: TaskDefinition, obj_id: str) -> Action:

@@ -49,8 +49,7 @@ def stack_task_plus(entity_id, kind, sampler, geom) -> dict:
     obj["samplers"][entity_id] = sampler
     obj["geoms"][entity_id] = geom
     for phase in obj["causal_spec"]["phases"]:
-        for graph in phase["agents"].values():
-            graph["nodes"].append(entity_id)
+        phase["graph"]["nodes"].append(entity_id)
     return obj
 
 

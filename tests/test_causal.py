@@ -12,72 +12,11 @@ from demoaug.causal import (
     partitions,
     swap_candidates,
     causal_spec_from_dict,
+    check_spec,
 )
 from demoaug.errors import InvariantViolation
 from demoaug.tasks import resolve_task
 from tests.conftest import bundled_task_json
-
-
-def _graph(nodes, pairs):
-    """Undirected interaction pairs -> adjacency with both directions set."""
-    return CausalGraph.from_edges(nodes, [e for a, b in pairs for e in ((a, b), (b, a))])
-
-
-def transport_causal_fixture() -> TaskCausalSpec:
-    """Two-agent causal spec used to exercise multi-agent graph joins."""
-    nodes = ("robot0", "robot1", "hammer", "cube", "bin_lid", "target_bin")
-    phases = (
-        PhaseSpec(
-            0,
-            {
-                "robot0": _graph(nodes, [("robot0", "bin_lid")]),
-                "robot1": _graph(nodes, [("robot1", "cube")]),
-            },
-            "bin_lid",
-            True,
-        ),
-        PhaseSpec(
-            1,
-            {
-                "robot0": _graph(nodes, [("robot0", "hammer")]),
-                "robot1": _graph(nodes, [("robot1", "cube"), ("cube", "target_bin")]),
-            },
-            "hammer",
-            True,
-        ),
-        PhaseSpec(
-            2,
-            {
-                "robot0": _graph(nodes, [("robot0", "hammer"), ("hammer", "robot1")]),
-                "robot1": _graph(nodes, [("robot1", "hammer")]),
-            },
-            "hammer",
-            False,
-        ),
-    )
-    return TaskCausalSpec("transport_fixture", phases, (0, 1, 2))
-
-
-_TRANSPORT_NODES = ["robot0", "robot1", "hammer", "cube", "bin_lid", "target_bin"]
-
-# transport_causal_fixture() in the JSON layout of a causal spec file
-TRANSPORT_JSON = {
-    "task_id": "transport_fixture",
-    "phases": [
-        {"phase_index": 0, "target_entity": "bin_lid", "grasp_closes": True, "agents": {
-            "robot0": {"nodes": _TRANSPORT_NODES, "edges": [["robot0", "bin_lid"], ["bin_lid", "robot0"]]},
-            "robot1": {"nodes": _TRANSPORT_NODES, "edges": [["robot1", "cube"], ["cube", "robot1"]]}}},
-        {"phase_index": 1, "target_entity": "hammer", "grasp_closes": True, "agents": {
-            "robot0": {"nodes": _TRANSPORT_NODES, "edges": [["robot0", "hammer"], ["hammer", "robot0"]]},
-            "robot1": {"nodes": _TRANSPORT_NODES, "edges": [["robot1", "cube"], ["cube", "robot1"],
-                                                            ["cube", "target_bin"], ["target_bin", "cube"]]}}},
-        {"phase_index": 2, "target_entity": "hammer", "grasp_closes": False, "agents": {
-            "robot0": {"nodes": _TRANSPORT_NODES, "edges": [["robot0", "hammer"], ["hammer", "robot0"],
-                                                            ["hammer", "robot1"], ["robot1", "hammer"]]},
-            "robot1": {"nodes": _TRANSPORT_NODES, "edges": [["robot1", "hammer"], ["hammer", "robot1"]]}}},
-    ],
-    "segment_merge_map": [0, 1, 2],
-}
 
 
 def brute_force_partitions(nodes, adj):
@@ -187,59 +126,44 @@ def test_count_partitions_bundled_stack():
 def test_count_partitions_trivial():
     spec = resolve_task("stack").causal
     # single phase with a complete joint graph -> exactly one partition
-    complete = type(spec.phases[0])(0, spec.phases[3].graphs, spec.phases[3].target_entity, False)
-    assert count_partitions(type(spec)("one", (complete,), (0,))) == 1
+    complete = PhaseSpec(0, spec.phases[3].graph, spec.phases[3].target_entity, False)
+    assert count_partitions(TaskCausalSpec("one", (complete,), (0,))) == 1
     # two phases of two singletons each -> 4
-    nodes = ("R", "A")
-    empty = CausalGraph.from_edges(nodes, [])
-    p0 = type(spec.phases[0])(0, {"R": empty}, "A", True)
-    p1 = type(spec.phases[0])(1, {"R": empty}, "A", False)
-    assert count_partitions(type(spec)("two", (p0, p1), (0, 1))) == 4
+    empty = CausalGraph.from_edges(("R", "A"), [])
+    p0 = PhaseSpec(0, empty, "A", True)
+    p1 = PhaseSpec(1, empty, "A", False)
+    assert count_partitions(TaskCausalSpec("two", (p0, p1), (0, 1))) == 4
 
 
 def test_resampleable_partitions_examples():
     spec = resolve_task("stack").causal
     phase3 = spec.phases[2]  # reach cube_c; stacked pair is independent
-    free = swap_candidates(phase3)
+    free = swap_candidates(phase3, "robot0")
     assert [p.members for p in free] == [frozenset({"cube_a", "cube_b"})]
 
     phase4 = spec.phases[3]
-    assert swap_candidates(phase4) == []
+    assert swap_candidates(phase4, "robot0") == []
 
     singles = CausalGraph.from_edges(("R", "A", "B"), [])
-    phase = type(spec.phases[0])(0, {"R": singles}, "A", True)
-    assert [p.members for p in swap_candidates(phase)] == [frozenset({"B"})]
+    phase = PhaseSpec(0, singles, "A", True)
+    assert [p.members for p in swap_candidates(phase, "R")] == [frozenset({"B"})]
 
 
 def test_resampleable_subset_and_exclusions():
-    for spec in (resolve_task("stack").causal, resolve_task("coffee").causal):
-        for phase in spec.phases:
-            (agent,) = phase.graphs
-            free = swap_candidates(phase)
-            all_parts = {p.members for p in partitions(phase.graphs[agent])}
+    for task in (resolve_task("stack"), resolve_task("coffee")):
+        agent = task.schema.agent
+        for phase in task.causal.phases:
+            free = swap_candidates(phase, agent)
+            all_parts = {p.members for p in partitions(phase.graph)}
             for p in free:
                 assert p.members in all_parts
                 assert agent not in p.members
                 assert phase.target_entity not in p.members
 
 
-def test_transport_fixture_joint_graphs():
-    spec = transport_causal_fixture()
-    parts0 = [p.members for p in partitions(spec.phases[0].joint_graph())]
-    assert frozenset({"robot0", "bin_lid"}) in parts0
-    assert frozenset({"robot1", "cube"}) in parts0
-    parts2 = [p.members for p in partitions(spec.phases[2].joint_graph())]
-    assert frozenset({"robot0", "robot1", "hammer"}) in parts2
-    # partitions irrelevant to both agents are swap candidates
-    cands = swap_candidates(spec.phases[2])
-    assert all("robot0" not in c.members and "robot1" not in c.members for c in cands)
-    assert frozenset({"cube"}) in {c.members for c in cands}
-
-
 def test_spec_dict_round_trip():
     for spec, obj in ((resolve_task("stack").causal, bundled_task_json("stack")["causal_spec"]),
-                      (resolve_task("coffee").causal, bundled_task_json("coffee")["causal_spec"]),
-                      (transport_causal_fixture(), TRANSPORT_JSON)):
+                      (resolve_task("coffee").causal, bundled_task_json("coffee")["causal_spec"])):
         rebuilt = causal_spec_from_dict(obj)
         assert rebuilt == spec
         assert rebuilt.task_id == spec.task_id
@@ -247,9 +171,16 @@ def test_spec_dict_round_trip():
         for a, b in zip(rebuilt.phases, spec.phases):
             assert a.target_entity == b.target_entity
             assert a.grasp_closes == b.grasp_closes
-            assert set(a.graphs) == set(b.graphs)
-            for agent in a.graphs:
-                assert a.graphs[agent] == b.graphs[agent]
+            assert a.graph == b.graph
+
+
+def test_check_spec_against_schema():
+    stack, coffee = resolve_task("stack"), resolve_task("coffee")
+    check_spec(stack.causal, stack.schema)
+    check_spec(coffee.causal, coffee.schema)
+    with pytest.raises(InvariantViolation, match=r"causal spec phase 0 has nodes \['cube_a', 'cube_b', 'cube_c', "
+                                                 r"'robot0'\], not the schema's entities and agent \['machine', 'pod', 'robot0'\]"):
+        check_spec(stack.causal, coffee.schema)
 
 
 def test_diagonal_required():

@@ -1,5 +1,6 @@
 import inspect
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -293,7 +294,8 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
     prev = []
     for i, (name, command, _, flags) in enumerate(stages):
         out = tmp_path / "cli" / name
-        assert run_cli(command, "--task", "stack", "--seed", "12", *prev, "--out", str(out), *flags) == 0
+        seed = [] if command == "segment" else ["--seed", "12"]  # segment draws nothing and takes no --seed
+        assert run_cli(command, "--task", "stack", *seed, *prev, "--out", str(out), *flags) == 0
         assert tree_digest(out) == tree_digest(tmp_path / "pipe" / f"stage_{i:02d}_{name}"), name
         prev = ["--in", str(out)]
     # noised copies of the 4 composites stay counterfactual; the other 4 copies are mixed
@@ -401,19 +403,27 @@ def _each_graph(edit):
     """An edit of every phase graph of a task's causal spec."""
     def each(task):
         for phase in task["causal_spec"]["phases"]:
-            for graph in phase["agents"].values():
-                edit(graph)
+            edit(phase["graph"])
     return each
 
 
-def _rekey_graphs(task):
-    for phase in task["causal_spec"]["phases"]:
-        phase["agents"] = {"robotX": phase["agents"]["robot0"]}
+def _rename_node(old, new):
+    """An edit of a phase graph that renames node `old` to `new`."""
+    def rename(graph):
+        graph["nodes"] = [new if n == old else n for n in graph["nodes"]]
+        graph["edges"] = [[new if n == old else n for n in e] for e in graph.get("edges", [])]
+    return rename
 
 
 def _drop_node(graph, node):
     graph["nodes"].remove(node)
     graph["edges"] = [e for e in graph.get("edges", []) if node not in e]
+
+
+def _old_layout(spec):
+    """A causal spec in the layout that kept one graph per agent."""
+    for phase in spec["phases"]:
+        phase["agents"] = {"robot0": phase.pop("graph")}
 
 
 @pytest.mark.parametrize(
@@ -438,16 +448,18 @@ def _drop_node(graph, node):
         # sections that disagree with each other
         (_task_with("stack", _set("stack_order", ["cube_b", "cube_a"])), "must be 3 distinct schema entities"),
         (_task_with("stack", _set("sim", "max_rot_step", -1)), "sim.max_rot_step must be > 0, got -1"),
-        (_task_with("stack", _set("schema", "agents", [])), "the schema declares agents []"),
+        (_task_with("stack", _set("schema", "agents", [])), "a schema declares exactly one agent, got agents []"),
         (_task_with("stack", _set("schema", "agents", ["robot0", "robot1"])),
-         "the schema declares agents ['robot0', 'robot1']; the simulator drives exactly one"),
+         "a schema declares exactly one agent, got agents ['robot0', 'robot1']"),
         (_task_with("stack", _each_graph(lambda graph: graph["nodes"].append("ghost"))),
          "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'ghost', 'robot0'], "
          "not the schema's entities and agent ['cube_a', 'cube_b', 'cube_c', 'robot0']"),
-        (_task_with("stack", _rekey_graphs),
-         "phase 0 has graphs for agents ['robotX'], not for the schema's agent 'robot0'"),
-        (_task_with("stack", lambda task: _drop_node(task["causal_spec"]["phases"][2]["agents"]["robot0"], "cube_a")),
+        (_task_with("stack", _each_graph(_rename_node("robot0", "robotX"))),
+         "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'robotX'], not the schema's entities and agent"),
+        (_task_with("stack", lambda task: _drop_node(task["causal_spec"]["phases"][2]["graph"], "cube_a")),
          "phase 2 has nodes ['cube_b', 'cube_c', 'robot0'], not the schema's entities and agent"),
+        (_task_with("stack", lambda task: _old_layout(task["causal_spec"])),
+         "unknown key 'causal_spec.phases[0].agents' (known: graph, "),
         (_task_with("coffee", lambda task: task["samplers"].pop("pod")),
          "samplers are keyed by ['machine'], not by the schema's entities ['machine', 'pod']"),
         (_task_with("stack", lambda task: task["schema"]["entities"].pop(0)),
@@ -481,6 +493,7 @@ def _drop_node(graph, node):
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents",
          "two_agents", "ghost_node_in_every_phase", "graphs_of_another_agent", "phase_2_without_cube_a",
+         "old_per_agent_spec_layout",
          "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
          "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few",
@@ -505,8 +518,9 @@ def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
         ("{", "failed reading causal spec file"),
         (_set("phases", 0, "phase_index", "x"), "phases[0].phase_index must be an integer"),
         (_set("phases", 0, "grasp_closes", "no"), "phases[0].grasp_closes must be true or false"),
+        (_old_layout, "unknown key 'phases[0].agents'"),
     ],
-    ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes"],
+    ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes", "old_per_agent_layout"],
 )
 def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content, message):
     path = tmp_path / "spec.json"
@@ -538,6 +552,62 @@ def test_spec_file_that_disagrees_with_the_task_is_an_error(tmp_path, labeled_di
     assert err.startswith("error:") and err.count("\n") == 1
     assert "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'ghost', 'robot0']" in err
     assert not out.exists()
+
+
+def _add_agent(spec):
+    """Give every phase graph of a causal spec a second agent, robot1,
+    acting on the phase's target."""
+    for phase in spec["phases"]:
+        phase["graph"]["nodes"].append("robot1")
+        phase["graph"]["edges"].append(["robot1", phase["target_entity"]])
+
+
+@pytest.mark.parametrize("command", ["segment", "augment-causal"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda spec: _drop_node(spec["phases"][2]["graph"], "cube_a"),
+         "causal spec phase 2 has nodes ['cube_b', 'cube_c', 'robot0'], "
+         "not the schema's entities and agent ['cube_a', 'cube_b', 'cube_c', 'robot0']"),
+        (_add_agent, "causal spec phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'robot0', 'robot1'], not"),
+        (lambda spec: _each_graph(_rename_node("robot0", "robotX"))({"causal_spec": spec}),
+         "causal spec phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'robotX'], not"),
+    ],
+    ids=["phase_2_without_cube_a", "second_agent", "unknown_agent"],
+)
+def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_dir, capsys, command, edit, message):
+    """Without --task, a --spec is checked against the schema of the dataset
+    it runs on, before the stage writes anything."""
+    spec = bundled_task_json("stack")["causal_spec"]
+    edit(spec)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run_cli(command, "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+def test_manifest_with_two_agents_is_an_error(tmp_path, labeled_dir, capsys):
+    root = tmp_path / "two_agents"
+    shutil.copytree(labeled_dir, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["task_schema"]["agents"].append("robot1")
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    assert run_cli("stats", "--in", str(root)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "a schema declares exactly one agent, got agents ['robot0', 'robot1']" in err
+
+
+@pytest.mark.parametrize("command", ["segment", "validate", "replay"])
+def test_seed_flag_of_a_stage_that_draws_nothing_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    argv = ["--task", "stack", "--in", "i"] + (["--out", "o"] if command == "segment" else [])
+    assert run_cli(command, *argv, "--seed", "1") == 1
+    assert "demoaug: error: unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # each subcommand that once took --workers, with the flags it needs otherwise
@@ -581,11 +651,15 @@ def test_workers_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
         (["--image", "{img}", "--image-out", "{out}.ppm", "--out", "{out}"], "--out given without --in"),
         (["--image", "{img}", "--image-out", "{out}.ppm", "--in", "{in}"], "--in needs --out"),
         (["--task", "coffee"], "augment-obs needs --image or --in"),
+        (["--image", "{img}", "--image-out", "{out}.ppm", "--blur-sigma", "1.0", "--task", "coffee", "--force"],
+         "--force overrides a task's color-op refusal and acts only with --task and --jitter or --permute"),
+        (["--image", "{img}", "--image-out", "{out}.ppm", "--permute", "2,0,1", "--force"],
+         "--force overrides a task's color-op refusal and acts only with --task and --jitter or --permute"),
     ],
     ids=["jitter_without_image", "crop_scale_without_image", "image_out_without_image",
          "permute_and_blur_without_image", "force_without_image", "out_size_without_image",
          "out_size_without_crop_scale", "noise_without_in", "out_without_in", "in_without_out",
-         "neither_image_nor_in"],
+         "neither_image_nor_in", "force_without_color_op", "force_without_task"],
 )
 def test_augment_obs_refuses_a_flag_it_would_ignore(tmp_path, labeled_dir, capsys, argv, message):
     img = tmp_path / "a.ppm"

@@ -336,6 +336,7 @@ def _set_field(*keys_then_value):
         _set_entry("num_timesteps", 3.0),
         _set_entry("frame", "world"),
         _edit_manifest(lambda manifest: {**manifest, "notes": "x"}),
+        _edit_manifest(lambda manifest: _set_in(manifest, "task_schema", "agents", ["robot0", "robot1"])),
     ],
     ids=["missing_traj_id", "missing_success", "unknown_provenance", "manifest_is_list",
          "num_timesteps_mismatch", "success_not_bool", "file_escapes_directory", "file_shared",
@@ -345,7 +346,7 @@ def _set_field(*keys_then_value):
          "gripper_aperture_int_overflow", "position_int_overflow", "position_string", "position_bool",
          "orientation_not_list", "interp_string", "interp_int", "phase_negative",
          "workspace_bound_string", "num_timesteps_float", "entry_unknown_key",
-         "manifest_unknown_key"],
+         "manifest_unknown_key", "schema_with_two_agents"],
 )
 def test_malformed_manifest_raises_invariant_violation(tmp_path, edit):
     from demoaug.cli import main
@@ -707,7 +708,7 @@ def _pose(draw):
 @st.composite
 def _schema_and_timestep(draw):
     entity_ids = draw(st.lists(_ids, min_size=1, max_size=3, unique=True))
-    agents = draw(st.lists(_ids, min_size=1, max_size=2, unique=True))
+    agents = [draw(_ids)]  # a schema declares exactly one agent
     decls = tuple(
         EntityDecl(eid, "block", tuple(draw(st.lists(_ids, max_size=3, unique=True)))) for eid in entity_ids
     )

@@ -198,19 +198,18 @@ def reference_proprio_noise(traj, sigma, rng):
     return replace(traj, timesteps=tuple(new_steps))
 
 
-def _trajectory(seed: int, n_steps: int, n_robots: int) -> Trajectory:
+def _trajectory(seed: int, n_steps: int) -> Trajectory:
     rng = np.random.default_rng(seed)
 
     def pose():
         return Pose(rng.uniform(-1.0, 1.0, 3), quat_normalize(rng.normal(0.0, 1.0, 4)))
 
-    agents = [f"robot{k}" for k in range(n_robots)]
     steps = tuple(
         Timestep(
             t,
             (EntityState("block", pose()),),
-            tuple(RobotState(a, pose(), rng.uniform(0.0, 1.0)) for a in agents),
-            tuple(Action(a, pose(), rng.uniform(0.0, 1.0)) for a in agents),
+            (RobotState("robot0", pose(), rng.uniform(0.0, 1.0)),),
+            (Action("robot0", pose(), rng.uniform(0.0, 1.0)),),
             phase=t // 2,
             interp=t % 3 == 1,
         )
@@ -223,11 +222,10 @@ def _trajectory(seed: int, n_steps: int, n_robots: int) -> Trajectory:
 @given(
     sigma=st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-12, 0.01]), st.floats(1e-9, 2.0)),
     n_steps=st.integers(1, 12),
-    n_robots=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_proprio_noise_equals_per_step_draws(sigma, n_steps, n_robots, seed):
-    traj = _trajectory(seed, n_steps, n_robots)
+def test_proprio_noise_equals_per_step_draws(sigma, n_steps, seed):
+    traj = _trajectory(seed, n_steps)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = proprio_noise(traj, sigma, rng)
     want = reference_proprio_noise(traj, sigma, ref_rng)

@@ -23,15 +23,15 @@ def traj_from_apertures(apertures):
 
 def single_phase_spec(n_segments=1):
     g = CausalGraph.from_edges(("robot0", "obj"), [("robot0", "obj")])
-    phases = (PhaseSpec(0, {"robot0": g}, "obj", True),)
+    phases = (PhaseSpec(0, g, "obj", True),)
     return TaskCausalSpec("t", phases, tuple([0] * n_segments))
 
 
 def two_phase_spec(merge_map):
     g = CausalGraph.from_edges(("robot0", "obj"), [("robot0", "obj")])
     phases = (
-        PhaseSpec(0, {"robot0": g}, "obj", True),
-        PhaseSpec(1, {"robot0": g}, "obj", False),
+        PhaseSpec(0, g, "obj", True),
+        PhaseSpec(1, g, "obj", False),
     )
     return TaskCausalSpec("t", phases, tuple(merge_map))
 
@@ -39,39 +39,33 @@ def two_phase_spec(merge_map):
 def test_boundaries_basic_runs():
     traj = traj_from_apertures([1] * 5 + [0] * 5 + [1] * 5)
     cfg = SegmentationConfig(debounce_steps=2)
-    got = detect_boundaries(traj, "robot0", cfg)
+    got = detect_boundaries(traj, cfg)
     assert [(b.t, b.transition) for b in got] == [(5, "open_to_close"), (10, "close_to_open")]
 
 
 def test_boundaries_debounce_rejects_blip():
     traj = traj_from_apertures([1] * 5 + [0] * 1 + [1] * 4)
     cfg = SegmentationConfig(debounce_steps=2)
-    assert detect_boundaries(traj, "robot0", cfg) == []
+    assert detect_boundaries(traj, cfg) == []
 
 
 def test_boundaries_constant_aperture():
     traj = traj_from_apertures([0.8] * 7)
-    assert detect_boundaries(traj, "robot0", SegmentationConfig()) == []
+    assert detect_boundaries(traj, SegmentationConfig()) == []
 
 
 def test_boundaries_alternate_strictly():
     traj = traj_from_apertures([1] * 5 + [0] * 5 + [1] * 5 + [0] * 5 + [1] * 5)
-    got = detect_boundaries(traj, "robot0", SegmentationConfig(debounce_steps=2))
+    got = detect_boundaries(traj, SegmentationConfig(debounce_steps=2))
     transitions = [b.transition for b in got]
     assert transitions == ["open_to_close", "close_to_open", "open_to_close", "close_to_open"]
 
 
-def test_agent_not_found():
-    traj = traj_from_apertures([1, 0, 1])
-    with pytest.raises(InvariantViolation, match="agent 'robot9' missing from timestep 0"):
-        detect_boundaries(traj, "robot9", SegmentationConfig())
-
-
 def test_boundary_invariants():
     with pytest.raises(Exception):
-        PhaseBoundary(0, "open_to_close", "robot0")
+        PhaseBoundary(0, "open_to_close")
     with pytest.raises(Exception):
-        PhaseBoundary(3, "sideways", "robot0")
+        PhaseBoundary(3, "sideways")
 
 
 def test_assign_phases_zero_boundaries_single_phase():

@@ -196,7 +196,7 @@ def test_expert_causal_invariance_randomized(stack_task, stack_demos):
         for ts in traj.timesteps[:: max(1, len(traj.timesteps) // 40)]:
             state = sim_state_from_timestep(ts, stack_task)
             base = expert_action(state, stack_task, ts.phase)
-            free = swap_candidates(stack_task.causal.phase(ts.phase))
+            free = swap_candidates(stack_task.causal.phase(ts.phase), stack_task.schema.agent)
             free_ids = [m for p in free for m in p.members]
             if not free_ids:
                 continue

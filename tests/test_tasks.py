@@ -89,8 +89,7 @@ def test_causal_spec_file_round_trip(tmp_path):
     assert loaded.segment_merge_map == (0, 1, 2, 3)
     # loader injects the diagonal
     for phase in loaded.phases:
-        for g in phase.graphs.values():
-            assert np.all(np.diag(g.adjacency))
+        assert np.all(np.diag(phase.graph.adjacency))
 
 
 def test_missing_trajectory_file_is_io_failure(tmp_path, stack_task, stack_demos):
