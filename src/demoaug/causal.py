@@ -7,11 +7,13 @@ different partitions never interact during the phase, so their states can
 be resampled independently.
 
 A causal spec holds one graph per phase, over the schema's entities and its
-one agent; in JSON each phase is an object with `phase_index`,
-`target_entity`, `grasp_closes` and `graph` (`nodes`, and `edges` as
-[source, target] pairs without the diagonal). check_spec refuses a spec
-whose graphs do not cover exactly the schema it is used with: a task's own
-spec when the task is built, and any spec a stage runs on a dataset with.
+one agent, and no task id: the schema it is used with holds that. In JSON it
+is `phases` and `segment_merge_map`; each phase is an object with
+`phase_index`, `target_entity`, `grasp_closes` and `graph` (`nodes`, and
+`edges` as [source, target] pairs without the diagonal). check_spec
+refuses a spec whose graphs do not cover exactly the schema it is used
+with: a task's own spec when the task is built, and any spec a stage runs
+on a dataset with.
 """
 
 from __future__ import annotations
@@ -128,7 +130,6 @@ class PhaseSpec:
 
 @dataclass(frozen=True)
 class TaskCausalSpec:
-    task_id: str
     phases: tuple[PhaseSpec, ...]
     segment_merge_map: tuple[int, ...]
 

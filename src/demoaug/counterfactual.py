@@ -14,8 +14,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
-from .causal import TaskCausalSpec, swap_candidates
-from .data import Dataset, EntityState, Timestep, Trajectory, Provenance
+from .causal import Partition, TaskCausalSpec, swap_candidates
+from .data import Action, Dataset, EntityState, RobotState, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .rng import derive_stream
 
@@ -72,8 +72,7 @@ def _require_labels(traj: Trajectory):
 def build_phase_index(ds: Dataset, spec: TaskCausalSpec) -> PhaseIndex:
     """Index every (phase, resampleable partition) present in the dataset."""
     index = PhaseIndex()
-    agent = ds.task_schema.agent
-    candidates = {p.phase_index: swap_candidates(p, agent) for p in spec.phases}
+    candidates = {p.phase_index: swap_candidates(p, ds.task_schema.agent) for p in spec.phases}
     for traj in ds.trajectories:
         _require_labels(traj)
         for phase, t0, t1 in traj.phase_ranges():
@@ -95,18 +94,18 @@ def _swap_timestep(ts: Timestep, snapshot: dict[str, EntityState]) -> Timestep:
 def _counterfactual_copy(
     traj: Trajectory,
     copy_index: int,
-    spec: TaskCausalSpec,
     cfg: CounterfactualConfig,
     index: PhaseIndex,
-    agent: str,
+    candidates: dict[int, list[Partition]],
 ) -> tuple[Trajectory, int, int]:
-    """Returns (copy, swaps_done, swaps_without_donor)."""
+    """Returns (copy, swaps_done, swaps_without_donor); `candidates` holds
+    each phase's swap_candidates."""
     rng = derive_stream(cfg.master_seed, "cf", traj.traj_id, copy_index)
     timesteps = list(traj.timesteps)
     swapped = 0
     missing = 0
     for phase, t0, t1 in traj.phase_ranges():
-        for part in swap_candidates(spec.phase(phase), agent):
+        for part in candidates[phase]:
             if rng.uniform() >= cfg.swap_probability:
                 continue
             donors = index.donors(phase, part.members, exclude_traj=traj.traj_id)
@@ -148,12 +147,13 @@ def augment_offline(
     (unswapped) with a warning, so output counts stay exact.
     """
     index = build_phase_index(ds, spec)
+    candidates = {p.phase_index: swap_candidates(p, ds.task_schema.agent) for p in spec.phases}
     out = list(ds.trajectories)
     total_swaps = 0
     no_donor = 0
     for traj in ds.trajectories:
         for copy_index in range(cfg.copies_per_trajectory):
-            copy, swapped, missing = _counterfactual_copy(traj, copy_index, spec, cfg, index, ds.task_schema.agent)
+            copy, swapped, missing = _counterfactual_copy(traj, copy_index, cfg, index, candidates)
             if missing and not swapped:
                 no_donor += 1
                 logger.warning(
@@ -198,7 +198,7 @@ def gripper_transit_jitter(
             if robot.gripper_aperture <= JITTER_CLOSE_THRESHOLD:
                 continue  # attached or closing; leave untouched
             delta = float(rng_stream.uniform(-cfg.gripper_jitter_range, cfg.gripper_jitter_range))
-            robot = replace(robot, gripper_aperture=min(1.0, max(0.0, robot.gripper_aperture + delta)))
-            act = replace(act, gripper_command=min(1.0, max(0.0, act.gripper_command + delta)))
+            robot = RobotState(robot.eef_pose, robot.gripper_aperture + delta)  # the constructors clamp to [0, 1]
+            act = Action(act.target_eef_pose, act.gripper_command + delta)
             timesteps[t] = replace(ts, robots=(robot,), actions=(act,))
     return replace(traj, timesteps=tuple(timesteps))

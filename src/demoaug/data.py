@@ -8,20 +8,22 @@ and load(save(ds)) == ds field for field.
 
 Records are immutable. The per-timestep ones (EntityState, RobotState,
 Action, Timestep) set their slots directly, with the constructors' checks
-and conversions, and no more. A trajectory records the schema its timesteps
-passed their checks under, and a save, load or validate checks them once
-per schema. A load reads each distinct value once and shares it: each
-distinct pose is built once, and each distinct text of a timestep line's
-entities, robots or actions array is decoded, built and checked against
-the schema once, its tuple of records shared by every line that holds the
-text. Lines in another layout, and lines with a malformed section, are read
-whole by timestep_from_json, the reference. These caches live for one
-load_dataset call only; nothing is kept across loads.
+and conversions, and no more. The schema alone holds the task id and the
+agent id: a line's agent ids are written from it and checked against it
+when the line is read, and a trajectory's task_id (its manifest field) must
+equal it. A trajectory records the schema its timesteps passed their
+checks under, and a save, load or validate checks them once per schema. A
+load reads each distinct value once and shares it: each distinct pose is
+built once, and each distinct text of a timestep line's entities, robots
+or actions array is decoded, built and checked once, its tuple of records
+shared by every line that holds the text. Lines in another layout, and
+lines with a malformed section, are read whole by timestep_from_json, the
+reference. These caches live for one load_dataset call only.
 
-The other input files (task files, causal specs, pipeline configs) go
-through the same reader, read_json, and the same typed checks: Param for
-one value, record_from_json for a JSON object that holds the fields of a
-dataclass.
+Task files, causal specs and pipeline configs go through the same reader,
+read_json. Task files and causal specs are read by record_from_json, with
+Param checking each value; pipeline_config_from_dict checks a config's own
+keys, and Param its stage parameters.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class EntityDecl:
 class TaskSchema:
     """Entity/agent declarations plus the axis-aligned workspace box, which
     `box` also holds as (min, max) float tuples. `agents` holds exactly one
-    id, `agent`: the simulator drives one gripper, and every robot and
-    action list of a timestep holds that agent alone."""
+    id, `agent`: the simulator drives one gripper, so a timestep holds one
+    robot state and one action, and the lines name this agent."""
 
     task_id: str
     entities: tuple[EntityDecl, ...]
@@ -145,26 +147,22 @@ class EntityState:
 
 @dataclass(frozen=True, slots=True, init=False)
 class RobotState:
-    agent_id: str
     eef_pose: Pose
     gripper_aperture: float
 
-    def __init__(self, agent_id, eef_pose, gripper_aperture):
-        set_id, set_pose, set_aperture = _ROBOT_SLOTS
-        set_id(self, agent_id)
+    def __init__(self, eef_pose, gripper_aperture):
+        set_pose, set_aperture = _ROBOT_SLOTS
         set_pose(self, eef_pose)
         set_aperture(self, min(1.0, max(0.0, float(gripper_aperture))))
 
 
 @dataclass(frozen=True, slots=True, init=False)
 class Action:
-    agent_id: str
     target_eef_pose: Pose
     gripper_command: float
 
-    def __init__(self, agent_id, target_eef_pose, gripper_command):
-        set_id, set_pose, set_command = _ACTION_SLOTS
-        set_id(self, agent_id)
+    def __init__(self, target_eef_pose, gripper_command):
+        set_pose, set_command = _ACTION_SLOTS
         set_pose(self, target_eef_pose)
         set_command(self, min(1.0, max(0.0, float(gripper_command))))
 
@@ -282,28 +280,28 @@ def _timestep_error(traj: Trajectory, ts: Timestep, what: str) -> InvariantViola
     return InvariantViolation(f"trajectory {traj.traj_id!r}, timestep {ts.t}: {what}")
 
 
-def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tuple[set, set, set] | None = None):
+def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tuple[set, set] | None = None):
     """Raise InvariantViolation naming the offending trajectory/timestep.
 
-    t strictly increasing and phase labels >= 0 that never decrease are
-    checked on every timestep. The checks of a timestep's entities, robots
-    and actions depend only on that tuple and the schema. `checked_sections`,
-    which only load_dataset passes, holds per section kind the ids of the
-    tuples that passed earlier in the load (which keeps them alive); those
-    are not checked again, so a section that many lines share is checked
-    once. One set per kind keeps apart the empty tuple, which they share. A
-    section that fails raises, which ends the load and its memo with it."""
-    expected_entities, decls, agents = schema.entity_ids(), schema.entities, schema.agents
+    Every timestep is checked for t strictly increasing, phase labels >= 0
+    that never decrease and one robot state, as timestep_to_json's zip needs.
+    The checks of its entities and its actions (one, inside the workspace)
+    depend only on that tuple and the schema. `checked_sections`, which only
+    load_dataset passes, holds per kind the ids of the tuples that passed
+    earlier in the load (which keeps them alive); those are not checked
+    again; a tuple that fails raises, which ends the load and the memo. One
+    set per kind keeps apart the empty tuple, which they share."""
+    expected_entities, decls = schema.entity_ids(), schema.entities
     lx, ly, lz = [x - _BOX_TOL for x in schema.box[0]]
     hx, hy, hz = [x + _BOX_TOL for x in schema.box[1]]
     memo = checked_sections is not None
-    seen_entities, seen_robots, seen_actions = checked_sections if memo else ((), (), ())
+    seen_entities, seen_actions = checked_sections if memo else ((), ())
     prev_t = prev_phase = None
     for ts in traj.timesteps:
         if prev_t is not None and ts.t <= prev_t:
             raise _timestep_error(traj, ts, "ordering violation, t not strictly increasing")
         prev_t = ts.t
-        entities, robots, actions = ts.entities, ts.robots, ts.actions
+        entities, actions = ts.entities, ts.actions
         if id(entities) not in seen_entities:
             if memo:
                 seen_entities.add(id(entities))
@@ -320,22 +318,16 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
                     if not (type(value) is float and math.isfinite(value)) and not _is_real(value):
                         raise _timestep_error(
                             traj, ts, f"entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number")
-        if id(robots) not in seen_robots:
-            if memo:
-                seen_robots.add(id(robots))
-            got = tuple([r.agent_id for r in robots])
-            if got != agents:
-                raise _timestep_error(traj, ts, f"robot ordering {got} != schema {agents}")
+        if len(ts.robots) != 1:
+            raise _timestep_error(traj, ts, f"exactly one robot state required, got {len(ts.robots)}")
         if id(actions) not in seen_actions:
             if memo:
                 seen_actions.add(id(actions))
-            got = tuple([a.agent_id for a in actions])
-            if got != agents:
-                raise _timestep_error(traj, ts, f"exactly one action per agent required, got {got}")
-            for a in actions:
-                x, y, z = a.target_eef_pose.xyz
-                if not (lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
-                    raise _timestep_error(traj, ts, f"action target position {[x, y, z]} outside workspace bounds")
+            if len(actions) != 1:
+                raise _timestep_error(traj, ts, f"exactly one action required, got {len(actions)}")
+            x, y, z = actions[0].target_eef_pose.xyz
+            if not (lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
+                raise _timestep_error(traj, ts, f"action target position {[x, y, z]} outside workspace bounds")
         phase = ts.phase
         if phase is not None:
             if phase < 0:
@@ -348,7 +340,7 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
 def validate_dataset(ds: Dataset, checked_sections=None):
     """Check the schema version, unique traj_ids and every trajectory's ids
     and timesteps. `checked_sections` is load_dataset's memo of the
-    entities, robots and actions tuples that passed (see _check_timesteps).
+    entities and actions tuples that passed (see _check_timesteps).
 
     A trajectory whose timesteps pass is marked with the schema they passed
     under (`_checked_under`), as a pose keeps its encoding: it is immutable,
@@ -628,8 +620,9 @@ def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
     json.dumps(..., separators=(",", ":"), ensure_ascii=True) of the nested
     dict in key order t, entities, robots, actions, phase[, interp]: floats
     are written with repr and strings with json's ASCII escaper. The ids
-    and extra keys are written from the schema's `_line_heads`, which
-    equal the timestep's and are in its order: the checks compared them."""
+    and extra keys are written from the schema's `_line_heads`: the checks
+    compared the entity ids and extra keys with the schema's, and a robot
+    state or action is the schema's one agent's."""
     entity_heads, robot_heads, action_heads = schema._line_heads
     entities = robots = actions = ""
     for e, (head, extras) in zip(ts.entities, entity_heads):
@@ -656,11 +649,11 @@ _ROBOT_KEYS = ("agent_id", "eef_pose", "gripper_aperture")
 _ACTION_KEYS = ("agent_id", "target_eef_pose", "gripper_command")
 
 
-def _entities_from_json(items, where: str, poses: dict) -> tuple[EntityState, ...]:
+def _entities_from_json(items, where: str, poses: dict, agent: str) -> tuple[EntityState, ...]:
     """The EntityStates of a line's decoded `entities` array. This and the
-    two readers below raise InvariantViolation for a malformed pose, value
-    or unknown key, and a raw lookup or type error for any other malformed
-    shape, which their callers handle."""
+    two readers below, which check each agent id against `agent`, raise
+    InvariantViolation for a malformed pose, value, agent id or unknown key,
+    and a raw lookup or type error for any other malformed shape."""
     entities = []
     for e in items:
         if len(e) != 2 + ("extra" in e):
@@ -674,15 +667,17 @@ def _agent_reader(cls, what: str, keys: tuple[str, str, str]):
     whose objects hold `keys`: agent id, pose and gripper value."""
     agent_key, pose_key, value_key = keys
 
-    def read(items, where: str, poses: dict) -> tuple:
+    def read(items, where: str, poses: dict, agent: str) -> tuple:
         records = []
         for r in items:
             if len(r) != 3:
                 _refuse_unknown_key(where, what, r, keys)
-            agent_id, pose, value = r[agent_key], _pose_from_json(r[pose_key], where, poses), r[value_key]
+            if r[agent_key] != agent:
+                raise InvariantViolation(f"{where}: {what}'s agent_id {r[agent_key]!r} is not the schema's agent {agent!r}")
+            pose, value = _pose_from_json(r[pose_key], where, poses), r[value_key]
             if type(value) is not float or not math.isfinite(value):
                 value = _REAL.parse(f"{where}: {value_key}", value)
-            records.append(cls(agent_id, pose, value))
+            records.append(cls(pose, value))
         return tuple(records)
 
     return read
@@ -696,17 +691,18 @@ _actions_from_json = _agent_reader(Action, "an action", _ACTION_KEYS)
 _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
-def timestep_from_json(obj: dict, where: str, poses: dict) -> Timestep:
-    """The Timestep of one decoded JSONL line; `poses` is the load's pose
-    cache (see _pose_from_json). Unknown keys are refused: each object's key
-    count is compared with the count of its required keys plus the optional
-    ones it holds, and only a mismatch looks for the unknown key."""
+def timestep_from_json(obj: dict, where: str, poses: dict, agent: str) -> Timestep:
+    """The Timestep of one decoded JSONL line of a dataset whose schema's
+    agent is `agent`; `poses` is the load's pose cache (see _pose_from_json).
+    Unknown keys are refused: each object's key count is compared with the
+    count of its required keys plus the optional ones it holds, and only a
+    mismatch looks for the unknown key."""
     try:
         if len(obj) != 4 + ("phase" in obj) + ("interp" in obj):
             _refuse_unknown_key(where, "a timestep", obj, _LINE_KEYS)
-        entities = _entities_from_json(obj["entities"], where, poses)
-        robots = _robots_from_json(obj["robots"], where, poses)
-        actions = _actions_from_json(obj["actions"], where, poses)
+        entities = _entities_from_json(obj["entities"], where, poses, agent)
+        robots = _robots_from_json(obj["robots"], where, poses, agent)
+        actions = _actions_from_json(obj["actions"], where, poses, agent)
         t, phase, interp = obj["t"], obj.get("phase"), obj.get("interp", False)
         if type(t) is not int:
             raise InvariantViolation(f"{where}: t must be an integer, got {t!r}")
@@ -896,8 +892,9 @@ _SECTION_READERS = (_entities_from_json, _robots_from_json, _actions_from_json)
 
 
 def _timestep_from_line(line: str, traj_id: str, i: int, poses: dict,
-                        sections: tuple[dict, dict, dict]) -> Timestep:
-    """The Timestep of line `i` of trajectory `traj_id`'s JSONL file.
+                        sections: tuple[dict, dict, dict], agent: str) -> Timestep:
+    """The Timestep of line `i` of trajectory `traj_id`'s JSONL file, in a
+    dataset whose schema's agent is `agent`.
 
     A line that _LINE_RE matches is read section by section: `sections`
     maps, per section kind, each section text read so far in this load to
@@ -919,7 +916,7 @@ def _timestep_from_line(line: str, traj_id: str, i: int, poses: dict,
             for text, read, cache in zip(texts, _SECTION_READERS, sections):
                 section = cache.get(text)
                 if section is None:
-                    section = cache[text] = read(_DECODER.decode(text), "", poses)
+                    section = cache[text] = read(_DECODER.decode(text), "", poses, agent)
                 records.append(section)
             return Timestep(int(t), *records, None if phase == "null" else int(phase), interp is not None)
         except (*_MALFORMED, RecursionError, InvariantViolation):
@@ -931,7 +928,7 @@ def _timestep_from_line(line: str, traj_id: str, i: int, poses: dict,
         raise IoFailure(f"{where}: bad JSON ({exc})") from exc
     except InvariantViolation as exc:
         raise InvariantViolation(f"{where}: {exc}") from exc
-    return timestep_from_json(obj, where, poses)
+    return timestep_from_json(obj, where, poses, agent)
 
 
 def load_dataset(path) -> Dataset:
@@ -978,7 +975,7 @@ def load_dataset(path) -> Dataset:
         for i, line in enumerate(lines):
             if not line.strip():
                 continue
-            timesteps.append(_timestep_from_line(line, traj_id, i, poses, sections))
+            timesteps.append(_timestep_from_line(line, traj_id, i, poses, sections, schema.agent))
         if entry["num_timesteps"] != len(timesteps):
             raise InvariantViolation(
                 f"trajectory {traj_id!r}: manifest num_timesteps {entry['num_timesteps']!r} "
@@ -994,5 +991,5 @@ def load_dataset(path) -> Dataset:
             )
         )
     ds = Dataset(schema_version=version, task_schema=schema, trajectories=tuple(trajectories))
-    validate_dataset(ds, checked_sections=(set(), set(), set()))
+    validate_dataset(ds, checked_sections=(set(), set()))
     return ds

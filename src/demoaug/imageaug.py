@@ -455,7 +455,7 @@ def proprio_noise(traj: Trajectory, sigma: float, rng: np.random.Generator) -> T
         pose = robot.eef_pose
         x, y, z = pose.xyz
         ori = _normalize(_qmul(_from_rotvec(rotvec), pose.wxyz))
-        noisy = RobotState(robot.agent_id, Pose((x + dx, y + dy, z + dz), ori), robot.gripper_aperture)
+        noisy = RobotState(Pose((x + dx, y + dy, z + dz), ori), robot.gripper_aperture)
         new_steps.append(Timestep(ts.t, ts.entities, (noisy,), ts.actions, ts.phase, ts.interp))
     return replace(traj, timesteps=tuple(new_steps))
 

@@ -231,7 +231,7 @@ def check_dataset_task(ds: Dataset, task: TaskDefinition) -> None:
     simulator and the checks would look up entities it does not have."""
     if ds.task_schema != task.schema:
         raise InvariantViolation(
-            f"dataset of task {ds.task_schema.task_id!r} does not match the schema of task {task.task_id!r}")
+            f"dataset of task {ds.task_schema.task_id!r} does not match the schema of task {task.schema.task_id!r}")
 
 
 def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
@@ -281,7 +281,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     root = Path(cfg.output_root)
     root.mkdir(parents=True, exist_ok=True)
     ds = load_dataset(cfg.input_path) if cfg.input_path else None
-    report = {"task": task.task_id, "seed": cfg.master_seed, "stages": []}
+    report = {"task": task.schema.task_id, "seed": cfg.master_seed, "stages": []}
     saved = None  # files of the last stage written; later stages copy what they inherit
     for i, stage in enumerate(cfg.stages):
         in_count = len(ds) if ds is not None else 0

@@ -60,13 +60,7 @@ def transform_subtrajectory(sub: Trajectory, T: SE3Transform, target: str) -> Tr
     return replace(sub, timesteps=tuple(new_steps))
 
 
-def interpolate_prefix(
-    from_pose: Pose,
-    to_pose: Pose,
-    cfg: InterpolationConfig,
-    gripper: float,
-    agent_id: str,
-) -> list[Action]:
+def interpolate_prefix(from_pose: Pose, to_pose: Pose, cfg: InterpolationConfig, gripper: float) -> list[Action]:
     """Linear position / spherical orientation ramp, gripper held constant.
 
     Step count is the smallest n respecting both per-step bounds; the final
@@ -90,7 +84,7 @@ def interpolate_prefix(
             u = i / n
             pos = (fx + u * dx, fy + u * dy, fz + u * dz)
             pose = Pose(pos, _slerp(from_pose.wxyz, to_pose.wxyz, u))
-        actions.append(Action(agent_id, pose, gripper))
+        actions.append(Action(pose, gripper))
     return actions
 
 
@@ -144,13 +138,8 @@ def _one_attempt(
         # replays each step's first action and starts from its first robot pose
         actions = [replace(ts.actions[0], target_eef_pose=T.apply_pose(ts.actions[0].target_eef_pose))
                    for ts in segment]
-        prefix = interpolate_prefix(
-            state.gripper.eef_pose,
-            T.apply_pose(segment[0].robots[0].eef_pose),
-            icfg,
-            gripper=actions[0].gripper_command,
-            agent_id=task.schema.agent,
-        )
+        prefix = interpolate_prefix(state.gripper.eef_pose, T.apply_pose(segment[0].robots[0].eef_pose), icfg,
+                                    gripper=actions[0].gripper_command)
         for i, a in enumerate(prefix + actions):
             timesteps.append(observe(state, task, t, a, phase=p, interp=i < len(prefix)))
             state = step(state, a, task)

@@ -11,7 +11,9 @@ A task kind is one TASK_KINDS entry, which owns its roles, phases, success
 predicate and articulated state (an Articulation and its extra field;
 pod_lid's is the machine's lid, stack3 has none): adding a kind takes one
 entry plus a task file. A task is checked when it is built, so a home_pose
-or sampler box outside the workspace is refused before any rollout.
+or sampler box outside the workspace is refused before any rollout. The
+schema alone holds the task id and the one agent's id: the gripper's state
+and actions carry no agent id.
 """
 
 from __future__ import annotations
@@ -100,9 +102,8 @@ class ExpertParams:
 class TaskDefinition:
     """A task and its simulator settings. `roles` is not given: it is the
     entity ids the kind's predicates and expert bind (TASK_KINDS), resolved
-    from the other sections when the task is built."""
+    from the other sections when the task is built. Its id is `schema.task_id`."""
 
-    task_id: str
     kind: str  # a key of TASK_KINDS
     schema: TaskSchema
     samplers: dict[str, PoseSampler]
@@ -219,7 +220,7 @@ def reset(task: TaskDefinition, seed) -> SimState:
         if all(_xy_dist(poses[a].xyz, poses[b].xyz) >= task.sim.min_separation for a, b in combinations(order, 2)):
             art = TASK_KINDS[task.kind].articulation  # an entity has an extra field only if its kind has one
             joints = {d.entity_id: art.initial(task, d.entity_id) for d in task.schema.entities if d.extra_fields}
-            gripper = RobotState(task.schema.agent, task.home_pose, 1.0)
+            gripper = RobotState(task.home_pose, 1.0)
             return SimState(poses, joints, gripper, None, 0)
     raise InvariantViolation(
         f"no non-overlapping placement found in {task.sim.placement_attempts} attempts"
@@ -303,7 +304,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
         update = TASK_KINDS[task.kind].articulation.update
         joints = {eid: update(task, eid, value, objects, old_eef, new_eef) for eid, value in joints.items()}
 
-    gripper = RobotState(state.gripper.agent_id, new_eef, new_ap)
+    gripper = RobotState(new_eef, new_ap)
     return SimState(objects, joints, gripper, attachment, state.step_count + 1)
 
 
@@ -347,11 +348,11 @@ def _bounded_action(state: SimState, task: TaskDefinition, waypoint: tuple, grip
     eef = state.gripper.eef_pose
     goal = Pose(waypoint, eef.wxyz)
     stepped = step_toward(eef, goal, task.expert.step_pos, task.expert.step_rot)
-    return Action(task.schema.agent, stepped, grip)
+    return Action(stepped, grip)
 
 
 def _hold(state: SimState, task: TaskDefinition, grip: float) -> Action:
-    return Action(task.schema.agent, state.gripper.eef_pose, grip)
+    return Action(state.gripper.eef_pose, grip)
 
 
 def _grasp_policy(state: SimState, task: TaskDefinition, obj_id: str) -> Action:
@@ -599,7 +600,7 @@ def rollout_expert(task: TaskDefinition, seed) -> Trajectory:
                 break
             remaining_tail -= 1
     if not check_success(state, task):
-        raise InvariantViolation(f"expert did not finish {task.task_id!r} within {EXPERT_MAX_STEPS} steps")
+        raise InvariantViolation(f"expert did not finish {task.schema.task_id!r} within {EXPERT_MAX_STEPS} steps")
     return Trajectory(
         traj_id=f"demo_{seed}" if isinstance(seed, int) else "demo",
         task_id=task.schema.task_id,

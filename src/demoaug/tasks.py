@@ -8,7 +8,8 @@ layout can be given by path wherever a bundled name is accepted.
 A task file goes through the dataset codec's typed checks: its schema and
 home pose through their codecs in `data`, its causal spec through `causal`,
 and every other section through the fields of its dataclass in `sim`,
-which give each key's kind and default. Unknown keys are refused."""
+which give each key's kind and default. Unknown keys are refused: the task's
+id is its schema's `task_id`, so a top-level or causal-spec `task_id` is one."""
 
 from __future__ import annotations
 

@@ -127,12 +127,12 @@ def test_count_partitions_trivial():
     spec = resolve_task("stack").causal
     # single phase with a complete joint graph -> exactly one partition
     complete = PhaseSpec(0, spec.phases[3].graph, spec.phases[3].target_entity, False)
-    assert count_partitions(TaskCausalSpec("one", (complete,), (0,))) == 1
+    assert count_partitions(TaskCausalSpec((complete,), (0,))) == 1
     # two phases of two singletons each -> 4
     empty = CausalGraph.from_edges(("R", "A"), [])
     p0 = PhaseSpec(0, empty, "A", True)
     p1 = PhaseSpec(1, empty, "A", False)
-    assert count_partitions(TaskCausalSpec("two", (p0, p1), (0, 1))) == 4
+    assert count_partitions(TaskCausalSpec((p0, p1), (0, 1))) == 4
 
 
 def test_resampleable_partitions_examples():
@@ -166,7 +166,6 @@ def test_spec_dict_round_trip():
                       (resolve_task("coffee").causal, bundled_task_json("coffee")["causal_spec"])):
         rebuilt = causal_spec_from_dict(obj)
         assert rebuilt == spec
-        assert rebuilt.task_id == spec.task_id
         assert rebuilt.segment_merge_map == spec.segment_merge_map
         for a, b in zip(rebuilt.phases, spec.phases):
             assert a.target_entity == b.target_entity
@@ -191,6 +190,6 @@ def test_diagonal_required():
 def test_merge_map_validation():
     spec = resolve_task("stack").causal
     with pytest.raises(InvariantViolation):
-        type(spec)(spec.task_id, spec.phases, (0, 2, 1, 3))
+        type(spec)(spec.phases, (0, 2, 1, 3))
     with pytest.raises(InvariantViolation):
-        type(spec)(spec.task_id, spec.phases, (0, 1, 2))  # not surjective
+        type(spec)(spec.phases, (0, 1, 2))  # not surjective

@@ -443,6 +443,9 @@ def _old_layout(spec):
         (_task_with("stack", _set("samplers", "cube_a", "x_range", ["a", "b"])),
          "samplers.cube_a.x_range must be a list of 2 finite numbers"),
         (_task_with("stack", _set("colour_sensitive", True)), "unknown key 'colour_sensitive'"),
+        # the schema alone holds the task id
+        (_task_with("stack", _set("task_id", "foo")), "unknown key 'task_id'"),
+        (_task_with("stack", _set("causal_spec", "task_id", "bar")), "unknown key 'causal_spec.task_id'"),
         (_task_with("stack", _set("geoms", "cube_a", "graspable", "no")), "geoms.cube_a.graspable must be true or false"),
         (_task_with("stack", _set("home_pose", "frame", "world")), "home_pose: unknown key 'frame' in a pose"),
         # sections that disagree with each other
@@ -491,6 +494,7 @@ def _old_layout(spec):
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
          "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
+         "top_level_task_id", "causal_spec_task_id",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents",
          "two_agents", "ghost_node_in_every_phase", "graphs_of_another_agent", "phase_2_without_cube_a",
          "old_per_agent_spec_layout",
@@ -507,7 +511,7 @@ def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     assert run_cli("gen-demos", "--task", str(path), "--count", "1", "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
-    assert str(path) in err
+    assert err.count("\n") == 1 and str(path) in err
     assert not out.exists()
 
 
@@ -519,8 +523,9 @@ def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
         (_set("phases", 0, "phase_index", "x"), "phases[0].phase_index must be an integer"),
         (_set("phases", 0, "grasp_closes", "no"), "phases[0].grasp_closes must be true or false"),
         (_old_layout, "unknown key 'phases[0].agents'"),
+        (_set("task_id", "bar"), "unknown key 'task_id'"),
     ],
-    ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes", "old_per_agent_layout"],
+    ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes", "old_per_agent_layout", "task_id"],
 )
 def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content, message):
     path = tmp_path / "spec.json"
@@ -534,7 +539,7 @@ def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content,
     assert run_cli("segment", "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
-    assert str(path) in err
+    assert err.count("\n") == 1 and str(path) in err
     assert not out.exists()
 
 
@@ -587,6 +592,27 @@ def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_d
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layout", ["saved", "respaced"])
+@pytest.mark.parametrize("section, what", [("robots", "a robot"), ("actions", "an action")], ids=["robot", "action"])
+def test_a_line_agent_id_that_is_not_the_schemas_is_an_error(tmp_path, labeled_dir, capsys, layout, section, what):
+    """A line's agent ids are checked against the schema's agent when it is
+    read: by the section reader in the saved layout, and by the whole-line
+    reader in any other, each naming the timestep line."""
+    root = tmp_path / "ds"
+    shutil.copytree(labeled_dir, root)
+    path = root / "traj_demo_0000.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj[section][0]["agent_id"] = "robot1"
+    lines[2] = json.dumps(obj, separators=(",", ":")) if layout == "saved" else json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("stats", "--in", str(root)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert (f"trajectory 'demo_0000', timestep line 2: {what}'s agent_id 'robot1' "
+            f"is not the schema's agent 'robot0'") in err
 
 
 def test_manifest_with_two_agents_is_an_error(tmp_path, labeled_dir, capsys):

@@ -57,8 +57,8 @@ def random_dataset(seed=0, n_traj=3, n_steps=5) -> Dataset:
                 EntityState("obj_a", random_pose(rng)),
                 EntityState("obj_b", random_pose(rng), {"lid_angle": float(rng.uniform(0, 1.5))}),
             )
-            robots = (RobotState("robot0", random_pose(rng), float(rng.uniform(0, 1))),)
-            actions = (Action("robot0", random_pose(rng), float(rng.uniform(0, 1))),)
+            robots = (RobotState(random_pose(rng), float(rng.uniform(0, 1))),)
+            actions = (Action(random_pose(rng), float(rng.uniform(0, 1))),)
             steps.append(Timestep(t, entities, robots, actions, phase=t // 2))
         trajs.append(
             Trajectory(
@@ -159,8 +159,8 @@ def test_action_outside_workspace_rejected():
     ts = Timestep(
         0,
         (EntityState("obj_a", Pose.identity()), EntityState("obj_b", Pose.identity(), {"lid_angle": 0.0})),
-        (RobotState("robot0", Pose.identity(), 1.0),),
-        (Action("robot0", pose, 1.0),),
+        (RobotState(Pose.identity(), 1.0),),
+        (Action(pose, 1.0),),
     )
     traj = Trajectory("t", "rt_task", (ts,), True, Provenance.HUMAN_SOURCE)
     ds = Dataset("1.0", schema, (traj,))
@@ -169,9 +169,9 @@ def test_action_outside_workspace_rejected():
 
 
 def test_gripper_values_clamped():
-    r = RobotState("robot0", Pose.identity(), 1.7)
+    r = RobotState(Pose.identity(), 1.7)
     assert r.gripper_aperture == 1.0
-    a = Action("robot0", Pose.identity(), -0.2)
+    a = Action(Pose.identity(), -0.2)
     assert a.gripper_command == 0.0
 
 
@@ -666,7 +666,7 @@ def reference_timestep_to_json(ts, schema) -> str:
         ],
         "robots": [
             {
-                "agent_id": r.agent_id,
+                "agent_id": schema.agent,
                 "eef_pose": _reference_pose(r.eef_pose),
                 "gripper_aperture": float(r.gripper_aperture),
             }
@@ -674,7 +674,7 @@ def reference_timestep_to_json(ts, schema) -> str:
         ],
         "actions": [
             {
-                "agent_id": a.agent_id,
+                "agent_id": schema.agent,
                 "target_eef_pose": _reference_pose(a.target_eef_pose),
                 "gripper_command": float(a.gripper_command),
             }
@@ -717,8 +717,8 @@ def _schema_and_timestep(draw):
         EntityState(d.entity_id, draw(_pose()), {k: draw(_extra_values) for k in d.extra_fields})
         for d in decls
     )
-    robots = tuple(RobotState(a, draw(_pose()), draw(_unit)) for a in agents)
-    actions = tuple(Action(a, draw(_pose()), draw(_unit)) for a in agents)
+    robots = (RobotState(draw(_pose()), draw(_unit)),)
+    actions = (Action(draw(_pose()), draw(_unit)),)
     phase = draw(st.one_of(st.none(), st.integers(0, 2**40)))
     ts = Timestep(draw(st.integers(0, 2**40)), entities, robots, actions, phase, draw(st.booleans()))
     return schema, ts
@@ -733,7 +733,8 @@ def test_timestep_encoder_matches_json_dumps(schema_ts):
 
 def per_line_timestep_to_json(ts, schema) -> str:
     """timestep_to_json as it was before it took the ids' and keys' text from
-    the schema: it quoted each entity id, extra key and agent id per line."""
+    the schema: it quoted each entity id, extra key and agent id per line
+    (the agent id, which no record holds, is the schema's)."""
     quote = json.encoder.encode_basestring_ascii
     entities = ",".join([
         f'{{"entity_id":{quote(e.entity_id)},"pose":{_pose_to_json(e.pose)},"extra":{{'
@@ -742,12 +743,12 @@ def per_line_timestep_to_json(ts, schema) -> str:
         for e, decl in zip(ts.entities, schema.entities)
     ])
     robots = ",".join([
-        f'{{"agent_id":{quote(r.agent_id)},"eef_pose":{_pose_to_json(r.eef_pose)},'
+        f'{{"agent_id":{quote(schema.agent)},"eef_pose":{_pose_to_json(r.eef_pose)},'
         f'"gripper_aperture":{float(r.gripper_aperture)!r}}}'
         for r in ts.robots
     ])
     actions = ",".join([
-        f'{{"agent_id":{quote(a.agent_id)},"target_eef_pose":{_pose_to_json(a.target_eef_pose)},'
+        f'{{"agent_id":{quote(schema.agent)},"target_eef_pose":{_pose_to_json(a.target_eef_pose)},'
         f'"gripper_command":{float(a.gripper_command)!r}}}'
         for a in ts.actions
     ])
@@ -853,33 +854,34 @@ def test_record_constructors_keep_their_contract():
     given["other"] = 1.0
     assert e.extra == {"lid_angle": 0.5} and e.extra is not given
     for value, clamped in ((1.5, 1.0), (-0.2, 0.0), (1, 1.0), (0.25, 0.25)):
-        for record in (RobotState("robot0", pose, value), Action("robot0", pose, value)):
+        for record in (RobotState(pose, value), Action(pose, value)):
             got = record.gripper_aperture if isinstance(record, RobotState) else record.gripper_command
             assert got == clamped and type(got) is float
-    ts = Timestep(3, [e], [RobotState("robot0", pose, 1)], iter([Action("robot0", pose, 0.0)]))
+    ts = Timestep(3, [e], [RobotState(pose, 1)], iter([Action(pose, 0.0)]))
     assert type(ts.entities) is type(ts.robots) is type(ts.actions) is tuple
     assert (ts.phase, ts.interp) == (None, False)
     assert ts == Timestep(t=3, entities=(e,), robots=ts.robots, actions=ts.actions, phase=None, interp=False)
     with pytest.raises(InvariantViolation, match=re.escape("timestep index -1 < 0")):
         Timestep(-1, (), (), ())
-    for record, name in ((ts, "t"), (e, "extra"), (ts.robots[0], "gripper_aperture"), (ts.actions[0], "agent_id")):
+    for record, name in ((ts, "t"), (e, "extra"), (ts.robots[0], "gripper_aperture"), (ts.actions[0], "target_eef_pose")):
         with pytest.raises(FrozenInstanceError):
             setattr(record, name, None)
 
 
-def _raw_timestep_line(ts) -> str:
+def _raw_timestep_line(ts, robot_agent="robot0") -> str:
     """A timestep line in the layout a save writes, of the record's own ids,
-    extra keys and values (an infinity as 1e999, which decodes to inf), where
-    a save writes the schema's and refuses what fails the checks."""
+    extra keys and values (an infinity as 1e999, which decodes to inf) and
+    the given robot agent id, where a save writes the schema's and refuses
+    what fails the checks."""
     def pose(p):
         return {"position": list(p.xyz), "orientation": list(p.wxyz)}
 
     obj = {
         "t": ts.t,
         "entities": [{"entity_id": e.entity_id, "pose": pose(e.pose), "extra": e.extra} for e in ts.entities],
-        "robots": [{"agent_id": r.agent_id, "eef_pose": pose(r.eef_pose), "gripper_aperture": r.gripper_aperture}
+        "robots": [{"agent_id": robot_agent, "eef_pose": pose(r.eef_pose), "gripper_aperture": r.gripper_aperture}
                    for r in ts.robots],
-        "actions": [{"agent_id": a.agent_id, "target_eef_pose": pose(a.target_eef_pose),
+        "actions": [{"agent_id": "robot0", "target_eef_pose": pose(a.target_eef_pose),
                      "gripper_command": a.gripper_command} for a in ts.actions],
         "phase": ts.phase,
     }
@@ -888,13 +890,14 @@ def _raw_timestep_line(ts) -> str:
 
 def _break_step(ts, case):
     a, b = ts.entities
-    far = Action("robot0", Pose((5.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), 1.0)
+    far = Action(Pose((5.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)), 1.0)
     return {
         "t_order": lambda: replace(ts, t=2),
         "entity_ordering": lambda: replace(ts, entities=(b, a)),
         "extra_keys": lambda: replace(ts, entities=(a, replace(b, extra={"other": 0.5}))),
         "non_finite_extra": lambda: replace(ts, entities=(a, replace(b, extra={"lid_angle": float("inf")}))),
-        "robot_ordering": lambda: replace(ts, robots=tuple(replace(r, agent_id="robot1") for r in ts.robots)),
+        "robot_ordering": lambda: ts,  # its line names robot1: a record holds no agent id
+        "robot_count": lambda: replace(ts, robots=ts.robots * 2),
         "action_agents": lambda: replace(ts, actions=()),
         "action_outside_workspace": lambda: replace(ts, actions=(far,)),
         "negative_phase": lambda: replace(ts, phase=-1),
@@ -903,10 +906,12 @@ def _break_step(ts, case):
 
 
 _AT = "trajectory 'tr_00', timestep 3: "
+_LINE_AT = "trajectory 'tr_00', timestep line 3: "
 
 # each timestep check's message, as save_dataset and load_dataset raised it
 # before the checks were folded into one loop; a negative phase does not
-# reach the load's checks, as the line reader refuses it
+# reach the load's checks, as the line reader refuses it. A record holds no
+# agent id, so a line's is checked only when it is read (save None).
 _CHECK_MESSAGES = {
     "t_order": (
         "trajectory 'tr_00', timestep 2: ordering violation, t not strictly increasing",
@@ -914,8 +919,9 @@ _CHECK_MESSAGES = {
     "entity_ordering": (_AT + "entity ordering ('obj_b', 'obj_a') != schema ('obj_a', 'obj_b')",) * 2,
     "extra_keys": (_AT + "entity 'obj_b' extra fields ('other',) != ('lid_angle',)",) * 2,
     "non_finite_extra": (_AT + "entity 'obj_b' extra 'lid_angle' is inf, not a finite real number",) * 2,
-    "robot_ordering": (_AT + "robot ordering ('robot1',) != schema ('robot0',)",) * 2,
-    "action_agents": (_AT + "exactly one action per agent required, got ()",) * 2,
+    "robot_ordering": (None, _LINE_AT + "a robot's agent_id 'robot1' is not the schema's agent 'robot0'"),
+    "robot_count": (_AT + "exactly one robot state required, got 2",) * 2,
+    "action_agents": (_AT + "exactly one action required, got 0",) * 2,
     "action_outside_workspace": (_AT + "action target position [5.0, 0.0, 0.0] outside workspace bounds",) * 2,
     "negative_phase": (
         _AT + "phase -1 < 0",
@@ -931,12 +937,15 @@ def test_each_timestep_check_keeps_its_message(tmp_path, case):
     tr = ds.trajectories[0]
     bad = replace(tr, timesteps=tr.timesteps[:3] + (_break_step(tr.timesteps[3], case),))
     on_save, on_load = _CHECK_MESSAGES[case]
-    with pytest.raises(InvariantViolation) as exc:
-        save_dataset(replace(ds, trajectories=(bad,)), tmp_path / "s")
-    assert str(exc.value) == on_save
-    assert not (tmp_path / "s").exists()
+    if on_save is not None:
+        with pytest.raises(InvariantViolation) as exc:
+            save_dataset(replace(ds, trajectories=(bad,)), tmp_path / "s")
+        assert str(exc.value) == on_save
+        assert not (tmp_path / "s").exists()
     save_dataset(ds, tmp_path / "l")
-    (tmp_path / "l" / "traj_tr_00.jsonl").write_text("".join(_raw_timestep_line(ts) + "\n" for ts in bad.timesteps))
+    lines = [_raw_timestep_line(ts) for ts in bad.timesteps[:3]]
+    lines.append(_raw_timestep_line(bad.timesteps[3], "robot1" if case == "robot_ordering" else "robot0"))
+    (tmp_path / "l" / "traj_tr_00.jsonl").write_text("".join(line + "\n" for line in lines))
     with pytest.raises(InvariantViolation) as exc:
         load_dataset(tmp_path / "l")
     assert str(exc.value) == on_load

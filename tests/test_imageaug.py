@@ -208,8 +208,8 @@ def _trajectory(seed: int, n_steps: int) -> Trajectory:
         Timestep(
             t,
             (EntityState("block", pose()),),
-            (RobotState("robot0", pose(), rng.uniform(0.0, 1.0)),),
-            (Action("robot0", pose(), rng.uniform(0.0, 1.0)),),
+            (RobotState(pose(), rng.uniform(0.0, 1.0)),),
+            (Action(pose(), rng.uniform(0.0, 1.0)),),
             phase=t // 2,
             interp=t % 3 == 1,
         )
@@ -235,8 +235,7 @@ def test_proprio_noise_equals_per_step_draws(sigma, n_steps, seed):
     assert len(got) == len(want)
     for a, b in zip(got.timesteps, want.timesteps):
         assert (a.t, a.phase, a.interp, a.entities, a.actions) == (b.t, b.phase, b.interp, b.entities, b.actions)
-        assert [(r.agent_id, r.gripper_aperture) for r in a.robots] == [
-            (r.agent_id, r.gripper_aperture) for r in b.robots]
+        assert [r.gripper_aperture for r in a.robots] == [r.gripper_aperture for r in b.robots]
         for ra, rb in zip(a.robots, b.robots):
             assert ra.eef_pose.position.tobytes() == rb.eef_pose.position.tobytes()
             assert ra.eef_pose.orientation.tobytes() == rb.eef_pose.orientation.tobytes()

@@ -76,13 +76,13 @@ def test_transform_missing_target(stack_demos):
 
 def test_prefix_empty_when_equal():
     p = Pose((0.1, 0.2, 0.3), quat_from_yaw(0.4))
-    assert interpolate_prefix(p, p, InterpolationConfig(), 1.0, "robot0") == []
+    assert interpolate_prefix(p, p, InterpolationConfig(), 1.0) == []
 
 
 def test_prefix_step_count_translation():
     a = Pose.identity()
     b = Pose(np.array([0.1, 0.0, 0.0]), np.array([1.0, 0, 0, 0]))
-    acts = interpolate_prefix(a, b, InterpolationConfig(max_pos_step=0.02), 1.0, "robot0")
+    acts = interpolate_prefix(a, b, InterpolationConfig(max_pos_step=0.02), 1.0)
     assert len(acts) == 5
     positions = [a.target_eef_pose.position for a in acts]
     prev = np.zeros(3)
@@ -96,7 +96,7 @@ def test_prefix_step_count_translation():
 def test_prefix_slerp_is_angle_linear():
     a = Pose.identity()
     b = Pose(np.zeros(3), quat_from_yaw(np.pi / 2))
-    acts = interpolate_prefix(a, b, InterpolationConfig(max_rot_step=np.pi / 6), 0.0, "robot0")
+    acts = interpolate_prefix(a, b, InterpolationConfig(max_rot_step=np.pi / 6), 0.0)
     assert len(acts) == 3
     # sample adjacent to the midpoint: 2/3 slerp of a 90 deg yaw is 60 deg
     got = acts[1].target_eef_pose.orientation
@@ -108,7 +108,7 @@ def test_prefix_respects_both_bounds():
     a = Pose.identity()
     b = Pose(np.array([0.05, 0, 0]), quat_from_yaw(1.0))
     cfg = InterpolationConfig(max_pos_step=0.02, max_rot_step=0.1)
-    acts = interpolate_prefix(a, b, cfg, 0.5, "robot0")
+    acts = interpolate_prefix(a, b, cfg, 0.5)
     assert len(acts) == 10  # rotation dominates: ceil(1.0 / 0.1)
     prev_pose = a
     for act in acts:

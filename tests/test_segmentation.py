@@ -14,8 +14,8 @@ def traj_from_apertures(apertures):
             Timestep(
                 t,
                 (EntityState("obj", Pose.identity()),),
-                (RobotState("robot0", Pose.identity(), float(ap)),),
-                (Action("robot0", Pose.identity(), float(ap)),),
+                (RobotState(Pose.identity(), float(ap)),),
+                (Action(Pose.identity(), float(ap)),),
             )
         )
     return Trajectory("apt", "t", tuple(steps), True, Provenance.HUMAN_SOURCE)
@@ -24,7 +24,7 @@ def traj_from_apertures(apertures):
 def single_phase_spec(n_segments=1):
     g = CausalGraph.from_edges(("robot0", "obj"), [("robot0", "obj")])
     phases = (PhaseSpec(0, g, "obj", True),)
-    return TaskCausalSpec("t", phases, tuple([0] * n_segments))
+    return TaskCausalSpec(phases, tuple([0] * n_segments))
 
 
 def two_phase_spec(merge_map):
@@ -33,7 +33,7 @@ def two_phase_spec(merge_map):
         PhaseSpec(0, g, "obj", True),
         PhaseSpec(1, g, "obj", False),
     )
-    return TaskCausalSpec("t", phases, tuple(merge_map))
+    return TaskCausalSpec(phases, tuple(merge_map))
 
 
 def test_boundaries_basic_runs():

@@ -53,7 +53,7 @@ def test_reset_overlap_forces_placement_failure(stack_task):
 
 def test_step_fixed_point(stack_task):
     state = reset(stack_task, 5)
-    hold = Action("robot0", state.gripper.eef_pose, state.gripper.gripper_aperture)
+    hold = Action(state.gripper.eef_pose, state.gripper.gripper_aperture)
     after = step(state, hold, stack_task)
     assert after.gripper.eef_pose == state.gripper.eef_pose
     assert after.gripper.gripper_aperture == state.gripper.gripper_aperture
@@ -64,8 +64,8 @@ def test_step_fixed_point(stack_task):
 def test_step_deterministic_bit_exact(stack_task):
     state = reset(stack_task, 6)
     target = Pose(state.gripper.eef_pose.position + np.array([0.05, -0.03, -0.04]), quat_from_yaw(0.4))
-    act = Action("robot0", Pose(np.clip(target.position, stack_task.schema.workspace_min,
-                                        stack_task.schema.workspace_max), target.orientation), 0.3)
+    act = Action(Pose(np.clip(target.position, stack_task.schema.workspace_min,
+                              stack_task.schema.workspace_max), target.orientation), 0.3)
     a = step(state, act, stack_task)
     b = step(state, act, stack_task)
     assert a.gripper.eef_pose == b.gripper.eef_pose
@@ -97,7 +97,7 @@ def test_release_snaps_to_stack_top(stack_task):
                        ("cube_a", SE3Transform.identity()), 0)
     opened = carried
     for _ in range(6):
-        opened = step(opened, Action("robot0", grip_pose, 1.0), stack_task)
+        opened = step(opened, Action(grip_pose, 1.0), stack_task)
     assert opened.attachment is None
     dropped = opened.objects["cube_a"]
     assert abs(dropped.position[2] - (b_pose.position[2] + h)) <= 1e-9
@@ -113,7 +113,7 @@ def test_release_on_empty_table_snaps_to_rest(stack_task):
                        ("cube_a", SE3Transform.identity()), 0)
     opened = carried
     for _ in range(6):
-        opened = step(opened, Action("robot0", spot, 1.0), stack_task)
+        opened = step(opened, Action(spot, 1.0), stack_task)
     assert abs(opened.objects["cube_a"].position[2] - 0.02) <= 1e-9
 
 
@@ -325,8 +325,8 @@ def test_ambiguous_attachment_inference(stack_task):
         if decl.entity_id in ("cube_a", "cube_b"):
             pose = Pose(spot + (0.001 if decl.entity_id == "cube_b" else 0.0), pose.orientation)
         entities.append(EntityState(decl.entity_id, pose))
-    grip = RobotState("robot0", Pose(spot, np.array([1.0, 0, 0, 0])), 0.0)
-    ts = Timestep(0, tuple(entities), (grip,), (Action("robot0", grip.eef_pose, 0.0),))
+    grip = RobotState(Pose(spot, np.array([1.0, 0, 0, 0])), 0.0)
+    ts = Timestep(0, tuple(entities), (grip,), (Action(grip.eef_pose, 0.0),))
     with pytest.raises(InvariantViolation, match=r"timestep 0: ambiguous attachment among \['cube_a', 'cube_b'\]"):
         sim_state_from_timestep(ts, stack_task)
 

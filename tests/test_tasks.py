@@ -36,10 +36,9 @@ def test_resolve_bundled_names():
 def test_task_json_round_trip(tmp_path):
     for name in ("stack", "coffee"):
         task = resolve_task(name)
-        path = tmp_path / f"{task.task_id}.json"
+        path = tmp_path / f"{task.schema.task_id}.json"
         path.write_text(json.dumps(bundled_task_json(name), indent=2))
         loaded = load_task_definition(path)
-        assert loaded.task_id == task.task_id
         assert loaded.kind == task.kind
         assert loaded.schema == task.schema
         assert loaded.stack_order == task.stack_order
