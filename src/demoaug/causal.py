@@ -13,7 +13,8 @@ is `phases` and `segment_merge_map`; each phase is an object with
 `edges` as [source, target] pairs without the diagonal). check_spec
 refuses a spec whose graphs do not cover exactly the schema it is used
 with: a task's own spec when the task is built, and any spec a stage runs
-on a dataset with.
+on a dataset with. check_phase_labels refuses a dataset labelled with a
+phase past the spec, wherever labels are read against a spec.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import MISSING, dataclass
 
 import numpy as np
 
-from .data import Param, TaskSchema, check_keys, list_from_json, read_json, record_from_json
+from .data import Dataset, Param, TaskSchema, check_keys, list_from_json, read_json, record_from_json
 from .errors import InvariantViolation
 
 
@@ -178,6 +179,16 @@ def check_spec(spec: TaskCausalSpec, schema: TaskSchema) -> None:
         if set(phase.graph.nodes) != nodes:
             raise InvariantViolation(f"causal spec phase {phase.phase_index} has nodes {sorted(phase.graph.nodes)}, "
                                      f"not the schema's entities and agent {sorted(nodes)}")
+
+
+def check_phase_labels(ds: Dataset, spec: TaskCausalSpec) -> None:
+    """Refuse a dataset labelled with a phase the spec does not have: a
+    stage that reads the labels would look that phase up."""
+    for traj in ds.trajectories:
+        for ts in traj.timesteps:
+            if ts.phase is not None and ts.phase >= spec.num_phases:
+                raise InvariantViolation(f"trajectory {traj.traj_id!r}, timestep {ts.t}: phase label {ts.phase} "
+                                         f"is past the causal spec's {spec.num_phases} phases")
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,19 @@ expert action remains valid on every augmented state. One donor is drawn
 per (phase, partition, copy): irrelevant partitions are static within a
 phase, and a single donor keeps the swapped objects from teleporting
 frame to frame.
+
+The donor pool maps each (phase, partition) to the phase ranges that hold
+it, as DonorEntry(trajectory, t0, t1); a swap reads the partition's states
+from the donor timestep itself, so they are the donor's own objects.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .causal import Partition, TaskCausalSpec, swap_candidates
-from .data import Action, Dataset, EntityState, RobotState, Timestep, Trajectory, Provenance
+from .data import Action, Dataset, RobotState, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .rng import derive_stream
 
@@ -47,55 +51,39 @@ class CounterfactualConfig:
 
 @dataclass(frozen=True)
 class DonorEntry:
-    traj_id: str
+    """A donor: the range [t0, t1) of one phase in trajectory `traj`."""
+
+    traj: Trajectory
     t0: int
     t1: int
-    snapshots: tuple[dict[str, EntityState], ...]  # one per timestep in [t0, t1)
 
 
-@dataclass
-class PhaseIndex:
-    """Donor pool: (phase_index, partition signature) -> donor entries."""
-
-    entries: dict[tuple[int, frozenset[str]], list[DonorEntry]] = field(default_factory=dict)
-
-    def donors(self, phase: int, signature: frozenset[str], exclude_traj: str) -> list[DonorEntry]:
-        pool = self.entries.get((phase, frozenset(signature)), [])
-        return [d for d in pool if d.traj_id != exclude_traj]
+DonorPool = dict[tuple[int, frozenset[str]], list[DonorEntry]]
 
 
-def _require_labels(traj: Trajectory):
-    if any(ts.phase is None for ts in traj.timesteps):
-        raise InvariantViolation(f"trajectory {traj.traj_id!r} has unlabeled timesteps")
-
-
-def build_phase_index(ds: Dataset, spec: TaskCausalSpec) -> PhaseIndex:
-    """Index every (phase, resampleable partition) present in the dataset."""
-    index = PhaseIndex()
+def build_phase_index(ds: Dataset, spec: TaskCausalSpec) -> DonorPool:
+    """The donor pool: (phase, partition members) -> every phase range in
+    the dataset that holds that resampleable partition."""
+    pool: DonorPool = {}
     candidates = {p.phase_index: swap_candidates(p, ds.task_schema.agent) for p in spec.phases}
     for traj in ds.trajectories:
-        _require_labels(traj)
         for phase, t0, t1 in traj.phase_ranges():
             for part in candidates.get(phase, []):
-                sig = part.members
-                snapshots = tuple(
-                    {eid: ts.entity(eid) for eid in sig} for ts in traj.timesteps[t0:t1]
-                )
-                key = (phase, sig)
-                index.entries.setdefault(key, []).append(DonorEntry(traj.traj_id, t0, t1, snapshots))
-    return index
+                pool.setdefault((phase, part.members), []).append(DonorEntry(traj, t0, t1))
+    return pool
 
 
-def _swap_timestep(ts: Timestep, snapshot: dict[str, EntityState]) -> Timestep:
-    entities = tuple(snapshot.get(e.entity_id, e) for e in ts.entities)
-    return replace(ts, entities=entities)
+def _swap_timestep(ts: Timestep, donor_ts: Timestep, members: frozenset[str]) -> Timestep:
+    """`ts` with each entity in `members` in its state at the donor timestep."""
+    entities = tuple(donor_ts.entity(e.entity_id) if e.entity_id in members else e for e in ts.entities)
+    return Timestep(ts.t, entities, ts.robots, ts.actions, ts.phase, ts.interp)
 
 
 def _counterfactual_copy(
     traj: Trajectory,
     copy_index: int,
     cfg: CounterfactualConfig,
-    index: PhaseIndex,
+    pool: DonorPool,
     candidates: dict[int, list[Partition]],
 ) -> tuple[Trajectory, int, int]:
     """Returns (copy, swaps_done, swaps_without_donor); `candidates` holds
@@ -108,27 +96,20 @@ def _counterfactual_copy(
         for part in candidates[phase]:
             if rng.uniform() >= cfg.swap_probability:
                 continue
-            donors = index.donors(phase, part.members, exclude_traj=traj.traj_id)
+            donors = [d for d in pool.get((phase, part.members), ()) if d.traj.traj_id != traj.traj_id]
             if not donors:
                 missing += 1
                 continue
             donor = donors[int(rng.integers(len(donors)))]
             if cfg.donor_policy == "same_phase_any_timestep":
-                snap = donor.snapshots[int(rng.integers(len(donor.snapshots)))]
-                for t in range(t0, t1):
-                    timesteps[t] = _swap_timestep(timesteps[t], snap)
-            else:  # aligned: match relative position within the phase
-                for t in range(t0, t1):
-                    rel = min(t - t0, len(donor.snapshots) - 1)
-                    timesteps[t] = _swap_timestep(timesteps[t], donor.snapshots[rel])
+                at = [donor.t0 + int(rng.integers(donor.t1 - donor.t0))] * (t1 - t0)
+            else:  # aligned: the same relative index within the phase, held at the donor's last step
+                at = [min(donor.t0 + k, donor.t1 - 1) for k in range(t1 - t0)]
+            for t, d in enumerate(at, t0):
+                timesteps[t] = _swap_timestep(timesteps[t], donor.traj.timesteps[d], part.members)
             swapped += 1
-    copy = Trajectory(
-        traj_id=f"{traj.traj_id}_cf{copy_index:03d}",
-        task_id=traj.task_id,
-        timesteps=tuple(timesteps),
-        success=traj.success,
-        provenance=Provenance.COUNTERFACTUAL_SYNTHETIC,
-    )
+    copy = replace(traj, traj_id=f"{traj.traj_id}_cf{copy_index:03d}", timesteps=tuple(timesteps),
+                   provenance=Provenance.COUNTERFACTUAL_SYNTHETIC)
     return copy, swapped, missing
 
 
@@ -146,14 +127,14 @@ def augment_offline(
     Copies that found no donor for any selected partition are still emitted
     (unswapped) with a warning, so output counts stay exact.
     """
-    index = build_phase_index(ds, spec)
+    pool = build_phase_index(ds, spec)
     candidates = {p.phase_index: swap_candidates(p, ds.task_schema.agent) for p in spec.phases}
     out = list(ds.trajectories)
     total_swaps = 0
     no_donor = 0
     for traj in ds.trajectories:
         for copy_index in range(cfg.copies_per_trajectory):
-            copy, swapped, missing = _counterfactual_copy(traj, copy_index, cfg, index, candidates)
+            copy, swapped, missing = _counterfactual_copy(traj, copy_index, cfg, pool, candidates)
             if missing and not swapped:
                 no_donor += 1
                 logger.warning(
@@ -186,7 +167,6 @@ def gripper_transit_jitter(
     """
     if cfg.gripper_jitter_range == 0.0:
         return traj
-    _require_labels(traj)
     timesteps = list(traj.timesteps)
     for phase, t0, t1 in traj.phase_ranges():
         if not spec.phase(phase).grasp_closes:

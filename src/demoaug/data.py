@@ -221,7 +221,7 @@ class Trajectory:
     def phase_ranges(self) -> list[tuple[int, int, int]]:
         """Contiguous (phase, start, end) runs; requires phase labels."""
         if any(ts.phase is None for ts in self.timesteps):
-            raise InvariantViolation(f"trajectory {self.traj_id!r} is not phase-labeled")
+            raise InvariantViolation(f"trajectory {self.traj_id!r} has unlabeled timesteps")
         runs = []
         start = 0
         for i in range(1, len(self.timesteps) + 1):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .causal import check_spec
+from .causal import check_phase_labels, check_spec
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline
 from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
 from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
@@ -242,12 +242,14 @@ def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | Non
         check_dataset_task(ds, task)
     if ds is not None and spec is not None:
         check_spec(spec, ds.task_schema)
+        if stage.name in ("se3", "causal"):  # the stages that read phase labels; segment writes them
+            check_phase_labels(ds, spec)
     fn, table = STAGES[stage.name]
     return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 
 
 def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True) -> dict:
-    """Invariant validation plus replay of dynamically consistent trajectories.
+    """Invariant and phase-label validation plus replay of dynamically consistent trajectories.
 
     Timesteps already checked under this schema are not checked again (see
     validate_dataset); every other check, and the replay, runs. Counterfactual
@@ -258,6 +260,7 @@ def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool 
     failures: list[str] = []
     try:
         validate_dataset(ds)
+        check_phase_labels(ds, task.causal)
     except DemoaugError as exc:
         failures.append(f"invariant: {exc}")
     replayed = 0
@@ -327,17 +330,20 @@ def ratio_study(
     out_root=None,
 ) -> tuple[list[Dataset], list[dict]]:
     """Emit one dataset per ratio r with exactly r * |base| counterfactual
-    trajectories on top of the originals; policy training is out of scope."""
+    trajectories on top of the originals; policy training is out of scope.
+    Copy k of a source depends only on the source and k, so the copies are
+    made once, for the largest ratio, and ratio r takes the first r of each."""
     if len(base) != plan.base_count:
         raise InvariantViolation(f"plan expects {plan.base_count} base demos, dataset has {len(base)}")
+    check_phase_labels(base, spec)
+    top = max(plan.ratios, default=0)
+    copies = augment_offline(base, spec, replace(cfg, copies_per_trajectory=top)).trajectories[len(base):] if top else ()
     datasets = []
     table = []
     saved = None
     for r in plan.ratios:
-        if r == 0:
-            ds_r = Dataset(base.schema_version, base.task_schema, base.trajectories)
-        else:
-            ds_r = augment_offline(base, spec, replace(cfg, copies_per_trajectory=r))
+        ds_r = Dataset(base.schema_version, base.task_schema,
+                       base.trajectories + tuple(c for i in range(len(base)) for c in copies[i * top:i * top + r]))
         synthetic = sum(1 for t in ds_r.trajectories if t.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC)
         real = len(ds_r) - synthetic
         datasets.append(ds_r)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -592,6 +593,68 @@ def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_d
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def label_past_spec_dir(labeled_dir, tmp_path_factory):
+    """The labelled stack dataset with the last five lines of one file
+    relabelled as phase 4, which the stack spec (phases 0-3) does not have."""
+    root = tmp_path_factory.mktemp("label_past_spec") / "ds"
+    shutil.copytree(labeled_dir, root)
+    path = root / "traj_demo_0000.jsonl"
+    lines = path.read_text().splitlines()
+    lines[-5:] = [re.sub(r'"phase":\d+', '"phase":4', line) for line in lines[-5:]]
+    path.write_text("\n".join(lines) + "\n")
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ("augment-se3", "--task", "stack"),
+    ("augment-causal", "--task", "stack"),
+    ("ratio-study", "--task", "stack"),
+], ids=lambda argv: argv[0])
+def test_a_phase_label_past_the_spec_is_an_error(tmp_path, label_past_spec_dir, capsys, argv):
+    """A stage that reads phase labels refuses one the causal spec has no
+    phase for, naming the trajectory and the label, before writing anything."""
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--in", str(label_past_spec_dir), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "trajectory 'demo_0000'" in err and "phase label 4 is past the causal spec's 4 phases" in err
+    assert not out.exists()
+
+
+def test_validate_lists_a_phase_label_past_the_spec(label_past_spec_dir, capsys):
+    assert run_cli("validate", "--task", "stack", "--in", str(label_past_spec_dir)) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert not report["ok"]
+    assert [f for f in report["failures"] if "phase label 4" in f and "'demo_0000'" in f]
+
+
+def _three_phase_spec(path: Path) -> Path:
+    """The stack spec without its last phase: segment merges the raw
+    segments of phase 3 into phase 2."""
+    spec = bundled_task_json("stack")["causal_spec"]
+    spec["phases"].pop()
+    spec["segment_merge_map"] = [min(p, 2) for p in spec["segment_merge_map"]]
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def test_a_spec_with_fewer_phases_than_the_labels_is_an_error(tmp_path, labeled_dir, capsys):
+    """augment-causal --spec without --task, where the spec has fewer phases
+    than the dataset's labels; segment relabels, so it takes that spec."""
+    spec = _three_phase_spec(tmp_path / "spec.json")
+    out = tmp_path / "out"
+    assert run_cli("augment-causal", "--spec", str(spec), "--in", str(labeled_dir), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "phase label 3 is past the causal spec's 3 phases" in err
+    assert not out.exists()
+    relabelled = tmp_path / "relabelled"
+    assert run_cli("segment", "--spec", str(spec), "--in", str(labeled_dir), "--out", str(relabelled)) == 0
+    capsys.readouterr()
+    assert run_cli("augment-causal", "--spec", str(spec), "--in", str(relabelled), "--out", str(out)) == 0
 
 
 @pytest.mark.parametrize("layout", ["saved", "respaced"])

@@ -10,6 +10,7 @@ from demoaug.counterfactual import (
     build_phase_index,
     gripper_transit_jitter,
 )
+from demoaug.causal import swap_candidates
 from demoaug.data import Dataset, Provenance
 from demoaug.errors import InvariantViolation
 from demoaug.geometry import quat_geodesic
@@ -20,30 +21,44 @@ from tests.conftest import make_labeled_demos
 
 def test_build_phase_index_covers_expected_donors(stack_task):
     ds = make_labeled_demos(stack_task, 2, seed_base=5)
-    index = build_phase_index(ds, stack_task.causal)
+    pool = build_phase_index(ds, stack_task.causal)
     # phase 2 (reach cube_c): the stacked pair {cube_a, cube_b} is donorable
     key = (2, frozenset({"cube_a", "cube_b"}))
-    assert key in index.entries
-    assert sorted(d.traj_id for d in index.entries[key]) == ["demo_000", "demo_001"]
-    # hand-enumerated: the snapshots hold exactly the phase-2 range per demo
-    for donor in index.entries[key]:
-        traj = ds.trajectory(donor.traj_id)
-        ranges = {p: (a, b) for p, a, b in traj.phase_ranges()}
+    assert key in pool
+    assert [d.traj for d in pool[key]] == list(ds.trajectories)
+    # hand-enumerated: each entry is exactly the phase-2 range of its demo
+    for donor in pool[key]:
+        ranges = {p: (a, b) for p, a, b in donor.traj.phase_ranges()}
         assert (donor.t0, donor.t1) == ranges[2]
-        assert len(donor.snapshots) == donor.t1 - donor.t0
+    # every key is a phase and one of its swap candidates, and every entry
+    # that phase's range in a trajectory of the dataset
+    agent = stack_task.schema.agent
+    for (phase, members), donors in pool.items():
+        assert members in {p.members for p in swap_candidates(stack_task.causal.phase(phase), agent)}
+        for d in donors:
+            assert all(ts.phase == phase for ts in d.traj.timesteps[d.t0:d.t1])
+            assert d.traj in ds.trajectories
 
 
 def test_build_phase_index_empty_dataset(stack_task):
     ds = Dataset("1.0", stack_task.schema, ())
-    index = build_phase_index(ds, stack_task.causal)
-    assert index.entries == {}
+    assert build_phase_index(ds, stack_task.causal) == {}
 
 
 def test_single_trajectory_has_no_donors(stack_task):
     ds = make_labeled_demos(stack_task, 1)
-    index = build_phase_index(ds, stack_task.causal)
-    for (phase, sig), entries in index.entries.items():
-        assert index.donors(phase, sig, exclude_traj="demo_000") == []
+    pool = build_phase_index(ds, stack_task.causal)
+    assert pool  # the one trajectory holds every phase range ...
+    for key, donors in pool.items():
+        assert [d.traj.traj_id for d in donors] == ["demo_000"]  # ... and is no donor to itself
+        assert _donor_timesteps(pool, *key, exclude_traj="demo_000") == []
+
+
+def _donor_timesteps(pool, phase, members, exclude_traj):
+    """Every timestep of the phase ranges that may donate `members` to a copy
+    of trajectory `exclude_traj`."""
+    return [ts for d in pool[(phase, members)] if d.traj.traj_id != exclude_traj
+            for ts in d.traj.timesteps[d.t0:d.t1]]
 
 
 def test_unlabeled_trajectory_rejected(stack_task):
@@ -58,7 +73,7 @@ def test_augment_swaps_donor_partition_states(stack_task, stack_demos):
     out = augment_offline(stack_demos, stack_task.causal, cfg)
     assert len(out) == 2 * len(stack_demos)
     copies = [t for t in out.trajectories if t.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC]
-    index = build_phase_index(stack_demos, stack_task.causal)
+    pool = build_phase_index(stack_demos, stack_task.causal)
     for copy in copies:
         src = stack_demos.trajectory(copy.traj_id.rsplit("_cf", 1)[0])
         swapped_somewhere = False
@@ -70,12 +85,10 @@ def test_augment_swaps_donor_partition_states(stack_task, stack_demos):
             # swapped partitions must hold verbatim donor states (phase 2: {a, b})
             if phase == 2:
                 sig = frozenset({"cube_a", "cube_b"})
-                donor_pool = index.donors(phase, sig, exclude_traj=src.traj_id)
                 state_a = copy.timesteps[t0].entity("cube_a")
-                found = any(
-                    any(snap["cube_a"] == state_a for snap in d.snapshots) for d in donor_pool
-                )
-                assert found  # donor validity: swapped state exists verbatim in a donor
+                # donor validity: the swapped state is the very object a donor timestep holds
+                assert any(ts.entity("cube_a") is state_a
+                           for ts in _donor_timesteps(pool, phase, sig, src.traj_id))
                 if state_a != src.timesteps[t0].entity("cube_a"):
                     swapped_somewhere = True
         assert swapped_somewhere
@@ -85,7 +98,7 @@ def test_partitions_swap_together(stack_task, stack_demos):
     """Entities of one partition always come from the same donor timestep."""
     cfg = CounterfactualConfig(master_seed=3, swap_probability=1.0, copies_per_trajectory=2)
     out = augment_offline(stack_demos, stack_task.causal, cfg)
-    index = build_phase_index(stack_demos, stack_task.causal)
+    pool = build_phase_index(stack_demos, stack_task.causal)
     for copy in (t for t in out.trajectories if t.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC):
         src_id = copy.traj_id.rsplit("_cf", 1)[0]
         for phase, t0, t1 in copy.phase_ranges():
@@ -93,11 +106,8 @@ def test_partitions_swap_together(stack_task, stack_demos):
                 continue
             sig = frozenset({"cube_a", "cube_b"})
             pair = {eid: copy.timesteps[t0].entity(eid) for eid in sig}
-            donors = index.donors(phase, sig, exclude_traj=src_id)
-            assert any(
-                any(all(snap[eid] == pair[eid] for eid in sig) for snap in d.snapshots)
-                for d in donors
-            )
+            assert any(all(ts.entity(eid) == pair[eid] for eid in sig)
+                       for ts in _donor_timesteps(pool, phase, sig, src_id))
 
 
 def test_swap_probability_zero_duplicates(stack_demos, stack_task):
@@ -194,25 +204,24 @@ def test_aligned_donor_policy_tracks_relative_index(stack_task, stack_demos):
     cfg = CounterfactualConfig(master_seed=11, swap_probability=1.0, copies_per_trajectory=1,
                                donor_policy="same_phase_aligned_timestep")
     out = augment_offline(stack_demos, stack_task.causal, cfg)
-    index = build_phase_index(stack_demos, stack_task.causal)
+    pool = build_phase_index(stack_demos, stack_task.causal)
     for copy in (t for t in out.trajectories if t.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC):
         src_id = copy.traj_id.rsplit("_cf", 1)[0]
         for phase, t0, t1 in copy.phase_ranges():
             if phase != 2:
                 continue
             sig = frozenset({"cube_a", "cube_b"})
-            donors = index.donors(phase, sig, exclude_traj=src_id)
             # identify the donor by the first swapped timestep, then check
             # every timestep matches that donor at the aligned relative index
             first = {eid: copy.timesteps[t0].entity(eid) for eid in sig}
             donor = next(
-                d for d in donors
-                if all(d.snapshots[0][eid] == first[eid] for eid in sig)
+                d for d in pool[(phase, sig)]
+                if d.traj.traj_id != src_id and all(d.traj.timesteps[d.t0].entity(eid) == first[eid] for eid in sig)
             )
             for t in range(t0, t1):
-                rel = min(t - t0, len(donor.snapshots) - 1)
+                at = min(donor.t0 + t - t0, donor.t1 - 1)
                 for eid in sig:
-                    assert copy.timesteps[t].entity(eid) == donor.snapshots[rel][eid]
+                    assert copy.timesteps[t].entity(eid) == donor.traj.timesteps[at].entity(eid)
 
 
 def test_jittered_trajectories_segment_identically(stack_task, stack_demos):

@@ -219,11 +219,12 @@ def test_stage_outputs_equal_fresh_saves(tmp_path, monkeypatch):
 def test_ratio_outputs_equal_fresh_saves(tmp_path, monkeypatch, stack_task):
     copies = _spy_copies(monkeypatch)
     base = make_labeled_demos(stack_task, 2, seed_base=4)
-    # the repeated ratio copies from the directory it replaces, which stays
-    # intact until the atomic swap
+    # ratio 1 copies the two originals; the repeated ratio copies all four
+    # files (the copies are made once, so they are the same objects) from the
+    # directory it replaces, which stays intact until the atomic swap
     datasets, _ = ratio_study(base, RatioPlan(2, (0, 1, 1)), stack_task.causal,
                               CounterfactualConfig(master_seed=0), out_root=tmp_path / "ratio")
-    assert len(copies) == 4
+    assert len(copies) == 6
     saves = [(datasets[0], tmp_path / "ratio" / "ratio_0"), (datasets[2], tmp_path / "ratio" / "ratio_1")]
     _assert_fresh_save_equal(saves, tmp_path / "fresh")
 
@@ -272,6 +273,22 @@ def test_ratio_study_exact_counts(tmp_path, stack_task):
         reloaded = load_dataset(tmp_path / "ratio" / f"ratio_{r}")
         assert reloaded == ds
     assert json.loads((tmp_path / "ratio" / "ratio_table.json").read_text()) == table
+
+
+def test_each_ratio_takes_the_first_copies_of_one_augment(stack_task, stack_demos):
+    """The copies are made once, for the largest ratio; ratio r, in any order
+    of the plan, is the dataset augment_offline makes with r copies."""
+    from dataclasses import replace
+    from demoaug.counterfactual import augment_offline
+
+    cfg = CounterfactualConfig(master_seed=2, swap_probability=0.7, gripper_jitter_range=0.05)
+    ratios = (2, 0, 3, 1)
+    datasets, _ = ratio_study(stack_demos, RatioPlan(len(stack_demos), ratios), stack_task.causal, cfg)
+    for r, ds in zip(ratios, datasets):
+        fresh = augment_offline(stack_demos, stack_task.causal, replace(cfg, copies_per_trajectory=r)) if r else stack_demos
+        assert ds == fresh
+    n = len(stack_demos)
+    assert all(a is b for a, b in zip(datasets[3].trajectories[n:], datasets[0].trajectories[n::2]))
 
 
 def test_ratio_copies_are_the_causal_stage_copies(stack_task, stack_demos):
