@@ -151,6 +151,8 @@ class TaskCausalSpec:
         return len(self.phases)
 
     def phase(self, index: int) -> PhaseSpec:
+        if not 0 <= index < len(self.phases):
+            raise InvariantViolation(f"phase {index} is past the causal spec's {self.num_phases} phases")
         return self.phases[index]
 
 

@@ -332,7 +332,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ratio-study", help="emit datasets at several synthetic:real ratios")
     common(p)
     p.add_argument("--ratios", type=_ints, default="0,1,2,3,5,10")
-    p.add_argument("--swap-prob", type=float, default=1.0)
+    p.add_argument("--swap-prob", type=float, default=CounterfactualConfig.swap_probability)
     p.set_defaults(fn=_cmd_ratio)
 
     p = sub.add_parser("stats", help="dataset summary statistics")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from .causal import Partition, TaskCausalSpec, swap_candidates
+from .causal import Partition, TaskCausalSpec, check_phase_labels, swap_candidates
 from .data import Action, Dataset, RobotState, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .rng import derive_stream
@@ -125,8 +125,11 @@ def augment_offline(
     gripper_transit_jitter on the stream of the seed and the copy's id.
 
     Copies that found no donor for any selected partition are still emitted
-    (unswapped) with a warning, so output counts stay exact.
+    (unswapped) with a warning, so output counts stay exact. A dataset
+    labelled with a phase the spec does not have is refused (see
+    check_phase_labels).
     """
+    check_phase_labels(ds, spec)
     pool = build_phase_index(ds, spec)
     candidates = {p.phase_index: swap_candidates(p, ds.task_schema.agent) for p in spec.phases}
     out = list(ds.trajectories)
@@ -150,7 +153,7 @@ def augment_offline(
         report["no_donor_copies"] = no_donor
         if cfg.gripper_jitter_range > 0.0:
             report["gripper_jitter_range"] = cfg.gripper_jitter_range
-    return Dataset(ds.schema_version, ds.task_schema, tuple(out))
+    return Dataset(ds.task_schema, tuple(out))
 
 
 def gripper_transit_jitter(
@@ -163,13 +166,18 @@ def gripper_transit_jitter(
 
     Only inside grasp-closing phases, strictly before the closing boundary
     (with a debounce-sized margin) and only while the gripper is open, so
-    the perturbed pair stays expert-consistent.
+    the perturbed pair stays expert-consistent. A phase the spec does not
+    have raises InvariantViolation naming the trajectory.
     """
     if cfg.gripper_jitter_range == 0.0:
         return traj
     timesteps = list(traj.timesteps)
     for phase, t0, t1 in traj.phase_ranges():
-        if not spec.phase(phase).grasp_closes:
+        try:
+            grasp_closes = spec.phase(phase).grasp_closes
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"trajectory {traj.traj_id!r}, timestep {t0}: {exc}") from exc
+        if not grasp_closes:
             continue
         window_end = t1 - JITTER_BOUNDARY_MARGIN
         for t in range(t0, max(t0, window_end)):

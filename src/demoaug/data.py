@@ -8,10 +8,12 @@ and load(save(ds)) == ds field for field.
 
 Records are immutable. The per-timestep ones (EntityState, RobotState,
 Action, Timestep) set their slots directly, with the constructors' checks
-and conversions, and no more. The schema alone holds the task id and the
-agent id: a line's agent ids are written from it and checked against it
-when the line is read, and a trajectory's task_id (its manifest field) must
-equal it. A trajectory records the schema its timesteps passed their
+and conversions, and no more. Each fact of a dataset has one holder. The
+schema alone holds the task id and the agent id: a line's agent ids and a
+manifest entry's task_id are written from it, and checked against it when
+the line or the manifest is read. No record holds the manifest's
+schema_version: a load checks its major version, and a save writes
+SCHEMA_VERSION. A trajectory records the schema its timesteps passed their
 checks under, and a save, load or validate checks them once per schema. A
 load reads each distinct value once and shares it: each distinct pose is
 built once, and each distinct text of a timestep line's entities, robots
@@ -37,8 +39,6 @@ import struct
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
-
-import numpy as np
 
 from .errors import InvariantViolation, IoFailure
 from .geometry import Pose
@@ -72,57 +72,34 @@ class EntityDecl:
 
 @dataclass(frozen=True)
 class TaskSchema:
-    """Entity/agent declarations plus the axis-aligned workspace box, which
-    `box` also holds as (min, max) float tuples. `agents` holds exactly one
-    id, `agent`: the simulator drives one gripper, so a timestep holds one
-    robot state and one action, and the lines name this agent."""
+    """Entity declarations, the one agent and the axis-aligned workspace box,
+    whose corners `workspace_min` and `workspace_max` are 3-tuples of floats.
+    The simulator drives one gripper, so a timestep holds one robot state and
+    one action, and the lines name `agent`."""
 
     task_id: str
     entities: tuple[EntityDecl, ...]
-    agents: tuple[str, ...]
-    workspace_min: np.ndarray
-    workspace_max: np.ndarray
-    box: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
-    _line_heads: tuple = field(init=False, repr=False)  # see timestep_to_json
+    agent: str
+    workspace_min: tuple[float, float, float]
+    workspace_max: tuple[float, float, float]
+    _line_heads: tuple = field(init=False, repr=False, compare=False)  # see timestep_to_json
 
     def __post_init__(self):
         object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "agents", tuple(self.agents))
-        lo = np.asarray(self.workspace_min, dtype=np.float64).reshape(3).copy()
-        hi = np.asarray(self.workspace_max, dtype=np.float64).reshape(3).copy()
-        if not np.all(hi > lo):
+        lo, hi = tuple(map(float, self.workspace_min)), tuple(map(float, self.workspace_max))
+        if len(lo) != 3 or len(hi) != 3:
+            raise InvariantViolation(f"workspace corners must hold 3 numbers each, got {list(lo)} and {list(hi)}")
+        if not all(b > a for a, b in zip(lo, hi)):
             raise InvariantViolation("degenerate workspace box")
-        lo.flags.writeable = False
-        hi.flags.writeable = False
         object.__setattr__(self, "workspace_min", lo)
         object.__setattr__(self, "workspace_max", hi)
-        object.__setattr__(self, "box", (tuple(lo.tolist()), tuple(hi.tolist())))
         ids = [e.entity_id for e in self.entities]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("duplicate entity ids in schema")
-        if len(self.agents) != 1:
-            raise InvariantViolation(f"a schema declares exactly one agent, got agents {list(self.agents)}")
         object.__setattr__(self, "_line_heads", _line_heads(self))
-
-    @property
-    def agent(self) -> str:
-        return self.agents[0]
 
     def entity_ids(self) -> tuple[str, ...]:
         return tuple(e.entity_id for e in self.entities)
-
-    def __eq__(self, other):
-        if not isinstance(other, TaskSchema):
-            return NotImplemented
-        return (
-            self.task_id == other.task_id
-            and self.entities == other.entities
-            and self.agents == other.agents
-            and self.box == other.box
-        )
-
-    def __hash__(self):  # over what __eq__ compares; the arrays are unhashable
-        return hash((self.task_id, self.entities, self.agents, self.box))
 
 
 def _slot_setters(cls) -> tuple:
@@ -201,7 +178,6 @@ _ENTITY_SLOTS, _ROBOT_SLOTS, _ACTION_SLOTS, _TIMESTEP_SLOTS = map(
 @dataclass(frozen=True)
 class Trajectory:
     traj_id: str
-    task_id: str
     timesteps: tuple[Timestep, ...]
     success: bool
     provenance: Provenance
@@ -233,7 +209,6 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Dataset:
-    schema_version: str
     task_schema: TaskSchema
     trajectories: tuple[Trajectory, ...]
 
@@ -266,16 +241,6 @@ def _is_real(value) -> bool:
         return False
 
 
-def _check_trajectory_ids(traj: Trajectory, schema: TaskSchema):
-    """Raise InvariantViolation naming a trajectory of another task or with
-    an unsafe traj_id."""
-    where = f"trajectory {traj.traj_id!r}"
-    if traj.task_id != schema.task_id:
-        raise InvariantViolation(f"{where}: task_id {traj.task_id!r} != schema {schema.task_id!r}")
-    if not _ID_RE.fullmatch(traj.traj_id):
-        raise InvariantViolation(f"{where}: traj_id is not filesystem-safe")
-
-
 def _timestep_error(traj: Trajectory, ts: Timestep, what: str) -> InvariantViolation:
     return InvariantViolation(f"trajectory {traj.traj_id!r}, timestep {ts.t}: {what}")
 
@@ -284,7 +249,7 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
     """Raise InvariantViolation naming the offending trajectory/timestep.
 
     Every timestep is checked for t strictly increasing, phase labels >= 0
-    that never decrease and one robot state, as timestep_to_json's zip needs.
+    that never decrease and one robot state, as timestep_to_json needs.
     The checks of its entities and its actions (one, inside the workspace)
     depend only on that tuple and the schema. `checked_sections`, which only
     load_dataset passes, holds per kind the ids of the tuples that passed
@@ -292,8 +257,8 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
     again; a tuple that fails raises, which ends the load and the memo. One
     set per kind keeps apart the empty tuple, which they share."""
     expected_entities, decls = schema.entity_ids(), schema.entities
-    lx, ly, lz = [x - _BOX_TOL for x in schema.box[0]]
-    hx, hy, hz = [x + _BOX_TOL for x in schema.box[1]]
+    lx, ly, lz = [x - _BOX_TOL for x in schema.workspace_min]
+    hx, hy, hz = [x + _BOX_TOL for x in schema.workspace_max]
     memo = checked_sections is not None
     seen_entities, seen_actions = checked_sections if memo else ((), ())
     prev_t = prev_phase = None
@@ -338,25 +303,22 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
 
 
 def validate_dataset(ds: Dataset, checked_sections=None):
-    """Check the schema version, unique traj_ids and every trajectory's ids
-    and timesteps. `checked_sections` is load_dataset's memo of the
+    """Check that traj_ids are unique and filesystem-safe, and every
+    trajectory's timesteps. `checked_sections` is load_dataset's memo of the
     entities and actions tuples that passed (see _check_timesteps).
 
     A trajectory whose timesteps pass is marked with the schema they passed
     under (`_checked_under`), as a pose keeps its encoding: it is immutable,
     so under that schema, or an equal one, its timestep checks are not run
     again."""
-    if ds.schema_version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
-        raise InvariantViolation(
-            f"schema_version {ds.schema_version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
-        )
     schema = ds.task_schema
     seen = set()
     for tr in ds.trajectories:
         if tr.traj_id in seen:
             raise InvariantViolation(f"duplicate traj_id {tr.traj_id!r}")
         seen.add(tr.traj_id)
-        _check_trajectory_ids(tr, schema)
+        if not _ID_RE.fullmatch(tr.traj_id):
+            raise InvariantViolation(f"trajectory {tr.traj_id!r}: traj_id is not filesystem-safe")
         if tr._checked_under is not schema and tr._checked_under != schema:
             _check_timesteps(tr, schema, checked_sections)
             object.__setattr__(tr, "_checked_under", schema)
@@ -373,7 +335,6 @@ def slice_subtrajectory(traj: Trajectory, t0: int, t1: int) -> Trajectory:
     sliced = tuple(replace(ts, t=i) for i, ts in enumerate(traj.timesteps[t0:t1]))
     return Trajectory(
         traj_id=f"{traj.traj_id}_s{t0}_{t1}",
-        task_id=traj.task_id,
         timesteps=sliced,
         success=traj.success,
         provenance=traj.provenance,
@@ -603,15 +564,14 @@ def _pose_from_json(obj, where: str, poses: dict) -> Pose:
 
 
 def _line_heads(schema: TaskSchema) -> tuple:
-    """The text of a timestep line that the schema fixes, with the comma
-    before each item but the first of its array: per entity, its text up to
-    the pose and each extra key's `"key":`; per agent, the text of its robot
-    state and of its action up to the pose."""
+    """The text of a timestep line that the schema fixes: per entity, with
+    the comma before each but the first, its text up to the pose and each
+    extra key's `"key":`; and the text of the agent's robot state and of its
+    action up to the pose."""
     entities = tuple(("," * (i > 0) + f'{{"entity_id":{_quote(d.entity_id)},"pose":',
                       tuple(f"{_quote(k)}:" for k in d.extra_fields)) for i, d in enumerate(schema.entities))
-    robots, actions = (tuple("," * (j > 0) + f'{{"agent_id":{_quote(a)},"{key}":' for j, a in enumerate(schema.agents))
-                       for key in ("eef_pose", "target_eef_pose"))
-    return entities, robots, actions
+    robot, action = (f'{{"agent_id":{_quote(schema.agent)},"{key}":' for key in ("eef_pose", "target_eef_pose"))
+    return entities, robot, action
 
 
 def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
@@ -621,17 +581,16 @@ def timestep_to_json(ts: Timestep, schema: TaskSchema) -> str:
     dict in key order t, entities, robots, actions, phase[, interp]: floats
     are written with repr and strings with json's ASCII escaper. The ids
     and extra keys are written from the schema's `_line_heads`: the checks
-    compared the entity ids and extra keys with the schema's, and a robot
-    state or action is the schema's one agent's."""
-    entity_heads, robot_heads, action_heads = schema._line_heads
-    entities = robots = actions = ""
+    compared the entity ids and extra keys with the schema's, and the one
+    robot state and the one action are the schema's one agent's."""
+    entity_heads, robot_head, action_head = schema._line_heads
+    (r,), (a,) = ts.robots, ts.actions
+    entities = ""
     for e, (head, extras) in zip(ts.entities, entity_heads):
         extra = ",".join([key + repr(float(v)) for key, v in zip(extras, e.extra.values())]) if extras else ""
         entities += f'{head}{_pose_to_json(e.pose)},"extra":{{{extra}}}}}'
-    for r, head in zip(ts.robots, robot_heads):
-        robots += f'{head}{_pose_to_json(r.eef_pose)},"gripper_aperture":{float(r.gripper_aperture)!r}}}'
-    for a, head in zip(ts.actions, action_heads):
-        actions += f'{head}{_pose_to_json(a.target_eef_pose)},"gripper_command":{float(a.gripper_command)!r}}}'
+    robots = f'{robot_head}{_pose_to_json(r.eef_pose)},"gripper_aperture":{float(r.gripper_aperture)!r}}}'
+    actions = f'{action_head}{_pose_to_json(a.target_eef_pose)},"gripper_command":{float(a.gripper_command)!r}}}'
     phase = "null" if ts.phase is None else int(ts.phase)
     interp = ',"interp":true' if ts.interp else ""
     return (
@@ -723,11 +682,8 @@ def schema_to_json(schema: TaskSchema) -> dict:
         "task_id": schema.task_id,
         "entities": [{"entity_id": e.entity_id, "kind": e.kind, "extra_fields": list(e.extra_fields)}
                      for e in schema.entities],
-        "agents": list(schema.agents),
-        "workspace": {
-            "min": [float(x) for x in schema.workspace_min],
-            "max": [float(x) for x in schema.workspace_max],
-        },
+        "agents": [schema.agent],
+        "workspace": {"min": list(schema.workspace_min), "max": list(schema.workspace_max)},
     }
 
 
@@ -736,17 +692,21 @@ _SCHEMA_KEYS = ("task_id", "entities", "agents", "workspace")
 
 def schema_from_json(where: str, obj) -> TaskSchema:
     """The TaskSchema in its JSON object at path `where`, as schema_to_json
-    writes it; InvariantViolation if that is malformed."""
+    writes it; InvariantViolation if that is malformed. Its `agents` list
+    must hold exactly one id."""
     check_keys(where, obj, _SCHEMA_KEYS, _SCHEMA_KEYS)
     box, at = obj["workspace"], _at(where, "workspace")
     check_keys(at, box, ("min", "max"), ("min", "max"))
+    agents = Param((str,), MISSING).parse(_at(where, "agents"), obj["agents"])
+    if len(agents) != 1:
+        raise InvariantViolation(f"a schema declares exactly one agent, got agents {list(agents)}")
     return TaskSchema(
         task_id=Param(str, MISSING).parse(_at(where, "task_id"), obj["task_id"]),
         entities=list_from_json(_at(where, "entities"), obj["entities"],
                                 lambda path, e: record_from_json(EntityDecl, path, e)),
-        agents=Param((str,), MISSING).parse(_at(where, "agents"), obj["agents"]),
-        workspace_min=np.array(Param(3, MISSING).parse(_at(at, "min"), box["min"])),
-        workspace_max=np.array(Param(3, MISSING).parse(_at(at, "max"), box["max"])),
+        agent=agents[0],
+        workspace_min=Param(3, MISSING).parse(_at(at, "min"), box["min"]),
+        workspace_max=Param(3, MISSING).parse(_at(at, "max"), box["max"]),
     )
 
 
@@ -814,12 +774,12 @@ def save_dataset(ds: Dataset, path, previous: SavedFiles | None = None) -> Saved
                     fh.write("\n".join(lines) + "\n")
             saved.files[id(tr.timesteps)] = (tr.timesteps, dest)
         manifest = {
-            "schema_version": ds.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "task_schema": schema_to_json(ds.task_schema),
             "trajectories": [
                 {
                     "traj_id": tr.traj_id,
-                    "task_id": tr.task_id,
+                    "task_id": ds.task_schema.task_id,
                     "file": traj_filename(tr.traj_id),
                     "num_timesteps": len(tr.timesteps),
                     "success": tr.success,
@@ -859,16 +819,19 @@ def _check_replaceable(root: Path) -> None:
 
 
 # the keys save_dataset writes: at the top level of the manifest, and in each
-# trajectory entry, where all but task_id are required
+# trajectory entry, where all but task_id, which must be the schema's, are
+# required
 _MANIFEST_KEYS = ("schema_version", "task_schema", "trajectories")
 _MANIFEST_ENTRY_KEYS = ("traj_id", "task_id", "file", "num_timesteps", "success", "provenance")
 _MANIFEST_ENTRY_REQUIRED = tuple(key for key in _MANIFEST_ENTRY_KEYS if key != "task_id")
 _NUM_TIMESTEPS = Param(int, MISSING, minimum=0)
 
 
-def _check_manifest_entry(entry, n: int) -> None:
+def _check_manifest_entry(entry, n: int, schema: TaskSchema) -> None:
     where = f"manifest.trajectories.{n}"
     check_keys(where, entry, _MANIFEST_ENTRY_REQUIRED, _MANIFEST_ENTRY_KEYS)
+    if entry.get("task_id", schema.task_id) != schema.task_id:
+        raise InvariantViolation(f"{where}: task_id {entry['task_id']!r} != schema {schema.task_id!r}")
     _NUM_TIMESTEPS.parse(_at(where, "num_timesteps"), entry["num_timesteps"])
     traj_id = entry["traj_id"]
     if not isinstance(traj_id, str) or not _ID_RE.fullmatch(traj_id):
@@ -962,7 +925,7 @@ def load_dataset(path) -> Dataset:
     poses: dict[bytes, Pose] = {}
     sections: tuple[dict, dict, dict] = ({}, {}, {})
     for n, entry in enumerate(entries):
-        _check_manifest_entry(entry, n)
+        _check_manifest_entry(entry, n, schema)
         traj_id = entry["traj_id"]
         fpath = root / entry["file"]
         try:
@@ -984,12 +947,11 @@ def load_dataset(path) -> Dataset:
         trajectories.append(
             Trajectory(
                 traj_id=traj_id,
-                task_id=entry.get("task_id", schema.task_id),
                 timesteps=tuple(timesteps),
                 success=entry["success"],
                 provenance=Provenance(entry["provenance"]),
             )
         )
-    ds = Dataset(schema_version=version, task_schema=schema, trajectories=tuple(trajectories))
+    ds = Dataset(task_schema=schema, trajectories=tuple(trajectories))
     validate_dataset(ds, checked_sections=(set(), set()))
     return ds

@@ -116,7 +116,7 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
 def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
     trajs = tuple(replace(rollout_expert(task, derive_stream(seed, "gen", i)), traj_id=f"demo_{i:04d}")
                   for i in range(p["count"]))
-    ds = Dataset("1.0", task.schema, trajs)
+    ds = Dataset(task.schema, trajs)
     return ds, {"generated": p["count"], "all_success": all(t.success for t in trajs)}
 
 
@@ -127,7 +127,7 @@ def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset
         min_phase_len=p["min_phase_len"],
     )
     labeled = tuple(assign_phases(tr, spec, cfg) for tr in ds.trajectories)
-    out = Dataset(ds.schema_version, ds.task_schema, labeled)
+    out = Dataset(ds.task_schema, labeled)
     return out, {"segmented": len(labeled), "phases": spec.num_phases}
 
 
@@ -150,7 +150,7 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> t
         attempt_budget=p["budget"],
         report=report,
     )
-    merged = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + synth.trajectories)
+    merged = Dataset(ds.task_schema, ds.trajectories + synth.trajectories)
     return merged, {
         "requested": count,
         "accepted": report.accepted,
@@ -185,7 +185,7 @@ def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> t
         return replace(noisy, traj_id=f"{tr.traj_id}_obs{k:02d}", provenance=prov)
 
     noisy = tuple(noise_one(tr, k) for tr in ds.trajectories for k in range(p["copies"]))
-    out = Dataset(ds.schema_version, ds.task_schema, ds.trajectories + noisy)
+    out = Dataset(ds.task_schema, ds.trajectories + noisy)
     return out, {"noise_sigma": sigma, "noised_copies": len(noisy)}
 
 
@@ -194,28 +194,29 @@ def _stage_validate(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int)
 
 
 # stage name -> (stage function, {parameter key: Param}). These are the only
-# parameter keys a stage accepts. Bounds that a library config class already
+# parameter keys a stage accepts. A parameter that sets a library config
+# field takes its default from that field, and bounds that the class already
 # checks (close_threshold, swap_prob, the interpolation steps, ...) are left
-# to that class.
+# to it.
 STAGES = {
     "gen": (_stage_gen, {"count": Param(int, 10, minimum=0)}),
     "segment": (_stage_segment, {
-        "close_threshold": Param(float, 0.5),
-        "debounce": Param(int, 3),
-        "min_phase_len": Param(int, 5),
+        "close_threshold": Param(float, SegmentationConfig.close_threshold),
+        "debounce": Param(int, SegmentationConfig.debounce_steps),
+        "min_phase_len": Param(int, SegmentationConfig.min_phase_len),
     }),
     "se3": (_stage_se3, {
         "count": Param(int, None, minimum=0),
         "pos_range": Param(4, None),
         "yaw_range": Param(2, None),
-        "max_pos_step": Param(float, 0.02),
-        "max_rot_step": Param(float, 0.1),
+        "max_pos_step": Param(float, InterpolationConfig.max_pos_step),
+        "max_rot_step": Param(float, InterpolationConfig.max_rot_step),
         "budget": Param(int, None, minimum=1),
     }),
     "causal": (_stage_causal, {
-        "swap_prob": Param(float, 1.0),
-        "copies": Param(int, 1, minimum=1),
-        "donor_policy": Param(dict(any=DONOR_POLICIES[0], aligned=DONOR_POLICIES[1]), DONOR_POLICIES[0]),
+        "swap_prob": Param(float, CounterfactualConfig.swap_probability),
+        "copies": Param(int, CounterfactualConfig.copies_per_trajectory, minimum=1),
+        "donor_policy": Param(dict(any=DONOR_POLICIES[0], aligned=DONOR_POLICIES[1]), CounterfactualConfig.donor_policy),
         "gripper_jitter": Param(float, CounterfactualConfig.gripper_jitter_range),
     }),
     "obs": (_stage_obs, {
@@ -242,8 +243,6 @@ def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | Non
         check_dataset_task(ds, task)
     if ds is not None and spec is not None:
         check_spec(spec, ds.task_schema)
-        if stage.name in ("se3", "causal"):  # the stages that read phase labels; segment writes them
-            check_phase_labels(ds, spec)
     fn, table = STAGES[stage.name]
     return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 
@@ -335,14 +334,13 @@ def ratio_study(
     made once, for the largest ratio, and ratio r takes the first r of each."""
     if len(base) != plan.base_count:
         raise InvariantViolation(f"plan expects {plan.base_count} base demos, dataset has {len(base)}")
-    check_phase_labels(base, spec)
     top = max(plan.ratios, default=0)
     copies = augment_offline(base, spec, replace(cfg, copies_per_trajectory=top)).trajectories[len(base):] if top else ()
     datasets = []
     table = []
     saved = None
     for r in plan.ratios:
-        ds_r = Dataset(base.schema_version, base.task_schema,
+        ds_r = Dataset(base.task_schema,
                        base.trajectories + tuple(c for i in range(len(base)) for c in copies[i * top:i * top + r]))
         synthetic = sum(1 for t in ds_r.trajectories if t.provenance is Provenance.COUNTERFACTUAL_SYNTHETIC)
         real = len(ds_r) - synthetic

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .causal import TaskCausalSpec
+from .causal import TaskCausalSpec, check_phase_labels
 from .data import Action, Dataset, Timestep, Trajectory, Provenance
 from .errors import BudgetExhausted, InvariantViolation
 from .geometry import Pose, SE3Transform, _slerp, quat_geodesic, relative_transform, vec_norm
@@ -168,12 +168,14 @@ def generate_demos(
     PoseSampler applied to every entity (keeping per-entity rest heights).
     Attempts run in index order until the n_target-th success, and whether
     an attempt succeeds depends on its index alone. Raises BudgetExhausted
-    when the attempt budget runs out first.
+    when the attempt budget runs out first, and InvariantViolation, even for
+    n_target 0, on a dataset labelled with a phase the spec does not have.
     """
+    check_phase_labels(ds, spec)
     if report is None:
         report = GenerationReport()
     if n_target == 0:
-        return Dataset(ds.schema_version, ds.task_schema, ())
+        return Dataset(ds.task_schema, ())
     sources = _phase_sources(ds, spec)
     for p, options in sources.items():
         if not options:
@@ -189,7 +191,6 @@ def generate_demos(
         if success:
             traj = Trajectory(
                 traj_id=f"se3_{master_seed}_{attempt:06d}",
-                task_id=task.schema.task_id,
                 timesteps=tuple(timesteps),
                 success=True,
                 provenance=Provenance.SE3_SYNTHETIC,
@@ -206,4 +207,4 @@ def generate_demos(
             accepted=len(accepted),
             attempts=report.attempts,
         )
-    return Dataset(ds.schema_version, ds.task_schema, tuple(accepted))
+    return Dataset(ds.task_schema, tuple(accepted))

@@ -161,7 +161,7 @@ class TaskDefinition:
                     raise InvariantViolation(
                         f"entity {decl.entity_id!r} declares extra field {name!r}, which a {self.kind} task does not simulate")
         _check_reachable(self, self.home_pose.xyz, "home_pose")
-        lo, hi = self.schema.box
+        lo, hi = self.schema.workspace_min, self.schema.workspace_max
         for eid in ids:
             s = self.samplers[eid]
             for (r_lo, r_hi), w_lo, w_hi in zip((s.x_range, s.y_range, s.z_range), lo, hi):
@@ -265,7 +265,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     sim = task.sim
     old_eef = state.gripper.eef_pose
     moved = step_toward(old_eef, action.target_eef_pose, sim.max_pos_step, sim.max_rot_step)
-    (x, y, z), (lo, hi) = moved.xyz, task.schema.box
+    (x, y, z), lo, hi = moved.xyz, task.schema.workspace_min, task.schema.workspace_max
     if lo[0] < x < hi[0] and lo[1] < y < hi[1] and lo[2] < z < hi[2]:
         new_eef = moved  # strictly inside: _clip would return every value as it is
     else:
@@ -338,7 +338,7 @@ def _pod_in_well(state: SimState, task: TaskDefinition, pod: str, machine: str) 
 
 
 def _check_reachable(task: TaskDefinition, point: tuple, what: str):
-    lo, hi = task.schema.box
+    lo, hi = task.schema.workspace_min, task.schema.workspace_max
     if any(x < w_lo or x > w_hi for x, w_lo, w_hi in zip(point, lo, hi)):
         raise InvariantViolation(f"{what} {list(point)} outside workspace")
 
@@ -603,7 +603,6 @@ def rollout_expert(task: TaskDefinition, seed) -> Trajectory:
         raise InvariantViolation(f"expert did not finish {task.schema.task_id!r} within {EXPERT_MAX_STEPS} steps")
     return Trajectory(
         traj_id=f"demo_{seed}" if isinstance(seed, int) else "demo",
-        task_id=task.schema.task_id,
         timesteps=tuple(timesteps),
         success=True,
         provenance=Provenance.HUMAN_SOURCE,

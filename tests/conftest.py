@@ -60,7 +60,7 @@ def make_labeled_demos(task, n, seed_base=0):
         tr = rollout_expert(task, derive_stream(seed_base, "demo", i))
         tr = assign_phases(tr, task.causal, cfg)
         trajs.append(replace(tr, traj_id=f"demo_{i:03d}"))
-    return Dataset("1.0", task.schema, tuple(trajs))
+    return Dataset(task.schema, tuple(trajs))
 
 
 @pytest.fixture(scope="session")

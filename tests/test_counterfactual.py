@@ -14,6 +14,7 @@ from demoaug.causal import swap_candidates
 from demoaug.data import Dataset, Provenance
 from demoaug.errors import InvariantViolation
 from demoaug.geometry import quat_geodesic
+from demoaug.retarget import InterpolationConfig, generate_demos
 from demoaug.rng import derive_stream
 from demoaug.sim import expert_action, sim_state_from_timestep
 from tests.conftest import make_labeled_demos
@@ -41,7 +42,7 @@ def test_build_phase_index_covers_expected_donors(stack_task):
 
 
 def test_build_phase_index_empty_dataset(stack_task):
-    ds = Dataset("1.0", stack_task.schema, ())
+    ds = Dataset(stack_task.schema, ())
     assert build_phase_index(ds, stack_task.causal) == {}
 
 
@@ -65,7 +66,7 @@ def test_unlabeled_trajectory_rejected(stack_task):
     ds = make_labeled_demos(stack_task, 1)
     raw = replace(ds.trajectories[0], timesteps=tuple(replace(ts, phase=None) for ts in ds.trajectories[0].timesteps))
     with pytest.raises(InvariantViolation, match="trajectory 'demo_000' has unlabeled timesteps"):
-        build_phase_index(Dataset("1.0", stack_task.schema, (raw,)), stack_task.causal)
+        build_phase_index(Dataset(stack_task.schema, (raw,)), stack_task.causal)
 
 
 def test_augment_swaps_donor_partition_states(stack_task, stack_demos):
@@ -245,7 +246,7 @@ def test_expert_oracle_on_mixed_source_pool(stack_task, stack_demos):
 
     synth = generate_demos(stack_demos, stack_task.causal, None, InterpolationConfig(),
                            stack_task, 2, master_seed=19)
-    merged = Dataset("1.0", stack_task.schema, stack_demos.trajectories + synth.trajectories)
+    merged = Dataset(stack_task.schema, stack_demos.trajectories + synth.trajectories)
     cfg = CounterfactualConfig(master_seed=19, swap_probability=1.0, copies_per_trajectory=1)
     aug = augment_offline(merged, stack_task.causal, cfg)
     checked = 0
@@ -264,3 +265,38 @@ def test_expert_oracle_on_mixed_source_pool(stack_task, stack_demos):
                                  stored.target_eef_pose.orientation) <= 1e-9
             checked += 1
     assert checked >= 500
+
+
+def _labelled_past_the_spec(ds):
+    """`ds` with the last five steps of its first trajectory labelled phase
+    4, which the stack spec (phases 0-3) does not have."""
+    first = ds.trajectories[0]
+    steps = first.timesteps[:-5] + tuple(replace(ts, phase=4) for ts in first.timesteps[-5:])
+    return replace(ds, trajectories=(replace(first, timesteps=steps),) + ds.trajectories[1:])
+
+
+@pytest.mark.parametrize("call", ["augment_offline", "generate_demos", "generate_demos_count_0",
+                                  "gripper_transit_jitter"])
+def test_library_calls_refuse_a_phase_label_past_the_spec(stack_task, stack_demos, call):
+    """The label contract holds for a library caller as at the CLI: an
+    InvariantViolation naming the trajectory and the label, whatever the
+    count, never a raw lookup error."""
+    ds, spec = _labelled_past_the_spec(stack_demos), stack_task.causal
+    calls = {
+        "augment_offline": lambda: augment_offline(ds, spec, CounterfactualConfig()),
+        "generate_demos": lambda: generate_demos(ds, spec, None, InterpolationConfig(), stack_task, 1),
+        "generate_demos_count_0": lambda: generate_demos(ds, spec, None, InterpolationConfig(), stack_task, 0),
+        "gripper_transit_jitter": lambda: gripper_transit_jitter(
+            ds.trajectories[0], spec, CounterfactualConfig(gripper_jitter_range=0.1), derive_stream(0, "jitter")),
+    }
+    traj_id = ds.trajectories[0].traj_id
+    with pytest.raises(InvariantViolation,
+                       match=rf"^trajectory '{traj_id}', timestep \d+: phase (label )?4 is past the causal spec's 4 phases$"):
+        calls[call]()
+
+
+def test_a_spec_phase_past_its_phases_is_an_error(stack_task):
+    assert stack_task.causal.phase(3).phase_index == 3
+    for index in (4, -1):
+        with pytest.raises(InvariantViolation, match=rf"^phase {index} is past the causal spec's 4 phases$"):
+            stack_task.causal.phase(index)

@@ -22,6 +22,8 @@ from demoaug.data import (
     _pose_to_json,
     load_dataset,
     save_dataset,
+    schema_from_json,
+    schema_to_json,
     slice_subtrajectory,
     timestep_to_json,
     validate_dataset,
@@ -34,7 +36,7 @@ def make_schema():
     return TaskSchema(
         task_id="rt_task",
         entities=(EntityDecl("obj_a", "block"), EntityDecl("obj_b", "receptacle", ("lid_angle",))),
-        agents=("robot0",),
+        agent="robot0",
         workspace_min=np.array([-1.0, -1.0, 0.0]),
         workspace_max=np.array([1.0, 1.0, 1.0]),
     )
@@ -63,13 +65,12 @@ def random_dataset(seed=0, n_traj=3, n_steps=5) -> Dataset:
         trajs.append(
             Trajectory(
                 traj_id=f"tr_{k:02d}",
-                task_id="rt_task",
                 timesteps=tuple(steps),
                 success=bool(rng.integers(2)),
                 provenance=list(Provenance)[k % 4],
             )
         )
-    return Dataset("1.0", schema, tuple(trajs))
+    return Dataset(schema, tuple(trajs))
 
 
 def test_round_trip_is_field_exact(tmp_path):
@@ -98,7 +99,7 @@ def test_save_load_save_round_trip_bytes(tmp_path):
 
 
 def test_empty_dataset_round_trips(tmp_path):
-    ds = Dataset("1.0", make_schema(), ())
+    ds = Dataset(make_schema(), ())
     save_dataset(ds, tmp_path / "empty")
     loaded = load_dataset(tmp_path / "empty")
     assert len(loaded) == 0
@@ -127,6 +128,46 @@ def test_schema_version_mismatch(tmp_path):
     (tmp_path / "v" / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(InvariantViolation, match=r"manifest schema_version '2.0' unsupported \(tool supports 1.x\)"):
         load_dataset(tmp_path / "v")
+
+
+def test_a_1x_manifest_loads_and_saves_as_1_0(tmp_path):
+    save_dataset(random_dataset(4), tmp_path / "v")
+    _edit_manifest(lambda manifest: {**manifest, "schema_version": "1.7"})(tmp_path / "v")
+    save_dataset(load_dataset(tmp_path / "v"), tmp_path / "w")
+    assert json.loads((tmp_path / "w" / "manifest.json").read_text())["schema_version"] == "1.0"
+
+
+def test_a_manifest_entry_of_another_task_is_refused_at_load(tmp_path):
+    """No in-memory record holds a trajectory's task id: the load checks
+    each manifest entry's optional task_id against the schema's."""
+    save_dataset(random_dataset(4), tmp_path / "t")
+    _set_entry("task_id", "other", n=1)(tmp_path / "t")
+    with pytest.raises(InvariantViolation, match=r"^manifest\.trajectories\.1: task_id 'other' != schema 'rt_task'$"):
+        load_dataset(tmp_path / "t")
+    _set_entry("task_id", "rt_task", n=1)(tmp_path / "t")
+    _drop_key("task_id")(tmp_path / "t")  # the key is optional
+    assert load_dataset(tmp_path / "t") == random_dataset(4)
+
+
+def test_schemas_equal_in_value_compare_and_hash_equal():
+    """The workspace corners are float tuples, whichever sequence built
+    them, so the generated __eq__ and __hash__ cover the whole schema."""
+    arrays = make_schema()
+    lists = TaskSchema("rt_task", arrays.entities, "robot0", [-1, -1, 0], [1.0, 1.0, 1.0])
+    assert lists == arrays and hash(lists) == hash(arrays)
+    assert lists.workspace_min == (-1.0, -1.0, 0.0) and all(type(x) is float for x in lists.workspace_min)
+    assert {lists: 1}[arrays] == 1
+    for other in (replace(arrays, workspace_max=(1.0, 1.0, 2.0)), replace(arrays, agent="robot1")):
+        assert other != arrays and other not in {arrays}
+
+
+@pytest.mark.parametrize("agents", [[], ["robot0", "robot1"]], ids=["no_agent", "two_agents"])
+def test_schema_from_json_refuses_any_agent_list_but_one_id(agents):
+    obj = schema_to_json(make_schema())
+    assert schema_from_json("task_schema", obj) == make_schema()
+    obj["agents"] = agents
+    with pytest.raises(InvariantViolation, match=re.escape(f"a schema declares exactly one agent, got agents {agents}")):
+        schema_from_json("task_schema", obj)
 
 
 def test_bad_quaternion_names_trajectory_and_timestep(tmp_path):
@@ -162,8 +203,8 @@ def test_action_outside_workspace_rejected():
         (RobotState(Pose.identity(), 1.0),),
         (Action(pose, 1.0),),
     )
-    traj = Trajectory("t", "rt_task", (ts,), True, Provenance.HUMAN_SOURCE)
-    ds = Dataset("1.0", schema, (traj,))
+    traj = Trajectory("t", (ts,), True, Provenance.HUMAN_SOURCE)
+    ds = Dataset(schema, (traj,))
     with pytest.raises(InvariantViolation, match="workspace"):
         save_dataset(ds, "/tmp/never_written")
 
@@ -465,7 +506,7 @@ def test_save_reuses_validation_of_inherited_trajectories(tmp_path, monkeypatch)
     first = save_dataset(ds, tmp_path / "a")
     checked = _record_timestep_checks(monkeypatch)
     new = replace(random_dataset(8, n_traj=1).trajectories[0], traj_id="new")
-    grown = Dataset(ds.schema_version, make_schema(), ds.trajectories + (new,))  # an equal schema object
+    grown = Dataset(make_schema(), ds.trajectories + (new,))  # an equal schema object
     save_dataset(grown, tmp_path / "b", previous=first)
     assert checked == ["new"]
     assert load_dataset(tmp_path / "b") == grown
@@ -478,7 +519,7 @@ def test_save_under_another_schema_revalidates(tmp_path, monkeypatch):
     a, b = make_schema().entities
     other = replace(make_schema(), entities=(a, replace(b, extra_fields=("lid_angle", "hinge"))))
     with pytest.raises(InvariantViolation, match="extra fields"):
-        save_dataset(Dataset(ds.schema_version, other, ds.trajectories), tmp_path / "b", previous=first)
+        save_dataset(Dataset(other, ds.trajectories), tmp_path / "b", previous=first)
     assert checked == ["tr_00"]
     assert not (tmp_path / "b").exists()
 
@@ -490,11 +531,8 @@ def test_save_under_another_schema_revalidates(tmp_path, monkeypatch):
          InvariantViolation, "filesystem-safe"),
         (lambda ds: replace(ds, trajectories=ds.trajectories + ds.trajectories[:1]),
          InvariantViolation, "duplicate traj_id"),
-        (lambda ds: replace(ds, trajectories=(replace(ds.trajectories[0], task_id="other"),)),
-         InvariantViolation, "task_id"),
-        (lambda ds: replace(ds, schema_version="2.0"), InvariantViolation, "schema_version"),
     ],
-    ids=["unsafe_traj_id", "duplicate_traj_id", "other_task_id", "schema_version"],
+    ids=["unsafe_traj_id", "duplicate_traj_id"],
 )
 def test_save_rechecks_inherited_trajectories(tmp_path, edit, error, message):
     ds = random_dataset(10, n_traj=2)
@@ -526,12 +564,12 @@ def test_validate_rechecks_under_an_unequal_schema(monkeypatch):
     ds = random_dataset(14, n_traj=2)
     validate_dataset(ds)
     checked = _record_timestep_checks(monkeypatch)
-    validate_dataset(Dataset(ds.schema_version, make_schema(), ds.trajectories))  # an equal schema object
+    validate_dataset(Dataset(make_schema(), ds.trajectories))  # an equal schema object
     assert checked == []
     a, b = make_schema().entities
     other = replace(make_schema(), entities=(a, replace(b, extra_fields=("lid_angle", "hinge"))))
     with pytest.raises(InvariantViolation, match="extra fields"):
-        validate_dataset(Dataset(ds.schema_version, other, ds.trajectories))
+        validate_dataset(Dataset(other, ds.trajectories))
     assert checked == ["tr_00"]
     assert ds.trajectories[0]._checked_under == make_schema()  # a failed check leaves the mark as it was
 
@@ -708,11 +746,10 @@ def _pose(draw):
 @st.composite
 def _schema_and_timestep(draw):
     entity_ids = draw(st.lists(_ids, min_size=1, max_size=3, unique=True))
-    agents = [draw(_ids)]  # a schema declares exactly one agent
     decls = tuple(
         EntityDecl(eid, "block", tuple(draw(st.lists(_ids, max_size=3, unique=True)))) for eid in entity_ids
     )
-    schema = TaskSchema("t", decls, tuple(agents), np.zeros(3), np.ones(3))
+    schema = TaskSchema("t", decls, draw(_ids), np.zeros(3), np.ones(3))
     entities = tuple(
         EntityState(d.entity_id, draw(_pose()), {k: draw(_extra_values) for k in d.extra_fields})
         for d in decls
@@ -973,7 +1010,7 @@ def test_load_builds_one_pose_per_distinct_bit_pattern(tmp_path, monkeypatch):
     still = steps[0].entities[0]  # obj_a rests through the whole trajectory
     steps = tuple(replace(ts, entities=(still, ts.entities[1])) for ts in steps)
     trajs = tuple(replace(base.trajectories[0], traj_id=f"tr_{k}", timesteps=steps) for k in range(2))
-    ds = Dataset("1.0", base.task_schema, trajs)
+    ds = Dataset(base.task_schema, trajs)
     save_dataset(ds, tmp_path / "d")
 
     built = []

@@ -215,7 +215,7 @@ def _trajectory(seed: int, n_steps: int) -> Trajectory:
         )
         for t in range(n_steps)
     )
-    return Trajectory("tr", "task", steps, True, Provenance.SE3_SYNTHETIC)
+    return Trajectory("tr", steps, True, Provenance.SE3_SYNTHETIC)
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,8 +230,7 @@ def test_proprio_noise_equals_per_step_draws(sigma, n_steps, seed):
     got = proprio_noise(traj, sigma, rng)
     want = reference_proprio_noise(traj, sigma, ref_rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert (got.traj_id, got.task_id, got.success, got.provenance) == (
-        want.traj_id, want.task_id, want.success, want.provenance)
+    assert (got.traj_id, got.success, got.provenance) == (want.traj_id, want.success, want.provenance)
     assert len(got) == len(want)
     for a, b in zip(got.timesteps, want.timesteps):
         assert (a.t, a.phase, a.interp, a.entities, a.actions) == (b.t, b.phase, b.interp, b.entities, b.actions)

@@ -246,7 +246,7 @@ def test_validate_fails_on_corrupt_replay(stack_task, stack_demos):
     )
     steps[idx] = replace(steps[idx], actions=(replace(act, target_eef_pose=shifted),))
     broken = replace(traj, timesteps=tuple(steps))
-    result = validate_dataset_full(Dataset("1.0", stack_task.schema, (broken,)), stack_task)
+    result = validate_dataset_full(Dataset(stack_task.schema, (broken,)), stack_task)
     assert not result["ok"]
     assert any("replay" in f for f in result["failures"])
 
@@ -325,9 +325,9 @@ def test_stats_empty():
     from demoaug.data import TaskSchema, EntityDecl
     import numpy as np
 
-    schema = TaskSchema("t", (EntityDecl("a", "block"),), ("r",),
+    schema = TaskSchema("t", (EntityDecl("a", "block"),), "r",
                         np.array([-1.0, -1, 0]), np.array([1.0, 1, 1]))
-    s = stats(Dataset("1.0", schema, ()))
+    s = stats(Dataset(schema, ()))
     assert s["trajectories"] == 0 and s["timesteps"] == 0
 
 
@@ -402,11 +402,11 @@ def test_stats_keeps_the_first_zero_of_a_signed_zero_tie(order):
     from demoaug.data import EntityDecl, EntityState, TaskSchema, Timestep, Trajectory
     from demoaug.geometry import Pose
 
-    schema = TaskSchema("t", (EntityDecl("a", "block"),), ("r",), [-1.0, -1.0, 0.0], [1.0, 1.0, 1.0])
+    schema = TaskSchema("t", (EntityDecl("a", "block"),), "r", [-1.0, -1.0, 0.0], [1.0, 1.0, 1.0])
     plus, minus = ((EntityState("a", Pose([x, 0.5, 0.5], [1.0, 0.0, 0.0, 0.0])),) for x in (0.0, -0.0))
     first, second = (plus, minus) if order == "plus_first" else (minus, plus)
     steps = tuple(Timestep(t, ents, (), ()) for t, ents in enumerate((first, second, first, second, first)))
-    ds = Dataset("1.0", schema, (Trajectory("a", "t", steps, True, "human_source"),))
+    ds = Dataset(schema, (Trajectory("a", steps, True, "human_source"),))
     x_min, x_max = (_same_stats(ds)["entity_position_bounds"]["a"][k][0] for k in ("min", "max"))
     assert repr((x_min, x_max)) == ("(0.0, 0.0)" if order == "plus_first" else "(-0.0, -0.0)")
 

@@ -254,7 +254,7 @@ def test_synthetic_trajectories_survive_serialization(tmp_path, stack_demos, sta
 
     out = generate_demos(stack_demos, stack_task.causal, None, InterpolationConfig(), stack_task, 2,
                          master_seed=23)
-    ds = Dataset("1.0", stack_task.schema, out.trajectories)
+    ds = Dataset(stack_task.schema, out.trajectories)
     save_dataset(ds, tmp_path / "synth")
     loaded = load_dataset(tmp_path / "synth")
     assert loaded == ds

@@ -18,7 +18,7 @@ def traj_from_apertures(apertures):
                 (Action(Pose.identity(), float(ap)),),
             )
         )
-    return Trajectory("apt", "t", tuple(steps), True, Provenance.HUMAN_SOURCE)
+    return Trajectory("apt", tuple(steps), True, Provenance.HUMAN_SOURCE)
 
 
 def single_phase_spec(n_segments=1):

@@ -387,7 +387,7 @@ def test_a_kind_in_the_table_brings_its_own_articulated_state(monkeypatch, tmp_p
         assert d1 == d0 + abs(after.robots[0].eef_pose.xyz[2] - before.robots[0].eef_pose.xyz[2])
     assert dials[-1] > 0.25
 
-    ds = Dataset("1.0", task.schema, (traj,))
+    ds = Dataset(task.schema, (traj,))
     save_dataset(ds, tmp_path / "dial")
     loaded = load_dataset(tmp_path / "dial")
     assert loaded == ds

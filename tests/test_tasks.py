@@ -61,7 +61,7 @@ def test_task_schema_is_hashable_by_what_it_compares(tmp_path, name):
     schema = resolve_task(name).schema
     again = resolve_task(name).schema
     assert again is not schema and hash(again) == hash(schema)
-    save_dataset(Dataset("1.0", schema, ()), tmp_path / "d")
+    save_dataset(Dataset(schema, ()), tmp_path / "d")
     loaded = load_dataset(tmp_path / "d").task_schema
     assert loaded == schema and hash(loaded) == hash(schema)
     table = {schema: name}
