@@ -43,9 +43,17 @@ as the form it replaced, run in the same precision on the same operands
   values under masks instead of `np.select`/`np.where`, and the saturation
   divides only where the maximum is > 0 instead of by a 1.0 stand-in
   elsewhere; copying is exact and each division is the same.
-- `color_jitter` holds each strip as channel planes (a transposed
-  contiguous array): the layout changes no value, and the channel views
-  of the HSV kernels become contiguous.
+- `color_jitter` holds the pixels it computes as channel planes (a
+  transposed contiguous array): the layout changes no value, and the
+  channel views of the HSV kernels become contiguous.
+- Jitter is per pixel: `_jitter` gives each pixel the same float32
+  operations, whose operands are the pixel's own values, the factors and
+  the whole image's contrast mean. So `color_jitter` computes one pixel of
+  each run of equal consecutive pixels of a strip (in row-major order, so
+  a run may cross row ends), rounds it once, and copies its bytes to the
+  run's other pixels: they would get the same bytes. A rendered frame
+  holds a few hundred runs; noise, where every pixel is its own run, pays
+  for finding and copying the runs.
 - The bilinear resize converts the crop's rows to float32 (uint8 to
   float32 is exact), interpolates each source row it reads along x, then
   blends two such rows along y: every output is still
@@ -56,9 +64,10 @@ as the form it replaced, run in the same precision on the same operands
   strip of the uint8 image along both axes before the vertical pass,
   because that pass treats the padded columns like any other.
 - Crop, jitter and blur work on strips of output rows (see `_strips`) and
-  round each strip into a preallocated uint8 output. An output row reads
-  only the input rows its strip holds, so each element sees the same
-  operations in the same order: a resize strip interpolates the source
+  round each strip (jitter: the first pixel of each of its runs) into
+  uint8 before it lands in a preallocated output. An output row reads only
+  the input rows its strip holds, so each element sees the same operations
+  in the same order: a resize strip interpolates the source
   rows its output rows read, and a blur strip converts its rows plus
   2 * radius halo rows of the padded image and adds the taps of both
   passes in kernel order.
@@ -385,8 +394,35 @@ def color_jitter(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator
     mean = _contrast_mean(img, b) if c != 1.0 else 0.0
     out = np.empty_like(img)
     for band in _strips(*img.shape[:2]):
-        _store(_jitter(img[band], b, c, mean, s, hue_delta), out[band])
+        out[band] = _jitter_runs(img[band], b, c, mean, s, hue_delta)
     return out
+
+
+def _jitter_runs(rows: np.ndarray, b: float, c: float, mean: float, s: float, hue_delta: float) -> np.ndarray:
+    """color_jitter's uint8 bytes of some uint8 rows: the _jitter values of
+    one pixel per run of equal consecutive pixels (in row-major order),
+    rounded once and copied to every pixel of the run."""
+    pixels = rows.reshape(-1, 3)
+    bounds = _run_bounds(pixels)
+    values = _jitter(pixels.take(bounds[:-1], axis=0)[:, None], b, c, mean, s, hue_delta)
+    runs = np.empty(values.shape, dtype=np.uint8)  # allocated past _jitter's peak
+    _store(values, runs)
+    del values
+    return np.repeat(runs, np.diff(bounds), axis=0).reshape(rows.shape)
+
+
+def _run_bounds(pixels: np.ndarray) -> np.ndarray:
+    """The index of the first pixel of each run of equal consecutive pixels
+    of an (n, 3) array, in order, followed by n: the first pixel starts a
+    run, and so does each one that differs from the pixel before it in some
+    channel."""
+    n = len(pixels)
+    changed = pixels[1:] != pixels[:-1]
+    edges = np.empty(n + 1, dtype=bool)
+    edges[0] = edges[n] = True
+    np.logical_or(changed[:, 0], changed[:, 1], out=edges[1:n])
+    edges[1:n] |= changed[:, 2]
+    return np.flatnonzero(edges)
 
 
 def _contrast_mean(img: np.ndarray, b: float) -> float:

@@ -168,10 +168,13 @@ def generate_demos(
     PoseSampler applied to every entity (keeping per-entity rest heights).
     Attempts run in index order until the n_target-th success, and whether
     an attempt succeeds depends on its index alone. Raises BudgetExhausted
-    when the attempt budget runs out first, and InvariantViolation, even for
-    n_target 0, on a dataset labelled with a phase the spec does not have.
+    when the attempt budget runs out first, and InvariantViolation on a
+    negative n_target and, even for n_target 0, on a dataset labelled with a
+    phase the spec does not have.
     """
     check_phase_labels(ds, spec)
+    if n_target < 0:
+        raise InvariantViolation(f"cannot generate a negative number of demonstrations: n_target {n_target}")
     if report is None:
         report = GenerationReport()
     if n_target == 0:

@@ -549,10 +549,8 @@ def rounded(values):
     return np.clip(np.rint(values), 0, 255).astype(np.uint8)
 
 
-def float_strips(op, *args):
-    """op(*args) and the float32 strips it rounds into its uint8 output,
-    joined in row order: the values before rounding, where a changed
-    operation order shows."""
+def stored_strips(op, *args):
+    """op(*args) and the list of float32 strips it rounds, in order."""
     strips = []
     store = imageaug._store
 
@@ -562,7 +560,31 @@ def float_strips(op, *args):
 
     with mock.patch.object(imageaug, "_store", keep):
         result = op(*args)
+    return result, strips
+
+
+def float_strips(op, *args):
+    """op(*args) and the float32 strips it rounds into its uint8 output,
+    joined in row order: the values before rounding, where a changed
+    operation order shows."""
+    result, strips = stored_strips(op, *args)
     return result, np.concatenate(strips).reshape(result.shape)
+
+
+def jitter_values(img, b, c, s, hue_delta):
+    """color_jitter's output for factors b, c, s and hue_delta, and the
+    float32 value of every pixel before rounding. Jitter rounds one value
+    per run of equal consecutive pixels of a strip (imageaug._strips), in
+    row-major order; each run's value is expanded to its pixels through the
+    strip's run index, found here by comparing whole pixels."""
+    result, strips = stored_strips(color_jitter, img, VisualAugConfig(), _ForcedRng(b, c, s, hue_delta))
+    values = []
+    for band, runs in zip(imageaug._strips(*img.shape[:2]), strips, strict=True):
+        pixels = img[band].reshape(-1, 3)
+        index = np.cumsum(np.r_[True, np.any(pixels[1:] != pixels[:-1], axis=1)]) - 1
+        assert runs.shape == (index[-1] + 1, 1, 3)  # one value per run
+        values.append(runs.reshape(-1, 3)[index])
+    return result, np.concatenate(values).reshape(img.shape)
 
 
 @settings(max_examples=200, deadline=None)
@@ -779,9 +801,52 @@ def test_jitter_strips_match_reference(img, b, c, s, hue_delta):
     if (b, c, s, hue_delta) == (1.0, 1.0, 1.0, 0.0):
         return  # the identity copies the image (test_jitter_matches_reference)
     want = ref_jitter(img, b, c, s, hue_delta, np.float32)
-    got, values = float_strips(color_jitter, img, VisualAugConfig(), _ForcedRng(b, c, s, hue_delta))
+    got, values = jitter_values(img, b, c, s, hue_delta)
     assert_same(values, want)
     assert_same(got, rounded(want))
+
+
+@st.composite
+def run_images(draw):
+    """uint8 (h, w, 3) images made of runs of equal consecutive pixels in
+    row-major order: runs that cross row ends and strip boundaries, a 1x1
+    image, one colour over the whole image, and the wide images whose
+    strips hold 1 or 2 rows."""
+    h, w = draw(
+        st.just((1, 1))
+        | st.tuples(st.integers(1, 40), st.integers(1, 50))
+        | st.tuples(st.integers(3, 8), st.integers(2800, 8400))
+        | st.tuples(st.integers(82, 200), st.integers(100, 200))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_runs = min(h * w, draw(st.just(1) | st.integers(1, 400)))
+    cuts = np.sort(rng.choice(np.arange(1, h * w), n_runs - 1, replace=False))
+    lengths = np.diff(cuts, prepend=0, append=h * w)
+    if draw(st.booleans()):
+        colors = EDGE_COLORS[rng.integers(0, len(EDGE_COLORS), n_runs)]  # neighbouring runs may share a colour
+    else:
+        colors = rng.integers(0, 256, (n_runs, 3), dtype=np.uint8)
+    return np.repeat(colors, lengths, axis=0).reshape(h, w, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_images(), factors, factors, factors, st.sampled_from([0.0, 0.3]) | st.floats(-50.0, 50.0))
+def test_jitter_runs_match_reference(img, b, c, s, hue_delta):
+    if (b, c, s, hue_delta) == (1.0, 1.0, 1.0, 0.0):
+        return  # the identity copies the image (test_jitter_matches_reference)
+    want = ref_jitter(img, b, c, s, hue_delta, np.float32)
+    got, values = jitter_values(img, b, c, s, hue_delta)
+    assert_same(values, want)
+    assert_same(got, rounded(want))
+
+
+def test_jitter_runs_span_rows_and_strips():
+    """One colour over a 128 px frame is one run per strip, which crosses
+    every row end of the strip, and gives the reference bytes."""
+    img = np.full((128, 128, 3), (226, 226, 220), dtype=np.uint8)
+    got, strips = stored_strips(color_jitter, img, VisualAugConfig(), _ForcedRng(1.1, 1.2, 0.9, 0.3))
+    assert [runs.shape for runs in strips] == [(1, 1, 3)] * len(imageaug._strips(128, 128))
+    assert_same(got, rounded(ref_jitter(img, 1.1, 1.2, 0.9, 0.3, np.float32)))
 
 
 def _traced_peak(op) -> int:

@@ -1,12 +1,16 @@
-"""The output bytes of the default job, committed and checked.
+"""The output bytes of the default job and of the image chain, committed
+and checked.
 
 `output_bytes.json` holds the sha256 tree digest of `demoaug run --config
 configs/pipeline_stack.json` for the stack and coffee tasks at seeds 0, 1
 and 2, with a short sha256 of every file, and the platform, Python version
-and `math` numerics it was made on. The test reruns the six jobs in-process
-and names the tree and the first file that differs. A declared change of
-output bytes regenerates the file with `PYTHONPATH=src python
-scripts/update_output_bytes.py`.
+and `math` numerics it was made on. Its `frames` section holds the sha256
+of the benchmark's image chain (render a coffee reset state at 128 px, then
+crop, jitter, permute and blur it at `visual_frames_coffee`'s parameters)
+over FRAME_SEEDS, with a short sha256 of every frame. The tests rerun the
+six jobs and the frames in-process and name the tree and file, or the
+frame, that differs first. A declared change of output bytes regenerates
+the file with `PYTHONPATH=src python scripts/update_output_bytes.py`.
 """
 
 import hashlib
@@ -15,11 +19,15 @@ import math
 import platform
 from pathlib import Path
 
+from demoaug import imageaug, render, sim
 from demoaug.pipeline import pipeline_config_from_dict, run_pipeline
+from demoaug.rng import derive_stream
+from demoaug.tasks import resolve_task
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_FILE = Path(__file__).with_name("output_bytes.json")
 RUNS = tuple((task, seed) for task in ("stack", "coffee") for seed in (0, 1, 2))
+FRAME_SEEDS = tuple(range(64))
 
 
 def numerics() -> dict:
@@ -64,6 +72,31 @@ def run_trees(out_root: Path) -> dict:
     return trees
 
 
+def frame(task, seed: int) -> bytes:
+    """The bytes of one frame of the benchmark's image chain: bench/run.py's
+    VisualWorkload at frame seed `seed`."""
+    img = render.rasterize_state(sim.reset(task, seed), task, 128)
+    g = derive_stream(seed, "visual")
+    img = imageaug.random_resized_crop(img, imageaug.VisualAugConfig(crop_scale=(0.6, 1.0), output_hw=(128, 128)), g)
+    img = imageaug.color_jitter(img, imageaug.VisualAugConfig(brightness=0.2, contrast=0.2, saturation=0.2, hue=0.1), g)
+    img = imageaug.channel_permute(img, g.permutation(3))
+    return imageaug.gaussian_blur(img, float(g.uniform(0.5, 1.5))).tobytes()
+
+
+def run_frames() -> dict:
+    """The chain over FRAME_SEEDS: {"digest": the sha256 of the frames'
+    bytes in seed order, "frames": {seed: the first 16 hex digits of its
+    frame's sha256}}."""
+    task = resolve_task("coffee")
+    h = hashlib.sha256()
+    frames = {}
+    for seed in FRAME_SEEDS:
+        data = frame(task, seed)
+        h.update(data)
+        frames[str(seed)] = hashlib.sha256(data).hexdigest()[:16]
+    return {"digest": h.hexdigest(), "frames": frames}
+
+
 def _first_difference(want: dict, got: dict) -> str:
     for name in sorted(set(want) | set(got)):
         if want.get(name) != got.get(name):
@@ -84,3 +117,11 @@ def test_default_job_writes_the_committed_bytes(tmp_path):
                              f"; libm differs: committed {committed['environment']['numerics']}, here {here['numerics']}")
             raise AssertionError(f"tree {name}: digest {tree['digest']} is not the committed {want['digest']}; "
                                  f"first file that differs: {where}{numerics_note}")
+
+
+def test_image_chain_writes_the_committed_bytes():
+    want = json.loads(DIGEST_FILE.read_text(encoding="utf-8"))["frames"]
+    got = run_frames()
+    if got["digest"] != want["digest"]:
+        raise AssertionError(f"frames: digest {got['digest']} is not the committed {want['digest']}; "
+                             f"first frame seed that differs: {_first_difference(want['frames'], got['frames'])}")

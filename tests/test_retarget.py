@@ -124,6 +124,12 @@ def test_generate_zero_target(stack_demos, stack_task):
     assert len(out) == 0
 
 
+@pytest.mark.parametrize("n_target", [-1, -3])
+def test_generate_refuses_a_negative_target(stack_demos, stack_task, n_target):
+    with pytest.raises(InvariantViolation, match=f"n_target {n_target}"):
+        generate_demos(stack_demos, stack_task.causal, None, InterpolationConfig(), stack_task, n_target)
+
+
 def test_generate_replica_with_degenerate_sampler(stack_task):
     ds = make_labeled_demos(stack_task, 1, seed_base=21)
     src = ds.trajectories[0]

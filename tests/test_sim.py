@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from unittest import mock
 
 from demoaug.data import Action, timestep_to_json
 from demoaug.errors import InvariantViolation
@@ -19,6 +20,7 @@ from demoaug.sim import (
     sim_state_from_timestep,
     step,
 )
+from demoaug import render
 from demoaug.render import rasterize_state
 from demoaug.tasks import task_from_dict
 from tests.conftest import bundled_task_json, replay_states, stack_task_plus
@@ -265,6 +267,26 @@ def test_rasterizer_deterministic_and_shaped(stack_task):
     objects["cube_a"] = Pose(np.array([0.3, 0.3, 0.02]), objects["cube_a"].orientation)
     img3 = rasterize_state(SimState(objects, state.lids, state.gripper, None, 0), stack_task, size=96)
     assert not np.array_equal(img1, img3)
+
+
+def _broadcast_background(size):
+    img = np.empty((size, size, 3), dtype=np.uint8)
+    img[...] = render._BACKGROUND
+    return img
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 128, 257])
+def test_rasterizer_background_rows_match_the_broadcast_fill(stack_task, coffee_task, size):
+    """The frame filled by background rows equals the one filled by
+    broadcasting the background 3-tuple, before and after the drawing."""
+    assert np.array_equal(render._background(size), _broadcast_background(size))
+    for task in (stack_task, coffee_task):
+        for seed in range(20):
+            state = reset(task, seed)
+            got = rasterize_state(state, task, size)
+            with mock.patch.object(render, "_background", _broadcast_background):
+                want = rasterize_state(state, task, size)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_rasterizer_draws_a_receptacle_without_a_lid():
