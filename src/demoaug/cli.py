@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .causal import load_causal_spec
 from .counterfactual import CounterfactualConfig
-from .data import Param, load_dataset, read_json, save_dataset
+from .data import Param, load_dataset, read_json, save_dataset, write_json
 from .errors import ColorJitterRefused, ConfigError, DemoaugError, StageFailure
 from .imageaug import (
     VisualAugConfig,
@@ -68,11 +68,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        write_json(out, report, "failed writing report")
     else:
-        print(text)
+        print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _floats(text: str) -> list[float]:

@@ -22,12 +22,12 @@ from .causal import Partition, TaskCausalSpec, check_phase_labels, swap_candidat
 from .data import Action, Dataset, RobotState, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .rng import derive_stream
+from .sim import CLOSE_THRESHOLD
 
 logger = logging.getLogger(__name__)
 
 DONOR_POLICIES = ("same_phase_any_timestep", "same_phase_aligned_timestep")
-JITTER_CLOSE_THRESHOLD = 0.5  # gripper jitter leaves a robot at or below this aperture alone
-JITTER_BOUNDARY_MARGIN = 3  # and stops this many steps before a grasp-closing boundary
+JITTER_BOUNDARY_MARGIN = 3  # gripper jitter stops this many steps before a grasp-closing boundary
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def gripper_transit_jitter(
         for t in range(t0, max(t0, window_end)):
             ts = timesteps[t]
             (robot,), (act,) = ts.robots, ts.actions
-            if robot.gripper_aperture <= JITTER_CLOSE_THRESHOLD:
+            if robot.gripper_aperture <= CLOSE_THRESHOLD:
                 continue  # attached or closing; leave untouched
             delta = float(rng_stream.uniform(-cfg.gripper_jitter_range, cfg.gripper_jitter_range))
             robot = RobotState(robot.eef_pose, robot.gripper_aperture + delta)  # the constructors clamp to [0, 1]

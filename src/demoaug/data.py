@@ -379,6 +379,19 @@ def read_json(path, failure: str):
         raise IoFailure(f"{failure} {path}: {exc}") from exc
 
 
+def write_json(path, value, failure: str) -> None:
+    """Write `value` to the file at `path` as JSON, indented by 2 with sorted
+    keys and a final newline. A file that cannot be written (its directory
+    is missing, or it is a directory) raises IoFailure with the message
+    `{failure} {path}: {reason}`."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(value, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoFailure(f"{failure} {path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Param:
     """One typed value of an input file or a stage: its kind and its default.

@@ -5,7 +5,6 @@ every random draw flows through RNG streams derived from stable labels."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -14,8 +13,8 @@ import numpy as np
 
 from .causal import check_phase_labels, check_spec
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline
-from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset
-from .errors import ConfigError, DemoaugError, InvariantViolation, StageFailure
+from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset, write_json
+from .errors import ConfigError, DemoaugError, InvariantViolation, IoFailure, StageFailure
 from .imageaug import proprio_noise
 from .retarget import GenerationReport, InterpolationConfig, generate_demos
 from .rng import derive_stream
@@ -90,6 +89,8 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
     missing = [key for key in ("task", "out") if not isinstance(obj.get(key), str)]
     if missing:
         raise ConfigError(f"pipeline config lacks {', '.join(missing)} (a string)")
+    if "input" in obj and not (isinstance(obj["input"], str) and obj["input"]):
+        raise ConfigError(f"pipeline config: input must be a non-empty string, got {obj['input']!r}")
     entries = obj.get("stages", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str)
                                                 for e in entries):
@@ -281,7 +282,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     """Execute the configured stages; write per-stage datasets and a report."""
     task = resolve_task(cfg.task)
     root = Path(cfg.output_root)
-    root.mkdir(parents=True, exist_ok=True)
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"failed creating output root {root}: {exc}") from exc
     ds = load_dataset(cfg.input_path) if cfg.input_path else None
     report = {"task": task.schema.task_id, "seed": cfg.master_seed, "stages": []}
     saved = None  # files of the last stage written; later stages copy what they inherit
@@ -301,9 +305,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         report["stages"].append(
             {"name": stage.name, "in": in_count, "out": len(ds) if ds is not None else 0, **info}
         )
-    with open(root / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(root / "report.json", report, "failed writing report")
     return report
 
 
@@ -349,9 +351,7 @@ def ratio_study(
         if out_root is not None:
             saved = save_dataset(ds_r, Path(out_root) / f"ratio_{r}", previous=saved)
     if out_root is not None:
-        with open(Path(out_root) / "ratio_table.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(table, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(out_root) / "ratio_table.json", table, "failed writing ratio table")
     return datasets, table
 
 

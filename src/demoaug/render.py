@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sim import ReceptacleGeom, SimState, TaskDefinition, _local_xy
+from .sim import CLOSE_THRESHOLD, LID_OPEN_ANGLE, ReceptacleGeom, SimState, TaskDefinition, _local_xy
 
 _PALETTE = (
     (204, 48, 48),
@@ -63,13 +63,13 @@ def rasterize_state(state: SimState, task: TaskDefinition, size: int = 128) -> n
             lid = state.lids.get(decl.entity_id)  # a receptacle may have no lid
             if lid is not None:
                 # lid indicator: dark when open, light when closed
-                shade = tuple(int(60 + 180 * (1 - lid / (np.pi / 2))) for _ in range(3))
+                shade = tuple(int(60 + 180 * (1 - lid / LID_OPEN_ANGLE)) for _ in range(3))
                 fill_square(_local_xy(pose, geom.push_offset), geom.push_radius, shade)
         else:
             fill_square(pose.xyz, geom.height / 2, color)
 
     grip = state.gripper
-    color = _GRIPPER_CLOSED if grip.gripper_aperture < task.sim.close_threshold else _GRIPPER_OPEN
+    color = _GRIPPER_CLOSED if grip.gripper_aperture < CLOSE_THRESHOLD else _GRIPPER_OPEN
     r, c = to_px(grip.eef_pose.xyz)
     arm = max(2, size // 32)
     img[max(0, r - arm) : r + arm + 1, c] = color

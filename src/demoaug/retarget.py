@@ -19,15 +19,15 @@ from .data import Action, Dataset, Timestep, Trajectory, Provenance
 from .errors import BudgetExhausted, InvariantViolation
 from .geometry import Pose, SE3Transform, _slerp, quat_geodesic, relative_transform, vec_norm
 from .rng import derive_stream
-from .sim import PoseSampler, TaskDefinition, check_success, observe, reset, step
+from .sim import MAX_POS_STEP, MAX_ROT_STEP, PoseSampler, TaskDefinition, check_success, observe, reset, step
 
 APPROACH_RADIUS = 0.10  # meters: a source segment starts where its eef first comes this close to the target
 
 
 @dataclass(frozen=True)
 class InterpolationConfig:
-    max_pos_step: float = 0.02
-    max_rot_step: float = 0.1
+    max_pos_step: float = MAX_POS_STEP
+    max_rot_step: float = MAX_ROT_STEP
 
     def __post_init__(self):
         if self.max_pos_step <= 0 or self.max_rot_step <= 0:

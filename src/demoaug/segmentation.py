@@ -7,11 +7,12 @@ from dataclasses import dataclass, replace
 from .causal import TaskCausalSpec
 from .data import Trajectory
 from .errors import InvariantViolation
+from .sim import CLOSE_THRESHOLD
 
 
 @dataclass(frozen=True)
 class SegmentationConfig:
-    close_threshold: float = 0.5
+    close_threshold: float = CLOSE_THRESHOLD
     debounce_steps: int = 3
     min_phase_len: int = 5
 

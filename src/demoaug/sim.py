@@ -14,6 +14,15 @@ entry plus a task file. A task is checked when it is built, so a home_pose
 or sampler box outside the workspace is refused before any rollout. The
 schema alone holds the task id and the one agent's id: the gripper's state
 and actions carry no agent id.
+
+The simulator and expert settings are the same for every task, so they
+are the module constants below and a task file does not set them (a `sim`,
+`expert`, `xy_tol`, `z_tol`, `lid_closed_threshold` or `lid_initial_angle`
+key is refused as unknown): MAX_POS_STEP and MAX_ROT_STEP, APERTURE_RATE,
+GRASP_RADIUS, CLOSE_THRESHOLD, SUPPORT_RADIUS, MIN_SEPARATION and
+PLACEMENT_ATTEMPTS of the simulator, TRANSIT_Z and ALIGN_TOL of the expert,
+XY_TOL and Z_TOL of the placement checks, and LID_OPEN_ANGLE and
+LID_CLOSED_THRESHOLD of the lid.
 """
 
 from __future__ import annotations
@@ -30,6 +39,22 @@ from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Traject
 from .errors import InvariantViolation
 from .geometry import Pose, SE3Transform, _from_yaw, _rigid, step_toward
 from .rng import derive_stream
+
+MAX_POS_STEP = 0.02  # m a step: the eef's tracking clamp, and the expert's step
+MAX_ROT_STEP = 0.1  # rad a step: the same for orientation
+APERTURE_RATE = 0.25  # the aperture's slew a step
+GRASP_RADIUS = 0.02  # m: a closed gripper grasps the nearest graspable object this near
+CLOSE_THRESHOLD = 0.5  # an aperture below this is closed
+SUPPORT_RADIUS = 0.025  # m in xy: a released object rests on another this near
+MIN_SEPARATION = 0.08  # m in xy between objects at reset
+PLACEMENT_ATTEMPTS = 1000  # draws reset makes before it gives up
+TRANSIT_Z = 0.20  # m: the expert's carry and retreat height
+ALIGN_TOL = 1e-6  # m: the expert counts a waypoint this near as reached
+XY_TOL = 0.015  # m: an object is placed on another, or in a well, within XY_TOL in xy
+Z_TOL = 0.005  # m: and Z_TOL in height
+LID_OPEN_ANGLE = math.pi / 2  # rad: a lid starts here and never opens past it
+LID_CLOSED_THRESHOLD = 0.1  # rad: a lid at or below this is shut
+
 
 @dataclass(frozen=True)
 class PoseSampler:
@@ -79,30 +104,11 @@ class ReceptacleGeom:
 
 
 @dataclass(frozen=True)
-class SimParams:
-    max_pos_step: float = 0.02
-    max_rot_step: float = 0.1
-    aperture_rate: float = 0.25
-    grasp_radius: float = 0.02
-    close_threshold: float = 0.5
-    support_radius: float = 0.025
-    min_separation: float = 0.08
-    placement_attempts: int = 1000
-
-
-@dataclass(frozen=True)
-class ExpertParams:
-    transit_z: float = 0.20
-    align_tol: float = 1e-6
-    step_pos: float = 0.02
-    step_rot: float = 0.1
-
-
-@dataclass(frozen=True)
 class TaskDefinition:
-    """A task and its simulator settings. `roles` is not given: it is the
-    entity ids the kind's predicates and expert bind (TASK_KINDS), resolved
-    from the other sections when the task is built. Its id is `schema.task_id`."""
+    """A task: what differs between tasks (the simulator and expert settings
+    are this module's constants). `roles` is not given: it is the entity ids
+    the kind's predicates and expert bind (TASK_KINDS), resolved from the
+    other sections when the task is built. Its id is `schema.task_id`."""
 
     kind: str  # a key of TASK_KINDS
     schema: TaskSchema
@@ -110,25 +116,17 @@ class TaskDefinition:
     geoms: dict[str, object]
     causal: TaskCausalSpec
     home_pose: Pose
-    sim: SimParams = field(default_factory=SimParams)
-    expert: ExpertParams = field(default_factory=ExpertParams)
-    xy_tol: float = 0.015
-    z_tol: float = 0.005
-    lid_closed_threshold: float = 0.1
-    lid_initial_angle: float = math.pi / 2
     stack_order: tuple[str, ...] = ()  # read by stack3 alone
     color_sensitive: bool = False
     roles: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        """Check the values the simulator relies on and the sections
-        against each other, so that a task whose sections disagree is
-        refused when it is built, not in the middle of a rollout."""
+        """Check the sections against each other, so that a task whose
+        sections disagree is refused when it is built, not in the middle of a
+        rollout."""
         kind = TASK_KINDS.get(self.kind)
         if kind is None:
             raise InvariantViolation(f"unknown task kind {self.kind!r} (known kinds: {', '.join(TASK_KINDS)})")
-        if self.xy_tol <= 0 or self.z_tol <= 0 or self.lid_closed_threshold <= 0:
-            raise InvariantViolation("task tolerances must be positive")
         ids = self.schema.entity_ids()
         for name in ("samplers", "geoms"):
             keys = getattr(self, name)
@@ -136,15 +134,6 @@ class TaskDefinition:
                 raise InvariantViolation(
                     f"{name} are keyed by {sorted(keys)}, not by the schema's entities {sorted(ids)}")
         object.__setattr__(self, "roles", kind.roles(self))
-        for name, value in (
-            ("sim.max_pos_step", self.sim.max_pos_step),
-            ("sim.max_rot_step", self.sim.max_rot_step),
-            ("sim.aperture_rate", self.sim.aperture_rate),
-            ("expert.step_pos", self.expert.step_pos),
-            ("expert.step_rot", self.expert.step_rot),
-        ):
-            if not value > 0:
-                raise InvariantViolation(f"{name} must be > 0, got {value!r}")
         if self.causal.num_phases != len(kind.phases):
             raise InvariantViolation(
                 f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {self.causal.num_phases}")
@@ -215,16 +204,14 @@ def reset(task: TaskDefinition, seed) -> SimState:
     """Sample non-overlapping initial object poses; gripper at home, open."""
     rng = seed if isinstance(seed, np.random.Generator) else derive_stream(int(seed), "reset")
     order = task.schema.entity_ids()
-    for _ in range(task.sim.placement_attempts):
+    for _ in range(PLACEMENT_ATTEMPTS):
         poses = {eid: task.samplers[eid].sample(rng) for eid in order}
-        if all(_xy_dist(poses[a].xyz, poses[b].xyz) >= task.sim.min_separation for a, b in combinations(order, 2)):
+        if all(_xy_dist(poses[a].xyz, poses[b].xyz) >= MIN_SEPARATION for a, b in combinations(order, 2)):
             art = TASK_KINDS[task.kind].articulation  # an entity has an extra field only if its kind has one
-            joints = {d.entity_id: art.initial(task, d.entity_id) for d in task.schema.entities if d.extra_fields}
+            joints = {d.entity_id: art.initial for d in task.schema.entities if d.extra_fields}
             gripper = RobotState(task.home_pose, 1.0)
             return SimState(poses, joints, gripper, None, 0)
-    raise InvariantViolation(
-        f"no non-overlapping placement found in {task.sim.placement_attempts} attempts"
-    )
+    raise InvariantViolation(f"no non-overlapping placement found in {PLACEMENT_ATTEMPTS} attempts")
 
 
 def _drop_pose(task: TaskDefinition, objects: dict[str, Pose], obj_id: str, pose: Pose) -> Pose:
@@ -245,7 +232,7 @@ def _drop_pose(task: TaskDefinition, objects: dict[str, Pose], obj_id: str, pose
             else:
                 continue
         else:
-            if _xy_dist(xyz, other.xyz) > task.sim.support_radius:
+            if _xy_dist(xyz, other.xyz) > SUPPORT_RADIUS:
                 continue
             rest = other.xyz[2] + geom.height / 2.0 + h / 2.0
         if rest <= z + z_eps and rest > best_rest:
@@ -262,9 +249,8 @@ def _clip(x: float, lo: float, hi: float) -> float:
 def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
     """Advance one tick: clamped eef tracking, aperture slew, grasp logic,
     support snapping, and the kind's articulated state. Pure and deterministic."""
-    sim = task.sim
     old_eef = state.gripper.eef_pose
-    moved = step_toward(old_eef, action.target_eef_pose, sim.max_pos_step, sim.max_rot_step)
+    moved = step_toward(old_eef, action.target_eef_pose, MAX_POS_STEP, MAX_ROT_STEP)
     (x, y, z), lo, hi = moved.xyz, task.schema.workspace_min, task.schema.workspace_max
     if lo[0] < x < hi[0] and lo[1] < y < hi[1] and lo[2] < z < hi[2]:
         new_eef = moved  # strictly inside: _clip would return every value as it is
@@ -272,7 +258,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
         new_eef = Pose((_clip(x, lo[0], hi[0]), _clip(y, lo[1], hi[1]), _clip(z, lo[2], hi[2])), moved.wxyz)
 
     ap = state.gripper.gripper_aperture
-    delta = _clip(action.gripper_command - ap, -sim.aperture_rate, sim.aperture_rate)
+    delta = _clip(action.gripper_command - ap, -APERTURE_RATE, APERTURE_RATE)
     new_ap = min(1.0, max(0.0, ap + delta))
 
     objects = dict(state.objects)
@@ -282,17 +268,17 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
         obj_id, offset = attachment
         carried = _gripper_tf(new_eef).compose(offset)
         carried_pose = Pose(carried.xyz, carried.wxyz)
-        if new_ap >= sim.close_threshold:
+        if new_ap >= CLOSE_THRESHOLD:
             attachment = None
             carried_pose = _drop_pose(task, objects, obj_id, carried_pose)
         objects[obj_id] = carried_pose
-    elif new_ap < sim.close_threshold:
+    elif new_ap < CLOSE_THRESHOLD:
         best = None
         for eid, pose in objects.items():
             if not getattr(task.geoms[eid], "graspable", False):
                 continue
             d = _dist(pose.xyz, new_eef.xyz)
-            if d <= sim.grasp_radius and (best is None or d < best[0]):
+            if d <= GRASP_RADIUS and (best is None or d < best[0]):
                 best = (d, eid)
         if best is not None:
             _, eid = best
@@ -314,10 +300,10 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
 
 def _placed_on(state: SimState, task: TaskDefinition, upper: str, lower: str) -> bool:
     up, lo = state.objects[upper].xyz, state.objects[lower].xyz
-    if _xy_dist(up, lo) > task.xy_tol:
+    if _xy_dist(up, lo) > XY_TOL:
         return False
     expected_z = lo[2] + (_height(task, lower) + _height(task, upper)) / 2.0
-    return abs(up[2] - expected_z) <= task.z_tol
+    return abs(up[2] - expected_z) <= Z_TOL
 
 
 def _attached(state: SimState, entity_id: str) -> bool:
@@ -327,10 +313,10 @@ def _attached(state: SimState, entity_id: str) -> bool:
 def _pod_in_well(state: SimState, task: TaskDefinition, pod: str, machine: str) -> bool:
     geom = task.geoms[machine]
     pod_xyz = state.objects[pod].xyz
-    if _xy_dist(pod_xyz, _local_xy(state.objects[machine], geom.well_offset)) > task.xy_tol:
+    if _xy_dist(pod_xyz, _local_xy(state.objects[machine], geom.well_offset)) > XY_TOL:
         return False
     rest = geom.well_floor_z + _height(task, pod) / 2.0
-    return abs(pod_xyz[2] - rest) <= task.z_tol
+    return abs(pod_xyz[2] - rest) <= Z_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -343,53 +329,51 @@ def _check_reachable(task: TaskDefinition, point: tuple, what: str):
         raise InvariantViolation(f"{what} {list(point)} outside workspace")
 
 
-def _bounded_action(state: SimState, task: TaskDefinition, waypoint: tuple, grip: float) -> Action:
+def _bounded_action(state: SimState, waypoint: tuple, grip: float) -> Action:
     """A step toward the waypoint (x, y, z floats) at the eef's orientation."""
     eef = state.gripper.eef_pose
     goal = Pose(waypoint, eef.wxyz)
-    stepped = step_toward(eef, goal, task.expert.step_pos, task.expert.step_rot)
+    stepped = step_toward(eef, goal, MAX_POS_STEP, MAX_ROT_STEP)
     return Action(stepped, grip)
 
 
-def _hold(state: SimState, task: TaskDefinition, grip: float) -> Action:
+def _hold(state: SimState, grip: float) -> Action:
     return Action(state.gripper.eef_pose, grip)
 
 
 def _grasp_policy(state: SimState, task: TaskDefinition, obj_id: str) -> Action:
     if _attached(state, obj_id):
-        return _hold(state, task, 0.0)
+        return _hold(state, 0.0)
     eef = state.gripper.eef_pose.xyz
     grasp_point = state.objects[obj_id].xyz
     _check_reachable(task, grasp_point, f"grasp point for {obj_id}")
-    tol = task.expert.align_tol
-    if _xy_dist(eef, grasp_point) > tol:
-        wp = (grasp_point[0], grasp_point[1], task.expert.transit_z)
-        return _bounded_action(state, task, wp, 1.0)
-    if abs(eef[2] - grasp_point[2]) > tol:
-        return _bounded_action(state, task, grasp_point, 1.0)
-    return _bounded_action(state, task, grasp_point, 0.0)
+    if _xy_dist(eef, grasp_point) > ALIGN_TOL:
+        wp = (grasp_point[0], grasp_point[1], TRANSIT_Z)
+        return _bounded_action(state, wp, 1.0)
+    if abs(eef[2] - grasp_point[2]) > ALIGN_TOL:
+        return _bounded_action(state, grasp_point, 1.0)
+    return _bounded_action(state, grasp_point, 0.0)
 
 
 def _place_policy(state: SimState, task: TaskDefinition, carried_id: str, place_point: tuple) -> Action:
     if not _attached(state, carried_id):
-        return _retreat_policy(state, task)
+        return _retreat_policy(state)
     _check_reachable(task, place_point, f"place point for {carried_id}")
     eef = state.gripper.eef_pose.xyz
     obj = state.objects[carried_id].xyz
     # the eef's offset from the object, rigid while orientation is held
     ox, oy, oz = eef[0] - obj[0], eef[1] - obj[1], eef[2] - obj[2]
     px, py, pz = place_point
-    tol = task.expert.align_tol
-    if _xy_dist(obj, place_point) > tol:
-        return _bounded_action(state, task, (px + ox, py + oy, task.expert.transit_z + oz), 0.0)
-    if obj[2] - pz > tol:
-        return _bounded_action(state, task, (px + ox, py + oy, pz + oz), 0.0)
-    return _hold(state, task, 1.0)  # release
+    if _xy_dist(obj, place_point) > ALIGN_TOL:
+        return _bounded_action(state, (px + ox, py + oy, TRANSIT_Z + oz), 0.0)
+    if obj[2] - pz > ALIGN_TOL:
+        return _bounded_action(state, (px + ox, py + oy, pz + oz), 0.0)
+    return _hold(state, 1.0)  # release
 
 
-def _retreat_policy(state: SimState, task: TaskDefinition) -> Action:
+def _retreat_policy(state: SimState) -> Action:
     x, y, _ = state.gripper.eef_pose.xyz
-    return _bounded_action(state, task, (x, y, task.expert.transit_z), 1.0)
+    return _bounded_action(state, (x, y, TRANSIT_Z), 1.0)
 
 
 def _stack_policy(state: SimState, task: TaskDefinition, carried: str, base: str) -> Action:
@@ -405,16 +389,15 @@ def _pod_lid_policy(state: SimState, task: TaskDefinition, pod: str, machine: st
     if _attached(state, pod):
         x, y = _local_xy(machine_pose, geom.well_offset)
         return _place_policy(state, task, pod, (x, y, geom.well_floor_z + _height(task, pod) / 2.0))
-    if state.lids[machine] > task.lid_closed_threshold:
+    if state.lids[machine] > LID_CLOSED_THRESHOLD:
         x, y = _local_xy(machine_pose, geom.push_offset)
         eef = state.gripper.eef_pose.xyz
-        tol = task.expert.align_tol
         approach = (x, y, geom.push_band[1])
         _check_reachable(task, approach, "lid push point")
-        if _xy_dist(eef, approach) > tol or eef[2] > geom.push_band[1] + tol:
-            return _bounded_action(state, task, approach, 1.0)
-        return _bounded_action(state, task, (x, y, geom.push_band[0] + 0.01), 1.0)
-    return _retreat_policy(state, task)
+        if _xy_dist(eef, approach) > ALIGN_TOL or eef[2] > geom.push_band[1] + ALIGN_TOL:
+            return _bounded_action(state, approach, 1.0)
+        return _bounded_action(state, (x, y, geom.push_band[0] + 0.01), 1.0)
+    return _retreat_policy(state)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +409,12 @@ class Articulation:
     """One float per entity that declares `extra_field`, in SimState.lids by
     entity id, observed as that field and read back from it. `check(task,
     eid)` refuses an entity that cannot carry it when the task is built;
-    `initial(task, eid)` is its value at reset and `update(task, eid,
-    value, objects, old_eef, new_eef)` its value after a step."""
+    `initial` is its value at reset and `update(task, eid, value, objects,
+    old_eef, new_eef)` its value after a step."""
 
     extra_field: str
     check: Callable[[TaskDefinition, str], None]
-    initial: Callable[[TaskDefinition, str], float]
+    initial: float
     update: Callable[[TaskDefinition, str, float, dict[str, Pose], Pose, Pose], float]
 
 
@@ -500,7 +483,7 @@ def _lid_update(task: TaskDefinition, entity_id: str, angle: float, objects: dic
     zmin, zmax = geom.push_band
     travel = min(old_z, zmax) - max(new_z, zmin)
     if travel > 0.0:
-        return min(math.pi / 2, max(0.0, angle - geom.lid_gain * travel))
+        return min(LID_OPEN_ANGLE, max(0.0, angle - geom.lid_gain * travel))
     return angle
 
 
@@ -509,7 +492,7 @@ def _stacked(state: SimState, task: TaskDefinition, bottom: str, mid: str, top: 
 
 
 def _pod_lid_done(state: SimState, task: TaskDefinition, pod: str, machine: str) -> bool:
-    return _pod_in_well(state, task, pod, machine) and state.lids[machine] <= task.lid_closed_threshold
+    return _pod_in_well(state, task, pod, machine) and state.lids[machine] <= LID_CLOSED_THRESHOLD
 
 
 TASK_KINDS = {
@@ -528,7 +511,7 @@ TASK_KINDS = {
          lambda s, task, pod, machine: _attached(s, pod) or _pod_in_well(s, task, pod, machine)),
         (_pod_lid_policy,
          lambda s, task, pod, machine: _pod_lid_done(s, task, pod, machine) and not _attached(s, pod)),
-    ), Articulation("lid_angle", _lid_check, lambda task, entity_id: task.lid_initial_angle, _lid_update)),
+    ), Articulation("lid_angle", _lid_check, LID_OPEN_ANGLE, _lid_update)),
 }
 
 
@@ -616,12 +599,12 @@ def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
     joints = {e.entity_id: float(e.extra[name]) for e in ts.entities if name in e.extra}
     gripper = ts.robots[0]
     attachment = None
-    if gripper.gripper_aperture < task.sim.close_threshold:
+    if gripper.gripper_aperture < CLOSE_THRESHOLD:
         near = []
         for eid, pose in objects.items():
             if not getattr(task.geoms[eid], "graspable", False):
                 continue
-            if _dist(pose.xyz, gripper.eef_pose.xyz) <= task.sim.grasp_radius:
+            if _dist(pose.xyz, gripper.eef_pose.xyz) <= GRASP_RADIUS:
                 near.append(eid)
         if len(near) > 1:
             raise InvariantViolation(

@@ -20,7 +20,7 @@ from pathlib import Path
 from .causal import causal_spec_from_dict
 from .data import Param, _pose_from_json, check_keys, dict_from_json, read_json, record_from_json, schema_from_json
 from .errors import InvariantViolation, IoFailure
-from .sim import ExpertParams, ObjectGeom, PoseSampler, ReceptacleGeom, SimParams, TaskDefinition
+from .sim import ObjectGeom, PoseSampler, ReceptacleGeom, TaskDefinition
 
 # a geom's "type" key names its class; its other keys are that class's fields
 GEOMS = {"object": ObjectGeom, "receptacle": ReceptacleGeom}
@@ -45,8 +45,6 @@ def task_from_dict(obj) -> TaskDefinition:
             geoms=lambda where, value: dict_from_json(where, value, _geom_from_json),
             causal=("causal_spec", lambda where, value: causal_spec_from_dict(value, where)),
             home_pose=lambda where, value: _pose_from_json(value, where, {}),
-            sim=lambda where, value: record_from_json(SimParams, where, value),
-            expert=lambda where, value: record_from_json(ExpertParams, where, value),
         )
     except InvariantViolation as exc:
         raise InvariantViolation(f"malformed task definition ({exc})") from exc

@@ -354,6 +354,14 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
                                                    {"name": "causal", "donor_policy": 3}]}, "donor_policy"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
                                                    {"name": "se3", "pos_range": ["a", 0, 0, 0]}]}, "pos_range"),
+        ({"task": "stack", "out": "o", "input": 5, "stages": [{"name": "segment"}]},
+         "input must be a non-empty string, got 5"),
+        ({"task": "stack", "out": "o", "input": [1], "stages": [{"name": "segment"}]},
+         "input must be a non-empty string, got [1]"),
+        ({"task": "stack", "out": "o", "input": True, "stages": [{"name": "segment"}]},
+         "input must be a non-empty string, got True"),
+        ({"task": "stack", "out": "o", "input": "", "stages": [{"name": "segment"}]},
+         "input must be a non-empty string, got ''"),
     ],
     ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "misspelt_stage_key",
          "misspelt_top_level_key", "non_integer_seed", "float_seed", "string_seed", "bool_seed", "float_workers",
@@ -361,7 +369,8 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
          "non_integer_gen_count", "negative_se3_count", "zero_se3_budget", "negative_causal_copies",
          "negative_obs_copies", "string_close_threshold", "float_debounce", "string_no_replay",
          "string_obs_jitter", "integer_obs_force", "obs_jitter", "obs_jitter_and_permute_on_coffee", "input_with_gen",
-         "integer_donor_policy", "string_in_pos_range"],
+         "integer_donor_policy", "string_in_pos_range", "integer_input", "list_input", "bool_input",
+         "empty_input"],
 )
 def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
     path = tmp_path / "pipeline.json"
@@ -437,21 +446,25 @@ def _old_layout(spec):
         (_task_with("stack", _set("color_sensitive", "false")), "color_sensitive must be true or false"),
         (_task_with("stack", _set("causal_spec", "phases", 0, "grasp_closes", "no")),
          "causal_spec.phases[0].grasp_closes must be true or false"),
-        (_task_with("stack", _set("xy_tol", float("nan"))), "non-finite number NaN"),
+        (_task_with("stack", _set("geoms", "cube_b", "height", float("nan"))), "non-finite number NaN"),
         (_task_with("stack", _set("geoms", "cube_a", "height", float("inf"))), "non-finite number Infinity"),
-        (_task_with("stack", _set("z_tol", "0.005")), "z_tol must be a finite number"),
-        (_task_with("stack", _set("sim", "max_pos_step", "x")), "sim.max_pos_step must be a finite number"),
+        (_task_with("stack", _set("geoms", "cube_a", "height", "0.05")), "geoms.cube_a.height must be a finite number"),
         (_task_with("stack", _set("samplers", "cube_a", "x_range", ["a", "b"])),
          "samplers.cube_a.x_range must be a list of 2 finite numbers"),
         (_task_with("stack", _set("colour_sensitive", True)), "unknown key 'colour_sensitive'"),
         # the schema alone holds the task id
         (_task_with("stack", _set("task_id", "foo")), "unknown key 'task_id'"),
         (_task_with("stack", _set("causal_spec", "task_id", "bar")), "unknown key 'causal_spec.task_id'"),
+        # the simulator and expert settings are sim's constants, not task file keys
+        (_task_with("stack", _set("sim", {"max_pos_step": "x"})), "unknown key 'sim'"),
+        (_task_with("stack", _set("sim", {"max_rot_step": -1})), "unknown key 'sim'"),
+        (_task_with("stack", _set("expert", {"transit_z": 0.2})), "unknown key 'expert'"),
+        (_task_with("stack", _set("xy_tol", 0.015)), "unknown key 'xy_tol'"),
+        (_task_with("coffee", _set("lid_initial_angle", 1.0)), "unknown key 'lid_initial_angle'"),
         (_task_with("stack", _set("geoms", "cube_a", "graspable", "no")), "geoms.cube_a.graspable must be true or false"),
         (_task_with("stack", _set("home_pose", "frame", "world")), "home_pose: unknown key 'frame' in a pose"),
         # sections that disagree with each other
         (_task_with("stack", _set("stack_order", ["cube_b", "cube_a"])), "must be 3 distinct schema entities"),
-        (_task_with("stack", _set("sim", "max_rot_step", -1)), "sim.max_rot_step must be > 0, got -1"),
         (_task_with("stack", _set("schema", "agents", [])), "a schema declares exactly one agent, got agents []"),
         (_task_with("stack", _set("schema", "agents", ["robot0", "robot1"])),
          "a schema declares exactly one agent, got agents ['robot0', 'robot1']"),
@@ -494,9 +507,10 @@ def _old_layout(spec):
          "sampler box for 'cube_b' exceeds the task workspace"),
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
-         "infinity", "string_number", "string_sim_param", "string_sampler_range", "unknown_top_level_key",
-         "top_level_task_id", "causal_spec_task_id",
-         "string_graspable", "home_pose_unknown_key", "short_stack_order", "negative_sim_step", "no_agents",
+         "infinity", "string_number", "string_sampler_range", "unknown_top_level_key",
+         "top_level_task_id", "causal_spec_task_id", "string_sim_param", "negative_sim_step", "expert_section",
+         "xy_tol_key", "lid_initial_angle_key",
+         "string_graspable", "home_pose_unknown_key", "short_stack_order", "no_agents",
          "two_agents", "ghost_node_in_every_phase", "graphs_of_another_agent", "phase_2_without_cube_a",
          "old_per_agent_spec_layout",
          "no_pod_sampler",
@@ -767,6 +781,55 @@ def test_gen_demos_negative_count_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "gen count" in err
     assert not out.exists()
+
+
+def _report_in_a_missing_directory(tmp_path, labeled_dir):
+    return ["stats", "--in", str(labeled_dir), "--report", str(tmp_path / "nodir" / "r.json")]
+
+
+def _report_onto_a_directory(tmp_path, labeled_dir):
+    return ["stats", "--in", str(labeled_dir), "--report", str(tmp_path)]
+
+
+def _run_config(tmp_path, out):
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"task": "stack", "out": str(out), "stages": [{"name": "gen", "count": 1}]}))
+    return ["run", "--config", str(config)]
+
+
+def _run_out_names_a_file(tmp_path, labeled_dir):
+    (tmp_path / "run").write_text("")
+    return _run_config(tmp_path, tmp_path / "run")
+
+
+def _run_report_json_is_a_directory(tmp_path, labeled_dir):
+    (tmp_path / "run" / "report.json").mkdir(parents=True)
+    return _run_config(tmp_path, tmp_path / "run")
+
+
+def _ratio_table_json_is_a_directory(tmp_path, labeled_dir):
+    (tmp_path / "ratio" / "ratio_table.json").mkdir(parents=True)
+    return ["ratio-study", "--task", "stack", "--in", str(labeled_dir), "--out", str(tmp_path / "ratio"),
+            "--ratios", "0"]
+
+
+@pytest.mark.parametrize(
+    "setup, message",
+    [
+        (_report_in_a_missing_directory, "failed writing report"),
+        (_report_onto_a_directory, "failed writing report"),
+        (_run_out_names_a_file, "failed creating output root"),
+        (_run_report_json_is_a_directory, "failed writing report"),
+        (_ratio_table_json_is_a_directory, "failed writing ratio table"),
+    ],
+    ids=["report_in_a_missing_directory", "report_onto_a_directory", "run_out_names_a_file",
+         "run_report_json_is_a_directory", "ratio_table_json_is_a_directory"],
+)
+def test_output_file_that_cannot_be_written_is_an_io_failure(tmp_path, labeled_dir, capsys, setup, message):
+    argv = setup(tmp_path, labeled_dir)
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_run_out_flag_supplies_a_missing_out(tmp_path, capsys):

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 from demoaug.counterfactual import (
     JITTER_BOUNDARY_MARGIN,
-    JITTER_CLOSE_THRESHOLD,
     CounterfactualConfig,
     augment_offline,
     build_phase_index,
@@ -16,7 +15,7 @@ from demoaug.errors import InvariantViolation
 from demoaug.geometry import quat_geodesic
 from demoaug.retarget import InterpolationConfig, generate_demos
 from demoaug.rng import derive_stream
-from demoaug.sim import expert_action, sim_state_from_timestep
+from demoaug.sim import CLOSE_THRESHOLD, expert_action, sim_state_from_timestep
 from tests.conftest import make_labeled_demos
 
 
@@ -198,7 +197,7 @@ def test_jitter_never_touches_carry_or_boundary_window(stack_demos, stack_task):
             assert stack_task.causal.phase(p).grasp_closes
             t0, t1 = ranges[p]
             assert i < t1 - JITTER_BOUNDARY_MARGIN
-            assert ts_o.robots[0].gripper_aperture > JITTER_CLOSE_THRESHOLD
+            assert ts_o.robots[0].gripper_aperture > CLOSE_THRESHOLD
 
 
 def test_aligned_donor_policy_tracks_relative_index(stack_task, stack_demos):

@@ -21,7 +21,7 @@ from demoaug.retarget import (
     relative_transform,
     transform_subtrajectory,
 )
-from demoaug.sim import replay
+from demoaug.sim import LID_CLOSED_THRESHOLD, replay
 from demoaug.segmentation import SegmentationConfig, assign_phases
 from tests.conftest import make_labeled_demos
 
@@ -252,7 +252,7 @@ def test_generate_coffee_acceptance_and_replay(coffee_demos, coffee_task):
     for tr in out.trajectories:
         final, ok = replay(tr, coffee_task)
         assert ok
-        assert final.lids["machine"] <= coffee_task.lid_closed_threshold
+        assert final.lids["machine"] <= LID_CLOSED_THRESHOLD
 
 
 def test_synthetic_trajectories_survive_serialization(tmp_path, stack_demos, stack_task):

@@ -8,6 +8,8 @@ from demoaug.errors import InvariantViolation
 from demoaug.geometry import Pose, SE3Transform, quat_from_yaw, quat_geodesic
 from demoaug.segmentation import SegmentationConfig, assign_phases
 from demoaug.sim import (
+    LID_CLOSED_THRESHOLD,
+    LID_OPEN_ANGLE,
     PoseSampler,
     SimState,
     _scan_phase,
@@ -184,7 +186,7 @@ def test_coffee_rollout_closes_lid(coffee_task):
     traj = rollout_expert(coffee_task, seed=4)
     final, ok = replay(traj, coffee_task)
     assert ok
-    assert final.lids["machine"] <= coffee_task.lid_closed_threshold
+    assert final.lids["machine"] <= LID_CLOSED_THRESHOLD
 
 
 def test_expert_causal_invariance_randomized(stack_task, stack_demos):
@@ -300,7 +302,7 @@ def test_rasterizer_draws_a_receptacle_without_a_lid():
     assert img.shape == (96, 96, 3) and img.dtype == np.uint8
     assert (img == (220, 160, 40)).all(axis=2).any()  # the tray's body, in the fourth palette color
     assert not (img == 60).all(axis=2).any()  # no lid shade (an open lid's is 60)
-    lidded = rasterize_state(replace(state, lids={"tray": np.pi / 2}), task, size=96)
+    lidded = rasterize_state(replace(state, lids={"tray": LID_OPEN_ANGLE}), task, size=96)
     assert (lidded == 60).all(axis=2).any()
 
 
@@ -393,7 +395,7 @@ def test_a_kind_in_the_table_brings_its_own_articulated_state(monkeypatch, tmp_p
     from demoaug.data import Dataset, load_dataset, save_dataset
 
     checked = []
-    dial = sim.Articulation("dial", lambda task, eid: checked.append(eid), lambda task, eid: 0.25, _dial_update)
+    dial = sim.Articulation("dial", lambda task, eid: checked.append(eid), 0.25, _dial_update)
     monkeypatch.setitem(sim.TASK_KINDS, "stack3_dial", replace(sim.TASK_KINDS["stack3"], articulation=dial))
     obj = bundled_task_json("stack")
     obj["kind"] = "stack3_dial"
