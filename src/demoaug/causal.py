@@ -6,24 +6,23 @@ are connected components of the symmetrized adjacency: entities in
 different partitions never interact during the phase, so their states can
 be resampled independently.
 
-A causal spec holds one graph per phase, over the schema's entities and its
-one agent, and no task id: the schema it is used with holds that. In JSON it
-is `phases` and `segment_merge_map`; each phase is an object with
-`phase_index`, `target_entity`, `grasp_closes` and `graph` (`nodes`, and
-`edges` as [source, target] pairs without the diagonal). check_spec
-refuses a spec whose graphs do not cover exactly the schema it is used
-with: a task's own spec when the task is built, and any spec a stage runs
-on a dataset with. check_phase_labels refuses a dataset labelled with a
-phase past the spec, wherever labels are read against a spec.
+A causal spec holds one graph per phase, and no task id: the schema it is
+used with holds that. In JSON it is `phases` and `segment_merge_map`; each
+phase is an object with `phase_index`, `target_entity`, `grasp_closes` and
+`edges` ([source, target] pairs without the diagonal). It is read over a
+schema, whose agent, then entities, are every graph's nodes, so a phase
+names no nodes. check_spec refuses a spec built in Python whose graphs do
+not cover exactly its task's schema. check_phase_labels refuses a dataset
+labelled with a phase past the spec, wherever labels are read against a spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Param, TaskSchema, check_keys, list_from_json, read_json, record_from_json
+from .data import Dataset, TaskSchema, list_from_json, read_json, record_from_json
 from .errors import InvariantViolation
 
 
@@ -54,7 +53,7 @@ class CausalGraph:
         adj = np.eye(len(nodes), dtype=bool)
         for src, dst in edges:
             if src not in index or dst not in index:
-                raise InvariantViolation(f"edge ({src!r}, {dst!r}) references unknown node")
+                raise InvariantViolation(f"edge [{src!r}, {dst!r}] names {dst if src in index else src!r}, not one of {list(nodes)}")
             adj[index[src], index[dst]] = True
         return cls(nodes, adj)
 
@@ -172,10 +171,10 @@ def swap_candidates(phase: PhaseSpec, agent: str) -> list[Partition]:
 
 
 def check_spec(spec: TaskCausalSpec, schema: TaskSchema) -> None:
-    """Refuse a spec that does not fit the schema it is used with: each
-    phase graph's nodes must be exactly the schema's entities and its agent.
-    An entity left out of a graph would be swapped as if it interacted with
-    nothing, and a node the schema lacks names state no timestep holds."""
+    """Refuse a spec built in Python that does not fit its task's schema:
+    each phase graph's nodes must be exactly the schema's entities and its
+    agent. An entity left out of a graph would be swapped as if it interacted
+    with nothing. A spec read from JSON fits by construction."""
     nodes = {*schema.entity_ids(), schema.agent}
     for phase in spec.phases:
         if set(phase.graph.nodes) != nodes:
@@ -197,31 +196,33 @@ def check_phase_labels(ds: Dataset, spec: TaskCausalSpec) -> None:
 # config I/O
 
 
-def causal_spec_from_dict(obj, where: str = "") -> TaskCausalSpec:
-    """The causal spec in its JSON object at path `where`, whose edge lists
-    omit the diagonal; InvariantViolation if it is malformed."""
-    return record_from_json(TaskCausalSpec, where, obj, phases=_phases_from_json)
+def causal_spec_from_dict(obj, schema: TaskSchema, where: str = "") -> TaskCausalSpec:
+    """The causal spec in its JSON object at path `where`, read over `schema`,
+    whose agent and entities are each graph's nodes (the edges omit the
+    diagonal); InvariantViolation if it is malformed."""
+    nodes = (schema.agent, *schema.entity_ids())
+
+    def graph(at: str, edges) -> CausalGraph:
+        if type(edges) is not list or not all(type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
+                                              for e in edges):
+            raise InvariantViolation(f"{at} must be a list of [source, target] node pairs, got {edges!r}")
+        try:
+            return CausalGraph.from_edges(nodes, edges)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"{at}: {exc}") from exc
+
+    def phases(at: str, items) -> tuple[PhaseSpec, ...]:
+        read = list_from_json(at, items, lambda path, p: record_from_json(PhaseSpec, path, p, graph=("edges", graph)))
+        return tuple(sorted(read, key=lambda p: p.phase_index))
+
+    return record_from_json(TaskCausalSpec, where, obj, phases=phases)
 
 
-def _phases_from_json(where: str, obj) -> tuple[PhaseSpec, ...]:
-    phases = list_from_json(where, obj, lambda path, p: record_from_json(PhaseSpec, path, p, graph=_graph_from_json))
-    return tuple(sorted(phases, key=lambda p: p.phase_index))
-
-
-def _graph_from_json(where: str, obj) -> CausalGraph:
-    check_keys(where, obj, ("nodes",), ("nodes", "edges"))
-    edges = obj.get("edges", [])
-    if type(edges) is not list or not all(type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
-                                          for e in edges):
-        raise InvariantViolation(f"{where}.edges must be a list of [source, target] node pairs, got {edges!r}")
-    return CausalGraph.from_edges(Param((str,), MISSING).parse(f"{where}.nodes", obj["nodes"]), edges)
-
-
-def load_causal_spec(path) -> TaskCausalSpec:
-    """The causal spec in a JSON file: IoFailure if the file cannot be read or
-    is not JSON, InvariantViolation naming the file if it is malformed."""
+def load_causal_spec(path, schema: TaskSchema) -> TaskCausalSpec:
+    """The causal spec in a JSON file, read over `schema`: IoFailure if the file
+    cannot be read or is not JSON, InvariantViolation naming it if malformed."""
     obj = read_json(path, "failed reading causal spec file")
     try:
-        return causal_spec_from_dict(obj)
+        return causal_spec_from_dict(obj, schema)
     except InvariantViolation as exc:
         raise InvariantViolation(f"causal spec file {path}: malformed causal spec ({exc})") from exc

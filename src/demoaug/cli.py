@@ -10,8 +10,8 @@ key is accepted and unused), segment, validate and replay take no --seed
 (they draw nothing), augment-obs refuses its image flags without --image,
 its dataset flags without --in, --out-size without --crop-scale and
 --force unless --jitter or --permute is given with --task, and `run`
-overrides only the config's seed and out. A --spec is checked against the
-schema of the dataset it runs on, with or without --task.
+overrides only the config's seed and out. A --spec is read over the
+schema of --task, or without it over that of the --in dataset.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from .pipeline import (
     check_dataset_task,
     pipeline_config_from_dict,
     ratio_study,
+    replay_dataset,
     run_pipeline,
     run_stage,
     stats,
 )
 from .rng import derive_stream
-from .sim import replay
 from .tasks import resolve_task
 
 EXIT_OK = 0
@@ -105,24 +105,25 @@ def _values(values: list, n: int, flag: str) -> list:
 # handlers
 
 
-def _run_stage(args, task, spec) -> dict:
+def _run_stage(args, task) -> dict:
     """Run the pipeline stage `args.stage` on --in with the stage parameters
     the user gave as flags (`args.params`; the stage fills in the rest), save
-    the result to --out, and return the stage's info."""
+    the result to --out, and return the stage's info; a --spec replaces the task's."""
     params = {key: getattr(args, key) for key in args.params if getattr(args, key) is not None}
     stage = StageConfig(args.stage, params)
     ds = load_dataset(args.inp) if args.inp else None
+    spec = task.causal if task is not None else None
+    if args.spec:
+        spec = load_causal_spec(args.spec, ds.task_schema if task is None else task.schema)
+        if task is not None:
+            task = replace(task, causal=spec)
     ds, info = run_stage(stage, ds, task, spec, args.seed)
     save_dataset(ds, args.out)
     return {**info, "out": str(args.out)}
 
 
 def _cmd_stage(args) -> int:
-    task = resolve_task(args.task) if args.task else None
-    spec = load_causal_spec(args.spec) if args.spec else task.causal
-    if args.spec and task is not None:
-        task = replace(task, causal=spec)
-    _emit(_run_stage(args, task, spec), args.report)
+    _emit(_run_stage(args, resolve_task(args.task) if args.task else None), args.report)
     return EXIT_OK
 
 
@@ -177,7 +178,7 @@ def _cmd_obs(args) -> int:
         write_ppm(args.image_out or args.image, img)
         report["image_out"] = str(args.image_out or args.image)
     if args.inp:
-        report.update(_run_stage(args, task, None))
+        report.update(_run_stage(args, task))
     _emit(report, args.report)
     return EXIT_OK
 
@@ -199,12 +200,8 @@ def _cmd_replay(args) -> int:
     task = resolve_task(args.task)
     ds = load_dataset(args.inp)
     check_dataset_task(ds, task)
-    failures = []
-    for tr in ds.trajectories:
-        _, ok = replay(tr, task)
-        if not ok:
-            failures.append(tr.traj_id)
-    _emit({"replayed": len(ds), "failures": failures}, args.report)
+    replayed, failures = replay_dataset(ds, task)
+    _emit({"replayed": replayed, "failures": failures}, args.report)
     if failures and args.strict:
         return EXIT_VALIDATION
     return EXIT_OK
@@ -307,6 +304,7 @@ def build_parser() -> _Parser:
     p.add_argument("--task", default=None, help="task name/path (needed for color-sensitivity check)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None)
+    p.set_defaults(spec=None)
     stage_flags(p, "obs", ("noise_sigma", "proprio noise standard deviation"),
                 ("copies", "noised copies per trajectory"), fn=_cmd_obs)
     p.add_argument("--image", default=None, help="input PPM image")
@@ -323,7 +321,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-replay", action="store_true")
     p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("replay", help="replay stored actions through the simulator")
+    p = sub.add_parser("replay", help="replay the stored actions of human and SE(3) demos through the simulator")
     common(p, out=False, seed=False)
     p.add_argument("--strict", action="store_true", help="nonzero exit on any failed trajectory")
     p.set_defaults(fn=_cmd_replay)

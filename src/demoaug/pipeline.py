@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .causal import check_phase_labels, check_spec
+from .causal import check_phase_labels
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline
 from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset, write_json
 from .errors import ConfigError, DemoaugError, InvariantViolation, IoFailure, StageFailure
@@ -60,6 +60,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
+        if self.input_path is not None and not (isinstance(self.input_path, str) and self.input_path):
+            raise ConfigError(f"pipeline config: input must be a non-empty string, got {self.input_path!r}")
         _check_stage_order([s.name for s in self.stages], self.input_path is not None)
 
 
@@ -89,8 +91,6 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
     missing = [key for key in ("task", "out") if not isinstance(obj.get(key), str)]
     if missing:
         raise ConfigError(f"pipeline config lacks {', '.join(missing)} (a string)")
-    if "input" in obj and not (isinstance(obj["input"], str) and obj["input"]):
-        raise ConfigError(f"pipeline config: input must be a non-empty string, got {obj['input']!r}")
     entries = obj.get("stages", [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str)
                                                 for e in entries):
@@ -109,9 +109,9 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
 # Every stage has the signature (ds, task, spec, params, seed) -> (Dataset,
 # info) and reads its parameters from `params`: the values StageConfig
 # checked, over the defaults in STAGES. `spec` is the causal spec to work
-# with (the task's own, or one the CLI loaded), which run_stage checks
-# against the dataset's schema; gen and obs ignore it, and segment and
-# causal need no task.
+# with: the task's own, checked against the task's schema when the task was
+# built, or one the CLI read over the schema of the task or the dataset. gen
+# and obs ignore it, and segment and causal need no task.
 
 
 def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
@@ -238,24 +238,28 @@ def check_dataset_task(ds: Dataset, task: TaskDefinition) -> None:
 
 def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
               seed: int) -> tuple[Dataset, dict]:
-    """Run one stage on `ds`, once checked against `task` and `spec` when
-    they are given; the pipeline and the CLI subcommands both call this."""
+    """Run one stage on `ds`, once checked against `task` when both are
+    given; the pipeline and the CLI subcommands both call this."""
     if ds is not None and task is not None:
         check_dataset_task(ds, task)
-    if ds is not None and spec is not None:
-        check_spec(spec, ds.task_schema)
     fn, table = STAGES[stage.name]
     return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 
 
+def replay_dataset(ds: Dataset, task: TaskDefinition) -> tuple[int, list[str]]:
+    """Replay each trajectory of a REPLAYABLE provenance, for `validate` and
+    `replay`: the number replayed, and the ids of those that miss success."""
+    trajs = [tr for tr in ds.trajectories if tr.provenance in REPLAYABLE]
+    return len(trajs), [tr.traj_id for tr in trajs if not replay(tr, task)[1]]
+
+
 def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool = True) -> dict:
-    """Invariant and phase-label validation plus replay of dynamically consistent trajectories.
+    """Invariant and phase-label validation, then replay_dataset.
 
     Timesteps already checked under this schema are not checked again (see
     validate_dataset); every other check, and the replay, runs. Counterfactual
-    composites are causally valid but not a single dynamics rollout, so they
-    are invariant-checked only; their causal validity is covered by the
-    expert-action oracle in the test suite.
+    composites, no single dynamics rollout, are not replayed: the test suite's
+    expert-action oracle covers their causal validity.
     """
     failures: list[str] = []
     try:
@@ -263,14 +267,8 @@ def validate_dataset_full(ds: Dataset, task: TaskDefinition, replay_check: bool 
         check_phase_labels(ds, task.causal)
     except DemoaugError as exc:
         failures.append(f"invariant: {exc}")
-    replayed = 0
-    if replay_check and not failures:
-        for tr in ds.trajectories:
-            if tr.provenance not in REPLAYABLE:
-                continue
-            replayed += 1
-            if not replay(tr, task)[1]:
-                failures.append(f"replay: trajectory {tr.traj_id!r} does not reach success")
+    replayed, missed = replay_dataset(ds, task) if replay_check and not failures else (0, [])
+    failures += [f"replay: trajectory {traj_id!r} does not reach success" for traj_id in missed]
     return {"ok": not failures, "replayed": replayed, "checked": len(ds), "failures": failures}
 
 
@@ -286,7 +284,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"failed creating output root {root}: {exc}") from exc
-    ds = load_dataset(cfg.input_path) if cfg.input_path else None
+    ds = load_dataset(cfg.input_path) if cfg.input_path is not None else None
     report = {"task": task.schema.task_id, "seed": cfg.master_seed, "stages": []}
     saved = None  # files of the last stage written; later stages copy what they inherit
     for i, stage in enumerate(cfg.stages):

@@ -42,14 +42,13 @@ def coffee_task():
 
 def stack_task_plus(entity_id, kind, sampler, geom) -> dict:
     """The bundled stack task's JSON layout plus one entity of `kind`, drawn
-    from `sampler` and shaped by `geom`: a node of every phase graph with no
-    spec edge. A test-only task."""
+    from `sampler` and shaped by `geom`: a node of every phase graph (the
+    graphs take their nodes from the schema) with no spec edge. A test-only
+    task."""
     obj = bundled_task_json("stack")
     obj["schema"]["entities"].append({"entity_id": entity_id, "kind": kind, "extra_fields": []})
     obj["samplers"][entity_id] = sampler
     obj["geoms"][entity_id] = geom
-    for phase in obj["causal_spec"]["phases"]:
-        phase["graph"]["nodes"].append(entity_id)
     return obj
 
 

@@ -162,9 +162,9 @@ def test_resampleable_subset_and_exclusions():
 
 
 def test_spec_dict_round_trip():
-    for spec, obj in ((resolve_task("stack").causal, bundled_task_json("stack")["causal_spec"]),
-                      (resolve_task("coffee").causal, bundled_task_json("coffee")["causal_spec"])):
-        rebuilt = causal_spec_from_dict(obj)
+    for name in ("stack", "coffee"):
+        task, obj = resolve_task(name), bundled_task_json(name)["causal_spec"]
+        spec, rebuilt = task.causal, causal_spec_from_dict(obj, task.schema)
         assert rebuilt == spec
         assert rebuilt.segment_merge_map == spec.segment_merge_map
         for a, b in zip(rebuilt.phases, spec.phases):

@@ -98,6 +98,26 @@ def test_validate_and_replay_cli(labeled_dir, capsys):
     assert run_cli("replay", "--task", "stack", "--in", str(labeled_dir), "--strict") == 0
 
 
+@pytest.mark.parametrize("task", ["stack", "coffee"])
+def test_replay_replays_what_validate_replays(tmp_path, capsys, task):
+    """`replay` replays the trajectories `validate` does, the human and SE(3)
+    demos, and not the counterfactual composites or their noised copies,
+    which are no single rollout: --strict exits 0 on a `gen -> segment ->
+    causal -> obs` dataset whose replayable trajectories succeed."""
+    stages = [{"name": "gen", "count": 3}, {"name": "segment"}, {"name": "causal", "copies": 2}, {"name": "obs"}]
+    config = tmp_path / "pipeline.json"
+    config.write_text(json.dumps({"task": task, "out": str(tmp_path / "run"), "seed": 3, "stages": stages}))
+    assert run_cli("run", "--config", str(config)) == 0
+    final = tmp_path / "run" / "stage_03_obs"
+    capsys.readouterr()
+    assert run_cli("replay", "--task", task, "--in", str(final), "--strict") == 0
+    replayed = json.loads(capsys.readouterr().out)
+    assert run_cli("validate", "--task", task, "--in", str(final)) == 0
+    validated = json.loads(capsys.readouterr().out)
+    assert replayed == {"replayed": 3, "failures": []}
+    assert (validated["checked"], validated["replayed"]) == (18, 3)
+
+
 def test_validate_exit_two_on_corruption(tmp_path, labeled_dir, capsys):
     import shutil
 
@@ -409,31 +429,37 @@ def _drop_last_phase(task):
     spec["segment_merge_map"] = [min(m, last - 1) for m in spec["segment_merge_map"]]
 
 
-def _each_graph(edit):
-    """An edit of every phase graph of a task's causal spec."""
+def _each_phase(edit):
+    """An edit of every phase of a task's causal spec."""
     def each(task):
         for phase in task["causal_spec"]["phases"]:
-            edit(phase["graph"])
+            edit(phase)
     return each
 
 
 def _rename_node(old, new):
-    """An edit of a phase graph that renames node `old` to `new`."""
-    def rename(graph):
-        graph["nodes"] = [new if n == old else n for n in graph["nodes"]]
-        graph["edges"] = [[new if n == old else n for n in e] for e in graph.get("edges", [])]
+    """An edit of a phase that renames node `old` to `new` in its edges."""
+    def rename(phase):
+        phase["edges"] = [[new if n == old else n for n in e] for e in phase["edges"]]
     return rename
 
 
-def _drop_node(graph, node):
-    graph["nodes"].remove(node)
-    graph["edges"] = [e for e in graph.get("edges", []) if node not in e]
+def _graph_layout(spec):
+    """A stack causal spec in the layout whose phases each held a `graph`
+    with its `nodes` and `edges`."""
+    for phase in spec["phases"]:
+        phase["graph"] = {"nodes": ["robot0", "cube_a", "cube_b", "cube_c"], "edges": phase.pop("edges")}
 
 
 def _old_layout(spec):
-    """A causal spec in the layout that kept one graph per agent."""
+    """A stack causal spec in the layout that kept one graph per agent."""
+    _graph_layout(spec)
     for phase in spec["phases"]:
         phase["agents"] = {"robot0": phase.pop("graph")}
+
+
+# what an edge naming an id the stack schema lacks is refused with
+NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
 
 
 @pytest.mark.parametrize(
@@ -468,19 +494,21 @@ def _old_layout(spec):
         (_task_with("stack", _set("schema", "agents", [])), "a schema declares exactly one agent, got agents []"),
         (_task_with("stack", _set("schema", "agents", ["robot0", "robot1"])),
          "a schema declares exactly one agent, got agents ['robot0', 'robot1']"),
-        (_task_with("stack", _each_graph(lambda graph: graph["nodes"].append("ghost"))),
-         "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'ghost', 'robot0'], "
-         "not the schema's entities and agent ['cube_a', 'cube_b', 'cube_c', 'robot0']"),
-        (_task_with("stack", _each_graph(_rename_node("robot0", "robotX"))),
-         "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'robotX'], not the schema's entities and agent"),
-        (_task_with("stack", lambda task: _drop_node(task["causal_spec"]["phases"][2]["graph"], "cube_a")),
-         "phase 2 has nodes ['cube_b', 'cube_c', 'robot0'], not the schema's entities and agent"),
+        # a phase gives its edges; its graph's nodes are the schema's agent and entities
+        (_task_with("stack", _each_phase(lambda phase: phase["edges"].append(["robot0", "ghost"]))),
+         f"causal_spec.phases[0].edges: edge ['robot0', 'ghost'] names 'ghost', {NOT_A_STACK_NODE}"),
+        (_task_with("stack", _each_phase(_rename_node("robot0", "robotX"))),
+         f"causal_spec.phases[0].edges: edge ['robotX', 'cube_a'] names 'robotX', {NOT_A_STACK_NODE}"),
+        (_task_with("stack", lambda task: _graph_layout(task["causal_spec"])),
+         "unknown key 'causal_spec.phases[0].graph' (known: edges, "),
         (_task_with("stack", lambda task: _old_layout(task["causal_spec"])),
-         "unknown key 'causal_spec.phases[0].agents' (known: graph, "),
+         "unknown key 'causal_spec.phases[0].agents' (known: edges, "),
         (_task_with("coffee", lambda task: task["samplers"].pop("pod")),
          "samplers are keyed by ['machine'], not by the schema's entities ['machine', 'pod']"),
+        # the spec is read over the schema, before the samplers are checked against it
         (_task_with("stack", lambda task: task["schema"]["entities"].pop(0)),
-         "samplers are keyed by ['cube_a', 'cube_b', 'cube_c'], not by the schema's entities ['cube_b', 'cube_c']"),
+         "causal_spec.phases[0].edges: edge ['robot0', 'cube_a'] names 'cube_a', "
+         "not one of ['robot0', 'cube_b', 'cube_c']"),
         # what the task kind's expert needs of the task
         (_task_with("coffee", _set("schema", "entities", 0, "kind", "block")),
          "a pod_lid task needs exactly one pod and one receptacle entity, got pods [] and receptacles ['machine']"),
@@ -511,7 +539,7 @@ def _old_layout(spec):
          "top_level_task_id", "causal_spec_task_id", "string_sim_param", "negative_sim_step", "expert_section",
          "xy_tol_key", "lid_initial_angle_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "no_agents",
-         "two_agents", "ghost_node_in_every_phase", "graphs_of_another_agent", "phase_2_without_cube_a",
+         "two_agents", "ghost_node_in_every_phase", "graphs_of_another_agent", "graph_and_nodes_spec_layout",
          "old_per_agent_spec_layout",
          "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
@@ -538,9 +566,11 @@ def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
         (_set("phases", 0, "phase_index", "x"), "phases[0].phase_index must be an integer"),
         (_set("phases", 0, "grasp_closes", "no"), "phases[0].grasp_closes must be true or false"),
         (_old_layout, "unknown key 'phases[0].agents'"),
+        (_graph_layout, "unknown key 'phases[0].graph' (known: edges, "),
         (_set("task_id", "bar"), "unknown key 'task_id'"),
     ],
-    ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes", "old_per_agent_layout", "task_id"],
+    ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes", "old_per_agent_layout",
+         "graph_and_nodes_layout", "task_id"],
 )
 def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content, message):
     path = tmp_path / "spec.json"
@@ -559,45 +589,41 @@ def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content,
 
 
 def test_spec_file_that_disagrees_with_the_task_is_an_error(tmp_path, labeled_dir, capsys):
-    """--spec replaces the task's spec and goes through the same check of
-    its graphs against the task's schema, before any stage runs."""
+    """--spec replaces the task's spec and is read over the task's schema:
+    an edge naming an id the schema lacks is refused before any stage runs."""
     spec = bundled_task_json("stack")["causal_spec"]
-    _each_graph(lambda graph: graph["nodes"].append("ghost"))({"causal_spec": spec})
+    _each_phase(lambda phase: phase["edges"].append(["robot0", "ghost"]))({"causal_spec": spec})
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "cf"
     assert run_cli("augment-causal", "--task", "stack", "--spec", str(path), "--in", str(labeled_dir),
                    "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'ghost', 'robot0']" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and str(path) in err
+    assert f"phases[0].edges: edge ['robot0', 'ghost'] names 'ghost', {NOT_A_STACK_NODE}" in err
     assert not out.exists()
 
 
 def _add_agent(spec):
-    """Give every phase graph of a causal spec a second agent, robot1,
-    acting on the phase's target."""
+    """Give every phase of a causal spec an edge from a second agent,
+    robot1, to the phase's target."""
     for phase in spec["phases"]:
-        phase["graph"]["nodes"].append("robot1")
-        phase["graph"]["edges"].append(["robot1", phase["target_entity"]])
+        phase["edges"].append(["robot1", phase["target_entity"]])
 
 
 @pytest.mark.parametrize("command", ["segment", "augment-causal"])
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda spec: _drop_node(spec["phases"][2]["graph"], "cube_a"),
-         "causal spec phase 2 has nodes ['cube_b', 'cube_c', 'robot0'], "
-         "not the schema's entities and agent ['cube_a', 'cube_b', 'cube_c', 'robot0']"),
-        (_add_agent, "causal spec phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'robot0', 'robot1'], not"),
-        (lambda spec: _each_graph(_rename_node("robot0", "robotX"))({"causal_spec": spec}),
-         "causal spec phase 0 has nodes ['cube_a', 'cube_b', 'cube_c', 'robotX'], not"),
+        (_add_agent, f"phases[0].edges: edge ['robot1', 'cube_a'] names 'robot1', {NOT_A_STACK_NODE}"),
+        (lambda spec: _each_phase(_rename_node("robot0", "robotX"))({"causal_spec": spec}),
+         f"phases[0].edges: edge ['robotX', 'cube_a'] names 'robotX', {NOT_A_STACK_NODE}"),
     ],
-    ids=["phase_2_without_cube_a", "second_agent", "unknown_agent"],
+    ids=["second_agent", "unknown_agent"],
 )
 def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_dir, capsys, command, edit, message):
-    """Without --task, a --spec is checked against the schema of the dataset
-    it runs on, before the stage writes anything."""
+    """Without --task, a --spec is read over the schema of the dataset it
+    runs on, and refused before the stage writes anything."""
     spec = bundled_task_json("stack")["causal_spec"]
     edit(spec)
     path = tmp_path / "spec.json"
@@ -605,7 +631,7 @@ def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_d
     out = tmp_path / "out"
     assert run_cli(command, "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and message in err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err and str(path) in err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from demoaug.causal import partitions
 from demoaug.counterfactual import CounterfactualConfig
 from demoaug.data import Dataset, Provenance, load_dataset
 from demoaug.errors import ConfigError, InvariantViolation, StageFailure
@@ -18,6 +19,7 @@ from demoaug.pipeline import (
     stats,
     validate_dataset_full,
 )
+from demoaug.tasks import resolve_task
 from tests.conftest import bundled_task_json, make_labeled_demos, stack_task_plus
 
 
@@ -27,6 +29,14 @@ def tree_digest(root):
         if p.is_file():
             digest[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
     return digest
+
+
+@pytest.mark.parametrize("input_path", ["", 5, b"in"], ids=["empty", "integer", "bytes"])
+def test_an_input_path_that_is_not_a_non_empty_string_is_a_config_error(input_path):
+    """PipelineConfig holds the rule on its input, so a config built in
+    Python is refused as one read from JSON is, before any stage runs."""
+    with pytest.raises(ConfigError, match=f"input must be a non-empty string, got {input_path!r}"):
+        PipelineConfig("stack", (StageConfig("segment"),), "out", input_path=input_path)
 
 
 def test_stage_order_validation():
@@ -147,8 +157,9 @@ def test_a_pass_reads_no_pose_as_arrays(tmp_path, monkeypatch, task):
 
 
 def test_a_distractor_runs_through_the_pipeline_and_is_swapped_in_every_copy(tmp_path):
-    """A fourth block with no spec edge is its own partition in every phase:
-    the stack task plus `cube_d` generates, segments, retargets, augments and
+    """A fourth block added only to the stack task file's schema, samplers
+    and geoms, with no spec edge, is its own partition in every phase: the
+    task plus `cube_d` generates, segments, retargets, augments and
     validates, and every counterfactual copy swaps `cube_d`."""
     stack = bundled_task_json("stack")
     sampler = dict(stack["samplers"]["cube_b"], y_range=[0.08, 0.2])  # the free quadrant
@@ -161,6 +172,9 @@ def test_a_distractor_runs_through_the_pipeline_and_is_swapped_in_every_copy(tmp
         StageConfig("causal", {"copies": 1}),
         StageConfig("validate"),
     )
+    task = resolve_task(str(task_path))
+    for phase in task.causal.phases:
+        assert frozenset({"cube_d"}) in [p.members for p in partitions(phase.joint_graph())]
     report = run_pipeline(PipelineConfig(str(task_path), stages, str(tmp_path / "run"), master_seed=2))
     assert [s["out"] for s in report["stages"]] == [3, 3, 6, 12, 12]
     ds = load_dataset(tmp_path / "run" / "stage_03_causal")

@@ -79,7 +79,7 @@ def test_resolve_task_from_path(tmp_path):
 def test_causal_spec_file_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
-    loaded = load_causal_spec(path)
+    loaded = load_causal_spec(path, resolve_task("stack").schema)
     assert loaded == resolve_task("stack").causal
     assert count_partitions(loaded) == 8
     assert loaded.segment_merge_map == (0, 1, 2, 3)
