@@ -8,12 +8,14 @@ be resampled independently.
 
 A causal spec holds one graph per phase, and no task id: the schema it is
 used with holds that. In JSON it is `phases` and `segment_merge_map`; each
-phase is an object with `phase_index`, `target_entity`, `grasp_closes` and
-`edges` ([source, target] pairs without the diagonal). It is read over a
-schema, whose agent, then entities, are every graph's nodes, so a phase
-names no nodes. check_spec refuses a spec built in Python whose graphs do
-not cover exactly its task's schema. check_phase_labels refuses a dataset
-labelled with a phase past the spec, wherever labels are read against a spec.
+phase is an object with only `edges` ([source, target] pairs without the
+diagonal). It is read over a schema, whose agent, then entities, are every
+graph's nodes, so a phase names no nodes. A phase's index is its position;
+its target entity and grasp flag are its task kind's, left unset when read
+and filled in by the TaskDefinition the spec is put into. check_spec refuses
+a spec built in Python whose graphs do not cover exactly its task's schema.
+check_phase_labels refuses a dataset labelled with a phase past the spec,
+wherever labels are read against a spec.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, TaskSchema, list_from_json, read_json, record_from_json
+from .data import Dataset, TaskSchema, check_keys, list_from_json, read_json, record_from_json
 from .errors import InvariantViolation
 
 
@@ -110,18 +112,13 @@ def partitions(g: CausalGraph) -> list[Partition]:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One causal phase: the agent's graph plus SE(3) retargeting metadata."""
+    """One causal phase: the agent's graph plus SE(3) retargeting metadata,
+    which a TaskDefinition fills in from its kind (None until then)."""
 
     phase_index: int
     graph: CausalGraph
-    target_entity: str
-    grasp_closes: bool
-
-    def __post_init__(self):
-        if self.phase_index < 0:
-            raise InvariantViolation("phase_index must be >= 0")
-        if self.target_entity not in self.graph.nodes:
-            raise InvariantViolation(f"target {self.target_entity!r} not among nodes {self.graph.nodes}")
+    target_entity: str | None = None
+    grasp_closes: bool | None = None
 
     def joint_graph(self) -> CausalGraph:
         """The symmetrized graph whose components are the phase's partitions."""
@@ -166,6 +163,8 @@ def swap_candidates(phase: PhaseSpec, agent: str) -> list[Partition]:
     Replacing any of these leaves the expert action unchanged: the policy
     is a function of the causally relevant subset only.
     """
+    if phase.target_entity is None:  # a spec as read from JSON, not yet filled in by a task
+        raise InvariantViolation(f"causal spec phase {phase.phase_index} has no target: it is not a task's spec")
     return [part for part in partitions(phase.joint_graph())
             if agent not in part and phase.target_entity not in part]
 
@@ -199,10 +198,12 @@ def check_phase_labels(ds: Dataset, spec: TaskCausalSpec) -> None:
 def causal_spec_from_dict(obj, schema: TaskSchema, where: str = "") -> TaskCausalSpec:
     """The causal spec in its JSON object at path `where`, read over `schema`,
     whose agent and entities are each graph's nodes (the edges omit the
-    diagonal); InvariantViolation if it is malformed."""
+    diagonal), each phase indexed by its position; InvariantViolation if it is malformed."""
     nodes = (schema.agent, *schema.entity_ids())
 
-    def graph(at: str, edges) -> CausalGraph:
+    def graph(at: str, obj) -> CausalGraph:
+        check_keys(at, obj, ("edges",), ("edges",))
+        at, edges = f"{at}.edges", obj["edges"]
         if type(edges) is not list or not all(type(e) is list and len(e) == 2 and type(e[0]) is str and type(e[1]) is str
                                               for e in edges):
             raise InvariantViolation(f"{at} must be a list of [source, target] node pairs, got {edges!r}")
@@ -212,8 +213,7 @@ def causal_spec_from_dict(obj, schema: TaskSchema, where: str = "") -> TaskCausa
             raise InvariantViolation(f"{at}: {exc}") from exc
 
     def phases(at: str, items) -> tuple[PhaseSpec, ...]:
-        read = list_from_json(at, items, lambda path, p: record_from_json(PhaseSpec, path, p, graph=("edges", graph)))
-        return tuple(sorted(read, key=lambda p: p.phase_index))
+        return tuple(PhaseSpec(i, g) for i, g in enumerate(list_from_json(at, items, graph)))
 
     return record_from_json(TaskCausalSpec, where, obj, phases=phases)
 

@@ -3,15 +3,17 @@
 Subcommands: gen-demos | segment | augment-se3 | augment-causal |
 augment-obs | validate | replay | ratio-study | stats | run.
 Exit codes: 0 ok, 1 usage, 2 validation failure or a refused color op, 3
-stage failure or malformed input (an `error:` line, no traceback).
+stage failure or malformed input (an `error:` line, no traceback), 141 a
+report printed to a closed stdout (128 + SIGPIPE, as by `| head -1`).
 
 Every flag acts: there is no --workers flag (a pipeline config's `workers`
 key is accepted and unused), segment, validate and replay take no --seed
 (they draw nothing), augment-obs refuses its image flags without --image,
 its dataset flags without --in, --out-size without --crop-scale and
 --force unless --jitter or --permute is given with --task, and `run`
-overrides only the config's seed and out. A --spec is read over the
-schema of --task, or without it over that of the --in dataset.
+overrides only the config's seed and out. segment, augment-se3 and
+augment-causal require --task, and a --spec, read over the task's schema,
+replaces only the task's phase graphs and merge map.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,6 +59,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_STAGE = 3
+EXIT_CLOSED_STDOUT = 141
 
 logger = logging.getLogger("demoaug")
 
@@ -71,7 +75,7 @@ def _emit(report: dict, out: str | None):
     if out:
         write_json(out, report, "failed writing report")
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
 
 
 def _floats(text: str) -> list[float]:
@@ -108,22 +112,20 @@ def _values(values: list, n: int, flag: str) -> list:
 def _run_stage(args, task) -> dict:
     """Run the pipeline stage `args.stage` on --in with the stage parameters
     the user gave as flags (`args.params`; the stage fills in the rest), save
-    the result to --out, and return the stage's info; a --spec replaces the task's."""
+    the result to --out, and return the stage's info; a --spec replaces the
+    task's graphs and merge map."""
     params = {key: getattr(args, key) for key in args.params if getattr(args, key) is not None}
     stage = StageConfig(args.stage, params)
     ds = load_dataset(args.inp) if args.inp else None
-    spec = task.causal if task is not None else None
     if args.spec:
-        spec = load_causal_spec(args.spec, ds.task_schema if task is None else task.schema)
-        if task is not None:
-            task = replace(task, causal=spec)
-    ds, info = run_stage(stage, ds, task, spec, args.seed)
+        task = replace(task, causal=load_causal_spec(args.spec, task.schema))
+    ds, info = run_stage(stage, ds, task, args.seed)
     save_dataset(ds, args.out)
     return {**info, "out": str(args.out)}
 
 
 def _cmd_stage(args) -> int:
-    _emit(_run_stage(args, resolve_task(args.task) if args.task else None), args.report)
+    _emit(_run_stage(args, resolve_task(args.task)), args.report)
     return EXIT_OK
 
 
@@ -191,7 +193,7 @@ def _cmd_validate(args) -> int:
         _emit({"ok": False, "failures": [f"load: {exc}"]}, args.report)
         return EXIT_VALIDATION
     stage = StageConfig("validate", {"no_replay": args.no_replay})
-    _, result = run_stage(stage, ds, task, task.causal, args.seed)
+    _, result = run_stage(stage, ds, task, args.seed)
     _emit(result, args.report)
     return EXIT_OK if result["ok"] else EXIT_VALIDATION
 
@@ -242,18 +244,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="demoaug", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, inp=True, out=True, task=True, spec=False, seed=True):
+    def common(p, inp=True, out=True, spec=False, seed=True):
         if inp:
             p.add_argument("--in", dest="inp", required=True, help="input dataset directory")
         if out:
             p.add_argument("--out", required=True, help="output directory")
-        if task:
-            required = not spec
-            p.add_argument("--task", required=required, default=None,
-                           help="bundled task name (stack|coffee) or task JSON path")
+        p.add_argument("--task", required=True, help="bundled task name (stack|coffee) or task JSON path")
         if spec:
-            p.add_argument("--spec", default=None,
-                           help="causal spec JSON (overrides the task's bundled spec)")
+            p.add_argument("--spec", default=None, help="causal spec JSON (replaces the task's graphs and merge map)")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         else:  # the stage draws nothing; run_stage takes a seed all the same
@@ -267,7 +265,7 @@ def build_parser() -> _Parser:
         table = STAGES[stage][1]
         for key, text in flags:
             p.add_argument("--" + key.replace("_", "-"), type=_flag_type(table[key]), help=text)
-        p.set_defaults(fn=fn, stage=stage, params=tuple(key for key, _ in flags), parser=p)
+        p.set_defaults(fn=fn, stage=stage, params=tuple(key for key, _ in flags))
 
     p = sub.add_parser("gen-demos", help="roll out scripted expert demonstrations")
     common(p, inp=False)
@@ -281,8 +279,7 @@ def build_parser() -> _Parser:
                 ("min_phase_len", "shortest phase in steps"))
 
     p = sub.add_parser("augment-se3", help="SE(3)-equivariant demo generation")
-    common(p)
-    p.add_argument("--spec", default=None, help="causal spec JSON (overrides the task's)")
+    common(p, spec=True)
     stage_flags(p, "se3", ("count", "synthetic demos to accept (default: one per input demo)"),
                 ("pos_range", "x0,x1,y0,y1 sample box (meters)"),
                 ("yaw_range", "min,max yaw (radians)"),
@@ -349,15 +346,15 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.fn is _cmd_stage and args.task is None and args.spec is None:  # segment, augment-causal
-            args.parser.error("either --spec or --task is required")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the report's reader closed stdout; its final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     except ColorJitterRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -96,6 +96,8 @@ class TaskSchema:
         ids = [e.entity_id for e in self.entities]
         if len(set(ids)) != len(ids):
             raise InvariantViolation("duplicate entity ids in schema")
+        if self.agent in ids:
+            raise InvariantViolation(f"the schema's agent {self.agent!r} is also one of its entity ids")
         object.__setattr__(self, "_line_heads", _line_heads(self))
 
     def entity_ids(self) -> tuple[str, ...]:
@@ -636,7 +638,7 @@ def _entities_from_json(items, where: str, poses: dict, agent: str) -> tuple[Ent
 
 def _agent_reader(cls, what: str, keys: tuple[str, str, str]):
     """The reader of a line's robots (RobotState) or actions (Action) array,
-    whose objects hold `keys`: agent id, pose and gripper value."""
+    whose objects hold `keys`: agent id, pose and gripper value in [0, 1]."""
     agent_key, pose_key, value_key = keys
 
     def read(items, where: str, poses: dict, agent: str) -> tuple:
@@ -647,8 +649,10 @@ def _agent_reader(cls, what: str, keys: tuple[str, str, str]):
             if r[agent_key] != agent:
                 raise InvariantViolation(f"{where}: {what}'s agent_id {r[agent_key]!r} is not the schema's agent {agent!r}")
             pose, value = _pose_from_json(r[pose_key], where, poses), r[value_key]
-            if type(value) is not float or not math.isfinite(value):
+            if type(value) is not float or not 0.0 <= value <= 1.0:
                 value = _REAL.parse(f"{where}: {value_key}", value)
+                if not 0.0 <= value <= 1.0:
+                    raise InvariantViolation(f"{where}: {value_key} {value!r} is outside [0, 1]")
             records.append(cls(pose, value))
         return tuple(records)
 

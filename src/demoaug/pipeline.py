@@ -106,33 +106,32 @@ def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # stages
 #
-# Every stage has the signature (ds, task, spec, params, seed) -> (Dataset,
-# info) and reads its parameters from `params`: the values StageConfig
-# checked, over the defaults in STAGES. `spec` is the causal spec to work
-# with: the task's own, checked against the task's schema when the task was
-# built, or one the CLI read over the schema of the task or the dataset. gen
-# and obs ignore it, and segment and causal need no task.
+# Every stage has the signature (ds, task, params, seed) -> (Dataset, info)
+# and reads its parameters from `params`: the values StageConfig checked,
+# over the defaults in STAGES. A stage that reads a causal spec reads the
+# task's (`task.causal`), whose phases its kind filled in; a CLI --spec
+# replaces the task's graphs and merge map. Only obs runs without a task.
 
 
-def _stage_gen(ds, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+def _stage_gen(ds, task: TaskDefinition, p: dict, seed: int) -> tuple[Dataset, dict]:
     trajs = tuple(replace(rollout_expert(task, derive_stream(seed, "gen", i)), traj_id=f"demo_{i:04d}")
                   for i in range(p["count"]))
     ds = Dataset(task.schema, trajs)
     return ds, {"generated": p["count"], "all_success": all(t.success for t in trajs)}
 
 
-def _stage_segment(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+def _stage_segment(ds: Dataset, task: TaskDefinition, p: dict, seed: int) -> tuple[Dataset, dict]:
     cfg = SegmentationConfig(
         close_threshold=p["close_threshold"],
         debounce_steps=p["debounce"],
         min_phase_len=p["min_phase_len"],
     )
-    labeled = tuple(assign_phases(tr, spec, cfg) for tr in ds.trajectories)
+    labeled = tuple(assign_phases(tr, task.causal, cfg) for tr in ds.trajectories)
     out = Dataset(ds.task_schema, labeled)
-    return out, {"segmented": len(labeled), "phases": spec.num_phases}
+    return out, {"segmented": len(labeled), "phases": task.causal.num_phases}
 
 
-def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+def _stage_se3(ds: Dataset, task: TaskDefinition, p: dict, seed: int) -> tuple[Dataset, dict]:
     count = len(ds) if p["count"] is None else p["count"]
     icfg = InterpolationConfig(max_pos_step=p["max_pos_step"], max_rot_step=p["max_rot_step"])
     sampler = None  # the task's own samplers
@@ -140,17 +139,8 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> t
         x0, x1, y0, y1 = p["pos_range"] or (-0.2, 0.2, -0.2, 0.2)
         sampler = PoseSampler((x0, x1), (y0, y1), (0.0, 0.0), p["yaw_range"] or (-np.pi, np.pi))
     report = GenerationReport()
-    synth = generate_demos(
-        ds,
-        spec,
-        sampler,
-        icfg,
-        task,
-        n_target=count,
-        master_seed=seed,
-        attempt_budget=p["budget"],
-        report=report,
-    )
+    synth = generate_demos(ds, task.causal, sampler, icfg, task, n_target=count, master_seed=seed,
+                           attempt_budget=p["budget"], report=report)
     merged = Dataset(ds.task_schema, ds.trajectories + synth.trajectories)
     return merged, {
         "requested": count,
@@ -160,7 +150,7 @@ def _stage_se3(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> t
     }
 
 
-def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+def _stage_causal(ds: Dataset, task: TaskDefinition, p: dict, seed: int) -> tuple[Dataset, dict]:
     cfg = CounterfactualConfig(
         master_seed=seed,
         swap_probability=p["swap_prob"],
@@ -169,10 +159,10 @@ def _stage_causal(ds: Dataset, task, spec, p: dict, seed: int) -> tuple[Dataset,
         copies_per_trajectory=p["copies"],
     )
     info: dict = {}
-    return augment_offline(ds, spec, cfg, report=info), info
+    return augment_offline(ds, task.causal, cfg, report=info), info
 
 
-def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+def _stage_obs(ds: Dataset, task, p: dict, seed: int) -> tuple[Dataset, dict]:
     sigma = p["noise_sigma"]
 
     def noise_one(tr: Trajectory, k: int) -> Trajectory:
@@ -190,7 +180,7 @@ def _stage_obs(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> t
     return out, {"noise_sigma": sigma, "noised_copies": len(noisy)}
 
 
-def _stage_validate(ds: Dataset, task: TaskDefinition, spec, p: dict, seed: int) -> tuple[Dataset, dict]:
+def _stage_validate(ds: Dataset, task: TaskDefinition, p: dict, seed: int) -> tuple[Dataset, dict]:
     return ds, validate_dataset_full(ds, task, replay_check=not p["no_replay"])
 
 
@@ -236,14 +226,13 @@ def check_dataset_task(ds: Dataset, task: TaskDefinition) -> None:
             f"dataset of task {ds.task_schema.task_id!r} does not match the schema of task {task.schema.task_id!r}")
 
 
-def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, spec,
-              seed: int) -> tuple[Dataset, dict]:
+def run_stage(stage: StageConfig, ds: Dataset | None, task: TaskDefinition | None, seed: int) -> tuple[Dataset, dict]:
     """Run one stage on `ds`, once checked against `task` when both are
     given; the pipeline and the CLI subcommands both call this."""
     if ds is not None and task is not None:
         check_dataset_task(ds, task)
     fn, table = STAGES[stage.name]
-    return fn(ds, task, spec, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
+    return fn(ds, task, {**{key: param.default for key, param in table.items()}, **stage.params}, seed)
 
 
 def replay_dataset(ds: Dataset, task: TaskDefinition) -> tuple[int, list[str]]:
@@ -290,7 +279,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
     for i, stage in enumerate(cfg.stages):
         in_count = len(ds) if ds is not None else 0
         try:
-            ds, info = run_stage(stage, ds, task, task.causal, cfg.master_seed)
+            ds, info = run_stage(stage, ds, task, cfg.master_seed)
         except ConfigError:
             raise
         except DemoaugError as exc:

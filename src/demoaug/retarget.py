@@ -131,6 +131,8 @@ def _one_attempt(
         options = sources[p]
         src_traj, t0, t1 = options[int(rng.integers(len(options)))]
         target = phase_spec.target_entity
+        if target is None:  # a spec as read from JSON, not yet filled in by a task
+            raise InvariantViolation(f"causal spec phase {p} has no target: it is not a task's spec")
         trim = _trim_start(src_traj, t0, t1, target)
         segment = src_traj.timesteps[trim:t1]
         T = relative_transform(segment[0].entity(target).pose, state.objects[target])

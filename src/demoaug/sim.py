@@ -7,13 +7,14 @@ well). Everything is deterministic and side-effect free, which makes the
 scripted experts usable as analytic oracles: each expert action is a pure
 function of the gripper state and the phase's dependent entities only.
 
-A task kind is one TASK_KINDS entry, which owns its roles, phases, success
-predicate and articulated state (an Articulation and its extra field;
-pod_lid's is the machine's lid, stack3 has none): adding a kind takes one
-entry plus a task file. A task is checked when it is built, so a home_pose
-or sampler box outside the workspace is refused before any rollout. The
-schema alone holds the task id and the one agent's id: the gripper's state
-and actions carry no agent id.
+A task kind is one TASK_KINDS entry, which owns its roles, phases (each
+with its target role and grasp flag), success predicate and articulated
+state (an Articulation and its extra field; pod_lid's is the machine's
+lid, stack3 has none): adding a kind takes one entry plus a task file. A
+task is checked when it is built, so a home_pose or sampler box outside
+the workspace is refused before any rollout. The schema alone holds the
+task id and the one agent's id: the gripper's state and actions carry no
+agent id.
 
 The simulator and expert settings are the same for every task, so they
 are the module constants below and a task file does not set them (a `sim`,
@@ -34,7 +35,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .causal import TaskCausalSpec, check_spec
+from .causal import PhaseSpec, TaskCausalSpec, check_spec
 from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .geometry import Pose, SE3Transform, _from_yaw, _rigid, step_toward
@@ -108,7 +109,9 @@ class TaskDefinition:
     """A task: what differs between tasks (the simulator and expert settings
     are this module's constants). `roles` is not given: it is the entity ids
     the kind's predicates and expert bind (TASK_KINDS), resolved from the
-    other sections when the task is built. Its id is `schema.task_id`."""
+    other sections when the task is built, as are the index, target and grasp
+    flag of each phase of `causal`: the kind's phase table over the roles, in
+    place of what a spec built in Python held. Its id is `schema.task_id`."""
 
     kind: str  # a key of TASK_KINDS
     schema: TaskSchema
@@ -138,6 +141,10 @@ class TaskDefinition:
             raise InvariantViolation(
                 f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {self.causal.num_phases}")
         check_spec(self.causal, self.schema)
+        object.__setattr__(self, "causal", TaskCausalSpec(
+            tuple(PhaseSpec(i, phase.graph, self.roles[target], grasp)
+                  for i, (phase, (_, _, target, grasp)) in enumerate(zip(self.causal.phases, kind.phases))),
+            self.causal.segment_merge_map))
         # an extra field is a kind's articulated state (TASK_KINDS), and the task's kind must own it
         owners = {k.articulation.extra_field: k.articulation for k in TASK_KINDS.values() if k.articulation}
         for decl in self.schema.entities:
@@ -424,14 +431,15 @@ class TaskKind:
 
     `roles(task)` checks the task's layout and returns the entity ids the
     kind binds, in a fixed order; it runs once, when the TaskDefinition is
-    built. `success` is the task-success predicate. `phases` holds one
-    (expert policy, completion predicate) pair per phase, so its length is
-    the kind's phase count. Each predicate and policy is called as
-    f(state, task, *task.roles). `articulation` is its articulated state."""
+    built. `success` is the task-success predicate. `phases` is the phase
+    table: per phase, (expert policy, completion predicate, target, grasp
+    flag), where the target indexes roles, so its length is the kind's phase
+    count. Each predicate and policy is called as f(state, task, *task.roles).
+    `articulation` is its articulated state."""
 
     roles: Callable[[TaskDefinition], tuple[str, ...]]
     success: Callable[..., bool]
-    phases: tuple[tuple[Callable[..., Action], Callable[..., bool]], ...]
+    phases: tuple[tuple[Callable[..., Action], Callable[..., bool], int, bool], ...]
     articulation: Articulation | None = None
 
 
@@ -498,24 +506,24 @@ def _pod_lid_done(state: SimState, task: TaskDefinition, pod: str, machine: str)
 TASK_KINDS = {
     "stack3": TaskKind(_stack3_roles, _stacked, (
         (lambda s, task, bottom, mid, top: _grasp_policy(s, task, mid),
-         lambda s, task, bottom, mid, top: _attached(s, mid) or _placed_on(s, task, mid, bottom)),
+         lambda s, task, bottom, mid, top: _attached(s, mid) or _placed_on(s, task, mid, bottom), 1, True),
         (lambda s, task, bottom, mid, top: _stack_policy(s, task, mid, bottom),
-         lambda s, task, bottom, mid, top: _placed_on(s, task, mid, bottom) and not _attached(s, mid)),
+         lambda s, task, bottom, mid, top: _placed_on(s, task, mid, bottom) and not _attached(s, mid), 0, False),
         (lambda s, task, bottom, mid, top: _grasp_policy(s, task, top),
-         lambda s, task, bottom, mid, top: _attached(s, top) or _placed_on(s, task, top, mid)),
+         lambda s, task, bottom, mid, top: _attached(s, top) or _placed_on(s, task, top, mid), 2, True),
         (lambda s, task, bottom, mid, top: _stack_policy(s, task, top, mid),
-         lambda s, task, bottom, mid, top: _stacked(s, task, bottom, mid, top) and not _attached(s, top)),
+         lambda s, task, bottom, mid, top: _stacked(s, task, bottom, mid, top) and not _attached(s, top), 1, False),
     )),
     "pod_lid": TaskKind(_pod_lid_roles, _pod_lid_done, (
         (lambda s, task, pod, machine: _grasp_policy(s, task, pod),
-         lambda s, task, pod, machine: _attached(s, pod) or _pod_in_well(s, task, pod, machine)),
+         lambda s, task, pod, machine: _attached(s, pod) or _pod_in_well(s, task, pod, machine), 0, True),
         (_pod_lid_policy,
-         lambda s, task, pod, machine: _pod_lid_done(s, task, pod, machine) and not _attached(s, pod)),
+         lambda s, task, pod, machine: _pod_lid_done(s, task, pod, machine) and not _attached(s, pod), 1, False),
     ), Articulation("lid_angle", _lid_check, LID_OPEN_ANGLE, _lid_update)),
 }
 
 
-def _phase(task: TaskDefinition, phase: int) -> tuple[Callable[..., Action], Callable[..., bool]]:
+def _phase(task: TaskDefinition, phase: int) -> tuple[Callable[..., Action], Callable[..., bool], int, bool]:
     phases = TASK_KINDS[task.kind].phases
     if not 0 <= phase < len(phases):
         raise InvariantViolation(f"{task.kind} has no phase {phase}")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from demoaug.causal import (
     check_spec,
 )
 from demoaug.errors import InvariantViolation
+from demoaug.retarget import InterpolationConfig, generate_demos
 from demoaug.tasks import resolve_task
 from tests.conftest import bundled_task_json
 
@@ -162,15 +165,42 @@ def test_resampleable_subset_and_exclusions():
 
 
 def test_spec_dict_round_trip():
+    """A spec read from JSON holds the graphs and the merge map; put into a
+    task, it is the task's spec, its phases filled in from the kind."""
     for name in ("stack", "coffee"):
         task, obj = resolve_task(name), bundled_task_json(name)["causal_spec"]
         spec, rebuilt = task.causal, causal_spec_from_dict(obj, task.schema)
-        assert rebuilt == spec
+        assert replace(task, causal=rebuilt).causal == spec
         assert rebuilt.segment_merge_map == spec.segment_merge_map
-        for a, b in zip(rebuilt.phases, spec.phases):
-            assert a.target_entity == b.target_entity
-            assert a.grasp_closes == b.grasp_closes
+        for i, (a, b) in enumerate(zip(rebuilt.phases, spec.phases)):
+            assert (a.phase_index, a.target_entity, a.grasp_closes) == (i, None, None)
             assert a.graph == b.graph
+
+
+def test_the_task_kind_gives_each_phase_its_target_and_grasp_flag():
+    """Each phase's index, target entity and grasp flag are the kind's phase
+    table, over the task's roles, also for a spec built in Python."""
+    kinds = {"stack": (("cube_a", "cube_b", "cube_c", "cube_a"), (True, False, True, False)),
+             "coffee": (("pod", "machine"), (True, False))}
+    for name, (targets, grasps) in kinds.items():
+        task = resolve_task(name)
+        assert tuple(p.phase_index for p in task.causal.phases) == tuple(range(len(targets)))
+        assert tuple(p.target_entity for p in task.causal.phases) == targets
+        assert tuple(p.grasp_closes for p in task.causal.phases) == grasps
+        wrong = TaskCausalSpec(tuple(PhaseSpec(i, p.graph, task.schema.agent, not p.grasp_closes)
+                                     for i, p in enumerate(task.causal.phases)), task.causal.segment_merge_map)
+        assert replace(task, causal=wrong).causal == task.causal
+
+
+def test_a_phase_without_its_tasks_target_is_refused(stack_demos):
+    """A spec as read from JSON has no targets until a task fills them in:
+    swap_candidates and SE(3) retargeting refuse it rather than read None."""
+    task = resolve_task("stack")
+    unfilled = causal_spec_from_dict(bundled_task_json("stack")["causal_spec"], task.schema)
+    with pytest.raises(InvariantViolation, match="causal spec phase 0 has no target"):
+        swap_candidates(unfilled.phases[0], task.schema.agent)
+    with pytest.raises(InvariantViolation, match="causal spec phase 0 has no target"):
+        generate_demos(stack_demos, unfilled, None, InterpolationConfig(), task, 1)
 
 
 def test_check_spec_against_schema():

@@ -1,12 +1,16 @@
 import inspect
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demoaug
 from demoaug import errors
 from demoaug.cli import main
 from demoaug.data import load_dataset
@@ -243,11 +247,18 @@ def test_color_sensitive_refusal_and_force(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["segment", "augment-causal"])
 def test_neither_task_nor_spec_is_a_usage_error(tmp_path, labeled_dir, capsys, command):
+    """--task is required, with or without --spec: a spec gives only the
+    graphs, and each phase's target and grasp flag are the task kind's."""
     out = tmp_path / "out"
     assert run_cli(command, "--in", str(labeled_dir), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"usage: demoaug {command}")
-    assert f"demoaug {command}: error: either --spec or --task is required" in err
+    assert f"demoaug {command}: error: the following arguments are required: --task" in err
+    assert not out.exists()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
+    assert run_cli(command, "--spec", str(spec), "--in", str(labeled_dir), "--out", str(out)) == 1
+    assert "the following arguments are required: --task" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -283,14 +294,13 @@ def test_run_pipeline_cli(tmp_path, capsys):
 def test_spec_file_flag_drives_segment_and_causal(tmp_path, labeled_dir, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
-    # segment from a spec file alone (no --task)
     demos = tmp_path / "demos"
     assert run_cli("gen-demos", "--task", "stack", "--count", "2", "--seed", "9",
                    "--out", str(demos)) == 0
     seg = tmp_path / "seg"
-    assert run_cli("segment", "--spec", str(spec_path), "--in", str(demos), "--out", str(seg)) == 0
+    assert run_cli("segment", "--task", "stack", "--spec", str(spec_path), "--in", str(demos), "--out", str(seg)) == 0
     out = tmp_path / "cf"
-    assert run_cli("augment-causal", "--spec", str(spec_path), "--in", str(seg),
+    assert run_cli("augment-causal", "--task", "stack", "--spec", str(spec_path), "--in", str(seg),
                    "--out", str(out), "--copies", "1", "--donor-policy", "aligned") == 0
     assert len(load_dataset(out)) == 4
 
@@ -425,8 +435,8 @@ def _set(*keys_then_value):
 def _drop_last_phase(task):
     """Drop the causal spec's last phase, with a segment_merge_map that fits."""
     spec = task["causal_spec"]
-    last = spec["phases"].pop()["phase_index"]
-    spec["segment_merge_map"] = [min(m, last - 1) for m in spec["segment_merge_map"]]
+    spec["phases"].pop()
+    spec["segment_merge_map"] = [min(m, len(spec["phases"]) - 1) for m in spec["segment_merge_map"]]
 
 
 def _each_phase(edit):
@@ -471,7 +481,7 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
         ("[]", "malformed task definition"),
         (_task_with("stack", _set("color_sensitive", "false")), "color_sensitive must be true or false"),
         (_task_with("stack", _set("causal_spec", "phases", 0, "grasp_closes", "no")),
-         "causal_spec.phases[0].grasp_closes must be true or false"),
+         "unknown key 'causal_spec.phases[0].grasp_closes' (known: edges)"),
         (_task_with("stack", _set("geoms", "cube_b", "height", float("nan"))), "non-finite number NaN"),
         (_task_with("stack", _set("geoms", "cube_a", "height", float("inf"))), "non-finite number Infinity"),
         (_task_with("stack", _set("geoms", "cube_a", "height", "0.05")), "geoms.cube_a.height must be a finite number"),
@@ -494,15 +504,24 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
         (_task_with("stack", _set("schema", "agents", [])), "a schema declares exactly one agent, got agents []"),
         (_task_with("stack", _set("schema", "agents", ["robot0", "robot1"])),
          "a schema declares exactly one agent, got agents ['robot0', 'robot1']"),
+        (_task_with("stack", _set("schema", "agents", ["cube_a"])),
+         "the schema's agent 'cube_a' is also one of its entity ids"),
         # a phase gives its edges; its graph's nodes are the schema's agent and entities
         (_task_with("stack", _each_phase(lambda phase: phase["edges"].append(["robot0", "ghost"]))),
          f"causal_spec.phases[0].edges: edge ['robot0', 'ghost'] names 'ghost', {NOT_A_STACK_NODE}"),
         (_task_with("stack", _each_phase(_rename_node("robot0", "robotX"))),
          f"causal_spec.phases[0].edges: edge ['robotX', 'cube_a'] names 'robotX', {NOT_A_STACK_NODE}"),
         (_task_with("stack", lambda task: _graph_layout(task["causal_spec"])),
-         "unknown key 'causal_spec.phases[0].graph' (known: edges, "),
+         "unknown key 'causal_spec.phases[0].graph' (known: edges)"),
         (_task_with("stack", lambda task: _old_layout(task["causal_spec"])),
-         "unknown key 'causal_spec.phases[0].agents' (known: edges, "),
+         "unknown key 'causal_spec.phases[0].agents' (known: edges)"),
+        # each phase's index, target and grasp flag are the task kind's
+        (_task_with("stack", _set("causal_spec", "phases", 1, "target_entity", "cube_c")),
+         "unknown key 'causal_spec.phases[1].target_entity' (known: edges)"),
+        (_task_with("stack", _each_phase(lambda phase: phase.update(grasp_closes=len(phase["edges"]) > 2))),
+         "unknown key 'causal_spec.phases[0].grasp_closes' (known: edges)"),
+        (_task_with("coffee", _set("causal_spec", "phases", 0, "phase_index", 0)),
+         "unknown key 'causal_spec.phases[0].phase_index' (known: edges)"),
         (_task_with("coffee", lambda task: task["samplers"].pop("pod")),
          "samplers are keyed by ['machine'], not by the schema's entities ['machine', 'pod']"),
         # the spec is read over the schema, before the samplers are checked against it
@@ -539,8 +558,9 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
          "top_level_task_id", "causal_spec_task_id", "string_sim_param", "negative_sim_step", "expert_section",
          "xy_tol_key", "lid_initial_angle_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "no_agents",
-         "two_agents", "ghost_node_in_every_phase", "graphs_of_another_agent", "graph_and_nodes_spec_layout",
-         "old_per_agent_spec_layout",
+         "two_agents", "agent_is_an_entity", "ghost_node_in_every_phase", "graphs_of_another_agent",
+         "graph_and_nodes_spec_layout", "old_per_agent_spec_layout", "phase_1_target_cube_c", "flipped_grasp_closes",
+         "phase_index_key",
          "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
          "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few",
@@ -563,14 +583,15 @@ def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
     [
         (None, "failed reading causal spec file"),
         ("{", "failed reading causal spec file"),
-        (_set("phases", 0, "phase_index", "x"), "phases[0].phase_index must be an integer"),
-        (_set("phases", 0, "grasp_closes", "no"), "phases[0].grasp_closes must be true or false"),
+        (_set("phases", 0, "phase_index", "x"), "unknown key 'phases[0].phase_index' (known: edges)"),
+        (_set("phases", 0, "grasp_closes", "no"), "unknown key 'phases[0].grasp_closes' (known: edges)"),
         (_old_layout, "unknown key 'phases[0].agents'"),
-        (_graph_layout, "unknown key 'phases[0].graph' (known: edges, "),
+        (_graph_layout, "unknown key 'phases[0].graph' (known: edges)"),
         (_set("task_id", "bar"), "unknown key 'task_id'"),
+        (_set("phases", 2, "target_entity", "cube_c"), "unknown key 'phases[2].target_entity' (known: edges)"),
     ],
     ids=["missing_file", "bad_json", "string_phase_index", "string_grasp_closes", "old_per_agent_layout",
-         "graph_and_nodes_layout", "task_id"],
+         "graph_and_nodes_layout", "task_id", "target_entity_key"],
 )
 def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content, message):
     path = tmp_path / "spec.json"
@@ -581,7 +602,7 @@ def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content,
     if content is not None:
         path.write_text(content)
     out = tmp_path / "seg"
-    assert run_cli("segment", "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
+    assert run_cli("segment", "--task", "stack", "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert err.count("\n") == 1 and str(path) in err
@@ -605,10 +626,10 @@ def test_spec_file_that_disagrees_with_the_task_is_an_error(tmp_path, labeled_di
 
 
 def _add_agent(spec):
-    """Give every phase of a causal spec an edge from a second agent,
-    robot1, to the phase's target."""
-    for phase in spec["phases"]:
-        phase["edges"].append(["robot1", phase["target_entity"]])
+    """Give every phase of a stack causal spec an edge from a second agent,
+    robot1, to the phase's target, which the task kind names."""
+    for phase, kind_phase in zip(spec["phases"], resolve_task("stack").causal.phases):
+        phase["edges"].append(["robot1", kind_phase.target_entity])
 
 
 @pytest.mark.parametrize("command", ["segment", "augment-causal"])
@@ -622,14 +643,14 @@ def _add_agent(spec):
     ids=["second_agent", "unknown_agent"],
 )
 def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_dir, capsys, command, edit, message):
-    """Without --task, a --spec is read over the schema of the dataset it
-    runs on, and refused before the stage writes anything."""
+    """A --spec is read over the schema of the --task, which the dataset it
+    runs on has too, and refused before the stage writes anything."""
     spec = bundled_task_json("stack")["causal_spec"]
     edit(spec)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "out"
-    assert run_cli(command, "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
+    assert run_cli(command, "--task", "stack", "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err and str(path) in err
     assert not out.exists()
@@ -664,6 +685,12 @@ def test_a_phase_label_past_the_spec_is_an_error(tmp_path, label_past_spec_dir, 
     assert not out.exists()
 
 
+def test_segment_relabels_a_dataset_labelled_past_the_spec(tmp_path, label_past_spec_dir, capsys):
+    out = tmp_path / "relabelled"
+    assert run_cli("segment", "--task", "stack", "--in", str(label_past_spec_dir), "--out", str(out)) == 0
+    assert {ts.phase for tr in load_dataset(out).trajectories for ts in tr.timesteps} == {0, 1, 2, 3}
+
+
 def test_validate_lists_a_phase_label_past_the_spec(label_past_spec_dir, capsys):
     assert run_cli("validate", "--task", "stack", "--in", str(label_past_spec_dir)) == 2
     report = json.loads(capsys.readouterr().out)
@@ -682,19 +709,17 @@ def _three_phase_spec(path: Path) -> Path:
 
 
 def test_a_spec_with_fewer_phases_than_the_labels_is_an_error(tmp_path, labeled_dir, capsys):
-    """augment-causal --spec without --task, where the spec has fewer phases
-    than the dataset's labels; segment relabels, so it takes that spec."""
+    """A --spec with fewer phases than the task's kind is refused when it
+    replaces the task's spec, before the stage reads a label or writes."""
     spec = _three_phase_spec(tmp_path / "spec.json")
     out = tmp_path / "out"
-    assert run_cli("augment-causal", "--spec", str(spec), "--in", str(labeled_dir), "--out", str(out)) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "phase label 3 is past the causal spec's 3 phases" in err
-    assert not out.exists()
-    relabelled = tmp_path / "relabelled"
-    assert run_cli("segment", "--spec", str(spec), "--in", str(labeled_dir), "--out", str(relabelled)) == 0
-    capsys.readouterr()
-    assert run_cli("augment-causal", "--spec", str(spec), "--in", str(relabelled), "--out", str(out)) == 0
+    for command in ("segment", "augment-causal"):
+        assert run_cli(command, "--task", "stack", "--spec", str(spec), "--in", str(labeled_dir),
+                       "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "a stack3 task has 4 phases, but its causal spec declares 3" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("layout", ["saved", "respaced"])
@@ -728,6 +753,77 @@ def test_manifest_with_two_agents_is_an_error(tmp_path, labeled_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "a schema declares exactly one agent, got agents ['robot0', 'robot1']" in err
+
+
+def test_manifest_whose_agent_is_an_entity_is_an_error(tmp_path, labeled_dir, capsys):
+    """A schema whose agent id is also an entity id is refused at load, even
+    when every line names that agent."""
+    root = tmp_path / "agent_cube_a"
+    shutil.copytree(labeled_dir, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["task_schema"]["agents"] = ["cube_a"]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    for path in root.glob("traj_*.jsonl"):
+        path.write_text(path.read_text().replace('"agent_id":"robot0"', '"agent_id":"cube_a"'))
+    assert run_cli("stats", "--in", str(root)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "the schema's agent 'cube_a' is also one of its entity ids" in err
+
+
+@pytest.mark.parametrize("layout", ["saved", "respaced"])
+@pytest.mark.parametrize("value", [1e308, -5.0])
+@pytest.mark.parametrize("section, key", [("robots", "gripper_aperture"), ("actions", "gripper_command")],
+                         ids=["aperture", "command"])
+def test_a_gripper_value_outside_the_unit_interval_is_an_error(tmp_path, labeled_dir, capsys, section, key, value,
+                                                                layout):
+    """The loader refuses a gripper value the constructors would clamp into
+    [0, 1], naming the timestep line, in either reader; validate lists it."""
+    root = tmp_path / "ds"
+    shutil.copytree(labeled_dir, root)
+    path = root / "traj_demo_0000.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[3])
+    obj[section][0][key] = value
+    lines[3] = json.dumps(obj, separators=(",", ":")) if layout == "saved" else json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("stats", "--in", str(root)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"trajectory 'demo_0000', timestep line 3: {key} {value!r} is outside [0, 1]" in err
+    assert run_cli("validate", "--task", "stack", "--in", str(root)) == 2
+    assert "is outside [0, 1]" in json.loads(capsys.readouterr().out)["failures"][0]
+
+
+def _demoaug(*argv) -> list[str]:
+    return [sys.executable, "-m", "demoaug", *argv]
+
+
+def _subprocess_env() -> dict:
+    """The environment of a demoaug subprocess that imports this checkout's package."""
+    src = str(Path(demoaug.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_a_report_printed_to_a_closed_stdout_exits_141(labeled_dir):
+    """`demoaug validate ... | head -1`: when the reader has closed the pipe
+    before the report is printed, demoaug exits 141 (128 + SIGPIPE) with no
+    traceback; when head read the whole report first, it exits 0."""
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before demoaug prints
+    try:
+        proc = subprocess.run(_demoaug("validate", "--task", "stack", "--in", str(labeled_dir)), stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=_subprocess_env(), timeout=300)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141 and proc.stderr == ""
+    with subprocess.Popen(_demoaug("validate", "--task", "stack", "--in", str(labeled_dir)), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=_subprocess_env()) as validate:
+        head = subprocess.run(["head", "-1"], stdin=validate.stdout, capture_output=True, text=True, timeout=300)
+        validate.stdout.close()
+        stderr = validate.stderr.read()
+    assert head.stdout == "{\n"
+    assert validate.returncode in (0, 141) and "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("command", ["segment", "validate", "replay"])

@@ -749,7 +749,8 @@ def _schema_and_timestep(draw):
     decls = tuple(
         EntityDecl(eid, "block", tuple(draw(st.lists(_ids, max_size=3, unique=True)))) for eid in entity_ids
     )
-    schema = TaskSchema("t", decls, draw(_ids), np.zeros(3), np.ones(3))
+    agent = draw(_ids.filter(lambda agent: agent not in entity_ids))  # a schema's agent is none of its entities
+    schema = TaskSchema("t", decls, agent, np.zeros(3), np.ones(3))
     entities = tuple(
         EntityState(d.entity_id, draw(_pose()), {k: draw(_extra_values) for k in d.extra_fields})
         for d in decls

@@ -311,10 +311,9 @@ def test_ratio_copies_are_the_causal_stage_copies(stack_task, stack_demos):
     base through."""
     cfg = CounterfactualConfig(master_seed=5, gripper_jitter_range=0.05)
     (passed, ratio_1), _ = ratio_study(stack_demos, RatioPlan(len(stack_demos), (0, 1)), stack_task.causal, cfg)
-    stage, info = run_stage(StageConfig("causal", {"gripper_jitter": 0.05}), stack_demos, stack_task,
-                            stack_task.causal, 5)
+    stage, info = run_stage(StageConfig("causal", {"gripper_jitter": 0.05}), stack_demos, stack_task, 5)
     assert passed == stack_demos and ratio_1 == stage and info["gripper_jitter_range"] == 0.05
-    unjittered, _ = run_stage(StageConfig("causal"), stack_demos, stack_task, stack_task.causal, 5)
+    unjittered, _ = run_stage(StageConfig("causal"), stack_demos, stack_task, 5)
     assert ratio_1 != unjittered
 
 

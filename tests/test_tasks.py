@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,8 +51,6 @@ def test_task_json_round_trip(tmp_path):
 
 @pytest.mark.parametrize("name", ["stack", "coffee"])
 def test_task_schema_is_hashable_by_what_it_compares(tmp_path, name):
-    from dataclasses import replace
-
     from demoaug.data import Dataset, load_dataset, save_dataset
 
     schema = resolve_task(name).schema
@@ -80,7 +78,7 @@ def test_causal_spec_file_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
     loaded = load_causal_spec(path, resolve_task("stack").schema)
-    assert loaded == resolve_task("stack").causal
+    assert replace(resolve_task("stack"), causal=loaded).causal == resolve_task("stack").causal
     assert count_partitions(loaded) == 8
     assert loaded.segment_merge_map == (0, 1, 2, 3)
     # loader injects the diagonal
