@@ -14,8 +14,8 @@ graph's nodes, so a phase names no nodes. A phase's index is its position;
 its target entity and grasp flag are its task kind's, left unset when read
 and filled in by the TaskDefinition the spec is put into. check_spec refuses
 a spec built in Python whose graphs do not cover exactly its task's schema.
-check_phase_labels refuses a dataset labelled with a phase past the spec,
-wherever labels are read against a spec.
+check_phase_labels refuses a dataset labelled with a phase past the spec:
+in the phase index (counterfactual.build_phase_index) and in validation.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from pathlib import Path
 from .causal import load_causal_spec
 from .counterfactual import CounterfactualConfig
 from .data import Param, load_dataset, read_json, save_dataset, write_json
-from .errors import ColorJitterRefused, ConfigError, DemoaugError, StageFailure
+from .errors import ColorJitterRefused, ConfigError, DemoaugError, InvariantViolation, StageFailure
 from .imageaug import (
     VisualAugConfig,
     channel_permute,
@@ -117,8 +117,12 @@ def _run_stage(args, task) -> dict:
     params = {key: getattr(args, key) for key in args.params if getattr(args, key) is not None}
     stage = StageConfig(args.stage, params)
     ds = load_dataset(args.inp) if args.inp else None
-    if args.spec:
-        task = replace(task, causal=load_causal_spec(args.spec, task.schema))
+    if args.spec:  # the task checks the spec against its kind: that refusal names the file too
+        spec = load_causal_spec(args.spec, task.schema)
+        try:
+            task = replace(task, causal=spec)
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"causal spec file {args.spec}: {exc}") from exc
     ds, info = run_stage(stage, ds, task, args.seed)
     save_dataset(ds, args.out)
     return {**info, "out": str(args.out)}

@@ -8,8 +8,9 @@ per (phase, partition, copy): irrelevant partitions are static within a
 phase, and a single donor keeps the swapped objects from teleporting
 frame to frame.
 
-The donor pool maps each (phase, partition) to the phase ranges that hold
-it, as DonorEntry(trajectory, t0, t1); a swap reads the partition's states
+The phase index (build_phase_index) maps each phase to its ranges in the
+dataset, as DonorEntry(trajectory, t0, t1): the donor pool here and the
+source pool of retarget.generate_demos. A swap reads the partition's states
 from the donor timestep itself, so they are the donor's own objects.
 """
 
@@ -58,19 +59,19 @@ class DonorEntry:
     t1: int
 
 
-DonorPool = dict[tuple[int, frozenset[str]], list[DonorEntry]]
+PhaseIndex = dict[int, list[DonorEntry]]
 
 
-def build_phase_index(ds: Dataset, spec: TaskCausalSpec) -> DonorPool:
-    """The donor pool: (phase, partition members) -> every phase range in
-    the dataset that holds that resampleable partition."""
-    pool: DonorPool = {}
-    candidates = {p.phase_index: swap_candidates(p, ds.task_schema.agent) for p in spec.phases}
+def build_phase_index(ds: Dataset, spec: TaskCausalSpec) -> PhaseIndex:
+    """Each phase -> its range in every trajectory, in dataset order; the one
+    label check of augment_offline and generate_demos: a phase past the spec
+    (check_phase_labels) or a trajectory without labels is refused."""
+    check_phase_labels(ds, spec)
+    index: PhaseIndex = {}
     for traj in ds.trajectories:
         for phase, t0, t1 in traj.phase_ranges():
-            for part in candidates.get(phase, []):
-                pool.setdefault((phase, part.members), []).append(DonorEntry(traj, t0, t1))
-    return pool
+            index.setdefault(phase, []).append(DonorEntry(traj, t0, t1))
+    return index
 
 
 def _swap_timestep(ts: Timestep, donor_ts: Timestep, members: frozenset[str]) -> Timestep:
@@ -83,7 +84,7 @@ def _counterfactual_copy(
     traj: Trajectory,
     copy_index: int,
     cfg: CounterfactualConfig,
-    pool: DonorPool,
+    pool: PhaseIndex,
     candidates: dict[int, list[Partition]],
 ) -> tuple[Trajectory, int, int]:
     """Returns (copy, swaps_done, swaps_without_donor); `candidates` holds
@@ -93,10 +94,10 @@ def _counterfactual_copy(
     swapped = 0
     missing = 0
     for phase, t0, t1 in traj.phase_ranges():
+        donors = [d for d in pool[phase] if d.traj.traj_id != traj.traj_id]
         for part in candidates[phase]:
             if rng.uniform() >= cfg.swap_probability:
                 continue
-            donors = [d for d in pool.get((phase, part.members), ()) if d.traj.traj_id != traj.traj_id]
             if not donors:
                 missing += 1
                 continue
@@ -125,11 +126,9 @@ def augment_offline(
     gripper_transit_jitter on the stream of the seed and the copy's id.
 
     Copies that found no donor for any selected partition are still emitted
-    (unswapped) with a warning, so output counts stay exact. A dataset
-    labelled with a phase the spec does not have is refused (see
-    check_phase_labels).
+    (unswapped) with a warning, so output counts stay exact. The phase index
+    (build_phase_index) refuses a dataset it cannot index before any copy.
     """
-    check_phase_labels(ds, spec)
     pool = build_phase_index(ds, spec)
     candidates = {p.phase_index: swap_candidates(p, ds.task_schema.agent) for p in spec.phases}
     out = list(ds.trajectories)

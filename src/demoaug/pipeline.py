@@ -70,8 +70,9 @@ def _check_stage_order(names: list[str], has_input: bool):
     ranks = [order[n] for n in names]
     if ranks != sorted(ranks):
         raise InvariantViolation(f"stages {names} out of order (gen -> segment -> augs -> validate)")
-    if names.count("gen") > 1 or names.count("segment") > 1 or names.count("validate") > 1:
-        raise InvariantViolation("gen/segment/validate may appear at most once")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise InvariantViolation(f"stages {names} repeat {', '.join(repeated)}: each stage may appear at most once")
     if "gen" not in names and names and not has_input:
         raise InvariantViolation("pipeline without a gen stage needs input_path")
     if "gen" in names and has_input:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .causal import TaskCausalSpec, check_phase_labels
+from .causal import TaskCausalSpec
+from .counterfactual import build_phase_index
 from .data import Action, Dataset, Timestep, Trajectory, Provenance
 from .errors import BudgetExhausted, InvariantViolation
 from .geometry import Pose, SE3Transform, _slerp, quat_geodesic, relative_transform, vec_norm
@@ -88,16 +89,6 @@ def interpolate_prefix(from_pose: Pose, to_pose: Pose, cfg: InterpolationConfig,
     return actions
 
 
-def _phase_sources(ds: Dataset, spec: TaskCausalSpec) -> dict[int, list[tuple[Trajectory, int, int]]]:
-    sources: dict[int, list[tuple[Trajectory, int, int]]] = {p.phase_index: [] for p in spec.phases}
-    for traj in ds.trajectories:
-        if not traj.success:
-            continue
-        for phase, t0, t1 in traj.phase_ranges():
-            sources[phase].append((traj, t0, t1))
-    return sources
-
-
 def _trim_start(traj: Trajectory, t0: int, t1: int, target: str) -> int:
     """First index whose eef is within the approach ball of the phase target.
 
@@ -129,12 +120,12 @@ def _one_attempt(
     for phase_spec in spec.phases:
         p = phase_spec.phase_index
         options = sources[p]
-        src_traj, t0, t1 = options[int(rng.integers(len(options)))]
+        src = options[int(rng.integers(len(options)))]
         target = phase_spec.target_entity
         if target is None:  # a spec as read from JSON, not yet filled in by a task
             raise InvariantViolation(f"causal spec phase {p} has no target: it is not a task's spec")
-        trim = _trim_start(src_traj, t0, t1, target)
-        segment = src_traj.timesteps[trim:t1]
+        trim = _trim_start(src.traj, src.t0, src.t1, target)
+        segment = src.traj.timesteps[trim:src.t1]
         T = relative_transform(segment[0].entity(target).pose, state.objects[target])
         # of the transformed segment (transform_subtrajectory), the attempt
         # replays each step's first action and starts from its first robot pose
@@ -147,7 +138,7 @@ def _one_attempt(
             state = step(state, a, task)
             t += 1
         seg_meta.append(
-            {"phase": p, "src_traj_id": src_traj.traj_id, "src_start": trim, "src_end": t1}
+            {"phase": p, "src_traj_id": src.traj.traj_id, "src_start": trim, "src_end": src.t1}
         )
     success = check_success(state, task)
     return success, timesteps, seg_meta
@@ -168,20 +159,22 @@ def generate_demos(
 
     sampler may be None (use the task's pose distributions) or a
     PoseSampler applied to every entity (keeping per-entity rest heights).
-    Attempts run in index order until the n_target-th success, and whether
-    an attempt succeeds depends on its index alone. Raises BudgetExhausted
-    when the attempt budget runs out first, and InvariantViolation on a
-    negative n_target and, even for n_target 0, on a dataset labelled with a
-    phase the spec does not have.
+    Each phase's sources are its ranges in the successful trajectories, read
+    from the phase index (build_phase_index). Attempts run in index order
+    until the n_target-th success, and whether an attempt succeeds depends
+    on its index alone. Raises BudgetExhausted when the attempt budget runs
+    out first, and InvariantViolation on a negative n_target and, even for
+    n_target 0, on a dataset the index refuses (any trajectory, failed or
+    not, without phase labels or labelled with a phase the spec does not have).
     """
-    check_phase_labels(ds, spec)
+    index = build_phase_index(ds, spec)
     if n_target < 0:
         raise InvariantViolation(f"cannot generate a negative number of demonstrations: n_target {n_target}")
     if report is None:
         report = GenerationReport()
     if n_target == 0:
         return Dataset(ds.task_schema, ())
-    sources = _phase_sources(ds, spec)
+    sources = {p.phase_index: [e for e in index.get(p.phase_index, ()) if e.traj.success] for p in spec.phases}
     for p, options in sources.items():
         if not options:
             raise InvariantViolation(f"no successful phase-labeled source covers phase {p}")

@@ -38,7 +38,7 @@ import numpy as np
 from .causal import PhaseSpec, TaskCausalSpec, check_spec
 from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
-from .geometry import Pose, SE3Transform, _from_yaw, _rigid, step_toward
+from .geometry import Pose, SE3Transform, _from_yaw, _rigid, relative_in_frame, step_toward
 from .rng import derive_stream
 
 MAX_POS_STEP = 0.02  # m a step: the eef's tracking clamp, and the expert's step
@@ -289,7 +289,7 @@ def step(state: SimState, action: Action, task: TaskDefinition) -> SimState:
                 best = (d, eid)
         if best is not None:
             _, eid = best
-            offset = _gripper_tf(new_eef).inverse().compose(_gripper_tf(objects[eid]))
+            offset = relative_in_frame(new_eef, objects[eid])
             attachment = (eid, offset)
 
     joints = state.lids
@@ -619,7 +619,7 @@ def sim_state_from_timestep(ts: Timestep, task: TaskDefinition) -> SimState:
                 f"timestep {ts.t}: ambiguous attachment among {sorted(near)}"
             )
         if near:
-            offset = _gripper_tf(gripper.eef_pose).inverse().compose(_gripper_tf(objects[near[0]]))
+            offset = relative_in_frame(gripper.eef_pose, objects[near[0]])
             attachment = (near[0], offset)
     return SimState(objects, joints, gripper, attachment, ts.t)
 

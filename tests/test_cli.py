@@ -392,6 +392,9 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
          "input must be a non-empty string, got True"),
         ({"task": "stack", "out": "o", "input": "", "stages": [{"name": "segment"}]},
          "input must be a non-empty string, got ''"),
+        *(({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 2}, {"name": "segment"},
+                                                    {"name": name}, {"name": name}]},
+           f"repeat {name}: each stage may appear at most once") for name in ("se3", "causal", "obs")),
     ],
     ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "misspelt_stage_key",
          "misspelt_top_level_key", "non_integer_seed", "float_seed", "string_seed", "bool_seed", "float_workers",
@@ -400,7 +403,7 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
          "negative_obs_copies", "string_close_threshold", "float_debounce", "string_no_replay",
          "string_obs_jitter", "integer_obs_force", "obs_jitter", "obs_jitter_and_permute_on_coffee", "input_with_gen",
          "integer_donor_policy", "string_in_pos_range", "integer_input", "list_input", "bool_input",
-         "empty_input"],
+         "empty_input", "repeated_se3", "repeated_causal", "repeated_obs"],
 )
 def test_run_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
     path = tmp_path / "pipeline.json"
@@ -719,6 +722,7 @@ def test_a_spec_with_fewer_phases_than_the_labels_is_an_error(tmp_path, labeled_
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "a stack3 task has 4 phases, but its causal spec declares 3" in err
+        assert str(spec) in err
         assert not out.exists()
 
 

@@ -22,19 +22,19 @@ from tests.conftest import make_labeled_demos
 def test_build_phase_index_covers_expected_donors(stack_task):
     ds = make_labeled_demos(stack_task, 2, seed_base=5)
     pool = build_phase_index(ds, stack_task.causal)
-    # phase 2 (reach cube_c): the stacked pair {cube_a, cube_b} is donorable
-    key = (2, frozenset({"cube_a", "cube_b"}))
-    assert key in pool
-    assert [d.traj for d in pool[key]] == list(ds.trajectories)
+    # phase 2 (reach cube_c): the stacked pair {cube_a, cube_b} is donorable,
+    # and every demo's phase-2 range donates it
+    agent = stack_task.schema.agent
+    assert frozenset({"cube_a", "cube_b"}) in {p.members for p in swap_candidates(stack_task.causal.phase(2), agent)}
+    assert [d.traj for d in pool[2]] == list(ds.trajectories)
     # hand-enumerated: each entry is exactly the phase-2 range of its demo
-    for donor in pool[key]:
+    for donor in pool[2]:
         ranges = {p: (a, b) for p, a, b in donor.traj.phase_ranges()}
         assert (donor.t0, donor.t1) == ranges[2]
-    # every key is a phase and one of its swap candidates, and every entry
-    # that phase's range in a trajectory of the dataset
-    agent = stack_task.schema.agent
-    for (phase, members), donors in pool.items():
-        assert members in {p.members for p in swap_candidates(stack_task.causal.phase(phase), agent)}
+    # every key is a phase of the spec, and every entry that phase's range
+    # in a trajectory of the dataset
+    assert sorted(pool) == [p.phase_index for p in stack_task.causal.phases]
+    for phase, donors in pool.items():
         for d in donors:
             assert all(ts.phase == phase for ts in d.traj.timesteps[d.t0:d.t1])
             assert d.traj in ds.trajectories
@@ -49,15 +49,15 @@ def test_single_trajectory_has_no_donors(stack_task):
     ds = make_labeled_demos(stack_task, 1)
     pool = build_phase_index(ds, stack_task.causal)
     assert pool  # the one trajectory holds every phase range ...
-    for key, donors in pool.items():
+    for phase, donors in pool.items():
         assert [d.traj.traj_id for d in donors] == ["demo_000"]  # ... and is no donor to itself
-        assert _donor_timesteps(pool, *key, exclude_traj="demo_000") == []
+        assert _donor_timesteps(pool, phase, exclude_traj="demo_000") == []
 
 
-def _donor_timesteps(pool, phase, members, exclude_traj):
-    """Every timestep of the phase ranges that may donate `members` to a copy
-    of trajectory `exclude_traj`."""
-    return [ts for d in pool[(phase, members)] if d.traj.traj_id != exclude_traj
+def _donor_timesteps(pool, phase, exclude_traj):
+    """Every timestep of the phase ranges that may donate a partition of
+    `phase` to a copy of trajectory `exclude_traj`."""
+    return [ts for d in pool[phase] if d.traj.traj_id != exclude_traj
             for ts in d.traj.timesteps[d.t0:d.t1]]
 
 
@@ -88,7 +88,7 @@ def test_augment_swaps_donor_partition_states(stack_task, stack_demos):
                 state_a = copy.timesteps[t0].entity("cube_a")
                 # donor validity: the swapped state is the very object a donor timestep holds
                 assert any(ts.entity("cube_a") is state_a
-                           for ts in _donor_timesteps(pool, phase, sig, src.traj_id))
+                           for ts in _donor_timesteps(pool, phase, src.traj_id))
                 if state_a != src.timesteps[t0].entity("cube_a"):
                     swapped_somewhere = True
         assert swapped_somewhere
@@ -107,7 +107,7 @@ def test_partitions_swap_together(stack_task, stack_demos):
             sig = frozenset({"cube_a", "cube_b"})
             pair = {eid: copy.timesteps[t0].entity(eid) for eid in sig}
             assert any(all(ts.entity(eid) == pair[eid] for eid in sig)
-                       for ts in _donor_timesteps(pool, phase, sig, src_id))
+                       for ts in _donor_timesteps(pool, phase, src_id))
 
 
 def test_swap_probability_zero_duplicates(stack_demos, stack_task):
@@ -215,7 +215,7 @@ def test_aligned_donor_policy_tracks_relative_index(stack_task, stack_demos):
             # every timestep matches that donor at the aligned relative index
             first = {eid: copy.timesteps[t0].entity(eid) for eid in sig}
             donor = next(
-                d for d in pool[(phase, sig)]
+                d for d in pool[phase]
                 if d.traj.traj_id != src_id and all(d.traj.timesteps[d.t0].entity(eid) == first[eid] for eid in sig)
             )
             for t in range(t0, t1):

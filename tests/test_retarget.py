@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from demoaug.counterfactual import build_phase_index
 from demoaug.data import Provenance, slice_subtrajectory
 from demoaug.errors import BudgetExhausted, InvariantViolation
 from demoaug.geometry import (
@@ -128,6 +129,31 @@ def test_generate_zero_target(stack_demos, stack_task):
 def test_generate_refuses_a_negative_target(stack_demos, stack_task, n_target):
     with pytest.raises(InvariantViolation, match=f"n_target {n_target}"):
         generate_demos(stack_demos, stack_task.causal, None, InterpolationConfig(), stack_task, n_target)
+
+
+def test_generate_never_draws_from_a_failed_trajectory(stack_demos, stack_task):
+    """A failed trajectory stays in the phase index, a counterfactual donor,
+    but is never an SE(3) source."""
+    failed = replace(stack_demos.trajectories[1], success=False)
+    ds = replace(stack_demos, trajectories=stack_demos.trajectories[:1] + (failed,) + stack_demos.trajectories[2:])
+    index = build_phase_index(ds, stack_task.causal)
+    for phase in stack_task.causal.phases:
+        assert [d.traj for d in index[phase.phase_index]] == list(ds.trajectories)
+    report = GenerationReport()
+    generate_demos(ds, stack_task.causal, None, InterpolationConfig(), stack_task, 6, master_seed=3, report=report)
+    drawn = {seg["src_traj_id"] for segs in report.segments.values() for seg in segs}
+    assert drawn == {tr.traj_id for tr in ds.trajectories if tr.success}
+
+
+@pytest.mark.parametrize("n_target, success", [(0, True), (0, False), (1, False)])
+def test_generate_refuses_a_trajectory_without_phase_labels(stack_demos, stack_task, n_target, success):
+    """The phase index is built first, over every trajectory: one without
+    labels is refused whatever the count and whether or not it succeeded."""
+    first = stack_demos.trajectories[0]
+    raw = replace(first, success=success, timesteps=tuple(replace(ts, phase=None) for ts in first.timesteps))
+    ds = replace(stack_demos, trajectories=(raw,) + stack_demos.trajectories[1:])
+    with pytest.raises(InvariantViolation, match="^trajectory 'demo_000' has unlabeled timesteps$"):
+        generate_demos(ds, stack_task.causal, None, InterpolationConfig(), stack_task, n_target)
 
 
 def test_generate_replica_with_degenerate_sampler(stack_task):
