@@ -46,31 +46,56 @@ as the form it replaced, run in the same precision on the same operands
 - `color_jitter` holds the pixels it computes as channel planes (a
   transposed contiguous array): the layout changes no value, and the
   channel views of the HSV kernels become contiguous.
+- Distinct rows. Where two rows (for the blur, two windows of rows or of
+  columns) hold the same bytes, an op gives both the same float32
+  operations on the same operands, so it computes one of them and copies
+  the result: a rendered frame is a few flat squares on a flat
+  background, with few distinct rows and columns. A row equal to the row
+  before it belongs to that row's run (`_row_changes`, `_col_changes`).
+  Noise, where no two neighbours are equal, goes through the same code:
+  it pays for finding the runs and has nothing removed.
 - Jitter is per pixel: `_jitter` gives each pixel the same float32
   operations, whose operands are the pixel's own values, the factors and
-  the whole image's contrast mean. So `color_jitter` computes one pixel of
-  each run of equal consecutive pixels of a strip (in row-major order, so
-  a run may cross row ends), rounds it once, and copies its bytes to the
-  run's other pixels: they would get the same bytes. A rendered frame
-  holds a few hundred runs; noise, where every pixel is its own run, pays
-  for finding and copying the runs.
+  the whole image's contrast mean. So `color_jitter` computes the first
+  row of each run of equal rows, and of those one pixel of each run of
+  equal consecutive pixels of a strip (in row-major order, so a run may
+  cross row ends). It rounds that pixel once and copies its bytes to the
+  run's other pixels, then the rows to their runs with one uint8 `take`:
+  they would get the same bytes.
 - The bilinear resize converts the crop's rows to float32 (uint8 to
   float32 is exact), interpolates each source row it reads along x, then
   blends two such rows along y: every output is still
   `top * (1 - wy) + bot * wy` with `top = a * (1 - wx) + b * wx`, where
-  wx and wy are rounded to float32 and `1 - w` is taken in float32.
+  wx and wy are rounded to float32 and `1 - w` is taken in float32. A
+  source row is read as the first row of its run, whose x interpolation
+  gives the same values; the blend along y runs for every output row.
 - The blur starts each sum at the first tap instead of adding it to 0.0
   (the taps are >= 0, and 0.0 + x == x for those), and reflect-pads each
   strip of the uint8 image along both axes before the vertical pass,
-  because that pass treats the padded columns like any other.
+  because that pass treats the padded columns like any other. An output
+  pixel is a function of its window alone: the 2 * radius + 1 rows by
+  2 * radius + 1 columns of the padded image that its taps read. The blur
+  cuts each run of more than 2 * radius + 1 equal padded rows to that many
+  rows, and likewise for columns (`_cut_windows`). That keeps every
+  window: one inside a run is that many copies of the run's row, still
+  there, and one that crosses a run boundary holds at most 2 * radius rows
+  of each run it meets, where a cut run keeps 2 * radius + 1. No window
+  appears that the full image lacks, since each run of the cut axis is no
+  longer than the run it was cut from. Rows and columns are cut whole, so
+  a window of the cut image whose rows and columns equal those of a window
+  of the full image holds its bytes. The blur of the cut image holds each
+  window's result once, and one uint8 `take` along each axis copies it to
+  the output positions whose window ends at the same place, skipped along
+  an axis where nothing was cut.
 - Crop, jitter and blur work on strips of output rows (see `_strips`) and
   round each strip (jitter: the first pixel of each of its runs) into
   uint8 before it lands in a preallocated output. An output row reads only
   the input rows its strip holds, so each element sees the same operations
   in the same order: a resize strip interpolates the source
   rows its output rows read, and a blur strip converts its rows plus
-  2 * radius halo rows of the padded image and adds the taps of both
-  passes in kernel order.
+  2 * radius halo rows of the cut, padded image and adds the taps of both
+  passes in kernel order. Jitter and the blur size their strips by the
+  distinct rows and the cut image's width.
 - The contrast mean is the whole image's mean times the brightness
   factor, never a mean of strip means. Its float64 sum of uint8 values is
   exact in any order, so the mean is the exact one rounded once.
@@ -169,6 +194,43 @@ def _store(strip: np.ndarray, out: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
+# distinct rows and columns
+
+
+def _row_changes(img: np.ndarray) -> np.ndarray:
+    """The h - 1 flags of an (h, w, 3) image that say whether each row but
+    the first differs from the row before it, compared as w * 3 bytes."""
+    rows = img.reshape(img.shape[0], -1)
+    return (rows[1:] != rows[:-1]).any(axis=1)
+
+
+def _col_changes(img: np.ndarray) -> np.ndarray:
+    """The w - 1 flags of an (h, w, 3) image that say whether each column
+    but the first differs from the column before it. Two single-axis
+    reductions: numpy runs one over axes (0, 2) far slower."""
+    return (img[:, 1:] != img[:, :-1]).any(axis=0).any(axis=1)
+
+
+def _row_runs(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each run of equal consecutive rows of an image, and
+    the index of each row's run."""
+    first = np.empty(img.shape[0], dtype=bool)
+    first[0] = True
+    first[1:] = _row_changes(img)
+    return first.nonzero()[0], first.cumsum() - 1
+
+
+def _expand(compact: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    """compact.take(index, axis): an image from its distinct rows (axis 0)
+    or columns (axis 1). The index never decreases and reaches every
+    position of that axis, so one as long as the axis is the identity, and
+    the copy is skipped."""
+    if len(index) == compact.shape[axis]:
+        return compact
+    return compact.take(index, axis=axis)
+
+
+# ---------------------------------------------------------------------------
 # geometry ops
 
 
@@ -176,9 +238,11 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of a uint8 (h, w, 3) array to uint8 (out_h, out_w, 3),
     rounded and clipped.
 
-    Separable: each source row that an output row reads is interpolated
-    along x, then the output rows blend two of those rows along y. Both
-    passes run per strip of output rows, on the source rows the strip reads.
+    Separable: each distinct source row that an output row reads is
+    interpolated along x, then the output rows blend two of those rows
+    along y. Both passes run per strip of output rows, on the distinct
+    source rows the strip reads: a row equal to the row before it is read
+    as the first row of their run.
     """
     h, w = img.shape[:2]
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
@@ -188,7 +252,9 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     wy = (ys - y0).astype(_FLOAT)[:, None]
     wx = np.repeat(xs - x0, 3).astype(_FLOAT)  # one weight per (column, channel) of a flattened row
     wx_left = 1 - wx
-    y1 = np.minimum(y0 + 1, h - 1)
+    starts, runs = _row_runs(img)
+    y1 = starts[runs[np.minimum(y0 + 1, h - 1)]]
+    y0 = starts[runs[y0]]
     x1 = np.minimum(x0 + 1, w - 1)
     channels = np.arange(3)
     cols0 = (x0[:, None] * 3 + channels).ravel()
@@ -259,18 +325,43 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
         return img.copy()
     taps = gaussian_kernel(sigma).astype(_FLOAT)
     radius = len(taps) // 2
-    h, w = img.shape[:2]
-    # Each strip of output rows reads its own rows of the reflect-padded
+    # The blur of the image with its long runs of equal rows and columns cut
+    # (_cut_windows) holds every distinct output row and column once. Each
+    # strip of its output rows reads its own rows of the cut, reflect-padded
     # image plus 2 * radius halo rows, and is padded along both axes before
     # the vertical pass: that pass treats every column alike, so its output
     # over the padded columns is the horizontal pass's reflect-padded input.
-    rows, cols = _reflect(h, radius), _reflect(w, radius)
-    out = np.empty_like(img)
-    for band in _strips(h, w):
+    rows, row_ends = _cut_windows(_row_changes(img), radius)
+    cols, col_ends = _cut_windows(_col_changes(img), radius)
+    out = np.empty((len(rows) - 2 * radius, len(cols) - 2 * radius, 3), dtype=np.uint8)
+    for band in _strips(*out.shape[:2]):
         strip = img.take(rows[band.start : band.stop + 2 * radius], axis=0).take(cols, axis=1).astype(_FLOAT)
         strip = _convolve_axis(strip, taps, axis=0)
         _store(_convolve_axis(strip, taps, axis=1), out[band])
-    return out
+    return _expand(_expand(out, col_ends, axis=1), row_ends, axis=0)
+
+
+def _cut_windows(changes: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """One axis of the blur, cut to its distinct windows.
+
+    `changes` are the n - 1 change flags of an axis of n entries (see
+    _row_changes). Returns the source indices of the axis reflect-padded by
+    radius with each run of more than 2 * radius + 1 equal entries cut to
+    that many, and for each of the n output positions the output position
+    of the cut axis whose window ends where its own does: a window that
+    lies inside a run ends on the run's last kept entry, and one that
+    crosses a run boundary holds fewer than 2 * radius + 1 entries of each
+    run it meets, all of them kept."""
+    span = 2 * radius + 1
+    padded = _reflect(len(changes) + 1, radius)
+    # neighbours on the padded axis are neighbours on the axis, or both the
+    # one entry of an axis of length 1
+    differs = np.append(changes, False)[np.minimum(padded[:-1], padded[1:])]
+    seen = np.zeros(len(padded), dtype=np.intp)  # run boundaries before each position
+    differs.cumsum(out=seen[1:])
+    keep = np.ones(len(padded), dtype=bool)
+    np.not_equal(seen[span:], seen[:-span], out=keep[span:])  # cut: equal to the span entries before it
+    return padded[keep], keep.cumsum()[2 * radius :] - span
 
 
 # The widest blur kernel radius, ceil(3 sigma): a blur of a 128 px frame at
@@ -278,12 +369,22 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
 # gigabytes. The tests' widest radius is 60.
 _MAX_BLUR_RADIUS = 1024
 
+# Below this sigma the off-centre taps exp(-1 / (2 sigma^2)) of the radius-1
+# kernel are 0 in float64 (exp underflows to 0 below about -745, and
+# 1 / (2 * 0.025**2) = 800), so the kernel is the identity [0, 1, 0]. It is
+# returned without the formula, which overflows its division below a sigma
+# of about 5e-155, and below about 1.6e-162, where 2 sigma^2 is 0, gives nan
+# taps.
+_IDENTITY_SIGMA = 0.025
+
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized float64 taps of radius ceil(3 sigma), for a sigma > 0."""
     reach = 3.0 * sigma
     if not reach <= _MAX_BLUR_RADIUS:  # ceil(reach) <= the bound; also refuses inf and nan
         raise ConfigError(f"blur sigma {sigma} gives a kernel radius ceil(3 sigma) above {_MAX_BLUR_RADIUS}")
+    if sigma < _IDENTITY_SIGMA:
+        return np.array([0.0, 1.0, 0.0])
     radius = math.ceil(reach)
     xs = np.arange(-radius, radius + 1, dtype=np.float64)
     k = np.exp(-(xs**2) / (2.0 * sigma * sigma))
@@ -291,8 +392,15 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def _reflect(n: int, radius: int) -> np.ndarray:
-    """Source indices of an axis of length n reflect-padded by radius."""
-    return np.pad(np.arange(n), radius, mode="reflect")
+    """Source indices of an axis of length n reflect-padded by radius, as
+    np.pad(np.arange(n), radius, mode="reflect") gives them: the reflection
+    repeats every 2n - 2 entries, and an axis of length 1 repeats its one
+    entry."""
+    if n == 1:
+        return np.zeros(1 + 2 * radius, dtype=np.intp)
+    period = 2 * n - 2
+    j = np.abs(np.arange(-radius, n + radius)) % period
+    return np.minimum(j, period - j)
 
 
 def _convolve_axis(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
@@ -392,10 +500,11 @@ def color_jitter(img: np.ndarray, cfg: VisualAugConfig, rng: np.random.Generator
     if b == 1.0 and c == 1.0 and s == 1.0 and hue_delta == 0.0:
         return img.copy()
     mean = _contrast_mean(img, b) if c != 1.0 else 0.0
-    out = np.empty_like(img)
-    for band in _strips(*img.shape[:2]):
-        out[band] = _jitter_runs(img[band], b, c, mean, s, hue_delta)
-    return out
+    starts, runs = _row_runs(img)
+    out = np.empty((len(starts), *img.shape[1:]), dtype=np.uint8)
+    for band in _strips(*out.shape[:2]):
+        out[band] = _jitter_runs(img.take(starts[band], axis=0), b, c, mean, s, hue_delta)
+    return _expand(out, runs, axis=0)
 
 
 def _jitter_runs(rows: np.ndarray, b: float, c: float, mean: float, s: float, hue_delta: float) -> np.ndarray:

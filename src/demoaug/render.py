@@ -5,7 +5,10 @@ augmentation ops; this is a diagram renderer, not a camera model. A frame
 starts as the background colour, filled one row at a time (`_background`,
 the same bytes as broadcasting the colour over the frame, and faster), and
 each entity and the gripper are drawn over it as flat squares and strokes,
-so a frame is made of long runs of equal pixels.
+so a frame is made of long runs of equal pixels. It also has few distinct
+rows and few distinct columns, counting a row (column) equal to the one
+before it as the same: the benchmark's 128 px coffee frames have 10 to 13
+of each, and the image ops compute each distinct row once.
 """
 
 from __future__ import annotations

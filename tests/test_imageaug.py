@@ -312,6 +312,29 @@ def test_blur_radius_bound_is_inclusive():
         gaussian_kernel((bound + 1e-6) / 3.0)
 
 
+# 2 sigma^2 is 0 below about 1.6e-162, and 1 / (2 sigma^2) overflows below
+# about 5e-155; the kernel's formula underflows to [0, 1, 0] from there up
+@pytest.mark.parametrize("sigma", [5e-324, 1e-200, 1e-160, 1e-100])
+def test_a_tiny_blur_sigma_is_the_identity(sigma):
+    img = np.random.default_rng(4).integers(0, 256, (9, 7, 3), dtype=np.uint8)
+    with np.errstate(all="raise"):
+        assert gaussian_kernel(sigma).tolist() == [0.0, 1.0, 0.0]
+        assert_same(gaussian_blur(img, sigma), img)
+
+
+def test_the_kernel_formula_gives_the_identity_at_the_cutoff():
+    # the formula runs from _IDENTITY_SIGMA up, and already gives [0, 1, 0] there
+    assert gaussian_kernel(imageaug._IDENTITY_SIGMA).tolist() == [0.0, 1.0, 0.0]
+
+
+def test_reflect_equals_np_pad():
+    for n in range(1, 41):
+        for radius in range(91):
+            want = np.pad(np.arange(n), radius, mode="reflect")
+            got = _reflect(n, radius)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, radius)
+
+
 def test_ppm_round_trip(tmp_path, fixture_image):
     path = tmp_path / "img.ppm"
     write_ppm(path, fixture_image)
@@ -564,27 +587,45 @@ def stored_strips(op, *args):
 
 
 def float_strips(op, *args):
-    """op(*args) and the float32 strips it rounds into its uint8 output,
-    joined in row order: the values before rounding, where a changed
-    operation order shows."""
-    result, strips = stored_strips(op, *args)
-    return result, np.concatenate(strips).reshape(result.shape)
+    """op(*args) and the float32 values it rounds into its uint8 output:
+    the values before rounding, where a changed operation order shows. They
+    are the strips it rounds, joined in row order, then expanded along the
+    row and column maps that the op expands its rounded distinct rows and
+    columns by (imageaug._expand)."""
+    expand = imageaug._expand
+    maps = []
+
+    def keep(compact, index, axis):
+        maps.append((index, axis))
+        return expand(compact, index, axis)
+
+    with mock.patch.object(imageaug, "_expand", keep):
+        result, strips = stored_strips(op, *args)
+    values = np.concatenate(strips)
+    for index, axis in maps:
+        values = values.take(index, axis=axis)
+    return result, values.reshape(result.shape)
 
 
 def jitter_values(img, b, c, s, hue_delta):
     """color_jitter's output for factors b, c, s and hue_delta, and the
-    float32 value of every pixel before rounding. Jitter rounds one value
-    per run of equal consecutive pixels of a strip (imageaug._strips), in
-    row-major order; each run's value is expanded to its pixels through the
-    strip's run index, found here by comparing whole pixels."""
+    float32 value of every pixel before rounding. Jitter works on the
+    image's distinct rows, the first row of each run of equal consecutive
+    rows, and rounds one value per run of equal consecutive pixels of a
+    strip of them (imageaug._strips), in row-major order. Each run's value
+    is expanded to its pixels through the strip's run index, and each
+    distinct row to the rows of its run, both found here by comparing whole
+    pixels and rows."""
     result, strips = stored_strips(color_jitter, img, VisualAugConfig(), _ForcedRng(b, c, s, hue_delta))
+    first = np.r_[True, np.any(img[1:] != img[:-1], axis=(1, 2))]
+    distinct = img[first]
     values = []
-    for band, runs in zip(imageaug._strips(*img.shape[:2]), strips, strict=True):
-        pixels = img[band].reshape(-1, 3)
+    for band, runs in zip(imageaug._strips(*distinct.shape[:2]), strips, strict=True):
+        pixels = distinct[band].reshape(-1, 3)
         index = np.cumsum(np.r_[True, np.any(pixels[1:] != pixels[:-1], axis=1)]) - 1
         assert runs.shape == (index[-1] + 1, 1, 3)  # one value per run
         values.append(runs.reshape(-1, 3)[index])
-    return result, np.concatenate(values).reshape(img.shape)
+    return result, np.concatenate(values).reshape(distinct.shape)[np.cumsum(first) - 1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -841,12 +882,114 @@ def test_jitter_runs_match_reference(img, b, c, s, hue_delta):
 
 
 def test_jitter_runs_span_rows_and_strips():
-    """One colour over a 128 px frame is one run per strip, which crosses
-    every row end of the strip, and gives the reference bytes."""
-    img = np.full((128, 128, 3), (226, 226, 220), dtype=np.uint8)
-    got, strips = stored_strips(color_jitter, img, VisualAugConfig(), _ForcedRng(1.1, 1.2, 0.9, 0.3))
-    assert [runs.shape for runs in strips] == [(1, 1, 3)] * len(imageaug._strips(128, 128))
-    assert_same(got, rounded(ref_jitter(img, 1.1, 1.2, 0.9, 0.3, np.float32)))
+    """One colour over a 128 px frame is one distinct row, so one strip and
+    one run. Runs of 200 pixels of two alternating colours leave every row
+    of a 128 px frame distinct, and cross row ends and the end of the first
+    of its two strips: the second holds 41 runs that start in it and one
+    that began in the first. Both give the reference bytes."""
+    factors = (1.1, 1.2, 0.9, 0.3)
+    flat = np.full((128, 128, 3), (226, 226, 220), dtype=np.uint8)
+    got, strips = stored_strips(color_jitter, flat, VisualAugConfig(), _ForcedRng(*factors))
+    assert [runs.shape for runs in strips] == [(1, 1, 3)]
+    assert_same(got, rounded(ref_jitter(flat, *factors, np.float32)))
+    runs = np.array([(204, 48, 48), (48, 80, 220)], dtype=np.uint8)[np.arange(128 * 128) // 200 % 2].reshape(flat.shape)
+    got, strips = stored_strips(color_jitter, runs, VisualAugConfig(), _ForcedRng(*factors))
+    assert [len(values) for values in strips] == [41, 1 + 41]
+    assert_same(got, rounded(ref_jitter(runs, *factors, np.float32)))
+
+
+def tartan(row_runs, col_runs, palette):
+    """The image whose pixel (i, j) is palette[a, b] for the run a of row
+    lengths `row_runs` that holds row i and the run b of column lengths
+    `col_runs` that holds column j."""
+    rows = np.repeat(np.arange(len(row_runs)), row_runs)
+    cols = np.repeat(np.arange(len(col_runs)), col_runs)
+    return palette[rows[:, None], cols[None, :]]
+
+
+@st.composite
+def tartan_images(draw):
+    """uint8 (h, w, 3) tartan images: runs of equal rows crossed with runs
+    of equal columns, 1 to 30 long, so shorter and longer than the blur
+    window 2 * radius + 1 of sigmas up to 4, and 1-row and 1-column images.
+    Half the palettes hold a few edge colours, so neighbouring runs may be
+    equal and merge."""
+    row_runs = draw(st.just([1]) | st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    col_runs = draw(st.just([1]) | st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(row_runs), len(col_runs))
+    if draw(st.booleans()):
+        palette = EDGE_COLORS[rng.integers(0, draw(st.integers(1, 4)), shape)]
+    else:
+        palette = rng.integers(0, 256, (*shape, 3), dtype=np.uint8)
+    return tartan(row_runs, col_runs, palette)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tartan_images(), st.integers(1, 60), st.integers(1, 60), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_tartan_crop_matches_reference(img, out_h, out_w, lo, seed):
+    got, values = float_strips(_resize_bilinear, img, out_h, out_w)
+    want = ref_resize_bilinear(img.astype(np.float32), out_h, out_w)
+    assert_same(values, want)
+    assert_same(got, rounded(want))
+    cfg = VisualAugConfig(crop_scale=(lo, 1.0), output_hw=(out_h, out_w))
+    got = random_resized_crop(img, cfg, np.random.default_rng(seed))
+    assert_same(got, ref_random_resized_crop(img, cfg, np.random.default_rng(seed), np.float32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tartan_images(), factors, factors, factors, st.sampled_from([0.0, 0.3]) | st.floats(-50.0, 50.0))
+def test_tartan_jitter_matches_reference(img, b, c, s, hue_delta):
+    if (b, c, s, hue_delta) == (1.0, 1.0, 1.0, 0.0):
+        return  # the identity copies the image (test_jitter_matches_reference)
+    want = ref_jitter(img, b, c, s, hue_delta, np.float32)
+    got, values = jitter_values(img, b, c, s, hue_delta)
+    assert_same(values, want)
+    assert_same(got, rounded(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tartan_images(), st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.05, 4.0))
+def test_tartan_blur_matches_reference(img, sigma):
+    got, values = float_strips(gaussian_blur, img, sigma)
+    want = _ref_blur_values(img, sigma)
+    assert_same(values, want)
+    assert_same(got, rounded(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=10), st.integers(0, 3), st.integers(1, 8))
+def test_cut_windows_keep_each_window(runs, colours, radius):
+    """Along an axis of runs of equal entries (neighbouring runs may share
+    a colour and merge), each output position's window of the reflect-padded
+    axis is the window of the cut axis that its map names; the map reaches
+    every output position of the cut axis, and no run of the cut axis is
+    longer than a window."""
+    axis = np.repeat(np.arange(len(runs)) % (colours + 1), runs)
+    span = 2 * radius + 1
+    rows, ends = imageaug._cut_windows(axis[1:] != axis[:-1], radius)
+    padded, cut = axis[_reflect(len(axis), radius)], axis[rows]
+    for i, end in enumerate(ends):
+        assert np.array_equal(padded[i : i + span], cut[end : end + span])
+    assert np.array_equal(np.unique(ends), np.arange(len(cut) - 2 * radius))
+    assert np.all(np.diff(ends) >= 0)
+    starts = np.flatnonzero(np.r_[True, cut[1:] != cut[:-1], True])
+    assert np.diff(starts).max() <= span
+
+
+def test_blur_computes_each_distinct_window_once():
+    """A blur at radius 3 (sigma 1) computes the windows of 7 entries of a
+    tartan's padded axes once. Row runs of 1, 20 and 1 reflect-pad to runs
+    of 3, 1, 20, 1 and 3, and the 20 is cut to 7: 15 padded rows, 9 output
+    rows. Column runs of 20, 1 and 20 pad to 23, 1 and 23, cut to 7, 1 and
+    7: 9 output columns. Noise has nothing to cut."""
+    img = tartan([1, 20, 1], [20, 1, 20], np.arange(27, dtype=np.uint8).reshape(3, 3, 3))
+    got, strips = stored_strips(gaussian_blur, img, 1.0)
+    assert [strip.shape[:2] for strip in strips] == [(9, 9)]
+    assert_same(got, rounded(_ref_blur_values(img, 1.0)))
+    noise = np.random.default_rng(0).integers(0, 256, (22, 41, 3), dtype=np.uint8)
+    got, strips = stored_strips(gaussian_blur, noise, 1.0)
+    assert [strip.shape[:2] for strip in strips] == [(22, 41)]
 
 
 def _traced_peak(op) -> int:
@@ -874,3 +1017,13 @@ def test_strip_kernels_bound_their_memory():
     jitter = VisualAugConfig()
     assert _traced_peak(lambda: color_jitter(img, jitter, _ForcedRng(1.1, 1.2, 0.9, 0.3))) <= strips
     assert _traced_peak(lambda: color_jitter(img, jitter, _ForcedRng(1.1, 1.0, 0.9, 0.3))) <= strips
+    # a tartan with runs of 1 to 40 rows and columns: the blur and jitter expand
+    # their distinct rows and columns to the full frame
+    rng = np.random.default_rng(6)
+    palette = rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)
+    plaid = np.ascontiguousarray(tartan(rng.integers(1, 41, 24), rng.integers(1, 41, 24), palette)[:256, :256])
+    assert plaid.shape == img.shape
+    assert _traced_peak(lambda: gaussian_blur(plaid, 1.5)) < frame
+    assert _traced_peak(lambda: gaussian_blur(plaid, 5.0)) < frame
+    assert _traced_peak(lambda: random_resized_crop(plaid, crop, derive_stream(0, "crop"))) < frame
+    assert _traced_peak(lambda: color_jitter(plaid, jitter, _ForcedRng(1.1, 1.2, 0.9, 0.3))) <= strips
