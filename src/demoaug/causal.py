@@ -154,7 +154,7 @@ class TaskCausalSpec:
 
 def count_partitions(spec: TaskCausalSpec) -> int:
     """Total causally independent state partitions across all phases."""
-    return sum(len(partitions(p.joint_graph())) for p in spec.phases)
+    return sum(len(partitions(p.graph)) for p in spec.phases)
 
 
 def swap_candidates(phase: PhaseSpec, agent: str) -> list[Partition]:
@@ -165,7 +165,7 @@ def swap_candidates(phase: PhaseSpec, agent: str) -> list[Partition]:
     """
     if phase.target_entity is None:  # a spec as read from JSON, not yet filled in by a task
         raise InvariantViolation(f"causal spec phase {phase.phase_index} has no target: it is not a task's spec")
-    return [part for part in partitions(phase.joint_graph())
+    return [part for part in partitions(phase.graph)
             if agent not in part and phase.target_entity not in part]
 
 

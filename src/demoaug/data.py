@@ -1,10 +1,10 @@
 """Demonstration data model and its deterministic on-disk representation.
 
-A dataset directory holds `manifest.json` (schema version, task schema,
-trajectory index) plus one `traj_<id>.jsonl` file per trajectory with one
-timestep per line. Key order is fixed and floats are written as shortest
-round-trip decimals, so saving the same dataset twice is byte-identical
-and load(save(ds)) == ds field for field.
+A dataset directory holds `manifest.json` (schema version, task schema and
+trajectory index, each required) plus one `traj_<id>.jsonl` file per
+trajectory with one timestep per line. Key order is fixed and floats are
+written as shortest round-trip decimals, so saving the same dataset twice
+is byte-identical and load(save(ds)) == ds field for field.
 
 Records are immutable. The per-timestep ones (EntityState, RobotState,
 Action, Timestep) set their slots directly, with the constructors' checks
@@ -14,10 +14,11 @@ manifest entry's task_id are written from it, and checked against it when
 the line or the manifest is read. No record holds the manifest's
 schema_version: a load checks its major version, and a save writes
 SCHEMA_VERSION. A trajectory records the schema its timesteps passed their
-checks under, and a save, load or validate checks them once per schema. A
+checks under, and a save, load or validate checks them once per schema;
+each such check counts each distinct entities and actions tuple once. A
 load reads each distinct value once and shares it: each distinct pose is
-built once, and each distinct text of a timestep line's entities, robots
-or actions array is decoded, built and checked once, its tuple of records
+built once, and each distinct text of a timestep line's entities, robots or
+actions array is decoded, built and checked once, its tuple of records
 shared by every line that holds the text. Lines in another layout, and
 lines with a malformed section, are read whole by timestep_from_json, the
 reference. These caches live for one load_dataset call only.
@@ -247,22 +248,21 @@ def _timestep_error(traj: Trajectory, ts: Timestep, what: str) -> InvariantViola
     return InvariantViolation(f"trajectory {traj.traj_id!r}, timestep {ts.t}: {what}")
 
 
-def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tuple[set, set] | None = None):
+def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked: tuple[set, set]):
     """Raise InvariantViolation naming the offending trajectory/timestep.
 
     Every timestep is checked for t strictly increasing, phase labels >= 0
     that never decrease and one robot state, as timestep_to_json needs.
     The checks of its entities and its actions (one, inside the workspace)
-    depend only on that tuple and the schema. `checked_sections`, which only
-    load_dataset passes, holds per kind the ids of the tuples that passed
-    earlier in the load (which keeps them alive); those are not checked
-    again; a tuple that fails raises, which ends the load and the memo. One
-    set per kind keeps apart the empty tuple, which they share."""
+    depend only on that tuple and the schema. `checked` holds per kind the
+    ids of the tuples that passed earlier in this validate_dataset call,
+    whose dataset keeps them alive; those are not checked again. A tuple
+    that fails raises, which ends the call and its memo. One set per kind
+    keeps apart the empty tuple, which they share."""
     expected_entities, decls = schema.entity_ids(), schema.entities
     lx, ly, lz = [x - _BOX_TOL for x in schema.workspace_min]
     hx, hy, hz = [x + _BOX_TOL for x in schema.workspace_max]
-    memo = checked_sections is not None
-    seen_entities, seen_actions = checked_sections if memo else ((), ())
+    seen_entities, seen_actions = checked
     prev_t = prev_phase = None
     for ts in traj.timesteps:
         if prev_t is not None and ts.t <= prev_t:
@@ -270,8 +270,7 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
         prev_t = ts.t
         entities, actions = ts.entities, ts.actions
         if id(entities) not in seen_entities:
-            if memo:
-                seen_entities.add(id(entities))
+            seen_entities.add(id(entities))
             got = tuple([e.entity_id for e in entities])
             if got != expected_entities:
                 raise _timestep_error(traj, ts, f"entity ordering {got} != schema {expected_entities}")
@@ -282,14 +281,13 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
                     raise _timestep_error(
                         traj, ts, f"entity {e.entity_id!r} extra fields {tuple(e.extra)} != {decl.extra_fields}")
                 for key, value in e.extra.items():
-                    if not (type(value) is float and math.isfinite(value)) and not _is_real(value):
+                    if not _is_real(value):
                         raise _timestep_error(
                             traj, ts, f"entity {e.entity_id!r} extra {key!r} is {value!r}, not a finite real number")
         if len(ts.robots) != 1:
             raise _timestep_error(traj, ts, f"exactly one robot state required, got {len(ts.robots)}")
         if id(actions) not in seen_actions:
-            if memo:
-                seen_actions.add(id(actions))
+            seen_actions.add(id(actions))
             if len(actions) != 1:
                 raise _timestep_error(traj, ts, f"exactly one action required, got {len(actions)}")
             x, y, z = actions[0].target_eef_pose.xyz
@@ -304,17 +302,17 @@ def _check_timesteps(traj: Trajectory, schema: TaskSchema, checked_sections: tup
             prev_phase = phase
 
 
-def validate_dataset(ds: Dataset, checked_sections=None):
+def validate_dataset(ds: Dataset):
     """Check that traj_ids are unique and filesystem-safe, and every
-    trajectory's timesteps. `checked_sections` is load_dataset's memo of the
-    entities and actions tuples that passed (see _check_timesteps).
+    trajectory's timesteps, each distinct entities and actions tuple once
+    per call (see _check_timesteps), on a save, a load and a validate alike.
 
     A trajectory whose timesteps pass is marked with the schema they passed
     under (`_checked_under`), as a pose keeps its encoding: it is immutable,
     so under that schema, or an equal one, its timestep checks are not run
     again."""
     schema = ds.task_schema
-    seen = set()
+    seen, checked = set(), (set(), set())
     for tr in ds.trajectories:
         if tr.traj_id in seen:
             raise InvariantViolation(f"duplicate traj_id {tr.traj_id!r}")
@@ -322,7 +320,7 @@ def validate_dataset(ds: Dataset, checked_sections=None):
         if not _ID_RE.fullmatch(tr.traj_id):
             raise InvariantViolation(f"trajectory {tr.traj_id!r}: traj_id is not filesystem-safe")
         if tr._checked_under is not schema and tr._checked_under != schema:
-            _check_timesteps(tr, schema, checked_sections)
+            _check_timesteps(tr, schema, checked)
             object.__setattr__(tr, "_checked_under", schema)
 
 
@@ -835,9 +833,8 @@ def _check_replaceable(root: Path) -> None:
             raise IoFailure(f"{root} holds {entry.name!r}, which is not a dataset file; refusing to replace it")
 
 
-# the keys save_dataset writes: at the top level of the manifest, and in each
-# trajectory entry, where all but task_id, which must be the schema's, are
-# required
+# the keys save_dataset writes, at the top level of the manifest and in each
+# trajectory entry: all are required but an entry's task_id (the schema's)
 _MANIFEST_KEYS = ("schema_version", "task_schema", "trajectories")
 _MANIFEST_ENTRY_KEYS = ("traj_id", "task_id", "file", "num_timesteps", "success", "provenance")
 _MANIFEST_ENTRY_REQUIRED = tuple(key for key in _MANIFEST_ENTRY_KEYS if key != "task_id")
@@ -928,14 +925,14 @@ def load_dataset(path) -> Dataset:
     if not manifest_path.is_file():
         raise IoFailure(f"no manifest.json under {root}")
     manifest = read_json(manifest_path, "failed reading")
-    check_keys("manifest", manifest, (), _MANIFEST_KEYS)
-    version = manifest.get("schema_version")
+    check_keys("manifest", manifest, _MANIFEST_KEYS, _MANIFEST_KEYS)
+    version = manifest["schema_version"]
     if not isinstance(version, str) or version.split(".")[0] != SCHEMA_VERSION.split(".")[0]:
         raise InvariantViolation(
             f"manifest schema_version {version!r} unsupported (tool supports {SCHEMA_VERSION.split('.')[0]}.x)"
         )
-    schema = schema_from_json("task_schema", manifest.get("task_schema"))
-    entries = manifest.get("trajectories", [])
+    schema = schema_from_json("task_schema", manifest["task_schema"])
+    entries = manifest["trajectories"]
     if not isinstance(entries, list):
         raise InvariantViolation("manifest trajectories is not a JSON list")
     trajectories = []
@@ -970,5 +967,5 @@ def load_dataset(path) -> Dataset:
             )
         )
     ds = Dataset(task_schema=schema, trajectories=tuple(trajectories))
-    validate_dataset(ds, checked_sections=(set(), set()))
+    validate_dataset(ds)
     return ds

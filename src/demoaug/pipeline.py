@@ -62,6 +62,8 @@ class PipelineConfig:
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.input_path is not None and not (isinstance(self.input_path, str) and self.input_path):
             raise ConfigError(f"pipeline config: input must be a non-empty string, got {self.input_path!r}")
+        if not (isinstance(self.output_root, str) and self.output_root):
+            raise ConfigError(f"pipeline config: out must be a non-empty string, got {self.output_root!r}")
         _check_stage_order([s.name for s in self.stages], self.input_path is not None)
 
 

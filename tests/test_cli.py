@@ -775,6 +775,51 @@ def test_manifest_whose_agent_is_an_entity_is_an_error(tmp_path, labeled_dir, ca
     assert "the schema's agent 'cube_a' is also one of its entity ids" in err
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["schema_version", "task_schema", "trajectories",
+     *(f"trajectories.0.{k}" for k in ("traj_id", "file", "num_timesteps", "success", "provenance", "task_id"))],
+)
+def test_boundary_dataset_manifest_without_a_key(tmp_path, labeled_dir, capsys, key):
+    """Every key a save writes to the manifest is required, but an entry's
+    task_id: a manifest without one is refused by every command that loads
+    it (exit 3, one error line) and listed by validate (exit 2)."""
+    root = tmp_path / "ds"
+    shutil.copytree(labeled_dir, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    *path, last = key.split(".")
+    obj = manifest
+    for step in path:
+        obj = obj[int(step)] if step.isdigit() else obj[step]
+    del obj[last]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    if key == "trajectories.0.task_id":
+        assert run_cli("stats", "--in", str(root)) == 0
+        assert json.loads(capsys.readouterr().out)["trajectories"] == 3
+        assert run_cli("validate", "--task", "stack", "--in", str(root)) == 0
+        return
+    assert run_cli("stats", "--in", str(root)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"KeyError: 'manifest.{key}'" in err
+    assert run_cli("validate", "--task", "stack", "--in", str(root)) == 2
+    assert json.loads(capsys.readouterr().out)["failures"] == [f"load: KeyError: 'manifest.{key}'"]
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_run_refuses_an_empty_out(tmp_path, monkeypatch, capsys, where):
+    """An empty output root is refused before any stage runs, as an empty
+    input is, so nothing is written into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    config = {"task": "stack", "out": "" if where == "config" else "o", "stages": [{"name": "gen", "count": 1}]}
+    (tmp_path / "pipeline.json").write_text(json.dumps(config))
+    code = run_cli("run", "--config", "pipeline.json", *(("--out", "") if where == "flag" else ()))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: pipeline config: out must be a non-empty string, got ''\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.json"]
+
+
 @pytest.mark.parametrize("layout", ["saved", "respaced"])
 @pytest.mark.parametrize("value", [1e308, -5.0])
 @pytest.mark.parametrize("section, key", [("robots", "gripper_aperture"), ("actions", "gripper_command")],
