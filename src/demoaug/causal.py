@@ -7,13 +7,16 @@ different partitions never interact during the phase, so their states can
 be resampled independently.
 
 A causal spec holds one graph per phase, and no task id: the schema it is
-used with holds that. In JSON it is `phases` and `segment_merge_map`; each
-phase is an object with only `edges` ([source, target] pairs without the
+used with holds that. A task's spec is its kind's (sim.TASK_KINDS), built
+when the task is; a spec file (--spec) is the one override of its graphs
+and merge map. In JSON it is `phases` and `segment_merge_map`; each phase
+is an object with only `edges` ([source, target] pairs without the
 diagonal). It is read over a schema, whose agent, then entities, are every
 graph's nodes, so a phase names no nodes. A phase's index is its position;
 its target entity and grasp flag are its task kind's, left unset when read
-and filled in by the TaskDefinition the spec is put into. check_spec refuses
-a spec built in Python whose graphs do not cover exactly its task's schema.
+and filled in by the TaskDefinition the spec is given to. check_spec
+refuses a spec built in Python whose graphs do not cover exactly its
+task's schema.
 check_phase_labels refuses a dataset labelled with a phase past the spec:
 in the phase index (counterfactual.build_phase_index) and in validation.
 """

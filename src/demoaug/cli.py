@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from dataclasses import replace
@@ -60,8 +59,6 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_STAGE = 3
 EXIT_CLOSED_STDOUT = 141
-
-logger = logging.getLogger("demoaug")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,7 +117,7 @@ def _run_stage(args, task) -> dict:
     if args.spec:  # the task checks the spec against its kind: that refusal names the file too
         spec = load_causal_spec(args.spec, task.schema)
         try:
-            task = replace(task, causal=spec)
+            task = replace(task, spec=spec)
         except InvariantViolation as exc:
             raise InvariantViolation(f"causal spec file {args.spec}: {exc}") from exc
     ds, info = run_stage(stage, ds, task, args.seed)
@@ -349,7 +346,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

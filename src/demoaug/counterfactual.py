@@ -16,7 +16,6 @@ from the donor timestep itself, so they are the donor's own objects.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 from .causal import Partition, TaskCausalSpec, check_phase_labels, swap_candidates
@@ -24,8 +23,6 @@ from .data import Action, Dataset, RobotState, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .rng import derive_stream
 from .sim import CLOSE_THRESHOLD
-
-logger = logging.getLogger(__name__)
 
 DONOR_POLICIES = ("same_phase_any_timestep", "same_phase_aligned_timestep")
 JITTER_BOUNDARY_MARGIN = 3  # gripper jitter stops this many steps before a grasp-closing boundary
@@ -126,7 +123,8 @@ def augment_offline(
     gripper_transit_jitter on the stream of the seed and the copy's id.
 
     Copies that found no donor for any selected partition are still emitted
-    (unswapped) with a warning, so output counts stay exact. The phase index
+    (unswapped), so output counts stay exact, and counted in the report's
+    no_donor_copies. The phase index
     (build_phase_index) refuses a dataset it cannot index before any copy.
     """
     pool = build_phase_index(ds, spec)
@@ -139,9 +137,6 @@ def augment_offline(
             copy, swapped, missing = _counterfactual_copy(traj, copy_index, cfg, pool, candidates)
             if missing and not swapped:
                 no_donor += 1
-                logger.warning(
-                    "no donor available for %s copy %d; emitted unswapped", traj.traj_id, copy_index
-                )
             total_swaps += swapped
             if cfg.gripper_jitter_range > 0.0:
                 copy = gripper_transit_jitter(copy, spec, cfg, derive_stream(cfg.master_seed, "jitter", copy.traj_id))

@@ -8,9 +8,10 @@ scripted experts usable as analytic oracles: each expert action is a pure
 function of the gripper state and the phase's dependent entities only.
 
 A task kind is one TASK_KINDS entry, which owns its roles, phases (each
-with its target role and grasp flag), success predicate and articulated
-state (an Articulation and its extra field; pod_lid's is the machine's
-lid, stack3 has none): adding a kind takes one entry plus a task file. A
+with its target role, grasp flag and edges), merge map, success predicate
+and articulated state (an Articulation and its extra field; pod_lid's is
+the machine's lid, stack3 has none), so a task's causal spec is its
+kind's: adding a kind takes one entry plus a task file. A
 task is checked when it is built, so a home_pose or sampler box outside
 the workspace is refused before any rollout. The schema alone holds the
 task id and the one agent's id: the gripper's state and actions carry no
@@ -29,13 +30,13 @@ LID_CLOSED_THRESHOLD of the lid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from .causal import PhaseSpec, TaskCausalSpec, check_spec
+from .causal import CausalGraph, PhaseSpec, TaskCausalSpec, check_spec
 from .data import Action, EntityState, RobotState, TaskSchema, Timestep, Trajectory, Provenance
 from .errors import InvariantViolation
 from .geometry import Pose, SE3Transform, _from_yaw, _rigid, relative_in_frame, step_toward
@@ -109,21 +110,25 @@ class TaskDefinition:
     """A task: what differs between tasks (the simulator and expert settings
     are this module's constants). `roles` is not given: it is the entity ids
     the kind's predicates and expert bind (TASK_KINDS), resolved from the
-    other sections when the task is built, as are the index, target and grasp
-    flag of each phase of `causal`: the kind's phase table over the roles, in
-    place of what a spec built in Python held. Its id is `schema.task_id`."""
+    other sections when the task is built. Nor is `causal`: its graphs and
+    merge map are the kind's, over the roles, unless `spec` overrides them
+    (as --spec does), and its phases take their index, target and grasp flag
+    from the kind's phase table whatever `spec` held. `spec` is an init-only
+    argument, so dataclasses.replace does not carry it: a task replaced
+    without one has its kind's graphs. Its id is `schema.task_id`."""
 
     kind: str  # a key of TASK_KINDS
     schema: TaskSchema
     samplers: dict[str, PoseSampler]
     geoms: dict[str, object]
-    causal: TaskCausalSpec
     home_pose: Pose
     stack_order: tuple[str, ...] = ()  # read by stack3 alone
     color_sensitive: bool = False
+    spec: InitVar[TaskCausalSpec | None] = None
     roles: tuple[str, ...] = field(init=False)
+    causal: TaskCausalSpec = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, spec):
         """Check the sections against each other, so that a task whose
         sections disagree is refused when it is built, not in the middle of a
         rollout."""
@@ -137,14 +142,19 @@ class TaskDefinition:
                 raise InvariantViolation(
                     f"{name} are keyed by {sorted(keys)}, not by the schema's entities {sorted(ids)}")
         object.__setattr__(self, "roles", kind.roles(self))
-        if self.causal.num_phases != len(kind.phases):
+        if spec is None:  # the kind's graphs, each pair a phase's edges name coupled both ways
+            agent = self.schema.agent
+            pairs = [edges(agent, *self.roles) for *_, edges in kind.phases]
+            spec = TaskCausalSpec(tuple(PhaseSpec(i, CausalGraph.from_edges((agent, *ids), [*p, *(e[::-1] for e in p)]))
+                                        for i, p in enumerate(pairs)), kind.merge_map)
+        if spec.num_phases != len(kind.phases):
             raise InvariantViolation(
-                f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {self.causal.num_phases}")
-        check_spec(self.causal, self.schema)
+                f"a {self.kind} task has {len(kind.phases)} phases, but its causal spec declares {spec.num_phases}")
+        check_spec(spec, self.schema)
         object.__setattr__(self, "causal", TaskCausalSpec(
             tuple(PhaseSpec(i, phase.graph, self.roles[target], grasp)
-                  for i, (phase, (_, _, target, grasp)) in enumerate(zip(self.causal.phases, kind.phases))),
-            self.causal.segment_merge_map))
+                  for i, (phase, (_, _, target, grasp, _)) in enumerate(zip(spec.phases, kind.phases))),
+            spec.segment_merge_map))
         # an extra field is a kind's articulated state (TASK_KINDS), and the task's kind must own it
         owners = {k.articulation.extra_field: k.articulation for k in TASK_KINDS.values() if k.articulation}
         for decl in self.schema.entities:
@@ -218,7 +228,9 @@ def reset(task: TaskDefinition, seed) -> SimState:
             joints = {d.entity_id: art.initial for d in task.schema.entities if d.extra_fields}
             gripper = RobotState(task.home_pose, 1.0)
             return SimState(poses, joints, gripper, None, 0)
-    raise InvariantViolation(f"no non-overlapping placement found in {PLACEMENT_ATTEMPTS} attempts")
+    boxes = ", ".join(f"{eid} x {list(task.samplers[eid].x_range)} y {list(task.samplers[eid].y_range)}" for eid in order)
+    raise InvariantViolation(f"no non-overlapping placement found in {PLACEMENT_ATTEMPTS} attempts: entities "
+                             f"{list(order)} must lie {MIN_SEPARATION} m apart in xy (MIN_SEPARATION), drawn from {boxes}")
 
 
 def _drop_pose(task: TaskDefinition, objects: dict[str, Pose], obj_id: str, pose: Pose) -> Pose:
@@ -425,6 +437,9 @@ class Articulation:
     update: Callable[[TaskDefinition, str, float, dict[str, Pose], Pose, Pose], float]
 
 
+_Phase = tuple[Callable[..., Action], Callable[..., bool], int, bool, Callable[..., tuple]]
+
+
 @dataclass(frozen=True)
 class TaskKind:
     """What a task kind means to the simulator.
@@ -433,13 +448,19 @@ class TaskKind:
     kind binds, in a fixed order; it runs once, when the TaskDefinition is
     built. `success` is the task-success predicate. `phases` is the phase
     table: per phase, (expert policy, completion predicate, target, grasp
-    flag), where the target indexes roles, so its length is the kind's phase
-    count. Each predicate and policy is called as f(state, task, *task.roles).
-    `articulation` is its articulated state."""
+    flag, edges), where the target indexes roles, so its length is the kind's
+    phase count. Each predicate and policy is called as f(state, task,
+    *task.roles), and edges as f(agent, *task.roles): the pairs of nodes the
+    phase couples, each both ways, which are the agent and the object it
+    grasps or carries, and the objects it places, or has placed, on one
+    another. `merge_map` folds the raw gripper segments into the phases (a
+    causal spec's segment_merge_map). `articulation` is its articulated
+    state."""
 
     roles: Callable[[TaskDefinition], tuple[str, ...]]
     success: Callable[..., bool]
-    phases: tuple[tuple[Callable[..., Action], Callable[..., bool], int, bool], ...]
+    phases: tuple[_Phase, ...]
+    merge_map: tuple[int, ...]
     articulation: Articulation | None = None
 
 
@@ -506,24 +527,30 @@ def _pod_lid_done(state: SimState, task: TaskDefinition, pod: str, machine: str)
 TASK_KINDS = {
     "stack3": TaskKind(_stack3_roles, _stacked, (
         (lambda s, task, bottom, mid, top: _grasp_policy(s, task, mid),
-         lambda s, task, bottom, mid, top: _attached(s, mid) or _placed_on(s, task, mid, bottom), 1, True),
+         lambda s, task, bottom, mid, top: _attached(s, mid) or _placed_on(s, task, mid, bottom), 1, True,
+         lambda agent, bottom, mid, top: ((agent, mid),)),
         (lambda s, task, bottom, mid, top: _stack_policy(s, task, mid, bottom),
-         lambda s, task, bottom, mid, top: _placed_on(s, task, mid, bottom) and not _attached(s, mid), 0, False),
+         lambda s, task, bottom, mid, top: _placed_on(s, task, mid, bottom) and not _attached(s, mid), 0, False,
+         lambda agent, bottom, mid, top: ((agent, mid), (mid, bottom))),
         (lambda s, task, bottom, mid, top: _grasp_policy(s, task, top),
-         lambda s, task, bottom, mid, top: _attached(s, top) or _placed_on(s, task, top, mid), 2, True),
+         lambda s, task, bottom, mid, top: _attached(s, top) or _placed_on(s, task, top, mid), 2, True,
+         lambda agent, bottom, mid, top: ((agent, top), (mid, bottom))),
         (lambda s, task, bottom, mid, top: _stack_policy(s, task, top, mid),
-         lambda s, task, bottom, mid, top: _stacked(s, task, bottom, mid, top) and not _attached(s, top), 1, False),
-    )),
+         lambda s, task, bottom, mid, top: _stacked(s, task, bottom, mid, top) and not _attached(s, top), 1, False,
+         lambda agent, bottom, mid, top: ((agent, top), (mid, bottom), (mid, top))),
+    ), (0, 1, 2, 3)),
     "pod_lid": TaskKind(_pod_lid_roles, _pod_lid_done, (
         (lambda s, task, pod, machine: _grasp_policy(s, task, pod),
-         lambda s, task, pod, machine: _attached(s, pod) or _pod_in_well(s, task, pod, machine), 0, True),
+         lambda s, task, pod, machine: _attached(s, pod) or _pod_in_well(s, task, pod, machine), 0, True,
+         lambda agent, pod, machine: ((agent, pod),)),
         (_pod_lid_policy,
-         lambda s, task, pod, machine: _pod_lid_done(s, task, pod, machine) and not _attached(s, pod), 1, False),
-    ), Articulation("lid_angle", _lid_check, LID_OPEN_ANGLE, _lid_update)),
+         lambda s, task, pod, machine: _pod_lid_done(s, task, pod, machine) and not _attached(s, pod), 1, False,
+         lambda agent, pod, machine: ((agent, pod), (pod, machine))),
+    ), (0, 1, 1), Articulation("lid_angle", _lid_check, LID_OPEN_ANGLE, _lid_update)),
 }
 
 
-def _phase(task: TaskDefinition, phase: int) -> tuple[Callable[..., Action], Callable[..., bool], int, bool]:
+def _phase(task: TaskDefinition, phase: int) -> _Phase:
     phases = TASK_KINDS[task.kind].phases
     if not 0 <= phase < len(phases):
         raise InvariantViolation(f"{task.kind} has no phase {phase}")

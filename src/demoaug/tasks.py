@@ -5,12 +5,13 @@ The bundled toy tasks are JSON files in the package's `bundled` directory:
 whose lid is then pushed shut). Any other task file with the same field
 layout can be given by path wherever a bundled name is accepted.
 
-A task file goes through the dataset codec's typed checks: its schema
-(read first) and home pose through their codecs in `data`, its causal spec
-through `causal`, over the schema, and every other section through the
-fields of its dataclass in `sim`, which give each key's kind and default.
-Unknown keys are refused: the task's id is its schema's `task_id`, so a
-top-level or causal-spec `task_id` is one."""
+A task file goes through the dataset codec's typed checks: its schema and
+home pose through their codecs in `data`, and every other section through
+the fields of its dataclass in `sim`, which give each key's kind and
+default. Unknown keys are refused: the task's id is its schema's `task_id`,
+so a top-level `task_id` is one, and the causal spec is its kind's
+(sim.TASK_KINDS), so a `causal_spec` is one too; a --spec file is the one
+override of the kind's graphs and merge map."""
 
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import MISSING
 from importlib.resources import files
 from pathlib import Path
 
-from .causal import causal_spec_from_dict
 from .data import Param, _pose_from_json, check_keys, dict_from_json, read_json, record_from_json, schema_from_json
 from .errors import InvariantViolation, IoFailure
 from .sim import ObjectGeom, PoseSampler, ReceptacleGeom, TaskDefinition
@@ -38,15 +38,12 @@ def task_from_dict(obj) -> TaskDefinition:
     """Build a task from its JSON layout; anything malformed raises
     InvariantViolation (a DemoaugError), never a bare KeyError or TypeError."""
     try:
-        check_keys("", obj, ("schema",), obj)  # the causal spec is read over the schema
-        schema = schema_from_json("schema", obj["schema"])
         return record_from_json(
             TaskDefinition, "", obj,
-            schema=lambda where, value: schema,
+            schema=schema_from_json,
             samplers=lambda where, value: dict_from_json(
                 where, value, lambda at, sampler: record_from_json(PoseSampler, at, sampler)),
             geoms=lambda where, value: dict_from_json(where, value, _geom_from_json),
-            causal=("causal_spec", lambda where, value: causal_spec_from_dict(value, schema, where)),
             home_pose=lambda where, value: _pose_from_json(value, where, {}),
         )
     except InvariantViolation as exc:

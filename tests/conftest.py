@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from demoaug.data import Dataset
@@ -19,6 +20,15 @@ def bundled_task_json(name: str) -> dict:
     """The JSON layout of bundled task `name`, as its file holds it: a
     fresh dict for the caller to edit."""
     return json.loads((BUNDLED / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def spec_json(task) -> dict:
+    """The --spec layout of `task.causal`: each phase's off-diagonal adjacency
+    as [source, target] pairs in node order, and the merge map. A fresh dict
+    for the caller to edit."""
+    phases = [{"edges": [[p.graph.nodes[i], p.graph.nodes[j]] for i, j in zip(*np.nonzero(p.graph.adjacency)) if i != j]}
+              for p in task.causal.phases]
+    return {"phases": phases, "segment_merge_map": list(task.causal.segment_merge_map)}
 
 
 def replay_states(traj, task) -> list:
@@ -43,8 +53,8 @@ def coffee_task():
 def stack_task_plus(entity_id, kind, sampler, geom) -> dict:
     """The bundled stack task's JSON layout plus one entity of `kind`, drawn
     from `sampler` and shaped by `geom`: a node of every phase graph (the
-    graphs take their nodes from the schema) with no spec edge. A test-only
-    task."""
+    graphs take their nodes from the schema) with no edge, since no role of
+    the kind names it. A test-only task."""
     obj = bundled_task_json("stack")
     obj["schema"]["entities"].append({"entity_id": entity_id, "kind": kind, "extra_fields": []})
     obj["samplers"][entity_id] = sampler

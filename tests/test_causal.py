@@ -19,7 +19,7 @@ from demoaug.causal import (
 from demoaug.errors import InvariantViolation
 from demoaug.retarget import InterpolationConfig, generate_demos
 from demoaug.tasks import resolve_task
-from tests.conftest import bundled_task_json
+from tests.conftest import spec_json
 
 
 def brute_force_partitions(nodes, adj):
@@ -168,9 +168,9 @@ def test_spec_dict_round_trip():
     """A spec read from JSON holds the graphs and the merge map; put into a
     task, it is the task's spec, its phases filled in from the kind."""
     for name in ("stack", "coffee"):
-        task, obj = resolve_task(name), bundled_task_json(name)["causal_spec"]
-        spec, rebuilt = task.causal, causal_spec_from_dict(obj, task.schema)
-        assert replace(task, causal=rebuilt).causal == spec
+        task = resolve_task(name)
+        spec, rebuilt = task.causal, causal_spec_from_dict(spec_json(task), task.schema)
+        assert replace(task, spec=rebuilt).causal == spec
         assert rebuilt.segment_merge_map == spec.segment_merge_map
         for i, (a, b) in enumerate(zip(rebuilt.phases, spec.phases)):
             assert (a.phase_index, a.target_entity, a.grasp_closes) == (i, None, None)
@@ -189,14 +189,49 @@ def test_the_task_kind_gives_each_phase_its_target_and_grasp_flag():
         assert tuple(p.grasp_closes for p in task.causal.phases) == grasps
         wrong = TaskCausalSpec(tuple(PhaseSpec(i, p.graph, task.schema.agent, not p.grasp_closes)
                                      for i, p in enumerate(task.causal.phases)), task.causal.segment_merge_map)
-        assert replace(task, causal=wrong).causal == task.causal
+        assert replace(task, spec=wrong).causal == task.causal
+
+
+def test_the_task_kind_gives_each_phase_its_edges():
+    """Each bundled phase's coupled pairs, undirected, as the task files held
+    them before the kind did: the agent and the object it grasps or carries,
+    and the objects placed on one another. Every edge runs both ways."""
+    edges = {
+        "stack": ({("robot0", "cube_a")},
+                  {("robot0", "cube_a"), ("cube_a", "cube_b")},
+                  {("robot0", "cube_c"), ("cube_a", "cube_b")},
+                  {("robot0", "cube_c"), ("cube_a", "cube_b"), ("cube_a", "cube_c")}),
+        "coffee": ({("robot0", "pod")}, {("robot0", "pod"), ("pod", "machine")}),
+    }
+    merge_maps = {"stack": (0, 1, 2, 3), "coffee": (0, 1, 1)}
+    for name, phases in edges.items():
+        task = resolve_task(name)
+        assert task.causal.segment_merge_map == merge_maps[name]
+        for phase, pairs in zip(task.causal.phases, phases, strict=True):
+            adj, nodes = phase.graph.adjacency, phase.graph.nodes
+            assert np.array_equal(adj, adj.T)
+            assert {frozenset((nodes[i], nodes[j])) for i, j in zip(*np.nonzero(adj)) if i != j} == {
+                frozenset(pair) for pair in pairs}
+
+
+def test_a_spec_replaces_the_kinds_graphs_and_merge_map():
+    """A --spec (as causal_spec_from_dict reads it) overrides the graphs and
+    the merge map; the targets and grasp flags stay the kind's, and a later
+    replace without a spec returns to the kind's graphs."""
+    task = resolve_task("coffee")
+    obj = {"phases": [{"edges": []}, {"edges": [["pod", "machine"]]}], "segment_merge_map": [0, 0, 1]}
+    overridden = replace(task, spec=causal_spec_from_dict(obj, task.schema))
+    assert overridden.causal.segment_merge_map == (0, 0, 1)
+    assert [len(partitions(p.graph)) for p in overridden.causal.phases] == [3, 2]
+    assert [(p.target_entity, p.grasp_closes) for p in overridden.causal.phases] == [("pod", True), ("machine", False)]
+    assert replace(overridden, color_sensitive=True).causal == task.causal
 
 
 def test_a_phase_without_its_tasks_target_is_refused(stack_demos):
     """A spec as read from JSON has no targets until a task fills them in:
     swap_candidates and SE(3) retargeting refuse it rather than read None."""
     task = resolve_task("stack")
-    unfilled = causal_spec_from_dict(bundled_task_json("stack")["causal_spec"], task.schema)
+    unfilled = causal_spec_from_dict(spec_json(task), task.schema)
     with pytest.raises(InvariantViolation, match="causal spec phase 0 has no target"):
         swap_candidates(unfilled.phases[0], task.schema.agent)
     with pytest.raises(InvariantViolation, match="causal spec phase 0 has no target"):

@@ -1,5 +1,6 @@
 import inspect
 import json
+import logging
 import os
 import re
 import shutil
@@ -27,7 +28,7 @@ from demoaug.render import rasterize_state
 from demoaug.rng import derive_stream
 from demoaug.sim import reset
 from demoaug.tasks import resolve_task
-from tests.conftest import bundled_task_json
+from tests.conftest import bundled_task_json, spec_json
 
 
 def run_cli(*argv):
@@ -160,6 +161,34 @@ def test_run_on_a_dataset_of_another_task_is_a_stage_failure(tmp_path, labeled_d
     assert not (tmp_path / "run" / "report.json").exists()
 
 
+def test_run_with_a_too_narrow_pos_range_names_the_range(tmp_path, labeled_dir, capsys):
+    """An se3 pos_range too narrow for the objects' separation fails the
+    stage, naming the entities, the separation and each sampler's range."""
+    cfg_path = tmp_path / "pipeline.json"
+    cfg_path.write_text(json.dumps({"task": "stack", "input": str(labeled_dir), "out": str(tmp_path / "run"),
+                                    "stages": [{"name": "se3", "pos_range": [0, 0.01, 0, 0.01]}]}))
+    capsys.readouterr()
+    assert run_cli("run", "--config", str(cfg_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("stage failure: stage 'se3' failed: no non-overlapping placement found in 1000 attempts: ")
+    assert err.count("\n") == 1 and "['cube_a', 'cube_b', 'cube_c']" in err and "0.08 m apart in xy" in err
+    assert all(f"{eid} x [0.0, 0.01] y [0.0, 0.01]" in err for eid in ("cube_a", "cube_b", "cube_c"))
+
+
+def test_a_copy_without_a_donor_is_counted_not_logged(tmp_path, capsys, caplog):
+    """One demo has no donor: its copy is written unswapped and counted in
+    the report's no_donor_copies, and nothing is logged or written to stderr."""
+    demos, labeled = tmp_path / "demos", tmp_path / "labeled"
+    assert run_cli("gen-demos", "--task", "stack", "--count", "1", "--out", str(demos)) == 0
+    assert run_cli("segment", "--task", "stack", "--in", str(demos), "--out", str(labeled)) == 0
+    capsys.readouterr()
+    with caplog.at_level(logging.DEBUG):
+        assert run_cli("augment-causal", "--task", "stack", "--in", str(labeled), "--out", str(tmp_path / "cf")) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["no_donor_copies"] == 1 and captured.err == ""
+    assert not [record for record in caplog.records if record.name.startswith("demoaug")]
+
+
 def test_ratio_study_cli(tmp_path, labeled_dir, capsys):
     out = tmp_path / "ratio"
     code = run_cli("ratio-study", "--task", "stack", "--in", str(labeled_dir),
@@ -256,7 +285,7 @@ def test_neither_task_nor_spec_is_a_usage_error(tmp_path, labeled_dir, capsys, c
     assert f"demoaug {command}: error: the following arguments are required: --task" in err
     assert not out.exists()
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
+    spec.write_text(json.dumps(spec_json(resolve_task("stack"))))
     assert run_cli(command, "--spec", str(spec), "--in", str(labeled_dir), "--out", str(out)) == 1
     assert "the following arguments are required: --task" in capsys.readouterr().err
     assert not out.exists()
@@ -293,7 +322,7 @@ def test_run_pipeline_cli(tmp_path, capsys):
 
 def test_spec_file_flag_drives_segment_and_causal(tmp_path, labeled_dir, capsys):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
+    spec_path.write_text(json.dumps(spec_json(resolve_task("stack"))))
     demos = tmp_path / "demos"
     assert run_cli("gen-demos", "--task", "stack", "--count", "2", "--seed", "9",
                    "--out", str(demos)) == 0
@@ -435,17 +464,17 @@ def _set(*keys_then_value):
     return edit
 
 
-def _drop_last_phase(task):
-    """Drop the causal spec's last phase, with a segment_merge_map that fits."""
-    spec = task["causal_spec"]
+def _drop_last_phase(spec):
+    """Drop a causal spec's last phase, with a segment_merge_map that fits."""
     spec["phases"].pop()
     spec["segment_merge_map"] = [min(m, len(spec["phases"]) - 1) for m in spec["segment_merge_map"]]
+    return spec
 
 
 def _each_phase(edit):
-    """An edit of every phase of a task's causal spec."""
-    def each(task):
-        for phase in task["causal_spec"]["phases"]:
+    """An edit of every phase of a causal spec."""
+    def each(spec):
+        for phase in spec["phases"]:
             edit(phase)
     return each
 
@@ -483,8 +512,6 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
         ('{"schema": ', "failed reading task file"),
         ("[]", "malformed task definition"),
         (_task_with("stack", _set("color_sensitive", "false")), "color_sensitive must be true or false"),
-        (_task_with("stack", _set("causal_spec", "phases", 0, "grasp_closes", "no")),
-         "unknown key 'causal_spec.phases[0].grasp_closes' (known: edges)"),
         (_task_with("stack", _set("geoms", "cube_b", "height", float("nan"))), "non-finite number NaN"),
         (_task_with("stack", _set("geoms", "cube_a", "height", float("inf"))), "non-finite number Infinity"),
         (_task_with("stack", _set("geoms", "cube_a", "height", "0.05")), "geoms.cube_a.height must be a finite number"),
@@ -493,7 +520,8 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
         (_task_with("stack", _set("colour_sensitive", True)), "unknown key 'colour_sensitive'"),
         # the schema alone holds the task id
         (_task_with("stack", _set("task_id", "foo")), "unknown key 'task_id'"),
-        (_task_with("stack", _set("causal_spec", "task_id", "bar")), "unknown key 'causal_spec.task_id'"),
+        # the causal spec is the task kind's: a --spec file is its one override
+        (_task_with("stack", _set("causal_spec", spec_json(resolve_task("stack")))), "unknown key 'causal_spec'"),
         # the simulator and expert settings are sim's constants, not task file keys
         (_task_with("stack", _set("sim", {"max_pos_step": "x"})), "unknown key 'sim'"),
         (_task_with("stack", _set("sim", {"max_rot_step": -1})), "unknown key 'sim'"),
@@ -509,28 +537,10 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
          "a schema declares exactly one agent, got agents ['robot0', 'robot1']"),
         (_task_with("stack", _set("schema", "agents", ["cube_a"])),
          "the schema's agent 'cube_a' is also one of its entity ids"),
-        # a phase gives its edges; its graph's nodes are the schema's agent and entities
-        (_task_with("stack", _each_phase(lambda phase: phase["edges"].append(["robot0", "ghost"]))),
-         f"causal_spec.phases[0].edges: edge ['robot0', 'ghost'] names 'ghost', {NOT_A_STACK_NODE}"),
-        (_task_with("stack", _each_phase(_rename_node("robot0", "robotX"))),
-         f"causal_spec.phases[0].edges: edge ['robotX', 'cube_a'] names 'robotX', {NOT_A_STACK_NODE}"),
-        (_task_with("stack", lambda task: _graph_layout(task["causal_spec"])),
-         "unknown key 'causal_spec.phases[0].graph' (known: edges)"),
-        (_task_with("stack", lambda task: _old_layout(task["causal_spec"])),
-         "unknown key 'causal_spec.phases[0].agents' (known: edges)"),
-        # each phase's index, target and grasp flag are the task kind's
-        (_task_with("stack", _set("causal_spec", "phases", 1, "target_entity", "cube_c")),
-         "unknown key 'causal_spec.phases[1].target_entity' (known: edges)"),
-        (_task_with("stack", _each_phase(lambda phase: phase.update(grasp_closes=len(phase["edges"]) > 2))),
-         "unknown key 'causal_spec.phases[0].grasp_closes' (known: edges)"),
-        (_task_with("coffee", _set("causal_spec", "phases", 0, "phase_index", 0)),
-         "unknown key 'causal_spec.phases[0].phase_index' (known: edges)"),
         (_task_with("coffee", lambda task: task["samplers"].pop("pod")),
          "samplers are keyed by ['machine'], not by the schema's entities ['machine', 'pod']"),
-        # the spec is read over the schema, before the samplers are checked against it
         (_task_with("stack", lambda task: task["schema"]["entities"].pop(0)),
-         "causal_spec.phases[0].edges: edge ['robot0', 'cube_a'] names 'cube_a', "
-         "not one of ['robot0', 'cube_b', 'cube_c']"),
+         "samplers are keyed by ['cube_a', 'cube_b', 'cube_c'], not by the schema's entities ['cube_b', 'cube_c']"),
         # what the task kind's expert needs of the task
         (_task_with("coffee", _set("schema", "entities", 0, "kind", "block")),
          "a pod_lid task needs exactly one pod and one receptacle entity, got pods [] and receptacles ['machine']"),
@@ -543,8 +553,6 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
          "entity 'cube_a' has a lid_angle extra field but no receptacle geom"),
         (_task_with("coffee", _set("schema", "entities", 1, "extra_fields", ["lid_angle", "hinge"])),
          "entity 'machine' declares extra field 'hinge'; the simulator sources only lid_angle"),
-        (_task_with("stack", _drop_last_phase), "a stack3 task has 4 phases, but its causal spec declares 3"),
-        (_task_with("coffee", _drop_last_phase), "a pod_lid task has 2 phases, but its causal spec declares 1"),
         (_task_with("stack", _set("kind", "juggling")), "unknown task kind 'juggling' (known kinds: stack3, pod_lid)"),
         (_task_with("coffee", _set("stack_order", ["pod", "machine"])),
          "a pod_lid task takes no stack_order, got ['pod', 'machine']"),
@@ -556,17 +564,15 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
         (_task_with("stack", _set("samplers", "cube_b", "x_range", [0.3, 0.5])),
          "sampler box for 'cube_b' exceeds the task workspace"),
     ],
-    ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "string_grasp_closes", "nan",
+    ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "nan",
          "infinity", "string_number", "string_sampler_range", "unknown_top_level_key",
-         "top_level_task_id", "causal_spec_task_id", "string_sim_param", "negative_sim_step", "expert_section",
+         "top_level_task_id", "causal_spec_section", "string_sim_param", "negative_sim_step", "expert_section",
          "xy_tol_key", "lid_initial_angle_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "no_agents",
-         "two_agents", "agent_is_an_entity", "ghost_node_in_every_phase", "graphs_of_another_agent",
-         "graph_and_nodes_spec_layout", "old_per_agent_spec_layout", "phase_1_target_cube_c", "flipped_grasp_closes",
-         "phase_index_key",
+         "two_agents", "agent_is_an_entity",
          "no_pod_sampler",
          "deleted_schema_entity", "pod_of_kind_block", "machine_without_lid_angle", "machine_object_geom",
-         "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field", "stack_phase_too_few", "coffee_phase_too_few",
+         "pod_not_graspable", "lid_angle_on_object_geom", "unsourced_extra_field",
          "unknown_kind", "pod_lid_with_stack_order", "home_pose_at_1e308", "home_pose_at_280000",
          "sampler_box_outside_workspace"],
 )
@@ -599,7 +605,7 @@ def test_malformed_task_file_is_an_error(tmp_path, capsys, content, message):
 def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content, message):
     path = tmp_path / "spec.json"
     if callable(content):
-        spec = bundled_task_json("stack")["causal_spec"]
+        spec = spec_json(resolve_task("stack"))
         content(spec)
         content = json.dumps(spec)
     if content is not None:
@@ -615,8 +621,8 @@ def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content,
 def test_spec_file_that_disagrees_with_the_task_is_an_error(tmp_path, labeled_dir, capsys):
     """--spec replaces the task's spec and is read over the task's schema:
     an edge naming an id the schema lacks is refused before any stage runs."""
-    spec = bundled_task_json("stack")["causal_spec"]
-    _each_phase(lambda phase: phase["edges"].append(["robot0", "ghost"]))({"causal_spec": spec})
+    spec = spec_json(resolve_task("stack"))
+    _each_phase(lambda phase: phase["edges"].append(["robot0", "ghost"]))(spec)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / "cf"
@@ -640,7 +646,7 @@ def _add_agent(spec):
     "edit, message",
     [
         (_add_agent, f"phases[0].edges: edge ['robot1', 'cube_a'] names 'robot1', {NOT_A_STACK_NODE}"),
-        (lambda spec: _each_phase(_rename_node("robot0", "robotX"))({"causal_spec": spec}),
+        (_each_phase(_rename_node("robot0", "robotX")),
          f"phases[0].edges: edge ['robotX', 'cube_a'] names 'robotX', {NOT_A_STACK_NODE}"),
     ],
     ids=["second_agent", "unknown_agent"],
@@ -648,7 +654,7 @@ def _add_agent(spec):
 def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_dir, capsys, command, edit, message):
     """A --spec is read over the schema of the --task, which the dataset it
     runs on has too, and refused before the stage writes anything."""
-    spec = bundled_task_json("stack")["causal_spec"]
+    spec = spec_json(resolve_task("stack"))
     edit(spec)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
@@ -656,6 +662,34 @@ def test_spec_file_that_does_not_fit_the_dataset_is_an_error(tmp_path, labeled_d
     assert run_cli(command, "--task", "stack", "--spec", str(path), "--in", str(labeled_dir), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and message in err and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "task, spec, message",
+    [
+        (json.dumps(bundled_task_json("stack")).replace('"cube_a"', '"cube_d"'), spec_json(resolve_task("stack")),
+         "phases[0].edges: edge ['robot0', 'cube_a'] names 'cube_a', not one of ['robot0', 'cube_d', 'cube_b', 'cube_c']"),
+        (json.dumps(bundled_task_json("coffee")), _drop_last_phase(spec_json(resolve_task("coffee"))),
+         "a pod_lid task has 2 phases, but its causal spec declares 1"),
+    ],
+    ids=["deleted_schema_entity", "coffee_phase_too_few"],
+)
+def test_spec_file_that_does_not_fit_the_task_is_an_error(tmp_path, capsys, task, spec, message):
+    """A --spec is read over the --task's schema and then put into the task:
+    a spec naming an entity the schema does not have (here a stack task whose
+    cube_d took cube_a's place), or with another phase count than the kind's,
+    is refused before the stage writes anything."""
+    task_path, spec_path = tmp_path / "task.json", tmp_path / "spec.json"
+    task_path.write_text(task)
+    spec_path.write_text(json.dumps(spec))
+    demos, out = tmp_path / "demos", tmp_path / "seg"
+    assert run_cli("gen-demos", "--task", str(task_path), "--count", "1", "--out", str(demos)) == 0
+    capsys.readouterr()
+    assert run_cli("segment", "--task", str(task_path), "--spec", str(spec_path), "--in", str(demos),
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and message in err and str(spec_path) in err
     assert not out.exists()
 
 
@@ -704,10 +738,7 @@ def test_validate_lists_a_phase_label_past_the_spec(label_past_spec_dir, capsys)
 def _three_phase_spec(path: Path) -> Path:
     """The stack spec without its last phase: segment merges the raw
     segments of phase 3 into phase 2."""
-    spec = bundled_task_json("stack")["causal_spec"]
-    spec["phases"].pop()
-    spec["segment_merge_map"] = [min(p, 2) for p in spec["segment_merge_map"]]
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(_drop_last_phase(spec_json(resolve_task("stack")))))
     return path
 
 

@@ -1,3 +1,4 @@
+import re
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -51,7 +52,10 @@ def test_reset_degenerate_samplers_hit_exact_poses(stack_task):
 def test_reset_overlap_forces_placement_failure(stack_task):
     samplers = {eid: PoseSampler((0.0, 0.0), (0.0, 0.0), (0.02, 0.02)) for eid in stack_task.samplers}
     task = replace(stack_task, samplers=samplers)
-    with pytest.raises(InvariantViolation, match="no non-overlapping placement found in 1000 attempts"):
+    with pytest.raises(InvariantViolation, match=re.escape(
+            "no non-overlapping placement found in 1000 attempts: entities ['cube_a', 'cube_b', 'cube_c'] must lie "
+            "0.08 m apart in xy (MIN_SEPARATION), drawn from cube_a x [0.0, 0.0] y [0.0, 0.0], "
+            "cube_b x [0.0, 0.0] y [0.0, 0.0], cube_c x [0.0, 0.0] y [0.0, 0.0]")):
         reset(task, 0)
 
 

@@ -20,7 +20,7 @@ from demoaug.sim import (
 )
 from demoaug.pipeline import pipeline_config_from_dict
 from demoaug.tasks import load_task_definition, resolve_task
-from tests.conftest import BUNDLED, bundled_task_json
+from tests.conftest import BUNDLED, bundled_task_json, spec_json
 
 
 def test_resolve_bundled_names():
@@ -76,9 +76,9 @@ def test_resolve_task_from_path(tmp_path):
 
 def test_causal_spec_file_round_trip(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(bundled_task_json("stack")["causal_spec"]))
+    path.write_text(json.dumps(spec_json(resolve_task("stack"))))
     loaded = load_causal_spec(path, resolve_task("stack").schema)
-    assert replace(resolve_task("stack"), causal=loaded).causal == resolve_task("stack").causal
+    assert replace(resolve_task("stack"), spec=loaded).causal == resolve_task("stack").causal
     assert count_partitions(loaded) == 8
     assert loaded.segment_merge_map == (0, 1, 2, 3)
     # loader injects the diagonal
@@ -180,7 +180,7 @@ def test_readme_task_file_defaults_match_dataclasses():
     """Every default that a task file section takes from its dataclass
     appears in the README's task-file table as `key` (default)."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = text[text.index("| key | fields and kinds |"):text.index("| `causal_spec` |")]
+    table = text[text.index("| key | fields and kinds |"):text.index("The keys are read by the same typed checks")]
     for cls in (EntityDecl, PoseSampler, ObjectGeom, TaskDefinition):
         for f in fields(cls):
             if f.default is MISSING:
