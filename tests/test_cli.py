@@ -500,6 +500,17 @@ def _old_layout(spec):
         phase["agents"] = {"robot0": phase.pop("graph")}
 
 
+def _task_with_spec(name, edit):
+    """The bundled task file's JSON text with a causal_spec section, the
+    kind's spec in the --spec layout after `edit` changed it: the section
+    task files held before the task kind owned the spec."""
+    def add(task):
+        spec = spec_json(resolve_task(name))
+        edit(spec)
+        task["causal_spec"] = spec
+    return _task_with(name, add)
+
+
 # what an edge naming an id the stack schema lacks is refused with
 NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
 
@@ -522,6 +533,19 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
         (_task_with("stack", _set("task_id", "foo")), "unknown key 'task_id'"),
         # the causal spec is the task kind's: a --spec file is its one override
         (_task_with("stack", _set("causal_spec", spec_json(resolve_task("stack")))), "unknown key 'causal_spec'"),
+        # whatever such a section holds, the section itself is what is refused
+        (_task_with_spec("stack", _set("phases", 0, "grasp_closes", "no")), "unknown key 'causal_spec'"),
+        (_task_with_spec("stack", _each_phase(lambda phase: phase["edges"].append(["robot0", "ghost"]))),
+         "unknown key 'causal_spec'"),
+        (_task_with_spec("stack", _each_phase(_rename_node("robot0", "robotX"))), "unknown key 'causal_spec'"),
+        (_task_with_spec("stack", _graph_layout), "unknown key 'causal_spec'"),
+        (_task_with_spec("stack", _old_layout), "unknown key 'causal_spec'"),
+        (_task_with_spec("stack", _set("phases", 1, "target_entity", "cube_c")), "unknown key 'causal_spec'"),
+        (_task_with_spec("stack", _each_phase(lambda phase: phase.update(grasp_closes=len(phase["edges"]) > 2))),
+         "unknown key 'causal_spec'"),
+        (_task_with_spec("coffee", _set("phases", 0, "phase_index", 0)), "unknown key 'causal_spec'"),
+        (_task_with_spec("stack", _drop_last_phase), "unknown key 'causal_spec'"),
+        (_task_with_spec("coffee", _drop_last_phase), "unknown key 'causal_spec'"),
         # the simulator and expert settings are sim's constants, not task file keys
         (_task_with("stack", _set("sim", {"max_pos_step": "x"})), "unknown key 'sim'"),
         (_task_with("stack", _set("sim", {"max_rot_step": -1})), "unknown key 'sim'"),
@@ -566,7 +590,10 @@ NOT_A_STACK_NODE = "not one of ['robot0', 'cube_a', 'cube_b', 'cube_c']"
     ],
     ids=["empty_object", "no_geoms", "not_json", "json_list", "string_bool", "nan",
          "infinity", "string_number", "string_sampler_range", "unknown_top_level_key",
-         "top_level_task_id", "causal_spec_section", "string_sim_param", "negative_sim_step", "expert_section",
+         "top_level_task_id", "causal_spec_section", "string_grasp_closes", "ghost_node_in_every_phase",
+         "graphs_of_another_agent", "graph_and_nodes_spec_layout", "old_per_agent_spec_layout",
+         "phase_1_target_cube_c", "flipped_grasp_closes", "phase_index_key", "stack_phase_too_few",
+         "coffee_phase_too_few", "string_sim_param", "negative_sim_step", "expert_section",
          "xy_tol_key", "lid_initial_angle_key",
          "string_graspable", "home_pose_unknown_key", "short_stack_order", "no_agents",
          "two_agents", "agent_is_an_entity",
