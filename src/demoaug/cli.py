@@ -13,7 +13,8 @@ its dataset flags without --in, --out-size without --crop-scale and
 --force unless --jitter or --permute is given with --task, and `run`
 overrides only the config's seed and out. segment, augment-se3 and
 augment-causal require --task, and a --spec, read over the task's schema,
-replaces only the task's phase graphs and merge map.
+replaces only the task's phase graphs and merge map. Input files (a task, a
+--spec, a config) are read before the dataset: a bad one never waits on a load.
 """
 
 from __future__ import annotations
@@ -113,13 +114,13 @@ def _run_stage(args, task) -> dict:
     task's graphs and merge map."""
     params = {key: getattr(args, key) for key in args.params if getattr(args, key) is not None}
     stage = StageConfig(args.stage, params)
-    ds = load_dataset(args.inp) if args.inp else None
     if args.spec:  # the task checks the spec against its kind: that refusal names the file too
         spec = load_causal_spec(args.spec, task.schema)
         try:
             task = replace(task, spec=spec)
         except InvariantViolation as exc:
             raise InvariantViolation(f"causal spec file {args.spec}: {exc}") from exc
+    ds = load_dataset(args.inp) if args.inp else None
     ds, info = run_stage(stage, ds, task, args.seed)
     save_dataset(ds, args.out)
     return {**info, "out": str(args.out)}

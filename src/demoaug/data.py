@@ -24,9 +24,8 @@ lines with a malformed section, are read whole by timestep_from_json, the
 reference. These caches live for one load_dataset call only.
 
 Task files, causal specs and pipeline configs go through the same reader,
-read_json. Task files and causal specs are read by record_from_json, with
-Param checking each value; pipeline_config_from_dict checks a config's own
-keys, and Param its stage parameters.
+read_json, and then through record_from_json, with Param checking each
+value: a config's stage parameters too, through StageConfig.
 """
 
 from __future__ import annotations

@@ -6,14 +6,15 @@ every random draw flows through RNG streams derived from stable labels."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .causal import check_phase_labels
 from .counterfactual import DONOR_POLICIES, CounterfactualConfig, augment_offline
-from .data import Dataset, Param, Provenance, Trajectory, load_dataset, save_dataset, validate_dataset, write_json
+from .data import (Dataset, Param, Provenance, Trajectory, list_from_json, load_dataset, record_from_json,
+                   save_dataset, validate_dataset, write_json)
 from .errors import ConfigError, DemoaugError, InvariantViolation, IoFailure, StageFailure
 from .imageaug import proprio_noise
 from .retarget import GenerationReport, InterpolationConfig, generate_demos
@@ -81,29 +82,28 @@ def _check_stage_order(names: list[str], has_input: bool):
         raise ConfigError("a pipeline with a gen stage takes no input: gen does not read a dataset")
 
 
-_CONFIG_KEYS = ("task", "out", "stages", "seed", "workers", "input")
+def _stage_from_json(where: str, obj) -> StageConfig:
+    """A `stages` entry: an object with a string 'name' and the stage's parameters."""
+    if type(obj) is not dict or type(obj.get("name")) is not str:
+        raise InvariantViolation(f"{where} must be an object with a string 'name', got {obj!r}")
+    return StageConfig(obj["name"], {key: value for key, value in obj.items() if key != "name"})
 
 
-def pipeline_config_from_dict(obj: dict) -> PipelineConfig:
-    """Parse a pipeline config; anything malformed raises ConfigError."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"a pipeline config is a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"pipeline config has unknown keys {unknown} (it takes {', '.join(_CONFIG_KEYS)})")
-    missing = [key for key in ("task", "out") if not isinstance(obj.get(key), str)]
-    if missing:
-        raise ConfigError(f"pipeline config lacks {', '.join(missing)} (a string)")
-    entries = obj.get("stages", [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) and isinstance(e.get("name"), str)
-                                                for e in entries):
-        raise ConfigError("pipeline config: 'stages' must be a list of objects, each with a 'name'")
-    stages = [StageConfig(e["name"], {k: v for k, v in e.items() if k != "name"}) for e in entries]
-    seed, workers = obj.get("seed", 0), obj.get("workers", 1)
-    for key, value in (("seed", seed), ("workers", workers)):
-        if type(value) is not int:
-            raise ConfigError(f"pipeline config: seed and workers must be integers, got {key} {value!r}")
-    return PipelineConfig(obj["task"], tuple(stages), obj["out"], seed, workers, obj.get("input"))
+def pipeline_config_from_dict(obj) -> PipelineConfig:
+    """The pipeline config in the JSON value `obj`, read as a task file is:
+    `task` and `workers` by their annotations, `stages` entry by entry, and
+    `out`, `seed` and `input` into the fields they name; a field without a
+    default (`task`, `stages`, `out`) is required. Anything malformed raises ConfigError."""
+    try:
+        return record_from_json(
+            PipelineConfig, "pipeline config", obj,
+            stages=lambda where, value: list_from_json(where, value, _stage_from_json),
+            output_root=("out", Param(str, MISSING).parse),
+            master_seed=("seed", Param(int, PipelineConfig.master_seed).parse),
+            input_path=("input", Param(str, None).parse),
+        )
+    except InvariantViolation as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

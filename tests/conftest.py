@@ -6,6 +6,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from demoaug.data import Dataset
 from demoaug.rng import derive_stream
@@ -14,6 +15,12 @@ from demoaug.sim import rollout_expert, sim_state_from_timestep, step
 from demoaug.tasks import resolve_task
 
 BUNDLED = files("demoaug") / "bundled"
+
+# Every run draws the same examples, and none are replayed from a database:
+# a property test that passes once passes on every run, and one that fails
+# fails on every run. Each test's own max_examples still applies.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def bundled_task_json(name: str) -> dict:

@@ -369,16 +369,17 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
         (None, "cannot read"),
         ("{", "cannot read"),
         ("[]", "JSON object"),
-        ({"out": "o", "stages": []}, "lacks task"),
+        ({"out": "o", "stages": []}, "KeyError: 'pipeline config.task'"),
         ({"task": "stack", "out": "o", "stages": [{"count": 2}]}, "'name'"),
+        ({"task": "stack", "out": "o"}, "KeyError: 'pipeline config.stages'"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen"}, {"name": "segment", "close_treshold": 0.4}]},
          "'close_treshold'"),
-        ({"task": "stack", "out": "o", "sed": 1, "stages": []}, "unknown keys ['sed']"),
-        ({"task": "stack", "out": "o", "seed": "x", "stages": []}, "integers"),
-        ({"task": "stack", "out": "o", "seed": 2.7, "stages": []}, "seed 2.7"),
-        ({"task": "stack", "out": "o", "seed": "7", "stages": []}, "seed '7'"),
-        ({"task": "stack", "out": "o", "seed": True, "stages": []}, "seed True"),
-        ({"task": "stack", "out": "o", "workers": 2.0, "stages": []}, "workers 2.0"),
+        ({"task": "stack", "out": "o", "sed": 1, "stages": []}, "unknown key 'pipeline config.sed'"),
+        ({"task": "stack", "out": "o", "seed": "x", "stages": []}, "pipeline config.seed must be an integer, got 'x'"),
+        ({"task": "stack", "out": "o", "seed": 2.7, "stages": []}, "pipeline config.seed must be an integer, got 2.7"),
+        ({"task": "stack", "out": "o", "seed": "7", "stages": []}, "pipeline config.seed must be an integer, got '7'"),
+        ({"task": "stack", "out": "o", "seed": True, "stages": []}, "pipeline config.seed must be an integer, got True"),
+        ({"task": "stack", "out": "o", "workers": 2.0, "stages": []}, "pipeline config.workers must be an integer, got 2.0"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
                                                    {"name": "se3", "pos_range": [0.1, 0.2]}]}, "pos_range"),
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": -1}]}, "gen count"),
@@ -414,18 +415,18 @@ def test_cli_subcommands_match_pipeline_stages(tmp_path, capsys):
         ({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 1}, {"name": "segment"},
                                                    {"name": "se3", "pos_range": ["a", 0, 0, 0]}]}, "pos_range"),
         ({"task": "stack", "out": "o", "input": 5, "stages": [{"name": "segment"}]},
-         "input must be a non-empty string, got 5"),
+         "pipeline config.input must be a string, got 5"),
         ({"task": "stack", "out": "o", "input": [1], "stages": [{"name": "segment"}]},
-         "input must be a non-empty string, got [1]"),
+         "pipeline config.input must be a string, got [1]"),
         ({"task": "stack", "out": "o", "input": True, "stages": [{"name": "segment"}]},
-         "input must be a non-empty string, got True"),
+         "pipeline config.input must be a string, got True"),
         ({"task": "stack", "out": "o", "input": "", "stages": [{"name": "segment"}]},
          "input must be a non-empty string, got ''"),
         *(({"task": "stack", "out": "o", "stages": [{"name": "gen", "count": 2}, {"name": "segment"},
                                                     {"name": name}, {"name": name}]},
            f"repeat {name}: each stage may appear at most once") for name in ("se3", "causal", "obs")),
     ],
-    ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "misspelt_stage_key",
+    ids=["missing_file", "bad_json", "json_list", "no_task", "stage_without_name", "no_stages", "misspelt_stage_key",
          "misspelt_top_level_key", "non_integer_seed", "float_seed", "string_seed", "bool_seed", "float_workers",
          "short_pos_range", "negative_gen_count",
          "non_integer_gen_count", "negative_se3_count", "zero_se3_budget", "negative_causal_copies",
@@ -642,6 +643,20 @@ def test_malformed_spec_file_is_an_error(tmp_path, labeled_dir, capsys, content,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
     assert err.count("\n") == 1 and str(path) in err
+    assert not out.exists()
+
+
+def test_a_spec_file_is_read_before_the_dataset(tmp_path, capsys):
+    """A malformed --spec is refused by its name even when --in names no
+    dataset: the spec is read first, so a bad one never waits on a load."""
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    out = tmp_path / "seg"
+    assert run_cli("segment", "--task", "stack", "--spec", str(path), "--in", str(tmp_path / "missing"),
+                   "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert "failed reading causal spec file" in err and str(path) in err
     assert not out.exists()
 
 
